@@ -243,7 +243,7 @@ def _sweep_header(n_probes: int) -> str:
     return ",".join(["delta", "n_max", "e_direct", "e_spectral"] + far + norm)
 
 
-def cmd_sweep(cfg: dict, out_dir: Path, threads: int) -> int:
+def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     g = parse_geometry(cfg)
     source = parse_source(cfg)
     block = _block(cfg, "sweep")
@@ -274,7 +274,7 @@ def cmd_sweep(cfg: dict, out_dir: Path, threads: int) -> int:
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_sweep_header(len(probes)) + "\n")
         fh.flush()
-        for rec in sweep(source, g, deltas, probes, margin=margin, threads=threads):
+        for rec in sweep(source, g, deltas, probes, margin=margin):
             row = [_fmt(rec.delta), str(rec.n_max), _fmt(rec.e_direct), _fmt(rec.e_spectral)]
             row += [_fmt(v) for v in rec.far_samples]
             row += [_fmt(v) for v in rec.normalized_far]
@@ -536,8 +536,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=".", help="output directory")
         if name == "sweep":
+            # Sweeps run serially; the flag stays so existing scripts parse.
             p.add_argument(
-                "--threads", type=int, default=1, help="parallel solves per sweep"
+                "--threads",
+                type=int,
+                default=1,
+                help="accepted for compatibility (must be >= 1); has no effect",
             )
     return parser
 
@@ -555,7 +559,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             if args.threads < 1:
                 raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-            return cmd_sweep(cfg, out_dir, args.threads)
+            return cmd_sweep(cfg, out_dir)
         if args.command == "field":
             return cmd_field(cfg, out_dir)
         return cmd_validate(cfg, out_dir)

@@ -25,11 +25,14 @@ F = c - sum (F_n^+ cos cosh + F_n^- sin sinh):
     g_i projections:  -n F_n^+ sinh(n rho_i),  -n F_n^- cosh(n rho_i),
     g_e projections:  +n F_n^+ sinh(n rho_e),  +n F_n^- cosh(n rho_e).
 
-Dissipated power is E_delta = delta * ||grad V||^2 over the shell, which
-in elliptic coordinates is delta * int int (|dV/drho|^2 + |dV/domega|^2)
-d rho d omega (the metric Jacobian cancels exactly).  It is computed two
-independent ways: tensor quadrature of the gradient (Gauss-Legendre in
-rho, trapezoid in omega) and the spectral surrogate
+Dissipated power is E_delta = delta * ||grad V||^2 over the shell.  In the
+shell every mode of V is alpha e^{n rho} + beta e^{-n rho}; the omega
+integral removes the cross terms and the metric Jacobian cancels, so the
+energy is an exact sum of positive per-mode terms
+(dissipated_power_closed).  That closed form is the production route.
+Two independent routes cross-check it: tensor quadrature of the gradient
+(dissipated_power_direct: Gauss-Legendre in rho, trapezoid in omega) and
+the spectral surrogate
 
     E ~ delta * sum_n sum_branches proj^2 / (norm * (lambda^2 + delta^2)).
 
@@ -42,7 +45,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -76,6 +78,7 @@ __all__ = [
     "solve_densities",
     "eval_potential",
     "eval_gradient_shell",
+    "dissipated_power_closed",
     "dissipated_power_direct",
     "dissipated_power_spectral",
     "sweep",
@@ -159,7 +162,11 @@ class DensityCoefficients:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """Diagnostics of one loss value inside a sweep."""
+    """Diagnostics of one loss value inside a sweep.
+
+    e_direct holds the closed-form energy (dissipated_power_closed) of the
+    truncated solve; the name is kept because it is the sweep.csv column.
+    """
 
     delta: float
     n_max: int
@@ -522,6 +529,55 @@ def dissipated_power_direct(
     return config.delta * float(w_rho @ density.sum(axis=1)) * (2.0 * math.pi / n_omega)
 
 
+def dissipated_power_closed(
+    sc: SourceCoefficients,
+    dc: DensityCoefficients,
+    g: ConfocalGeometry,
+    delta: float,
+) -> float:
+    """E_delta = delta * ||grad V||^2 over the shell, summed mode by mode.
+
+    In the shell the cosine and sine parts of mode n of V are each
+    alpha e^{n rho} + beta e^{-n rho}.  With the scaled coefficients
+    alpha~ = alpha e^{n rho_e} and beta~ = beta e^{-n rho_i} the omega
+    integral removes the cross terms and
+
+        E = delta pi sum_n n (1 - e^{-2 n (rho_e - rho_i)})
+              (|alpha~_c|^2 + |alpha~_s|^2 + |beta~_c|^2 + |beta~_s|^2).
+
+    Every term is positive.  The only growing factor, e^{n rho_e}, stays
+    below e^300 by the n_max guard, and it multiplies F_n, which decays
+    like e^{-n rho_0} with rho_0 > rho_e for a source outside the shell.
+    """
+    if len(dc.p_cos) != sc.n_max:
+        raise ValueError(
+            "source and density coefficients have different truncation orders"
+        )
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
+    n = np.arange(1, sc.n_max + 1, dtype=float)
+    up_e = np.exp(n * g.rho_e)
+    down_i = np.exp(-n * g.rho_i)
+    ei = np.exp(-2.0 * n * g.rho_i)
+    cross = np.exp(-n * (g.rho_e + g.rho_i))
+    alpha_c = 0.5 * sc.f_plus * up_e - dc.q_cos / (2.0 * n)
+    alpha_s = 0.5 * sc.f_minus * up_e - dc.q_sin / (2.0 * n)
+    beta_c = 0.5 * sc.f_plus * down_i - (
+        0.5 * dc.p_cos * (1.0 + ei) + 0.5 * dc.q_cos * cross
+    ) / n
+    beta_s = -0.5 * sc.f_minus * down_i - (
+        0.5 * dc.p_sin * (1.0 - ei) - 0.5 * dc.q_sin * cross
+    ) / n
+    gap = -np.expm1(-2.0 * n * (g.rho_e - g.rho_i))
+    mag2 = (
+        np.abs(alpha_c) ** 2
+        + np.abs(alpha_s) ** 2
+        + np.abs(beta_c) ** 2
+        + np.abs(beta_s) ** 2
+    )
+    return delta * math.pi * float(np.sum(n * gap * mag2))
+
+
 def dissipated_power_spectral(
     proj: ModeProjection, modes: ModeTable, delta: float
 ) -> float:
@@ -539,54 +595,45 @@ def dissipated_power_spectral(
     return delta * float(total)
 
 
-def _sweep_one(
-    source: SourceSpec,
-    g: ConfocalGeometry,
-    delta: float,
-    probes: Sequence[EllipticPoint],
-    margin: int,
-) -> SweepRecord:
-    n_max = adaptive_n_max(delta, g, margin)
-    sc = newtonian_coefficients(source, n_max, g.R, rho_e=g.rho_e)
-    config = ShellConfig(g, delta, n_max)
-    modes = mode_table(g, n_max)
-    forcing = boundary_forcing(sc, g)
-    proj = mode_projections(forcing, modes)
-    dc, _ = _assemble_densities(proj, modes, delta)
-    e_direct = dissipated_power_direct(source, dc, config)
-    e_spectral = dissipated_power_spectral(proj, modes, delta)
-    far = np.array(
-        [abs(eval_potential(source, dc, config, p)) for p in probes]
-    )
-    scale = math.sqrt(e_direct) if e_direct > 0.0 else math.inf
-    return SweepRecord(delta, n_max, e_direct, e_spectral, far, far / scale)
-
-
 def sweep(
     source: SourceSpec,
     g: ConfocalGeometry,
     deltas: Sequence[float],
     probes: Sequence[EllipticPoint],
     margin: int = 40,
-    threads: int = 1,
 ) -> list[SweepRecord]:
     """Solve the transmission problem across a family of loss values.
 
-    Each delta gets its own adaptive truncation.  Probes must lie outside
-    the shell.  Records are returned in the order the deltas were given.
+    Each delta gets its own adaptive truncation.  The source coefficients
+    and the mode table do not depend on delta, so both are built once at
+    the largest truncation and sliced per delta; the slices equal per-delta
+    builds bit for bit.  Probes must lie outside the shell.  Records are
+    returned in the order the deltas were given.
     """
     if len(deltas) == 0:
         raise ValueError("need at least one delta")
     for p in probes:
         if p.rho <= g.rho_e:
             raise ValueError(f"probe at rho = {p.rho} is not outside the shell")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_sweep_one, source, g, d, probes, margin) for d in deltas
-            ]
-            return [f.result() for f in futures]
-    return [_sweep_one(source, g, d, probes, margin) for d in deltas]
+    n_maxes = [adaptive_n_max(d, g, margin) for d in deltas]
+    n_top = max(n_maxes)
+    sc_top = newtonian_coefficients(source, n_top, g.R, rho_e=g.rho_e)
+    modes_top = mode_table(g, n_top)
+    records = []
+    for delta, n_max in zip(deltas, n_maxes):
+        config = ShellConfig(g, delta, n_max)
+        sc = sc_top.truncated(n_max)
+        modes = modes_top.truncated(n_max)
+        proj = mode_projections(boundary_forcing(sc, g), modes)
+        dc, _ = _assemble_densities(proj, modes, delta)
+        energy = dissipated_power_closed(sc, dc, g, delta)
+        e_spectral = dissipated_power_spectral(proj, modes, delta)
+        far = np.array(
+            [abs(eval_potential(source, dc, config, p)) for p in probes]
+        )
+        scale = math.sqrt(energy) if energy > 0.0 else math.inf
+        records.append(SweepRecord(delta, n_max, energy, e_spectral, far, far / scale))
+    return records
 
 
 def calr_classify(records: Sequence[SweepRecord], regime: Regime) -> CalrDiagnosis:

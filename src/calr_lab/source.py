@@ -130,6 +130,12 @@ class SourceCoefficients:
     def n_max(self) -> int:
         return len(self.f_plus)
 
+    def truncated(self, n_max: int) -> SourceCoefficients:
+        """The leading n_max modes, as views (c is independent of n_max)."""
+        if not 1 <= n_max <= self.n_max:
+            raise ValueError(f"n_max must be in [1, {self.n_max}], got {n_max}")
+        return SourceCoefficients(self.c, self.f_plus[:n_max], self.f_minus[:n_max])
+
 
 class GapVerdict(Enum):
     SATISFIED = "SatisfiedHeuristically"

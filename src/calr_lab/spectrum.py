@@ -50,7 +50,7 @@ eigenfunction pairs Psi_n^{1+}, Psi_n^{1-}, Psi_n^{2+}, Psi_n^{2-}
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -118,6 +118,16 @@ class ModeTable:
     norm_1m: np.ndarray
     norm_2p: np.ndarray
     norm_2m: np.ndarray
+
+    def truncated(self, n_max: int) -> ModeTable:
+        """The leading n_max modes, as views.
+
+        Every entry depends on its own n only, so the result equals
+        mode_table(g, n_max) bit for bit.
+        """
+        if not 1 <= n_max <= len(self.n):
+            raise ValueError(f"n_max must be in [1, {len(self.n)}], got {n_max}")
+        return ModeTable(*(getattr(self, f.name)[:n_max] for f in fields(self)))
 
     def row(self, n: int) -> ModeData:
         i = n - 1

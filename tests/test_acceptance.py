@@ -4,7 +4,7 @@ Each test prints a single `ACk PASS/FAIL` line with the observed numbers
 before asserting, so a full run always shows the status of all nine
 criteria.  Two criteria fail by design of the quantities they bound, not
 by defect; their failure messages carry the measured values and the
-structural reason, and docs/decision notes hold the full analysis:
+structural reason:
 
 * AC5: two of its sixteen clauses bound the dissipated power of
   non-resonant sources by a constant spread, but dissipated power scales

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from calr_lab import (
     boundary_forcing,
     calr_classify,
     critical_radius,
+    dissipated_power_closed,
     dissipated_power_direct,
     dissipated_power_spectral,
     eval_gradient_shell,
@@ -41,6 +44,7 @@ from calr_lab import (
     sweep,
     z_param,
 )
+from calr_lab.cli import load_config, parse_geometry, parse_source
 from calr_lab.solver import BoundaryForcing, ModeProjection, SweepRecord
 
 TWO_PI = 2.0 * math.pi
@@ -50,6 +54,8 @@ THICK = ConfocalGeometry(1.0, 0.2, 1.0)
 THIN_REGIME = critical_radius(THIN.rho_i, THIN.rho_e)
 THICK_REGIME = critical_radius(THICK.rho_i, THICK.rho_e)
 PROBES_THIN = [EllipticPoint(1.2, 0.6), EllipticPoint(1.2, 2.8)]
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SOURCE_CONFIGS = ("dipole_inside", "dipole_outside", "thick_inside", "thick_outside")
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +566,7 @@ def test_dissipated_power_zero_source():
     config = ShellConfig(THIN, 1e-3, 8)
     dc = solve_densities(sc, config)
     assert dissipated_power_direct(sc, dc, config) == 0.0
+    assert dissipated_power_closed(sc, dc, THIN, 1e-3) == 0.0
     proj = mode_projections(boundary_forcing(sc, THIN), mode_table(THIN, 8))
     assert dissipated_power_spectral(proj, mode_table(THIN, 8), 1e-3) == 0.0
 
@@ -572,6 +579,50 @@ def test_dissipated_power_quadrature_doubling():
         n_omega=2 * max(4 * config.n_max + 2, 512), n_panels=8,
     )
     assert abs(base - fine) <= 1e-8 * abs(fine)
+
+
+def _bundled_sweep(name):
+    cfg = load_config(CONFIGS / f"{name}.json")
+    block = cfg["sweep"]
+    probes = [EllipticPoint(p["rho"], p["omega"]) for p in block["probes"]]
+    return parse_geometry(cfg), parse_source(cfg), block["deltas"], probes, block["margin"]
+
+
+def _truncated_solve(src, g, delta, n_max):
+    sc = newtonian_coefficients(src, n_max, g.R, rho_e=g.rho_e)
+    config = ShellConfig(g, delta, n_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        dc = solve_densities(sc, config)
+    return sc, config, dc
+
+
+@pytest.mark.parametrize("name", SOURCE_CONFIGS)
+def test_closed_energy_matches_quadrature_oracle(name):
+    """The closed-form energy equals the tensor quadrature run on the same
+    truncated source and densities, at every sweep delta of the bundled
+    config and at the largest n_max the geometry supports."""
+    g, src, deltas, _, margin = _bundled_sweep(name)
+    n_top = math.ceil(300.0 / g.rho_e) - 1  # largest n with 2 n rho_e < 600
+    with pytest.raises(OverflowGuard):
+        ShellConfig(g, 1e-8, n_top + 1)
+    cases = [(d, adaptive_n_max(d, g, margin)) for d in deltas] + [(1e-8, n_top)]
+    for delta, n_max in cases:
+        sc, config, dc = _truncated_solve(src, g, delta, n_max)
+        closed = dissipated_power_closed(sc, dc, g, delta)
+        oracle = dissipated_power_direct(sc, dc, config)
+        assert math.isfinite(closed) and closed > 0.0
+        assert abs(closed - oracle) <= 1e-13 * oracle, (delta, n_max)
+
+
+def test_closed_energy_validation():
+    sc, _, dc = _truncated_solve(
+        Dipole(EllipticPoint(1.3, 0.9), np.array([1.0, 0.4])), THIN, 1e-3, 20
+    )
+    with pytest.raises(ValueError):
+        dissipated_power_closed(sc.truncated(10), dc, THIN, 1e-3)
+    with pytest.raises(ValueError):
+        dissipated_power_closed(sc, dc, THIN, math.nan)
 
 
 def test_dissipated_power_spectral_single_mode():
@@ -663,18 +714,28 @@ def test_sweep_outside_source_stays_bounded():
     assert diag.growth_exponent < -0.05
 
 
-def test_sweep_preserves_order_and_threads_agree():
+def test_sweep_preserves_order():
     src = Dipole(EllipticPoint(0.88, 0.9), np.array([1.0, 0.4]))
     deltas = [1e-3, 1e-2, 1e-5, 1e-4]
-    serial = sweep(src, THIN, deltas, PROBES_THIN)
-    assert [r.delta for r in serial] == deltas
-    threaded = sweep(src, THIN, deltas, PROBES_THIN, threads=3)
-    for a, b in zip(serial, threaded):
-        assert a.delta == b.delta
-        assert a.e_direct == b.e_direct
-        assert a.e_spectral == b.e_spectral
-        assert np.array_equal(a.far_samples, b.far_samples)
-        assert np.array_equal(a.normalized_far, b.normalized_far)
+    records = sweep(src, THIN, deltas, PROBES_THIN)
+    assert [r.delta for r in records] == deltas
+
+
+@pytest.mark.parametrize("name", SOURCE_CONFIGS)
+def test_sweep_slices_match_per_delta_solves(name):
+    """Slicing one mode table and one coefficient set per sweep changes no
+    bit of what an independent solve at each delta's own n_max gives."""
+    g, src, deltas, probes, margin = _bundled_sweep(name)
+    for rec in sweep(src, g, deltas, probes, margin=margin):
+        n_max = adaptive_n_max(rec.delta, g, margin)
+        sc, config, dc = _truncated_solve(src, g, rec.delta, n_max)
+        modes = mode_table(g, n_max)
+        proj = mode_projections(boundary_forcing(sc, g), modes)
+        far = np.array([abs(eval_potential(src, dc, config, p)) for p in probes])
+        assert rec.n_max == n_max
+        assert rec.e_spectral == dissipated_power_spectral(proj, modes, rec.delta)
+        assert np.array_equal(rec.far_samples, far)
+        assert rec.e_direct == dissipated_power_closed(sc, dc, g, rec.delta)
 
 
 def test_sweep_validation():

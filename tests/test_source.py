@@ -323,6 +323,18 @@ def test_coefficients_source_pad_and_truncate():
     assert narrow.f_plus[0] == 1.0
 
 
+def test_source_coefficients_truncation_is_bit_identical():
+    src = Dipole(EllipticPoint(0.88, 0.9), np.array([1.0, 0.4]))
+    head = newtonian_coefficients(src, 150, 1.0, rho_e=THIN.rho_e).truncated(71)
+    fresh = newtonian_coefficients(src, 71, 1.0, rho_e=THIN.rho_e)
+    assert head.n_max == 71
+    assert head.c == fresh.c
+    assert np.array_equal(head.f_plus, fresh.f_plus)
+    assert np.array_equal(head.f_minus, fresh.f_minus)
+    with pytest.raises(ValueError):
+        fresh.truncated(72)
+
+
 def test_source_inside_shell_rejected():
     with pytest.raises(SourceInsideShell):
         newtonian_coefficients(

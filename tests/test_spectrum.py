@@ -204,6 +204,19 @@ def test_mode_table_matches_mode_data():
             assert getattr(row, name) == getattr(single, name)
 
 
+def test_mode_table_truncation_is_bit_identical():
+    for g in (THIN, THICK):
+        head = mode_table(g, 120).truncated(37)
+        fresh = mode_table(g, 37)
+        for name in ("n", "lambda1", "lambda2", "a1", "a2", "b",
+                     "norm_1p", "norm_1m", "norm_2p", "norm_2m"):
+            assert np.array_equal(getattr(head, name), getattr(fresh, name))
+    with pytest.raises(ValueError):
+        mode_table(THIN, 5).truncated(6)
+    with pytest.raises(ValueError):
+        mode_table(THIN, 5).truncated(0)
+
+
 def test_s_gram_diagonal_and_symmetry():
     g_cos = s_gram(1, THIN, "cos")
     want = float(mpmath.pi * mpmath.e ** mpmath.mpf("-0.5")
