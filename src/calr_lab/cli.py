@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import astuple
 from pathlib import Path
 from typing import Any
 
@@ -32,7 +33,7 @@ from .solver import (
     ShellConfig,
     adaptive_n_max,
     calr_classify,
-    eval_potential,
+    eval_potentials,
     solve_densities,
     sweep,
 )
@@ -192,26 +193,8 @@ def cmd_spectrum(cfg: dict, out_dir: Path) -> int:
         raise ConfigError(f"spectrum.n_max: must be >= 0, got {n_max}")
     lines = [_SPECTRUM_COLUMNS]
     for n in range(1, n_max + 1):
-        m = mode_data(n, g)
-        lines.append(
-            ",".join(
-                [str(n)]
-                + [
-                    _fmt(v)
-                    for v in (
-                        m.lambda1,
-                        m.lambda2,
-                        m.a1,
-                        m.a2,
-                        m.b,
-                        m.norm_1p,
-                        m.norm_1m,
-                        m.norm_2p,
-                        m.norm_2m,
-                    )
-                ]
-            )
-        )
+        values = astuple(mode_data(n, g))[1:]
+        lines.append(",".join([str(n)] + [_fmt(v) for v in values]))
     path = out_dir / "spectrum.csv"
     _write_lines(path, lines)
     print(f"wrote {path} ({n_max} modes)")
@@ -267,20 +250,15 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
             )
     margin = _int(block, "sweep", "margin", 40)
 
+    records = sweep(source, g, deltas, probes, margin=margin)
+    lines = [_sweep_header(len(probes))]
+    for rec in records:
+        row = [_fmt(rec.delta), str(rec.n_max), _fmt(rec.e_direct), _fmt(rec.e_spectral)]
+        row += [_fmt(v) for v in rec.far_samples]
+        row += [_fmt(v) for v in rec.normalized_far]
+        lines.append(",".join(row))
     csv_path = out_dir / "sweep.csv"
-    records = []
-    # Rows are flushed one by one so that a failure mid-sweep still
-    # leaves the completed part on disk.
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_sweep_header(len(probes)) + "\n")
-        fh.flush()
-        for rec in sweep(source, g, deltas, probes, margin=margin):
-            row = [_fmt(rec.delta), str(rec.n_max), _fmt(rec.e_direct), _fmt(rec.e_spectral)]
-            row += [_fmt(v) for v in rec.far_samples]
-            row += [_fmt(v) for v in rec.normalized_far]
-            fh.write(",".join(row) + "\n")
-            fh.flush()
-            records.append(rec)
+    _write_lines(csv_path, lines)
 
     regime = critical_radius(g.rho_i, g.rho_e)
     diagnosis = calr_classify(records, regime)
@@ -346,14 +324,24 @@ def cmd_field(cfg: dict, out_dir: Path) -> int:
     ys = np.linspace(-b, b, n2)
     lines = ["x1,x2,re_v,im_v,abs_v"]
     for x2 in ys:
+        row = []
         for x1 in xs:
-            prefix = f"{_fmt(x1)},{_fmt(x2)}"
             try:
-                p = to_elliptic(g.R, np.array([x1, x2]))
+                row.append(to_elliptic(g.R, np.array([x1, x2])))
             except DegeneratePoint:
+                row.append(None)
+        pts = [p for p in row if p is not None]
+        values = iter(
+            eval_potentials(
+                f_spec, dc, g, [p.rho for p in pts], [p.omega for p in pts]
+            )
+        )
+        for x1, p in zip(xs, row):
+            prefix = f"{_fmt(x1)},{_fmt(x2)}"
+            if p is None:
                 lines.append(prefix + ",,,")
                 continue
-            v = complex(eval_potential(f_spec, dc, config, p))
+            v = complex(next(values))
             lines.append(
                 f"{prefix},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))}"
             )
@@ -421,13 +409,12 @@ def _validate_checks(cfg: dict) -> list[dict]:
     pd = True
     for n in (1, 2, 5, 10, 25, 50):
         mode = mode_data(n, g)
-        for parity in ("cos", "sin"):
+        g_cos, g_sin = s_gram(n, g, "cos"), s_gram(n, g, "sin")
+        for gram in (g_cos, g_sin):
             try:
-                np.linalg.cholesky(s_gram(n, g, parity))
+                np.linalg.cholesky(gram)
             except np.linalg.LinAlgError:
                 pd = False
-        g_cos = s_gram(n, g, "cos")
-        g_sin = s_gram(n, g, "sin")
         for vec, gram, norm in (
             (np.array([mode.a1, mode.b]), g_cos, mode.norm_1p),
             (np.array([mode.b, mode.a2]), g_sin, mode.norm_1m),
@@ -455,23 +442,22 @@ def _validate_checks(cfg: dict) -> list[dict]:
     stencil = np.array([-49.0 / 20, 6.0, -15.0 / 2, 20.0 / 3, -15.0 / 4, 6.0 / 5, -1.0 / 6])
     h = 1e-4
     omegas = np.linspace(0.07, 2.0 * math.pi - 0.13, 12)
-    eps = {"in": [1.0, -1.0 + 1j * delta], "out": [-1.0 + 1j * delta, 1.0]}
+    steps = np.arange(len(stencil)) * h
+    shell = -1.0 + 1j * delta
     worst_c, worst_f = 0.0, 0.0
-    for rho_t, (e_in, e_out) in zip((g.rho_i, g.rho_e), (eps["in"], eps["out"])):
-        fluxes, vscale, fscale = [], 0.0, 0.0
-        for w in omegas:
-            def v_at(r: float) -> complex:
-                return eval_potential(f_spec, dc, config, EllipticPoint(r, w))
-
-            vin, vout = v_at(rho_t - 1e-9), v_at(rho_t + 1e-9)
-            vscale = max(vscale, abs(vin))
-            worst_c = max(worst_c, abs(vin - vout))
-            d_in = -sum(c * v_at(rho_t - k * h) for k, c in enumerate(stencil)) / h
-            d_out = sum(c * v_at(rho_t + k * h) for k, c in enumerate(stencil)) / h
-            fi, fo = e_in * d_in, e_out * d_out
-            fluxes.append(abs(fi - fo))
-            fscale = max(fscale, abs(fi), abs(fo))
-        worst_f = max(worst_f, max(fluxes) / fscale)
+    for rho_t, e_in, e_out in ((g.rho_i, 1.0, shell), (g.rho_e, shell, 1.0)):
+        # Columns: the continuity pair, then the inner and outer stencils.
+        pair = [rho_t - 1e-9, rho_t + 1e-9]
+        radii = np.concatenate([pair, rho_t - steps, rho_t + steps])
+        v = eval_potentials(f_spec, dc, g, radii[None, :], omegas[:, None])
+        inner, outer = v[:, 2 : 2 + len(stencil)], v[:, 2 + len(stencil) :]
+        vscale = float(np.max(np.abs(v[:, 0])))
+        worst_c = max(worst_c, float(np.max(np.abs(v[:, 0] - v[:, 1]))))
+        d_in = -sum(c * inner[:, k] for k, c in enumerate(stencil)) / h
+        d_out = sum(c * outer[:, k] for k, c in enumerate(stencil)) / h
+        fi, fo = e_in * d_in, e_out * d_out
+        fscale = float(np.max(np.maximum(np.abs(fi), np.abs(fo))))
+        worst_f = max(worst_f, float(np.max(np.abs(fi - fo))) / fscale)
     worst_c = worst_c / vscale
     checks.append(_check("continuity", worst_c < 1e-6, worst_c, 1e-6))
     checks.append(_check("flux_jump", worst_f < 1e-8, worst_f, 1e-8))
@@ -485,15 +471,11 @@ def _validate_checks(cfg: dict) -> list[dict]:
 
     # 7. Conjugation symmetry: z(-delta) = conj(z(delta)) pointwise in V.
     dc_m = solve_densities(sc, ShellConfig(g, -delta, n_max))
-    worst = 0.0
-    for p in (
-        EllipticPoint(0.5 * g.rho_i, 0.3),
-        EllipticPoint(0.5 * (g.rho_i + g.rho_e), 2.0),
-        EllipticPoint(g.rho_e + 0.3, 4.0),
-    ):
-        vp = complex(eval_potential(f_spec, dc, config, p))
-        vm = complex(eval_potential(f_spec, dc_m, ShellConfig(g, -delta, n_max), p))
-        worst = max(worst, abs(vm - vp.conjugate()) / max(abs(vp), 1e-30))
+    rhos = [0.5 * g.rho_i, 0.5 * (g.rho_i + g.rho_e), g.rho_e + 0.3]
+    omegas = [0.3, 2.0, 4.0]
+    vp = eval_potentials(f_spec, dc, g, rhos, omegas)
+    vm = eval_potentials(f_spec, dc_m, g, rhos, omegas)
+    worst = float(np.max(np.abs(vm - np.conj(vp)) / np.maximum(np.abs(vp), 1e-30)))
     checks.append(_check("reality_symmetry", worst < 1e-13, worst, 1e-13))
     return checks
 

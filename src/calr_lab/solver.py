@@ -36,6 +36,16 @@ the spectral surrogate
 
     E ~ delta * sum_n sum_branches proj^2 / (norm * (lambda^2 + delta^2)).
 
+Evaluation.  Mode n of a layer potential on rho_k is a mix of
+e^{-n |rho - rho_k|} and e^{-n (rho + rho_k)} in every region, and one
+radial helper (_layer_radial) forms both.  eval_potentials works through
+scattered (rho, omega) points in blocks of at most _BLOCK_ENTRIES
+point x mode entries, which bounds memory, and sums over the modes with
+elementwise products and np.sum rather than BLAS, so a value does not
+depend on the block its point falls in.  The quadrature oracle keeps its
+separable (n_rho, n_max) @ (n_max, n_omega) form: point by point its
+128 x 512 grid would cost 65536 n_max entries per call.
+
 A sweep drives delta over several decades and the classifier grades the
 outcome: resonant blow-up of E with decaying source visibility (CALR),
 bounded/decaying E (no CALR), or neither.
@@ -45,23 +55,24 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from .errors import OverflowGuard, TruncationWarning
-from .geometry import ConfocalGeometry, EllipticPoint, metric_factor, to_cartesian
+from .geometry import ConfocalGeometry, EllipticPoint
 from .source import (
     Coefficients,
     SourceCoefficients,
     SourceSpec,
-    _expansion_value,
+    _series_radial,
+    elliptic_gradient,
+    elliptic_potential,
     newtonian_coefficients,
-    newtonian_eval,
 )
-from .spectrum import ModeTable, Regime, mode_table
+from .spectrum import ModeTable, Regime, mode_factors, mode_table
 
 __all__ = [
     "ShellConfig",
@@ -77,6 +88,7 @@ __all__ = [
     "mode_projections",
     "solve_densities",
     "eval_potential",
+    "eval_potentials",
     "eval_gradient_shell",
     "dissipated_power_closed",
     "dissipated_power_direct",
@@ -88,6 +100,10 @@ __all__ = [
 # Hard bound on 2 * n_max * rho_e: beyond this the forcing and layer sums
 # involve exponentials too close to the double-precision ceiling.
 _NMAX_GUARD = 600.0
+
+# Point x mode entries per block of eval_potentials.  Bounded blocks keep
+# the peak memory of a large grid flat.
+_BLOCK_ENTRIES = 8192
 
 # Tail of the mode sum (in solution S-norm, relative) above which a
 # truncation warning is emitted.
@@ -144,6 +160,10 @@ class ModeProjection:
     proj_1m: np.ndarray = field(repr=False)
     proj_2p: np.ndarray = field(repr=False)
     proj_2m: np.ndarray = field(repr=False)
+
+    def truncated(self, n_max: int) -> ModeProjection:
+        """The leading n_max modes, as views (equal to a rebuild bit for bit)."""
+        return ModeProjection(*(getattr(self, f.name)[:n_max] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -253,17 +273,11 @@ def mode_projections(forcing: BoundaryForcing, modes: ModeTable) -> ModeProjecti
     On each mode-n subspace the pairing is the 2x2 Gram form of the
     density pair, so e.g. proj_1p = (gc_i, gc_e) G_cos (a1, b)^T.
     """
-    g = forcing.geometry
     n = modes.n.astype(float)
     if len(n) != len(forcing.gc_i):
         raise ValueError("forcing and mode table have different truncation orders")
-    ei = np.exp(-2.0 * n * g.rho_i)
-    ee = np.exp(-2.0 * n * g.rho_e)
-    E = np.exp(-n * (g.rho_e - g.rho_i))
-    pref = math.pi / n
-    ci, si = 0.5 * (1.0 + ei), 0.5 * (1.0 - ei)
-    ce, se = 0.5 * (1.0 + ee), 0.5 * (1.0 - ee)
-    cx, sx = 0.5 * E * (1.0 + ei), 0.5 * E * (1.0 - ei)
+    f = mode_factors(n, forcing.geometry)
+    ci, si, ce, se, cx, sx, pref = f.ci, f.si, f.ce, f.se, f.cx, f.sx, f.pref
 
     def pair_cos(u1, u2, v1, v2):
         return pref * (u1 * (ci * v1 + cx * v2) + u2 * (cx * v1 + ce * v2))
@@ -332,41 +346,59 @@ def solve_densities(sc: SourceCoefficients, config: ShellConfig) -> DensityCoeff
     return dc
 
 
-def _layer_sums(
-    dc: DensityCoefficients, g: ConfocalGeometry, rho: float
+def _layer_radial(
+    n: np.ndarray, g: ConfocalGeometry, rho: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Radial factors of the two layer potentials at one radius.
+    """Radial factors of the layers on rho_i and rho_e at each radius.
 
-    Returns (cos_part[n], sin_part[n]) with V_layers = sum cos_part cos(n w)
-    + sin_part sin(n w); everything is evaluated in factored exponentials
-    so that no intermediate exceeds e^0.
+    With near = e^{-n |rho - rho_k|} and far = e^{-n (rho + rho_k)} (no
+    exponent is positive), returns (near + far) / 2 and (near - far) / 2,
+    each of shape (2,) + rho.shape + (n_max,) with index 0 for rho_i and
+    1 for rho_e.  Mode n of the layer potential of phi_n_c (phi_n_s) on
+    rho_k is that half over -n times cos (sin)(n omega) in every region;
+    d/drho turns the halves into n (sigma_k near -+ far) / 2 with
+    sigma_k = sign(rho_k - rho).
     """
+    r = np.asarray(rho, dtype=float)[..., None]
+    rk = np.reshape([g.rho_i, g.rho_e], (2,) + (1,) * r.ndim)
+    near, far = np.exp(-n * np.abs(r - rk)), np.exp(-n * (r + rk))
+    return 0.5 * (near + far), 0.5 * (near - far)
+
+
+def eval_potentials(
+    source: SourceSpec | SourceCoefficients,
+    dc: DensityCoefficients,
+    g: ConfocalGeometry,
+    rho,
+    omega,
+) -> np.ndarray:
+    """V_delta at the elliptic points (rho[j], omega[j]), any region.
+
+    rho and omega broadcast against each other; the complex result has
+    their broadcast shape.  Points are evaluated in blocks of at most
+    _BLOCK_ENTRIES point x mode entries, and the mode sums are
+    elementwise products reduced by np.sum, so a value does not depend
+    on which block (or which call) its point falls in.
+    """
+    rho, omega = np.broadcast_arrays(
+        np.asarray(rho, dtype=float), np.asarray(omega, dtype=float)
+    )
+    shape = rho.shape
+    rho, omega = rho.ravel(), omega.ravel()
+    if not (rho >= 0.0).all():
+        raise ValueError("need rho >= 0 at every point")
     n = np.arange(1, len(dc.p_cos) + 1, dtype=float)
-    ri, re = g.rho_i, g.rho_e
-    if rho <= ri:
-        # Both layers seen from inside: cosh(n rho) e^{-n rho_k} terms.
-        chr_i = 0.5 * (np.exp(-n * (ri - rho)) + np.exp(-n * (ri + rho)))
-        shr_i = 0.5 * (np.exp(-n * (ri - rho)) - np.exp(-n * (ri + rho)))
-        chr_e = 0.5 * (np.exp(-n * (re - rho)) + np.exp(-n * (re + rho)))
-        shr_e = 0.5 * (np.exp(-n * (re - rho)) - np.exp(-n * (re + rho)))
-        cos_part = -(dc.p_cos * chr_i + dc.q_cos * chr_e) / n
-        sin_part = -(dc.p_sin * shr_i + dc.q_sin * shr_e) / n
-    elif rho <= re:
-        # Inner layer seen from outside, outer layer from inside.
-        chi = 0.5 * (np.exp(-n * (rho - ri)) + np.exp(-n * (rho + ri)))
-        shi = 0.5 * (np.exp(-n * (rho - ri)) - np.exp(-n * (rho + ri)))
-        chr_e = 0.5 * (np.exp(-n * (re - rho)) + np.exp(-n * (re + rho)))
-        shr_e = 0.5 * (np.exp(-n * (re - rho)) - np.exp(-n * (re + rho)))
-        cos_part = -(dc.p_cos * chi + dc.q_cos * chr_e) / n
-        sin_part = -(dc.p_sin * shi + dc.q_sin * shr_e) / n
-    else:
-        chi = 0.5 * (np.exp(-n * (rho - ri)) + np.exp(-n * (rho + ri)))
-        shi = 0.5 * (np.exp(-n * (rho - ri)) - np.exp(-n * (rho + ri)))
-        che = 0.5 * (np.exp(-n * (rho - re)) + np.exp(-n * (rho + re)))
-        she = 0.5 * (np.exp(-n * (rho - re)) - np.exp(-n * (rho + re)))
-        cos_part = -(dc.p_cos * chi + dc.q_cos * che) / n
-        sin_part = -(dc.p_sin * shi + dc.q_sin * she) / n
-    return cos_part, sin_part
+    out = np.empty(rho.size, dtype=complex)
+    step = max(1, _BLOCK_ENTRIES // len(n))
+    for lo in range(0, rho.size, step):
+        r, w = rho[lo : lo + step], omega[lo : lo + step]
+        (ci, ce), (si, se) = _layer_radial(n, g, r)
+        cos_part = -(dc.p_cos * ci + dc.q_cos * ce) / n
+        sin_part = -(dc.p_sin * si + dc.q_sin * se) / n
+        nw = w[:, None] * n
+        layers = (cos_part * np.cos(nw) + sin_part * np.sin(nw)).sum(axis=-1)
+        out[lo : lo + step] = elliptic_potential(source, g.R, r, w) + layers
+    return out.reshape(shape)
 
 
 def eval_potential(
@@ -376,73 +408,7 @@ def eval_potential(
     x: EllipticPoint,
 ) -> complex:
     """Value of V_delta at an elliptic point (any region)."""
-    g = config.geometry
-    n = np.arange(1, len(dc.p_cos) + 1, dtype=float)
-    cos_part, sin_part = _layer_sums(dc, g, x.rho)
-    layers = complex(
-        cos_part @ np.cos(n * x.omega) + sin_part @ np.sin(n * x.omega)
-    )
-    if isinstance(source, (SourceCoefficients, Coefficients)):
-        f_val = _expansion_value(source.c, source.f_plus, source.f_minus, x.rho, x.omega)
-    else:
-        f_val = newtonian_eval(source, to_cartesian(g.R, x), g.R)
-    return f_val + layers
-
-
-def _f_gradient_elliptic(
-    source: SourceSpec | SourceCoefficients,
-    g: ConfocalGeometry,
-    rho: np.ndarray,
-    omega: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(dF/drho, dF/domega) of the source potential on a (rho, omega) grid."""
-    rho = np.asarray(rho, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    if isinstance(source, (SourceCoefficients, Coefficients)):
-        n = np.arange(1, len(source.f_plus) + 1, dtype=float)
-        ch = np.cosh(np.outer(rho, n))
-        sh = np.sinh(np.outer(rho, n))
-        cw = np.cos(np.outer(n, omega))
-        sw = np.sin(np.outer(n, omega))
-        nfp, nfm = n * source.f_plus, n * source.f_minus
-        d_rho = (sh * nfp) @ cw + (ch * nfm) @ sw
-        d_omega = -(ch * nfp) @ sw + (sh * nfm) @ cw
-        return d_rho, d_omega
-    rr, ww = np.broadcast_arrays(rho[:, None], omega[None, :])
-    x1 = g.R * np.cos(ww) * np.cosh(rr)
-    x2 = g.R * np.sin(ww) * np.sinh(rr)
-    t_rho_1 = g.R * np.cos(ww) * np.sinh(rr)
-    t_rho_2 = g.R * np.sin(ww) * np.cosh(rr)
-    grad = _f_gradient_cartesian(source, g.R, x1, x2)
-    # t_omega = (-x2_of(rho,omega) swapped): (-R sin w cosh r, R cos w sinh r).
-    d_rho = grad[0] * t_rho_1 + grad[1] * t_rho_2
-    d_omega = grad[0] * (-g.R * np.sin(ww) * np.cosh(rr)) + grad[1] * (
-        g.R * np.cos(ww) * np.sinh(rr)
-    )
-    return d_rho, d_omega
-
-
-def _f_gradient_cartesian(source: SourceSpec, R: float, x1, x2):
-    """Closed-form grad F on arrays of Cartesian points."""
-    from .source import ChargePair, Dipole  # local import to avoid cycle noise
-
-    if isinstance(source, Dipole):
-        s0 = to_cartesian(R, source.location)
-        r1, r2 = x1 - s0[0], x2 - s0[1]
-        r_sq = r1 * r1 + r2 * r2
-        a_dot = source.moment[0] * r1 + source.moment[1] * r2
-        gx = (source.moment[0] - 2.0 * a_dot * r1 / r_sq) / (2.0 * math.pi * r_sq)
-        gy = (source.moment[1] - 2.0 * a_dot * r2 / r_sq) / (2.0 * math.pi * r_sq)
-        return gx, gy
-    if isinstance(source, ChargePair):
-        sp = to_cartesian(R, source.plus)
-        sm = to_cartesian(R, source.minus)
-        rp1, rp2 = x1 - sp[0], x2 - sp[1]
-        rm1, rm2 = x1 - sm[0], x2 - sm[1]
-        dp, dm = rp1 * rp1 + rp2 * rp2, rm1 * rm1 + rm2 * rm2
-        k = source.charge / (2.0 * math.pi)
-        return k * (rp1 / dp - rm1 / dm), k * (rp2 / dp - rm2 / dm)
-    raise TypeError(f"unsupported source type {type(source).__name__}")
+    return complex(eval_potentials(source, dc, config.geometry, x.rho, x.omega))
 
 
 def _shell_gradient_grid(
@@ -452,18 +418,18 @@ def _shell_gradient_grid(
     rhos: np.ndarray,
     omegas: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(dV/drho, dV/domega) on the tensor grid rhos x omegas in the shell."""
+    """(dV/drho, dV/domega) on the tensor grid rhos x omegas in the shell.
+
+    Separable matmuls over the modes keep the cost at (n_rho + n_omega)
+    n_max entries rather than n_rho n_omega n_max.
+    """
     n = np.arange(1, len(dc.p_cos) + 1, dtype=float)
-    ri, re = g.rho_i, g.rho_e
-    # Radial factors, shape (n_rho, n_max); all factored exponentials.
-    chi = 0.5 * (np.exp(-np.outer(rhos - ri, n)) + np.exp(-np.outer(rhos + ri, n)))
-    shi = 0.5 * (np.exp(-np.outer(rhos - ri, n)) - np.exp(-np.outer(rhos + ri, n)))
-    che = 0.5 * (np.exp(-np.outer(re - rhos, n)) + np.exp(-np.outer(re + rhos, n)))
-    she = 0.5 * (np.exp(-np.outer(re - rhos, n)) - np.exp(-np.outer(re + rhos, n)))
+    (chi, che), (shi, she) = _layer_radial(n, g, rhos)
 
     cw = np.cos(np.outer(n, omegas))
     sw = np.sin(np.outer(n, omegas))
 
+    # In the shell sigma_i = -1 and sigma_e = +1 (also on the interfaces).
     a_rho = dc.p_cos * chi - dc.q_cos * she
     b_rho = dc.p_sin * shi - dc.q_sin * che
     a_om = dc.p_cos * chi + dc.q_cos * che
@@ -471,7 +437,14 @@ def _shell_gradient_grid(
 
     d_rho = a_rho @ cw + b_rho @ sw
     d_omega = a_om @ sw + b_om @ cw
-    f_rho, f_omega = _f_gradient_elliptic(source, g, rhos, omegas)
+    if isinstance(source, (SourceCoefficients, Coefficients)):
+        # The same contraction for the series, at its own truncation.
+        m, fp_ch, fp_sh, fm_ch, fm_sh = _series_radial(source, rhos)
+        cw, sw = np.cos(np.outer(m, omegas)), np.sin(np.outer(m, omegas))
+        f_rho = (m * fp_sh) @ cw + (m * fm_ch) @ sw
+        f_omega = (m * fm_sh) @ cw - (m * fp_ch) @ sw
+    else:
+        f_rho, f_omega = elliptic_gradient(source, g.R, rhos[:, None], omegas[None, :])
     return d_rho + f_rho, d_omega + f_omega
 
 
@@ -556,17 +529,17 @@ def dissipated_power_closed(
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta}")
     n = np.arange(1, sc.n_max + 1, dtype=float)
-    up_e = np.exp(n * g.rho_e)
-    down_i = np.exp(-n * g.rho_i)
-    ei = np.exp(-2.0 * n * g.rho_i)
-    cross = np.exp(-n * (g.rho_e + g.rho_i))
+    f = mode_factors(n, g)
+    # e^{n rho_e}, e^{-n rho_i} and e^{-n (rho_e + rho_i)} in one exp call.
+    rates = [g.rho_e, -g.rho_i, -(g.rho_e + g.rho_i)]
+    up_e, down_i, cross = np.exp(np.multiply.outer(rates, n))
     alpha_c = 0.5 * sc.f_plus * up_e - dc.q_cos / (2.0 * n)
     alpha_s = 0.5 * sc.f_minus * up_e - dc.q_sin / (2.0 * n)
     beta_c = 0.5 * sc.f_plus * down_i - (
-        0.5 * dc.p_cos * (1.0 + ei) + 0.5 * dc.q_cos * cross
+        dc.p_cos * f.ci + 0.5 * dc.q_cos * cross
     ) / n
     beta_s = -0.5 * sc.f_minus * down_i - (
-        0.5 * dc.p_sin * (1.0 - ei) - 0.5 * dc.q_sin * cross
+        dc.p_sin * f.si - 0.5 * dc.q_sin * cross
     ) / n
     gap = -np.expm1(-2.0 * n * (g.rho_e - g.rho_i))
     mag2 = (
@@ -604,10 +577,10 @@ def sweep(
 ) -> list[SweepRecord]:
     """Solve the transmission problem across a family of loss values.
 
-    Each delta gets its own adaptive truncation.  The source coefficients
-    and the mode table do not depend on delta, so both are built once at
-    the largest truncation and sliced per delta; the slices equal per-delta
-    builds bit for bit.  Probes must lie outside the shell.  Records are
+    Each delta gets its own adaptive truncation.  The source coefficients,
+    the mode table and the forcing projections do not depend on delta, so
+    they are built once at the largest truncation and sliced per delta;
+    the slices equal per-delta builds bit for bit.  Probes must lie outside the shell.  Records are
     returned in the order the deltas were given.
     """
     if len(deltas) == 0:
@@ -619,18 +592,21 @@ def sweep(
     n_top = max(n_maxes)
     sc_top = newtonian_coefficients(source, n_top, g.R, rho_e=g.rho_e)
     modes_top = mode_table(g, n_top)
+    proj_top = mode_projections(boundary_forcing(sc_top, g), modes_top)
+    probe_rho = np.array([p.rho for p in probes])
+    probe_omega = np.array([p.omega for p in probes])
     records = []
     for delta, n_max in zip(deltas, n_maxes):
-        config = ShellConfig(g, delta, n_max)
         sc = sc_top.truncated(n_max)
         modes = modes_top.truncated(n_max)
-        proj = mode_projections(boundary_forcing(sc, g), modes)
+        proj = proj_top.truncated(n_max)
         dc, _ = _assemble_densities(proj, modes, delta)
         energy = dissipated_power_closed(sc, dc, g, delta)
         e_spectral = dissipated_power_spectral(proj, modes, delta)
-        far = np.array(
-            [abs(eval_potential(source, dc, config, p)) for p in probes]
-        )
+        v = eval_potentials(source, dc, g, probe_rho, probe_omega).tolist()
+        # Python's complex abs, as for a single eval_potential value; the
+        # vectorized np.abs of a complex array may differ in the last bit.
+        far = np.array([abs(z) for z in v])
         scale = math.sqrt(energy) if energy > 0.0 else math.inf
         records.append(SweepRecord(delta, n_max, energy, e_spectral, far, far / scale))
     return records

@@ -257,106 +257,147 @@ def newtonian_coefficients(
     return SourceCoefficients(_match_constant(s, sc, R), sc.f_plus, sc.f_minus)
 
 
-def _expansion_value(
-    c: float, f_plus: np.ndarray, f_minus: np.ndarray, rho: float, omega: float
-) -> float:
-    """Evaluate c + sum(F+ cos cosh + F- sin sinh) in log-magnitude form.
+def _series_radial(
+    sc: SourceCoefficients | Coefficients, rho
+) -> tuple[np.ndarray, ...]:
+    """Mode indices n and F^+- cosh(n rho), F^+- sinh(n rho) at each rho.
 
     The plain product F_n * cosh(n rho) can overflow long before the term
     itself leaves double range (tiny coefficient times huge hyperbolic),
     so the radial factors are folded into the coefficient logs first.
+    Returns (n, fp_ch, fp_sh, fm_ch, fm_sh), the factors of shape
+    rho.shape + (len(f_plus),).
     """
-    n = np.arange(1, len(f_plus) + 1, dtype=float)
-    nr = n * rho
+    n = np.arange(1, len(sc.f_plus) + 1, dtype=float)
+    nr = np.asarray(rho, dtype=float)[..., None] * n
     with np.errstate(divide="ignore"):
-        log_p = np.log(np.abs(f_plus))
-        log_m = np.log(np.abs(f_minus))
         log_ch = nr + np.log1p(np.exp(-2.0 * nr)) - math.log(2.0)
         log_sh = nr + np.log1p(-np.exp(-2.0 * nr)) - math.log(2.0)
-        term_p = np.sign(f_plus) * np.exp(log_p + log_ch) * np.cos(n * omega)
-        term_m = np.sign(f_minus) * np.exp(log_m + log_sh) * np.sin(n * omega)
-    return float(c + np.sum(term_p) + np.sum(term_m))
+        log_p = np.log(np.abs(sc.f_plus))
+        log_m = np.log(np.abs(sc.f_minus))
+        sp, sm = np.sign(sc.f_plus), np.sign(sc.f_minus)
+        fp_ch, fp_sh = sp * np.exp(log_p + log_ch), sp * np.exp(log_p + log_sh)
+        fm_ch, fm_sh = sm * np.exp(log_m + log_ch), sm * np.exp(log_m + log_sh)
+    return n, fp_ch, fp_sh, fm_ch, fm_sh
 
 
-def _series_eval(sc: SourceCoefficients | Coefficients, p: EllipticPoint) -> float:
-    return _expansion_value(sc.c, sc.f_plus, sc.f_minus, p.rho, p.omega)
+def _series(
+    sc: SourceCoefficients | Coefficients, rho, omega
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F, dF/drho, dF/domega) of the expansion at points (rho[j], omega[j]).
+
+    The mode sums are elementwise products reduced by np.sum over the
+    last axis, so each value is independent of the other points.
+    """
+    n, fp_ch, fp_sh, fm_ch, fm_sh = _series_radial(sc, rho)
+    nw = np.asarray(omega, dtype=float)[..., None] * n
+    cw, sw = np.cos(nw), np.sin(nw)
+    value = sc.c + np.sum(fp_ch * cw + fm_sh * sw, axis=-1)
+    d_rho = np.sum(n * (fp_sh * cw + fm_ch * sw), axis=-1)
+    d_omega = np.sum(n * (fm_sh * cw - fp_ch * sw), axis=-1)
+    return value, d_rho, d_omega
 
 
-def newtonian_eval(s: SourceSpec, x: np.ndarray, R: float) -> float:
-    """Value of the source potential F at a Cartesian point.
+def _cartesian(R: float, rho, omega) -> np.ndarray:
+    """Cartesian points of elliptic coordinates, shape (..., 2)."""
+    return np.stack(
+        [R * np.cos(omega) * np.cosh(rho), R * np.sin(omega) * np.sinh(rho)], axis=-1
+    )
 
-    Dipoles and charge pairs use the closed form (valid everywhere off the
-    singularities); a Coefficients source uses its series, which only
-    converges below the original source radius.
+
+def _tangents(R: float, rho, omega) -> tuple[np.ndarray, np.ndarray]:
+    """dx/drho and dx/domega, shape (..., 2); both have squared length Xi^2.
+
+    They carry the chain rule between Cartesian and elliptic gradients in
+    both directions.
+    """
+    ch, sh = np.cosh(rho), np.sinh(rho)
+    cw, sw = np.cos(omega), np.sin(omega)
+    t_rho = np.stack([R * cw * sh, R * sw * ch], axis=-1)
+    t_omega = np.stack([-R * sw * ch, R * cw * sh], axis=-1)
+    return t_rho, t_omega
+
+
+def _elliptic_coords(x: np.ndarray, R: float) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, omega) arrays of Cartesian points x of shape (..., 2)."""
+    pts = [to_elliptic(R, p) for p in x.reshape(-1, 2)]
+    rho = np.array([p.rho for p in pts]).reshape(x.shape[:-1])
+    omega = np.array([p.omega for p in pts]).reshape(x.shape[:-1])
+    return rho, omega
+
+
+def _offsets(x: np.ndarray, R: float, *charges: EllipticPoint) -> list:
+    """Offsets x - x_k from each charge location, with squared lengths."""
+    tol2 = (_SINGULAR_TOL * R) ** 2
+    out = []
+    for loc in charges:
+        r = x - to_cartesian(R, loc)
+        r2 = (r * r).sum(axis=-1)
+        if (r2 <= tol2).any():
+            raise SingularPoint("evaluation point coincides with a source singularity")
+        out.append((r, r2))
+    return out
+
+
+def newtonian_eval(s: SourceSpec, x: np.ndarray, R: float) -> float | np.ndarray:
+    """Value of the source potential F at a Cartesian point or points.
+
+    x has shape (2,) (returns a float) or (..., 2) (returns an array of
+    shape x.shape[:-1]).  Dipoles and charge pairs use the closed form
+    (valid everywhere off the singularities); a Coefficients source uses
+    its series, which only converges below the original source radius.
     """
     x = np.asarray(x, dtype=float)
     if isinstance(s, Dipole):
-        r = x - to_cartesian(R, s.location)
-        r2 = float(r @ r)
-        if r2 <= (_SINGULAR_TOL * R) ** 2:
-            raise SingularPoint("evaluation point coincides with the dipole")
-        return float(s.moment @ r) / (2.0 * math.pi * r2)
-    if isinstance(s, ChargePair):
-        rp = x - to_cartesian(R, s.plus)
-        rm = x - to_cartesian(R, s.minus)
-        dp2, dm2 = float(rp @ rp), float(rm @ rm)
-        tol2 = (_SINGULAR_TOL * R) ** 2
-        if dp2 <= tol2 or dm2 <= tol2:
-            raise SingularPoint("evaluation point coincides with a charge")
-        return s.charge * 0.25 * math.log(dp2 / dm2) / math.pi
-    if isinstance(s, Coefficients):
-        return _series_eval(s, to_elliptic(R, x))
-    raise TypeError(f"unsupported source type {type(s).__name__}")
+        ((r, r2),) = _offsets(x, R, s.location)
+        value = (r * s.moment).sum(axis=-1) / (2.0 * math.pi * r2)
+    elif isinstance(s, ChargePair):
+        (_, dp2), (_, dm2) = _offsets(x, R, s.plus, s.minus)
+        value = s.charge * 0.25 * np.log(dp2 / dm2) / math.pi
+    elif isinstance(s, Coefficients):
+        value = _series(s, *_elliptic_coords(x, R))[0]
+    else:
+        raise TypeError(f"unsupported source type {type(s).__name__}")
+    return float(value) if x.ndim == 1 else value
 
 
 def newtonian_gradient(s: SourceSpec, x: np.ndarray, R: float) -> np.ndarray:
-    """Cartesian gradient of the source potential at x."""
+    """Cartesian gradient of the source potential, shape x.shape."""
     x = np.asarray(x, dtype=float)
     if isinstance(s, Dipole):
-        r = x - to_cartesian(R, s.location)
-        r2 = float(r @ r)
-        if r2 <= (_SINGULAR_TOL * R) ** 2:
-            raise SingularPoint("evaluation point coincides with the dipole")
-        return (s.moment - 2.0 * float(s.moment @ r) / r2 * r) / (2.0 * math.pi * r2)
+        ((r, r2),) = _offsets(x, R, s.location)
+        a_dot = (r * s.moment).sum(axis=-1)
+        return (s.moment - (2.0 * a_dot / r2)[..., None] * r) / (
+            2.0 * math.pi * r2
+        )[..., None]
     if isinstance(s, ChargePair):
-        rp = x - to_cartesian(R, s.plus)
-        rm = x - to_cartesian(R, s.minus)
-        dp2, dm2 = float(rp @ rp), float(rm @ rm)
-        tol2 = (_SINGULAR_TOL * R) ** 2
-        if dp2 <= tol2 or dm2 <= tol2:
-            raise SingularPoint("evaluation point coincides with a charge")
-        return s.charge * (rp / dp2 - rm / dm2) / (2.0 * math.pi)
+        (rp, dp2), (rm, dm2) = _offsets(x, R, s.plus, s.minus)
+        return s.charge * (rp / dp2[..., None] - rm / dm2[..., None]) / (2.0 * math.pi)
     if isinstance(s, Coefficients):
-        p = to_elliptic(R, x)
-        n = np.arange(1, len(s.f_plus) + 1, dtype=float)
-        cw, sw = np.cos(n * p.omega), np.sin(n * p.omega)
-        nr = n * p.rho
-        with np.errstate(divide="ignore"):
-            ch = np.exp(np.log(np.abs(s.f_plus)) + nr + np.log1p(np.exp(-2.0 * nr)))
-            sh = np.exp(np.log(np.abs(s.f_plus)) + nr + np.log1p(-np.exp(-2.0 * nr)))
-            chm = np.exp(np.log(np.abs(s.f_minus)) + nr + np.log1p(np.exp(-2.0 * nr)))
-            shm = np.exp(np.log(np.abs(s.f_minus)) + nr + np.log1p(-np.exp(-2.0 * nr)))
-        fp_sh = 0.5 * np.sign(s.f_plus) * sh
-        fp_ch = 0.5 * np.sign(s.f_plus) * ch
-        fm_sh = 0.5 * np.sign(s.f_minus) * shm
-        fm_ch = 0.5 * np.sign(s.f_minus) * chm
-        d_rho = float((n * cw) @ fp_sh + (n * sw) @ fm_ch)
-        d_omega = float(-(n * sw) @ fp_ch + (n * cw) @ fm_sh)
-        t_rho = np.array(
-            [
-                R * math.cos(p.omega) * math.sinh(p.rho),
-                R * math.sin(p.omega) * math.cosh(p.rho),
-            ]
-        )
-        t_omega = np.array(
-            [
-                -R * math.sin(p.omega) * math.cosh(p.rho),
-                R * math.cos(p.omega) * math.sinh(p.rho),
-            ]
-        )
-        xi2 = float(metric_factor(R, p.rho, p.omega)) ** 2
-        return (d_rho * t_rho + d_omega * t_omega) / xi2
+        rho, omega = _elliptic_coords(x, R)
+        _, d_rho, d_omega = _series(s, rho, omega)
+        t_rho, t_omega = _tangents(R, rho, omega)
+        xi2 = (metric_factor(R, rho, omega) ** 2)[..., None]
+        return (d_rho[..., None] * t_rho + d_omega[..., None] * t_omega) / xi2
     raise TypeError(f"unsupported source type {type(s).__name__}")
+
+
+def elliptic_potential(
+    s: SourceSpec | SourceCoefficients, R: float, rho, omega
+) -> np.ndarray:
+    """F at elliptic points (rho[j], omega[j]); expansion data use the series."""
+    if isinstance(s, (SourceCoefficients, Coefficients)):
+        return _series(s, rho, omega)[0]
+    return newtonian_eval(s, _cartesian(R, rho, omega), R)
+
+
+def elliptic_gradient(
+    s: Dipole | ChargePair, R: float, rho, omega
+) -> tuple[np.ndarray, np.ndarray]:
+    """(dF/drho, dF/domega) of a closed-form source at elliptic points."""
+    grad = newtonian_gradient(s, _cartesian(R, rho, omega), R)
+    t_rho, t_omega = _tangents(R, rho, omega)
+    return (grad * t_rho).sum(axis=-1), (grad * t_omega).sum(axis=-1)
 
 
 def coefficient_projection_oracle(
@@ -385,7 +426,7 @@ def coefficient_projection_oracle(
     omegas = 2.0 * math.pi * np.arange(m_nodes) / m_nodes
     ch, sh = math.cosh(rho_t), math.sinh(rho_t)
     points = np.column_stack([R * np.cos(omegas) * ch, R * np.sin(omegas) * sh])
-    values = np.array([newtonian_eval(s, pt, R) for pt in points])
+    values = newtonian_eval(s, points, R)
 
     spec = np.fft.rfft(values)
     n = np.arange(1, n_max + 1, dtype=float)

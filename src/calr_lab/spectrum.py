@@ -52,6 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,12 +63,14 @@ __all__ = [
     "SingleEllipseMode",
     "ModeData",
     "ModeTable",
+    "ModeFactors",
     "RegimeKind",
     "Regime",
     "AsymptoticRates",
     "single_ellipse_np",
     "block_matrices",
     "mode_data",
+    "mode_factors",
     "mode_table",
     "s_gram",
     "critical_radius",
@@ -130,19 +133,8 @@ class ModeTable:
         return ModeTable(*(getattr(self, f.name)[:n_max] for f in fields(self)))
 
     def row(self, n: int) -> ModeData:
-        i = n - 1
-        return ModeData(
-            n,
-            float(self.lambda1[i]),
-            float(self.lambda2[i]),
-            float(self.a1[i]),
-            float(self.a2[i]),
-            float(self.b[i]),
-            float(self.norm_1p[i]),
-            float(self.norm_1m[i]),
-            float(self.norm_2p[i]),
-            float(self.norm_2m[i]),
-        )
+        values = (float(getattr(self, f.name)[n - 1]) for f in fields(self)[1:])
+        return ModeData(n, *values)
 
 
 class RegimeKind(Enum):
@@ -200,6 +192,38 @@ def single_ellipse_np(n: int, rho0: float) -> SingleEllipseMode:
     return SingleEllipseMode(n, 0.5 * math.exp(-t), -math.sinh(t))
 
 
+class ModeFactors(NamedTuple):
+    """Per-mode exponentials and Gram half-sums (see s_gram)."""
+
+    ei: np.ndarray
+    ee: np.ndarray
+    E: np.ndarray
+    ci: np.ndarray
+    si: np.ndarray
+    ce: np.ndarray
+    se: np.ndarray
+    cx: np.ndarray
+    sx: np.ndarray
+    pref: np.ndarray
+
+
+def mode_factors(n: np.ndarray, g: ConfocalGeometry) -> ModeFactors:
+    """ei, ee, E, the six Gram half-sums and pi/n for mode indices n.
+
+    The half-sums are exp(-n rho_k) cosh/sinh(n rho_i) style products,
+    e.g. ci = (1 + ei)/2 and cx = E (1 + ei)/2, so every entry is bounded
+    by 1 and no exponent is positive.
+    """
+    # One exp call; the exponents equal -2.0 * n * rho_i, -2.0 * n * rho_e
+    # and -n * (rho_e - rho_i) bit for bit (the factors -1 and 2 are exact).
+    rates = [-2.0 * g.rho_i, -2.0 * g.rho_e, g.rho_i - g.rho_e]
+    exps = np.exp(np.multiply.outer(rates, n))
+    up, dn = 1.0 + exps[:2], 1.0 - exps[:2]  # rows: rho_i, rho_e
+    (ci, ce), (si, se) = 0.5 * up, 0.5 * dn
+    cx, sx = 0.5 * exps[2] * up[0], 0.5 * exps[2] * dn[0]
+    return ModeFactors(*exps, ci, si, ce, se, cx, sx, math.pi / n)
+
+
 def block_matrices(n: int, g: ConfocalGeometry) -> tuple[np.ndarray, np.ndarray]:
     """The 2x2 matrices A_n (cosine span) and B_n (sine span).
 
@@ -208,28 +232,21 @@ def block_matrices(n: int, g: ConfocalGeometry) -> tuple[np.ndarray, np.ndarray]
     """
     if n < 1:
         raise ValueError(f"mode index must be >= 1, got {n}")
-    ei = math.exp(-2.0 * n * g.rho_i)
-    ee = math.exp(-2.0 * n * g.rho_e)
-    E = math.exp(-n * (g.rho_e - g.rho_i))
-    # (exp(n rho_i) -+ exp(-n rho_i)) / (2 exp(n rho_e)) = E (1 -+ ei) / 2.
-    sx = 0.5 * E * (1.0 - ei)
-    cx = 0.5 * E * (1.0 + ei)
-    a_mat = np.array([[-0.5 * ei, sx], [cx, 0.5 * ee]])
-    b_mat = np.array([[0.5 * ei, cx], [sx, -0.5 * ee]])
+    f = mode_factors(np.float64(n), g)
+    a_mat = np.array([[-0.5 * f.ei, f.sx], [f.cx, 0.5 * f.ee]])
+    b_mat = np.array([[0.5 * f.ei, f.cx], [f.sx, -0.5 * f.ee]])
     return a_mat, b_mat
 
 
 def _mode_arrays(n: np.ndarray, g: ConfocalGeometry):
     """Shared cancellation-free evaluation over an array of mode indices."""
-    width = g.rho_e - g.rho_i
     t_max = float(np.max(n)) * 2.0 * g.rho_e
     if t_max > _EXP_GUARD:
         raise OverflowGuard(
             f"2*n*rho_e = {t_max:.1f} exceeds double range at n = {int(np.max(n))}"
         )
-    ei = np.exp(-2.0 * n * g.rho_i)
-    ee = np.exp(-2.0 * n * g.rho_e)
-    E = np.exp(-n * width)
+    f = mode_factors(n, g)
+    ei, ee, E = f.ei, f.ee, f.E
     d = ee - ei  # <= 0
     u = ee + ei
     s = np.sqrt(d * d + 4.0 * E * E)
@@ -241,19 +258,10 @@ def _mode_arrays(n: np.ndarray, g: ConfocalGeometry):
     a2 = -4.0 * (E * E - ei * ee) / (u + s)
     b = -2.0 * E * (1.0 + ei)
 
-    # Gram entries over pi/n: exp(-n rho_k) cosh/sinh(n rho_i) products.
-    ci = 0.5 * (1.0 + ei)
-    si = 0.5 * (1.0 - ei)
-    ce = 0.5 * (1.0 + ee)
-    se = 0.5 * (1.0 - ee)
-    cx = 0.5 * E * (1.0 + ei)
-    sx = 0.5 * E * (1.0 - ei)
-
-    pref = math.pi / n
-    norm_1p = pref * (a1 * a1 * ci + 2.0 * a1 * b * cx + b * b * ce)
-    norm_1m = pref * (b * b * si + 2.0 * a2 * b * sx + a2 * a2 * se)
-    norm_2p = pref * (a2 * a2 * ci + 2.0 * a2 * b * cx + b * b * ce)
-    norm_2m = pref * (b * b * si + 2.0 * a1 * b * sx + a1 * a1 * se)
+    norm_1p = f.pref * (a1 * a1 * f.ci + 2.0 * a1 * b * f.cx + b * b * f.ce)
+    norm_1m = f.pref * (b * b * f.si + 2.0 * a2 * b * f.sx + a2 * a2 * f.se)
+    norm_2p = f.pref * (a2 * a2 * f.ci + 2.0 * a2 * b * f.cx + b * b * f.ce)
+    norm_2m = f.pref * (b * b * f.si + 2.0 * a1 * b * f.sx + a1 * a1 * f.se)
 
     norms = np.stack([norm_1p, norm_1m, norm_2p, norm_2m])
     if not np.all(np.isfinite(norms)) or np.any(norms <= 0.0):
@@ -292,23 +300,10 @@ def s_gram(n: int, g: ConfocalGeometry, parity: str) -> np.ndarray:
         raise ValueError(f"mode index must be >= 1, got {n}")
     if parity not in ("cos", "sin"):
         raise ValueError(f"parity must be 'cos' or 'sin', got {parity!r}")
-    ei = math.exp(-2.0 * n * g.rho_i)
-    ee = math.exp(-2.0 * n * g.rho_e)
-    E = math.exp(-n * (g.rho_e - g.rho_i))
-    pref = math.pi / n
+    f = mode_factors(np.float64(n), g)
     if parity == "cos":
-        return pref * np.array(
-            [
-                [0.5 * (1.0 + ei), 0.5 * E * (1.0 + ei)],
-                [0.5 * E * (1.0 + ei), 0.5 * (1.0 + ee)],
-            ]
-        )
-    return pref * np.array(
-        [
-            [0.5 * (1.0 - ei), 0.5 * E * (1.0 - ei)],
-            [0.5 * E * (1.0 - ei), 0.5 * (1.0 - ee)],
-        ]
-    )
+        return f.pref * np.array([[f.ci, f.cx], [f.cx, f.ce]])
+    return f.pref * np.array([[f.si, f.sx], [f.sx, f.se]])
 
 
 def critical_radius(rho_i: float, rho_e: float) -> Regime:

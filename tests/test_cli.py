@@ -165,6 +165,7 @@ def test_sweep_reports_numeric_failure(tmp_path, capsys):
     })
     assert _run(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 3
     assert "numeric failure" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_sweep_rejects_inside_probe(tmp_path):

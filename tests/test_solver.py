@@ -35,6 +35,7 @@ from calr_lab import (
     dissipated_power_spectral,
     eval_gradient_shell,
     eval_potential,
+    eval_potentials,
     metric_factor,
     mode_projections,
     mode_table,
@@ -45,7 +46,7 @@ from calr_lab import (
     z_param,
 )
 from calr_lab.cli import load_config, parse_geometry, parse_source
-from calr_lab.solver import BoundaryForcing, ModeProjection, SweepRecord
+from calr_lab.solver import _BLOCK_ENTRIES, BoundaryForcing, ModeProjection, SweepRecord
 
 TWO_PI = 2.0 * math.pi
 
@@ -372,6 +373,32 @@ def _solved_case(g, rho0, delta, margin=40):
 
 # ---------------------------------------------------------------------------
 # Potential evaluation.
+
+
+@pytest.mark.parametrize("kind", ["dipole", "pair", "coefficients"])
+def test_blocked_potentials_match_pointwise(kind):
+    """Points spread over several evaluator blocks, in the core, the shell
+    and the exterior and exactly on both interfaces, give bit for bit the
+    value of a one-point evaluation, in any order."""
+    _, sc, config, dc = _solved_case(THIN, 1.3, 1e-3)
+    src = {
+        "dipole": Dipole(EllipticPoint(1.3, 0.9), np.array([1.0, 0.4])),
+        "pair": ChargePair(EllipticPoint(1.4, 0.5), EllipticPoint(1.6, 2.5), 0.7),
+        "coefficients": sc,
+    }[kind]
+    rng = np.random.default_rng(7)
+    m = 3 * _BLOCK_ENTRIES // config.n_max + 5
+    rho = rng.uniform(0.05, 1.25, m)
+    rho[:6] = [THIN.rho_i, THIN.rho_e, 0.3, 0.65, 1.1, THIN.rho_i]
+    omega = rng.uniform(0.0, TWO_PI, m)
+    values = eval_potentials(src, dc, THIN, rho, omega)
+    assert values.shape == (m,)
+    for j in range(m):
+        v = eval_potential(src, dc, config, EllipticPoint(rho[j], omega[j]))
+        assert values[j] == v
+    order = rng.permutation(m)
+    shuffled = eval_potentials(src, dc, THIN, rho[order], omega[order])
+    assert np.array_equal(shuffled, values[order])
 
 
 def test_eval_potential_zero_source():

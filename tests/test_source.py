@@ -26,6 +26,7 @@ from calr_lab import (
     green_expansion_coefficients,
     newtonian_coefficients,
     newtonian_eval,
+    newtonian_gradient,
     to_cartesian,
 )
 
@@ -159,6 +160,37 @@ def test_newtonian_eval_singular_points():
     pair = ChargePair(EllipticPoint(1.0, 0.5), EllipticPoint(1.2, 2.0), 1.0)
     with pytest.raises(SingularPoint):
         newtonian_eval(pair, to_cartesian(1.0, pair.minus), 1.0)
+
+
+@pytest.mark.parametrize("kind", ["dipole", "pair", "coefficients"])
+def test_array_source_evaluation_matches_pointwise(kind):
+    """newtonian_eval and newtonian_gradient on an (m, 2) array equal the
+    one-point calls bit for bit."""
+    src = {
+        "dipole": Dipole(EllipticPoint(1.3, 0.9), np.array([1.0, 0.4])),
+        "pair": ChargePair(EllipticPoint(1.4, 0.5), EllipticPoint(1.6, 2.5), 0.7),
+        "coefficients": Coefficients(0.2, np.array([0.3, -0.1, 0.02, 0.0]),
+                                     np.array([-0.2, 0.05, 0.0, 0.01])),
+    }[kind]
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1.8, 1.8, (50, 2))
+    values = newtonian_eval(src, x, 1.0)
+    grads = newtonian_gradient(src, x, 1.0)
+    assert values.shape == (50,) and grads.shape == (50, 2)
+    for j in range(len(x)):
+        assert values[j] == newtonian_eval(src, x[j], 1.0)
+        assert np.array_equal(grads[j], newtonian_gradient(src, x[j], 1.0))
+
+
+def test_array_source_evaluation_rejects_any_singular_point():
+    dip = Dipole(EllipticPoint(1.0, 0.3), np.array([1.0, 0.0]))
+    pair = ChargePair(EllipticPoint(1.0, 0.5), EllipticPoint(1.2, 2.0), 1.0)
+    for src, charge in ((dip, dip.location), (pair, pair.plus), (pair, pair.minus)):
+        x = np.array([[0.1, 2.0], to_cartesian(1.0, charge), [-1.5, 0.4]])
+        with pytest.raises(SingularPoint):
+            newtonian_eval(src, x, 1.0)
+        with pytest.raises(SingularPoint):
+            newtonian_gradient(src, x, 1.0)
 
 
 def test_series_matches_closed_form_inside():
