@@ -1,4 +1,4 @@
-"""Elliptic coordinates and confocal-ellipse sampling.
+"""Elliptic coordinates and confocal-ellipse sampling, on arrays.
 
 Elliptic coordinates (rho, omega) with focal half-distance R are defined by
 
@@ -17,6 +17,10 @@ The scale factor of the map is the same in both directions,
 
 so arclength on the ellipse rho = rho0 is d sigma = Xi d omega and the
 outward normal derivative is d/dnu = Xi^{-1} d/drho.
+
+This module is the one place that forms the map (cartesian), its inverse
+(elliptic_coords) and its tangents, all on arrays of points;
+to_cartesian and to_elliptic are their one-point forms.
 """
 
 from __future__ import annotations
@@ -31,7 +35,10 @@ from .errors import DegeneratePoint
 __all__ = [
     "EllipticPoint",
     "ConfocalGeometry",
-    "CurvePanel",
+    "SampledCurve",
+    "cartesian",
+    "tangents",
+    "elliptic_coords",
     "to_cartesian",
     "to_elliptic",
     "metric_factor",
@@ -40,7 +47,7 @@ __all__ = [
 ]
 
 # Relative half-width of the strip around the focal segment inside which
-# to_elliptic refuses to assign an angle.
+# elliptic_coords masks points and to_elliptic refuses to assign an angle.
 FOCAL_TOL = 1e-13
 
 TWO_PI = 2.0 * math.pi
@@ -83,55 +90,89 @@ class ConfocalGeometry:
 
 
 @dataclass(frozen=True)
-class CurvePanel:
-    """One quadrature node of a discretized closed curve."""
+class SampledCurve:
+    """A closed curve sampled at N trapezoid nodes, as arrays.
 
-    node: np.ndarray = field(repr=False)
-    normal: np.ndarray = field(repr=False)
-    curvature: float = 0.0
-    weight: float = 0.0
+    nodes and unit outward normals have shape (N, 2); curvature and the
+    arclength weights have shape (N,).
+    """
+
+    nodes: np.ndarray = field(repr=False)
+    normals: np.ndarray = field(repr=False)
+    curvature: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
 
 
-def to_cartesian(R: float, p: EllipticPoint) -> np.ndarray:
-    """Map an elliptic point to Cartesian coordinates."""
-    return np.array(
-        [
-            R * math.cos(p.omega) * math.cosh(p.rho),
-            R * math.sin(p.omega) * math.sinh(p.rho),
-        ]
+def cartesian(R: float, rho, omega) -> np.ndarray:
+    """Cartesian points of elliptic coordinates; rho and omega broadcast.
+
+    Returns shape broadcast(rho, omega).shape + (2,).
+    """
+    return np.stack(
+        [R * np.cos(omega) * np.cosh(rho), R * np.sin(omega) * np.sinh(rho)], axis=-1
     )
 
 
-def to_elliptic(R: float, x: np.ndarray) -> EllipticPoint:
-    """Invert the coordinate map off the focal segment.
+def tangents(R: float, rho, omega) -> tuple[np.ndarray, np.ndarray]:
+    """dx/drho and dx/domega, each of shape broadcast(rho, omega).shape + (2,).
 
-    Uses the closed-form root of the quadratic satisfied by cosh(rho)^2:
-    with q = R^2 + |x|^2, one has cosh(rho)^2 = (q + sqrt(q^2 - 4 R^2 x1^2))
-    / (2 R^2).  Raises DegeneratePoint on the focal segment, where omega
-    is ill-defined.
+    Both have squared length Xi^2; they carry the chain rule between
+    Cartesian and elliptic gradients in both directions, and dx/drho / Xi
+    is the unit outward normal of the ellipse through the point.
     """
-    x1 = float(x[0])
-    x2 = float(x[1])
-    scale = max(R, abs(x1), abs(x2))
-    if abs(x2) <= FOCAL_TOL * scale and abs(x1) <= R * (1.0 + FOCAL_TOL):
-        raise DegeneratePoint(f"point ({x1}, {x2}) lies on the focal segment")
+    ch, sh = np.cosh(rho), np.sinh(rho)
+    cw, sw = np.cos(omega), np.sin(omega)
+    t_rho = np.stack([R * cw * sh, R * sw * ch], axis=-1)
+    t_omega = np.stack([-R * sw * ch, R * cw * sh], axis=-1)
+    return t_rho, t_omega
 
-    q = R * R + x1 * x1 + x2 * x2
-    # q^2 - 4 R^2 x1^2 = (q - 2 R x1)(q + 2 R x1) and q >= 2 R |x1| always,
-    # since q - 2 R |x1| = (R - |x1|)^2 + x2^2.  Evaluate in factored form.
-    disc = math.sqrt((q - 2.0 * R * x1) * (q + 2.0 * R * x1))
-    ch2 = (q + disc) / (2.0 * R * R)
-    ch2 = max(ch2, 1.0)
-    ch = math.sqrt(ch2)
-    rho = math.log(ch + math.sqrt(max(ch2 - 1.0, 0.0)))
-    sh = math.sqrt(max(ch2 - 1.0, 0.0))
-    if sh == 0.0:
-        # Off-segment points with x2 != 0 always have sh > 0; this branch
-        # is unreachable after the focal-segment check above.
-        raise DegeneratePoint(f"point ({x1}, {x2}) has degenerate angle")
-    cos_w = min(1.0, max(-1.0, x1 / (R * ch)))
-    sin_w = min(1.0, max(-1.0, x2 / (R * sh)))
-    return EllipticPoint(rho, math.atan2(sin_w, cos_w))
+
+def elliptic_coords(R: float, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rho, omega, focal) of Cartesian points x of shape (..., 2).
+
+    focal marks the points of the strip around the focal segment
+    {x2 = 0, |x1| <= R} (half-width FOCAL_TOL relative to the point's
+    scale), where omega is ill-defined; rho and omega are NaN there.
+    Elsewhere omega lies in [0, 2*pi).
+
+    With p = |x|^2 - R^2 = (x1 - R)(x1 + R) + x2^2 and disc =
+    sqrt(((R - x1)^2 + x2^2)((R + x1)^2 + x2^2)), sinh(rho)^2 is (p + disc)
+    / (2 R^2), taken for p < 0 in the equal form 2 x2^2 / (disc - p), so
+    that no step subtracts nearly equal numbers.  Then rho =
+    asinh(sinh(rho)) and omega = atan2(x2 cosh(rho), x1 sinh(rho)).
+    """
+    x = np.asarray(x, dtype=float)
+    x1, x2 = x[..., 0], x[..., 1]
+    scale = np.maximum(R, np.maximum(np.abs(x1), np.abs(x2)))
+    focal = (np.abs(x2) <= FOCAL_TOL * scale) & (np.abs(x1) <= R * (1.0 + FOCAL_TOL))
+
+    p = (x1 - R) * (x1 + R) + x2 * x2
+    disc = np.sqrt(((R - x1) ** 2 + x2 * x2) * ((R + x1) ** 2 + x2 * x2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sh2 = np.where(p >= 0.0, (p + disc) / (2.0 * R * R), 2.0 * x2 * x2 / (disc - p))
+    sh = np.sqrt(np.where(focal, np.nan, sh2))
+    omega = np.mod(np.arctan2(x2 * np.sqrt(1.0 + sh2), x1 * sh), TWO_PI)
+    # A tiny negative angle rounds up to 2*pi; fold it to 0, as
+    # EllipticPoint does, so that to_elliptic returns the same omega.
+    return np.arcsinh(sh), np.where(omega == TWO_PI, 0.0, omega), focal
+
+
+def to_cartesian(R: float, p: EllipticPoint) -> np.ndarray:
+    """Map an elliptic point to Cartesian coordinates (one-point cartesian)."""
+    return cartesian(R, p.rho, p.omega)
+
+
+def to_elliptic(R: float, x: np.ndarray) -> EllipticPoint:
+    """Invert the coordinate map at one point (one-point elliptic_coords).
+
+    Raises DegeneratePoint on the focal segment, where omega is
+    ill-defined.
+    """
+    rho, omega, focal = elliptic_coords(R, x)
+    if focal:
+        x1, x2 = float(x[0]), float(x[1])
+        raise DegeneratePoint(f"point ({x1}, {x2}) lies on the focal segment")
+    return EllipticPoint(float(rho), float(omega))
 
 
 def metric_factor(R: float, rho, omega):
@@ -150,27 +191,22 @@ def ellipse_curvature(R: float, rho0: float, omega) -> np.ndarray:
     return a * b / metric_factor(R, rho0, omega) ** 3
 
 
-def sample_ellipse(R: float, rho0: float, N: int) -> list[CurvePanel]:
+def sample_ellipse(R: float, rho0: float, N: int) -> SampledCurve:
     """Discretize the ellipse rho = rho0 with N equispaced nodes in omega.
 
-    Returns trapezoid panels: node, unit outward normal, curvature and
-    arclength weight Xi * (2*pi/N).  The weights sum to the perimeter.
+    Returns the trapezoid rule: nodes, unit outward normals, curvature and
+    arclength weights Xi * (2*pi/N).  The weights sum to the perimeter.
     """
     if N < 8 or N % 2 != 0:
         raise ValueError(f"N must be even and >= 8, got {N}")
     if not rho0 > 0.0:
         raise ValueError(f"rho0 must be > 0, got {rho0}")
     omegas = TWO_PI * np.arange(N) / N
-    ch, sh = math.cosh(rho0), math.sinh(rho0)
-    nodes = np.column_stack([R * np.cos(omegas) * ch, R * np.sin(omegas) * sh])
     xi = metric_factor(R, rho0, omegas)
-    # Outward normal: grad rho / |grad rho| = (cos(w) sinh, sin(w) cosh) * R / Xi.
-    normals = np.column_stack(
-        [R * np.cos(omegas) * sh / xi, R * np.sin(omegas) * ch / xi]
+    t_rho, _ = tangents(R, rho0, omegas)
+    return SampledCurve(
+        cartesian(R, rho0, omegas),
+        t_rho / xi[:, None],
+        ellipse_curvature(R, rho0, omegas),
+        xi * (TWO_PI / N),
     )
-    curv = ellipse_curvature(R, rho0, omegas)
-    weights = xi * (TWO_PI / N)
-    return [
-        CurvePanel(nodes[j], normals[j], float(curv[j]), float(weights[j]))
-        for j in range(N)
-    ]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CurveOverlap, EigensolveFailure
-from .geometry import ConfocalGeometry, CurvePanel, sample_ellipse
+from .geometry import ConfocalGeometry, SampledCurve, sample_ellipse
 from .spectrum import mode_table
 
 __all__ = [
@@ -76,39 +76,32 @@ class SpectrumReport:
         return float(np.max(self.rel_errors)) if self.rel_errors.size else 0.0
 
 
-def sample_circle(radius: float, N: int) -> list[CurvePanel]:
-    """Equispaced trapezoid panels on a circle (oracle diagnostic curve)."""
+def sample_circle(radius: float, N: int) -> SampledCurve:
+    """Equispaced trapezoid nodes on a circle (oracle diagnostic curve)."""
     if N < 8:
         raise ValueError(f"N must be >= 8, got {N}")
     theta = 2.0 * math.pi * np.arange(N) / N
-    nodes = radius * np.column_stack([np.cos(theta), np.sin(theta)])
     normals = np.column_stack([np.cos(theta), np.sin(theta)])
-    w = 2.0 * math.pi * radius / N
-    return [
-        CurvePanel(nodes[j], normals[j], 1.0 / radius, w) for j in range(N)
-    ]
+    w = np.full(N, 2.0 * math.pi * radius / N)
+    return SampledCurve(radius * normals, normals, np.full(N, 1.0 / radius), w)
 
 
-def np_kernel(curve: list[CurvePanel], i: int, j: int) -> float:
+def np_kernel(curve: SampledCurve, i: int, j: int) -> float:
     """Kernel <x_i - y_j, nu(x_i)> / (2 pi |x_i - y_j|^2) on one curve.
 
-    The i == j entry is the smooth limit kappa(x_i) / (4 pi).
+    The i == j entry is the smooth limit kappa(x_i) / (4 pi).  This is the
+    entry-by-entry reference for the vectorized assembly.
     """
     if i == j:
-        return curve[i].curvature / (4.0 * math.pi)
-    d = curve[i].node - curve[j].node
+        return float(curve.curvature[i] / (4.0 * math.pi))
+    d = curve.nodes[i] - curve.nodes[j]
     r_sq = float(d @ d)
-    return float(d @ curve[i].normal) / (2.0 * math.pi * r_sq)
+    return float(d @ curve.normals[i]) / (2.0 * math.pi * r_sq)
 
 
-def _kernel_block(
-    target: list[CurvePanel], src: list[CurvePanel], same: bool
-) -> np.ndarray:
+def _kernel_block(target: SampledCurve, src: SampledCurve, same: bool) -> np.ndarray:
     """Weighted kernel matrix K[i, j] = k(x_i, y_j) w_j, vectorized."""
-    tx = np.array([p.node for p in target])
-    tn = np.array([p.normal for p in target])
-    sy = np.array([p.node for p in src])
-    w = np.array([p.weight for p in src])
+    tx, tn, sy = target.nodes, target.normals, src.nodes
     d1 = tx[:, 0:1] - sy[None, :, 0]
     d2 = tx[:, 1:2] - sy[None, :, 1]
     r_sq = d1 * d1 + d2 * d2
@@ -120,21 +113,20 @@ def _kernel_block(
             raise CurveOverlap(
                 f"curves approach within {gap:.3e} (< {_MIN_CURVE_GAP})"
             )
-    num = d1 * tn[:, 0:1] + d2 * tn[:, 1:2]
-    k = num / (2.0 * math.pi * r_sq)
+    k = (d1 * tn[:, 0:1] + d2 * tn[:, 1:2]) / (2.0 * math.pi * r_sq)
     if same:
-        np.fill_diagonal(k, [p.curvature / (4.0 * math.pi) for p in target])
-    return k * w
+        np.fill_diagonal(k, target.curvature / (4.0 * math.pi))
+    return k * src.weights
 
 
-def assemble_np(curve: list[CurvePanel]) -> np.ndarray:
+def assemble_np(curve: SampledCurve) -> np.ndarray:
     """Single-curve Nystrom matrix for K* (diagnostic mode)."""
     return _kernel_block(curve, curve, same=True)
 
 
 def assemble_block_np(
-    gi: list[CurvePanel],
-    ge: list[CurvePanel],
+    gi: SampledCurve,
+    ge: SampledCurve,
     geometry: ConfocalGeometry | None = None,
     flip_first_block: bool = False,
 ) -> BlockNPMatrix:
@@ -144,9 +136,9 @@ def assemble_block_np(
     validation harness can prove that the spectral cross-check catches
     sign transcription errors.
     """
-    if len(gi) != len(ge):
+    if len(gi.weights) != len(ge.weights):
         raise ValueError(
-            f"curves must use the same N, got {len(gi)} and {len(ge)}"
+            f"curves must use the same N, got {len(gi.weights)} and {len(ge.weights)}"
         )
     k_ii = _kernel_block(gi, gi, same=True)
     k_ee = _kernel_block(ge, ge, same=True)
@@ -154,7 +146,7 @@ def assemble_block_np(
     k_ei = _kernel_block(ge, gi, same=False)  # dnu_e S_{Gi}
     sign_ii = 1.0 if flip_first_block else -1.0
     m = np.block([[sign_ii * k_ii, -k_ie], [k_ei, k_ee]])
-    return BlockNPMatrix(m, geometry, len(gi))
+    return BlockNPMatrix(m, geometry, len(gi.weights))
 
 
 def block_np_for(

@@ -580,8 +580,9 @@ def sweep(
     Each delta gets its own adaptive truncation.  The source coefficients,
     the mode table and the forcing projections do not depend on delta, so
     they are built once at the largest truncation and sliced per delta;
-    the slices equal per-delta builds bit for bit.  Probes must lie outside the shell.  Records are
-    returned in the order the deltas were given.
+    the slices equal per-delta builds bit for bit.  Probes must lie
+    outside the shell.  Records are returned in the order the deltas were
+    given.
     """
     if len(deltas) == 0:
         raise ValueError("need at least one delta")

@@ -31,8 +31,16 @@ from typing import Union
 
 import numpy as np
 
-from .errors import SingularPoint, SourceInsideShell, TooFewCoefficients
-from .geometry import ConfocalGeometry, EllipticPoint, metric_factor, to_cartesian, to_elliptic
+from .errors import DegeneratePoint, SingularPoint, SourceInsideShell, TooFewCoefficients
+from .geometry import (
+    ConfocalGeometry,
+    EllipticPoint,
+    cartesian,
+    elliptic_coords,
+    metric_factor,
+    tangents,
+    to_cartesian,
+)
 
 __all__ = [
     "Dipole",
@@ -188,12 +196,9 @@ def _dipole_coefficients(s: Dipole, n_max: int, R: float) -> SourceCoefficients:
     rho0, omega0 = s.location.rho, s.location.omega
     xi0 = float(metric_factor(R, rho0, omega0))
     # Moment components along the unit coordinate vectors at the source.
-    ch, sh = math.cosh(rho0), math.sinh(rho0)
-    cw, sw = math.cos(omega0), math.sin(omega0)
-    e_rho = np.array([R * cw * sh, R * sw * ch]) / xi0
-    e_omega = np.array([-R * sw * ch, R * cw * sh]) / xi0
-    p = float(s.moment @ e_rho)
-    q = float(s.moment @ e_omega)
+    t_rho, t_omega = tangents(R, rho0, omega0)
+    p = float(s.moment @ (t_rho / xi0))
+    q = float(s.moment @ (t_omega / xi0))
 
     # F = a . grad_x G(x - x0) = -a . grad_{x0} G, so the weights are the
     # source-position derivatives of the Green weights, negated.
@@ -298,34 +303,6 @@ def _series(
     return value, d_rho, d_omega
 
 
-def _cartesian(R: float, rho, omega) -> np.ndarray:
-    """Cartesian points of elliptic coordinates, shape (..., 2)."""
-    return np.stack(
-        [R * np.cos(omega) * np.cosh(rho), R * np.sin(omega) * np.sinh(rho)], axis=-1
-    )
-
-
-def _tangents(R: float, rho, omega) -> tuple[np.ndarray, np.ndarray]:
-    """dx/drho and dx/domega, shape (..., 2); both have squared length Xi^2.
-
-    They carry the chain rule between Cartesian and elliptic gradients in
-    both directions.
-    """
-    ch, sh = np.cosh(rho), np.sinh(rho)
-    cw, sw = np.cos(omega), np.sin(omega)
-    t_rho = np.stack([R * cw * sh, R * sw * ch], axis=-1)
-    t_omega = np.stack([-R * sw * ch, R * cw * sh], axis=-1)
-    return t_rho, t_omega
-
-
-def _elliptic_coords(x: np.ndarray, R: float) -> tuple[np.ndarray, np.ndarray]:
-    """(rho, omega) arrays of Cartesian points x of shape (..., 2)."""
-    pts = [to_elliptic(R, p) for p in x.reshape(-1, 2)]
-    rho = np.array([p.rho for p in pts]).reshape(x.shape[:-1])
-    omega = np.array([p.omega for p in pts]).reshape(x.shape[:-1])
-    return rho, omega
-
-
 def _offsets(x: np.ndarray, R: float, *charges: EllipticPoint) -> list:
     """Offsets x - x_k from each charge location, with squared lengths."""
     tol2 = (_SINGULAR_TOL * R) ** 2
@@ -355,7 +332,10 @@ def newtonian_eval(s: SourceSpec, x: np.ndarray, R: float) -> float | np.ndarray
         (_, dp2), (_, dm2) = _offsets(x, R, s.plus, s.minus)
         value = s.charge * 0.25 * np.log(dp2 / dm2) / math.pi
     elif isinstance(s, Coefficients):
-        value = _series(s, *_elliptic_coords(x, R))[0]
+        rho, omega, focal = elliptic_coords(R, x)
+        if focal.any():
+            raise DegeneratePoint("evaluation point lies on the focal segment")
+        value = _series(s, rho, omega)[0]
     else:
         raise TypeError(f"unsupported source type {type(s).__name__}")
     return float(value) if x.ndim == 1 else value
@@ -374,9 +354,11 @@ def newtonian_gradient(s: SourceSpec, x: np.ndarray, R: float) -> np.ndarray:
         (rp, dp2), (rm, dm2) = _offsets(x, R, s.plus, s.minus)
         return s.charge * (rp / dp2[..., None] - rm / dm2[..., None]) / (2.0 * math.pi)
     if isinstance(s, Coefficients):
-        rho, omega = _elliptic_coords(x, R)
+        rho, omega, focal = elliptic_coords(R, x)
+        if focal.any():
+            raise DegeneratePoint("evaluation point lies on the focal segment")
         _, d_rho, d_omega = _series(s, rho, omega)
-        t_rho, t_omega = _tangents(R, rho, omega)
+        t_rho, t_omega = tangents(R, rho, omega)
         xi2 = (metric_factor(R, rho, omega) ** 2)[..., None]
         return (d_rho[..., None] * t_rho + d_omega[..., None] * t_omega) / xi2
     raise TypeError(f"unsupported source type {type(s).__name__}")
@@ -388,15 +370,15 @@ def elliptic_potential(
     """F at elliptic points (rho[j], omega[j]); expansion data use the series."""
     if isinstance(s, (SourceCoefficients, Coefficients)):
         return _series(s, rho, omega)[0]
-    return newtonian_eval(s, _cartesian(R, rho, omega), R)
+    return newtonian_eval(s, cartesian(R, rho, omega), R)
 
 
 def elliptic_gradient(
     s: Dipole | ChargePair, R: float, rho, omega
 ) -> tuple[np.ndarray, np.ndarray]:
     """(dF/drho, dF/domega) of a closed-form source at elliptic points."""
-    grad = newtonian_gradient(s, _cartesian(R, rho, omega), R)
-    t_rho, t_omega = _tangents(R, rho, omega)
+    grad = newtonian_gradient(s, cartesian(R, rho, omega), R)
+    t_rho, t_omega = tangents(R, rho, omega)
     return (grad * t_rho).sum(axis=-1), (grad * t_omega).sum(axis=-1)
 
 
@@ -424,9 +406,7 @@ def coefficient_projection_oracle(
 
     m_nodes = max(8 * n_max, 512)
     omegas = 2.0 * math.pi * np.arange(m_nodes) / m_nodes
-    ch, sh = math.cosh(rho_t), math.sinh(rho_t)
-    points = np.column_stack([R * np.cos(omegas) * ch, R * np.sin(omegas) * sh])
-    values = newtonian_eval(s, points, R)
+    values = newtonian_eval(s, cartesian(R, rho_t, omegas), R)
 
     spec = np.fft.rfft(values)
     n = np.arange(1, n_max + 1, dtype=float)

@@ -7,6 +7,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calr_lab import (
     ConfocalGeometry,
@@ -18,6 +20,7 @@ from calr_lab import (
     to_cartesian,
     to_elliptic,
 )
+from calr_lab.geometry import cartesian, elliptic_coords
 
 
 def test_to_cartesian_axis_points():
@@ -61,6 +64,69 @@ def test_round_trip_identity():
                 assert abs(d_om) <= 1e-11
 
 
+def test_round_trip_near_focal_segment():
+    """Small rho is recovered to 1e-11 relative: the inverse map forms
+    sinh(rho)^2 without subtracting nearly equal numbers."""
+    for rho in (1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.1, 1.0, 3.0):
+        for R in (0.5, 1.0, 2.0):
+            for omega in np.linspace(0.1, 6.0, 40):
+                p = EllipticPoint(rho, float(omega))
+                q = to_elliptic(R, to_cartesian(R, p))
+                assert abs(q.rho - rho) <= 1e-11 * rho
+                d_om = (q.omega - p.omega + math.pi) % (2.0 * math.pi) - math.pi
+                assert abs(d_om) <= 1e-12
+
+
+_SCALES = st.floats(0.05, 20.0)
+_ANGLES = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
+_ELLIPTIC = st.tuples(st.floats(0.0, 12.0), _ANGLES)
+
+
+@st.composite
+def _points(draw):
+    """Cartesian points in units of R: anywhere, near a focus, in and
+    around the focal strip, and on both sides of the circle |x| = R."""
+    kind = draw(st.sampled_from(["any", "focus", "segment", "circle"]))
+    if kind == "any":
+        return draw(st.floats(-30.0, 30.0)), draw(st.floats(-30.0, 30.0))
+    if kind == "focus":
+        eps, theta = 10.0 ** draw(st.floats(-16.0, 0.0)), draw(_ANGLES)
+        side = draw(st.sampled_from([-1.0, 1.0]))
+        return side + eps * math.cos(theta), eps * math.sin(theta)
+    if kind == "segment":
+        x2 = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-16.0, -10.0))
+        return draw(st.floats(-1.5, 1.5)), draw(st.sampled_from([0.0, x2]))
+    stretch = 1.0 + draw(st.floats(-1e-8, 1e-8))
+    theta = draw(_ANGLES)
+    return stretch * math.cos(theta), stretch * math.sin(theta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SCALES, st.lists(_ELLIPTIC, min_size=1, max_size=20))
+def test_forward_map_scalar_matches_array(R, pts):
+    rho, omega = (np.array(v) for v in zip(*pts))
+    x = cartesian(R, rho, omega)
+    for j, (r, w) in enumerate(pts):
+        assert np.array_equal(to_cartesian(R, EllipticPoint(r, w)), x[j])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SCALES, st.lists(_points(), min_size=1, max_size=20))
+def test_inverse_map_scalar_matches_array(R, pts):
+    """Off the focal strip the one-point inverse equals the array inverse
+    bit for bit; the array mask is set exactly where it raises."""
+    x = R * np.array(pts)
+    rho, omega, focal = elliptic_coords(R, x)
+    for j in range(len(pts)):
+        try:
+            p = to_elliptic(R, x[j])
+        except DegeneratePoint:
+            assert focal[j]
+            continue
+        assert not focal[j]
+        assert (p.rho, p.omega) == (rho[j], omega[j])
+
+
 def test_metric_factor_values():
     assert math.isclose(
         metric_factor(1.0, 0.5, 0.0), math.sinh(0.5), rel_tol=1e-15
@@ -100,25 +166,25 @@ def test_sample_weights_sum_to_perimeter():
         m = 1.0 - (b / a) ** 2
         perimeter = float(4.0 * a * mpmath.ellipe(m))
         curve = sample_ellipse(1.0, rho0, N)
-        total = sum(p.weight for p in curve)
+        total = sum(curve.weights[j] for j in range(N))
         assert math.isclose(total, perimeter, rel_tol=1e-10)
 
 
 def test_sample_nodes_lie_on_ellipse():
     a, b = math.cosh(0.5), math.sinh(0.5)
-    for p in sample_ellipse(1.0, 0.5, 64):
-        r = (p.node[0] / a) ** 2 + (p.node[1] / b) ** 2
+    for node in sample_ellipse(1.0, 0.5, 64).nodes:
+        r = (node[0] / a) ** 2 + (node[1] / b) ** 2
         assert abs(r - 1.0) < 1e-13
 
 
 def test_sample_normals_unit_and_outward():
     curve = sample_ellipse(1.0, 0.8, 64)
-    assert abs(float(np.hypot(*curve[0].normal)) - 1.0) < 1e-14
-    assert curve[0].normal[0] == pytest.approx(1.0, abs=1e-14)
-    assert abs(curve[0].normal[1]) < 1e-14
-    for p in curve:
-        assert abs(float(np.hypot(*p.normal)) - 1.0) < 1e-14
-        assert float(p.normal @ p.node) > 0.0
+    assert abs(float(np.hypot(*curve.normals[0])) - 1.0) < 1e-14
+    assert curve.normals[0][0] == pytest.approx(1.0, abs=1e-14)
+    assert abs(curve.normals[0][1]) < 1e-14
+    for normal, node in zip(curve.normals, curve.nodes):
+        assert abs(float(np.hypot(*normal)) - 1.0) < 1e-14
+        assert float(normal @ node) > 0.0
 
 
 def test_large_rho_approaches_circle():
@@ -127,8 +193,8 @@ def test_large_rho_approaches_circle():
     rho0 = 6.0
     curve = sample_ellipse(1.0, rho0, 256)
     radius = math.exp(rho0) / 2.0
-    for p in curve:
-        assert abs(p.curvature * radius - 1.0) < 1e-3
+    for curvature in curve.curvature:
+        assert abs(curvature * radius - 1.0) < 1e-3
 
 
 def test_confocal_interfaces_share_foci():

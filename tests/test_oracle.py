@@ -56,14 +56,14 @@ def test_circle_spectrum_is_half_and_zeros():
 def test_kernel_diagonal_is_curvature_limit():
     curve = sample_ellipse(1.0, 0.8, 64)
     for i in (0, 5, 16, 40):
-        assert np_kernel(curve, i, i) == curve[i].curvature / (4.0 * math.pi)
+        assert np_kernel(curve, i, i) == curve.curvature[i] / (4.0 * math.pi)
 
 
 def test_kernel_near_diagonal_approaches_limit():
     """Adjacent off-diagonal entries converge to the curvature limit as
     the grid refines (removable singularity)."""
     curve = sample_ellipse(1.0, 0.8, 4096)
-    want = curve[0].curvature / (4.0 * math.pi)
+    want = curve.curvature[0] / (4.0 * math.pi)
     assert abs(np_kernel(curve, 0, 1) - want) < 1e-2 * want
 
 
