@@ -31,6 +31,7 @@ from .geometry import ConfocalGeometry, EllipticPoint, elliptic_coords, sample_e
 from .oracle import assemble_np, block_np_for, numeric_spectrum
 from .solver import (
     ShellConfig,
+    _sweep,
     adaptive_n_max,
     calr_classify,
     eval_potentials,
@@ -250,7 +251,7 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
             )
     margin = _int(block, "sweep", "margin", 40)
 
-    records = sweep(source, g, deltas, probes, margin=margin)
+    records, sc_top = _sweep(source, g, deltas, probes, margin)
     lines = [_sweep_header(len(probes))]
     for rec in records:
         row = [_fmt(rec.delta), str(rec.n_max), _fmt(rec.e_direct), _fmt(rec.e_spectral)]
@@ -262,9 +263,9 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
 
     regime = critical_radius(g.rho_i, g.rho_e)
     diagnosis = calr_classify(records, regime)
-    n_gc = adaptive_n_max(min(deltas), g, margin)
-    sc = newtonian_coefficients(source, n_gc, g.R, rho_e=g.rho_e)
-    gc = gap_condition_report(sc, g, regime.rho_star)
+    # The gap report reads the sweep's coefficients at its top truncation,
+    # adaptive_n_max(min(deltas)).
+    gc = gap_condition_report(sc_top, g, regime.rho_star)
     report = {
         "verdict": diagnosis.verdict.value,
         "growth_exponent": diagnosis.growth_exponent,
@@ -323,16 +324,16 @@ def cmd_field(cfg: dict, out_dir: Path) -> int:
     xs = np.linspace(-a, a, n1)
     ys = np.linspace(-b, b, n2)
     rho, omega, focal = elliptic_coords(g.R, np.stack(np.meshgrid(xs, ys), axis=-1))
-    values = iter(eval_potentials(f_spec, dc, g, rho[~focal], omega[~focal]))
+    values = eval_potentials(f_spec, dc, g, rho[~focal], omega[~focal]).tolist()
+    # One printf per point; "%.17g" gives the same text as _fmt.
+    cells = ("%.17g,%.17g,%.17g" % (v.real, v.imag, abs(v)) for v in values)
     x1_text = [_fmt(x1) for x1 in xs]
     lines = ["x1,x2,re_v,im_v,abs_v"]
-    for x2, row in zip(map(_fmt, ys), focal):
-        for x1, blank in zip(x1_text, row):
-            if blank:
-                lines.append(f"{x1},{x2},,,")
-            else:
-                v = complex(next(values))
-                lines.append(f"{x1},{x2},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))}")
+    for x2, row in zip(map(_fmt, ys), focal.tolist()):
+        lines += [
+            f"{x1},{x2},{',,' if blank else next(cells)}"
+            for x1, blank in zip(x1_text, row)
+        ]
     path = out_dir / "field.csv"
     _write_lines(path, lines)
     print(f"wrote {path} ({n1 * n2} points)")

@@ -65,7 +65,9 @@ class EllipticPoint:
             raise ValueError(f"rho must be finite and >= 0, got {self.rho}")
         if not math.isfinite(self.omega):
             raise ValueError(f"omega must be finite, got {self.omega}")
-        object.__setattr__(self, "omega", self.omega % TWO_PI)
+        omega = self.omega % TWO_PI
+        # A tiny negative angle rounds up to 2*pi; fold it to 0.
+        object.__setattr__(self, "omega", 0.0 if omega == TWO_PI else omega)
 
 
 @dataclass(frozen=True)

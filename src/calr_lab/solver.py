@@ -37,14 +37,22 @@ the spectral surrogate
     E ~ delta * sum_n sum_branches proj^2 / (norm * (lambda^2 + delta^2)).
 
 Evaluation.  Mode n of a layer potential on rho_k is a mix of
-e^{-n |rho - rho_k|} and e^{-n (rho + rho_k)} in every region, and one
-radial helper (_layer_radial) forms both.  eval_potentials works through
-scattered (rho, omega) points in blocks of at most _BLOCK_ENTRIES
-point x mode entries, which bounds memory, and sums over the modes with
-elementwise products and np.sum rather than BLAS, so a value does not
-depend on the block its point falls in.  The quadrature oracle keeps its
-separable (n_rho, n_max) @ (n_max, n_omega) form: point by point its
-128 x 512 grid would cost 65536 n_max entries per call.
+e^{-n |rho - rho_k|} and e^{-n (rho + rho_k)} times cos or sin (n omega).
+With zeta = rho + i omega each product is the real or imaginary part of a
+power of a complex ratio such as e^{-(zeta - rho_k)}, and inside one
+region (core, shell or exterior) all of them are powers of
+x = e^{-(rho - lo) + i omega} or y = e^{-(hi - rho) + i omega} and their
+conjugates, scaled by constants e^{-n c} with c >= 0.  eval_potentials
+sums these power series by Horner's rule over the modes, vectorized over
+the points: one complex exp per point and chain, one complex
+multiply-add per mode, in blocks of at most _BLOCK_ENTRIES point x chain
+entries.  Every step is elementwise, so a value does not depend on the
+block its point falls in, and trailing zero densities change no bit;
+sweep relies on both to evaluate the probes of all its deltas in one
+call.  The quadrature oracle keeps its separable
+(n_rho, n_max) @ (n_max, n_omega) form with the radial factors of
+_layer_radial: point by point its 128 x 512 grid would cost 65536 n_max
+entries per call.
 
 A sweep drives delta over several decades and the classifier grades the
 outcome: resonant blow-up of E with decaying source visibility (CALR),
@@ -101,7 +109,8 @@ __all__ = [
 # involve exponentials too close to the double-precision ceiling.
 _NMAX_GUARD = 600.0
 
-# Point x mode entries per block of eval_potentials.  Bounded blocks keep
+# Point x chain entries per block of the Horner layer sums (point x mode
+# entries for the series of a coefficient source).  Bounded blocks keep
 # the peak memory of a large grid flat.
 _BLOCK_ENTRIES = 8192
 
@@ -171,7 +180,8 @@ class DensityCoefficients:
     """Complex density coefficients; index [n-1] holds mode n.
 
     phi_i = sum p_cos[n] phi_n_c(i) + p_sin[n] phi_n_s(i), and q_* likewise
-    for phi_e.
+    for phi_e.  eval_potentials also takes (n_max, m) arrays holding one
+    column of densities per evaluation point.
     """
 
     p_cos: np.ndarray = field(repr=False)
@@ -351,7 +361,8 @@ def _layer_radial(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Radial factors of the layers on rho_i and rho_e at each radius.
 
-    With near = e^{-n |rho - rho_k|} and far = e^{-n (rho + rho_k)} (no
+    Used by the separable quadrature oracle (_shell_gradient_grid).  With
+    near = e^{-n |rho - rho_k|} and far = e^{-n (rho + rho_k)} (no
     exponent is positive), returns (near + far) / 2 and (near - far) / 2,
     each of shape (2,) + rho.shape + (n_max,) with index 0 for rho_i and
     1 for rho_e.  Mode n of the layer potential of phi_n_c (phi_n_s) on
@@ -365,6 +376,84 @@ def _layer_radial(
     return 0.5 * (near + far), 0.5 * (near - far)
 
 
+def _region_chains(
+    halves: list, n: np.ndarray, lo: float, hi: float | None
+) -> np.ndarray:
+    """Horner coefficients of the layer sums for points with lo <= rho <= hi.
+
+    halves holds ((A - iB)/2, (A + iB)/2) per interface, A and B being
+    the cos and sin coefficients p/n (q/n on rho_e).  Every near and far
+    factor of the region is e^{-n (rho - lo)} or e^{-n (hi - rho)} times
+    a constant e^{-n c} with c >= 0, so the chains run in
+    x = e^{-(rho - lo) + i omega} and y = e^{-(hi - rho) + i omega} and
+    their conjugates; above rho_e (hi None) there is no y.  Returns the
+    coefficients of x, conj x, y, conj y stacked on axis 1.
+    """
+    up = up_conj = down = down_conj = 0.0
+    for rk, (minus, plus) in halves:
+        far = np.exp(-(lo + rk) * n)
+        up, up_conj = up + plus * far, up_conj + minus * far
+        if rk <= lo:
+            near = np.exp(-(lo - rk) * n)
+            up, up_conj = up + minus * near, up_conj + plus * near
+        else:
+            near = np.exp(-(rk - hi) * n)
+            down, down_conj = down + minus * near, down_conj + plus * near
+    chains = [up, up_conj] if hi is None else [up, up_conj, down, down_conj]
+    return np.stack(chains, axis=1)
+
+
+def _layer_sums(
+    dens: Sequence[np.ndarray], g: ConfocalGeometry, rho: np.ndarray, omega: np.ndarray
+) -> np.ndarray:
+    """Sum of both layer potentials at the points (rho[j], omega[j]).
+
+    dens is (p_cos, p_sin, q_cos, q_sin), each of shape (n_max, 1) for
+    densities shared by all points or (n_max, points) for a column per
+    point.  Mode n of the layer of phi_n_c (phi_n_s) on rho_k is
+    -(near^n +- far^n) cos (sin)(n omega) / (2n) with near = e^{-|rho -
+    rho_k|} and far = e^{-(rho + rho_k)}; writing cos and sin through
+    e^{+-i n omega} turns each layer sum into power series in a complex
+    ratio of modulus <= 1 (see _region_chains), summed by Horner's rule.
+    Every step is elementwise per point and the chains are added in a
+    fixed order, so a value depends neither on the other points nor on
+    trailing zero densities.
+    """
+    p_cos, p_sin, q_cos, q_sin = dens
+    n = np.arange(1, len(p_cos) + 1, dtype=float)[:, None]
+    halves = [
+        (g.rho_i, ((p_cos - 1j * p_sin) / (2.0 * n), (p_cos + 1j * p_sin) / (2.0 * n))),
+        (g.rho_e, ((q_cos - 1j * q_sin) / (2.0 * n), (q_cos + 1j * q_sin) / (2.0 * n))),
+    ]
+    out = np.empty(rho.shape, dtype=complex)
+    region = (rho > g.rho_i).astype(int) + (rho > g.rho_e)
+    bounds = ((0.0, g.rho_i), (g.rho_i, g.rho_e), (g.rho_e, None))
+    for r, (lo, hi) in enumerate(bounds):
+        idx = np.flatnonzero(region == r)
+        if idx.size == 0:
+            continue
+        coef = _region_chains(halves, n, lo, hi)
+        step = max(1, _BLOCK_ENTRIES // coef.shape[1])
+        for start in range(0, idx.size, step):
+            j = idx[start : start + step]
+            x = np.exp((lo - rho[j]) + 1j * omega[j])
+            var = [x, x.conj()]
+            if hi is not None:
+                y = np.exp((rho[j] - hi) + 1j * omega[j])
+                var += [y, y.conj()]
+            var = np.stack(var)
+            acc = np.zeros_like(var)
+            for c in (coef if coef.shape[2] == 1 else coef[:, :, j])[::-1]:
+                acc *= var
+                acc += c
+            acc *= var
+            total = acc[0] + acc[1]
+            for k in range(2, len(acc)):
+                total += acc[k]
+            out[j] = -0.5 * total
+    return out
+
+
 def eval_potentials(
     source: SourceSpec | SourceCoefficients,
     dc: DensityCoefficients,
@@ -375,10 +464,16 @@ def eval_potentials(
     """V_delta at the elliptic points (rho[j], omega[j]), any region.
 
     rho and omega broadcast against each other; the complex result has
-    their broadcast shape.  Points are evaluated in blocks of at most
-    _BLOCK_ENTRIES point x mode entries, and the mode sums are
-    elementwise products reduced by np.sum, so a value does not depend
-    on which block (or which call) its point falls in.
+    their broadcast shape.  The density arrays of dc have shape (n_max,),
+    or (n_max, m) with one column per point (in flattened order) when
+    each point carries densities of its own, as in sweep.  The layer sums
+    are Horner recurrences over the modes, vectorized over the points:
+    one complex exp per point and chain, then one complex multiply-add
+    per mode, with no exp, cos or sin per (point, mode) entry.  Points go
+    in blocks of at most _BLOCK_ENTRIES point x chain entries (point x
+    mode entries for the series of a coefficient source), and every step
+    is elementwise, so a value does not depend on which block (or which
+    call) its point falls in.
     """
     rho, omega = np.broadcast_arrays(
         np.asarray(rho, dtype=float), np.asarray(omega, dtype=float)
@@ -387,17 +482,17 @@ def eval_potentials(
     rho, omega = rho.ravel(), omega.ravel()
     if not (rho >= 0.0).all():
         raise ValueError("need rho >= 0 at every point")
-    n = np.arange(1, len(dc.p_cos) + 1, dtype=float)
-    out = np.empty(rho.size, dtype=complex)
-    step = max(1, _BLOCK_ENTRIES // len(n))
+    n_max = len(dc.p_cos)
+    dens = [np.reshape(getattr(dc, f.name), (n_max, -1)) for f in fields(dc)]
+    if dens[0].shape[1] not in (1, rho.size):
+        raise ValueError(f"need 1 or {rho.size} density columns, got {dens[0].shape[1]}")
+    out = _layer_sums(dens, g, rho, omega)
+    # A series source forms point x mode arrays; bound them per block.
+    series = isinstance(source, (SourceCoefficients, Coefficients))
+    step = max(1, _BLOCK_ENTRIES // len(source.f_plus) if series else rho.size)
     for lo in range(0, rho.size, step):
-        r, w = rho[lo : lo + step], omega[lo : lo + step]
-        (ci, ce), (si, se) = _layer_radial(n, g, r)
-        cos_part = -(dc.p_cos * ci + dc.q_cos * ce) / n
-        sin_part = -(dc.p_sin * si + dc.q_sin * se) / n
-        nw = w[:, None] * n
-        layers = (cos_part * np.cos(nw) + sin_part * np.sin(nw)).sum(axis=-1)
-        out[lo : lo + step] = elliptic_potential(source, g.R, r, w) + layers
+        block = slice(lo, lo + step)
+        out[block] += elliptic_potential(source, g.R, rho[block], omega[block])
     return out.reshape(shape)
 
 
@@ -568,6 +663,50 @@ def dissipated_power_spectral(
     return delta * float(total)
 
 
+def _sweep(
+    source: SourceSpec,
+    g: ConfocalGeometry,
+    deltas: Sequence[float],
+    probes: Sequence[EllipticPoint],
+    margin: int,
+) -> tuple[list[SweepRecord], SourceCoefficients]:
+    """The records of sweep and the source coefficients at the top truncation."""
+    if len(deltas) == 0:
+        raise ValueError("need at least one delta")
+    for p in probes:
+        if p.rho <= g.rho_e:
+            raise ValueError(f"probe at rho = {p.rho} is not outside the shell")
+    n_maxes = [adaptive_n_max(d, g, margin) for d in deltas]
+    n_top = max(n_maxes)
+    sc_top = newtonian_coefficients(source, n_top, g.R, rho_e=g.rho_e)
+    modes_top = mode_table(g, n_top)
+    proj_top = mode_projections(boundary_forcing(sc_top, g), modes_top)
+    # One density column per (delta, probe) point, zero-padded to n_top.
+    dens = np.zeros((4, n_top, len(deltas), len(probes)), dtype=complex)
+    solved = []
+    for k, (delta, n_max) in enumerate(zip(deltas, n_maxes)):
+        sc = sc_top.truncated(n_max)
+        modes = modes_top.truncated(n_max)
+        proj = proj_top.truncated(n_max)
+        dc, _ = _assemble_densities(proj, modes, delta)
+        for f, column in zip(fields(dc), dens):
+            column[:n_max, k] = getattr(dc, f.name)[:, None]
+        energy = dissipated_power_closed(sc, dc, g, delta)
+        solved.append((energy, dissipated_power_spectral(proj, modes, delta)))
+    rho = np.tile([p.rho for p in probes], len(deltas))
+    omega = np.tile([p.omega for p in probes], len(deltas))
+    columns = DensityCoefficients(*dens.reshape(4, n_top, -1))
+    v = eval_potentials(source, columns, g, rho, omega)
+    # Python's complex abs, as for a single eval_potential value; the
+    # vectorized np.abs of a complex array may differ in the last bit.
+    far = np.array([abs(z) for z in v.tolist()]).reshape(len(deltas), len(probes))
+    records = []
+    for delta, n_max, (energy, e_spectral), f in zip(deltas, n_maxes, solved, far):
+        scale = math.sqrt(energy) if energy > 0.0 else math.inf
+        records.append(SweepRecord(delta, n_max, energy, e_spectral, f, f / scale))
+    return records, sc_top
+
+
 def sweep(
     source: SourceSpec,
     g: ConfocalGeometry,
@@ -580,37 +719,14 @@ def sweep(
     Each delta gets its own adaptive truncation.  The source coefficients,
     the mode table and the forcing projections do not depend on delta, so
     they are built once at the largest truncation and sliced per delta;
-    the slices equal per-delta builds bit for bit.  Probes must lie
+    the slices equal per-delta builds bit for bit.  The probes of all
+    deltas are evaluated in one evaluator call, each point with the
+    densities of its own delta zero-padded to the largest truncation,
+    which leaves its value unchanged bit for bit.  Probes must lie
     outside the shell.  Records are returned in the order the deltas were
     given.
     """
-    if len(deltas) == 0:
-        raise ValueError("need at least one delta")
-    for p in probes:
-        if p.rho <= g.rho_e:
-            raise ValueError(f"probe at rho = {p.rho} is not outside the shell")
-    n_maxes = [adaptive_n_max(d, g, margin) for d in deltas]
-    n_top = max(n_maxes)
-    sc_top = newtonian_coefficients(source, n_top, g.R, rho_e=g.rho_e)
-    modes_top = mode_table(g, n_top)
-    proj_top = mode_projections(boundary_forcing(sc_top, g), modes_top)
-    probe_rho = np.array([p.rho for p in probes])
-    probe_omega = np.array([p.omega for p in probes])
-    records = []
-    for delta, n_max in zip(deltas, n_maxes):
-        sc = sc_top.truncated(n_max)
-        modes = modes_top.truncated(n_max)
-        proj = proj_top.truncated(n_max)
-        dc, _ = _assemble_densities(proj, modes, delta)
-        energy = dissipated_power_closed(sc, dc, g, delta)
-        e_spectral = dissipated_power_spectral(proj, modes, delta)
-        v = eval_potentials(source, dc, g, probe_rho, probe_omega).tolist()
-        # Python's complex abs, as for a single eval_potential value; the
-        # vectorized np.abs of a complex array may differ in the last bit.
-        far = np.array([abs(z) for z in v])
-        scale = math.sqrt(energy) if energy > 0.0 else math.inf
-        records.append(SweepRecord(delta, n_max, energy, e_spectral, far, far / scale))
-    return records
+    return _sweep(source, g, deltas, probes, margin)[0]
 
 
 def calr_classify(records: Sequence[SweepRecord], regime: Regime) -> CalrDiagnosis:

@@ -22,6 +22,8 @@ from calr_lab import (
 )
 from calr_lab.geometry import cartesian, elliptic_coords
 
+TWO_PI = 2.0 * math.pi
+
 
 def test_to_cartesian_axis_points():
     x = to_cartesian(1.0, EllipticPoint(0.0, 0.0))
@@ -212,6 +214,24 @@ def test_elliptic_point_normalizes_omega():
     assert math.isclose(
         EllipticPoint(1.0, -0.5).omega, 2.0 * math.pi - 0.5, abs_tol=1e-14
     )
+
+
+@pytest.mark.parametrize("omega", [-1e-17, -4e-16, -1e-300, -5e-324, -0.0])
+def test_elliptic_point_folds_tiny_negative_omega(omega):
+    """A tiny negative angle rounds up to exactly 2 pi under the modulo;
+    it is folded to 0 so that omega stays in [0, 2 pi)."""
+    assert EllipticPoint(1.0, omega).omega == 0.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_elliptic_point_omega_next_to_minus_two_pi(k):
+    """Angles one ulp either side of -2 pi k land in [0, 2 pi) at the
+    modulo's own value."""
+    for omega in (math.nextafter(-k * TWO_PI, 0.0), -k * TWO_PI,
+                  math.nextafter(-k * TWO_PI, -math.inf)):
+        w = EllipticPoint(1.0, omega).omega
+        assert 0.0 <= w < TWO_PI
+        assert w == omega % TWO_PI
 
 
 def test_elliptic_point_validation():

@@ -9,22 +9,28 @@ closed-form Gram matrices.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from calr_lab import (
     ChargePair,
     Coefficients,
     ConfocalGeometry,
+    DensityCoefficients,
     Dipole,
     EllipticPoint,
     OverflowGuard,
     ShellConfig,
+    SourceCoefficients,
     TruncationWarning,
     adaptive_n_max,
     boundary_forcing,
@@ -399,6 +405,153 @@ def test_blocked_potentials_match_pointwise(kind):
     order = rng.permutation(m)
     shuffled = eval_potentials(src, dc, THIN, rho[order], omega[order])
     assert np.array_equal(shuffled, values[order])
+
+
+# A source with F = 0 exactly, so that eval_potentials returns the layer sums.
+_NO_SOURCE = SourceCoefficients(0.0, np.zeros(1), np.zeros(1))
+
+
+def _arrays(dc):
+    return [dc.p_cos, dc.p_sin, dc.q_cos, dc.q_sin]
+
+
+def _exp_cos_sin_layers(dc, g, rho, omega):
+    """The layer sums in their per-(point, mode) exp/cos/sin form, and the
+    sum over the modes of |term_n| (test reference for the Horner sums)."""
+    n = np.arange(1, len(dc.p_cos) + 1, dtype=float)
+    r, nw = np.asarray(rho)[..., None], np.asarray(omega)[..., None] * n
+    total, scale = 0.0, 0.0
+    for rk, c, s in ((g.rho_i, dc.p_cos, dc.p_sin), (g.rho_e, dc.q_cos, dc.q_sin)):
+        near, far = np.exp(-n * np.abs(r - rk)), np.exp(-n * (r + rk))
+        term = -(c * (near + far) * np.cos(nw) + s * (near - far) * np.sin(nw))
+        term /= 2 * n
+        total, scale = total + term.sum(axis=-1), scale + np.abs(term).sum(axis=-1)
+    return total, scale
+
+
+def _mp_layers(dc, g, rho, omega):
+    """30-digit layer sums and sum_n |term_n| from the exp/cos/sin form."""
+    with mpmath.workdps(30):
+        r, w = mpmath.mpf(rho), mpmath.mpf(omega)
+        total, scale = mpmath.mpc(0), mpmath.mpf(0)
+        for rk, c, s in ((g.rho_i, dc.p_cos, dc.p_sin), (g.rho_e, dc.q_cos, dc.q_sin)):
+            rk = mpmath.mpf(rk)
+            for n in range(1, len(c) + 1):
+                near, far = mpmath.exp(-n * abs(r - rk)), mpmath.exp(-n * (r + rk))
+                term = -(
+                    mpmath.mpc(c[n - 1]) * (near + far) * mpmath.cos(n * w)
+                    + mpmath.mpc(s[n - 1]) * (near - far) * mpmath.sin(n * w)
+                ) / (2 * n)
+                total += term
+                scale += abs(term)
+        return complex(total), float(scale)
+
+
+@pytest.mark.parametrize(
+    "g, rho0, n_max", [(THIN, 0.88, 374), (THICK, 1.5, 299)], ids=["thin", "thick"]
+)
+def test_horner_layer_sums_match_mpmath(g, rho0, n_max):
+    """At the largest n_max each geometry supports, the layer sums agree
+    with a 30-digit evaluation to 1e-13 of sum_n |term_n| in the core, the
+    shell and the exterior, exactly on both interfaces, next to the focal
+    segment and at angles next to 0 and 2 pi."""
+    src = Dipole(EllipticPoint(rho0, 0.9), np.array([1.0, 0.4]))
+    _, _, dc = _truncated_solve(src, g, 1e-5, n_max)
+    points = [
+        (0.5 * g.rho_i, 1.0), (0.5 * (g.rho_i + g.rho_e), 2.0), (g.rho_e + 0.4, 4.0),
+        (g.rho_i, 0.7), (g.rho_e, 5.5), (1e-8, 0.4), (0.0, 2.5), (1e-12, 3.3),
+        (0.3 * g.rho_i, 1e-13), (g.rho_e + 0.1, TWO_PI - 1e-13),
+        (0.7 * g.rho_e, math.nextafter(TWO_PI, 0.0)), (g.rho_e + 2.0, 0.0),
+    ]
+    got = eval_potentials(_NO_SOURCE, dc, g, *np.array(points).T)
+    for (rho, omega), v in zip(points, got):
+        want, scale = _mp_layers(dc, g, rho, omega)
+        assert abs(v - want) <= 1e-13 * scale, (rho, omega)
+
+
+def test_zero_padded_densities_change_no_bit():
+    """Densities zero-padded to a larger n_max give the unpadded values
+    bit for bit, in every region (the batched sweep relies on this)."""
+    _, sc, _, dc = _solved_case(THIN, 1.3, 1e-3)
+    pad = np.zeros(53, dtype=complex)
+    padded = DensityCoefficients(*(np.concatenate([a, pad]) for a in _arrays(dc)))
+    rng = np.random.default_rng(11)
+    rho = np.concatenate([[0.0, THIN.rho_i, THIN.rho_e], rng.uniform(0.0, 2.0, 300)])
+    omega = rng.uniform(0.0, TWO_PI, rho.size)
+    for src in (_NO_SOURCE, sc):
+        want = eval_potentials(src, dc, THIN, rho, omega)
+        got = eval_potentials(src, padded, THIN, rho, omega)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_density_columns_per_point():
+    """Densities with one column per point give each point the value of its
+    own column; a column count that is neither 1 nor the point count is
+    refused."""
+    _, sc, _, dc = _solved_case(THIN, 1.3, 1e-3)
+    _, _, _, dc2 = _solved_case(THIN, 1.3, 1e-5)
+    n = len(dc2.p_cos)
+    rho, omega = np.array([0.3, 0.65, 1.2, 1.2]), np.array([1.0, 2.0, 0.6, 2.8])
+    per_point = [[np.pad(a, (0, n - len(a))) for a in _arrays(d)] for d in (dc, dc2) * 2]
+    columns = DensityCoefficients(*np.stack(per_point, axis=-1))
+    got = eval_potentials(sc, columns, THIN, rho, omega)
+    for j, d in enumerate((dc, dc2) * 2):
+        assert got[j] == eval_potentials(sc, d, THIN, rho[j], omega[j])
+    with pytest.raises(ValueError):
+        eval_potentials(sc, columns, THIN, rho[:3], omega[:3])
+
+
+def test_potentials_do_not_depend_on_blocks():
+    """Points filling several evaluator blocks in each region give the
+    same bits whole, in chunks that cut the blocks elsewhere, and alone."""
+    src, _, _, dc = _solved_case(THIN, 1.3, 1e-3)
+    rng = np.random.default_rng(5)
+    m = _BLOCK_ENTRIES + 7
+    rho = np.concatenate([
+        rng.uniform(0.0, THIN.rho_i, m),
+        rng.uniform(THIN.rho_i, THIN.rho_e, m),
+        rng.uniform(THIN.rho_e, 2.0, m),
+    ])
+    omega = rng.uniform(0.0, TWO_PI, rho.size)
+    order = rng.permutation(rho.size)
+    rho, omega = rho[order], omega[order]
+    whole = eval_potentials(src, dc, THIN, rho, omega)
+    chunks = [eval_potentials(src, dc, THIN, rho[k : k + 999], omega[k : k + 999])
+              for k in range(0, rho.size, 999)]
+    assert np.concatenate(chunks).tobytes() == whole.tobytes()
+    for j in rng.choice(rho.size, 30, replace=False):
+        assert eval_potentials(src, dc, THIN, rho[j], omega[j]) == whole[j]
+
+
+@functools.lru_cache(maxsize=None)
+def _property_case(thick):
+    g, rho0, n_max = (THICK, 1.5, 120) if thick else (THIN, 0.88, 337)
+    src = Dipole(EllipticPoint(rho0, 0.9), np.array([1.0, 0.4]))
+    return g, _truncated_solve(src, g, 1e-5, n_max)[2]
+
+
+@st.composite
+def _region_points(draw):
+    thick = draw(st.booleans())
+    g, _ = _property_case(thick)
+    regions = [(0.0, g.rho_i), (g.rho_i, g.rho_e), (g.rho_e, 3.0)]
+    lo, hi = draw(st.sampled_from(regions))
+    pts = draw(st.lists(st.tuples(st.floats(lo, hi), st.floats(0.0, TWO_PI)),
+                        min_size=1, max_size=12))
+    return thick, pts
+
+
+@settings(max_examples=150, deadline=None)
+@given(_region_points())
+def test_horner_layer_sums_match_exp_cos_sin_form(case):
+    """Random points in the core, the shell and the exterior: the Horner
+    sums agree with the exp/cos/sin form to 1e-13 of sum_n |term_n|."""
+    thick, pts = case
+    g, dc = _property_case(thick)
+    rho, omega = np.array(pts).T
+    got = eval_potentials(_NO_SOURCE, dc, g, rho, omega)
+    want, scale = _exp_cos_sin_layers(dc, g, rho, omega)
+    assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
 def test_eval_potential_zero_source():
