@@ -51,6 +51,7 @@ from .spectrum import (
     block_matrices,
     critical_radius,
     mode_data,
+    mode_table,
     s_gram,
 )
 
@@ -354,13 +355,23 @@ def _validate_checks(cfg: dict) -> list[dict]:
     block = _block(cfg, "validate", required=False)
     n_nystrom = _int(block, "validate", "n_nystrom", 256)
     n_modes = _int(block, "validate", "n_modes", 3)
+    if n_nystrom < 8 or n_nystrom % 2:
+        raise ConfigError(
+            f"validate.n_nystrom: must be even and >= 8, got {n_nystrom}"
+        )
+    if n_modes < 1:
+        raise ConfigError(f"validate.n_modes: must be >= 1, got {n_modes}")
+    count = 2 + 4 * n_modes
+    if count > n_nystrom // 2:
+        raise ConfigError(
+            f"validate.n_modes: 2 + 4 * n_modes = {count} exceeds"
+            f" n_nystrom / 2 = {n_nystrom // 2}"
+        )
     flip = bool(block.get("flip_first_block", False))
     checks: list[dict] = []
 
     # 1. Nystrom block spectrum against the closed-form eigenvalues.
-    rep = numeric_spectrum(
-        block_np_for(g, n_nystrom, flip_first_block=flip), 2 + 4 * n_modes
-    )
+    rep = numeric_spectrum(block_np_for(g, n_nystrom, flip_first_block=flip), count)
     keep = np.abs(rep.matched) != 0.5
     worst = float(np.max(rep.rel_errors[keep])) if keep.any() else 0.0
     if n_nystrom < 64 and worst >= 1e-6:
@@ -378,9 +389,10 @@ def _validate_checks(cfg: dict) -> list[dict]:
     checks.append(_check("alpha0_half", alpha0_err < 1e-8, alpha0_err, 1e-8))
 
     # 3. Eigen-residuals of the closed-form 2x2 blocks (componentwise).
+    table = mode_table(g, 50)
     worst = 0.0
     for n in range(1, 51):
-        mode = mode_data(n, g)
+        mode = table.row(n)
         a_mat, b_mat = block_matrices(n, g)
         for mat, lam, vec in (
             (a_mat, mode.lambda1, np.array([mode.a1, mode.b])),
@@ -397,7 +409,7 @@ def _validate_checks(cfg: dict) -> list[dict]:
     worst = 0.0
     pd = True
     for n in (1, 2, 5, 10, 25, 50):
-        mode = mode_data(n, g)
+        mode = table.row(n)
         g_cos, g_sin = s_gram(n, g, "cos"), s_gram(n, g, "sin")
         for gram in (g_cos, g_sin):
             try:

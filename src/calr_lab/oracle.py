@@ -7,9 +7,15 @@ spectrum: discretize the block operator
     [ +dnu_e S_{Gi}   +K*_{Ge}      ]
 
 on the two confocal interfaces with plain trapezoidal quadrature and
-compare its dense eigenvalues with the analytic values of the spectrum
-module.  Every kernel here is evaluated from Cartesian node data alone;
-none of the closed forms it is meant to validate are reused.
+compare its eigenvalues with the analytic values of the spectrum module.
+Every kernel here is evaluated from Cartesian node data alone; none of
+the closed forms it is meant to validate are reused.
+
+With N even equispaced nodes omega_j = 2 pi j / N on both curves, the
+reflections omega -> -omega and omega -> pi - omega map the nodes onto
+themselves and the matrix commutes with both.  numeric_spectrum then
+folds it by index arithmetic into four parity blocks, the cos/sin x
+even/odd-n spans, and solves those instead of the dense matrix.
 
 For disjoint analytic curves all kernels are smooth (the diagonal of K*
 has the removable-singularity limit kappa/(4*pi)), so plain trapezoid
@@ -25,7 +31,7 @@ import numpy as np
 
 from .errors import CurveOverlap, EigensolveFailure
 from .geometry import ConfocalGeometry, SampledCurve, sample_ellipse
-from .spectrum import mode_table
+from .spectrum import ModeTable, mode_table
 
 __all__ = [
     "BlockNPMatrix",
@@ -59,11 +65,12 @@ class SpectrumReport:
     """Numeric eigenvalues paired with their analytic counterparts.
 
     Eigenvalues are sorted by decreasing magnitude.  `matched` holds the
-    greedily assigned analytic value for each numeric one, `rel_errors`
-    the pairwise relative error (absolute error where the analytic value
-    is zero).  `max_imag` records the largest imaginary part seen in the
-    eigensolve; the operator is real-diagonalizable, so this is a pure
-    discretization diagnostic.
+    analytic value assigned to each numeric one (the nearest unused
+    candidate of its parity block's branch, or of the whole candidate list
+    on the dense path), `rel_errors` the pairwise relative error (absolute
+    error where the analytic value is zero).  `max_imag` records the
+    largest imaginary part seen in the eigensolves; the operator is
+    real-diagonalizable, so this is a pure discretization diagnostic.
     """
 
     eigenvalues: np.ndarray = field(repr=False)
@@ -158,11 +165,12 @@ def block_np_for(
     return assemble_block_np(gi, ge, geometry=g, flip_first_block=flip_first_block)
 
 
-def _greedy_match(numeric: np.ndarray, analytic: np.ndarray):
-    """Pair numeric eigenvalues with analytic ones, largest first.
+def _nearest_unused(numeric: np.ndarray, analytic: np.ndarray):
+    """Pair numeric eigenvalues with candidate analytic ones, largest first.
 
-    Each numeric value takes the nearest unused analytic value; exact
-    distance ties are broken in favor of matching sign.
+    Each numeric value takes the nearest unused candidate; exact distance
+    ties are broken in favor of matching sign.  The fold passes one parity
+    block's branch, the dense path every candidate.
     """
     matched = np.empty_like(numeric)
     errors = np.empty_like(numeric)
@@ -183,6 +191,83 @@ def _greedy_match(numeric: np.ndarray, analytic: np.ndarray):
     return matched, errors
 
 
+def _node_maps(N: int) -> list:
+    """The group e, r1 (omega -> -omega), r2 (omega -> pi - omega), r1 r2
+    as node maps j -> j, -j, N/2 - j, j + N/2 (mod N); the character
+    (c1, c2) takes the values 1, c1, c2, c1 c2 on them."""
+    j, half = np.arange(N), N // 2
+    return [j, -j % N, (half - j) % N, (j + half) % N]
+
+
+def _is_reflection_symmetric(matrix: np.ndarray, N: int) -> bool:
+    """Whether the block matrix commutes with both node reflections.
+
+    With P the permutation matrix of a reflection, MP - PM is
+    M[:, p] - M[p, :]; it is measured in chunks of 64 rows, so no
+    2N x 2N temporary is formed.  Both commutators must be within
+    1e-12 of max|M|.
+    """
+    if N < 8 or N % 2 or matrix.shape != (2 * N, 2 * N):
+        return False
+    tol = 1e-12 * float(np.max(np.abs(matrix)))
+    for node_map in _node_maps(N)[1:3]:
+        perm = np.concatenate([node_map, N + node_map])
+        for start in range(0, 2 * N, 64):
+            rows = slice(start, start + 64)
+            if np.max(np.abs(matrix[rows, perm] - matrix[perm[rows]])) > tol:
+                return False
+    return True
+
+
+def _parity_blocks(matrix: np.ndarray, N: int) -> list:
+    """The four parity blocks ((c1, c2), M_chi) of a reflection-symmetric
+    block matrix, c1 and c2 being the parities under r1 and r2.
+
+    Nodes j = 0 .. N//4 represent the orbits of the two reflections on
+    each curve.  The stabiliser of j = 0 is {e, r1} and, for N divisible
+    by 4, that of j = N/4 is {e, r2}; every other orbit has four nodes.  A
+    block keeps the representatives whose stabiliser its character is
+    trivial on, and M_chi[a, b] = sum_g chi(g) M[a, g b] / |stab(a)|.  The
+    union of the blocks' spectra is the spectrum of M.
+    """
+    reps = np.arange(N // 4 + 1)
+    fixed_r1, fixed_r2 = reps == 0, 4 * reps == N
+    stab = np.where(fixed_r1 | fixed_r2, 2.0, 1.0)
+    maps = _node_maps(N)
+    blocks = []
+    for c1 in (1, -1):
+        for c2 in (1, -1):
+            keep = ~(fixed_r1 & (c1 < 0) | fixed_r2 & (c2 < 0))
+            r = reps[keep]
+            rows = np.concatenate([r, N + r])
+            block = np.zeros((len(rows), len(rows)))
+            for chi, node_map in zip((1, c1, c2, c1 * c2), maps):
+                cols = np.concatenate([node_map[r], N + node_map[r]])
+                block += chi * matrix[np.ix_(rows, cols)]
+            block /= np.tile(stab[keep], 2)[:, None]
+            blocks.append(((c1, c2), block))
+    return blocks
+
+
+def _branch(table: ModeTable, c1: int, c2: int) -> np.ndarray:
+    """Analytic eigenvalues of the parity block (c1, c2).
+
+    Cosine blocks (c1 = +1) hold +lambda_{1,n}, +lambda_{2,n} for
+    (-1)^n = c2, sine blocks -lambda_{1,n}, -lambda_{2,n} for
+    (-1)^(n+1) = c2; the (+, +) block also holds the n = 0 pair +-1/2.
+    """
+    sel = c1 * np.where(table.n % 2 == 0, 1, -1) == c2
+    lam = c1 * np.concatenate([table.lambda1[sel], table.lambda2[sel]])
+    return np.concatenate([[0.5, -0.5], lam]) if (c1, c2) == (1, 1) else lam
+
+
+def _eigvals(matrix: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.eigvals(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolveFailure(f"eigensolve failed: {exc}") from exc
+
+
 def numeric_spectrum(
     m: BlockNPMatrix | np.ndarray,
     count: int,
@@ -190,24 +275,26 @@ def numeric_spectrum(
 ) -> SpectrumReport:
     """Top `count` eigenvalues by magnitude, paired with analytic values.
 
-    For a BlockNPMatrix the analytic candidates are +-1/2 (the n = 0
-    pair: the block is triangular there because the uniform-angle
-    density on an ellipse is its equilibrium measure) together with the
-    +-lambda_{1,n}, +-lambda_{2,n} of its geometry; for a plain matrix
-    they must be passed explicitly.  Eigenvalues of the (real,
-    nonsymmetric) matrix are theoretically real; the largest imaginary
-    part is recorded and then discarded.
+    For a BlockNPMatrix without explicit analytic values whose matrix
+    commutes with both node reflections (every block_np_for matrix), the
+    matrix is folded into its four parity blocks (_parity_blocks).  The
+    top `count` values are taken over the union of the blocks' spectra,
+    and each is paired with the nearest unused value of its own block's
+    branch: +-1/2 (the n = 0 pair: the block is triangular there because
+    the uniform-angle density on an ellipse is its equilibrium measure)
+    and the signed lambda_{1,n}, lambda_{2,n} of its parity (_branch).
+
+    Otherwise the dense matrix is solved and each value takes the nearest
+    unused of all candidates: those passed in `analytic` (required for a
+    plain matrix) or +-1/2, +-lambda_{1,n}, +-lambda_{2,n} of the
+    geometry.  Eigenvalues of the (real, nonsymmetric) matrix are
+    theoretically real; the largest imaginary part is recorded and then
+    discarded.
     """
     if isinstance(m, BlockNPMatrix):
         matrix = m.matrix
-        if analytic is None:
-            if m.geometry is None:
-                raise ValueError(
-                    "block matrix carries no geometry; pass analytic values"
-                )
-            table = mode_table(m.geometry, max(8, count))
-            lam = np.concatenate([[0.5], table.lambda1, table.lambda2])
-            analytic = np.concatenate([lam, -lam])
+        if analytic is None and m.geometry is None:
+            raise ValueError("block matrix carries no geometry; pass analytic values")
     else:
         matrix = np.asarray(m)
         if analytic is None:
@@ -215,12 +302,36 @@ def numeric_spectrum(
     n = matrix.shape[0]
     if not 1 <= count <= n // 4:
         raise ValueError(f"count must be in [1, {n // 4}], got {count}")
-    try:
-        ev = np.linalg.eigvals(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolveFailure(f"dense eigensolve failed: {exc}") from exc
+    if analytic is None:
+        # One more mode than count, so that every branch has at least
+        # `count` candidates.
+        table = mode_table(m.geometry, max(8, count + 1))
+        if _is_reflection_symmetric(matrix, m.n_per_curve):
+            return _folded_spectrum(matrix, m.n_per_curve, count, table)
+        lam = np.concatenate([[0.5], table.lambda1, table.lambda2])
+        analytic = np.concatenate([lam, -lam])
+    ev = _eigvals(matrix)
     max_imag = float(np.max(np.abs(ev.imag))) if ev.size else 0.0
-    order = np.argsort(-np.abs(ev))
-    top = ev[order[:count]].real
-    matched, errors = _greedy_match(top, np.asarray(analytic, dtype=float))
+    top = ev[np.argsort(-np.abs(ev))[:count]].real
+    matched, errors = _nearest_unused(top, np.asarray(analytic, dtype=float))
+    return SpectrumReport(top, matched, errors, max_imag)
+
+
+def _folded_spectrum(
+    matrix: np.ndarray, N: int, count: int, table: ModeTable
+) -> SpectrumReport:
+    """numeric_spectrum of a reflection-symmetric matrix, block by block."""
+    chars, blocks = zip(*_parity_blocks(matrix, N))
+    evs = [_eigvals(b) for b in blocks]
+    ev = np.concatenate(evs)
+    label = np.repeat(np.arange(len(evs)), [len(e) for e in evs])
+    order = np.argsort(-np.abs(ev))[:count]
+    top, label = ev[order].real, label[order]
+    matched = np.empty_like(top)
+    errors = np.empty_like(top)
+    for k, (c1, c2) in enumerate(chars):
+        mine = label == k
+        branch = _branch(table, c1, c2)
+        matched[mine], errors[mine] = _nearest_unused(top[mine], branch)
+    max_imag = float(np.max(np.abs(ev.imag)))
     return SpectrumReport(top, matched, errors, max_imag)

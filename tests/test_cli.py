@@ -12,6 +12,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from calr_lab import (
     ConfocalGeometry,
@@ -329,6 +330,26 @@ def test_validate_coarse_grid_is_indeterminate(tmp_path):
     report = json.loads((tmp_path / "validate.json").read_text())
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["nystrom_spectrum"]["status"] == "indeterminate"
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        {"n_nystrom": 255},
+        {"n_nystrom": 6},
+        {"n_nystrom": 0},
+        {"n_nystrom": 16, "n_modes": 3},
+        {"n_nystrom": 64, "n_modes": 0},
+    ],
+    ids=["odd", "too-small", "zero", "count-exceeds-quarter", "no-modes"],
+)
+def test_validate_rejects_bad_oracle_sizes(tmp_path, capsys, block):
+    """n_nystrom must be even and >= 8, n_modes >= 1, and the 2 + 4 n_modes
+    compared eigenvalues must fit in a quarter of the 2 n_nystrom spectrum."""
+    cfg = _write_cfg(tmp_path, "v.json", {"geometry": THIN_GEO, "validate": block})
+    assert _run(["validate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error: validate.n_" in capsys.readouterr().err
+    assert not (tmp_path / "validate.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,13 @@ from calr_lab import (
     ConfocalGeometry,
     CurveOverlap,
     EigensolveFailure,
+    SampledCurve,
     metric_factor,
     mode_table,
     sample_ellipse,
 )
+from calr_lab import oracle
+from calr_lab.geometry import cartesian, ellipse_curvature, tangents
 from calr_lab.oracle import (
     BlockNPMatrix,
     assemble_block_np,
@@ -32,6 +35,7 @@ from calr_lab.oracle import (
 from calr_lab.oracle import block_np_for
 
 THIN = ConfocalGeometry(1.0, 0.5, 0.8)
+THICK = ConfocalGeometry(1.0, 0.2, 1.0)
 
 
 def test_circle_kernel_is_constant():
@@ -202,3 +206,114 @@ def test_eigensolve_failure_is_reported():
 def test_sample_circle_validation():
     with pytest.raises(ValueError):
         sample_circle(1.0, 4)
+
+
+# ---------------------------------------------------------------------------
+# parity fold
+
+
+def _block_sizes(N):
+    """(+,+), (+,-), (-,+), (-,-) sizes: N//4 + 1 orbit representatives per
+    curve, less the fixed node j = 0 for sine blocks and, when 4 divides N,
+    the fixed node j = N/4 for c2 = -1."""
+    reps, quarter = N // 4 + 1, int(N % 4 == 0)
+    return [2 * (reps - d) for d in (0, quarter, 1, 1 + quarter)]
+
+
+@pytest.mark.parametrize("geometry", [THIN, THICK], ids=["thin", "thick"])
+@pytest.mark.parametrize("N", [64, 70, 130, 256])
+def test_parity_blocks_reproduce_dense_spectrum(geometry, N):
+    """The union of the four parity blocks' eigenvalues is the dense
+    spectrum of the same matrix."""
+    matrix = block_np_for(geometry, N).matrix
+    assert oracle._is_reflection_symmetric(matrix, N)
+    blocks = oracle._parity_blocks(matrix, N)
+    assert [chars for chars, _ in blocks] == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+    assert [len(b) for _, b in blocks] == _block_sizes(N)
+    folded = np.sort(np.concatenate([np.linalg.eigvals(b) for _, b in blocks]).real)
+    dense = np.sort(np.linalg.eigvals(matrix).real)
+    assert np.max(np.abs(folded - dense)) < 1e-13
+
+
+def test_parity_block_sizes_from_the_orbit_count():
+    assert _block_sizes(256) == [130, 128, 128, 126]
+    assert _block_sizes(70) == [36, 36, 34, 34]
+
+
+@pytest.mark.parametrize("geometry", [THIN, THICK], ids=["thin", "thick"])
+def test_each_parity_block_holds_its_own_branch(geometry):
+    """The leading eigenvalues of each block, sorted, are the leading
+    values of that block's branch: cosine blocks +lambda, sine blocks
+    -lambda, each for one parity of n, and +-1/2 in the (+, +) block."""
+    N, k = 256, 8
+    table = mode_table(geometry, 40)
+    for (c1, c2), block in oracle._parity_blocks(block_np_for(geometry, N).matrix, N):
+        ev = np.linalg.eigvals(block).real
+        got = np.sort(ev[np.argsort(-np.abs(ev))[:k]])
+        branch = oracle._branch(table, c1, c2)
+        want = np.sort(branch[np.argsort(-np.abs(branch))[:k]])
+        assert np.max(np.abs(got - want)) < 1e-12
+        # The opposite sine/cosine branch is far off.
+        assert np.max(np.abs(got - np.sort(-want))) > 1e-3
+
+
+def _offset_ellipse(rho0, N, offset):
+    """Trapezoid nodes at omega_j = 2 pi (j + offset) / N."""
+    om = 2.0 * math.pi * (np.arange(N) + offset) / N
+    xi = np.asarray(metric_factor(1.0, rho0, om))
+    t_rho, _ = tangents(1.0, rho0, om)
+    return SampledCurve(
+        cartesian(1.0, rho0, om),
+        t_rho / xi[:, None],
+        ellipse_curvature(1.0, rho0, om),
+        xi * (2.0 * math.pi / N),
+    )
+
+
+def _all_candidates(geometry, count):
+    """The dense path's candidates: +-1/2, +-lambda_{1,n}, +-lambda_{2,n}."""
+    table = mode_table(geometry, max(8, count + 1))
+    lam = np.concatenate([[0.5], table.lambda1, table.lambda2])
+    return np.concatenate([lam, -lam])
+
+
+def test_offset_nodes_are_not_folded(monkeypatch):
+    """Nodes shifted by a third of a step are mapped onto no node by
+    either reflection, so the guard takes the dense path."""
+    N, count = 64, 14
+    m = assemble_block_np(
+        _offset_ellipse(THIN.rho_i, N, 1 / 3),
+        _offset_ellipse(THIN.rho_e, N, 1 / 3),
+        geometry=THIN,
+    )
+    assert not oracle._is_reflection_symmetric(m.matrix, N)
+    assert oracle._is_reflection_symmetric(block_np_for(THIN, N).matrix, N)
+
+    def no_fold(*args):
+        raise AssertionError("folded a matrix without the node reflections")
+
+    monkeypatch.setattr(oracle, "_parity_blocks", no_fold)
+    report = numeric_spectrum(m, count)
+    ev = np.linalg.eigvals(m.matrix)
+    top = ev[np.argsort(-np.abs(ev))[:count]].real
+    matched, errors = oracle._nearest_unused(top, _all_candidates(THIN, count))
+    assert np.array_equal(report.eigenvalues, top)
+    assert np.array_equal(report.matched, matched)
+    assert np.array_equal(report.rel_errors, errors)
+    assert report.worst < 1e-6
+
+
+@pytest.mark.parametrize("geometry", [THIN, THICK], ids=["thin", "thick"])
+def test_folded_spectrum_agrees_with_dense_path(geometry):
+    """One matrix, folded and solved dense (explicit analytic values take
+    the dense path), gives the same top eigenvalues and the same pairing.
+    +-lambda pairs have equal magnitude, so both sides are compared in
+    value order."""
+    N, count = 128, 18
+    m = block_np_for(geometry, N)
+    folded = numeric_spectrum(m, count)
+    dense = numeric_spectrum(m, count, analytic=_all_candidates(geometry, count))
+    f, d = np.argsort(folded.eigenvalues), np.argsort(dense.eigenvalues)
+    assert np.max(np.abs(folded.eigenvalues[f] - dense.eigenvalues[d])) < 1e-14
+    assert np.array_equal(folded.matched[f], dense.matched[d])
+    assert folded.worst < 1e-6
