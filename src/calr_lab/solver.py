@@ -42,17 +42,14 @@ With zeta = rho + i omega each product is the real or imaginary part of a
 power of a complex ratio such as e^{-(zeta - rho_k)}, and inside one
 region (core, shell or exterior) all of them are powers of
 x = e^{-(rho - lo) + i omega} or y = e^{-(hi - rho) + i omega} and their
-conjugates, scaled by constants e^{-n c} with c >= 0.  eval_potentials
-sums these power series by Horner's rule over the modes, vectorized over
-the points: one complex exp per point and chain, one complex
-multiply-add per mode, in blocks of at most _BLOCK_ENTRIES point x chain
-entries.  Every step is elementwise, so a value does not depend on the
-block its point falls in, and trailing zero densities change no bit;
-sweep relies on both to evaluate the probes of all its deltas in one
-call.  The quadrature oracle keeps its separable
-(n_rho, n_max) @ (n_max, n_omega) form with the radial factors of
-_layer_radial: point by point its 128 x 512 grid would cost 65536 n_max
-entries per call.
+conjugates, scaled by constants e^{-n c} with c >= 0; the source series
+is a power series in e^{zeta} and e^{-zeta}.  eval_potentials sums them
+all with one Horner recurrence (source._horner), elementwise per point,
+so a value depends neither on the other points nor on trailing zero
+densities; sweep relies on both to evaluate the probes of all its deltas
+in one call.  The quadrature oracle keeps its separable
+(n_rho, n_max) @ (n_max, n_omega) form (_layer_radial): point by point
+its 128 x 512 grid would cost 65536 n_max entries per call.
 
 A sweep drives delta over several decades and the classifier grades the
 outcome: resonant blow-up of E with decaying source visibility (CALR),
@@ -75,6 +72,7 @@ from .source import (
     Coefficients,
     SourceCoefficients,
     SourceSpec,
+    _horner,
     _series_radial,
     elliptic_gradient,
     elliptic_potential,
@@ -108,11 +106,6 @@ __all__ = [
 # Hard bound on 2 * n_max * rho_e: beyond this the forcing and layer sums
 # involve exponentials too close to the double-precision ceiling.
 _NMAX_GUARD = 600.0
-
-# Point x chain entries per block of the Horner layer sums (point x mode
-# entries for the series of a coefficient source).  Bounded blocks keep
-# the peak memory of a large grid flat.
-_BLOCK_ENTRIES = 8192
 
 # Tail of the mode sum (in solution S-norm, relative) above which a
 # truncation warning is emitted.
@@ -414,10 +407,8 @@ def _layer_sums(
     -(near^n +- far^n) cos (sin)(n omega) / (2n) with near = e^{-|rho -
     rho_k|} and far = e^{-(rho + rho_k)}; writing cos and sin through
     e^{+-i n omega} turns each layer sum into power series in a complex
-    ratio of modulus <= 1 (see _region_chains), summed by Horner's rule.
-    Every step is elementwise per point and the chains are added in a
-    fixed order, so a value depends neither on the other points nor on
-    trailing zero densities.
+    ratio of modulus <= 1 (see _region_chains), summed by _horner and
+    added in a fixed order.
     """
     p_cos, p_sin, q_cos, q_sin = dens
     n = np.arange(1, len(p_cos) + 1, dtype=float)[:, None]
@@ -433,24 +424,13 @@ def _layer_sums(
         if idx.size == 0:
             continue
         coef = _region_chains(halves, n, lo, hi)
-        step = max(1, _BLOCK_ENTRIES // coef.shape[1])
-        for start in range(0, idx.size, step):
-            j = idx[start : start + step]
-            x = np.exp((lo - rho[j]) + 1j * omega[j])
-            var = [x, x.conj()]
-            if hi is not None:
-                y = np.exp((rho[j] - hi) + 1j * omega[j])
-                var += [y, y.conj()]
-            var = np.stack(var)
-            acc = np.zeros_like(var)
-            for c in (coef if coef.shape[2] == 1 else coef[:, :, j])[::-1]:
-                acc *= var
-                acc += c
-            acc *= var
-            total = acc[0] + acc[1]
-            for k in range(2, len(acc)):
-                total += acc[k]
-            out[j] = -0.5 * total
+        x = np.exp((lo - rho[idx]) + 1j * omega[idx])
+        var = [x, x.conj()]
+        if hi is not None:
+            y = np.exp((rho[idx] - hi) + 1j * omega[idx])
+            var += [y, y.conj()]
+        acc = _horner(coef if coef.shape[2] == 1 else coef[:, :, idx], np.stack(var))
+        out[idx] = -0.5 * sum(acc[1:], acc[0])
     return out
 
 
@@ -467,13 +447,9 @@ def eval_potentials(
     their broadcast shape.  The density arrays of dc have shape (n_max,),
     or (n_max, m) with one column per point (in flattened order) when
     each point carries densities of its own, as in sweep.  The layer sums
-    are Horner recurrences over the modes, vectorized over the points:
-    one complex exp per point and chain, then one complex multiply-add
-    per mode, with no exp, cos or sin per (point, mode) entry.  Points go
-    in blocks of at most _BLOCK_ENTRIES point x chain entries (point x
-    mode entries for the series of a coefficient source), and every step
-    is elementwise, so a value does not depend on which block (or which
-    call) its point falls in.
+    and the source series cost one complex exp per point and chain, then
+    one complex multiply-add per mode (_horner), with no point x mode
+    array; a value does not depend on which call its point falls in.
     """
     rho, omega = np.broadcast_arrays(
         np.asarray(rho, dtype=float), np.asarray(omega, dtype=float)
@@ -487,12 +463,7 @@ def eval_potentials(
     if dens[0].shape[1] not in (1, rho.size):
         raise ValueError(f"need 1 or {rho.size} density columns, got {dens[0].shape[1]}")
     out = _layer_sums(dens, g, rho, omega)
-    # A series source forms point x mode arrays; bound them per block.
-    series = isinstance(source, (SourceCoefficients, Coefficients))
-    step = max(1, _BLOCK_ENTRIES // len(source.f_plus) if series else rho.size)
-    for lo in range(0, rho.size, step):
-        block = slice(lo, lo + step)
-        out[block] += elliptic_potential(source, g.R, rho[block], omega[block])
+    out += elliptic_potential(source, g.R, rho, omega)
     return out.reshape(shape)
 
 

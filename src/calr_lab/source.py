@@ -286,21 +286,36 @@ def _series_radial(
     return n, fp_ch, fp_sh, fm_ch, fm_sh
 
 
+def _horner(coef: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """sum_{n>=1} coef[n-1] var^n by Horner's rule, elementwise in var.
+
+    coef[n-1] broadcasts against var.  No power of var is formed, so for
+    |var| >= 1 no accumulator exceeds the sum of |terms|.
+    """
+    acc = np.zeros(np.broadcast_shapes(coef.shape[1:], np.shape(var)), dtype=complex)
+    for c in coef[::-1]:
+        acc *= var
+        acc += c
+    acc *= var
+    return acc
+
+
 def _series(
     sc: SourceCoefficients | Coefficients, rho, omega
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(F, dF/drho, dF/domega) of the expansion at points (rho[j], omega[j]).
 
-    The mode sums are elementwise products reduced by np.sum over the
-    last axis, so each value is independent of the other points.
+    With zeta = rho + i omega and a_n = F_n^+ - i F_n^-, the series is
+    F = c + Re sum a_n cosh(n zeta), so dF/drho = Re G' and dF/domega =
+    -Im G' with G' = sum n a_n sinh(n zeta).  Both sums are four Horner
+    chains in e^{zeta} and e^{-zeta} (_horner), elementwise per point.
     """
-    n, fp_ch, fp_sh, fm_ch, fm_sh = _series_radial(sc, rho)
-    nw = np.asarray(omega, dtype=float)[..., None] * n
-    cw, sw = np.cos(nw), np.sin(nw)
-    value = sc.c + np.sum(fp_ch * cw + fm_sh * sw, axis=-1)
-    d_rho = np.sum(n * (fp_sh * cw + fm_ch * sw), axis=-1)
-    d_omega = np.sum(n * (fm_sh * cw - fp_ch * sw), axis=-1)
-    return value, d_rho, d_omega
+    zeta = np.asarray(rho, dtype=float) + 1j * np.asarray(omega, dtype=float)
+    half = 0.5 * (sc.f_plus - 1j * sc.f_minus)
+    n = np.arange(1, len(half) + 1, dtype=float)
+    coef = np.stack([half, n * half], axis=1).reshape((len(half), 2, 1) + (1,) * zeta.ndim)
+    (up, down), (d_up, d_down) = _horner(coef, np.stack([np.exp(zeta), np.exp(-zeta)]))
+    return sc.c + (up + down).real, (d_up - d_down).real, (d_down - d_up).imag
 
 
 def _offsets(x: np.ndarray, R: float, *charges: EllipticPoint) -> list:

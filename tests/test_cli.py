@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from calr_lab import (
+    Coefficients,
     ConfocalGeometry,
     Dipole,
     EllipticPoint,
@@ -22,12 +23,14 @@ from calr_lab import (
     TruncationWarning,
     adaptive_n_max,
     eval_potential,
+    eval_potentials,
     mode_data,
     newtonian_coefficients,
     solve_densities,
     to_elliptic,
 )
 from calr_lab import cli
+from calr_lab.geometry import elliptic_coords
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 THIN_GEO = {"R": 1.0, "rho_i": 0.5, "rho_e": 0.8}
@@ -179,6 +182,21 @@ def test_sweep_rejects_inside_probe(tmp_path):
     assert _run(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
 
 
+def test_sweep_of_a_source_without_modes(tmp_path):
+    """Empty coefficient lists are a zero source: zero energies and far
+    fields, graded Indeterminate, and no exception."""
+    cfg = _write_cfg(tmp_path, "s.json", {
+        "geometry": THIN_GEO,
+        "source": {"variant": "coefficients", "f_plus": [], "f_minus": []},
+        "sweep": {"deltas": [1e-2, 1e-3, 1e-4], "probes": [{"rho": 1.2, "omega": 0.6}]},
+    })
+    assert _run(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[2:] for row in rows] == [["0"] * 4] * 3
+    report = json.loads((tmp_path / "sweep_classification.json").read_text())
+    assert report["verdict"] == "Indeterminate"
+
+
 def test_sweep_rejects_bad_thread_count(tmp_path, capsys):
     cfg = str(CONFIGS / "dipole_inside.json")
     assert _run(["sweep", "--config", cfg, "--out", str(tmp_path),
@@ -238,6 +256,36 @@ def test_field_rows_match_library_evaluation(tmp_path):
         assert (v.real, v.imag, abs(v)) == (re_v, im_v, abs_v)
         checked += 1
     assert checked >= 40
+
+
+def test_field_evaluates_a_coefficient_source_as_given(tmp_path):
+    """A coefficient source longer than n_max enters the field with all
+    of its terms, as in sweep; only the solve is truncated."""
+    n = np.arange(1, 121)
+    f_plus, f_minus = np.exp(-1.5 * n) * np.cos(0.9 * n), np.exp(-1.5 * n) * np.sin(0.9 * n)
+    cfg = _write_cfg(tmp_path, "f.json", {
+        "geometry": THIN_GEO,
+        "source": {"variant": "coefficients", "c": 0.25,
+                   "f_plus": f_plus.tolist(), "f_minus": f_minus.tolist()},
+        "field": {"delta": 1e-3, "rho_max": 1.0, "n1": 7, "n2": 7, "margin": 0},
+    })
+    assert _run(["field", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = [ln.split(",") for ln in (tmp_path / "field.csv").read_text().splitlines()[1:]]
+    x = np.array([[float(r[0]), float(r[1])] for r in rows if r[2]])
+    written = np.array([complex(float(r[2]), float(r[3])) for r in rows if r[2]])
+
+    g = ConfocalGeometry(**THIN_GEO)
+    src = Coefficients(0.25, f_plus, f_minus)
+    n_max = adaptive_n_max(1e-3, g, margin=0)
+    assert n_max < len(n)
+    sc = newtonian_coefficients(src, n_max, g.R, rho_e=g.rho_e)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        dc = solve_densities(sc, ShellConfig(g, 1e-3, n_max))
+    rho, omega, _ = elliptic_coords(g.R, x)
+    assert np.array_equal(written, eval_potentials(src, dc, g, rho, omega))
+    # The terms past n_max are visible on the grid.
+    assert np.max(np.abs(written - eval_potentials(sc, dc, g, rho, omega))) > 1e-9
 
 
 def test_field_localizes_as_loss_shrinks(tmp_path):
@@ -330,6 +378,25 @@ def test_validate_coarse_grid_is_indeterminate(tmp_path):
     report = json.loads((tmp_path / "validate.json").read_text())
     by_name = {c["name"]: c for c in report["checks"]}
     assert by_name["nystrom_spectrum"]["status"] == "indeterminate"
+
+
+@pytest.mark.parametrize("coefficients", [[], [0.0, 0.0]], ids=["empty", "zeros"])
+def test_validate_zero_source(tmp_path, coefficients):
+    """A zero source has no jump across either interface (observed 0)
+    and no energy ratio to bound (surrogate_ratio indeterminate)."""
+    cfg = _write_cfg(tmp_path, "v.json", {
+        "geometry": THIN_GEO,
+        "source": {"variant": "coefficients", "f_plus": coefficients,
+                   "f_minus": coefficients},
+        "validate": {"n_nystrom": 64},
+    })
+    assert _run(["validate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    by_name = {c["name"]: c for c in
+               json.loads((tmp_path / "validate.json").read_text())["checks"]}
+    for name in ("continuity", "flux_jump", "reality_symmetry"):
+        assert (by_name[name]["status"], by_name[name]["observed"]) == ("pass", 0.0)
+    assert by_name["surrogate_ratio"]["status"] == "indeterminate"
+    assert all(c["status"] != "fail" for c in by_name.values())
 
 
 @pytest.mark.parametrize(

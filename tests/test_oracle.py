@@ -235,6 +235,13 @@ def test_parity_blocks_reproduce_dense_spectrum(geometry, N):
     assert np.max(np.abs(folded - dense)) < 1e-13
 
 
+@pytest.mark.parametrize("geometry", [THIN, THICK], ids=["thin", "thick"])
+def test_fold_guard_holds_at_n_1024(geometry):
+    """With mirrored nodes both commutators stay at rounding level, so the
+    1e-12 guard keeps folding at N = 1024."""
+    assert oracle._is_reflection_symmetric(block_np_for(geometry, 1024).matrix, 1024)
+
+
 def test_parity_block_sizes_from_the_orbit_count():
     assert _block_sizes(256) == [130, 128, 128, 126]
     assert _block_sizes(70) == [36, 36, 34, 34]

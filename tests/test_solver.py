@@ -52,7 +52,7 @@ from calr_lab import (
     z_param,
 )
 from calr_lab.cli import load_config, parse_geometry, parse_source
-from calr_lab.solver import _BLOCK_ENTRIES, BoundaryForcing, ModeProjection, SweepRecord
+from calr_lab.solver import BoundaryForcing, ModeProjection, SweepRecord
 
 TWO_PI = 2.0 * math.pi
 
@@ -393,7 +393,7 @@ def test_blocked_potentials_match_pointwise(kind):
         "coefficients": sc,
     }[kind]
     rng = np.random.default_rng(7)
-    m = 3 * _BLOCK_ENTRIES // config.n_max + 5
+    m = 3 * 8192 // config.n_max + 5
     rho = rng.uniform(0.05, 1.25, m)
     rho[:6] = [THIN.rho_i, THIN.rho_e, 0.3, 0.65, 1.1, THIN.rho_i]
     omega = rng.uniform(0.0, TWO_PI, m)
@@ -506,7 +506,7 @@ def test_potentials_do_not_depend_on_blocks():
     same bits whole, in chunks that cut the blocks elsewhere, and alone."""
     src, _, _, dc = _solved_case(THIN, 1.3, 1e-3)
     rng = np.random.default_rng(5)
-    m = _BLOCK_ENTRIES + 7
+    m = 8192 + 7
     rho = np.concatenate([
         rng.uniform(0.0, THIN.rho_i, m),
         rng.uniform(THIN.rho_i, THIN.rho_e, m),

@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from calr_lab import source
 from calr_lab import (
     ChargePair,
     Coefficients,
@@ -206,6 +207,60 @@ def test_series_matches_closed_form_inside():
     sc = newtonian_coefficients(pair, 100, 1.0)
     want = newtonian_eval(pair, to_cartesian(1.0, p), 1.0)
     assert abs(_series_value(sc, p) - want) < 1e-9 * max(1.0, abs(want))
+
+
+def _series_reference(sc, rho, omega):
+    """(F, dF/drho, dF/domega) of the series in 30-digit arithmetic, each
+    with its sum of |term_n| (the scale of double-precision rounding)."""
+    mpmath.mp.dps = 30
+    r, w = mpmath.mpf(rho), mpmath.mpf(omega)
+    sums = [[mpmath.mpf(sc.c), abs(mpmath.mpf(sc.c))], [0, 0], [0, 0]]
+    for k, (fp, fm) in enumerate(zip(sc.f_plus, sc.f_minus), start=1):
+        fp, fm = mpmath.mpf(fp), mpmath.mpf(fm)
+        ch, sh = mpmath.cosh(k * r), mpmath.sinh(k * r)
+        cw, sw = mpmath.cos(k * w), mpmath.sin(k * w)
+        for acc, terms in zip(sums, (
+            (fp * cw * ch, fm * sw * sh),
+            (k * fp * cw * sh, k * fm * sw * ch),
+            (k * fm * cw * sh, -k * fp * sw * ch),
+        )):
+            acc[0] += sum(terms)
+            acc[1] += sum(abs(t) for t in terms)
+    return [(float(v), float(a)) for v, a in sums]
+
+
+@pytest.mark.parametrize(
+    "rho, omega",
+    [(0.0, 1.1), (0.0, 5.9), (0.7, 1e-12), (0.7, 2.0 * math.pi - 1e-12), (1.1, 2.6)],
+)
+def test_horner_series_matches_mpmath(rho, omega):
+    """Value and both derivatives of the Horner series agree with a
+    30-digit sum to 1e-13 of the sum of |term_n|, on the focal segment
+    (rho = 0) and next to omega = 0 and 2 pi."""
+    sc = newtonian_coefficients(Dipole(EllipticPoint(1.2, 0.9), np.array([1.0, 0.4])), 80, 1.0)
+    got = source._series(sc, rho, omega)
+    for g, (want, scale) in zip(got, _series_reference(sc, rho, omega)):
+        assert abs(float(g) - want) <= 1e-13 * scale
+
+
+def test_horner_series_past_the_cosh_overflow():
+    """At rho = 3 cosh(n rho) overflows from n = 237 on, but with
+    F_n = e^{-3.2 n} every term stays small; no factor leaves range."""
+    n = np.arange(1, 301, dtype=float)
+    sc = Coefficients(0.1, np.exp(-3.2 * n), -0.5 * np.exp(-3.2 * n))
+    assert 237 * 3.0 > math.log(np.finfo(float).max) > 236 * 3.0
+    got = source._series(sc, 3.0, 0.8)
+    for g, (want, scale) in zip(got, _series_reference(sc, 3.0, 0.8)):
+        assert np.isfinite(g)
+        assert abs(float(g) - want) <= 1e-13 * scale
+
+
+def test_empty_series_is_its_constant():
+    """A coefficient source without modes is F = c with zero gradient."""
+    src = Coefficients(0.7, np.zeros(0), np.zeros(0))
+    x = np.array([[0.3, 0.4], [2.0, -1.0]])
+    assert np.array_equal(newtonian_eval(src, x, 1.0), [0.7, 0.7])
+    assert np.array_equal(newtonian_gradient(src, x, 1.0), np.zeros((2, 2)))
 
 
 def test_series_truncation_decay_rate():
