@@ -149,39 +149,43 @@ def parse_geometry(cfg: dict) -> ConfocalGeometry:
 def parse_source(cfg: dict) -> SourceSpec:
     block = _block(cfg, "source")
     variant = block.get("variant")
-    if variant == "dipole":
-        moment = block.get("moment")
-        if (
-            not isinstance(moment, list)
-            or len(moment) != 2
-            or not all(isinstance(v, (int, float)) for v in moment)
-        ):
-            raise ConfigError("source.moment: expected [a1, a2]")
-        return Dipole(
-            _point(block.get("location"), "source.location"),
-            np.array(moment, dtype=float),
-        )
-    if variant == "charge_pair":
-        return ChargePair(
-            _point(block.get("plus"), "source.plus"),
-            _point(block.get("minus"), "source.minus"),
-            _number(block, "source", "charge"),
-        )
-    if variant == "coefficients":
-        f_plus = block.get("f_plus", [])
-        f_minus = block.get("f_minus", [])
-        if not isinstance(f_plus, list) or not isinstance(f_minus, list):
-            raise ConfigError("source.f_plus / f_minus: expected lists")
-        if len(f_plus) != len(f_minus):
-            raise ConfigError(
-                "source.f_plus / f_minus: lengths differ "
-                f"({len(f_plus)} vs {len(f_minus)})"
+    try:
+        if variant == "dipole":
+            moment = block.get("moment")
+            if (
+                not isinstance(moment, list)
+                or len(moment) != 2
+                or not all(isinstance(v, (int, float)) for v in moment)
+            ):
+                raise ConfigError("source.moment: expected [a1, a2]")
+            return Dipole(
+                _point(block.get("location"), "source.location"),
+                np.array(moment, dtype=float),
             )
-        return Coefficients(
-            _number(block, "source", "c", 0.0),
-            np.array(f_plus, dtype=float),
-            np.array(f_minus, dtype=float),
-        )
+        if variant == "charge_pair":
+            return ChargePair(
+                _point(block.get("plus"), "source.plus"),
+                _point(block.get("minus"), "source.minus"),
+                _number(block, "source", "charge"),
+            )
+        if variant == "coefficients":
+            f_plus = block.get("f_plus", [])
+            f_minus = block.get("f_minus", [])
+            if not isinstance(f_plus, list) or not isinstance(f_minus, list):
+                raise ConfigError("source.f_plus / f_minus: expected lists")
+            if len(f_plus) != len(f_minus):
+                raise ConfigError(
+                    "source.f_plus / f_minus: lengths differ "
+                    f"({len(f_plus)} vs {len(f_minus)})"
+                )
+            return Coefficients(
+                _number(block, "source", "c", 0.0),
+                np.array(f_plus, dtype=float),
+                np.array(f_minus, dtype=float),
+            )
+    except (TypeError, ValueError) as exc:
+        # Non-numeric array entries and the constructors' own checks.
+        raise ConfigError(f"source: {exc}") from exc
     raise ConfigError(
         "source.variant: expected one of 'dipole', 'charge_pair', "
         f"'coefficients', got {variant!r}"
@@ -251,6 +255,8 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
                 f"sweep.probes[{k}]: rho = {p.rho} is not outside rho_e = {g.rho_e}"
             )
     margin = _int(block, "sweep", "margin", 40)
+    if margin < 0:
+        raise ConfigError(f"sweep.margin: must be >= 0, got {margin}")
 
     records, sc_top = _sweep(source, g, deltas, probes, margin)
     lines = [_sweep_header(len(probes))]
@@ -304,6 +310,14 @@ def cmd_field(cfg: dict, out_dir: Path) -> int:
         raise ConfigError(f"field.delta: must be in (0, 1), got {delta}")
     regime = critical_radius(g.rho_i, g.rho_e)
     rho_max = _number(block, "field", "rho_max", regime.far_bound_rho + 0.3)
+    try:
+        a, b = g.R * math.cosh(rho_max), g.R * math.sinh(rho_max)
+    except OverflowError:
+        a = b = math.inf
+    if not (rho_max > 0.0 and math.isfinite(2.0 * a)):
+        raise ConfigError(
+            f"field.rho_max: must be > 0 with R cosh(rho_max) finite, got {rho_max}"
+        )
     n1 = _int(block, "field", "n1", 81)
     n2 = _int(block, "field", "n2", 81)
     if min(n1, n2) < 2:
@@ -311,14 +325,14 @@ def cmd_field(cfg: dict, out_dir: Path) -> int:
     # Sources very close to the shell need extra modes before the series
     # tail clears the interface gap; margin buys that headroom.
     margin = _int(block, "field", "margin", 40)
+    if margin < 0:
+        raise ConfigError(f"field.margin: must be >= 0, got {margin}")
 
     n_max = adaptive_n_max(delta, g, margin)
     sc = newtonian_coefficients(source, n_max, g.R, rho_e=g.rho_e)
     config = ShellConfig(g, delta, n_max)
     dc = solve_densities(sc, config)
 
-    a = g.R * math.cosh(rho_max)
-    b = g.R * math.sinh(rho_max)
     xs = np.linspace(-a, a, n1)
     ys = np.linspace(-b, b, n2)
     rho, omega, focal = elliptic_coords(g.R, np.stack(np.meshgrid(xs, ys), axis=-1))

@@ -20,10 +20,10 @@ pair of 2x2 spectral inversions per mode:
     weight = <g, Psi> / ((z + lambda_Psi) * |Psi|_S^2).
 
 The forcing coefficients come from differentiating the source expansion
-F = c - sum (F_n^+ cos cosh + F_n^- sin sinh):
+F = c + sum (F_n^+ cos cosh + F_n^- sin sinh) (see source):
 
-    g_i projections:  -n F_n^+ sinh(n rho_i),  -n F_n^- cosh(n rho_i),
-    g_e projections:  +n F_n^+ sinh(n rho_e),  +n F_n^- cosh(n rho_e).
+    g_i projections:  +n F_n^+ sinh(n rho_i),  +n F_n^- cosh(n rho_i),
+    g_e projections:  -n F_n^+ sinh(n rho_e),  -n F_n^- cosh(n rho_e).
 
 Dissipated power is E_delta = delta * ||grad V||^2 over the shell.  In the
 shell every mode of V is alpha e^{n rho} + beta e^{-n rho}; the omega
@@ -70,7 +70,6 @@ from .errors import OverflowGuard, TruncationWarning
 from .geometry import ConfocalGeometry, EllipticPoint
 from .source import (
     Coefficients,
-    SourceCoefficients,
     SourceSpec,
     _horner,
     _series_radial,
@@ -254,7 +253,7 @@ def adaptive_n_max(delta: float, g: ConfocalGeometry, margin: int = 40) -> int:
     return n
 
 
-def boundary_forcing(sc: SourceCoefficients, g: ConfocalGeometry) -> BoundaryForcing:
+def boundary_forcing(sc: Coefficients, g: ConfocalGeometry) -> BoundaryForcing:
     """Mode coefficients of (dF/dnu_i, -dF/dnu_e) on the two interfaces."""
     n = np.arange(1, sc.n_max + 1, dtype=float)
     if 2.0 * sc.n_max * g.rho_e >= _NMAX_GUARD:
@@ -327,7 +326,7 @@ def _assemble_densities(
     return dc, contrib
 
 
-def solve_densities(sc: SourceCoefficients, config: ShellConfig) -> DensityCoefficients:
+def solve_densities(sc: Coefficients, config: ShellConfig) -> DensityCoefficients:
     """Solve the transmission problem; returns density mode coefficients.
 
     Emits TruncationWarning when the last retained mode still carries more
@@ -435,7 +434,7 @@ def _layer_sums(
 
 
 def eval_potentials(
-    source: SourceSpec | SourceCoefficients,
+    source: SourceSpec,
     dc: DensityCoefficients,
     g: ConfocalGeometry,
     rho,
@@ -468,7 +467,7 @@ def eval_potentials(
 
 
 def eval_potential(
-    source: SourceSpec | SourceCoefficients,
+    source: SourceSpec,
     dc: DensityCoefficients,
     config: ShellConfig,
     x: EllipticPoint,
@@ -478,7 +477,7 @@ def eval_potential(
 
 
 def _shell_gradient_grid(
-    source: SourceSpec | SourceCoefficients,
+    source: SourceSpec,
     dc: DensityCoefficients,
     g: ConfocalGeometry,
     rhos: np.ndarray,
@@ -503,7 +502,7 @@ def _shell_gradient_grid(
 
     d_rho = a_rho @ cw + b_rho @ sw
     d_omega = a_om @ sw + b_om @ cw
-    if isinstance(source, (SourceCoefficients, Coefficients)):
+    if isinstance(source, Coefficients):
         # The same contraction for the series, at its own truncation.
         m, fp_ch, fp_sh, fm_ch, fm_sh = _series_radial(source, rhos)
         cw, sw = np.cos(np.outer(m, omegas)), np.sin(np.outer(m, omegas))
@@ -515,7 +514,7 @@ def _shell_gradient_grid(
 
 
 def eval_gradient_shell(
-    source: SourceSpec | SourceCoefficients,
+    source: SourceSpec,
     dc: DensityCoefficients,
     config: ShellConfig,
     rho: float,
@@ -544,7 +543,7 @@ def _gauss_panels(a: float, b: float, panels: int, order: int):
 
 
 def dissipated_power_direct(
-    source: SourceSpec | SourceCoefficients,
+    source: SourceSpec,
     dc: DensityCoefficients,
     config: ShellConfig,
     n_omega: int | None = None,
@@ -569,7 +568,7 @@ def dissipated_power_direct(
 
 
 def dissipated_power_closed(
-    sc: SourceCoefficients,
+    sc: Coefficients,
     dc: DensityCoefficients,
     g: ConfocalGeometry,
     delta: float,
@@ -640,7 +639,7 @@ def _sweep(
     deltas: Sequence[float],
     probes: Sequence[EllipticPoint],
     margin: int,
-) -> tuple[list[SweepRecord], SourceCoefficients]:
+) -> tuple[list[SweepRecord], Coefficients]:
     """The records of sweep and the source coefficients at the top truncation."""
     if len(deltas) == 0:
         raise ValueError("need at least one delta")

@@ -7,9 +7,18 @@ rho_0 and is encoded there by the expansion
     F(x) = c + sum_{n>=1} ( F_n^+ cos(n omega) cosh(n rho)
                           + F_n^- sin(n omega) sinh(n rho) ).
 
-The free-space kernel G(x - x0) = ln|x - x0| / (2 pi) expands with
-cosine weights -e^{-n rho0} cos(n omega0) / (n pi) and the sine analogue;
-dipole coefficients follow by differentiating in the source position.
+With x = R cosh(zeta), zeta = rho + i omega, the free-space kernel
+G(x - x0) = ln|x - x0| / (2 pi) expands below rho0 as
+
+    ln|x - x0| = ln(R/2) + rho0
+                 - sum_{n>=1} (2/n) e^{-n rho0} Re[e^{-i n omega0} cosh(n zeta)]
+
+(Morse & Feshbach, Methods of Theoretical Physics, 1953, ch. 10): cosine
+weights -e^{-n rho0} cos(n omega0) / (n pi), the sine analogue, and the
+constant (ln(R/2) + rho0) / (2 pi).  A charge pair +-q therefore has
+c = q (rho_+ - rho_-) / (2 pi).  Dipole data follow by differentiating in
+the source position: c = -p / (2 pi Xi0), with Xi0 the scale factor at
+the source and p the moment's component along the unit rho direction.
 
 The decay rate of (F_n^+, F_n^-) is what decides cloaking: blow-up of the
 dissipation requires lim sup |F_n^{+-}|^{1/n} > e^{-rho_star}, and the
@@ -47,7 +56,6 @@ __all__ = [
     "ChargePair",
     "Coefficients",
     "SourceSpec",
-    "SourceCoefficients",
     "GapVerdict",
     "GapConditionReport",
     "green_expansion_coefficients",
@@ -106,7 +114,7 @@ class ChargePair:
 
 @dataclass(frozen=True)
 class Coefficients:
-    """Source given directly by its expansion data."""
+    """Expansion data of a source (index [n-1] holds mode n)."""
 
     c: float
     f_plus: np.ndarray = field(repr=False)
@@ -122,27 +130,18 @@ class Coefficients:
         object.__setattr__(self, "f_plus", fp)
         object.__setattr__(self, "f_minus", fm)
 
-
-SourceSpec = Union[Dipole, ChargePair, Coefficients]
-
-
-@dataclass(frozen=True)
-class SourceCoefficients:
-    """Truncated expansion data (index [n-1] holds mode n)."""
-
-    c: float
-    f_plus: np.ndarray = field(repr=False)
-    f_minus: np.ndarray = field(repr=False)
-
     @property
     def n_max(self) -> int:
         return len(self.f_plus)
 
-    def truncated(self, n_max: int) -> SourceCoefficients:
+    def truncated(self, n_max: int) -> Coefficients:
         """The leading n_max modes, as views (c is independent of n_max)."""
         if not 1 <= n_max <= self.n_max:
             raise ValueError(f"n_max must be in [1, {self.n_max}], got {n_max}")
-        return SourceCoefficients(self.c, self.f_plus[:n_max], self.f_minus[:n_max])
+        return Coefficients(self.c, self.f_plus[:n_max], self.f_minus[:n_max])
+
+
+SourceSpec = Union[Dipole, ChargePair, Coefficients]
 
 
 class GapVerdict(Enum):
@@ -192,7 +191,7 @@ def _require_outside(rho0: float, rho_e: float | None) -> None:
         )
 
 
-def _dipole_coefficients(s: Dipole, n_max: int, R: float) -> SourceCoefficients:
+def _dipole_coefficients(s: Dipole, n_max: int, R: float) -> Coefficients:
     rho0, omega0 = s.location.rho, s.location.omega
     xi0 = float(metric_factor(R, rho0, omega0))
     # Moment components along the unit coordinate vectors at the source.
@@ -200,71 +199,53 @@ def _dipole_coefficients(s: Dipole, n_max: int, R: float) -> SourceCoefficients:
     p = float(s.moment @ (t_rho / xi0))
     q = float(s.moment @ (t_omega / xi0))
 
-    # F = a . grad_x G(x - x0) = -a . grad_{x0} G, so the weights are the
-    # source-position derivatives of the Green weights, negated.
+    # F = a . grad_x G(x - x0) = -a . grad_{x0} G, so the weights and the
+    # constant are the source-position derivatives of the Green data, negated.
     n = np.arange(1, n_max + 1, dtype=float)
     damp = np.exp(-n * rho0) / (math.pi * xi0)
     f_plus = -damp * (p * np.cos(n * omega0) + q * np.sin(n * omega0))
     f_minus = -damp * (p * np.sin(n * omega0) - q * np.cos(n * omega0))
-    return SourceCoefficients(0.0, f_plus, f_minus)
+    return Coefficients(-p / (2.0 * math.pi * xi0), f_plus, f_minus)
 
 
-def _pair_coefficients(s: ChargePair, n_max: int) -> SourceCoefficients:
+def _pair_coefficients(s: ChargePair, n_max: int) -> Coefficients:
     cp, sp = green_expansion_coefficients(s.plus, n_max)
     cm, sm = green_expansion_coefficients(s.minus, n_max)
-    return SourceCoefficients(0.0, s.charge * (cp - cm), s.charge * (sp - sm))
-
-
-def _match_constant(s: SourceSpec, sc: SourceCoefficients, R: float) -> float:
-    """Fix c by matching the series against the closed form at one point."""
-    rho0 = min(s.plus.rho, s.minus.rho) if isinstance(s, ChargePair) else s.location.rho
-    ref = EllipticPoint(0.5 * rho0, 1.0)
-    # Enough terms that the tail at rho0/2 is below double precision.
-    n_fit = min(int(math.ceil(80.0 / rho0)) + 40, 40000)
-    if isinstance(s, Dipole):
-        fit = _dipole_coefficients(s, n_fit, R)
-    else:
-        fit = _pair_coefficients(s, n_fit)
-    n = np.arange(1, n_fit + 1, dtype=float)
-    series = float(
-        fit.f_plus @ (np.cos(n * ref.omega) * np.cosh(n * ref.rho))
-        + fit.f_minus @ (np.sin(n * ref.omega) * np.sinh(n * ref.rho))
-    )
-    return newtonian_eval(s, to_cartesian(R, ref), R) - series
+    c = s.charge * (s.plus.rho - s.minus.rho) / (2.0 * math.pi)
+    return Coefficients(c, s.charge * (cp - cm), s.charge * (sp - sm))
 
 
 def newtonian_coefficients(
     s: SourceSpec, n_max: int, R: float, rho_e: float | None = None
-) -> SourceCoefficients:
+) -> Coefficients:
     """Expansion data of the source potential, truncated at n_max.
 
-    When rho_e is given, the source support is checked to lie strictly
-    outside the shell (SourceInsideShell otherwise).
+    The constant is exact: q (rho_+ - rho_-) / (2 pi) for a charge pair
+    and -p / (2 pi Xi0) for a dipole (see the module docstring).  Expansion
+    data given as Coefficients are cut or zero-padded to n_max.  When rho_e
+    is given, the source support is checked to lie strictly outside the
+    shell (SourceInsideShell otherwise).
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if isinstance(s, Coefficients):
-        m = min(len(s.f_plus), n_max)
+        m = min(s.n_max, n_max)
         fp = np.zeros(n_max)
         fm = np.zeros(n_max)
         fp[:m] = s.f_plus[:m]
         fm[:m] = s.f_minus[:m]
-        return SourceCoefficients(s.c, fp, fm)
+        return Coefficients(s.c, fp, fm)
     if isinstance(s, Dipole):
         _require_outside(s.location.rho, rho_e)
-        sc = _dipole_coefficients(s, n_max, R)
-    elif isinstance(s, ChargePair):
+        return _dipole_coefficients(s, n_max, R)
+    if isinstance(s, ChargePair):
         _require_outside(s.plus.rho, rho_e)
         _require_outside(s.minus.rho, rho_e)
-        sc = _pair_coefficients(s, n_max)
-    else:
-        raise TypeError(f"unsupported source type {type(s).__name__}")
-    return SourceCoefficients(_match_constant(s, sc, R), sc.f_plus, sc.f_minus)
+        return _pair_coefficients(s, n_max)
+    raise TypeError(f"unsupported source type {type(s).__name__}")
 
 
-def _series_radial(
-    sc: SourceCoefficients | Coefficients, rho
-) -> tuple[np.ndarray, ...]:
+def _series_radial(sc: Coefficients, rho) -> tuple[np.ndarray, ...]:
     """Mode indices n and F^+- cosh(n rho), F^+- sinh(n rho) at each rho.
 
     The plain product F_n * cosh(n rho) can overflow long before the term
@@ -301,7 +282,7 @@ def _horner(coef: np.ndarray, var: np.ndarray) -> np.ndarray:
 
 
 def _series(
-    sc: SourceCoefficients | Coefficients, rho, omega
+    sc: Coefficients, rho, omega
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(F, dF/drho, dF/domega) of the expansion at points (rho[j], omega[j]).
 
@@ -379,11 +360,9 @@ def newtonian_gradient(s: SourceSpec, x: np.ndarray, R: float) -> np.ndarray:
     raise TypeError(f"unsupported source type {type(s).__name__}")
 
 
-def elliptic_potential(
-    s: SourceSpec | SourceCoefficients, R: float, rho, omega
-) -> np.ndarray:
+def elliptic_potential(s: SourceSpec, R: float, rho, omega) -> np.ndarray:
     """F at elliptic points (rho[j], omega[j]); expansion data use the series."""
-    if isinstance(s, (SourceCoefficients, Coefficients)):
+    if isinstance(s, Coefficients):
         return _series(s, rho, omega)[0]
     return newtonian_eval(s, cartesian(R, rho, omega), R)
 
@@ -399,7 +378,7 @@ def elliptic_gradient(
 
 def coefficient_projection_oracle(
     s: SourceSpec, rho_t: float, n_max: int, R: float
-) -> SourceCoefficients:
+) -> Coefficients:
     """Recover expansion data by Fourier projection on a test ellipse.
 
     Samples F on {rho = rho_t} (which must lie strictly below the source)
@@ -429,10 +408,10 @@ def coefficient_projection_oracle(
     sin_coeff = -2.0 * spec[1 : n_max + 1].imag / m_nodes
     f_plus = cos_coeff / np.cosh(n * rho_t)
     f_minus = sin_coeff / np.sinh(n * rho_t)
-    return SourceCoefficients(float(spec[0].real) / m_nodes, f_plus, f_minus)
+    return Coefficients(float(spec[0].real) / m_nodes, f_plus, f_minus)
 
 
-def convergence_exponent(sc: SourceCoefficients) -> float:
+def convergence_exponent(sc: Coefficients) -> float:
     """Fitted decay rate rho_hat with |F_n| ~ exp(-rho_hat n).
 
     Least-squares slope of log sqrt(F_n^+^2 + F_n^-^2) against n over the
@@ -450,7 +429,7 @@ def convergence_exponent(sc: SourceCoefficients) -> float:
 
 
 def gap_condition_report(
-    sc: SourceCoefficients, g: ConfocalGeometry, rho_star: float
+    sc: Coefficients, g: ConfocalGeometry, rho_star: float
 ) -> GapConditionReport:
     """Evaluate the GC[rho_star] terms over the available window.
 

@@ -454,3 +454,67 @@ def test_unknown_source_variant(tmp_path, capsys):
     })
     assert _run(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "source.variant" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# bad values inside well-formed blocks
+
+
+_DIPOLE = {"variant": "dipole", "location": {"rho": 0.88, "omega": 0.9},
+           "moment": [1.0, 0.4]}
+_PAIR = {"variant": "charge_pair", "plus": {"rho": 1.0, "omega": 0.3},
+         "minus": {"rho": 1.1, "omega": 2.0}, "charge": 1.0}
+_SWEEP = {"deltas": [1e-3], "probes": [{"rho": 1.2, "omega": 0.6}]}
+_FIELD = {"delta": 1e-3, "n1": 9, "n2": 9}
+
+
+@pytest.mark.parametrize(
+    "command, blocks",
+    [
+        ("sweep", {"source": dict(_PAIR, charge=0)}),
+        ("sweep", {"source": dict(_DIPOLE, location={"rho": 0.0, "omega": 0.9})}),
+        ("sweep", {"source": dict(_DIPOLE, moment=[math.inf, 0.0])}),
+        ("sweep", {"source": {"variant": "coefficients", "f_plus": [1.0, None],
+                              "f_minus": [0.0, 0.0]}}),
+        ("sweep", {"source": {"variant": "coefficients", "f_plus": ["a", 1.0],
+                              "f_minus": [0.0, 0.0]}}),
+        ("field", {"field": dict(_FIELD, rho_max=1000)}),
+        ("field", {"field": dict(_FIELD, rho_max=math.inf)}),
+        ("field", {"field": dict(_FIELD, rho_max=0.0)}),
+        ("sweep", {"sweep": dict(_SWEEP, margin=-500)}),
+        ("field", {"field": dict(_FIELD, margin=-1)}),
+    ],
+    ids=["zero-charge", "dipole-on-focal-segment", "infinite-moment", "null-coefficient",
+         "string-coefficient", "rho-max-overflows", "infinite-rho-max", "zero-rho-max",
+         "negative-sweep-margin", "negative-field-margin"],
+)
+def test_bad_values_are_config_errors(tmp_path, capsys, command, blocks):
+    """Values the library constructors refuse, and field or sweep values
+    that cannot be gridded or truncated, exit 2 with a config error."""
+    cfg = {"geometry": THIN_GEO, "source": _DIPOLE, "sweep": _SWEEP, "field": _FIELD}
+    path = _write_cfg(tmp_path, "bad.json", dict(cfg, **blocks))
+    assert _run([command, "--config", path, "--out", str(tmp_path)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "command, config, outputs",
+    [
+        ("spectrum", "thick_inside", ["spectrum.csv"]),
+        ("critical-radius", "thick_outside", ["critical_radius.json"]),
+        ("field", "dipole_outside", ["field.csv"]),
+        ("validate", "validate_default", ["validate.json"]),
+    ],
+)
+def test_outputs_are_byte_identical_across_runs(tmp_path, command, config, outputs):
+    """Every subcommand keeps the promise test_sweep_is_deterministic
+    checks for sweep: one config, two runs, the same bytes."""
+    runs = []
+    for sub in ("a", "b"):
+        out = tmp_path / sub
+        assert _run([command, "--config", str(CONFIGS / f"{config}.json"),
+                     "--out", str(out)]) == 0
+        runs.append([(out / name).read_bytes() for name in outputs])
+    assert runs[0] == runs[1]
+    assert all(data and b"\r" not in data for data in runs[0])

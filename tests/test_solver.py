@@ -30,7 +30,6 @@ from calr_lab import (
     EllipticPoint,
     OverflowGuard,
     ShellConfig,
-    SourceCoefficients,
     TruncationWarning,
     adaptive_n_max,
     boundary_forcing,
@@ -408,7 +407,7 @@ def test_blocked_potentials_match_pointwise(kind):
 
 
 # A source with F = 0 exactly, so that eval_potentials returns the layer sums.
-_NO_SOURCE = SourceCoefficients(0.0, np.zeros(1), np.zeros(1))
+_NO_SOURCE = Coefficients(0.0, np.zeros(1), np.zeros(1))
 
 
 def _arrays(dc):

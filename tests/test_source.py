@@ -17,7 +17,6 @@ from calr_lab import (
     EllipticPoint,
     GapVerdict,
     SingularPoint,
-    SourceCoefficients,
     SourceInsideShell,
     TooFewCoefficients,
     coefficient_projection_oracle,
@@ -30,6 +29,7 @@ from calr_lab import (
     newtonian_gradient,
     to_cartesian,
 )
+from calr_lab.geometry import cartesian
 
 THIN = ConfocalGeometry(1.0, 0.5, 0.8)
 RHO_STAR = critical_radius(THIN.rho_i, THIN.rho_e).rho_star
@@ -292,7 +292,7 @@ def test_convergence_exponent_recovers_source_radius():
 
 def test_convergence_exponent_geometric():
     n = np.arange(1, 41, dtype=float)
-    sc = SourceCoefficients(0.0, np.exp(-2.0 * n), 0.5 * np.exp(-2.0 * n))
+    sc = Coefficients(0.0, np.exp(-2.0 * n), 0.5 * np.exp(-2.0 * n))
     assert abs(convergence_exponent(sc) - 2.0) < 0.01
 
 
@@ -302,13 +302,13 @@ def test_convergence_exponent_sparse_indices():
     idx = 2 ** np.arange(10)
     f_plus = np.zeros(512)
     f_plus[idx - 1] = np.exp(-0.1 * idx)
-    sc = SourceCoefficients(0.0, f_plus, np.zeros(512))
+    sc = Coefficients(0.0, f_plus, np.zeros(512))
     assert abs(convergence_exponent(sc) - 0.1) < 1e-6
 
 
 def test_convergence_exponent_needs_ten_points():
     n = np.arange(1, 10, dtype=float)
-    sc = SourceCoefficients(0.0, np.exp(-n), np.zeros(9))
+    sc = Coefficients(0.0, np.exp(-n), np.zeros(9))
     with pytest.raises(TooFewCoefficients):
         convergence_exponent(sc)
 
@@ -342,13 +342,13 @@ def test_gap_condition_dipole_indices_consecutive():
 
 
 def test_gap_condition_inconclusive_cases():
-    zeros = SourceCoefficients(1.0, np.zeros(40), np.zeros(40))
+    zeros = Coefficients(1.0, np.zeros(40), np.zeros(40))
     assert gap_condition_report(zeros, THIN, RHO_STAR).verdict is GapVerdict.INCONCLUSIVE
 
     # Seven nonzero indices are one short of the evidence floor.
     f_plus = np.zeros(40)
     f_plus[:7] = np.exp(0.5 * np.arange(1, 8))
-    seven = SourceCoefficients(0.0, f_plus, np.zeros(40))
+    seven = Coefficients(0.0, f_plus, np.zeros(40))
     assert gap_condition_report(seven, THIN, RHO_STAR).verdict is GapVerdict.INCONCLUSIVE
 
 
@@ -450,3 +450,103 @@ def test_source_validation():
         Coefficients(c=0.0, f_plus=np.ones(3), f_minus=np.ones(4))
     with pytest.raises(ValueError):
         Coefficients(c=0.0, f_plus=np.array([math.inf]), f_minus=np.array([1.0]))
+
+
+
+def _closed_form_sources(rho0):
+    """A dipole and a charge pair whose source radius is rho0."""
+    return (
+        Dipole(EllipticPoint(rho0, 0.9), np.array([1.0, 0.4])),
+        ChargePair(EllipticPoint(rho0, 0.4), EllipticPoint(rho0 + 0.3, 2.5), 1.3),
+    )
+
+
+@pytest.mark.parametrize("kind", [0, 1], ids=["dipole", "pair"])
+def test_expansion_data_is_a_source(kind):
+    """What newtonian_coefficients returns is accepted wherever a source
+    is: below rho0 its value, gradient and Fourier projection agree with
+    those of the closed form to 1e-13 of |F|."""
+    src = _closed_form_sources(1.2)[kind]
+    sc = newtonian_coefficients(src, 200, 1.0)
+    rng = np.random.default_rng(5)
+    rho, omega = rng.uniform(0.05, 0.6, 40), rng.uniform(0.0, 2.0 * math.pi, 40)
+    x = cartesian(1.0, rho, omega)
+    want = newtonian_eval(src, x, 1.0)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(newtonian_eval(sc, x, 1.0) - want)) <= 1e-13 * scale
+    grad = newtonian_gradient(src, x, 1.0)
+    grad_scale = np.max(np.abs(grad))
+    assert np.max(np.abs(newtonian_gradient(sc, x, 1.0) - grad)) <= 1e-13 * grad_scale
+    got, ref = (coefficient_projection_oracle(s, 0.6, 60, 1.0) for s in (sc, src))
+    assert abs(got.c - ref.c) <= 1e-13 * scale
+    for a, b in ((got.f_plus, ref.f_plus), (got.f_minus, ref.f_minus)):
+        assert np.max(np.abs(a - b)) <= 1e-13 * scale
+
+
+def _mp_constant(src, R, p):
+    """F(x) minus the expansion sum at the elliptic point p, in 30 digits.
+
+    The expansion weights are the documented closed forms (Green weights
+    for a pair, their source-position derivatives for a dipole), summed
+    until the terms fall below 1e-34, so the difference is the constant c
+    up to that tail."""
+    mp = mpmath.mp
+    mp.dps = 30
+    R, r, w = mp.mpf(R), mp.mpf(p.rho), mp.mpf(p.omega)
+
+    def cart(rho, omega):
+        return R * mp.cosh(rho) * mp.cos(omega), R * mp.sinh(rho) * mp.sin(omega)
+
+    x1, x2 = cart(r, w)
+    if isinstance(src, Dipole):
+        r0, w0 = mp.mpf(src.location.rho), mp.mpf(src.location.omega)
+        y1, y2 = cart(r0, w0)
+        a1, a2 = (mp.mpf(v) for v in src.moment)
+        value = (a1 * (x1 - y1) + a2 * (x2 - y2)) / (
+            2 * mp.pi * ((x1 - y1) ** 2 + (x2 - y2) ** 2)
+        )
+        xi0 = R * mp.sqrt(mp.sinh(r0) ** 2 + mp.sin(w0) ** 2)
+        t_rho = (R * mp.cos(w0) * mp.sinh(r0), R * mp.sin(w0) * mp.cosh(r0))
+        t_omega = (-R * mp.sin(w0) * mp.cosh(r0), R * mp.cos(w0) * mp.sinh(r0))
+        pm = (a1 * t_rho[0] + a2 * t_rho[1]) / xi0
+        qm = (a1 * t_omega[0] + a2 * t_omega[1]) / xi0
+        charges = [(r0, w0, None)]
+    else:
+        value = 0
+        charges = []
+        for loc, q in ((src.plus, src.charge), (src.minus, -src.charge)):
+            r0, w0 = mp.mpf(loc.rho), mp.mpf(loc.omega)
+            y1, y2 = cart(r0, w0)
+            value += q * mp.log((x1 - y1) ** 2 + (x2 - y2) ** 2) / (4 * mp.pi)
+            charges.append((r0, w0, mp.mpf(q)))
+    series = 0
+    for r0, w0, q in charges:
+        for n in range(1, int(mp.ceil(34 * mp.log(10) / (r0 - r))) + 1):
+            damp = mp.exp(-n * r0)
+            cw0, sw0 = mp.cos(n * w0), mp.sin(n * w0)
+            if q is None:
+                fp = -damp * (pm * cw0 + qm * sw0) / (mp.pi * xi0)
+                fm = -damp * (pm * sw0 - qm * cw0) / (mp.pi * xi0)
+            else:
+                fp, fm = -q * damp * cw0 / (n * mp.pi), -q * damp * sw0 / (n * mp.pi)
+            series += fp * mp.cos(n * w) * mp.cosh(n * r) + fm * mp.sin(n * w) * mp.sinh(n * r)
+    return float(value - series), float(abs(value))
+
+
+@pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("rho0", [0.05, 0.9, 2.5])
+def test_closed_form_constant_matches_mpmath(R, rho0):
+    """c of dipoles and pairs equals F(x) - sum of terms at rho = rho0 / 2,
+    evaluated in 30 digits, to 1e-14 of |F(x)|."""
+    p = EllipticPoint(0.5 * rho0, 1.0)
+    for src in _closed_form_sources(rho0):
+        want, scale = _mp_constant(src, R, p)
+        assert abs(newtonian_coefficients(src, 8, R).c - want) <= 1e-14 * scale
+
+
+def test_pair_constant_next_to_the_focal_segment():
+    """At rho0 = 5e-4 the constant is still exactly q (rho_+ - rho_-) / (2 pi)."""
+    pair = ChargePair(EllipticPoint(0.0005, 0.4), EllipticPoint(0.3, 2.5), 1.0)
+    mpmath.mp.dps = 30
+    want = float((mpmath.mpf(0.0005) - mpmath.mpf(0.3)) / (2 * mpmath.pi))
+    assert abs(newtonian_coefficients(pair, 8, 1.0).c - want) <= 1e-15
