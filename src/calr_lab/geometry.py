@@ -168,13 +168,15 @@ def to_elliptic(R: float, x: np.ndarray) -> EllipticPoint:
     """Invert the coordinate map at one point (one-point elliptic_coords).
 
     Raises DegeneratePoint on the focal segment, where omega is
-    ill-defined.
+    ill-defined.  The point goes through elliptic_coords as a (1, 2)
+    array: numpy's 0-d arithmetic can round differently from its array
+    loops, and the result must equal the array form bit for bit.
     """
-    rho, omega, focal = elliptic_coords(R, x)
-    if focal:
+    rho, omega, focal = elliptic_coords(R, np.asarray(x)[None])
+    if focal[0]:
         x1, x2 = float(x[0]), float(x[1])
         raise DegeneratePoint(f"point ({x1}, {x2}) lies on the focal segment")
-    return EllipticPoint(float(rho), float(omega))
+    return EllipticPoint(float(rho[0]), float(omega[0]))
 
 
 def metric_factor(R: float, rho, omega):

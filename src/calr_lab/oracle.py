@@ -11,11 +11,15 @@ compare its eigenvalues with the analytic values of the spectrum module.
 Every kernel here is evaluated from Cartesian node data alone; none of
 the closed forms it is meant to validate are reused.
 
-With N even equispaced nodes omega_j = 2 pi j / N on both curves, the
-reflections omega -> -omega and omega -> pi - omega map the nodes onto
-themselves and the matrix commutes with both.  numeric_spectrum then
-folds it by index arithmetic into four parity blocks, the cos/sin x
-even/odd-n spans, and solves those instead of the dense matrix.
+On confocal ellipses the operator couples no two Fourier modes: with the
+node weights W of both curves, A = W M W^-1 has entries w_i k(x_i, y_j),
+and in elliptic coordinates each of its four N x N curve blocks is a sum
+of functions of omega - omega' and omega + omega'.  For N even and
+equispaced nodes omega_j = 2 pi j / N, the discrete Fourier similarity
+F A F^-1 of each block is therefore zero off the index pairs (k, +-k).
+numeric_spectrum checks that pattern and then solves one 4 x 4 block per
+mode k = 1 .. N/2 - 1 (on the indices k and N - k of both curves) and a
+2 x 2 block at k = 0 and k = N/2, in place of the dense 2N x 2N matrix.
 
 For disjoint analytic curves all kernels are smooth (the diagonal of K*
 has the removable-singularity limit kappa/(4*pi)), so plain trapezoid
@@ -45,19 +49,26 @@ __all__ = [
 
 _MIN_CURVE_GAP = 1e-8
 
+# Largest Fourier-block entry off the (k, +-k) pattern, relative to the
+# largest entry, below which numeric_spectrum solves mode by mode.  Exact
+# decoupling leaves rounding only (about 1e-15 at N = 1024).
+_MODE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class BlockNPMatrix:
     """Dense 2N x 2N discretization of the block operator.
 
     `matrix` has the quadrature weights folded in, so its eigenvalues
-    approximate the operator spectrum directly.  The geometry is kept so
-    that numeric_spectrum can produce the matching analytic values.
+    approximate the operator spectrum directly.  `weights` holds the node
+    weights of the inner then the outer curve, shape (2N,), which the
+    Fourier mode blocks are taken in.  The geometry is kept so that
+    numeric_spectrum can produce the matching analytic values.
     """
 
     matrix: np.ndarray = field(repr=False)
     geometry: ConfocalGeometry | None
-    n_per_curve: int
+    weights: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -66,8 +77,8 @@ class SpectrumReport:
 
     Eigenvalues are sorted by decreasing magnitude.  `matched` holds the
     analytic value assigned to each numeric one (the nearest unused
-    candidate of its parity block's branch, or of the whole candidate list
-    on the dense path), `rel_errors` the pairwise relative error (absolute
+    candidate of its own Fourier mode k, or of the whole candidate list on
+    the dense path), `rel_errors` the pairwise relative error (absolute
     error where the analytic value is zero).  `max_imag` records the
     largest imaginary part seen in the eigensolves; the operator is
     real-diagonalizable, so this is a pure discretization diagnostic.
@@ -106,8 +117,11 @@ def np_kernel(curve: SampledCurve, i: int, j: int) -> float:
     return float(d @ curve.normals[i]) / (2.0 * math.pi * r_sq)
 
 
-def _kernel_block(target: SampledCurve, src: SampledCurve, same: bool) -> np.ndarray:
-    """Weighted kernel matrix K[i, j] = k(x_i, y_j) w_j, vectorized."""
+def _kernel_block(
+    target: SampledCurve, src: SampledCurve, same: bool, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Weighted kernel matrix K[i, j] = k(x_i, y_j) w_j, vectorized; it is
+    written into `out` when given."""
     tx, tn, sy = target.nodes, target.normals, src.nodes
     d1 = tx[:, 0:1] - sy[None, :, 0]
     d2 = tx[:, 1:2] - sy[None, :, 1]
@@ -123,7 +137,7 @@ def _kernel_block(target: SampledCurve, src: SampledCurve, same: bool) -> np.nda
     k = (d1 * tn[:, 0:1] + d2 * tn[:, 1:2]) / (2.0 * math.pi * r_sq)
     if same:
         np.fill_diagonal(k, target.curvature / (4.0 * math.pi))
-    return k * src.weights
+    return np.multiply(k, src.weights, out=out)
 
 
 def assemble_np(curve: SampledCurve) -> np.ndarray:
@@ -147,13 +161,16 @@ def assemble_block_np(
         raise ValueError(
             f"curves must use the same N, got {len(gi.weights)} and {len(ge.weights)}"
         )
-    k_ii = _kernel_block(gi, gi, same=True)
-    k_ee = _kernel_block(ge, ge, same=True)
-    k_ie = _kernel_block(gi, ge, same=False)  # dnu_i S_{Ge}
-    k_ei = _kernel_block(ge, gi, same=False)  # dnu_e S_{Gi}
-    sign_ii = 1.0 if flip_first_block else -1.0
-    m = np.block([[sign_ii * k_ii, -k_ie], [k_ei, k_ee]])
-    return BlockNPMatrix(m, geometry, len(gi.weights))
+    N = len(gi.weights)
+    m = np.empty((2 * N, 2 * N))
+    k_ii = _kernel_block(gi, gi, same=True, out=m[:N, :N])
+    k_ie = _kernel_block(gi, ge, same=False, out=m[:N, N:])  # dnu_i S_{Ge}
+    _kernel_block(ge, gi, same=False, out=m[N:, :N])  # dnu_e S_{Gi}
+    _kernel_block(ge, ge, same=True, out=m[N:, N:])
+    if not flip_first_block:
+        np.negative(k_ii, out=k_ii)
+    np.negative(k_ie, out=k_ie)
+    return BlockNPMatrix(m, geometry, np.concatenate([gi.weights, ge.weights]))
 
 
 def block_np_for(
@@ -169,8 +186,8 @@ def _nearest_unused(numeric: np.ndarray, analytic: np.ndarray):
     """Pair numeric eigenvalues with candidate analytic ones, largest first.
 
     Each numeric value takes the nearest unused candidate; exact distance
-    ties are broken in favor of matching sign.  The fold passes one parity
-    block's branch, the dense path every candidate.
+    ties are broken in favor of matching sign.  The mode-block route passes
+    one mode's candidates, the dense path every candidate.
     """
     matched = np.empty_like(numeric)
     errors = np.empty_like(numeric)
@@ -191,74 +208,75 @@ def _nearest_unused(numeric: np.ndarray, analytic: np.ndarray):
     return matched, errors
 
 
-def _node_maps(N: int) -> list:
-    """The group e, r1 (omega -> -omega), r2 (omega -> pi - omega), r1 r2
-    as node maps j -> j, -j, N/2 - j, j + N/2 (mod N); the character
-    (c1, c2) takes the values 1, c1, c2, c1 c2 on them."""
-    j, half = np.arange(N), N // 2
-    return [j, -j % N, (half - j) % N, (j + half) % N]
+def _mode_blocks(m: BlockNPMatrix) -> tuple[np.ndarray, np.ndarray] | None:
+    """The Fourier mode blocks of W M W^-1, or None off the mode pattern.
 
-
-def _is_reflection_symmetric(matrix: np.ndarray, N: int) -> bool:
-    """Whether the block matrix commutes with both node reflections.
-
-    With P the permutation matrix of a reflection, MP - PM is
-    M[:, p] - M[p, :]; it is measured in chunks of 64 rows, so no
-    2N x 2N temporary is formed.  Both commutators must be within
-    1e-12 of max|M|.
+    Each curve block A_ab of A = W M W^-1 (W = diag(m.weights)) becomes
+    B_ab = F A_ab F^-1, F the DFT matrix, one block at a time.  A_ab is
+    real, so B_ab[N - k, N - l] = conj(B_ab[k, l]) and only the rows
+    k = 0 .. N/2 are formed (rfft down the columns, then ifft along the
+    rows).  Returns the
+    2 x 2 blocks of k = 0 and k = N/2, shape (2, 2, 2), and the 4 x 4
+    blocks of k = 1 .. N/2 - 1 on the indices (inner, k), (inner, N - k),
+    (outer, k), (outer, N - k), shape (N/2 - 1, 4, 4); their spectra
+    together are the spectrum of M.  None when N is odd, or when some
+    entry off the pairs (k, +-k) exceeds _MODE_TOL times the largest entry
+    (always so if M holds a NaN or an inf).
     """
-    if N < 8 or N % 2 or matrix.shape != (2 * N, 2 * N):
-        return False
-    tol = 1e-12 * float(np.max(np.abs(matrix)))
-    for node_map in _node_maps(N)[1:3]:
-        perm = np.concatenate([node_map, N + node_map])
-        for start in range(0, 2 * N, 64):
-            rows = slice(start, start + 64)
-            if np.max(np.abs(matrix[rows, perm] - matrix[perm[rows]])) > tol:
-                return False
-    return True
+    N = len(m.weights) // 2
+    if N % 2 or m.matrix.shape != (2 * N, 2 * N):
+        return None
+    k = np.arange(N // 2 + 1)
+    minus_k = -k % N
+    diag = np.empty((2, 2, len(k)), dtype=complex)  # [a, b, k]: B_ab[k, k]
+    anti = np.empty_like(diag)  # [a, b, k]: B_ab[k, N - k]
+    offs, bigs = [], []
+    for a in (0, 1):
+        rows = slice(a * N, (a + 1) * N)
+        for b in (0, 1):
+            cols = slice(b * N, (b + 1) * N)
+            block = m.matrix[rows, cols] * m.weights[rows, None]
+            block /= m.weights[cols]
+            h = np.fft.ifft(np.fft.rfft(block, axis=0), axis=1)
+            diag[a, b], anti[a, b] = h[k, k], h[k, minus_k]
+            mag = np.abs(h)
+            bigs.append(mag.max())
+            mag[k, k] = mag[k, minus_k] = 0.0
+            offs.append(mag.max())
+    if not np.max(offs) <= _MODE_TOL * np.max(bigs):
+        return None
+    ends = diag[:, :, [0, -1]].transpose(2, 0, 1)
+    d = diag[:, :, 1:-1].transpose(2, 0, 1)
+    x = anti[:, :, 1:-1].transpose(2, 0, 1)
+    # quads[k, a, s, b, t]: s, t = 0 for index k, 1 for index N - k.
+    quads = np.stack(
+        [np.stack([d, x], axis=-1), np.stack([x.conj(), d.conj()], axis=-1)], axis=2
+    )
+    return ends, quads.reshape(-1, 4, 4)
 
 
-def _parity_blocks(matrix: np.ndarray, N: int) -> list:
-    """The four parity blocks ((c1, c2), M_chi) of a reflection-symmetric
-    block matrix, c1 and c2 being the parities under r1 and r2.
-
-    Nodes j = 0 .. N//4 represent the orbits of the two reflections on
-    each curve.  The stabiliser of j = 0 is {e, r1} and, for N divisible
-    by 4, that of j = N/4 is {e, r2}; every other orbit has four nodes.  A
-    block keeps the representatives whose stabiliser its character is
-    trivial on, and M_chi[a, b] = sum_g chi(g) M[a, g b] / |stab(a)|.  The
-    union of the blocks' spectra is the spectrum of M.
-    """
-    reps = np.arange(N // 4 + 1)
-    fixed_r1, fixed_r2 = reps == 0, 4 * reps == N
-    stab = np.where(fixed_r1 | fixed_r2, 2.0, 1.0)
-    maps = _node_maps(N)
-    blocks = []
-    for c1 in (1, -1):
-        for c2 in (1, -1):
-            keep = ~(fixed_r1 & (c1 < 0) | fixed_r2 & (c2 < 0))
-            r = reps[keep]
-            rows = np.concatenate([r, N + r])
-            block = np.zeros((len(rows), len(rows)))
-            for chi, node_map in zip((1, c1, c2, c1 * c2), maps):
-                cols = np.concatenate([node_map[r], N + node_map[r]])
-                block += chi * matrix[np.ix_(rows, cols)]
-            block /= np.tile(stab[keep], 2)[:, None]
-            blocks.append(((c1, c2), block))
-    return blocks
-
-
-def _branch(table: ModeTable, c1: int, c2: int) -> np.ndarray:
-    """Analytic eigenvalues of the parity block (c1, c2).
-
-    Cosine blocks (c1 = +1) hold +lambda_{1,n}, +lambda_{2,n} for
-    (-1)^n = c2, sine blocks -lambda_{1,n}, -lambda_{2,n} for
-    (-1)^(n+1) = c2; the (+, +) block also holds the n = 0 pair +-1/2.
-    """
-    sel = c1 * np.where(table.n % 2 == 0, 1, -1) == c2
-    lam = c1 * np.concatenate([table.lambda1[sel], table.lambda2[sel]])
-    return np.concatenate([[0.5, -0.5], lam]) if (c1, c2) == (1, 1) else lam
+def _mode_spectrum(
+    ends: np.ndarray, quads: np.ndarray, count: int, geometry: ConfocalGeometry
+) -> SpectrumReport:
+    """numeric_spectrum from the mode blocks of _mode_blocks."""
+    ev_ends, ev_quads = _eigvals(ends), _eigvals(quads)
+    ev = np.concatenate([ev_ends[0], ev_quads.ravel(), ev_ends[1]])
+    mode = np.repeat(np.arange(len(quads) + 2), [2] + [4] * len(quads) + [2])
+    order = np.argsort(-np.abs(ev))[:count]
+    top, mode = ev[order].real, mode[order]
+    table = mode_table(geometry, max(1, int(mode.max())))
+    matched = np.empty_like(top)
+    errors = np.empty_like(top)
+    for k in np.unique(mode):
+        mine = mode == k
+        if k == 0:
+            candidates = np.array([0.5, -0.5])
+        else:
+            lam = np.array([table.lambda1[k - 1], table.lambda2[k - 1]])
+            candidates = np.concatenate([lam, -lam])
+        matched[mine], errors[mine] = _nearest_unused(top[mine], candidates)
+    max_imag = float(np.max(np.abs(ev.imag)))
+    return SpectrumReport(top, matched, errors, max_imag)
 
 
 def _eigvals(matrix: np.ndarray) -> np.ndarray:
@@ -275,14 +293,14 @@ def numeric_spectrum(
 ) -> SpectrumReport:
     """Top `count` eigenvalues by magnitude, paired with analytic values.
 
-    For a BlockNPMatrix without explicit analytic values whose matrix
-    commutes with both node reflections (every block_np_for matrix), the
-    matrix is folded into its four parity blocks (_parity_blocks).  The
-    top `count` values are taken over the union of the blocks' spectra,
-    and each is paired with the nearest unused value of its own block's
-    branch: +-1/2 (the n = 0 pair: the block is triangular there because
-    the uniform-angle density on an ellipse is its equilibrium measure)
-    and the signed lambda_{1,n}, lambda_{2,n} of its parity (_branch).
+    For a BlockNPMatrix without explicit analytic values whose Fourier
+    blocks decouple by mode (every block_np_for matrix; see _mode_blocks),
+    the 2 x 2 and 4 x 4 mode blocks are solved in place of the matrix.
+    The top `count` values are taken over the union of their spectra, and
+    each keeps its mode k and is paired with the nearest unused value of
+    that mode's candidates: +-1/2 at k = 0 (the uniform-angle density on
+    an ellipse is its equilibrium measure) and +-lambda_{1,k},
+    +-lambda_{2,k} otherwise.
 
     Otherwise the dense matrix is solved and each value takes the nearest
     unused of all candidates: those passed in `analytic` (required for a
@@ -303,35 +321,14 @@ def numeric_spectrum(
     if not 1 <= count <= n // 4:
         raise ValueError(f"count must be in [1, {n // 4}], got {count}")
     if analytic is None:
-        # One more mode than count, so that every branch has at least
-        # `count` candidates.
+        blocks = _mode_blocks(m)
+        if blocks is not None:
+            return _mode_spectrum(*blocks, count, m.geometry)
         table = mode_table(m.geometry, max(8, count + 1))
-        if _is_reflection_symmetric(matrix, m.n_per_curve):
-            return _folded_spectrum(matrix, m.n_per_curve, count, table)
         lam = np.concatenate([[0.5], table.lambda1, table.lambda2])
         analytic = np.concatenate([lam, -lam])
     ev = _eigvals(matrix)
     max_imag = float(np.max(np.abs(ev.imag))) if ev.size else 0.0
     top = ev[np.argsort(-np.abs(ev))[:count]].real
     matched, errors = _nearest_unused(top, np.asarray(analytic, dtype=float))
-    return SpectrumReport(top, matched, errors, max_imag)
-
-
-def _folded_spectrum(
-    matrix: np.ndarray, N: int, count: int, table: ModeTable
-) -> SpectrumReport:
-    """numeric_spectrum of a reflection-symmetric matrix, block by block."""
-    chars, blocks = zip(*_parity_blocks(matrix, N))
-    evs = [_eigvals(b) for b in blocks]
-    ev = np.concatenate(evs)
-    label = np.repeat(np.arange(len(evs)), [len(e) for e in evs])
-    order = np.argsort(-np.abs(ev))[:count]
-    top, label = ev[order].real, label[order]
-    matched = np.empty_like(top)
-    errors = np.empty_like(top)
-    for k, (c1, c2) in enumerate(chars):
-        mine = label == k
-        branch = _branch(table, c1, c2)
-        matched[mine], errors[mine] = _nearest_unused(top[mine], branch)
-    max_imag = float(np.max(np.abs(ev.imag)))
     return SpectrumReport(top, matched, errors, max_imag)

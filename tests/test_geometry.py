@@ -7,7 +7,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from calr_lab import (
@@ -114,6 +114,7 @@ def test_forward_map_scalar_matches_array(R, pts):
 
 @settings(max_examples=200, deadline=None)
 @given(_SCALES, st.lists(_points(), min_size=1, max_size=20))
+@example(R=7.419753302731996, pts=[(1.000000027923534, 0.0)])
 def test_inverse_map_scalar_matches_array(R, pts):
     """Off the focal strip the one-point inverse equals the array inverse
     bit for bit; the array mask is set exactly where it raises."""

@@ -194,7 +194,7 @@ def test_plain_matrix_requires_analytic():
     with pytest.raises(ValueError):
         numeric_spectrum(np.eye(16), 2)
     with pytest.raises(ValueError):
-        numeric_spectrum(BlockNPMatrix(np.eye(16), None, 8), 2)
+        numeric_spectrum(BlockNPMatrix(np.eye(16), None, np.ones(16)), 2)
 
 
 def test_eigensolve_failure_is_reported():
@@ -208,72 +208,181 @@ def test_sample_circle_validation():
         sample_circle(1.0, 4)
 
 
+@pytest.mark.parametrize("flip", [False, True], ids=["plain", "flipped"])
+def test_block_assembly_matches_np_block(flip):
+    """Writing the kernel blocks into one preallocated matrix gives the
+    matrix of np.block bit for bit, and the weights of both curves."""
+    gi, ge = sample_ellipse(1.0, THIN.rho_i, 64), sample_ellipse(1.0, THIN.rho_e, 64)
+    k = oracle._kernel_block
+    sign_ii = 1.0 if flip else -1.0
+    want = np.block(
+        [
+            [sign_ii * k(gi, gi, same=True), -k(gi, ge, same=False)],
+            [k(ge, gi, same=False), k(ge, ge, same=True)],
+        ]
+    )
+    m = assemble_block_np(gi, ge, flip_first_block=flip)
+    assert np.array_equal(m.matrix, want)
+    assert np.array_equal(m.weights, np.concatenate([gi.weights, ge.weights]))
+
+
 # ---------------------------------------------------------------------------
-# parity fold
+# Fourier mode blocks
 
 
-def _block_sizes(N):
-    """(+,+), (+,-), (-,+), (-,-) sizes: N//4 + 1 orbit representatives per
-    curve, less the fixed node j = 0 for sine blocks and, when 4 divides N,
-    the fixed node j = N/4 for c2 = -1."""
-    reps, quarter = N // 4 + 1, int(N % 4 == 0)
-    return [2 * (reps - d) for d in (0, quarter, 1, 1 + quarter)]
+def _mode_block_list(m):
+    """The mode blocks of m in the order k = 0 .. N/2."""
+    ends, quads = oracle._mode_blocks(m)
+    return [ends[0], *quads, ends[1]]
 
 
 @pytest.mark.parametrize("geometry", [THIN, THICK], ids=["thin", "thick"])
 @pytest.mark.parametrize("N", [64, 70, 130, 256])
-def test_parity_blocks_reproduce_dense_spectrum(geometry, N):
-    """The union of the four parity blocks' eigenvalues is the dense
-    spectrum of the same matrix."""
-    matrix = block_np_for(geometry, N).matrix
-    assert oracle._is_reflection_symmetric(matrix, N)
-    blocks = oracle._parity_blocks(matrix, N)
-    assert [chars for chars, _ in blocks] == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    assert [len(b) for _, b in blocks] == _block_sizes(N)
-    folded = np.sort(np.concatenate([np.linalg.eigvals(b) for _, b in blocks]).real)
-    dense = np.sort(np.linalg.eigvals(matrix).real)
+def test_mode_blocks_reproduce_dense_spectrum(geometry, N):
+    """The union of the mode blocks' eigenvalues is the dense spectrum of
+    the same matrix."""
+    m = block_np_for(geometry, N)
+    blocks = _mode_block_list(m)
+    folded = np.sort(np.concatenate([np.linalg.eigvals(b) for b in blocks]).real)
+    dense = np.sort(np.linalg.eigvals(m.matrix).real)
     assert np.max(np.abs(folded - dense)) < 1e-13
 
 
 @pytest.mark.parametrize("geometry", [THIN, THICK], ids=["thin", "thick"])
 def test_fold_guard_holds_at_n_1024(geometry):
-    """With mirrored nodes both commutators stay at rounding level, so the
-    1e-12 guard keeps folding at N = 1024."""
-    assert oracle._is_reflection_symmetric(block_np_for(geometry, 1024).matrix, 1024)
+    """With equispaced nodes the Fourier blocks stay off the (k, +-k)
+    pattern at rounding level only, so the 1e-12 guard keeps folding at
+    N = 1024."""
+    assert oracle._mode_blocks(block_np_for(geometry, 1024)) is not None
 
 
-def test_parity_block_sizes_from_the_orbit_count():
-    assert _block_sizes(256) == [130, 128, 128, 126]
-    assert _block_sizes(70) == [36, 36, 34, 34]
+def test_mode_block_sizes():
+    """A 2 x 2 block at k = 0 and k = N/2 and a 4 x 4 block for every k
+    between them: 2N rows in all.  Odd N has no mode N/2 and is refused."""
+    for N in (8, 70, 256):
+        sizes = [len(b) for b in _mode_block_list(block_np_for(THIN, N))]
+        assert sizes == [2] + [4] * (N // 2 - 1) + [2]
+        assert sum(sizes) == 2 * N
+    odd = assemble_block_np(sample_circle(1.0, 9), sample_circle(2.0, 9))
+    assert oracle._mode_blocks(odd) is None
+
+
+@pytest.mark.parametrize("geometry", [THIN, THICK], ids=["thin", "thick"])
+def test_each_mode_block_holds_its_own_mode(geometry):
+    """Block k holds +-1/2 at k = 0 and +-lambda_{1,k}, +-lambda_{2,k}
+    otherwise."""
+    N, k_max = 256, 8
+    table = mode_table(geometry, k_max)
+    blocks = _mode_block_list(block_np_for(geometry, N))
+    got = np.sort(np.linalg.eigvals(blocks[0]).real)
+    assert np.max(np.abs(got - [-0.5, 0.5])) < 1e-12
+    for k in range(1, k_max + 1):
+        lam = np.array([table.lambda1[k - 1], table.lambda2[k - 1]])
+        got = np.sort(np.linalg.eigvals(blocks[k]).real)
+        assert np.max(np.abs(got - np.sort(np.concatenate([lam, -lam])))) < 1e-12
+
+
+def _parity_halves(quad):
+    """Cosine and sine halves of a 4 x 4 mode block, and their coupling.
+
+    The bases (e_k + e_{N-k}) / sqrt 2 and (e_k - e_{N-k}) / sqrt 2 of
+    each curve are cos(k omega) and sin(k omega); the reflection
+    omega -> -omega of both ellipses keeps the two apart.  Returns the
+    2 x 2 cosine and sine blocks and the largest entry coupling them.
+    """
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    q = np.kron(np.eye(2), h)[[0, 2, 1, 3]]  # rows: cos in, cos out, sin in, sin out
+    r = q @ quad @ q.T
+    coupling = max(np.max(np.abs(r[:2, 2:])), np.max(np.abs(r[2:, :2])))
+    return r[:2, :2], r[2:, 2:], coupling
+
+
+@pytest.mark.parametrize("geometry", [THIN, THICK], ids=["thin", "thick"])
+@pytest.mark.parametrize("N", [64, 70, 130, 256])
+def test_parity_blocks_reproduce_dense_spectrum(geometry, N):
+    """Split into cosine and sine halves, the mode blocks decouple by
+    parity in omega, and the union of the halves' eigenvalues is the
+    dense spectrum of the same matrix."""
+    m = block_np_for(geometry, N)
+    ends, quads = oracle._mode_blocks(m)
+    halves = [_parity_halves(b) for b in quads]
+    scale = max(np.max(np.abs(b)) for b in (*ends, *quads))
+    assert max(c for _, _, c in halves) <= 1e-12 * scale
+    cosine = [*ends, *(c for c, _, _ in halves)]
+    sine = [s for _, s, _ in halves]
+    # N/2 + 1 cosine modes and N/2 - 1 sine modes per curve.
+    assert sum(map(len, cosine)) == 2 * (N // 2 + 1)
+    assert sum(map(len, sine)) == 2 * (N // 2 - 1)
+    folded = np.sort(np.concatenate([np.linalg.eigvals(b) for b in cosine + sine]).real)
+    dense = np.sort(np.linalg.eigvals(m.matrix).real)
+    assert np.max(np.abs(folded - dense)) < 1e-13
 
 
 @pytest.mark.parametrize("geometry", [THIN, THICK], ids=["thin", "thick"])
 def test_each_parity_block_holds_its_own_branch(geometry):
-    """The leading eigenvalues of each block, sorted, are the leading
-    values of that block's branch: cosine blocks +lambda, sine blocks
-    -lambda, each for one parity of n, and +-1/2 in the (+, +) block."""
-    N, k = 256, 8
-    table = mode_table(geometry, 40)
-    for (c1, c2), block in oracle._parity_blocks(block_np_for(geometry, N).matrix, N):
-        ev = np.linalg.eigvals(block).real
-        got = np.sort(ev[np.argsort(-np.abs(ev))[:k]])
-        branch = oracle._branch(table, c1, c2)
-        want = np.sort(branch[np.argsort(-np.abs(branch))[:k]])
-        assert np.max(np.abs(got - want)) < 1e-12
-        # The opposite sine/cosine branch is far off.
-        assert np.max(np.abs(got - np.sort(-want))) > 1e-3
+    """Within mode k the cosine half holds +lambda_{1,k}, +lambda_{2,k}
+    and the sine half -lambda_{1,k}, -lambda_{2,k}; the k = 0 block is
+    all cosine and holds +-1/2."""
+    N, k_max = 256, 8
+    table = mode_table(geometry, k_max)
+    ends, quads = oracle._mode_blocks(block_np_for(geometry, N))
+    got = np.sort(np.linalg.eigvals(ends[0]).real)
+    assert np.max(np.abs(got - [-0.5, 0.5])) < 1e-12
+    all_cos, all_want = [], []
+    for k in range(1, k_max + 1):
+        want = np.sort([table.lambda1[k - 1], table.lambda2[k - 1]])
+        cos_half, sin_half, _ = _parity_halves(quads[k - 1])
+        got_cos = np.sort(np.linalg.eigvals(cos_half).real)
+        got_sin = np.sort(np.linalg.eigvals(sin_half).real)
+        assert np.max(np.abs(got_cos - want)) < 1e-12
+        assert np.max(np.abs(got_sin - np.sort(-want))) < 1e-12
+        all_cos.append(got_cos)
+        all_want.append(want)
+    # The opposite sine/cosine branch is far off.
+    all_cos, all_want = np.concatenate(all_cos), np.concatenate(all_want)
+    assert np.max(np.abs(np.sort(all_cos) - np.sort(-all_want))) > 1e-3
 
 
-def _offset_ellipse(rho0, N, offset):
-    """Trapezoid nodes at omega_j = 2 pi (j + offset) / N."""
-    om = 2.0 * math.pi * (np.arange(N) + offset) / N
+@pytest.mark.parametrize("geometry", [THIN, THICK], ids=["thin", "thick"])
+def test_mode_route_solves_nothing_larger_than_4x4(geometry, monkeypatch):
+    """No dense eigensolve on block_np_for matrices: every matrix handed
+    to the eigensolver is a 2 x 2 or 4 x 4 mode block."""
+    shapes = []
+    eigvals = oracle._eigvals
+
+    def record(matrix):
+        shapes.append(matrix.shape)
+        return eigvals(matrix)
+
+    monkeypatch.setattr(oracle, "_eigvals", record)
+    numeric_spectrum(block_np_for(geometry, 256), 18)
+    assert shapes
+    assert max(shape[-1] for shape in shapes) <= 4
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_mode_guard_refuses_non_finite_matrices(bad):
+    N = 16
+    matrix = block_np_for(THIN, N).matrix.copy()
+    matrix[3, 5] = bad
+    with np.errstate(invalid="ignore"):  # an inf turns into NaNs in the FFT
+        assert oracle._mode_blocks(BlockNPMatrix(matrix, THIN, np.ones(2 * N))) is None
+        matrix = np.full((2 * N, 2 * N), bad)
+        assert oracle._mode_blocks(BlockNPMatrix(matrix, THIN, np.ones(2 * N))) is None
+
+
+def _ellipse_nodes(rho0, N, offset=0.0, wobble=0.0):
+    """Trapezoid nodes at omega_j = t_j + wobble sin t_j, t_j = 2 pi (j +
+    offset) / N, weighted Xi(omega_j) omega'(t_j) 2 pi / N."""
+    t = 2.0 * math.pi * (np.arange(N) + offset) / N
+    om = t + wobble * np.sin(t)
     xi = np.asarray(metric_factor(1.0, rho0, om))
     t_rho, _ = tangents(1.0, rho0, om)
     return SampledCurve(
         cartesian(1.0, rho0, om),
         t_rho / xi[:, None],
         ellipse_curvature(1.0, rho0, om),
-        xi * (2.0 * math.pi / N),
+        xi * (1.0 + wobble * np.cos(t)) * (2.0 * math.pi / N),
     )
 
 
@@ -285,21 +394,21 @@ def _all_candidates(geometry, count):
 
 
 def test_offset_nodes_are_not_folded(monkeypatch):
-    """Nodes shifted by a third of a step are mapped onto no node by
-    either reflection, so the guard takes the dense path."""
+    """Nodes that are not equispaced in omega (omega_j = t_j + 0.1 sin t_j)
+    couple the Fourier modes, so the guard takes the dense path."""
     N, count = 64, 14
     m = assemble_block_np(
-        _offset_ellipse(THIN.rho_i, N, 1 / 3),
-        _offset_ellipse(THIN.rho_e, N, 1 / 3),
+        _ellipse_nodes(THIN.rho_i, N, wobble=0.1),
+        _ellipse_nodes(THIN.rho_e, N, wobble=0.1),
         geometry=THIN,
     )
-    assert not oracle._is_reflection_symmetric(m.matrix, N)
-    assert oracle._is_reflection_symmetric(block_np_for(THIN, N).matrix, N)
+    assert oracle._mode_blocks(m) is None
+    assert oracle._mode_blocks(block_np_for(THIN, N)) is not None
 
     def no_fold(*args):
-        raise AssertionError("folded a matrix without the node reflections")
+        raise AssertionError("folded a matrix whose Fourier modes couple")
 
-    monkeypatch.setattr(oracle, "_parity_blocks", no_fold)
+    monkeypatch.setattr(oracle, "_mode_spectrum", no_fold)
     report = numeric_spectrum(m, count)
     ev = np.linalg.eigvals(m.matrix)
     top = ev[np.argsort(-np.abs(ev))[:count]].real
@@ -308,6 +417,23 @@ def test_offset_nodes_are_not_folded(monkeypatch):
     assert np.array_equal(report.matched, matched)
     assert np.array_equal(report.rel_errors, errors)
     assert report.worst < 1e-6
+
+
+def test_offset_nodes_fold():
+    """Nodes shifted by a third of a step are still equispaced in omega, so
+    the modes decouple; the fold agrees with the dense solve."""
+    N, count = 64, 14
+    m = assemble_block_np(
+        _ellipse_nodes(THIN.rho_i, N, offset=1 / 3),
+        _ellipse_nodes(THIN.rho_e, N, offset=1 / 3),
+        geometry=THIN,
+    )
+    assert oracle._mode_blocks(m) is not None
+    folded = numeric_spectrum(m, count)
+    dense = numeric_spectrum(m, count, analytic=_all_candidates(THIN, count))
+    f, d = np.argsort(folded.eigenvalues), np.argsort(dense.eigenvalues)
+    assert np.max(np.abs(folded.eigenvalues[f] - dense.eigenvalues[d])) < 1e-13
+    assert np.array_equal(folded.matched[f], dense.matched[d])
 
 
 @pytest.mark.parametrize("geometry", [THIN, THICK], ids=["thin", "thick"])
