@@ -328,14 +328,18 @@ def cmd_field(cfg: dict, out_dir: Path) -> int:
     if margin < 0:
         raise ConfigError(f"field.margin: must be >= 0, got {margin}")
 
-    n_max = adaptive_n_max(delta, g, margin)
-    sc = newtonian_coefficients(source, n_max, g.R, rho_e=g.rho_e)
-    config = ShellConfig(g, delta, n_max)
-    dc = solve_densities(sc, config)
-
     xs = np.linspace(-a, a, n1)
     ys = np.linspace(-b, b, n2)
-    rho, omega, focal = elliptic_coords(g.R, np.stack(np.meshgrid(xs, ys), axis=-1))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        rho, omega, focal = elliptic_coords(g.R, np.stack(np.meshgrid(xs, ys), axis=-1))
+    if not (np.isfinite(rho[~focal]).all() and np.isfinite(omega[~focal]).all()):
+        raise ConfigError(
+            f"field.rho_max: {rho_max} puts grid points past the elliptic coordinate range"
+        )
+
+    n_max = adaptive_n_max(delta, g, margin)
+    sc = newtonian_coefficients(source, n_max, g.R, rho_e=g.rho_e)
+    dc = solve_densities(sc, ShellConfig(g, delta, n_max))
     values = eval_potentials(source, dc, g, rho[~focal], omega[~focal]).tolist()
     # One printf per point; "%.17g" gives the same text as _fmt.
     cells = ("%.17g,%.17g,%.17g" % (v.real, v.imag, abs(v)) for v in values)

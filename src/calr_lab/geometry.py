@@ -200,28 +200,17 @@ def sample_ellipse(R: float, rho0: float, N: int) -> SampledCurve:
 
     Returns the trapezoid rule: nodes, unit outward normals, curvature and
     arclength weights Xi * (2*pi/N).  The weights sum to the perimeter.
-    Nodes j > N/4 are exact mirror images, (x1, x2) -> (x1, -x2) for
-    omega -> -omega and (-x1, x2) for omega -> pi - omega, so that both
-    reflections map the sampled curve onto itself bit for bit.
     """
     if N < 8 or N % 2 != 0:
         raise ValueError(f"N must be even and >= 8, got {N}")
     if not rho0 > 0.0:
         raise ValueError(f"rho0 must be > 0, got {rho0}")
-    omegas = TWO_PI * np.arange(N // 4 + 1) / N
+    omegas = TWO_PI * np.arange(N) / N
     xi = metric_factor(R, rho0, omegas)
     t_rho, _ = tangents(R, rho0, omegas)
-    nodes, normals = cartesian(R, rho0, omegas), t_rho / xi[:, None]
-    if N % 4 == 0:  # omega = pi/2 is its own mirror image: cos(pi/2) is 0
-        nodes[-1, 0] = normals[-1, 0] = 0.0
-    # Node j mirrors node k: m folds omega -> -omega, k then pi - omega.
-    j = np.arange(N)
-    m = np.minimum(j, N - j)
-    k = np.minimum(m, N // 2 - m)
-    flip = np.where(np.stack([2 * m > N // 2, 2 * j > N], axis=-1), -1.0, 1.0)
     return SampledCurve(
-        flip * nodes[k],
-        flip * normals[k],
-        ellipse_curvature(R, rho0, omegas)[k],
-        (xi * (TWO_PI / N))[k],
+        cartesian(R, rho0, omegas),
+        t_rho / xi[:, None],
+        ellipse_curvature(R, rho0, omegas),
+        xi * (TWO_PI / N),
     )

@@ -29,12 +29,11 @@ Dissipated power is E_delta = delta * ||grad V||^2 over the shell.  In the
 shell every mode of V is alpha e^{n rho} + beta e^{-n rho}; the omega
 integral removes the cross terms and the metric Jacobian cancels, so the
 energy is an exact sum of positive per-mode terms
-(dissipated_power_closed).  That closed form is the production route.
-Two independent routes cross-check it: tensor quadrature of the gradient
-(dissipated_power_direct: Gauss-Legendre in rho, trapezoid in omega) and
-the spectral surrogate
+(dissipated_power_closed).  The spectral surrogate
 
-    E ~ delta * sum_n sum_branches proj^2 / (norm * (lambda^2 + delta^2)).
+    E ~ delta * sum_n sum_branches proj^2 / (norm * (lambda^2 + delta^2))
+
+is reported beside it.
 
 Evaluation.  Mode n of a layer potential on rho_k is a mix of
 e^{-n |rho - rho_k|} and e^{-n (rho + rho_k)} times cos or sin (n omega).
@@ -47,9 +46,7 @@ is a power series in e^{zeta} and e^{-zeta}.  eval_potentials sums them
 all with one Horner recurrence (source._horner), elementwise per point,
 so a value depends neither on the other points nor on trailing zero
 densities; sweep relies on both to evaluate the probes of all its deltas
-in one call.  The quadrature oracle keeps its separable
-(n_rho, n_max) @ (n_max, n_omega) form (_layer_radial): point by point
-its 128 x 512 grid would cost 65536 n_max entries per call.
+in one call.
 
 A sweep drives delta over several decades and the classifier grades the
 outcome: resonant blow-up of E with decaying source visibility (CALR),
@@ -72,8 +69,6 @@ from .source import (
     Coefficients,
     SourceSpec,
     _horner,
-    _series_radial,
-    elliptic_gradient,
     elliptic_potential,
     newtonian_coefficients,
 )
@@ -94,9 +89,7 @@ __all__ = [
     "solve_densities",
     "eval_potential",
     "eval_potentials",
-    "eval_gradient_shell",
     "dissipated_power_closed",
-    "dissipated_power_direct",
     "dissipated_power_spectral",
     "sweep",
     "calr_classify",
@@ -348,26 +341,6 @@ def solve_densities(sc: Coefficients, config: ShellConfig) -> DensityCoefficient
     return dc
 
 
-def _layer_radial(
-    n: np.ndarray, g: ConfocalGeometry, rho: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Radial factors of the layers on rho_i and rho_e at each radius.
-
-    Used by the separable quadrature oracle (_shell_gradient_grid).  With
-    near = e^{-n |rho - rho_k|} and far = e^{-n (rho + rho_k)} (no
-    exponent is positive), returns (near + far) / 2 and (near - far) / 2,
-    each of shape (2,) + rho.shape + (n_max,) with index 0 for rho_i and
-    1 for rho_e.  Mode n of the layer potential of phi_n_c (phi_n_s) on
-    rho_k is that half over -n times cos (sin)(n omega) in every region;
-    d/drho turns the halves into n (sigma_k near -+ far) / 2 with
-    sigma_k = sign(rho_k - rho).
-    """
-    r = np.asarray(rho, dtype=float)[..., None]
-    rk = np.reshape([g.rho_i, g.rho_e], (2,) + (1,) * r.ndim)
-    near, far = np.exp(-n * np.abs(r - rk)), np.exp(-n * (r + rk))
-    return 0.5 * (near + far), 0.5 * (near - far)
-
-
 def _region_chains(
     halves: list, n: np.ndarray, lo: float, hi: float | None
 ) -> np.ndarray:
@@ -474,97 +447,6 @@ def eval_potential(
 ) -> complex:
     """Value of V_delta at an elliptic point (any region)."""
     return complex(eval_potentials(source, dc, config.geometry, x.rho, x.omega))
-
-
-def _shell_gradient_grid(
-    source: SourceSpec,
-    dc: DensityCoefficients,
-    g: ConfocalGeometry,
-    rhos: np.ndarray,
-    omegas: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(dV/drho, dV/domega) on the tensor grid rhos x omegas in the shell.
-
-    Separable matmuls over the modes keep the cost at (n_rho + n_omega)
-    n_max entries rather than n_rho n_omega n_max.
-    """
-    n = np.arange(1, len(dc.p_cos) + 1, dtype=float)
-    (chi, che), (shi, she) = _layer_radial(n, g, rhos)
-
-    cw = np.cos(np.outer(n, omegas))
-    sw = np.sin(np.outer(n, omegas))
-
-    # In the shell sigma_i = -1 and sigma_e = +1 (also on the interfaces).
-    a_rho = dc.p_cos * chi - dc.q_cos * she
-    b_rho = dc.p_sin * shi - dc.q_sin * che
-    a_om = dc.p_cos * chi + dc.q_cos * che
-    b_om = -dc.p_sin * shi - dc.q_sin * she
-
-    d_rho = a_rho @ cw + b_rho @ sw
-    d_omega = a_om @ sw + b_om @ cw
-    if isinstance(source, Coefficients):
-        # The same contraction for the series, at its own truncation.
-        m, fp_ch, fp_sh, fm_ch, fm_sh = _series_radial(source, rhos)
-        cw, sw = np.cos(np.outer(m, omegas)), np.sin(np.outer(m, omegas))
-        f_rho = (m * fp_sh) @ cw + (m * fm_ch) @ sw
-        f_omega = (m * fm_sh) @ cw - (m * fp_ch) @ sw
-    else:
-        f_rho, f_omega = elliptic_gradient(source, g.R, rhos[:, None], omegas[None, :])
-    return d_rho + f_rho, d_omega + f_omega
-
-
-def eval_gradient_shell(
-    source: SourceSpec,
-    dc: DensityCoefficients,
-    config: ShellConfig,
-    rho: float,
-    omega: float,
-) -> tuple[complex, complex]:
-    """(dV/drho, dV/domega) at a single shell point."""
-    g = config.geometry
-    if not g.rho_i <= rho <= g.rho_e:
-        raise ValueError(f"rho = {rho} is not inside the shell [{g.rho_i}, {g.rho_e}]")
-    d_rho, d_omega = _shell_gradient_grid(
-        source, dc, g, np.array([rho]), np.array([omega])
-    )
-    return complex(d_rho[0, 0]), complex(d_omega[0, 0])
-
-
-def _gauss_panels(a: float, b: float, panels: int, order: int):
-    """Composite Gauss-Legendre nodes and weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(a, b, panels + 1)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes.append(mid + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def dissipated_power_direct(
-    source: SourceSpec,
-    dc: DensityCoefficients,
-    config: ShellConfig,
-    n_omega: int | None = None,
-    n_panels: int = 4,
-    gl_order: int = 32,
-) -> float:
-    """E_delta by tensor quadrature of the shell gradient.
-
-    Gauss-Legendre panels in rho, trapezoid in omega.  The trapezoid rule
-    is spectrally exact once n_omega exceeds twice the highest retained
-    harmonic of |grad V|^2, so the default max(4 n_max + 2, 512) already
-    sits deep in the converged regime.
-    """
-    g = config.geometry
-    if n_omega is None:
-        n_omega = max(4 * len(dc.p_cos) + 2, 512)
-    rhos, w_rho = _gauss_panels(g.rho_i, g.rho_e, n_panels, gl_order)
-    omegas = 2.0 * math.pi * np.arange(n_omega) / n_omega
-    d_rho, d_omega = _shell_gradient_grid(source, dc, g, rhos, omegas)
-    density = np.abs(d_rho) ** 2 + np.abs(d_omega) ** 2
-    return config.delta * float(w_rho @ density.sum(axis=1)) * (2.0 * math.pi / n_omega)
 
 
 def dissipated_power_closed(

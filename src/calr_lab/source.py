@@ -62,7 +62,6 @@ __all__ = [
     "newtonian_coefficients",
     "newtonian_eval",
     "newtonian_gradient",
-    "coefficient_projection_oracle",
     "convergence_exponent",
     "gap_condition_report",
 ]
@@ -245,28 +244,6 @@ def newtonian_coefficients(
     raise TypeError(f"unsupported source type {type(s).__name__}")
 
 
-def _series_radial(sc: Coefficients, rho) -> tuple[np.ndarray, ...]:
-    """Mode indices n and F^+- cosh(n rho), F^+- sinh(n rho) at each rho.
-
-    The plain product F_n * cosh(n rho) can overflow long before the term
-    itself leaves double range (tiny coefficient times huge hyperbolic),
-    so the radial factors are folded into the coefficient logs first.
-    Returns (n, fp_ch, fp_sh, fm_ch, fm_sh), the factors of shape
-    rho.shape + (len(f_plus),).
-    """
-    n = np.arange(1, len(sc.f_plus) + 1, dtype=float)
-    nr = np.asarray(rho, dtype=float)[..., None] * n
-    with np.errstate(divide="ignore"):
-        log_ch = nr + np.log1p(np.exp(-2.0 * nr)) - math.log(2.0)
-        log_sh = nr + np.log1p(-np.exp(-2.0 * nr)) - math.log(2.0)
-        log_p = np.log(np.abs(sc.f_plus))
-        log_m = np.log(np.abs(sc.f_minus))
-        sp, sm = np.sign(sc.f_plus), np.sign(sc.f_minus)
-        fp_ch, fp_sh = sp * np.exp(log_p + log_ch), sp * np.exp(log_p + log_sh)
-        fm_ch, fm_sh = sm * np.exp(log_m + log_ch), sm * np.exp(log_m + log_sh)
-    return n, fp_ch, fp_sh, fm_ch, fm_sh
-
-
 def _horner(coef: np.ndarray, var: np.ndarray) -> np.ndarray:
     """sum_{n>=1} coef[n-1] var^n by Horner's rule, elementwise in var.
 
@@ -365,50 +342,6 @@ def elliptic_potential(s: SourceSpec, R: float, rho, omega) -> np.ndarray:
     if isinstance(s, Coefficients):
         return _series(s, rho, omega)[0]
     return newtonian_eval(s, cartesian(R, rho, omega), R)
-
-
-def elliptic_gradient(
-    s: Dipole | ChargePair, R: float, rho, omega
-) -> tuple[np.ndarray, np.ndarray]:
-    """(dF/drho, dF/domega) of a closed-form source at elliptic points."""
-    grad = newtonian_gradient(s, cartesian(R, rho, omega), R)
-    t_rho, t_omega = tangents(R, rho, omega)
-    return (grad * t_rho).sum(axis=-1), (grad * t_omega).sum(axis=-1)
-
-
-def coefficient_projection_oracle(
-    s: SourceSpec, rho_t: float, n_max: int, R: float
-) -> Coefficients:
-    """Recover expansion data by Fourier projection on a test ellipse.
-
-    Samples F on {rho = rho_t} (which must lie strictly below the source)
-    at M = max(8 n_max, 512) equispaced angles and divides the Fourier
-    coefficients by the known radial factors.  This route never touches
-    the closed-form expansion coefficients, so it serves as an independent
-    check of newtonian_coefficients.
-    """
-    if isinstance(s, Dipole):
-        rho0 = s.location.rho
-    elif isinstance(s, ChargePair):
-        rho0 = min(s.plus.rho, s.minus.rho)
-    elif isinstance(s, Coefficients):
-        rho0 = math.inf
-    else:
-        raise TypeError(f"unsupported source type {type(s).__name__}")
-    if not 0.0 < rho_t < rho0:
-        raise ValueError(f"need 0 < rho_t < source radius, got rho_t = {rho_t}")
-
-    m_nodes = max(8 * n_max, 512)
-    omegas = 2.0 * math.pi * np.arange(m_nodes) / m_nodes
-    values = newtonian_eval(s, cartesian(R, rho_t, omegas), R)
-
-    spec = np.fft.rfft(values)
-    n = np.arange(1, n_max + 1, dtype=float)
-    cos_coeff = 2.0 * spec[1 : n_max + 1].real / m_nodes
-    sin_coeff = -2.0 * spec[1 : n_max + 1].imag / m_nodes
-    f_plus = cos_coeff / np.cosh(n * rho_t)
-    f_minus = sin_coeff / np.sinh(n * rho_t)
-    return Coefficients(float(spec[0].real) / m_nodes, f_plus, f_minus)
 
 
 def convergence_exponent(sc: Coefficients) -> float:

@@ -498,6 +498,25 @@ def test_bad_values_are_config_errors(tmp_path, capsys, command, blocks):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("rho_max, code", [(170, 0), (180, 2), (700, 2)])
+def test_field_refuses_a_grid_it_cannot_invert(tmp_path, capsys, rho_max, code):
+    """Past |x| of about 1e77 the inverse coordinate map overflows: such a
+    grid exits 2 before field.csv is written, while rho_max 170 still
+    gives a finite value in every non-focal cell."""
+    cfg = json.loads((CONFIGS / "dipole_inside.json").read_text())
+    cfg["field"] = dict(cfg["field"], rho_max=rho_max, n1=5, n2=5)
+    path = _write_cfg(tmp_path, "far.json", cfg)
+    assert _run(["field", "--config", path, "--out", str(tmp_path)]) == code
+    if code == 2:
+        assert "config error: field.rho_max" in capsys.readouterr().err
+        assert not (tmp_path / "field.csv").exists()
+        return
+    rows = [row.split(",") for row in (tmp_path / "field.csv").read_text().splitlines()]
+    cells = [float(v) for row in rows[1:] for v in row[2:] if v]
+    assert len(rows) == 26 and len(cells) == 3 * 24
+    assert np.all(np.isfinite(cells))
+
+
 @pytest.mark.parametrize(
     "command, config, outputs",
     [

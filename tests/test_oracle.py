@@ -7,12 +7,15 @@ that are known in closed form without touching the spectrum module.
 
 from __future__ import annotations
 
+import ast
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import calr_lab
 from calr_lab import (
     ConfocalGeometry,
     CurveOverlap,
@@ -22,7 +25,7 @@ from calr_lab import (
     mode_table,
     sample_ellipse,
 )
-from calr_lab import oracle
+from calr_lab import oracle, solver, source
 from calr_lab.geometry import cartesian, ellipse_curvature, tangents
 from calr_lab.oracle import (
     BlockNPMatrix,
@@ -450,3 +453,56 @@ def test_folded_spectrum_agrees_with_dense_path(geometry):
     assert np.max(np.abs(folded.eigenvalues[f] - dense.eigenvalues[d])) < 1e-14
     assert np.array_equal(folded.matched[f], dense.matched[d])
     assert folded.worst < 1e-6
+
+
+# The check-only routes that live in oracle, by the production module that
+# must not define them.
+_ORACLE_ONLY = {
+    solver: ["dissipated_power_direct", "_gauss_panels", "_shell_gradient_grid",
+             "_layer_radial", "eval_gradient_shell"],
+    source: ["_series_radial", "coefficient_projection_oracle", "elliptic_gradient"],
+}
+
+_ROOT_EXPORTS = """
+    AsymptoticRates CalrDiagnosis CalrError CalrVerdict ChargePair Coefficients
+    ConfigError ConfocalGeometry CurveOverlap DegeneratePoint DensityCoefficients
+    Dipole EigensolveFailure EllipticPoint GapConditionReport GapVerdict ModeData
+    ModeTable OverflowGuard Regime RegimeKind SampledCurve ShellConfig
+    SingleEllipseMode SingularPoint SourceInsideShell SweepRecord TooFewCoefficients
+    TruncationWarning adaptive_n_max asymptotic_rates block_matrices
+    boundary_forcing calr_classify coefficient_projection_oracle
+    convergence_exponent critical_radius dissipated_power_closed
+    dissipated_power_direct dissipated_power_spectral ellipse_curvature
+    eval_gradient_shell eval_potential eval_potentials gap_condition_report
+    green_expansion_coefficients metric_factor mode_data mode_projections
+    mode_table newtonian_coefficients newtonian_eval newtonian_gradient s_gram
+    sample_ellipse single_ellipse_np solve_densities sweep to_cartesian
+    to_elliptic z_param __version__
+""".split()
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """Dotted names of every module and name the file imports."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            out.add(base)
+            out.update(f"{base}.{alias.name}".lstrip(".") for alias in node.names)
+    return out
+
+
+def test_independent_routes_live_in_oracle():
+    """The production modules hold no check-only route and never import
+    oracle; the package root still exports the routes, from oracle."""
+    for module, names in _ORACLE_ONLY.items():
+        assert [name for name in names if hasattr(module, name)] == []
+        imported = _imported_modules(Path(module.__file__))
+        assert not [m for m in imported if "oracle" in m.split(".")]
+    for name in ("dissipated_power_direct", "eval_gradient_shell",
+                 "coefficient_projection_oracle"):
+        assert getattr(calr_lab, name) is getattr(oracle, name)
+    assert calr_lab.__all__ == _ROOT_EXPORTS
+    assert all(hasattr(calr_lab, name) for name in calr_lab.__all__)
