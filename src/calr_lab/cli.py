@@ -26,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import CalrError, ConfigError
+from .errors import CalrError, ConfigError, TooFewCoefficients
 from .geometry import ConfocalGeometry, EllipticPoint, elliptic_coords, sample_ellipse
 from .oracle import assemble_np, block_np_for, numeric_spectrum
 from .solver import (
@@ -43,17 +43,11 @@ from .source import (
     Coefficients,
     Dipole,
     SourceSpec,
+    convergence_exponent,
     gap_condition_report,
     newtonian_coefficients,
 )
-from .spectrum import (
-    RegimeKind,
-    block_matrices,
-    critical_radius,
-    mode_data,
-    mode_table,
-    s_gram,
-)
+from .spectrum import RegimeKind, critical_radius, mode_data, mode_factors, mode_table
 
 _SPECTRUM_COLUMNS = (
     "n,lambda1,lambda2,a1,a2,b,norm_1p,norm_1m,norm_2p,norm_2m"
@@ -301,7 +295,31 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
+def _series_radius(source: SourceSpec) -> float:
+    """The rho past which the series of a Coefficients source diverges.
+
+    That is convergence_exponent for at least 10 nonzero pairs.  Fewer
+    pairs make a polynomial, and a point source is no series: both are
+    infinite.
+    """
+    if isinstance(source, Coefficients):
+        try:
+            return convergence_exponent(source)
+        except TooFewCoefficients:
+            pass
+    return math.inf
+
+
 def cmd_field(cfg: dict, out_dir: Path) -> int:
+    """Write V on an n1 x n2 grid over the bounding box of {rho <= rho_max}.
+
+    Cells on the focal segment, where omega is undefined, are left blank.
+    So are the cells of a Coefficients source with at least 10 nonzero
+    pairs at rho >= convergence_exponent(source), where its series
+    diverges; their count goes to stdout.  A source with fewer pairs is
+    taken as the polynomial it is, which converges everywhere, so nothing
+    of it is blanked.
+    """
     g = parse_geometry(cfg)
     source = parse_source(cfg)
     block = _block(cfg, "field")
@@ -337,22 +355,31 @@ def cmd_field(cfg: dict, out_dir: Path) -> int:
             f"field.rho_max: {rho_max} puts grid points past the elliptic coordinate range"
         )
 
+    radius = _series_radius(source)
+    past = ~focal & (rho >= radius)
+    blank = focal | past
+
     n_max = adaptive_n_max(delta, g, margin)
     sc = newtonian_coefficients(source, n_max, g.R, rho_e=g.rho_e)
     dc = solve_densities(sc, ShellConfig(g, delta, n_max))
-    values = eval_potentials(source, dc, g, rho[~focal], omega[~focal]).tolist()
+    values = eval_potentials(source, dc, g, rho[~blank], omega[~blank]).tolist()
     # One printf per point; "%.17g" gives the same text as _fmt.
     cells = ("%.17g,%.17g,%.17g" % (v.real, v.imag, abs(v)) for v in values)
     x1_text = [_fmt(x1) for x1 in xs]
     lines = ["x1,x2,re_v,im_v,abs_v"]
-    for x2, row in zip(map(_fmt, ys), focal.tolist()):
+    for x2, row in zip(map(_fmt, ys), blank.tolist()):
         lines += [
-            f"{x1},{x2},{',,' if blank else next(cells)}"
-            for x1, blank in zip(x1_text, row)
+            f"{x1},{x2},{',,' if cell else next(cells)}"
+            for x1, cell in zip(x1_text, row)
         ]
     path = out_dir / "field.csv"
     _write_lines(path, lines)
     print(f"wrote {path} ({n1 * n2} points)")
+    if math.isfinite(radius):
+        print(
+            f"left {int(np.count_nonzero(past))} points blank at rho >="
+            f" {_fmt(radius)}, past the source series' convergence radius"
+        )
     return 0
 
 
@@ -368,6 +395,81 @@ def _check(name: str, ok: bool, observed: float, threshold: float, status=None):
 def _relative(jump: float, scale: float) -> float:
     """jump / scale, where a jump measured against a zero scale is 0 (a zero source)."""
     return jump / scale if scale > 0.0 else (0.0 if jump == 0.0 else math.inf)
+
+
+def _mat_vec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Mode-by-mode products of 2x2 matrices (..., 2, 2, n) with vectors
+    (..., 2, n), as elementwise products and sums."""
+    return mats[..., 0, :] * vecs[..., None, 0, :] + mats[..., 1, :] * vecs[..., None, 1, :]
+
+
+def _nystrom_checks(
+    g: ConfocalGeometry, n_nystrom: int, count: int, flip: bool
+) -> list[dict]:
+    """Checks 1 and 2 of validate, on one assembly of the block matrix."""
+    # 1. Nystrom block spectrum against the closed-form eigenvalues.
+    m = block_np_for(g, n_nystrom, flip_first_block=flip)
+    rep = numeric_spectrum(m, count)
+    keep = np.abs(rep.matched) != 0.5
+    worst = float(np.max(rep.rel_errors[keep])) if keep.any() else 0.0
+    # Below 64 nodes a miss is too coarse to certify convergence either way.
+    status = "indeterminate" if n_nystrom < 64 and worst >= 1e-6 else None
+    spectrum = _check("nystrom_spectrum", worst < 1e-6, worst, 1e-6, status)
+
+    # 2. Constant-density eigenvalue on a single curve.  From 64 nodes on,
+    # check 1's first block is -K*_{Gi} (+K* when flipped), and its first
+    # weights are Gi's, exactly as a fresh assemble_np would give them.
+    if n_nystrom >= 64:
+        xi_inv = 1.0 / m.weights[:n_nystrom]  # density ~ Xi^{-1}
+        k_xi = m.matrix[:n_nystrom, :n_nystrom] @ xi_inv
+        if not flip:
+            k_xi = -k_xi  # exact: rounding is symmetric under negation
+    else:
+        curve = sample_ellipse(g.R, g.rho_i, 64)
+        xi_inv = 1.0 / curve.weights
+        k_xi = assemble_np(curve) @ xi_inv
+    resid = k_xi - 0.5 * xi_inv
+    alpha0_err = float(np.max(np.abs(resid)) / np.max(np.abs(xi_inv)))
+    return [spectrum, _check("alpha0_half", alpha0_err < 1e-8, alpha0_err, 1e-8)]
+
+
+def _closed_form_checks(g: ConfocalGeometry) -> list[dict]:
+    """Checks 3 and 4 of validate: the closed-form eigenpairs and norms."""
+    # 3. Eigen-residuals of the closed-form 2x2 blocks (componentwise) for
+    # n = 1 .. 50 at once: A_n and B_n are (2, 2, n) arrays, and the four
+    # eigenpairs (matrix, eigenvalue, vector) stack on a leading axis.
+    table = mode_table(g, 50)
+    f = mode_factors(np.arange(1.0, 51.0), g)
+    a_mat = np.array([[-0.5 * f.ei, f.sx], [f.cx, 0.5 * f.ee]])
+    b_mat = np.array([[0.5 * f.ei, f.cx], [f.sx, -0.5 * f.ee]])
+    a1, a2, b = table.a1, table.a2, table.b
+    mats = np.array([a_mat, a_mat, b_mat, b_mat])  # (4, 2, 2, n)
+    vecs = np.array([[a1, b], [a2, b], [b, a2], [b, a1]])  # (4, 2, n)
+    lams = np.array([table.lambda1, table.lambda2, -table.lambda1, -table.lambda2])[:, None]
+    num = np.abs(_mat_vec(mats, vecs) - lams * vecs)
+    den = _mat_vec(np.abs(mats), np.abs(vecs)) + np.abs(lams) * np.abs(vecs)
+    worst = float(np.max(num / den))
+    residuals = _check("eigen_residuals", worst < 1e-12, worst, 1e-12)
+
+    # 4. Mode norms against the Gram closed form (s_gram) at six of those
+    # modes, and Gram positivity.
+    k = np.array([1, 2, 5, 10, 25, 50]) - 1
+    g_cos = f.pref[k] * np.array([[f.ci[k], f.cx[k]], [f.cx[k], f.ce[k]]])
+    g_sin = f.pref[k] * np.array([[f.si[k], f.sx[k]], [f.sx[k], f.se[k]]])
+    try:
+        np.linalg.cholesky(np.concatenate([g_cos, g_sin], axis=-1).transpose(2, 0, 1))
+        pd = True
+    except np.linalg.LinAlgError:
+        pd = False
+    # Psi^{1+}, Psi^{1-}, Psi^{2+}, Psi^{2-}: the quadratic form v.G v.
+    grams = np.array([g_cos, g_sin, g_cos, g_sin])
+    v = vecs[[0, 2, 1, 3]][..., k]
+    gv = _mat_vec(grams, v)
+    quad = gv[:, 0] * v[:, 0] + gv[:, 1] * v[:, 1]
+    norms = np.array([table.norm_1p, table.norm_1m, table.norm_2p, table.norm_2m])[:, k]
+    worst = float(np.max(np.abs(quad - norms) / np.abs(norms)))
+    status = None if pd else "fail"
+    return [residuals, _check("s_norms", pd and worst < 1e-12, worst, 1e-12, status)]
 
 
 def _validate_checks(cfg: dict) -> list[dict]:
@@ -388,64 +490,7 @@ def _validate_checks(cfg: dict) -> list[dict]:
             f" n_nystrom / 2 = {n_nystrom // 2}"
         )
     flip = bool(block.get("flip_first_block", False))
-    checks: list[dict] = []
-
-    # 1. Nystrom block spectrum against the closed-form eigenvalues.
-    rep = numeric_spectrum(block_np_for(g, n_nystrom, flip_first_block=flip), count)
-    keep = np.abs(rep.matched) != 0.5
-    worst = float(np.max(rep.rel_errors[keep])) if keep.any() else 0.0
-    if n_nystrom < 64 and worst >= 1e-6:
-        # Too coarse to certify convergence either way.
-        checks.append(_check("nystrom_spectrum", False, worst, 1e-6, "indeterminate"))
-    else:
-        checks.append(_check("nystrom_spectrum", worst < 1e-6, worst, 1e-6))
-
-    # 2. Constant-density eigenvalue on a single curve.
-    curve = sample_ellipse(g.R, g.rho_i, max(n_nystrom, 64))
-    m = assemble_np(curve)
-    xi_inv = 1.0 / curve.weights  # density ~ Xi^{-1}
-    resid = m @ xi_inv - 0.5 * xi_inv
-    alpha0_err = float(np.max(np.abs(resid)) / np.max(np.abs(xi_inv)))
-    checks.append(_check("alpha0_half", alpha0_err < 1e-8, alpha0_err, 1e-8))
-
-    # 3. Eigen-residuals of the closed-form 2x2 blocks (componentwise).
-    table = mode_table(g, 50)
-    worst = 0.0
-    for n in range(1, 51):
-        mode = table.row(n)
-        a_mat, b_mat = block_matrices(n, g)
-        for mat, lam, vec in (
-            (a_mat, mode.lambda1, np.array([mode.a1, mode.b])),
-            (a_mat, mode.lambda2, np.array([mode.a2, mode.b])),
-            (b_mat, -mode.lambda1, np.array([mode.b, mode.a2])),
-            (b_mat, -mode.lambda2, np.array([mode.b, mode.a1])),
-        ):
-            num = np.abs(mat @ vec - lam * vec)
-            den = np.abs(mat) @ np.abs(vec) + abs(lam) * np.abs(vec)
-            worst = max(worst, float(np.max(num / den)))
-    checks.append(_check("eigen_residuals", worst < 1e-12, worst, 1e-12))
-
-    # 4. Mode norms against the Gram closed form, and Gram positivity.
-    worst = 0.0
-    pd = True
-    for n in (1, 2, 5, 10, 25, 50):
-        mode = table.row(n)
-        g_cos, g_sin = s_gram(n, g, "cos"), s_gram(n, g, "sin")
-        for gram in (g_cos, g_sin):
-            try:
-                np.linalg.cholesky(gram)
-            except np.linalg.LinAlgError:
-                pd = False
-        for vec, gram, norm in (
-            (np.array([mode.a1, mode.b]), g_cos, mode.norm_1p),
-            (np.array([mode.b, mode.a2]), g_sin, mode.norm_1m),
-            (np.array([mode.a2, mode.b]), g_cos, mode.norm_2p),
-            (np.array([mode.b, mode.a1]), g_sin, mode.norm_2m),
-        ):
-            quad = float(vec @ gram @ vec)
-            worst = max(worst, abs(quad - norm) / abs(norm))
-    status = None if pd else "fail"
-    checks.append(_check("s_norms", pd and worst < 1e-12, worst, 1e-12, status))
+    checks = _nystrom_checks(g, n_nystrom, count, flip) + _closed_form_checks(g)
 
     # 5. Transmission conditions for the configured (or default) source.
     if "source" in cfg:
@@ -464,12 +509,15 @@ def _validate_checks(cfg: dict) -> list[dict]:
     omegas = np.linspace(0.07, 2.0 * math.pi - 0.13, 12)
     steps = np.arange(len(stencil)) * h
     shell = -1.0 + 1j * delta
+    # Per interface, columns: the continuity pair, then the inner and outer
+    # stencils; both interfaces go through one evaluator call.
+    radii = np.array([
+        np.concatenate([[rho_t - 1e-9, rho_t + 1e-9], rho_t - steps, rho_t + steps])
+        for rho_t in (g.rho_i, g.rho_e)
+    ])
+    values = eval_potentials(source, dc, g, radii[:, None, :], omegas[:, None])
     worst_c, worst_f = 0.0, 0.0
-    for rho_t, e_in, e_out in ((g.rho_i, 1.0, shell), (g.rho_e, shell, 1.0)):
-        # Columns: the continuity pair, then the inner and outer stencils.
-        pair = [rho_t - 1e-9, rho_t + 1e-9]
-        radii = np.concatenate([pair, rho_t - steps, rho_t + steps])
-        v = eval_potentials(source, dc, g, radii[None, :], omegas[:, None])
+    for v, e_in, e_out in zip(values, (1.0, shell), (shell, 1.0)):
         inner, outer = v[:, 2 : 2 + len(stencil)], v[:, 2 + len(stencil) :]
         vscale = float(np.max(np.abs(v[:, 0])))
         worst_c = max(worst_c, _relative(float(np.max(np.abs(v[:, 0] - v[:, 1]))), vscale))

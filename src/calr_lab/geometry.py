@@ -160,8 +160,12 @@ def elliptic_coords(R: float, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def to_cartesian(R: float, p: EllipticPoint) -> np.ndarray:
-    """Map an elliptic point to Cartesian coordinates (one-point cartesian)."""
-    return cartesian(R, p.rho, p.omega)
+    """Map an elliptic point to Cartesian coordinates (one-point cartesian).
+
+    The point goes through cartesian as (1,) arrays, as in to_elliptic, so
+    the result equals the array form bit for bit.
+    """
+    return cartesian(R, np.array([p.rho]), np.array([p.omega]))[0]
 
 
 def to_elliptic(R: float, x: np.ndarray) -> EllipticPoint:

@@ -142,11 +142,19 @@ def _kernel_block(
     target: SampledCurve, src: SampledCurve, same: bool, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Weighted kernel matrix K[i, j] = k(x_i, y_j) w_j, vectorized; it is
-    written into `out` when given."""
+    written into `out` when given.
+
+    The offset planes d1 = x_i1 - y_j1 and d2 = x_i2 - y_j2 are updated in
+    place, so the block allocates d1, d2, r^2 and one square besides the
+    result.  Every entry is still (d1 n1 + d2 n2) / (2 pi r^2) w_j with
+    r^2 = d1^2 + d2^2, each operation rounded as in that expression, so
+    the block equals its out-of-place form bit for bit.
+    """
     tx, tn, sy = target.nodes, target.normals, src.nodes
     d1 = tx[:, 0:1] - sy[None, :, 0]
     d2 = tx[:, 1:2] - sy[None, :, 1]
-    r_sq = d1 * d1 + d2 * d2
+    r_sq = d1 * d1
+    r_sq += d2 * d2
     if same:
         np.fill_diagonal(r_sq, 1.0)
     else:
@@ -155,10 +163,14 @@ def _kernel_block(
             raise CurveOverlap(
                 f"curves approach within {gap:.3e} (< {_MIN_CURVE_GAP})"
             )
-    k = (d1 * tn[:, 0:1] + d2 * tn[:, 1:2]) / (2.0 * math.pi * r_sq)
+    d1 *= tn[:, 0:1]
+    d2 *= tn[:, 1:2]
+    d1 += d2
+    r_sq *= 2.0 * math.pi
+    d1 /= r_sq
     if same:
-        np.fill_diagonal(k, target.curvature / (4.0 * math.pi))
-    return np.multiply(k, src.weights, out=out)
+        np.fill_diagonal(d1, target.curvature / (4.0 * math.pi))
+    return np.multiply(d1, src.weights, out=out)
 
 
 def assemble_np(curve: SampledCurve) -> np.ndarray:

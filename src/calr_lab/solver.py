@@ -549,9 +549,9 @@ def _sweep(
     omega = np.tile([p.omega for p in probes], len(deltas))
     columns = DensityCoefficients(*dens.reshape(4, n_top, -1))
     v = eval_potentials(source, columns, g, rho, omega)
-    # Python's complex abs, as for a single eval_potential value; the
-    # vectorized np.abs of a complex array may differ in the last bit.
-    far = np.array([abs(z) for z in v.tolist()]).reshape(len(deltas), len(probes))
+    # |v| through hypot of the parts: it equals Python's complex abs bit for
+    # bit, while np.abs of a complex array may differ in the last bit.
+    far = np.hypot(v.real, v.imag).reshape(len(deltas), len(probes))
     records = []
     for delta, n_max, (energy, e_spectral), f in zip(deltas, n_maxes, solved, far):
         scale = math.sqrt(energy) if energy > 0.0 else math.inf

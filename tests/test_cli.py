@@ -22,15 +22,21 @@ from calr_lab import (
     ShellConfig,
     TruncationWarning,
     adaptive_n_max,
+    block_matrices,
+    convergence_exponent,
     eval_potential,
     eval_potentials,
     mode_data,
+    mode_table,
     newtonian_coefficients,
+    s_gram,
+    sample_ellipse,
     solve_densities,
     to_elliptic,
 )
 from calr_lab import cli
 from calr_lab.geometry import elliptic_coords
+from calr_lab.oracle import assemble_np
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 THIN_GEO = {"R": 1.0, "rho_i": 0.5, "rho_e": 0.8}
@@ -288,6 +294,50 @@ def test_field_evaluates_a_coefficient_source_as_given(tmp_path):
     assert np.max(np.abs(written - eval_potentials(sc, dc, g, rho, omega))) > 1e-9
 
 
+def test_field_blanks_a_coefficient_source_past_its_radius(tmp_path, capsys):
+    """A 400-term series F_n = e^{-1.5 n} (cos, sin)(0.9 n) diverges at
+    rho >= 1.5; the rho_max 1.3 box reaches past that in its corners.
+    Those cells are left blank like the focal ones and counted on stdout,
+    and every written cell lies inside the radius."""
+    n = np.arange(1, 401)
+    f_plus, f_minus = np.exp(-1.5 * n) * np.cos(0.9 * n), np.exp(-1.5 * n) * np.sin(0.9 * n)
+    cfg = _write_cfg(tmp_path, "f.json", {
+        "geometry": THIN_GEO,
+        "source": {"variant": "coefficients", "f_plus": f_plus.tolist(),
+                   "f_minus": f_minus.tolist()},
+        "field": {"delta": 1e-3, "rho_max": 1.3, "n1": 41, "n2": 41},
+    })
+    assert _run(["field", "--config", cfg, "--out", str(tmp_path)]) == 0
+    radius = convergence_exponent(Coefficients(0.0, f_plus, f_minus))
+    assert abs(radius - 1.5) < 1e-4
+    out = capsys.readouterr().out
+    rows = [ln.split(",") for ln in (tmp_path / "field.csv").read_text().splitlines()[1:]]
+    x = np.array([[float(r[0]), float(r[1])] for r in rows])
+    rho, _, focal = elliptic_coords(THIN_GEO["R"], x)
+    written = np.array([bool(r[2]) for r in rows])
+    past = ~focal & (rho >= radius)
+    assert past.any() and (~past & ~focal).any()
+    assert np.array_equal(written, ~focal & ~past)
+    assert f"left {int(past.sum())} points blank at rho >= {radius!r}" in out
+    assert max(float(r[4]) for r in rows if r[4]) < 1e3
+
+
+def test_field_does_not_blank_a_short_coefficient_source(tmp_path, capsys):
+    """Nine nonzero pairs make a polynomial, which converges everywhere:
+    only focal cells are blank, and nothing is counted."""
+    cfg = _write_cfg(tmp_path, "f.json", {
+        "geometry": THIN_GEO,
+        "source": {"variant": "coefficients", "f_plus": [0.5 ** k for k in range(9)],
+                   "f_minus": [0.0] * 9},
+        "field": {"delta": 1e-3, "rho_max": 2.0, "n1": 9, "n2": 9},
+    })
+    assert _run(["field", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1  # the "wrote" line
+    rows = [ln.split(",") for ln in (tmp_path / "field.csv").read_text().splitlines()[1:]]
+    _, _, focal = elliptic_coords(THIN_GEO["R"], [[float(r[0]), float(r[1])] for r in rows])
+    assert np.array_equal([not r[2] for r in rows], focal) and focal.any()
+
+
 def test_field_localizes_as_loss_shrinks(tmp_path):
     """For a resonant source the shell field blows up as delta drops while
     the far field barely moves: the energy localizes inside the shell."""
@@ -397,6 +447,83 @@ def test_validate_zero_source(tmp_path, coefficients):
         assert (by_name[name]["status"], by_name[name]["observed"]) == ("pass", 0.0)
     assert by_name["surrogate_ratio"]["status"] == "indeterminate"
     assert all(c["status"] != "fail" for c in by_name.values())
+
+
+def _validate_by_name(cfg):
+    return {c["name"]: c for c in cli._validate_checks(cfg)}
+
+
+def _alpha0_err(k_star, weights):
+    xi_inv = 1.0 / weights
+    resid = k_star @ xi_inv - 0.5 * xi_inv
+    return float(np.max(np.abs(resid)) / np.max(np.abs(xi_inv)))
+
+
+@pytest.mark.parametrize(
+    "block, nodes",
+    [({"n_nystrom": 16, "n_modes": 1}, 64), ({"n_nystrom": 128}, 128),
+     ({"n_nystrom": 128, "flip_first_block": True}, 128)],
+    ids=["coarse", "shared", "shared-flipped"],
+)
+def test_validate_alpha0_matches_a_fresh_assembly(block, nodes):
+    """alpha0_half is the residual of a single-curve K* on Gamma_i with
+    max(n_nystrom, 64) nodes, whether it reads check 1's block or (below
+    64 nodes) assembles its own."""
+    curve = sample_ellipse(THIN_GEO["R"], THIN_GEO["rho_i"], nodes)
+    want = _alpha0_err(assemble_np(curve), curve.weights)
+    got = _validate_by_name({"geometry": THIN_GEO, "validate": block})["alpha0_half"]
+    assert got["observed"] == want
+
+
+def _per_mode_closed_form_checks(g):
+    """Checks 3 and 4 of validate mode by mode, through block_matrices,
+    s_gram and mode_table rows: (eigen-residual, norm error, Gram PD)."""
+    table = mode_table(g, 50)
+    eig = 0.0
+    for n in range(1, 51):
+        mode = table.row(n)
+        a_mat, b_mat = block_matrices(n, g)
+        for mat, lam, vec in (
+            (a_mat, mode.lambda1, np.array([mode.a1, mode.b])),
+            (a_mat, mode.lambda2, np.array([mode.a2, mode.b])),
+            (b_mat, -mode.lambda1, np.array([mode.b, mode.a2])),
+            (b_mat, -mode.lambda2, np.array([mode.b, mode.a1])),
+        ):
+            num = np.abs(mat @ vec - lam * vec)
+            den = np.abs(mat) @ np.abs(vec) + abs(lam) * np.abs(vec)
+            eig = max(eig, float(np.max(num / den)))
+    norm, pd = 0.0, True
+    for n in (1, 2, 5, 10, 25, 50):
+        mode = table.row(n)
+        g_cos, g_sin = s_gram(n, g, "cos"), s_gram(n, g, "sin")
+        pd = pd and all(np.all(np.linalg.eigvalsh(m) > 0.0) for m in (g_cos, g_sin))
+        for vec, gram, value in (
+            (np.array([mode.a1, mode.b]), g_cos, mode.norm_1p),
+            (np.array([mode.b, mode.a2]), g_sin, mode.norm_1m),
+            (np.array([mode.a2, mode.b]), g_cos, mode.norm_2p),
+            (np.array([mode.b, mode.a1]), g_sin, mode.norm_2m),
+        ):
+            norm = max(norm, abs(float(vec @ gram @ vec) - value) / abs(value))
+    return eig, norm, pd
+
+
+@pytest.mark.parametrize(
+    "geo",
+    [THIN_GEO, {"R": 1.0, "rho_i": 0.2, "rho_e": 1.0}, {"R": 2.0, "rho_i": 1.5, "rho_e": 3.0}],
+    ids=["thin", "thick", "R2"],
+)
+def test_closed_form_checks_match_the_per_mode_loop(geo):
+    """Checks 3 and 4, run over all modes at once, give the worst values of
+    the per-mode loop to 1e-15 and the same statuses."""
+    eig, norm, pd = _per_mode_closed_form_checks(ConfocalGeometry(**geo))
+    assert pd
+    with warnings.catch_warnings():
+        # Check 5's default truncation is short for R2; not under test here.
+        warnings.simplefilter("ignore", TruncationWarning)
+        by_name = _validate_by_name({"geometry": geo, "validate": {"n_nystrom": 64}})
+    assert abs(by_name["eigen_residuals"]["observed"] - eig) <= 1e-15
+    assert abs(by_name["s_norms"]["observed"] - norm) <= 1e-15
+    assert by_name["eigen_residuals"]["status"] == by_name["s_norms"]["status"] == "pass"
 
 
 @pytest.mark.parametrize(

@@ -229,6 +229,52 @@ def test_block_assembly_matches_np_block(flip):
     assert np.array_equal(m.weights, np.concatenate([gi.weights, ge.weights]))
 
 
+def _kernel_block_out_of_place(target, src, same):
+    """The weighted kernel block written as plain array expressions."""
+    tx, tn, sy = target.nodes, target.normals, src.nodes
+    d1 = tx[:, 0:1] - sy[None, :, 0]
+    d2 = tx[:, 1:2] - sy[None, :, 1]
+    r_sq = d1 * d1 + d2 * d2
+    if same:
+        np.fill_diagonal(r_sq, 1.0)
+    k = (d1 * tn[:, 0:1] + d2 * tn[:, 1:2]) / (2.0 * math.pi * r_sq)
+    if same:
+        np.fill_diagonal(k, target.curvature / (4.0 * math.pi))
+    return k * src.weights
+
+
+R2 = ConfocalGeometry(2.0, 1.5, 3.0)
+
+
+@pytest.mark.parametrize("geometry", [THIN, THICK, R2], ids=["thin", "thick", "R2"])
+@pytest.mark.parametrize("N", [64, 256])
+def test_kernel_block_in_place_matches_out_of_place(geometry, N):
+    """The in-place kernel block equals the plain expression bit for bit,
+    on one curve and across curves, returned or written into `out`."""
+    gi = sample_ellipse(geometry.R, geometry.rho_i, N)
+    ge = sample_ellipse(geometry.R, geometry.rho_e, N)
+    for target, src, same in ((gi, gi, True), (ge, ge, True), (gi, ge, False), (ge, gi, False)):
+        want = _kernel_block_out_of_place(target, src, same)
+        assert np.array_equal(oracle._kernel_block(target, src, same), want)
+        out = np.full((2 * N, N), np.nan)
+        oracle._kernel_block(target, src, same, out=out[N:])
+        assert np.array_equal(out[N:], want)
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["plain", "flipped"])
+@pytest.mark.parametrize("geometry", [THIN, THICK, R2], ids=["thin", "thick", "R2"])
+@pytest.mark.parametrize("N", [64, 256])
+def test_first_block_is_the_single_curve_matrix(geometry, N, flip):
+    """The first N x N block of block_np_for is -assemble_np of Gamma_i
+    (+ with flip_first_block) bit for bit, and its first N weights are
+    Gamma_i's: validate reads K*_{Gi} from there."""
+    m = block_np_for(geometry, N, flip_first_block=flip)
+    curve = sample_ellipse(geometry.R, geometry.rho_i, N)
+    first = m.matrix[:N, :N]
+    assert np.array_equal(first if flip else -first, assemble_np(curve))
+    assert np.array_equal(m.weights[:N], curve.weights)
+
+
 # ---------------------------------------------------------------------------
 # Fourier mode blocks
 

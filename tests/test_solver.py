@@ -18,7 +18,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from calr_lab import (
@@ -915,6 +915,30 @@ def test_sweep_slices_match_per_delta_solves(name):
         assert rec.e_spectral == dissipated_power_spectral(proj, modes, rec.delta)
         assert np.array_equal(rec.far_samples, far)
         assert rec.e_direct == dissipated_power_closed(sc, dc, g, rec.delta)
+
+
+_PARTS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_PARTS, _PARTS), min_size=1, max_size=40))
+@example([(1e300, 1e300), (-1.7e308, 3e-310), (5e-324, -5e-324), (2.5e-308, 1e-320),
+          (1e-300, 1e300), (0.0, -0.0), (1.3e308, 1.3e308)])
+def test_hypot_of_parts_is_python_complex_abs(parts):
+    """np.hypot of the real and imaginary parts, as _sweep takes |v| of its
+    probe values, equals Python's complex abs bit for bit, huge and
+    subnormal parts included; where abs overflows (and raises), hypot is
+    inf."""
+    z = np.array([complex(re, im) for re, im in parts])
+    want = []
+    for v in z.tolist():
+        try:
+            want.append(abs(v))
+        except OverflowError:
+            want.append(math.inf)
+    with np.errstate(over="ignore"):
+        got = np.hypot(z.real, z.imag)
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_sweep_validation():
