@@ -47,7 +47,9 @@ from .source import (
     gap_condition_report,
     newtonian_coefficients,
 )
-from .spectrum import RegimeKind, critical_radius, mode_data, mode_factors, mode_table
+from .spectrum import (
+    RegimeKind, block_matrices, critical_radius, mode_data, mode_table, s_gram
+)
 
 _SPECTRUM_COLUMNS = (
     "n,lambda1,lambda2,a1,a2,b,norm_1p,norm_1m,norm_2p,norm_2m"
@@ -99,11 +101,15 @@ def _block(cfg: dict, name: str, required: bool = True) -> dict:
     return value
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _number(block: dict, where: str, key: str, default=None) -> float:
     value = block.get(key, default)
     if value is None:
         raise ConfigError(f"{where}.{key}: required number is missing")
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_number(value):
         raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
     return float(value)
 
@@ -146,10 +152,8 @@ def parse_source(cfg: dict) -> SourceSpec:
     try:
         if variant == "dipole":
             moment = block.get("moment")
-            if (
-                not isinstance(moment, list)
-                or len(moment) != 2
-                or not all(isinstance(v, (int, float)) for v in moment)
+            if not isinstance(moment, list) or len(moment) != 2 or not all(
+                map(_is_number, moment)
             ):
                 raise ConfigError("source.moment: expected [a1, a2]")
             return Dipole(
@@ -167,6 +171,8 @@ def parse_source(cfg: dict) -> SourceSpec:
             f_minus = block.get("f_minus", [])
             if not isinstance(f_plus, list) or not isinstance(f_minus, list):
                 raise ConfigError("source.f_plus / f_minus: expected lists")
+            if not all(map(_is_number, f_plus + f_minus)):
+                raise ConfigError("source.f_plus / f_minus: expected numbers")
             if len(f_plus) != len(f_minus):
                 raise ConfigError(
                     "source.f_plus / f_minus: lengths differ "
@@ -177,8 +183,7 @@ def parse_source(cfg: dict) -> SourceSpec:
                 np.array(f_plus, dtype=float),
                 np.array(f_minus, dtype=float),
             )
-    except (TypeError, ValueError) as exc:
-        # Non-numeric array entries and the constructors' own checks.
+    except ValueError as exc:  # the constructors' own checks
         raise ConfigError(f"source: {exc}") from exc
     raise ConfigError(
         "source.variant: expected one of 'dipole', 'charge_pair', "
@@ -383,10 +388,11 @@ def cmd_field(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
-def _check(name: str, ok: bool, observed: float, threshold: float, status=None):
+def _check(name: str, observed: float, threshold: float, status=None):
+    """A validate check: pass iff observed < threshold, unless status is given."""
     return {
         "name": name,
-        "status": status if status is not None else ("pass" if ok else "fail"),
+        "status": status or ("pass" if observed < threshold else "fail"),
         "observed": float(observed),
         "threshold": float(threshold),
     }
@@ -403,34 +409,31 @@ def _mat_vec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return mats[..., 0, :] * vecs[..., None, 0, :] + mats[..., 1, :] * vecs[..., None, 1, :]
 
 
-def _nystrom_checks(
-    g: ConfocalGeometry, n_nystrom: int, count: int, flip: bool
-) -> list[dict]:
+def _nystrom_checks(g: ConfocalGeometry, n_nystrom: int, count: int) -> list[dict]:
     """Checks 1 and 2 of validate, on one assembly of the block matrix."""
     # 1. Nystrom block spectrum against the closed-form eigenvalues.
-    m = block_np_for(g, n_nystrom, flip_first_block=flip)
+    m = block_np_for(g, n_nystrom)
     rep = numeric_spectrum(m, count)
     keep = np.abs(rep.matched) != 0.5
     worst = float(np.max(rep.rel_errors[keep])) if keep.any() else 0.0
-    # Below 64 nodes a miss is too coarse to certify convergence either way.
-    status = "indeterminate" if n_nystrom < 64 and worst >= 1e-6 else None
-    spectrum = _check("nystrom_spectrum", worst < 1e-6, worst, 1e-6, status)
+    spectrum = _check("nystrom_spectrum", worst, 1e-6)
+    if n_nystrom < 64 and spectrum["status"] == "fail":
+        # Below 64 nodes a miss is too coarse to certify convergence either way.
+        spectrum["status"] = "indeterminate"
 
     # 2. Constant-density eigenvalue on a single curve.  From 64 nodes on,
-    # check 1's first block is -K*_{Gi} (+K* when flipped), and its first
-    # weights are Gi's, exactly as a fresh assemble_np would give them.
+    # check 1's first block is -K*_{Gi} and its first weights are Gi's,
+    # exactly as a fresh assemble_np gives them (the negation is exact).
     if n_nystrom >= 64:
         xi_inv = 1.0 / m.weights[:n_nystrom]  # density ~ Xi^{-1}
-        k_xi = m.matrix[:n_nystrom, :n_nystrom] @ xi_inv
-        if not flip:
-            k_xi = -k_xi  # exact: rounding is symmetric under negation
+        k_xi = -(m.matrix[:n_nystrom, :n_nystrom] @ xi_inv)
     else:
         curve = sample_ellipse(g.R, g.rho_i, 64)
         xi_inv = 1.0 / curve.weights
         k_xi = assemble_np(curve) @ xi_inv
     resid = k_xi - 0.5 * xi_inv
     alpha0_err = float(np.max(np.abs(resid)) / np.max(np.abs(xi_inv)))
-    return [spectrum, _check("alpha0_half", alpha0_err < 1e-8, alpha0_err, 1e-8)]
+    return [spectrum, _check("alpha0_half", alpha0_err, 1e-8)]
 
 
 def _closed_form_checks(g: ConfocalGeometry) -> list[dict]:
@@ -439,9 +442,7 @@ def _closed_form_checks(g: ConfocalGeometry) -> list[dict]:
     # n = 1 .. 50 at once: A_n and B_n are (2, 2, n) arrays, and the four
     # eigenpairs (matrix, eigenvalue, vector) stack on a leading axis.
     table = mode_table(g, 50)
-    f = mode_factors(np.arange(1.0, 51.0), g)
-    a_mat = np.array([[-0.5 * f.ei, f.sx], [f.cx, 0.5 * f.ee]])
-    b_mat = np.array([[0.5 * f.ei, f.cx], [f.sx, -0.5 * f.ee]])
+    a_mat, b_mat = block_matrices(table.n, g)
     a1, a2, b = table.a1, table.a2, table.b
     mats = np.array([a_mat, a_mat, b_mat, b_mat])  # (4, 2, 2, n)
     vecs = np.array([[a1, b], [a2, b], [b, a2], [b, a1]])  # (4, 2, n)
@@ -449,13 +450,12 @@ def _closed_form_checks(g: ConfocalGeometry) -> list[dict]:
     num = np.abs(_mat_vec(mats, vecs) - lams * vecs)
     den = _mat_vec(np.abs(mats), np.abs(vecs)) + np.abs(lams) * np.abs(vecs)
     worst = float(np.max(num / den))
-    residuals = _check("eigen_residuals", worst < 1e-12, worst, 1e-12)
+    residuals = _check("eigen_residuals", worst, 1e-12)
 
     # 4. Mode norms against the Gram closed form (s_gram) at six of those
     # modes, and Gram positivity.
     k = np.array([1, 2, 5, 10, 25, 50]) - 1
-    g_cos = f.pref[k] * np.array([[f.ci[k], f.cx[k]], [f.cx[k], f.ce[k]]])
-    g_sin = f.pref[k] * np.array([[f.si[k], f.sx[k]], [f.sx[k], f.se[k]]])
+    g_cos, g_sin = s_gram(table.n[k], g, "cos"), s_gram(table.n[k], g, "sin")
     try:
         np.linalg.cholesky(np.concatenate([g_cos, g_sin], axis=-1).transpose(2, 0, 1))
         pd = True
@@ -468,8 +468,7 @@ def _closed_form_checks(g: ConfocalGeometry) -> list[dict]:
     quad = gv[:, 0] * v[:, 0] + gv[:, 1] * v[:, 1]
     norms = np.array([table.norm_1p, table.norm_1m, table.norm_2p, table.norm_2m])[:, k]
     worst = float(np.max(np.abs(quad - norms) / np.abs(norms)))
-    status = None if pd else "fail"
-    return [residuals, _check("s_norms", pd and worst < 1e-12, worst, 1e-12, status)]
+    return [residuals, _check("s_norms", worst, 1e-12, None if pd else "fail")]
 
 
 def _validate_checks(cfg: dict) -> list[dict]:
@@ -489,8 +488,7 @@ def _validate_checks(cfg: dict) -> list[dict]:
             f"validate.n_modes: 2 + 4 * n_modes = {count} exceeds"
             f" n_nystrom / 2 = {n_nystrom // 2}"
         )
-    flip = bool(block.get("flip_first_block", False))
-    checks = _nystrom_checks(g, n_nystrom, count, flip) + _closed_form_checks(g)
+    checks = _nystrom_checks(g, n_nystrom, count) + _closed_form_checks(g)
 
     # 5. Transmission conditions for the configured (or default) source.
     if "source" in cfg:
@@ -526,8 +524,8 @@ def _validate_checks(cfg: dict) -> list[dict]:
         fi, fo = e_in * d_in, e_out * d_out
         fscale = float(np.max(np.maximum(np.abs(fi), np.abs(fo))))
         worst_f = max(worst_f, _relative(float(np.max(np.abs(fi - fo))), fscale))
-    checks.append(_check("continuity", worst_c < 1e-6, worst_c, 1e-6))
-    checks.append(_check("flux_jump", worst_f < 1e-8, worst_f, 1e-8))
+    checks.append(_check("continuity", worst_c, 1e-6))
+    checks.append(_check("flux_jump", worst_f, 1e-8))
 
     # 6. Spectral surrogate stays within a bounded factor of the direct energy.
     probes = [EllipticPoint(critical_radius(g.rho_i, g.rho_e).far_bound_rho + 0.1, 0.6)]
@@ -536,7 +534,7 @@ def _validate_checks(cfg: dict) -> list[dict]:
     ratios = [r.e_direct / r.e_spectral for r in recs if r.e_direct or r.e_spectral]
     spread = max(ratios) / min(ratios) if ratios else math.nan
     status = None if ratios else "indeterminate"
-    checks.append(_check("surrogate_ratio", spread <= 10.0, spread, 10.0, status))
+    checks.append(_check("surrogate_ratio", spread, 10.0, status))
 
     # 7. Conjugation symmetry: z(-delta) = conj(z(delta)) pointwise in V.
     dc_m = solve_densities(sc, ShellConfig(g, -delta, n_max))
@@ -545,7 +543,7 @@ def _validate_checks(cfg: dict) -> list[dict]:
     vp = eval_potentials(source, dc, g, rhos, omegas)
     vm = eval_potentials(source, dc_m, g, rhos, omegas)
     worst = float(np.max(np.abs(vm - np.conj(vp)) / np.maximum(np.abs(vp), 1e-30)))
-    checks.append(_check("reality_symmetry", worst < 1e-13, worst, 1e-13))
+    checks.append(_check("reality_symmetry", worst, 1e-13))
     return checks
 
 

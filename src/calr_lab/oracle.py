@@ -9,7 +9,8 @@ or solver, and serves only for cross-validation.
       [ +dnu_e S_{Gi}   +K*_{Ge}      ]
 
   by the trapezoid rule on both interfaces from Cartesian node data
-  alone; mode_table only supplies the values it is compared against.
+  alone; mode_table only supplies the values it is compared against.  No
+  option alters a block: tests negate one by hand to show it is caught.
 - The energy quadrature (dissipated_power_direct: Gauss-Legendre in rho,
   trapezoid in omega) reuses the spectral densities and checks only the
   energy sum of dissipated_power_closed.
@@ -179,16 +180,11 @@ def assemble_np(curve: SampledCurve) -> np.ndarray:
 
 
 def assemble_block_np(
-    gi: SampledCurve,
-    ge: SampledCurve,
-    geometry: ConfocalGeometry | None = None,
-    flip_first_block: bool = False,
+    gi: SampledCurve, ge: SampledCurve, geometry: ConfocalGeometry | None = None
 ) -> BlockNPMatrix:
     """Assemble the weighted 2N x 2N block matrix for two disjoint curves.
 
-    `flip_first_block` negates the (1,1) block; it exists only so the
-    validation harness can prove that the spectral cross-check catches
-    sign transcription errors.
+    Its first N x N block is -assemble_np(gi) bit for bit.
     """
     if len(gi.weights) != len(ge.weights):
         raise ValueError(
@@ -200,19 +196,16 @@ def assemble_block_np(
     k_ie = _kernel_block(gi, ge, same=False, out=m[:N, N:])  # dnu_i S_{Ge}
     _kernel_block(ge, gi, same=False, out=m[N:, :N])  # dnu_e S_{Gi}
     _kernel_block(ge, ge, same=True, out=m[N:, N:])
-    if not flip_first_block:
-        np.negative(k_ii, out=k_ii)
+    np.negative(k_ii, out=k_ii)
     np.negative(k_ie, out=k_ie)
     return BlockNPMatrix(m, geometry, np.concatenate([gi.weights, ge.weights]))
 
 
-def block_np_for(
-    g: ConfocalGeometry, N: int, flip_first_block: bool = False
-) -> BlockNPMatrix:
+def block_np_for(g: ConfocalGeometry, N: int) -> BlockNPMatrix:
     """Sample both interfaces of a shell geometry and assemble the block."""
     gi = sample_ellipse(g.R, g.rho_i, N)
     ge = sample_ellipse(g.R, g.rho_e, N)
-    return assemble_block_np(gi, ge, geometry=g, flip_first_block=flip_first_block)
+    return assemble_block_np(gi, ge, geometry=g)
 
 
 def _nearest_unused(numeric: np.ndarray, analytic: np.ndarray):

@@ -347,17 +347,17 @@ def elliptic_potential(s: SourceSpec, R: float, rho, omega) -> np.ndarray:
 def convergence_exponent(sc: Coefficients) -> float:
     """Fitted decay rate rho_hat with |F_n| ~ exp(-rho_hat n).
 
-    Least-squares slope of log sqrt(F_n^+^2 + F_n^-^2) against n over the
-    nonzero entries.  Requires at least 10 usable coefficient pairs.
+    Least-squares slope of log hypot(F_n^+, F_n^-) (whose squares underflow
+    below 1e-154) against n over the nonzero pairs; needs at least 10.
     """
-    mag2 = sc.f_plus**2 + sc.f_minus**2
+    mag = np.hypot(sc.f_plus, sc.f_minus)
     n = np.arange(1, sc.n_max + 1, dtype=float)
-    usable = mag2 > 0.0
+    usable = (sc.f_plus != 0.0) | (sc.f_minus != 0.0)
     if int(np.count_nonzero(usable)) < 10:
         raise TooFewCoefficients(
             f"need >= 10 nonzero coefficient pairs, have {int(np.count_nonzero(usable))}"
         )
-    slope = np.polyfit(n[usable], 0.5 * np.log(mag2[usable]), 1)[0]
+    slope = np.polyfit(n[usable], np.log(mag[usable]), 1)[0]
     return float(-slope)
 
 

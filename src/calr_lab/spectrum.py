@@ -45,6 +45,9 @@ layer potential; on each mode span it reduces to a 2x2 Gram matrix
 cosh(n rho_i).  The four stored norms are the squared S-norms of the
 eigenfunction pairs Psi_n^{1+}, Psi_n^{1-}, Psi_n^{2+}, Psi_n^{2-}
 (cosine pair for +lambda, sine pair for -lambda branches).
+
+block_matrices and s_gram give A_n, B_n and the Gram matrices for one mode
+or for an array of modes; validate's closed-form checks call them as is.
 """
 
 from __future__ import annotations
@@ -208,12 +211,14 @@ class ModeFactors(NamedTuple):
 
 
 def mode_factors(n: np.ndarray, g: ConfocalGeometry) -> ModeFactors:
-    """ei, ee, E, the six Gram half-sums and pi/n for mode indices n.
+    """ei, ee, E, the six Gram half-sums and pi/n for mode indices n >= 1.
 
     The half-sums are exp(-n rho_k) cosh/sinh(n rho_i) style products,
     e.g. ci = (1 + ei)/2 and cx = E (1 + ei)/2, so every entry is bounded
     by 1 and no exponent is positive.
     """
+    if np.any(n < 1):
+        raise ValueError(f"mode index must be >= 1, got {np.min(n):g}")
     # One exp call; the exponents equal -2.0 * n * rho_i, -2.0 * n * rho_e
     # and -n * (rho_e - rho_i) bit for bit (the factors -1 and 2 are exact).
     rates = [-2.0 * g.rho_i, -2.0 * g.rho_e, g.rho_i - g.rho_e]
@@ -224,15 +229,16 @@ def mode_factors(n: np.ndarray, g: ConfocalGeometry) -> ModeFactors:
     return ModeFactors(*exps, ci, si, ce, se, cx, sx, math.pi / n)
 
 
-def block_matrices(n: int, g: ConfocalGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """The 2x2 matrices A_n (cosine span) and B_n (sine span).
-
-    All entries are bounded by 1/2, so this is safe for any n; entries are
-    evaluated in factored exponential form.
+def block_matrices(n, g: ConfocalGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """A_n (cosine span) and B_n (sine span), shape (2, 2) + shape(n), for a
+    mode index n >= 1 or an array of them.  An int goes through a (1,) array,
+    as in geometry.to_cartesian, so it gives a column of the array form bit
+    for bit.  Entries are bounded by 1/2 (factored exponentials): any n is safe.
     """
-    if n < 1:
-        raise ValueError(f"mode index must be >= 1, got {n}")
-    f = mode_factors(np.float64(n), g)
+    if np.ndim(n) == 0:
+        a_mat, b_mat = block_matrices(np.array([n]), g)
+        return a_mat[..., 0], b_mat[..., 0]
+    f = mode_factors(n, g)
     a_mat = np.array([[-0.5 * f.ei, f.sx], [f.cx, 0.5 * f.ee]])
     b_mat = np.array([[0.5 * f.ei, f.cx], [f.sx, -0.5 * f.ee]])
     return a_mat, b_mat
@@ -272,8 +278,6 @@ def _mode_arrays(n: np.ndarray, g: ConfocalGeometry):
 
 def mode_data(n: int, g: ConfocalGeometry) -> ModeData:
     """Eigendata of the block operator for a single mode index n >= 1."""
-    if n < 1:
-        raise ValueError(f"mode index must be >= 1, got {n}")
     vals = _mode_arrays(np.array([float(n)]), g)
     return ModeData(n, *(float(v[0]) for v in vals))
 
@@ -287,8 +291,10 @@ def mode_table(g: ConfocalGeometry, n_max: int) -> ModeTable:
     return ModeTable(np.arange(1, n_max + 1), *vals)
 
 
-def s_gram(n: int, g: ConfocalGeometry, parity: str) -> np.ndarray:
-    """Gram matrix of the mode-n density pair in the S-inner product.
+def s_gram(n, g: ConfocalGeometry, parity: str) -> np.ndarray:
+    """Gram matrix of the mode-n density pair in the S-inner product, shape
+    (2, 2) + shape(n) for an array of mode indices n >= 1; an int n gives a
+    column of the array form bit for bit, as in block_matrices.
 
     parity='cos' gives the Gram matrix of (phi_n_c(i), phi_n_c(e)),
     parity='sin' the sine analogue.  Both are symmetric positive definite:
@@ -296,11 +302,11 @@ def s_gram(n: int, g: ConfocalGeometry, parity: str) -> np.ndarray:
         G_cos = (pi/n) [[(1+ei)/2, E(1+ei)/2], [E(1+ei)/2, (1+ee)/2]],
         G_sin = (pi/n) [[(1-ei)/2, E(1-ei)/2], [E(1-ei)/2, (1-ee)/2]].
     """
-    if n < 1:
-        raise ValueError(f"mode index must be >= 1, got {n}")
     if parity not in ("cos", "sin"):
         raise ValueError(f"parity must be 'cos' or 'sin', got {parity!r}")
-    f = mode_factors(np.float64(n), g)
+    if np.ndim(n) == 0:
+        return s_gram(np.array([n]), g, parity)[..., 0]
+    f = mode_factors(n, g)
     if parity == "cos":
         return f.pref * np.array([[f.ci, f.cx], [f.cx, f.ce]])
     return f.pref * np.array([[f.si, f.sx], [f.sx, f.se]])

@@ -150,8 +150,9 @@ def test_block_spectrum_thick_geometry():
 def test_flip_is_detected():
     """A sign transcription error in the (1,1) block must blow the
     spectral comparison far past every tolerance in use."""
-    report = numeric_spectrum(block_np_for(THIN, 128, flip_first_block=True), 18)
-    assert report.worst > 1e-3
+    m = block_np_for(THIN, 128)
+    np.negative(m.matrix[:128, :128], out=m.matrix[:128, :128])
+    assert numeric_spectrum(m, 18).worst > 1e-3
 
 
 def test_single_curve_spectrum_is_real_and_contained():
@@ -211,20 +212,18 @@ def test_sample_circle_validation():
         sample_circle(1.0, 4)
 
 
-@pytest.mark.parametrize("flip", [False, True], ids=["plain", "flipped"])
-def test_block_assembly_matches_np_block(flip):
+def test_block_assembly_matches_np_block():
     """Writing the kernel blocks into one preallocated matrix gives the
     matrix of np.block bit for bit, and the weights of both curves."""
     gi, ge = sample_ellipse(1.0, THIN.rho_i, 64), sample_ellipse(1.0, THIN.rho_e, 64)
     k = oracle._kernel_block
-    sign_ii = 1.0 if flip else -1.0
     want = np.block(
         [
-            [sign_ii * k(gi, gi, same=True), -k(gi, ge, same=False)],
+            [-k(gi, gi, same=True), -k(gi, ge, same=False)],
             [k(ge, gi, same=False), k(ge, ge, same=True)],
         ]
     )
-    m = assemble_block_np(gi, ge, flip_first_block=flip)
+    m = assemble_block_np(gi, ge)
     assert np.array_equal(m.matrix, want)
     assert np.array_equal(m.weights, np.concatenate([gi.weights, ge.weights]))
 
@@ -261,17 +260,15 @@ def test_kernel_block_in_place_matches_out_of_place(geometry, N):
         assert np.array_equal(out[N:], want)
 
 
-@pytest.mark.parametrize("flip", [False, True], ids=["plain", "flipped"])
 @pytest.mark.parametrize("geometry", [THIN, THICK, R2], ids=["thin", "thick", "R2"])
 @pytest.mark.parametrize("N", [64, 256])
-def test_first_block_is_the_single_curve_matrix(geometry, N, flip):
+def test_first_block_is_the_single_curve_matrix(geometry, N):
     """The first N x N block of block_np_for is -assemble_np of Gamma_i
-    (+ with flip_first_block) bit for bit, and its first N weights are
-    Gamma_i's: validate reads K*_{Gi} from there."""
-    m = block_np_for(geometry, N, flip_first_block=flip)
+    bit for bit, and its first N weights are Gamma_i's: validate reads
+    K*_{Gi} from there."""
+    m = block_np_for(geometry, N)
     curve = sample_ellipse(geometry.R, geometry.rho_i, N)
-    first = m.matrix[:N, :N]
-    assert np.array_equal(first if flip else -first, assemble_np(curve))
+    assert np.array_equal(-m.matrix[:N, :N], assemble_np(curve))
     assert np.array_equal(m.weights[:N], curve.weights)
 
 

@@ -296,6 +296,15 @@ def test_convergence_exponent_geometric():
     assert abs(convergence_exponent(sc) - 2.0) < 0.01
 
 
+def test_convergence_exponent_past_squared_underflow():
+    """Pairs whose squares underflow (|F_n| < ~1e-154) still count at
+    their own magnitude: the fit recovers an exact rate to 1e-12."""
+    n = np.arange(1, 401)
+    mag = np.exp(-1.5 * n)
+    sc = Coefficients(0.0, mag * np.cos(0.9 * n), mag * np.sin(0.9 * n))
+    assert abs(convergence_exponent(sc) - 1.5) < 1e-12
+
+
 def test_convergence_exponent_sparse_indices():
     """Only the nonzero coefficients count: a lacunary sequence supported
     on powers of two still recovers its decay rate."""

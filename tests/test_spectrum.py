@@ -231,6 +231,28 @@ def test_s_gram_diagonal_and_symmetry():
             np.linalg.cholesky(gram)
 
 
+@pytest.mark.parametrize(
+    "g", [THIN, THICK, ConfocalGeometry(2.0, 1.5, 3.0)], ids=["thin", "thick", "R2"]
+)
+def test_one_mode_forms_are_columns_of_the_array_forms(g):
+    """block_matrices and s_gram take an array of mode indices, with shape
+    (2, 2) + shape(n); at an int n they give column n of it bit for bit."""
+    n = np.arange(1, 61)
+    a_all, b_all = block_matrices(n, g)
+    grams = {parity: s_gram(n, g, parity) for parity in ("cos", "sin")}
+    assert a_all.shape == b_all.shape == grams["cos"].shape == (2, 2, 60)
+    for k in n:
+        a_mat, b_mat = block_matrices(int(k), g)
+        assert np.array_equal(a_mat, a_all[..., k - 1])
+        assert np.array_equal(b_mat, b_all[..., k - 1])
+        for parity, gram in grams.items():
+            assert np.array_equal(s_gram(int(k), g, parity), gram[..., k - 1])
+    with pytest.raises(ValueError):
+        block_matrices(np.array([3, 0, 1]), g)
+    with pytest.raises(ValueError):
+        s_gram(np.array([0, 1]), g, "sin")
+
+
 def test_s_gram_validation():
     with pytest.raises(ValueError):
         s_gram(0, THIN, "cos")
