@@ -30,7 +30,6 @@ from .errors import CalrError, ConfigError, TooFewCoefficients
 from .geometry import ConfocalGeometry, EllipticPoint, elliptic_coords, sample_ellipse
 from .oracle import assemble_np, block_np_for, numeric_spectrum
 from .solver import (
-    ShellConfig,
     _sweep,
     adaptive_n_max,
     calr_classify,
@@ -101,17 +100,27 @@ def _block(cfg: dict, name: str, required: bool = True) -> dict:
     return value
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _float(value: Any, where: str) -> float:
+    """The one conversion of a config number; too large for a double is refused."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where}: number too large for a double") from None
+
+
+def _floats(values: Any, where: str) -> list[float]:
+    if not isinstance(values, list):
+        raise ConfigError(f"{where}: expected a list of numbers")
+    return [_float(v, f"{where}[{k}]") for k, v in enumerate(values)]
 
 
 def _number(block: dict, where: str, key: str, default=None) -> float:
     value = block.get(key, default)
     if value is None:
         raise ConfigError(f"{where}.{key}: required number is missing")
-    if not _is_number(value):
-        raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
-    return float(value)
+    return _float(value, f"{where}.{key}")
 
 
 def _int(block: dict, where: str, key: str, default=None) -> int:
@@ -120,6 +129,7 @@ def _int(block: dict, where: str, key: str, default=None) -> int:
         raise ConfigError(f"{where}.{key}: required integer is missing")
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{where}.{key}: expected an integer, got {value!r}")
+    _float(value, f"{where}.{key}")  # the truncation arithmetic runs in doubles
     return value
 
 
@@ -151,15 +161,10 @@ def parse_source(cfg: dict) -> SourceSpec:
     variant = block.get("variant")
     try:
         if variant == "dipole":
-            moment = block.get("moment")
-            if not isinstance(moment, list) or len(moment) != 2 or not all(
-                map(_is_number, moment)
-            ):
+            moment = _floats(block.get("moment"), "source.moment")
+            if len(moment) != 2:
                 raise ConfigError("source.moment: expected [a1, a2]")
-            return Dipole(
-                _point(block.get("location"), "source.location"),
-                np.array(moment, dtype=float),
-            )
+            return Dipole(_point(block.get("location"), "source.location"), moment)
         if variant == "charge_pair":
             return ChargePair(
                 _point(block.get("plus"), "source.plus"),
@@ -167,22 +172,14 @@ def parse_source(cfg: dict) -> SourceSpec:
                 _number(block, "source", "charge"),
             )
         if variant == "coefficients":
-            f_plus = block.get("f_plus", [])
-            f_minus = block.get("f_minus", [])
-            if not isinstance(f_plus, list) or not isinstance(f_minus, list):
-                raise ConfigError("source.f_plus / f_minus: expected lists")
-            if not all(map(_is_number, f_plus + f_minus)):
-                raise ConfigError("source.f_plus / f_minus: expected numbers")
+            f_plus = _floats(block.get("f_plus", []), "source.f_plus")
+            f_minus = _floats(block.get("f_minus", []), "source.f_minus")
             if len(f_plus) != len(f_minus):
                 raise ConfigError(
                     "source.f_plus / f_minus: lengths differ "
                     f"({len(f_plus)} vs {len(f_minus)})"
                 )
-            return Coefficients(
-                _number(block, "source", "c", 0.0),
-                np.array(f_plus, dtype=float),
-                np.array(f_minus, dtype=float),
-            )
+            return Coefficients(_number(block, "source", "c", 0.0), f_plus, f_minus)
     except ValueError as exc:  # the constructors' own checks
         raise ConfigError(f"source: {exc}") from exc
     raise ConfigError(
@@ -238,10 +235,10 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     deltas = block.get("deltas")
     if not isinstance(deltas, list) or not deltas:
         raise ConfigError("sweep.deltas: expected a non-empty list")
+    deltas = sorted(_floats(deltas, "sweep.deltas"), reverse=True)
     for d in deltas:
-        if not isinstance(d, (int, float)) or not 0.0 < d < 1.0:
+        if not 0.0 < d < 1.0:
             raise ConfigError(f"sweep.deltas: each delta must be in (0, 1), got {d!r}")
-    deltas = sorted((float(d) for d in deltas), reverse=True)
     probes_cfg = block.get("probes")
     if not isinstance(probes_cfg, list) or not probes_cfg:
         raise ConfigError("sweep.probes: expected a non-empty list")
@@ -252,6 +249,16 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
         if p.rho <= g.rho_e:
             raise ConfigError(
                 f"sweep.probes[{k}]: rho = {p.rho} is not outside rho_e = {g.rho_e}"
+            )
+        # The point source's closed form squares |x - x0| times 2 pi; past
+        # this it overflows and the probe value is lost.
+        try:
+            a = g.R * math.cosh(p.rho)
+        except OverflowError:
+            a = math.inf
+        if not math.isfinite(2.0 * math.pi * a * a):
+            raise ConfigError(
+                f"sweep.probes[{k}]: rho = {p.rho} puts 2 pi (R cosh rho)^2 out of range"
             )
     margin = _int(block, "sweep", "margin", 40)
     if margin < 0:
@@ -366,7 +373,7 @@ def cmd_field(cfg: dict, out_dir: Path) -> int:
 
     n_max = adaptive_n_max(delta, g, margin)
     sc = newtonian_coefficients(source, n_max, g.R, rho_e=g.rho_e)
-    dc = solve_densities(sc, ShellConfig(g, delta, n_max))
+    dc = solve_densities(sc, g, delta)
     values = eval_potentials(source, dc, g, rho[~blank], omega[~blank]).tolist()
     # One printf per point; "%.17g" gives the same text as _fmt.
     cells = ("%.17g,%.17g,%.17g" % (v.real, v.imag, abs(v)) for v in values)
@@ -499,9 +506,8 @@ def _validate_checks(cfg: dict) -> list[dict]:
         )
     delta = 1e-3
     n_max = adaptive_n_max(delta, g)
-    config = ShellConfig(g, delta, n_max)
     sc = newtonian_coefficients(source, n_max, g.R, rho_e=g.rho_e)
-    dc = solve_densities(sc, config)
+    dc = solve_densities(sc, g, delta)
     stencil = np.array([-49.0 / 20, 6.0, -15.0 / 2, 20.0 / 3, -15.0 / 4, 6.0 / 5, -1.0 / 6])
     h = 1e-4
     omegas = np.linspace(0.07, 2.0 * math.pi - 0.13, 12)
@@ -537,7 +543,7 @@ def _validate_checks(cfg: dict) -> list[dict]:
     checks.append(_check("surrogate_ratio", spread, 10.0, status))
 
     # 7. Conjugation symmetry: z(-delta) = conj(z(delta)) pointwise in V.
-    dc_m = solve_densities(sc, ShellConfig(g, -delta, n_max))
+    dc_m = solve_densities(sc, g, -delta)
     rhos = [0.5 * g.rho_i, 0.5 * (g.rho_i + g.rho_e), g.rho_e + 0.3]
     omegas = [0.3, 2.0, 4.0]
     vp = eval_potentials(source, dc, g, rhos, omegas)

@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import CurveOverlap, EigensolveFailure
 from .geometry import ConfocalGeometry, SampledCurve, cartesian, sample_ellipse, tangents
-from .solver import DensityCoefficients, ShellConfig
+from .solver import DensityCoefficients
 from .source import (
     ChargePair,
     Coefficients,
@@ -443,12 +443,11 @@ def _shell_gradient_grid(
 def eval_gradient_shell(
     source: SourceSpec,
     dc: DensityCoefficients,
-    config: ShellConfig,
+    g: ConfocalGeometry,
     rho: float,
     omega: float,
 ) -> tuple[complex, complex]:
     """(dV/drho, dV/domega) at a single shell point."""
-    g = config.geometry
     if not g.rho_i <= rho <= g.rho_e:
         raise ValueError(f"rho = {rho} is not inside the shell [{g.rho_i}, {g.rho_e}]")
     d_rho, d_omega = _shell_gradient_grid(
@@ -472,7 +471,8 @@ def _gauss_panels(a: float, b: float, panels: int, order: int):
 def dissipated_power_direct(
     source: SourceSpec,
     dc: DensityCoefficients,
-    config: ShellConfig,
+    g: ConfocalGeometry,
+    delta: float,
     n_omega: int | None = None,
     n_panels: int = 4,
     gl_order: int = 32,
@@ -484,14 +484,13 @@ def dissipated_power_direct(
     harmonic of |grad V|^2, so the default max(4 n_max + 2, 512) already
     sits deep in the converged regime.
     """
-    g = config.geometry
     if n_omega is None:
         n_omega = max(4 * len(dc.p_cos) + 2, 512)
     rhos, w_rho = _gauss_panels(g.rho_i, g.rho_e, n_panels, gl_order)
     omegas = 2.0 * math.pi * np.arange(n_omega) / n_omega
     d_rho, d_omega = _shell_gradient_grid(source, dc, g, rhos, omegas)
     density = np.abs(d_rho) ** 2 + np.abs(d_omega) ** 2
-    return config.delta * float(w_rho @ density.sum(axis=1)) * (2.0 * math.pi / n_omega)
+    return delta * float(w_rho @ density.sum(axis=1)) * (2.0 * math.pi / n_omega)
 
 
 def coefficient_projection_oracle(

@@ -75,7 +75,6 @@ from .source import (
 from .spectrum import ModeTable, Regime, mode_factors, mode_table
 
 __all__ = [
-    "ShellConfig",
     "BoundaryForcing",
     "ModeProjection",
     "DensityCoefficients",
@@ -109,30 +108,6 @@ _SPREAD_FLAT = 2.0
 _EXPONENT_MARGIN = 0.05
 _VISIBILITY_DROP = 3.0
 _VISIBILITY_DROP_BIG = 10.0
-
-
-@dataclass(frozen=True)
-class ShellConfig:
-    """Geometry, loss parameter and mode truncation for one solve."""
-
-    geometry: ConfocalGeometry
-    delta: float
-    n_max: int
-
-    def __post_init__(self) -> None:
-        # Negative delta describes a gain shell; it is accepted because
-        # conjugate symmetry V(-delta) = conj(V(delta)) is a library-level
-        # invariant that tests exercise directly.
-        if not (self.delta != 0.0 and math.isfinite(self.delta)):
-            raise ValueError(f"delta must be finite and nonzero, got {self.delta}")
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-        if 2.0 * self.n_max * self.geometry.rho_e >= _NMAX_GUARD:
-            raise OverflowGuard(
-                f"n_max = {self.n_max} exceeds the overflow-safe bound "
-                f"{int(_NMAX_GUARD / (2.0 * self.geometry.rho_e))} for rho_e = "
-                f"{self.geometry.rho_e}"
-            )
 
 
 @dataclass(frozen=True)
@@ -319,21 +294,29 @@ def _assemble_densities(
     return dc, contrib
 
 
-def solve_densities(sc: Coefficients, config: ShellConfig) -> DensityCoefficients:
-    """Solve the transmission problem; returns density mode coefficients.
+def solve_densities(
+    sc: Coefficients, g: ConfocalGeometry, delta: float
+) -> DensityCoefficients:
+    """Solve the transmission problem at loss delta over the sc.n_max modes.
 
+    A negative delta (a gain shell) is accepted: conjugate symmetry
+    V(-delta) = conj(V(delta)) is an invariant that tests exercise
+    directly.  Raises ValueError for delta zero or nonfinite and for an
+    empty expansion, OverflowGuard past the n_max bound of boundary_forcing.
     Emits TruncationWarning when the last retained mode still carries more
     than 1e-10 of the accumulated solution norm.
     """
-    modes = mode_table(config.geometry, config.n_max)
-    forcing = boundary_forcing(sc, config.geometry)
+    if not (delta != 0.0 and math.isfinite(delta)):
+        raise ValueError(f"delta must be finite and nonzero, got {delta}")
+    forcing = boundary_forcing(sc, g)
+    modes = mode_table(g, sc.n_max)
     proj = mode_projections(forcing, modes)
-    dc, contrib = _assemble_densities(proj, modes, config.delta)
+    dc, contrib = _assemble_densities(proj, modes, delta)
 
     total = float(np.sum(contrib))
     if total > 0.0 and math.sqrt(float(contrib[-1]) / total) > _TAIL_TOL:
         warnings.warn(
-            f"mode sum truncated at n_max = {config.n_max} with relative tail "
+            f"mode sum truncated at n_max = {sc.n_max} with relative tail "
             f"{math.sqrt(float(contrib[-1]) / total):.2e}",
             TruncationWarning,
             stacklevel=2,
@@ -442,11 +425,11 @@ def eval_potentials(
 def eval_potential(
     source: SourceSpec,
     dc: DensityCoefficients,
-    config: ShellConfig,
+    g: ConfocalGeometry,
     x: EllipticPoint,
 ) -> complex:
     """Value of V_delta at an elliptic point (any region)."""
-    return complex(eval_potentials(source, dc, config.geometry, x.rho, x.omega))
+    return complex(eval_potentials(source, dc, g, x.rho, x.omega))
 
 
 def dissipated_power_closed(

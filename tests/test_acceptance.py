@@ -28,7 +28,6 @@ from calr_lab import (
     Dipole,
     EllipticPoint,
     GapVerdict,
-    ShellConfig,
     adaptive_n_max,
     asymptotic_rates,
     block_matrices,
@@ -179,9 +178,8 @@ def test_ac4_solution_correctness():
     delta = 1e-3
     n_max = adaptive_n_max(delta, THIN)
     sc = newtonian_coefficients(src, n_max, 1.0, rho_e=THIN.rho_e)
-    config = ShellConfig(THIN, delta, n_max)
     start = time.time()
-    dc = solve_densities(sc, config)
+    dc = solve_densities(sc, THIN, delta)
     solve_time = time.time() - start
     omegas = np.linspace(0.07, 6.2, 12)
 
@@ -189,8 +187,8 @@ def test_ac4_solution_correctness():
     for rho_t in (THIN.rho_i, THIN.rho_e):
         vals, scale = [], 0.0
         for om in omegas:
-            v_in = eval_potential(src, dc, config, EllipticPoint(rho_t - 1e-6, om))
-            v_out = eval_potential(src, dc, config, EllipticPoint(rho_t + 1e-6, om))
+            v_in = eval_potential(src, dc, THIN, EllipticPoint(rho_t - 1e-6, om))
+            v_out = eval_potential(src, dc, THIN, EllipticPoint(rho_t + 1e-6, om))
             vals.append(abs(v_in - v_out))
             scale = max(scale, abs(v_in))
         worst_c = max(worst_c, max(vals) / scale)
@@ -207,10 +205,10 @@ def test_ac4_solution_correctness():
         vals, scale = [], 0.0
         for om in omegas:
             d_in = -sum(
-                c * eval_potential(src, dc, config, EllipticPoint(rho_t - k * h, om))
+                c * eval_potential(src, dc, THIN, EllipticPoint(rho_t - k * h, om))
                 for k, c in enumerate(stencil)) / h
             d_out = sum(
-                c * eval_potential(src, dc, config, EllipticPoint(rho_t + k * h, om))
+                c * eval_potential(src, dc, THIN, EllipticPoint(rho_t + k * h, om))
                 for k, c in enumerate(stencil)) / h
             vals.append(abs(eps_in * d_in - eps_out * d_out))
             scale = max(scale, abs(eps_in * d_in))
@@ -223,9 +221,9 @@ def test_ac4_solution_correctness():
     for rho in (0.2, 0.65, 1.0):
         vals, scale = [], 0.0
         for om in np.linspace(2.0, 5.5, 5):
-            vr = [eval_potential(src, dc, config, EllipticPoint(rho + k * hh, om))
+            vr = [eval_potential(src, dc, THIN, EllipticPoint(rho + k * hh, om))
                   for k in offs]
-            vo = [eval_potential(src, dc, config, EllipticPoint(rho, om + k * hh))
+            vo = [eval_potential(src, dc, THIN, EllipticPoint(rho, om + k * hh))
                   for k in offs]
             lap = (np.dot(c4, vr) + np.dot(c4, vo)) / (hh * hh)
             vals.append(abs(lap) / float(metric_factor(1.0, rho, om)) ** 2)
@@ -236,20 +234,20 @@ def test_ac4_solution_correctness():
     worst_g = 0.0
     for rho in (0.55, 0.65, 0.75):
         for om in np.linspace(0.2, 6.0, 6):
-            d_rho, d_om = eval_gradient_shell(src, dc, config, rho, om)
-            fd_rho = (eval_potential(src, dc, config, EllipticPoint(rho + hg, om))
-                      - eval_potential(src, dc, config, EllipticPoint(rho - hg, om))
+            d_rho, d_om = eval_gradient_shell(src, dc, THIN, rho, om)
+            fd_rho = (eval_potential(src, dc, THIN, EllipticPoint(rho + hg, om))
+                      - eval_potential(src, dc, THIN, EllipticPoint(rho - hg, om))
                       ) / (2.0 * hg)
-            fd_om = (eval_potential(src, dc, config, EllipticPoint(rho, om + hg))
-                     - eval_potential(src, dc, config, EllipticPoint(rho, om - hg))
+            fd_om = (eval_potential(src, dc, THIN, EllipticPoint(rho, om + hg))
+                     - eval_potential(src, dc, THIN, EllipticPoint(rho, om - hg))
                      ) / (2.0 * hg)
             scale = abs(d_rho) + abs(d_om)
             worst_g = max(worst_g, abs(d_rho - fd_rho) / scale,
                           abs(d_om - fd_om) / scale)
 
-    base = dissipated_power_direct(src, dc, config)
+    base = dissipated_power_direct(src, dc, THIN, delta)
     fine = dissipated_power_direct(
-        src, dc, config, n_omega=2 * max(4 * n_max + 2, 512), n_panels=8
+        src, dc, THIN, delta, n_omega=2 * max(4 * n_max + 2, 512), n_panels=8
     )
     energy_err = abs(base - fine) / abs(fine)
 

@@ -19,7 +19,6 @@ from calr_lab import (
     ConfocalGeometry,
     Dipole,
     EllipticPoint,
-    ShellConfig,
     TruncationWarning,
     adaptive_n_max,
     block_matrices,
@@ -247,10 +246,9 @@ def test_field_rows_match_library_evaluation(tmp_path):
     src = Dipole(EllipticPoint(1.3, 0.9), np.array([1.0, 0.4]))
     n_max = adaptive_n_max(1e-3, g, margin=40)
     sc = newtonian_coefficients(src, n_max, g.R, rho_e=g.rho_e)
-    config = ShellConfig(g, 1e-3, n_max)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        dc = solve_densities(sc, config)
+        dc = solve_densities(sc, g, 1e-3)
 
     checked = 0
     for line in lines:
@@ -258,7 +256,7 @@ def test_field_rows_match_library_evaluation(tmp_path):
             continue
         x1, x2, re_v, im_v, abs_v = (float(v) for v in line.split(","))
         p = to_elliptic(g.R, np.array([x1, x2]))
-        v = complex(eval_potential(src, dc, config, p))
+        v = complex(eval_potential(src, dc, g, p))
         assert (v.real, v.imag, abs(v)) == (re_v, im_v, abs_v)
         checked += 1
     assert checked >= 40
@@ -287,7 +285,7 @@ def test_field_evaluates_a_coefficient_source_as_given(tmp_path):
     sc = newtonian_coefficients(src, n_max, g.R, rho_e=g.rho_e)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        dc = solve_densities(sc, ShellConfig(g, 1e-3, n_max))
+        dc = solve_densities(sc, g, 1e-3)
     rho, omega, _ = elliptic_coords(g.R, x)
     assert np.array_equal(written, eval_potentials(src, dc, g, rho, omega))
     # The terms past n_max are visible on the grid.
@@ -658,6 +656,50 @@ def test_bad_values_are_config_errors(tmp_path, capsys, command, blocks):
     assert _run([command, "--config", path, "--out", str(tmp_path)]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+_HUGE = 10**400  # a JSON integer of 401 digits, past the double range
+
+
+@pytest.mark.parametrize(
+    "command, blocks, key",
+    [
+        ("spectrum", {"geometry": dict(THIN_GEO, R=_HUGE)}, "geometry.R"),
+        ("field", {"source": dict(_DIPOLE, moment=[_HUGE, 0.4])}, "source.moment[0]"),
+        ("field", {"source": {"variant": "coefficients", "f_plus": [1.0, _HUGE],
+                              "f_minus": [0.0, 0.0]}}, "source.f_plus[1]"),
+        ("sweep", {"sweep": dict(_SWEEP, margin=_HUGE)}, "sweep.margin"),
+    ],
+    ids=["geometry-R", "dipole-moment", "coefficient", "sweep-margin"],
+)
+def test_huge_numbers_are_config_errors(tmp_path, capsys, command, blocks, key):
+    """A number too large for a double is a config error naming its key,
+    not an OverflowError."""
+    cfg = {"geometry": THIN_GEO, "source": _DIPOLE, "sweep": _SWEEP, "field": _FIELD}
+    path = _write_cfg(tmp_path, "huge.json", dict(cfg, **blocks))
+    assert _run([command, "--config", path, "--out", str(tmp_path)]) == 2
+    assert f"config error: {key}: number too large" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("rho, code", [(350.0, 0), (355.0, 2), (800.0, 2)])
+def test_sweep_refuses_probes_past_the_source_closed_form(tmp_path, capsys, rho, code):
+    """Past 2 pi (R cosh rho)^2 of about 1.8e308 (rho = 354.7 at R = 1)
+    the point source's closed form overflows, so such a probe exits 2
+    before any file is written; at rho = 350 every probe value is finite
+    and positive."""
+    cfg = json.loads((CONFIGS / "dipole_outside.json").read_text())
+    cfg["sweep"]["probes"].append({"rho": rho, "omega": 0.6})
+    path = _write_cfg(tmp_path, "far.json", cfg)
+    out = tmp_path / "out"
+    assert _run(["sweep", "--config", path, "--out", str(out)]) == code
+    if code == 2:
+        assert "config error: sweep.probes[2]" in capsys.readouterr().err
+        assert not list(out.iterdir())
+        return
+    rows = [row.split(",") for row in (out / "sweep.csv").read_text().splitlines()[1:]]
+    far = np.array([[float(v) for v in row[4:7]] for row in rows])
+    assert np.all(np.isfinite(far)) and np.all(far > 0.0)
 
 
 @pytest.mark.parametrize("rho_max, code", [(170, 0), (180, 2), (700, 2)])

@@ -510,7 +510,7 @@ _ROOT_EXPORTS = """
     AsymptoticRates CalrDiagnosis CalrError CalrVerdict ChargePair Coefficients
     ConfigError ConfocalGeometry CurveOverlap DegeneratePoint DensityCoefficients
     Dipole EigensolveFailure EllipticPoint GapConditionReport GapVerdict ModeData
-    ModeTable OverflowGuard Regime RegimeKind SampledCurve ShellConfig
+    ModeTable OverflowGuard Regime RegimeKind SampledCurve
     SingleEllipseMode SingularPoint SourceInsideShell SweepRecord TooFewCoefficients
     TruncationWarning adaptive_n_max asymptotic_rates block_matrices
     boundary_forcing calr_classify coefficient_projection_oracle

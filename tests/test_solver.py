@@ -29,7 +29,6 @@ from calr_lab import (
     Dipole,
     EllipticPoint,
     OverflowGuard,
-    ShellConfig,
     TruncationWarning,
     adaptive_n_max,
     boundary_forcing,
@@ -223,16 +222,17 @@ def test_adaptive_n_max():
         adaptive_n_max(1e-60, THIN)
 
 
-def test_shell_config_validation():
-    ShellConfig(THIN, -1e-3, 40)  # negative loss is allowed (conjugate branch)
+def test_solve_densities_validation():
+    sc = Coefficients(0.0, np.zeros(40), np.zeros(40))
+    solve_densities(sc, THIN, -1e-3)  # negative loss is allowed (conjugate branch)
     with pytest.raises(ValueError):
-        ShellConfig(THIN, 0.0, 40)
+        solve_densities(sc, THIN, 0.0)
     with pytest.raises(ValueError):
-        ShellConfig(THIN, math.nan, 40)
+        solve_densities(sc, THIN, math.nan)
     with pytest.raises(ValueError):
-        ShellConfig(THIN, 1e-3, 0)
+        solve_densities(Coefficients(0.0, np.zeros(0), np.zeros(0)), THIN, 1e-3)
     with pytest.raises(OverflowGuard):
-        ShellConfig(THIN, 1e-3, 400)
+        solve_densities(Coefficients(0.0, np.zeros(400), np.zeros(400)), THIN, 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +329,7 @@ def test_solve_densities_zero_source():
     sc = newtonian_coefficients(
         Coefficients(c=0.0, f_plus=np.zeros(8), f_minus=np.zeros(8)), 8, 1.0
     )
-    dc = solve_densities(sc, ShellConfig(THIN, 1e-3, 8))
+    dc = solve_densities(sc, THIN, 1e-3)
     for arr in (dc.p_cos, dc.p_sin, dc.q_cos, dc.q_sin):
         assert np.all(arr == 0.0)
 
@@ -354,7 +354,7 @@ def test_dominant_mode_at_expected_resonance():
     src = Dipole(EllipticPoint(0.9, 0.9), np.array([1.0, 0.4]))
     n_max = 270
     sc = newtonian_coefficients(src, n_max, 1.0, rho_e=THIN.rho_e)
-    dc = solve_densities(sc, ShellConfig(THIN, 1e-3, n_max))
+    dc = solve_densities(sc, THIN, 1e-3)
     target = math.log(1e3) / (THIN.rho_e - THIN.rho_i)
     for arr in (dc.p_cos, dc.p_sin):
         n_star = int(np.argmax(np.abs(arr))) + 1
@@ -365,15 +365,14 @@ def test_truncation_warning_for_tight_budget():
     src = Dipole(EllipticPoint(0.85, 0.9), np.array([1.0, 0.4]))
     sc = newtonian_coefficients(src, 60, 1.0, rho_e=THIN.rho_e)
     with pytest.warns(TruncationWarning):
-        solve_densities(sc, ShellConfig(THIN, 1e-3, 60))
+        solve_densities(sc, THIN, 1e-3)
 
 
 def _solved_case(g, rho0, delta, margin=40):
     src = Dipole(EllipticPoint(rho0, 0.9), np.array([1.0, 0.4]))
     n_max = adaptive_n_max(delta, g, margin=margin)
     sc = newtonian_coefficients(src, n_max, g.R, rho_e=g.rho_e)
-    config = ShellConfig(g, delta, n_max)
-    return src, sc, config, solve_densities(sc, config)
+    return src, sc, solve_densities(sc, g, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -385,21 +384,21 @@ def test_blocked_potentials_match_pointwise(kind):
     """Points spread over several evaluator blocks, in the core, the shell
     and the exterior and exactly on both interfaces, give bit for bit the
     value of a one-point evaluation, in any order."""
-    _, sc, config, dc = _solved_case(THIN, 1.3, 1e-3)
+    _, sc, dc = _solved_case(THIN, 1.3, 1e-3)
     src = {
         "dipole": Dipole(EllipticPoint(1.3, 0.9), np.array([1.0, 0.4])),
         "pair": ChargePair(EllipticPoint(1.4, 0.5), EllipticPoint(1.6, 2.5), 0.7),
         "coefficients": sc,
     }[kind]
     rng = np.random.default_rng(7)
-    m = 3 * 8192 // config.n_max + 5
+    m = 3 * 8192 // sc.n_max + 5
     rho = rng.uniform(0.05, 1.25, m)
     rho[:6] = [THIN.rho_i, THIN.rho_e, 0.3, 0.65, 1.1, THIN.rho_i]
     omega = rng.uniform(0.0, TWO_PI, m)
     values = eval_potentials(src, dc, THIN, rho, omega)
     assert values.shape == (m,)
     for j in range(m):
-        v = eval_potential(src, dc, config, EllipticPoint(rho[j], omega[j]))
+        v = eval_potential(src, dc, THIN, EllipticPoint(rho[j], omega[j]))
         assert values[j] == v
     order = rng.permutation(m)
     shuffled = eval_potentials(src, dc, THIN, rho[order], omega[order])
@@ -455,7 +454,7 @@ def test_horner_layer_sums_match_mpmath(g, rho0, n_max):
     shell and the exterior, exactly on both interfaces, next to the focal
     segment and at angles next to 0 and 2 pi."""
     src = Dipole(EllipticPoint(rho0, 0.9), np.array([1.0, 0.4]))
-    _, _, dc = _truncated_solve(src, g, 1e-5, n_max)
+    _, dc = _truncated_solve(src, g, 1e-5, n_max)
     points = [
         (0.5 * g.rho_i, 1.0), (0.5 * (g.rho_i + g.rho_e), 2.0), (g.rho_e + 0.4, 4.0),
         (g.rho_i, 0.7), (g.rho_e, 5.5), (1e-8, 0.4), (0.0, 2.5), (1e-12, 3.3),
@@ -471,7 +470,7 @@ def test_horner_layer_sums_match_mpmath(g, rho0, n_max):
 def test_zero_padded_densities_change_no_bit():
     """Densities zero-padded to a larger n_max give the unpadded values
     bit for bit, in every region (the batched sweep relies on this)."""
-    _, sc, _, dc = _solved_case(THIN, 1.3, 1e-3)
+    _, sc, dc = _solved_case(THIN, 1.3, 1e-3)
     pad = np.zeros(53, dtype=complex)
     padded = DensityCoefficients(*(np.concatenate([a, pad]) for a in _arrays(dc)))
     rng = np.random.default_rng(11)
@@ -487,8 +486,8 @@ def test_density_columns_per_point():
     """Densities with one column per point give each point the value of its
     own column; a column count that is neither 1 nor the point count is
     refused."""
-    _, sc, _, dc = _solved_case(THIN, 1.3, 1e-3)
-    _, _, _, dc2 = _solved_case(THIN, 1.3, 1e-5)
+    _, sc, dc = _solved_case(THIN, 1.3, 1e-3)
+    _, _, dc2 = _solved_case(THIN, 1.3, 1e-5)
     n = len(dc2.p_cos)
     rho, omega = np.array([0.3, 0.65, 1.2, 1.2]), np.array([1.0, 2.0, 0.6, 2.8])
     per_point = [[np.pad(a, (0, n - len(a))) for a in _arrays(d)] for d in (dc, dc2) * 2]
@@ -503,7 +502,7 @@ def test_density_columns_per_point():
 def test_potentials_do_not_depend_on_blocks():
     """Points filling several evaluator blocks in each region give the
     same bits whole, in chunks that cut the blocks elsewhere, and alone."""
-    src, _, _, dc = _solved_case(THIN, 1.3, 1e-3)
+    src, _, dc = _solved_case(THIN, 1.3, 1e-3)
     rng = np.random.default_rng(5)
     m = 8192 + 7
     rho = np.concatenate([
@@ -526,7 +525,7 @@ def test_potentials_do_not_depend_on_blocks():
 def _property_case(thick):
     g, rho0, n_max = (THICK, 1.5, 120) if thick else (THIN, 0.88, 337)
     src = Dipole(EllipticPoint(rho0, 0.9), np.array([1.0, 0.4]))
-    return g, _truncated_solve(src, g, 1e-5, n_max)[2]
+    return g, _truncated_solve(src, g, 1e-5, n_max)[1]
 
 
 @st.composite
@@ -557,21 +556,20 @@ def test_eval_potential_zero_source():
     sc = newtonian_coefficients(
         Coefficients(c=0.0, f_plus=np.zeros(8), f_minus=np.zeros(8)), 8, 1.0
     )
-    config = ShellConfig(THIN, 1e-3, 8)
-    dc = solve_densities(sc, config)
+    dc = solve_densities(sc, THIN, 1e-3)
     for p in (EllipticPoint(0.2, 1.0), EllipticPoint(0.65, 2.0),
               EllipticPoint(1.5, 4.0)):
-        assert eval_potential(sc, dc, config, p) == 0.0
+        assert eval_potential(sc, dc, THIN, p) == 0.0
 
 
 def test_potential_continuity_across_interfaces():
-    src, _, config, dc = _solved_case(THIN, 1.3, 1e-3)
+    src, _, dc = _solved_case(THIN, 1.3, 1e-3)
     omegas = np.linspace(0.07, 6.2, 12)
     for rho_t in (THIN.rho_i, THIN.rho_e):
         worst, scale = 0.0, 0.0
         for om in omegas:
-            v_in = eval_potential(src, dc, config, EllipticPoint(rho_t - 1e-6, om))
-            v_out = eval_potential(src, dc, config, EllipticPoint(rho_t + 1e-6, om))
+            v_in = eval_potential(src, dc, THIN, EllipticPoint(rho_t - 1e-6, om))
+            v_out = eval_potential(src, dc, THIN, EllipticPoint(rho_t + 1e-6, om))
             worst = max(worst, abs(v_in - v_out))
             scale = max(scale, abs(v_in))
         assert worst < 1e-6 * scale
@@ -580,8 +578,8 @@ def test_potential_continuity_across_interfaces():
 def test_flux_continuity_across_interfaces():
     """epsilon-weighted normal flux is continuous: checked with one-sided
     sixth-order difference stencils on both sides of each interface."""
-    src, _, config, dc = _solved_case(THIN, 1.3, 1e-3)
-    delta = config.delta
+    src, _, dc = _solved_case(THIN, 1.3, 1e-3)
+    delta = 1e-3
     stencil = np.array([-49.0 / 20, 6.0, -15.0 / 2, 20.0 / 3,
                         -15.0 / 4, 6.0 / 5, -1.0 / 6])
     h = 1e-4
@@ -593,11 +591,11 @@ def test_flux_continuity_across_interfaces():
         worst, scale = 0.0, 0.0
         for om in np.linspace(0.07, 6.2, 12):
             d_in = -sum(
-                c * eval_potential(src, dc, config, EllipticPoint(rho_t - k * h, om))
+                c * eval_potential(src, dc, THIN, EllipticPoint(rho_t - k * h, om))
                 for k, c in enumerate(stencil)
             ) / h
             d_out = sum(
-                c * eval_potential(src, dc, config, EllipticPoint(rho_t + k * h, om))
+                c * eval_potential(src, dc, THIN, EllipticPoint(rho_t + k * h, om))
                 for k, c in enumerate(stencil)
             ) / h
             f_in = eps_in * d_in
@@ -608,13 +606,12 @@ def test_flux_continuity_across_interfaces():
 
 
 def test_reality_symmetry_in_delta():
-    src, sc, config, dc = _solved_case(THIN, 1.3, 1e-3)
-    conj_config = ShellConfig(THIN, -config.delta, config.n_max)
-    dc_conj = solve_densities(sc, conj_config)
+    src, sc, dc = _solved_case(THIN, 1.3, 1e-3)
+    dc_conj = solve_densities(sc, THIN, -1e-3)
     for p in (EllipticPoint(0.3, 1.0), EllipticPoint(0.65, 2.0),
               EllipticPoint(1.0, 4.0)):
-        v = eval_potential(src, dc, config, p)
-        v_conj = eval_potential(src, dc_conj, conj_config, p)
+        v = eval_potential(src, dc, THIN, p)
+        v_conj = eval_potential(src, dc_conj, THIN, p)
         assert abs(v_conj - v.conjugate()) <= 1e-13 * abs(v)
 
 
@@ -625,12 +622,11 @@ def test_potential_decays_far_from_shell():
     ):
         n_max = adaptive_n_max(1e-3, THIN)
         sc = newtonian_coefficients(src_spec, n_max, 1.0, rho_e=THIN.rho_e)
-        config = ShellConfig(THIN, 1e-3, n_max)
-        dc = solve_densities(sc, config)
+        dc = solve_densities(sc, THIN, 1e-3)
         omegas = np.linspace(0.0, 6.0, 9)
-        far = max(abs(eval_potential(src_spec, dc, config, EllipticPoint(8.0, om)))
+        far = max(abs(eval_potential(src_spec, dc, THIN, EllipticPoint(8.0, om)))
                   for om in omegas)
-        near = max(abs(eval_potential(src_spec, dc, config, EllipticPoint(1.3, om)))
+        near = max(abs(eval_potential(src_spec, dc, THIN, EllipticPoint(1.3, om)))
                    for om in omegas)
         assert far < 1e-2 * near
 
@@ -643,23 +639,22 @@ def test_gradient_zero_source():
     sc = newtonian_coefficients(
         Coefficients(c=0.0, f_plus=np.zeros(8), f_minus=np.zeros(8)), 8, 1.0
     )
-    config = ShellConfig(THIN, 1e-3, 8)
-    dc = solve_densities(sc, config)
-    d_rho, d_om = eval_gradient_shell(sc, dc, config, 0.65, 1.0)
+    dc = solve_densities(sc, THIN, 1e-3)
+    d_rho, d_om = eval_gradient_shell(sc, dc, THIN, 0.65, 1.0)
     assert d_rho == 0.0 and d_om == 0.0
 
 
 def test_gradient_matches_finite_differences():
-    src, _, config, dc = _solved_case(THIN, 1.3, 1e-3)
+    src, _, dc = _solved_case(THIN, 1.3, 1e-3)
     h = 1e-6
     for rho in (0.55, 0.65, 0.75):
         for om in np.linspace(0.2, 6.0, 6):
-            d_rho, d_om = eval_gradient_shell(src, dc, config, rho, om)
-            fd_rho = (eval_potential(src, dc, config, EllipticPoint(rho + h, om))
-                      - eval_potential(src, dc, config, EllipticPoint(rho - h, om))
+            d_rho, d_om = eval_gradient_shell(src, dc, THIN, rho, om)
+            fd_rho = (eval_potential(src, dc, THIN, EllipticPoint(rho + h, om))
+                      - eval_potential(src, dc, THIN, EllipticPoint(rho - h, om))
                       ) / (2.0 * h)
-            fd_om = (eval_potential(src, dc, config, EllipticPoint(rho, om + h))
-                     - eval_potential(src, dc, config, EllipticPoint(rho, om - h))
+            fd_om = (eval_potential(src, dc, THIN, EllipticPoint(rho, om + h))
+                     - eval_potential(src, dc, THIN, EllipticPoint(rho, om - h))
                      ) / (2.0 * h)
             scale = abs(d_rho) + abs(d_om)
             assert abs(d_rho - fd_rho) < 1e-6 * scale
@@ -675,17 +670,17 @@ def test_shell_field_is_harmonic():
     resonance), so this test drives a smooth off-resonance configuration;
     the resonant case is certified by the fourth-order stencil below.
     """
-    src, _, config, dc = _solved_case(THIN, 2.0, 1e-3)
+    src, _, dc = _solved_case(THIN, 2.0, 1e-3)
     h = 2e-4
     residuals, scale = [], 0.0
     for rho in (0.58, 0.68):
         for om in np.linspace(0.1, 6.1, 7):
-            v0 = eval_potential(src, dc, config, EllipticPoint(rho, om))
+            v0 = eval_potential(src, dc, THIN, EllipticPoint(rho, om))
             lap = (
-                eval_potential(src, dc, config, EllipticPoint(rho + h, om))
-                + eval_potential(src, dc, config, EllipticPoint(rho - h, om))
-                + eval_potential(src, dc, config, EllipticPoint(rho, om + h))
-                + eval_potential(src, dc, config, EllipticPoint(rho, om - h))
+                eval_potential(src, dc, THIN, EllipticPoint(rho + h, om))
+                + eval_potential(src, dc, THIN, EllipticPoint(rho - h, om))
+                + eval_potential(src, dc, THIN, EllipticPoint(rho, om + h))
+                + eval_potential(src, dc, THIN, EllipticPoint(rho, om - h))
                 - 4.0 * v0
             ) / (h * h)
             xi2 = float(metric_factor(1.0, rho, om)) ** 2
@@ -694,16 +689,16 @@ def test_shell_field_is_harmonic():
     assert max(residuals) < 1e-6 * scale
 
 
-def _laplacian_residual_4th(src, dc, config, points, h=5e-4):
+def _laplacian_residual_4th(src, dc, g, points, h=5e-4):
     """Worst Xi^-2 stencil-Laplacian residual over a batch, relative to
     the batch field scale, with fourth-order 9-point differences."""
     c4 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
     offs = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     worst, scale = 0.0, 0.0
     for rho, om in points:
-        vr = [eval_potential(src, dc, config, EllipticPoint(rho + k * h, om))
+        vr = [eval_potential(src, dc, g, EllipticPoint(rho + k * h, om))
               for k in offs]
-        vo = [eval_potential(src, dc, config, EllipticPoint(rho, om + k * h))
+        vo = [eval_potential(src, dc, g, EllipticPoint(rho, om + k * h))
               for k in offs]
         lap = (np.dot(c4, vr) + np.dot(c4, vo)) / (h * h)
         xi2 = float(metric_factor(1.0, rho, om)) ** 2
@@ -715,23 +710,23 @@ def _laplacian_residual_4th(src, dc, config, points, h=5e-4):
 def test_resonant_field_is_harmonic_everywhere():
     """The resonant delta = 1e-3 field satisfies the PDE in the core, the
     shell, and the exterior (away from the source)."""
-    src, _, config, dc = _solved_case(THIN, 1.3, 1e-3)
+    src, _, dc = _solved_case(THIN, 1.3, 1e-3)
     regions = {
         "core": [(0.2, om) for om in np.linspace(0.3, 5.9, 5)],
         "shell": [(0.65, om) for om in np.linspace(0.3, 5.9, 5)],
         "exterior": [(1.0, om) for om in np.linspace(2.0, 5.5, 5)],
     }
     for points in regions.values():
-        worst, scale = _laplacian_residual_4th(src, dc, config, points)
+        worst, scale = _laplacian_residual_4th(src, dc, THIN, points)
         assert worst < 1e-6 * scale
 
 
 def test_gradient_requires_shell_point():
-    src, _, config, dc = _solved_case(THIN, 1.3, 1e-3)
+    src, _, dc = _solved_case(THIN, 1.3, 1e-3)
     with pytest.raises(ValueError):
-        eval_gradient_shell(src, dc, config, 0.3, 1.0)
+        eval_gradient_shell(src, dc, THIN, 0.3, 1.0)
     with pytest.raises(ValueError):
-        eval_gradient_shell(src, dc, config, 0.9, 1.0)
+        eval_gradient_shell(src, dc, THIN, 0.9, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -742,20 +737,19 @@ def test_dissipated_power_zero_source():
     sc = newtonian_coefficients(
         Coefficients(c=0.0, f_plus=np.zeros(8), f_minus=np.zeros(8)), 8, 1.0
     )
-    config = ShellConfig(THIN, 1e-3, 8)
-    dc = solve_densities(sc, config)
-    assert dissipated_power_direct(sc, dc, config) == 0.0
+    dc = solve_densities(sc, THIN, 1e-3)
+    assert dissipated_power_direct(sc, dc, THIN, 1e-3) == 0.0
     assert dissipated_power_closed(sc, dc, THIN, 1e-3) == 0.0
     proj = mode_projections(boundary_forcing(sc, THIN), mode_table(THIN, 8))
     assert dissipated_power_spectral(proj, mode_table(THIN, 8), 1e-3) == 0.0
 
 
 def test_dissipated_power_quadrature_doubling():
-    src, _, config, dc = _solved_case(THIN, 1.3, 1e-3)
-    base = dissipated_power_direct(src, dc, config)
+    src, sc, dc = _solved_case(THIN, 1.3, 1e-3)
+    base = dissipated_power_direct(src, dc, THIN, 1e-3)
     fine = dissipated_power_direct(
-        src, dc, config,
-        n_omega=2 * max(4 * config.n_max + 2, 512), n_panels=8,
+        src, dc, THIN, 1e-3,
+        n_omega=2 * max(4 * sc.n_max + 2, 512), n_panels=8,
     )
     assert abs(base - fine) <= 1e-8 * abs(fine)
 
@@ -769,11 +763,10 @@ def _bundled_sweep(name):
 
 def _truncated_solve(src, g, delta, n_max):
     sc = newtonian_coefficients(src, n_max, g.R, rho_e=g.rho_e)
-    config = ShellConfig(g, delta, n_max)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        dc = solve_densities(sc, config)
-    return sc, config, dc
+        dc = solve_densities(sc, g, delta)
+    return sc, dc
 
 
 @pytest.mark.parametrize("name", SOURCE_CONFIGS)
@@ -783,19 +776,20 @@ def test_closed_energy_matches_quadrature_oracle(name):
     config and at the largest n_max the geometry supports."""
     g, src, deltas, _, margin = _bundled_sweep(name)
     n_top = math.ceil(300.0 / g.rho_e) - 1  # largest n with 2 n rho_e < 600
+    sc = newtonian_coefficients(src, n_top + 1, g.R, rho_e=g.rho_e)
     with pytest.raises(OverflowGuard):
-        ShellConfig(g, 1e-8, n_top + 1)
+        solve_densities(sc, g, 1e-8)
     cases = [(d, adaptive_n_max(d, g, margin)) for d in deltas] + [(1e-8, n_top)]
     for delta, n_max in cases:
-        sc, config, dc = _truncated_solve(src, g, delta, n_max)
+        sc, dc = _truncated_solve(src, g, delta, n_max)
         closed = dissipated_power_closed(sc, dc, g, delta)
-        oracle = dissipated_power_direct(sc, dc, config)
+        oracle = dissipated_power_direct(sc, dc, g, delta)
         assert math.isfinite(closed) and closed > 0.0
         assert abs(closed - oracle) <= 1e-13 * oracle, (delta, n_max)
 
 
 def test_closed_energy_validation():
-    sc, _, dc = _truncated_solve(
+    sc, dc = _truncated_solve(
         Dipole(EllipticPoint(1.3, 0.9), np.array([1.0, 0.4])), THIN, 1e-3, 20
     )
     with pytest.raises(ValueError):
@@ -907,10 +901,10 @@ def test_sweep_slices_match_per_delta_solves(name):
     g, src, deltas, probes, margin = _bundled_sweep(name)
     for rec in sweep(src, g, deltas, probes, margin=margin):
         n_max = adaptive_n_max(rec.delta, g, margin)
-        sc, config, dc = _truncated_solve(src, g, rec.delta, n_max)
+        sc, dc = _truncated_solve(src, g, rec.delta, n_max)
         modes = mode_table(g, n_max)
         proj = mode_projections(boundary_forcing(sc, g), modes)
-        far = np.array([abs(eval_potential(src, dc, config, p)) for p in probes])
+        far = np.array([abs(eval_potential(src, dc, g, p)) for p in probes])
         assert rec.n_max == n_max
         assert rec.e_spectral == dissipated_power_spectral(proj, modes, rec.delta)
         assert np.array_equal(rec.far_samples, far)
