@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import CalrError, ConfigError, TooFewCoefficients
 from .geometry import ConfocalGeometry, EllipticPoint, elliptic_coords, sample_ellipse
-from .oracle import assemble_np, block_np_for, numeric_spectrum
+from .oracle import _mode_spectrum, assemble_np, mode_blocks_for
 from .solver import (
     _sweep,
     adaptive_n_max,
@@ -417,10 +417,10 @@ def _mat_vec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 
 def _nystrom_checks(g: ConfocalGeometry, n_nystrom: int, count: int) -> list[dict]:
-    """Checks 1 and 2 of validate, on one assembly of the block matrix."""
-    # 1. Nystrom block spectrum against the closed-form eigenvalues.
-    m = block_np_for(g, n_nystrom)
-    rep = numeric_spectrum(m, count)
+    """Checks 1 and 2 of validate."""
+    # 1. Nystrom block spectrum against the closed-form eigenvalues, solved
+    # mode by mode from a few kernel rows per curve block.
+    rep = _mode_spectrum(*mode_blocks_for(g, n_nystrom), count, g)
     keep = np.abs(rep.matched) != 0.5
     worst = float(np.max(rep.rel_errors[keep])) if keep.any() else 0.0
     spectrum = _check("nystrom_spectrum", worst, 1e-6)
@@ -428,17 +428,10 @@ def _nystrom_checks(g: ConfocalGeometry, n_nystrom: int, count: int) -> list[dic
         # Below 64 nodes a miss is too coarse to certify convergence either way.
         spectrum["status"] = "indeterminate"
 
-    # 2. Constant-density eigenvalue on a single curve.  From 64 nodes on,
-    # check 1's first block is -K*_{Gi} and its first weights are Gi's,
-    # exactly as a fresh assemble_np gives them (the negation is exact).
-    if n_nystrom >= 64:
-        xi_inv = 1.0 / m.weights[:n_nystrom]  # density ~ Xi^{-1}
-        k_xi = -(m.matrix[:n_nystrom, :n_nystrom] @ xi_inv)
-    else:
-        curve = sample_ellipse(g.R, g.rho_i, 64)
-        xi_inv = 1.0 / curve.weights
-        k_xi = assemble_np(curve) @ xi_inv
-    resid = k_xi - 0.5 * xi_inv
+    # 2. Constant-density eigenvalue of K* on Gamma_i alone.
+    curve = sample_ellipse(g.R, g.rho_i, max(n_nystrom, 64))
+    xi_inv = 1.0 / curve.weights  # density ~ Xi^{-1}
+    resid = assemble_np(curve) @ xi_inv - 0.5 * xi_inv
     alpha0_err = float(np.max(np.abs(resid)) / np.max(np.abs(xi_inv)))
     return [spectrum, _check("alpha0_half", alpha0_err, 1e-8)]
 

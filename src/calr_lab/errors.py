@@ -37,7 +37,9 @@ class CurveOverlap(CalrError):
 
 
 class EigensolveFailure(CalrError):
-    """Raised when the dense eigensolver does not converge."""
+    """Raised when the eigensolver does not converge, or when sampled
+    Nystrom kernel rows break the Fourier mode form that the mode-block
+    eigensolve relies on."""
 
 
 class ConfigError(CalrError):

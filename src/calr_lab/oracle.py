@@ -31,6 +31,26 @@ numeric_spectrum checks that pattern and then solves one 4 x 4 block per
 mode k = 1 .. N/2 - 1 (on the indices k and N - k of both curves) and a
 2 x 2 block at k = 0 and k = N/2, in place of the dense 2N x 2N matrix.
 
+mode_blocks_for reaches the same blocks without the matrix.  On the
+nodes omega_j = 2 pi j / N each curve block is A_ab[i, j] = c(i - j) +
+h(i + j), indices mod N, and its Fourier block has c^(k) at (k, k) and
+h^(k) at (k, -k); the DFTs of rows 0 and 1 determine both (see
+mode_blocks_for), so six kernel rows per block and one short FFT replace
+the 4N^2 entries and the N x N FFTs.  The price is rounding.  Entries
+near the diagonal lose digits to cancellation in x_i - y_j, and
+recovering h^ divides by sin(2 pi k / N), so the blocks differ from the
+dense route's by up to about 0.02 N^2 eps of the largest entry (1.5e-13
+at N = 256, 1.4e-11 at N = 2048).  The form is checked on rows 0-2 and
+N/3 .. N/3 + 2 of every block through the identity
+
+    A[i, j] - A[i+1, j+1] - A[i+1, j-1] + A[i+2, j] = 0,
+
+whose residual has the same N^2 eps rounding (at most 0.09 N^2 eps
+measured at N = 64 .. 2048 on three geometries); so the guard allows
+max(_MODE_TOL, N^2 2^-52) of the largest sampled entry, not the flat
+_MODE_TOL of the dense path, and a breach is refused with no dense
+fallback.
+
 For disjoint analytic curves all kernels are smooth (the diagonal of K*
 has the removable-singularity limit kappa/(4*pi)), so plain trapezoid
 converges spectrally and no singular quadrature is needed.
@@ -63,6 +83,7 @@ __all__ = [
     "assemble_np",
     "assemble_block_np",
     "numeric_spectrum",
+    "mode_blocks_for",
     "sample_circle",
     "eval_gradient_shell",
     "dissipated_power_direct",
@@ -73,7 +94,8 @@ _MIN_CURVE_GAP = 1e-8
 
 # Largest Fourier-block entry off the (k, +-k) pattern, relative to the
 # largest entry, below which numeric_spectrum solves mode by mode.  Exact
-# decoupling leaves rounding only (about 1e-15 at N = 1024).
+# decoupling leaves rounding only (about 1e-15 at N = 1024).  The sampled
+# rows of mode_blocks_for round like N^2 eps and get max(this, N^2 2^-52).
 _MODE_TOL = 1e-12
 
 
@@ -140,10 +162,15 @@ def np_kernel(curve: SampledCurve, i: int, j: int) -> float:
 
 
 def _kernel_block(
-    target: SampledCurve, src: SampledCurve, same: bool, out: np.ndarray | None = None
+    target: SampledCurve,
+    src: SampledCurve,
+    same: bool,
+    out: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """Weighted kernel matrix K[i, j] = k(x_i, y_j) w_j, vectorized; it is
-    written into `out` when given.
+    written into `out` when given.  With `rows`, only the rows i in `rows`
+    are formed, each equal to that row of the whole block bit for bit.
 
     The offset planes d1 = x_i1 - y_j1 and d2 = x_i2 - y_j2 are updated in
     place, so the block allocates d1, d2, r^2 and one square besides the
@@ -151,13 +178,15 @@ def _kernel_block(
     r^2 = d1^2 + d2^2, each operation rounded as in that expression, so
     the block equals its out-of-place form bit for bit.
     """
-    tx, tn, sy = target.nodes, target.normals, src.nodes
+    rows = np.arange(len(target.weights)) if rows is None else np.asarray(rows)
+    tx, tn, sy = target.nodes[rows], target.normals[rows], src.nodes
+    on_diag = (np.arange(len(rows)), rows)  # the entries with y_j = x_i
     d1 = tx[:, 0:1] - sy[None, :, 0]
     d2 = tx[:, 1:2] - sy[None, :, 1]
     r_sq = d1 * d1
     r_sq += d2 * d2
     if same:
-        np.fill_diagonal(r_sq, 1.0)
+        r_sq[on_diag] = 1.0
     else:
         gap = math.sqrt(float(np.min(r_sq)))
         if gap < _MIN_CURVE_GAP:
@@ -170,7 +199,7 @@ def _kernel_block(
     r_sq *= 2.0 * math.pi
     d1 /= r_sq
     if same:
-        np.fill_diagonal(d1, target.curvature / (4.0 * math.pi))
+        d1[on_diag] = target.curvature[rows] / (4.0 * math.pi)
     return np.multiply(d1, src.weights, out=out)
 
 
@@ -271,6 +300,12 @@ def _mode_blocks(m: BlockNPMatrix) -> tuple[np.ndarray, np.ndarray] | None:
             offs.append(mag.max())
     if not np.max(offs) <= _MODE_TOL * np.max(bigs):
         return None
+    return _stack_modes(diag, anti)
+
+
+def _stack_modes(diag: np.ndarray, anti: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ends, quads) of _mode_blocks from the entries B_ab[k, k] (diag) and
+    B_ab[k, N - k] (anti), each of shape (2, 2, N/2 + 1)."""
     ends = diag[:, :, [0, -1]].transpose(2, 0, 1)
     d = diag[:, :, 1:-1].transpose(2, 0, 1)
     x = anti[:, :, 1:-1].transpose(2, 0, 1)
@@ -281,10 +316,61 @@ def _mode_blocks(m: BlockNPMatrix) -> tuple[np.ndarray, np.ndarray] | None:
     return ends, quads.reshape(-1, 4, 4)
 
 
+def mode_blocks_for(g: ConfocalGeometry, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mode blocks of _mode_blocks(block_np_for(g, N)) from six kernel
+    rows per curve block, in O(N log N).
+
+    Each curve block of A = W M W^-1 has the form A[i, j] = c(i - j) +
+    h(i + j), indices mod N (see the module docstring), so row r has the
+    DFT R_r(l) = e^{-i r t} c^(-l) + e^{i r t} h^(l), t = 2 pi l / N.  Rows
+    0 and 1 give h^(l) = (R_1 - e^{-i t} R_0) / (2 i sin t) and c^(-l) =
+    R_0 - h^(l), for 0 < l < N/2; c is real, so c^(l) is the conjugate.
+    The entries are diag[k] = c^(k) and anti[k] = h^(k), and at k = 0 and
+    k = N/2 both are R_0(k).
+
+    Rows 2 and N/3 .. N/3 + 2 are sampled as well, to check the form on
+    both triples: A[i, j] - A[i+1, j+1] - A[i+1, j-1] + A[i+2, j] = 0 to
+    within max(_MODE_TOL, N^2 2^-52) of the largest sampled entry (the
+    module docstring gives the rounding model).  Raises EigensolveFailure
+    when it does not hold (always so on a NaN or an inf), and
+    sample_ellipse's ValueError for N odd or below 8.
+    """
+    curves = (sample_ellipse(g.R, g.rho_i, N), sample_ellipse(g.R, g.rho_e, N))
+    third = N // 3
+    rows = np.array([0, 1, 2, third, third + 1, third + 2])
+    a = np.empty((2, 2, len(rows), N))  # a[p, q]: the sampled rows of A_pq
+    for p, target in enumerate(curves):
+        for q, src in enumerate(curves):
+            block = _kernel_block(target, src, same=p == q, out=a[p, q], rows=rows)
+            if p == 0:  # -K*_{Gi} and -dnu_i S_{Ge}, as in assemble_block_np
+                np.negative(block, out=block)
+            block *= target.weights[rows, None]
+            block /= src.weights
+    # The form's residual on rows 0-2 and on rows N/3 .. N/3 + 2.
+    mid = a[:, :, [1, 4]]
+    resid = a[:, :, [0, 3]] - np.roll(mid, -1, axis=-1) - np.roll(mid, 1, axis=-1)
+    resid += a[:, :, [2, 5]]
+    scale = np.max(np.abs(a))
+    worst = np.max(np.abs(resid))
+    tol = max(_MODE_TOL, N * N * 2.0**-52)
+    if not worst <= tol * scale < math.inf:
+        raise EigensolveFailure(
+            f"sampled kernel rows break the Fourier mode form: residual"
+            f" {worst / scale:.3e} of the largest entry exceeds {tol:.3e}"
+        )
+    r0, r1 = np.fft.rfft(a[:, :, :2], axis=-1).transpose(2, 0, 1, 3)
+    t = 2.0 * math.pi * np.arange(1, N // 2) / N
+    h = (r1[..., 1:-1] - np.exp(-1j * t) * r0[..., 1:-1]) / (2j * np.sin(t))
+    diag, anti = r0.copy(), r0.copy()
+    diag[..., 1:-1] = np.conj(r0[..., 1:-1] - h)
+    anti[..., 1:-1] = h
+    return _stack_modes(diag, anti)
+
+
 def _mode_spectrum(
     ends: np.ndarray, quads: np.ndarray, count: int, geometry: ConfocalGeometry
 ) -> SpectrumReport:
-    """numeric_spectrum from the mode blocks of _mode_blocks."""
+    """numeric_spectrum from the mode blocks of _mode_blocks or mode_blocks_for."""
     ev_ends, ev_quads = _eigvals(ends), _eigvals(quads)
     ev = np.concatenate([ev_ends[0], ev_quads.ravel(), ev_ends[1]])
     mode = np.repeat(np.arange(len(quads) + 2), [2] + [4] * len(quads) + [2])

@@ -33,7 +33,7 @@ from calr_lab import (
     solve_densities,
     to_elliptic,
 )
-from calr_lab import cli
+from calr_lab import cli, oracle
 from calr_lab.geometry import elliptic_coords
 from calr_lab.oracle import assemble_np
 
@@ -402,15 +402,18 @@ def test_validate_default_suite_passes(tmp_path, capsys):
 
 
 def test_validate_detects_flipped_block(tmp_path, capsys, monkeypatch):
-    """A sign error in the first block of the Nystrom matrix fails validate."""
-    block_np_for = cli.block_np_for
+    """A sign error in the first block of the Nystrom matrix fails validate.
+    Under the DFT similarity that block is the inner-inner entry of every
+    mode block, so those entries are negated."""
+    mode_blocks_for = cli.mode_blocks_for
 
     def flipped(g, N):
-        m = block_np_for(g, N)
-        np.negative(m.matrix[:N, :N], out=m.matrix[:N, :N])
-        return m
+        ends, quads = mode_blocks_for(g, N)
+        np.negative(ends[:, 0, 0], out=ends[:, 0, 0])
+        np.negative(quads[:, :2, :2], out=quads[:, :2, :2])
+        return ends, quads
 
-    monkeypatch.setattr(cli, "block_np_for", flipped)
+    monkeypatch.setattr(cli, "mode_blocks_for", flipped)
     cfg = _write_cfg(tmp_path, "v.json", {
         "geometry": THIN_GEO,
         "validate": {"n_nystrom": 128},
@@ -423,6 +426,28 @@ def test_validate_detects_flipped_block(tmp_path, capsys, monkeypatch):
     assert by_name["nystrom_spectrum"]["status"] == "fail"
     assert by_name["nystrom_spectrum"]["observed"] > 1e-3
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_validate_refuses_rows_off_the_mode_form(tmp_path, capsys, monkeypatch):
+    """One sampled kernel entry moved by 1e-6 of the block's largest entry
+    breaks the form the mode blocks are solved from: a numeric failure
+    (exit 3) naming the residual, with no validate.json written."""
+    kernel_block = oracle._kernel_block
+    perturbed_blocks = []
+
+    def perturbed(target, src, same, out=None, rows=None):
+        k = kernel_block(target, src, same, out=out, rows=rows)
+        if rows is not None and not perturbed_blocks:  # the inner-inner block
+            k[1, 5] += 1e-6 * np.max(np.abs(k))
+            perturbed_blocks.append(k)
+        return k
+
+    monkeypatch.setattr(oracle, "_kernel_block", perturbed)
+    cfg = _write_cfg(tmp_path, "v.json", {"geometry": THIN_GEO})
+    assert _run(["validate", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "residual" in capsys.readouterr().err
+    assert not (tmp_path / "validate.json").exists()
+    assert len(perturbed_blocks) == 1
 
 
 def test_validate_coarse_grid_is_indeterminate(tmp_path):
@@ -473,8 +498,7 @@ def _alpha0_err(k_star, weights):
 )
 def test_validate_alpha0_matches_a_fresh_assembly(block, nodes):
     """alpha0_half is the residual of a single-curve K* on Gamma_i with
-    max(n_nystrom, 64) nodes, whether it reads check 1's block or (below
-    64 nodes) assembles its own."""
+    max(n_nystrom, 64) nodes, bit for bit."""
     curve = sample_ellipse(THIN_GEO["R"], THIN_GEO["rho_i"], nodes)
     want = _alpha0_err(assemble_np(curve), curve.weights)
     got = _validate_by_name({"geometry": THIN_GEO, "validate": block})["alpha0_half"]
