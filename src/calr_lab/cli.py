@@ -27,15 +27,14 @@ from typing import Any
 import numpy as np
 
 from .errors import CalrError, ConfigError, TooFewCoefficients
-from .geometry import ConfocalGeometry, EllipticPoint, elliptic_coords, sample_ellipse
-from .oracle import _mode_spectrum, assemble_np, mode_blocks_for
+from .geometry import ConfocalGeometry, EllipticPoint, elliptic_coords
+from .oracle import validate
 from .solver import (
     _sweep,
     adaptive_n_max,
     calr_classify,
     eval_potentials,
     solve_densities,
-    sweep,
 )
 from .source import (
     ChargePair,
@@ -46,9 +45,7 @@ from .source import (
     gap_condition_report,
     newtonian_coefficients,
 )
-from .spectrum import (
-    RegimeKind, block_matrices, critical_radius, mode_data, mode_table, s_gram
-)
+from .spectrum import RegimeKind, critical_radius, mode_data
 
 _SPECTRUM_COLUMNS = (
     "n,lambda1,lambda2,a1,a2,b,norm_1p,norm_1m,norm_2p,norm_2m"
@@ -395,82 +392,6 @@ def cmd_field(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
-def _check(name: str, observed: float, threshold: float, status=None):
-    """A validate check: pass iff observed < threshold, unless status is given."""
-    return {
-        "name": name,
-        "status": status or ("pass" if observed < threshold else "fail"),
-        "observed": float(observed),
-        "threshold": float(threshold),
-    }
-
-
-def _relative(jump: float, scale: float) -> float:
-    """jump / scale, where a jump measured against a zero scale is 0 (a zero source)."""
-    return jump / scale if scale > 0.0 else (0.0 if jump == 0.0 else math.inf)
-
-
-def _mat_vec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Mode-by-mode products of 2x2 matrices (..., 2, 2, n) with vectors
-    (..., 2, n), as elementwise products and sums."""
-    return mats[..., 0, :] * vecs[..., None, 0, :] + mats[..., 1, :] * vecs[..., None, 1, :]
-
-
-def _nystrom_checks(g: ConfocalGeometry, n_nystrom: int, count: int) -> list[dict]:
-    """Checks 1 and 2 of validate."""
-    # 1. Nystrom block spectrum against the closed-form eigenvalues, solved
-    # mode by mode from a few kernel rows per curve block.
-    rep = _mode_spectrum(*mode_blocks_for(g, n_nystrom), count, g)
-    keep = np.abs(rep.matched) != 0.5
-    worst = float(np.max(rep.rel_errors[keep])) if keep.any() else 0.0
-    spectrum = _check("nystrom_spectrum", worst, 1e-6)
-    if n_nystrom < 64 and spectrum["status"] == "fail":
-        # Below 64 nodes a miss is too coarse to certify convergence either way.
-        spectrum["status"] = "indeterminate"
-
-    # 2. Constant-density eigenvalue of K* on Gamma_i alone.
-    curve = sample_ellipse(g.R, g.rho_i, max(n_nystrom, 64))
-    xi_inv = 1.0 / curve.weights  # density ~ Xi^{-1}
-    resid = assemble_np(curve) @ xi_inv - 0.5 * xi_inv
-    alpha0_err = float(np.max(np.abs(resid)) / np.max(np.abs(xi_inv)))
-    return [spectrum, _check("alpha0_half", alpha0_err, 1e-8)]
-
-
-def _closed_form_checks(g: ConfocalGeometry) -> list[dict]:
-    """Checks 3 and 4 of validate: the closed-form eigenpairs and norms."""
-    # 3. Eigen-residuals of the closed-form 2x2 blocks (componentwise) for
-    # n = 1 .. 50 at once: A_n and B_n are (2, 2, n) arrays, and the four
-    # eigenpairs (matrix, eigenvalue, vector) stack on a leading axis.
-    table = mode_table(g, 50)
-    a_mat, b_mat = block_matrices(table.n, g)
-    a1, a2, b = table.a1, table.a2, table.b
-    mats = np.array([a_mat, a_mat, b_mat, b_mat])  # (4, 2, 2, n)
-    vecs = np.array([[a1, b], [a2, b], [b, a2], [b, a1]])  # (4, 2, n)
-    lams = np.array([table.lambda1, table.lambda2, -table.lambda1, -table.lambda2])[:, None]
-    num = np.abs(_mat_vec(mats, vecs) - lams * vecs)
-    den = _mat_vec(np.abs(mats), np.abs(vecs)) + np.abs(lams) * np.abs(vecs)
-    worst = float(np.max(num / den))
-    residuals = _check("eigen_residuals", worst, 1e-12)
-
-    # 4. Mode norms against the Gram closed form (s_gram) at six of those
-    # modes, and Gram positivity.
-    k = np.array([1, 2, 5, 10, 25, 50]) - 1
-    g_cos, g_sin = s_gram(table.n[k], g, "cos"), s_gram(table.n[k], g, "sin")
-    try:
-        np.linalg.cholesky(np.concatenate([g_cos, g_sin], axis=-1).transpose(2, 0, 1))
-        pd = True
-    except np.linalg.LinAlgError:
-        pd = False
-    # Psi^{1+}, Psi^{1-}, Psi^{2+}, Psi^{2-}: the quadratic form v.G v.
-    grams = np.array([g_cos, g_sin, g_cos, g_sin])
-    v = vecs[[0, 2, 1, 3]][..., k]
-    gv = _mat_vec(grams, v)
-    quad = gv[:, 0] * v[:, 0] + gv[:, 1] * v[:, 1]
-    norms = np.array([table.norm_1p, table.norm_1m, table.norm_2p, table.norm_2m])[:, k]
-    worst = float(np.max(np.abs(quad - norms) / np.abs(norms)))
-    return [residuals, _check("s_norms", worst, 1e-12, None if pd else "fail")]
-
-
 def _validate_checks(cfg: dict) -> list[dict]:
     g = parse_geometry(cfg)
     block = _block(cfg, "validate", required=False)
@@ -488,62 +409,13 @@ def _validate_checks(cfg: dict) -> list[dict]:
             f"validate.n_modes: 2 + 4 * n_modes = {count} exceeds"
             f" n_nystrom / 2 = {n_nystrom // 2}"
         )
-    checks = _nystrom_checks(g, n_nystrom, count) + _closed_form_checks(g)
-
-    # 5. Transmission conditions for the configured (or default) source.
     if "source" in cfg:
         source = parse_source(cfg)
     else:
         source = Dipole(
             EllipticPoint(g.rho_e + 0.5, 0.9), np.array([1.0, 0.4])
         )
-    delta = 1e-3
-    n_max = adaptive_n_max(delta, g)
-    sc = newtonian_coefficients(source, n_max, g.R, rho_e=g.rho_e)
-    dc = solve_densities(sc, g, delta)
-    stencil = np.array([-49.0 / 20, 6.0, -15.0 / 2, 20.0 / 3, -15.0 / 4, 6.0 / 5, -1.0 / 6])
-    h = 1e-4
-    omegas = np.linspace(0.07, 2.0 * math.pi - 0.13, 12)
-    steps = np.arange(len(stencil)) * h
-    shell = -1.0 + 1j * delta
-    # Per interface, columns: the continuity pair, then the inner and outer
-    # stencils; both interfaces go through one evaluator call.
-    radii = np.array([
-        np.concatenate([[rho_t - 1e-9, rho_t + 1e-9], rho_t - steps, rho_t + steps])
-        for rho_t in (g.rho_i, g.rho_e)
-    ])
-    values = eval_potentials(source, dc, g, radii[:, None, :], omegas[:, None])
-    worst_c, worst_f = 0.0, 0.0
-    for v, e_in, e_out in zip(values, (1.0, shell), (shell, 1.0)):
-        inner, outer = v[:, 2 : 2 + len(stencil)], v[:, 2 + len(stencil) :]
-        vscale = float(np.max(np.abs(v[:, 0])))
-        worst_c = max(worst_c, _relative(float(np.max(np.abs(v[:, 0] - v[:, 1]))), vscale))
-        d_in = -sum(c * inner[:, k] for k, c in enumerate(stencil)) / h
-        d_out = sum(c * outer[:, k] for k, c in enumerate(stencil)) / h
-        fi, fo = e_in * d_in, e_out * d_out
-        fscale = float(np.max(np.maximum(np.abs(fi), np.abs(fo))))
-        worst_f = max(worst_f, _relative(float(np.max(np.abs(fi - fo))), fscale))
-    checks.append(_check("continuity", worst_c, 1e-6))
-    checks.append(_check("flux_jump", worst_f, 1e-8))
-
-    # 6. Spectral surrogate stays within a bounded factor of the direct energy.
-    probes = [EllipticPoint(critical_radius(g.rho_i, g.rho_e).far_bound_rho + 0.1, 0.6)]
-    recs = sweep(source, g, [10.0 ** (-k) for k in range(2, 7)], probes)
-    # A record without energy (a zero source) has no ratio to bound.
-    ratios = [r.e_direct / r.e_spectral for r in recs if r.e_direct or r.e_spectral]
-    spread = max(ratios) / min(ratios) if ratios else math.nan
-    status = None if ratios else "indeterminate"
-    checks.append(_check("surrogate_ratio", spread, 10.0, status))
-
-    # 7. Conjugation symmetry: z(-delta) = conj(z(delta)) pointwise in V.
-    dc_m = solve_densities(sc, g, -delta)
-    rhos = [0.5 * g.rho_i, 0.5 * (g.rho_i + g.rho_e), g.rho_e + 0.3]
-    omegas = [0.3, 2.0, 4.0]
-    vp = eval_potentials(source, dc, g, rhos, omegas)
-    vm = eval_potentials(source, dc_m, g, rhos, omegas)
-    worst = float(np.max(np.abs(vm - np.conj(vp)) / np.maximum(np.abs(vp), 1e-30)))
-    checks.append(_check("reality_symmetry", worst, 1e-13))
-    return checks
+    return validate(g, source, n_nystrom, n_modes)
 
 
 def cmd_validate(cfg: dict, out_dir: Path) -> int:

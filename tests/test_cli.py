@@ -405,7 +405,7 @@ def test_validate_detects_flipped_block(tmp_path, capsys, monkeypatch):
     """A sign error in the first block of the Nystrom matrix fails validate.
     Under the DFT similarity that block is the inner-inner entry of every
     mode block, so those entries are negated."""
-    mode_blocks_for = cli.mode_blocks_for
+    mode_blocks_for = oracle.mode_blocks_for
 
     def flipped(g, N):
         ends, quads = mode_blocks_for(g, N)
@@ -413,7 +413,7 @@ def test_validate_detects_flipped_block(tmp_path, capsys, monkeypatch):
         np.negative(quads[:, :2, :2], out=quads[:, :2, :2])
         return ends, quads
 
-    monkeypatch.setattr(cli, "mode_blocks_for", flipped)
+    monkeypatch.setattr(oracle, "mode_blocks_for", flipped)
     cfg = _write_cfg(tmp_path, "v.json", {
         "geometry": THIN_GEO,
         "validate": {"n_nystrom": 128},
@@ -479,6 +479,24 @@ def test_validate_zero_source(tmp_path, coefficients):
         assert (by_name[name]["status"], by_name[name]["observed"]) == ("pass", 0.0)
     assert by_name["surrogate_ratio"]["status"] == "indeterminate"
     assert all(c["status"] != "fail" for c in by_name.values())
+
+
+@pytest.mark.parametrize(
+    "config, source",
+    [
+        ("validate_default.json", Dipole(EllipticPoint(1.3, 0.9), np.array([1.0, 0.4]))),
+        ("thick_outside.json", Dipole(EllipticPoint(1.8, 0.9), np.array([1.0, 0.4]))),
+    ],
+)
+def test_library_validate_matches_the_cli(tmp_path, config, source):
+    """oracle.validate on the config's geometry and source (the default
+    dipole for validate_default) gives the checks of validate.json, sorted
+    by name, observed values bit for bit after the JSON round trip."""
+    cfg = json.loads((CONFIGS / config).read_text())
+    checks = oracle.validate(ConfocalGeometry(**cfg["geometry"]), source, 256, 3)
+    assert _run(["validate", "--config", str(CONFIGS / config), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "validate.json").read_text())
+    assert json.loads(json.dumps(sorted(checks, key=lambda c: c["name"]))) == report["checks"]
 
 
 def _validate_by_name(cfg):

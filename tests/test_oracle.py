@@ -25,7 +25,7 @@ from calr_lab import (
     mode_table,
     sample_ellipse,
 )
-from calr_lab import oracle, solver, source
+from calr_lab import cli, oracle, solver, source
 from calr_lab.geometry import cartesian, ellipse_curvature, tangents
 from calr_lab.oracle import (
     BlockNPMatrix,
@@ -637,3 +637,22 @@ def test_independent_routes_live_in_oracle():
         assert getattr(calr_lab, name) is getattr(oracle, name)
     assert calr_lab.__all__ == _ROOT_EXPORTS
     assert all(hasattr(calr_lab, name) for name in calr_lab.__all__)
+
+
+def test_validate_checks_live_in_oracle():
+    """The CLI defines none of validate's check helpers and imports only
+    validate from oracle."""
+    moved = ["_check", "_relative", "_mat_vec", "_nystrom_checks", "_closed_form_checks"]
+    assert [name for name in moved if hasattr(cli, name)] == []
+    imported = _imported_modules(Path(cli.__file__))
+    assert sorted(m for m in imported if "oracle" in m.split(".")) == ["oracle", "oracle.validate"]
+
+
+def test_oracle_all_lists_its_public_definitions():
+    """oracle.__all__ names every public function and class oracle.py defines."""
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    defined = {
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    assert sorted(oracle.__all__) == sorted(defined)
