@@ -1,6 +1,7 @@
-"""Command-line front end.
+"""Command-line front end: one parser and one dispatch table, _COMMANDS.
 
-Five subcommands drive the library from a JSON config file:
+Each command parses its block of a JSON config file, calls the public
+library and writes its outputs:
 
     calr-lab spectrum        --config run.json [--out DIR]
     calr-lab critical-radius --config run.json [--out DIR]
@@ -8,10 +9,12 @@ Five subcommands drive the library from a JSON config file:
     calr-lab field           --config run.json [--out DIR]
     calr-lab validate        --config run.json [--out DIR]
 
-Outputs are CSV (comma separated, header row, LF endings, 17 significant
-digits) and JSON (UTF-8, sorted keys), so identical configs produce
-byte-identical files.  Exit codes: 0 success, 2 config error, 3 numeric
-failure, 4 validation-suite failure.
+Only sweep takes --threads (K >= 1), and it has no effect.  Outputs are
+CSV (comma separated, header row, LF endings, 17 significant digits) and
+JSON (UTF-8, sorted keys), so identical configs produce byte-identical
+files.  Exit codes: 0 success, 2 config error (also a bad --threads or
+an --out that cannot be made a directory), 3 numeric failure, 4
+validation-suite failure.
 """
 
 from __future__ import annotations
@@ -26,15 +29,15 @@ from typing import Any
 
 import numpy as np
 
-from .errors import CalrError, ConfigError, TooFewCoefficients
+from .errors import CalrError, ConfigError, TooFewCoefficients, ValidateSizeError
 from .geometry import ConfocalGeometry, EllipticPoint, elliptic_coords
 from .oracle import validate
 from .solver import (
-    _sweep,
     adaptive_n_max,
     calr_classify,
     eval_potentials,
     solve_densities,
+    sweep,
 )
 from .source import (
     ChargePair,
@@ -73,7 +76,7 @@ def load_config(path: str | Path) -> dict:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from exc
     try:
         cfg = json.loads(text)
@@ -185,7 +188,7 @@ def parse_source(cfg: dict) -> SourceSpec:
     )
 
 
-def cmd_spectrum(cfg: dict, out_dir: Path) -> int:
+def spectrum_command(cfg: dict, out_dir: Path) -> int:
     g = parse_geometry(cfg)
     n_max = _int(_block(cfg, "spectrum", required=False), "spectrum", "n_max", 8)
     if n_max < 0:
@@ -200,7 +203,7 @@ def cmd_spectrum(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
-def cmd_critical_radius(cfg: dict, out_dir: Path) -> int:
+def critical_radius_command(cfg: dict, out_dir: Path) -> int:
     g = parse_geometry(cfg)
     regime = critical_radius(g.rho_i, g.rho_e)
     report: dict[str, Any] = {
@@ -225,7 +228,7 @@ def _sweep_header(n_probes: int) -> str:
     return ",".join(["delta", "n_max", "e_direct", "e_spectral"] + far + norm)
 
 
-def cmd_sweep(cfg: dict, out_dir: Path) -> int:
+def sweep_command(cfg: dict, out_dir: Path) -> int:
     g = parse_geometry(cfg)
     source = parse_source(cfg)
     block = _block(cfg, "sweep")
@@ -261,7 +264,7 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
     if margin < 0:
         raise ConfigError(f"sweep.margin: must be >= 0, got {margin}")
 
-    records, sc_top = _sweep(source, g, deltas, probes, margin)
+    records = sweep(source, g, deltas, probes, margin)
     lines = [_sweep_header(len(probes))]
     for rec in records:
         row = [_fmt(rec.delta), str(rec.n_max), _fmt(rec.e_direct), _fmt(rec.e_spectral)]
@@ -273,8 +276,11 @@ def cmd_sweep(cfg: dict, out_dir: Path) -> int:
 
     regime = critical_radius(g.rho_i, g.rho_e)
     diagnosis = calr_classify(records, regime)
-    # The gap report reads the sweep's coefficients at its top truncation,
-    # adaptive_n_max(min(deltas)).
+    # The gap report reads the source coefficients at the sweep's top
+    # truncation, adaptive_n_max(min(deltas)).
+    sc_top = newtonian_coefficients(
+        source, max(r.n_max for r in records), g.R, rho_e=g.rho_e
+    )
     gc = gap_condition_report(sc_top, g, regime.rho_star)
     report = {
         "verdict": diagnosis.verdict.value,
@@ -319,7 +325,7 @@ def _series_radius(source: SourceSpec) -> float:
     return math.inf
 
 
-def cmd_field(cfg: dict, out_dir: Path) -> int:
+def field_command(cfg: dict, out_dir: Path) -> int:
     """Write V on an n1 x n2 grid over the bounding box of {rho <= rho_max}.
 
     Cells on the focal segment, where omega is undefined, are left blank.
@@ -395,30 +401,16 @@ def cmd_field(cfg: dict, out_dir: Path) -> int:
 def _validate_checks(cfg: dict) -> list[dict]:
     g = parse_geometry(cfg)
     block = _block(cfg, "validate", required=False)
-    n_nystrom = _int(block, "validate", "n_nystrom", 256)
-    n_modes = _int(block, "validate", "n_modes", 3)
-    if n_nystrom < 8 or n_nystrom % 2:
-        raise ConfigError(
-            f"validate.n_nystrom: must be even and >= 8, got {n_nystrom}"
-        )
-    if n_modes < 1:
-        raise ConfigError(f"validate.n_modes: must be >= 1, got {n_modes}")
-    count = 2 + 4 * n_modes
-    if count > n_nystrom // 2:
-        raise ConfigError(
-            f"validate.n_modes: 2 + 4 * n_modes = {count} exceeds"
-            f" n_nystrom / 2 = {n_nystrom // 2}"
-        )
-    if "source" in cfg:
-        source = parse_source(cfg)
-    else:
-        source = Dipole(
-            EllipticPoint(g.rho_e + 0.5, 0.9), np.array([1.0, 0.4])
-        )
-    return validate(g, source, n_nystrom, n_modes)
+    # Sizes left out take oracle.validate's defaults.
+    sizes = {k: _int(block, "validate", k) for k in ("n_nystrom", "n_modes") if k in block}
+    source = parse_source(cfg) if "source" in cfg else None
+    try:
+        return validate(g, source, **sizes)
+    except ValidateSizeError as exc:
+        raise ConfigError(f"validate.{exc}") from exc
 
 
-def cmd_validate(cfg: dict, out_dir: Path) -> int:
+def validate_command(cfg: dict, out_dir: Path) -> int:
     checks = _validate_checks(cfg)
     failed = [c for c in checks if c["status"] == "fail"]
     report = {
@@ -439,50 +431,40 @@ def cmd_validate(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
+_COMMANDS = {
+    "spectrum": spectrum_command,
+    "critical-radius": critical_radius_command,
+    "sweep": sweep_command,
+    "field": field_command,
+    "validate": validate_command,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="calr-lab",
         description="Anomalous localized resonance workflows for confocal shells",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("spectrum", "tabulate closed-form eigenvalues and mode norms"),
-        ("critical-radius", "report the cloaking threshold for a geometry"),
-        ("sweep", "run a loss sweep and classify CALR"),
-        ("field", "evaluate the potential on a Cartesian grid"),
-        ("validate", "run the built-in cross-validation suite"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--out", default=".", help="output directory")
-        if name == "sweep":
-            # Sweeps run serially; the flag stays so existing scripts parse.
-            p.add_argument(
-                "--threads",
-                type=int,
-                default=1,
-                help="accepted for compatibility (must be >= 1); has no effect",
-            )
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True, help="JSON run configuration")
+    parser.add_argument("--out", default=".", help="output directory")
+    # Sweeps run serially; the flag stays so existing scripts parse.
+    parser.add_argument("--threads", type=int, help="sweep only, K >= 1; no effect")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads is not None and (args.command != "sweep" or args.threads < 1):
+            raise ConfigError(f"--threads: sweep only, K >= 1, got {args.threads}")
         cfg = load_config(args.config)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg, out_dir)
-        if args.command == "critical-radius":
-            return cmd_critical_radius(cfg, out_dir)
-        if args.command == "sweep":
-            if args.threads < 1:
-                raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-            return cmd_sweep(cfg, out_dir)
-        if args.command == "field":
-            return cmd_field(cfg, out_dir)
-        return cmd_validate(cfg, out_dir)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {out_dir}: {exc.strerror}") from exc
+        return _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -42,6 +42,11 @@ class EigensolveFailure(CalrError):
     eigensolve relies on."""
 
 
+class ValidateSizeError(CalrError, ValueError):
+    """Raised when oracle.validate is given Nystrom sizes its spectrum
+    check cannot compare."""
+
+
 class ConfigError(CalrError):
     """Raised for malformed or inconsistent run configuration files."""
 

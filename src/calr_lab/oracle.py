@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CurveOverlap, EigensolveFailure
+from .errors import CurveOverlap, EigensolveFailure, ValidateSizeError
 from .geometry import (
     ConfocalGeometry, EllipticPoint, SampledCurve, cartesian, sample_ellipse, tangents
 )
@@ -650,12 +650,31 @@ def _mat_vec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 
 def validate(
-    g: ConfocalGeometry, source: SourceSpec, n_nystrom: int = 256, n_modes: int = 3
+    g: ConfocalGeometry,
+    source: SourceSpec | None = None,
+    n_nystrom: int = 256,
+    n_modes: int = 3,
 ) -> list[dict]:
-    """The checks of `calr-lab validate` (see the module docstring), in order."""
+    """The checks of `calr-lab validate` (see the module docstring), in order.
+
+    The default source is a dipole at (rho_e + 0.5, 0.9), moment (1, 0.4).
+    Before any work, ValidateSizeError refuses n_nystrom (nodes per curve)
+    odd or below 8, n_modes below 1, and 2 + 4 n_modes > n_nystrom / 2.
+    """
+    if n_nystrom < 8 or n_nystrom % 2:
+        raise ValidateSizeError(f"n_nystrom: must be even and >= 8, got {n_nystrom}")
+    if n_modes < 1:
+        raise ValidateSizeError(f"n_modes: must be >= 1, got {n_modes}")
+    count = 2 + 4 * n_modes
+    if count > n_nystrom // 2:
+        raise ValidateSizeError(
+            f"n_modes: 2 + 4 * n_modes = {count} exceeds n_nystrom / 2 = {n_nystrom // 2}"
+        )
+    if source is None:
+        source = Dipole(EllipticPoint(g.rho_e + 0.5, 0.9), np.array([1.0, 0.4]))
     # 1. Nystrom block spectrum against the closed-form eigenvalues, solved
     # mode by mode from a few kernel rows per curve block.
-    rep = _mode_spectrum(*mode_blocks_for(g, n_nystrom), 2 + 4 * n_modes, g)
+    rep = _mode_spectrum(*mode_blocks_for(g, n_nystrom), count, g)
     keep = np.abs(rep.matched) != 0.5
     worst = float(np.max(rep.rel_errors[keep])) if keep.any() else 0.0
     spectrum = _check("nystrom_spectrum", worst, 1e-6)

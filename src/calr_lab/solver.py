@@ -498,14 +498,25 @@ def dissipated_power_spectral(
     return delta * float(total)
 
 
-def _sweep(
+def sweep(
     source: SourceSpec,
     g: ConfocalGeometry,
     deltas: Sequence[float],
     probes: Sequence[EllipticPoint],
-    margin: int,
-) -> tuple[list[SweepRecord], Coefficients]:
-    """The records of sweep and the source coefficients at the top truncation."""
+    margin: int = 40,
+) -> list[SweepRecord]:
+    """Solve the transmission problem across a family of loss values.
+
+    Each delta gets its own adaptive truncation.  The source coefficients,
+    the mode table and the forcing projections do not depend on delta, so
+    they are built once at the largest truncation and sliced per delta;
+    the slices equal per-delta builds bit for bit.  The probes of all
+    deltas are evaluated in one evaluator call, each point with the
+    densities of its own delta zero-padded to the largest truncation,
+    which leaves its value unchanged bit for bit.  Probes must lie
+    outside the shell.  Records are returned in the order the deltas were
+    given.
+    """
     if len(deltas) == 0:
         raise ValueError("need at least one delta")
     for p in probes:
@@ -539,29 +550,7 @@ def _sweep(
     for delta, n_max, (energy, e_spectral), f in zip(deltas, n_maxes, solved, far):
         scale = math.sqrt(energy) if energy > 0.0 else math.inf
         records.append(SweepRecord(delta, n_max, energy, e_spectral, f, f / scale))
-    return records, sc_top
-
-
-def sweep(
-    source: SourceSpec,
-    g: ConfocalGeometry,
-    deltas: Sequence[float],
-    probes: Sequence[EllipticPoint],
-    margin: int = 40,
-) -> list[SweepRecord]:
-    """Solve the transmission problem across a family of loss values.
-
-    Each delta gets its own adaptive truncation.  The source coefficients,
-    the mode table and the forcing projections do not depend on delta, so
-    they are built once at the largest truncation and sliced per delta;
-    the slices equal per-delta builds bit for bit.  The probes of all
-    deltas are evaluated in one evaluator call, each point with the
-    densities of its own delta zero-padded to the largest truncation,
-    which leaves its value unchanged bit for bit.  Probes must lie
-    outside the shell.  Records are returned in the order the deltas were
-    given.
-    """
-    return _sweep(source, g, deltas, probes, margin)[0]
+    return records
 
 
 def calr_classify(records: Sequence[SweepRecord], regime: Regime) -> CalrDiagnosis:

@@ -486,14 +486,17 @@ def test_validate_zero_source(tmp_path, coefficients):
     [
         ("validate_default.json", Dipole(EllipticPoint(1.3, 0.9), np.array([1.0, 0.4]))),
         ("thick_outside.json", Dipole(EllipticPoint(1.8, 0.9), np.array([1.0, 0.4]))),
+        ("validate_default.json", None),
     ],
 )
 def test_library_validate_matches_the_cli(tmp_path, config, source):
     """oracle.validate on the config's geometry and source (the default
-    dipole for validate_default) gives the checks of validate.json, sorted
-    by name, observed values bit for bit after the JSON round trip."""
+    dipole for validate_default, given or left to oracle.validate) gives
+    the checks of validate.json, sorted by name, observed values bit for
+    bit after the JSON round trip."""
     cfg = json.loads((CONFIGS / config).read_text())
-    checks = oracle.validate(ConfocalGeometry(**cfg["geometry"]), source, 256, 3)
+    g = ConfocalGeometry(**cfg["geometry"])
+    checks = oracle.validate(g) if source is None else oracle.validate(g, source, 256, 3)
     assert _run(["validate", "--config", str(CONFIGS / config), "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "validate.json").read_text())
     assert json.loads(json.dumps(sorted(checks, key=lambda c: c["name"]))) == report["checks"]
@@ -617,6 +620,17 @@ def test_validate_rejects_bad_oracle_sizes(tmp_path, capsys, block):
     assert not (tmp_path / "validate.json").exists()
 
 
+def test_validate_lets_other_value_errors_escape(tmp_path, monkeypatch):
+    """Only oracle.validate's size refusal becomes a config error."""
+    def broken(*args, **kwargs):
+        raise ValueError("not a size")
+
+    monkeypatch.setattr(cli, "validate", broken)
+    cfg = _write_cfg(tmp_path, "v.json", {"geometry": THIN_GEO})
+    with pytest.raises(ValueError, match="not a size"):
+        _run(["validate", "--config", cfg, "--out", str(tmp_path)])
+
+
 # ---------------------------------------------------------------------------
 # config handling
 
@@ -634,6 +648,39 @@ def test_invalid_json_reports_position(tmp_path, capsys):
     rc = _run(["spectrum", "--config", str(path), "--out", str(tmp_path)])
     assert rc == 2
     assert "line 1, column 2" in capsys.readouterr().err
+
+
+def test_config_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff\xfe{"geometry": {}}')
+    rc = _run(["spectrum", "--config", str(path), "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config") and str(path) in err
+
+
+def test_out_that_is_a_file(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("x", encoding="utf-8")
+    rc = _run(["spectrum", "--config", str(CONFIGS / "dipole_inside.json"),
+               "--out", str(out)])
+    assert rc == 2
+    assert str(out) in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "x"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "critical-radius", "sweep", "field", "validate"])
+def test_parser_accepts_every_command(command):
+    args = cli.build_parser().parse_args([command, "--config", "c.json"])
+    assert (args.command, args.config, args.out, args.threads) == (command, "c.json", ".", None)
+
+
+@pytest.mark.parametrize("command", ["spectrum", "critical-radius", "field", "validate"])
+def test_threads_is_refused_off_sweep(tmp_path, capsys, command):
+    cfg = str(CONFIGS / "dipole_inside.json")
+    assert _run([command, "--config", cfg, "--out", str(tmp_path), "--threads", "2"]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_non_object_config(tmp_path, capsys):

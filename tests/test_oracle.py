@@ -26,6 +26,7 @@ from calr_lab import (
     sample_ellipse,
 )
 from calr_lab import cli, oracle, solver, source
+from calr_lab.errors import ValidateSizeError
 from calr_lab.geometry import cartesian, ellipse_curvature, tangents
 from calr_lab.oracle import (
     BlockNPMatrix,
@@ -646,6 +647,32 @@ def test_validate_checks_live_in_oracle():
     assert [name for name in moved if hasattr(cli, name)] == []
     imported = _imported_modules(Path(cli.__file__))
     assert sorted(m for m in imported if "oracle" in m.split(".")) == ["oracle", "oracle.validate"]
+
+
+def test_cli_imports_no_private_names():
+    """The CLI runs on the package's public names only."""
+    imported = _imported_modules(Path(cli.__file__))
+    private = [m for m in imported if not m.startswith("__future__")
+               and any(part.startswith("_") for part in m.split("."))]
+    assert private == []
+
+
+@pytest.mark.parametrize(
+    "n_nystrom, n_modes, rule",
+    [(256, 0, "n_modes: must be >= 1"), (16, 20, r"n_modes: 2 \+ 4 \* n_modes = 82"),
+     (15, 3, "n_nystrom: must be even"), (6, 1, "n_nystrom: must be even")],
+    ids=["no-modes", "count-exceeds-quarter", "odd", "too-small"],
+)
+def test_validate_refuses_sizes_before_any_work(monkeypatch, n_nystrom, n_modes, rule):
+    """Sizes the spectrum check cannot compare raise validate's own
+    ValueError before a kernel row is sampled."""
+    def no_work(*args):
+        raise AssertionError("validate sampled kernel rows")
+
+    monkeypatch.setattr(oracle, "mode_blocks_for", no_work)
+    with pytest.raises(ValidateSizeError, match=rule) as info:
+        oracle.validate(THIN, None, n_nystrom, n_modes)
+    assert isinstance(info.value, ValueError)
 
 
 def test_oracle_all_lists_its_public_definitions():
