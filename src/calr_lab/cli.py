@@ -10,11 +10,12 @@ library and writes its outputs:
     calr-lab validate        --config run.json [--out DIR]
 
 Only sweep takes --threads (K >= 1), and it has no effect.  Outputs are
-CSV (comma separated, header row, LF endings, 17 significant digits) and
-JSON (UTF-8, sorted keys), so identical configs produce byte-identical
-files.  Exit codes: 0 success, 2 config error (also a bad --threads or
-an --out that cannot be made a directory), 3 numeric failure, 4
-validation-suite failure.
+CSV (comma separated, header row, LF endings, 17 significant digits),
+streamed to the file one row at a time, and JSON (UTF-8, sorted keys),
+so identical configs produce byte-identical files.  Exit codes: 0
+success, 2 config error (also a bad --threads, an --out that cannot be
+made a directory, or an output file inside it that cannot be written),
+3 numeric failure, 4 validation-suite failure.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 import sys
 from dataclasses import astuple
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -59,16 +60,22 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_lines(path: Path, lines: list[str]) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def _write_rows(path: Path, header: str, rows: Iterable[str] = ()) -> None:
+    """Write the header line, then each row text as it is produced.
+
+    Row texts carry their own line endings.  A file that cannot be
+    written is a config error: --out is where it goes.
+    """
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(header + "\n")
+            fh.writelines(rows)
+    except OSError as exc:
+        raise ConfigError(f"--out {path}: {exc.strerror}") from exc
 
 
 def _write_json(path: Path, obj: Any) -> None:
-    path.write_text(
-        json.dumps(obj, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-        newline="\n",
-    )
+    _write_rows(path, json.dumps(obj, sort_keys=True, indent=2))
 
 
 def load_config(path: str | Path) -> dict:
@@ -193,12 +200,12 @@ def spectrum_command(cfg: dict, out_dir: Path) -> int:
     n_max = _int(_block(cfg, "spectrum", required=False), "spectrum", "n_max", 8)
     if n_max < 0:
         raise ConfigError(f"spectrum.n_max: must be >= 0, got {n_max}")
-    lines = [_SPECTRUM_COLUMNS]
-    for n in range(1, n_max + 1):
-        values = astuple(mode_data(n, g))[1:]
-        lines.append(",".join([str(n)] + [_fmt(v) for v in values]))
+    rows = (
+        ",".join([str(n)] + [_fmt(v) for v in astuple(mode_data(n, g))[1:]]) + "\n"
+        for n in range(1, n_max + 1)
+    )
     path = out_dir / "spectrum.csv"
-    _write_lines(path, lines)
+    _write_rows(path, _SPECTRUM_COLUMNS, rows)
     print(f"wrote {path} ({n_max} modes)")
     return 0
 
@@ -265,14 +272,16 @@ def sweep_command(cfg: dict, out_dir: Path) -> int:
         raise ConfigError(f"sweep.margin: must be >= 0, got {margin}")
 
     records = sweep(source, g, deltas, probes, margin)
-    lines = [_sweep_header(len(probes))]
-    for rec in records:
-        row = [_fmt(rec.delta), str(rec.n_max), _fmt(rec.e_direct), _fmt(rec.e_spectral)]
-        row += [_fmt(v) for v in rec.far_samples]
-        row += [_fmt(v) for v in rec.normalized_far]
-        lines.append(",".join(row))
+    rows = (
+        ",".join(
+            [_fmt(rec.delta), str(rec.n_max), _fmt(rec.e_direct), _fmt(rec.e_spectral)]
+            + [_fmt(v) for v in rec.far_samples]
+            + [_fmt(v) for v in rec.normalized_far]
+        ) + "\n"
+        for rec in records
+    )
     csv_path = out_dir / "sweep.csv"
-    _write_lines(csv_path, lines)
+    _write_rows(csv_path, _sweep_header(len(probes)), rows)
 
     regime = critical_radius(g.rho_i, g.rho_e)
     diagnosis = calr_classify(records, regime)
@@ -323,6 +332,36 @@ def _series_radius(source: SourceSpec) -> float:
         except TooFewCoefficients:
             pass
     return math.inf
+
+
+# A field.csv cell after its x1 and x2 texts: three values, or blank.
+_CELL, _BLANK = ",%.17g,%.17g,%.17g\n", ",,,\n"
+
+
+def _field_rows(
+    xs: np.ndarray, ys: np.ndarray, blank: np.ndarray, values: np.ndarray
+) -> Iterator[str]:
+    """The text of each grid row of field.csv, x2 = ys[j], in turn.
+
+    A row is one template over the x1 texts, formatted once: its "{0}"
+    fields take the row's x2 text, and one % fills its "%.17g" fields
+    (the same text as _fmt) from the row's slice of ``values``, the
+    (P, 3) re, im, |v| of the cells not blank.
+    """
+    x1_text = [_fmt(x1) for x1 in xs]
+
+    def template(tails: list[str]) -> str:
+        return "".join([f"{x1},{{0}}{tail}" for x1, tail in zip(x1_text, tails)])
+
+    full = template([_CELL] * len(x1_text))
+    ends = np.cumsum(np.count_nonzero(~blank, axis=1)).tolist()
+    start = 0
+    for x2, row, end in zip(map(_fmt, ys), blank, ends):
+        row_template = (
+            template([_BLANK if b else _CELL for b in row.tolist()]) if row.any() else full
+        )
+        yield row_template.format(x2) % tuple(values[start:end].ravel().tolist())
+        start = end
 
 
 def field_command(cfg: dict, out_dir: Path) -> int:
@@ -377,18 +416,11 @@ def field_command(cfg: dict, out_dir: Path) -> int:
     n_max = adaptive_n_max(delta, g, margin)
     sc = newtonian_coefficients(source, n_max, g.R, rho_e=g.rho_e)
     dc = solve_densities(sc, g, delta)
-    values = eval_potentials(source, dc, g, rho[~blank], omega[~blank]).tolist()
-    # One printf per point; "%.17g" gives the same text as _fmt.
-    cells = ("%.17g,%.17g,%.17g" % (v.real, v.imag, abs(v)) for v in values)
-    x1_text = [_fmt(x1) for x1 in xs]
-    lines = ["x1,x2,re_v,im_v,abs_v"]
-    for x2, row in zip(map(_fmt, ys), blank.tolist()):
-        lines += [
-            f"{x1},{x2},{',,' if cell else next(cells)}"
-            for x1, cell in zip(x1_text, row)
-        ]
+    v = eval_potentials(source, dc, g, rho[~blank], omega[~blank])
+    # np.hypot of the parts is Python's complex abs bit for bit; np.abs is not.
+    values = np.column_stack((v.real, v.imag, np.hypot(v.real, v.imag)))
     path = out_dir / "field.csv"
-    _write_lines(path, lines)
+    _write_rows(path, "x1,x2,re_v,im_v,abs_v", _field_rows(xs, ys, blank, values))
     print(f"wrote {path} ({n1 * n2} points)")
     if math.isfinite(radius):
         print(

@@ -6,8 +6,10 @@ and console output are all exercised exactly as a shell user sees them.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
+import os
 import warnings
 from pathlib import Path
 
@@ -260,6 +262,64 @@ def test_field_rows_match_library_evaluation(tmp_path):
         assert (v.real, v.imag, abs(v)) == (re_v, im_v, abs_v)
         checked += 1
     assert checked >= 40
+
+
+_DIPOLE_SOURCE = {"variant": "dipole", "location": {"rho": 1.3, "omega": 0.9},
+                  "moment": [1.0, 0.4]}
+_DECAYING = np.exp(-1.5 * np.arange(1, 401))
+
+
+@pytest.mark.parametrize(
+    "source, field",
+    [
+        (_DIPOLE_SOURCE, {"delta": 1e-3, "rho_max": 1.2, "n1": 9, "n2": 9}),
+        ({"variant": "coefficients",
+          "f_plus": (_DECAYING * np.cos(0.9 * np.arange(1, 401))).tolist(),
+          "f_minus": (_DECAYING * np.sin(0.9 * np.arange(1, 401))).tolist()},
+         {"delta": 1e-3, "rho_max": 1.3, "n1": 21, "n2": 21}),
+        ({"variant": "coefficients", "f_plus": [0.0, 0.0], "f_minus": [0.0, 0.0]},
+         {"delta": 1e-3, "rho_max": 1.2, "n1": 9, "n2": 9}),
+    ],
+    ids=["dipole-focal-blanks", "coefficients-past-radius", "zero-source"],
+)
+def test_field_csv_text_is_the_library_values_formatted(tmp_path, source, field):
+    """field.csv, compared as text: each written row is _fmt of x1, x2,
+    re, im and Python's abs of the library's own V, and each blank cell
+    (focal, or past a coefficient series' radius) reads x1,x2,,,."""
+    cfg = _write_cfg(tmp_path, "f.json", {"geometry": THIN_GEO, "source": source,
+                                          "field": field})
+    assert _run(["field", "--config", cfg, "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "field.csv").read_text(encoding="utf-8").split("\n")
+
+    g = ConfocalGeometry(**THIN_GEO)
+    src = cli.parse_source({"source": source})
+    xs = np.linspace(-g.R * math.cosh(field["rho_max"]), g.R * math.cosh(field["rho_max"]),
+                     field["n1"])
+    ys = np.linspace(-g.R * math.sinh(field["rho_max"]), g.R * math.sinh(field["rho_max"]),
+                     field["n2"])
+    rho, omega, focal = elliptic_coords(g.R, np.stack(np.meshgrid(xs, ys), axis=-1))
+    radius = convergence_exponent(src) if len(source.get("f_plus", [])) >= 10 else math.inf
+    blank = focal | (rho >= radius)
+    n_max = adaptive_n_max(field["delta"], g, margin=40)
+    sc = newtonian_coefficients(src, n_max, g.R, rho_e=g.rho_e)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        dc = solve_densities(sc, g, field["delta"])
+    values = iter(eval_potentials(src, dc, g, rho[~blank], omega[~blank]).tolist())
+
+    want = ["x1,x2,re_v,im_v,abs_v"]
+    for x2, row in zip(ys.tolist(), blank.tolist()):
+        for x1, cell in zip(xs.tolist(), row):
+            if cell:
+                want.append(f"{cli._fmt(x1)},{cli._fmt(x2)},,,")
+            else:
+                v = next(values)
+                want.append(",".join(cli._fmt(x) for x in (x1, x2, v.real, v.imag, abs(v))))
+    assert lines == want + [""]
+    assert focal.any() and next(values, None) is None
+    if math.isfinite(radius):  # some rows mix cells past the radius with written ones
+        past = ~focal & (rho >= radius)
+        assert (past.any(axis=1) & ~blank.all(axis=1)).any()
 
 
 def test_field_evaluates_a_coefficient_source_as_given(tmp_path):
@@ -667,6 +727,29 @@ def test_out_that_is_a_file(tmp_path, capsys):
     assert rc == 2
     assert str(out) in capsys.readouterr().err
     assert out.read_text(encoding="utf-8") == "x"
+
+
+@pytest.mark.parametrize(
+    "command, config, name",
+    [
+        ("spectrum", str(CONFIGS / "dipole_inside.json"), "spectrum.csv"),
+        ("field", {"geometry": THIN_GEO, "source": _DIPOLE_SOURCE,
+                   "field": {"delta": 1e-3, "rho_max": 1.2, "n1": 7, "n2": 7}}, "field.csv"),
+        ("validate", str(CONFIGS / "validate_default.json"), "validate.json"),
+    ],
+    ids=["spectrum", "field", "validate"],
+)
+def test_output_that_is_a_directory(tmp_path, capsys, command, config, name):
+    """An output file that cannot be written inside --out (here a
+    directory of that name) is a config error, exit 2, with no traceback."""
+    if isinstance(config, dict):
+        config = _write_cfg(tmp_path, "c.json", config)
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    assert _run([command, "--config", config, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: --out {out / name}: {os.strerror(errno.EISDIR)}\n"
+    assert (out / name).is_dir()
 
 
 @pytest.mark.parametrize("command", ["spectrum", "critical-radius", "sweep", "field", "validate"])

@@ -919,8 +919,9 @@ _PARTS = st.floats(allow_nan=False, allow_infinity=False)
 @example([(1e300, 1e300), (-1.7e308, 3e-310), (5e-324, -5e-324), (2.5e-308, 1e-320),
           (1e-300, 1e300), (0.0, -0.0), (1.3e308, 1.3e308)])
 def test_hypot_of_parts_is_python_complex_abs(parts):
-    """np.hypot of the real and imaginary parts, as _sweep takes |v| of its
-    probe values, equals Python's complex abs bit for bit, huge and
+    """np.hypot of the real and imaginary parts, as solver.sweep takes |v|
+    of its probe values and the field writer (cli.field_command) its
+    abs_v column, equals Python's complex abs bit for bit, huge and
     subnormal parts included; where abs overflows (and raises), hypot is
     inf."""
     z = np.array([complex(re, im) for re, im in parts])
