@@ -16,6 +16,12 @@ so identical configs produce byte-identical files.  Exit codes: 0
 success, 2 config error (also a bad --threads, an --out that cannot be
 made a directory, or an output file inside it that cannot be written),
 3 numeric failure, 4 validation-suite failure.
+
+The CLI checks only what parsing needs: JSON types, the blocks' shapes
+and the grid.  Every rule on a loss, margin, probe or validate size is
+the library's (adaptive_n_max, sweep, oracle.validate), which raises
+errors.InputError naming the key; main reports it once, as
+"config error: <command>.<message>".
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from .errors import CalrError, ConfigError, TooFewCoefficients, ValidateSizeError
+from .errors import CalrError, ConfigError, InputError, TooFewCoefficients
 from .geometry import ConfocalGeometry, EllipticPoint, elliptic_coords
 from .oracle import validate
 from .solver import (
@@ -49,7 +55,7 @@ from .source import (
     gap_condition_report,
     newtonian_coefficients,
 )
-from .spectrum import RegimeKind, critical_radius, mode_data
+from .spectrum import RegimeKind, critical_radius, mode_table
 
 _SPECTRUM_COLUMNS = (
     "n,lambda1,lambda2,a1,a2,b,norm_1p,norm_1m,norm_2p,norm_2m"
@@ -200,9 +206,12 @@ def spectrum_command(cfg: dict, out_dir: Path) -> int:
     n_max = _int(_block(cfg, "spectrum", required=False), "spectrum", "n_max", 8)
     if n_max < 0:
         raise ConfigError(f"spectrum.n_max: must be >= 0, got {n_max}")
+    # The whole table before the file opens, so a mode that cannot be
+    # represented leaves no partial spectrum.csv; row n equals mode_data(n, g).
+    columns = astuple(mode_table(g, n_max)) if n_max else ()
     rows = (
-        ",".join([str(n)] + [_fmt(v) for v in astuple(mode_data(n, g))[1:]]) + "\n"
-        for n in range(1, n_max + 1)
+        ",".join([str(n)] + [_fmt(v) for v in values]) + "\n"
+        for n, *values in zip(*columns)
     )
     path = out_dir / "spectrum.csv"
     _write_rows(path, _SPECTRUM_COLUMNS, rows)
@@ -239,39 +248,12 @@ def sweep_command(cfg: dict, out_dir: Path) -> int:
     g = parse_geometry(cfg)
     source = parse_source(cfg)
     block = _block(cfg, "sweep")
-    deltas = block.get("deltas")
-    if not isinstance(deltas, list) or not deltas:
-        raise ConfigError("sweep.deltas: expected a non-empty list")
-    deltas = sorted(_floats(deltas, "sweep.deltas"), reverse=True)
-    for d in deltas:
-        if not 0.0 < d < 1.0:
-            raise ConfigError(f"sweep.deltas: each delta must be in (0, 1), got {d!r}")
+    deltas = sorted(_floats(block.get("deltas"), "sweep.deltas"), reverse=True)
     probes_cfg = block.get("probes")
     if not isinstance(probes_cfg, list) or not probes_cfg:
         raise ConfigError("sweep.probes: expected a non-empty list")
-    probes = [
-        _point(p, f"sweep.probes[{k}]") for k, p in enumerate(probes_cfg)
-    ]
-    for k, p in enumerate(probes):
-        if p.rho <= g.rho_e:
-            raise ConfigError(
-                f"sweep.probes[{k}]: rho = {p.rho} is not outside rho_e = {g.rho_e}"
-            )
-        # The point source's closed form squares |x - x0| times 2 pi; past
-        # this it overflows and the probe value is lost.
-        try:
-            a = g.R * math.cosh(p.rho)
-        except OverflowError:
-            a = math.inf
-        if not math.isfinite(2.0 * math.pi * a * a):
-            raise ConfigError(
-                f"sweep.probes[{k}]: rho = {p.rho} puts 2 pi (R cosh rho)^2 out of range"
-            )
-    margin = _int(block, "sweep", "margin", 40)
-    if margin < 0:
-        raise ConfigError(f"sweep.margin: must be >= 0, got {margin}")
-
-    records = sweep(source, g, deltas, probes, margin)
+    probes = [_point(p, f"sweep.probes[{k}]") for k, p in enumerate(probes_cfg)]
+    records = sweep(source, g, deltas, probes, _int(block, "sweep", "margin", 40))
     rows = (
         ",".join(
             [_fmt(rec.delta), str(rec.n_max), _fmt(rec.e_direct), _fmt(rec.e_spectral)]
@@ -378,8 +360,9 @@ def field_command(cfg: dict, out_dir: Path) -> int:
     source = parse_source(cfg)
     block = _block(cfg, "field")
     delta = _number(block, "field", "delta")
-    if not 0.0 < delta < 1.0:
-        raise ConfigError(f"field.delta: must be in (0, 1), got {delta}")
+    # Sources very close to the shell need extra modes before the series
+    # tail clears the interface gap; margin buys that headroom.
+    n_max = adaptive_n_max(delta, g, _int(block, "field", "margin", 40))
     regime = critical_radius(g.rho_i, g.rho_e)
     rho_max = _number(block, "field", "rho_max", regime.far_bound_rho + 0.3)
     try:
@@ -394,11 +377,6 @@ def field_command(cfg: dict, out_dir: Path) -> int:
     n2 = _int(block, "field", "n2", 81)
     if min(n1, n2) < 2:
         raise ConfigError("field.n1/n2: grid needs >= 2 points per axis")
-    # Sources very close to the shell need extra modes before the series
-    # tail clears the interface gap; margin buys that headroom.
-    margin = _int(block, "field", "margin", 40)
-    if margin < 0:
-        raise ConfigError(f"field.margin: must be >= 0, got {margin}")
 
     xs = np.linspace(-a, a, n1)
     ys = np.linspace(-b, b, n2)
@@ -413,7 +391,6 @@ def field_command(cfg: dict, out_dir: Path) -> int:
     past = ~focal & (rho >= radius)
     blank = focal | past
 
-    n_max = adaptive_n_max(delta, g, margin)
     sc = newtonian_coefficients(source, n_max, g.R, rho_e=g.rho_e)
     dc = solve_densities(sc, g, delta)
     v = eval_potentials(source, dc, g, rho[~blank], omega[~blank])
@@ -436,10 +413,7 @@ def _validate_checks(cfg: dict) -> list[dict]:
     # Sizes left out take oracle.validate's defaults.
     sizes = {k: _int(block, "validate", k) for k in ("n_nystrom", "n_modes") if k in block}
     source = parse_source(cfg) if "source" in cfg else None
-    try:
-        return validate(g, source, **sizes)
-    except ValidateSizeError as exc:
-        raise ConfigError(f"validate.{exc}") from exc
+    return validate(g, source, **sizes)
 
 
 def validate_command(cfg: dict, out_dir: Path) -> int:
@@ -499,6 +473,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except InputError as exc:  # the library names the key inside the command's block
+        print(f"config error: {args.command}.{exc}", file=sys.stderr)
         return 2
     except CalrError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -42,9 +42,10 @@ class EigensolveFailure(CalrError):
     eigensolve relies on."""
 
 
-class ValidateSizeError(CalrError, ValueError):
-    """Raised when oracle.validate is given Nystrom sizes its spectrum
-    check cannot compare."""
+class InputError(CalrError, ValueError):
+    """Raised when a library entry point refuses an argument before any
+    work: a loss delta, margin, sweep probe or validate size it cannot
+    use.  The message starts with the argument's name."""
 
 
 class ConfigError(CalrError):

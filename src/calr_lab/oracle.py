@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CurveOverlap, EigensolveFailure, ValidateSizeError
+from .errors import CurveOverlap, EigensolveFailure, InputError
 from .geometry import (
     ConfocalGeometry, EllipticPoint, SampledCurve, cartesian, sample_ellipse, tangents
 )
@@ -86,7 +86,7 @@ from .source import (
     newtonian_eval,
     newtonian_gradient,
 )
-from .spectrum import block_matrices, critical_radius, mode_table, s_gram
+from .spectrum import block_matrices, mode_table, s_gram
 
 __all__ = [
     "BlockNPMatrix",
@@ -658,16 +658,16 @@ def validate(
     """The checks of `calr-lab validate` (see the module docstring), in order.
 
     The default source is a dipole at (rho_e + 0.5, 0.9), moment (1, 0.4).
-    Before any work, ValidateSizeError refuses n_nystrom (nodes per curve)
+    Before any work, InputError refuses n_nystrom (nodes per curve)
     odd or below 8, n_modes below 1, and 2 + 4 n_modes > n_nystrom / 2.
     """
     if n_nystrom < 8 or n_nystrom % 2:
-        raise ValidateSizeError(f"n_nystrom: must be even and >= 8, got {n_nystrom}")
+        raise InputError(f"n_nystrom: must be even and >= 8, got {n_nystrom}")
     if n_modes < 1:
-        raise ValidateSizeError(f"n_modes: must be >= 1, got {n_modes}")
+        raise InputError(f"n_modes: must be >= 1, got {n_modes}")
     count = 2 + 4 * n_modes
     if count > n_nystrom // 2:
-        raise ValidateSizeError(
+        raise InputError(
             f"n_modes: 2 + 4 * n_modes = {count} exceeds n_nystrom / 2 = {n_nystrom // 2}"
         )
     if source is None:
@@ -752,8 +752,7 @@ def validate(
     checks.append(_check("flux_jump", worst_f, 1e-8))
 
     # 6. Spectral surrogate stays within a bounded factor of the direct energy.
-    probes = [EllipticPoint(critical_radius(g.rho_i, g.rho_e).far_bound_rho + 0.1, 0.6)]
-    recs = sweep(source, g, [10.0 ** (-k) for k in range(2, 7)], probes)
+    recs = sweep(source, g, [10.0 ** (-k) for k in range(2, 7)], [])
     # A record without energy (a zero source) has no ratio to bound.
     ratios = [r.e_direct / r.e_spectral for r in recs if r.e_direct or r.e_spectral]
     spread = max(ratios) / min(ratios) if ratios else math.nan

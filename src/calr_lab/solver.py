@@ -51,6 +51,12 @@ in one call.
 A sweep drives delta over several decades and the classifier grades the
 outcome: resonant blow-up of E with decaying source visibility (CALR),
 bounded/decaying E (no CALR), or neither.
+
+Each rule is stated once.  adaptive_n_max refuses a delta outside (0, 1)
+and a negative margin, and sweep a probe it cannot evaluate, all with
+errors.InputError before any coefficient is built.  The per-delta solve
+of solve_densities and sweep is one function, _assemble_densities, which
+also checks the truncation tail (TruncationWarning above 1e-10).
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import OverflowGuard, TruncationWarning
+from .errors import InputError, OverflowGuard, TruncationWarning
 from .geometry import ConfocalGeometry, EllipticPoint
 from .source import (
     Coefficients,
@@ -207,11 +213,14 @@ def adaptive_n_max(delta: float, g: ConfocalGeometry, margin: int = 40) -> int:
 
     Resonant indices sit near ln(1/delta) / (rho_e - rho_i); twice that
     plus a safety margin keeps the neglected tail far below the resonance.
-    Raises OverflowGuard when that many modes cannot be represented in
-    double precision for this geometry.
+    Raises InputError for delta outside (0, 1) or a negative margin, and
+    OverflowGuard when that many modes cannot be represented in double
+    precision for this geometry.
     """
     if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+        raise InputError(f"delta: must be in (0, 1), got {delta}")
+    if margin < 0:
+        raise InputError(f"margin: must be >= 0, got {margin}")
     n = math.ceil(2.0 * math.log(1.0 / delta) / (g.rho_e - g.rho_i)) + margin
     if 2.0 * n * g.rho_e >= _NMAX_GUARD:
         raise OverflowGuard(
@@ -263,35 +272,39 @@ def mode_projections(forcing: BoundaryForcing, modes: ModeTable) -> ModeProjecti
     )
 
 
-def _spectral_weights(
+def _assemble_densities(
     proj: ModeProjection, modes: ModeTable, delta: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> DensityCoefficients:
+    """The per-delta solve: the densities over the modes of proj and modes.
+
+    Warns (TruncationWarning, at the caller's caller) when the last mode
+    carries more than 1e-10 of the solution S-norm.  The terms |w|^2 norm
+    are formed as (|w| sqrt(norm) / top)^2, top the largest amplitude, so
+    no representable source overflows them.
+    """
     z = z_param(delta)
     w1 = proj.proj_1p / ((z + modes.lambda1) * modes.norm_1p)
     w2 = proj.proj_2p / ((z + modes.lambda2) * modes.norm_2p)
     w3 = proj.proj_1m / ((z - modes.lambda1) * modes.norm_1m)
     w4 = proj.proj_2m / ((z - modes.lambda2) * modes.norm_2m)
-    return w1, w2, w3, w4
-
-
-def _assemble_densities(
-    proj: ModeProjection, modes: ModeTable, delta: float
-) -> tuple[DensityCoefficients, np.ndarray]:
-    """Densities plus the per-mode solution-norm contributions."""
-    w1, w2, w3, w4 = _spectral_weights(proj, modes, delta)
-    contrib = (
-        np.abs(w1) ** 2 * modes.norm_1p
-        + np.abs(w2) ** 2 * modes.norm_2p
-        + np.abs(w3) ** 2 * modes.norm_1m
-        + np.abs(w4) ** 2 * modes.norm_2m
+    amp = np.abs([w1, w2, w3, w4]) * np.sqrt(
+        [modes.norm_1p, modes.norm_2p, modes.norm_1m, modes.norm_2m]
     )
-    dc = DensityCoefficients(
+    top = float(np.max(amp))
+    if top > 0.0:
+        contrib = np.sum((amp / top) ** 2, axis=0)
+        tail = math.sqrt(float(contrib[-1]) / float(np.sum(contrib)))
+        if tail > _TAIL_TOL:
+            warnings.warn(
+                f"mode sum truncated at n_max = {len(contrib)} with relative tail {tail:.2e}",
+                TruncationWarning, stacklevel=3,
+            )
+    return DensityCoefficients(
         p_cos=w1 * modes.a1 + w2 * modes.a2,
         p_sin=(w3 + w4) * modes.b,
         q_cos=(w1 + w2) * modes.b,
         q_sin=w3 * modes.a2 + w4 * modes.a1,
     )
-    return dc, contrib
 
 
 def solve_densities(
@@ -310,18 +323,7 @@ def solve_densities(
         raise ValueError(f"delta must be finite and nonzero, got {delta}")
     forcing = boundary_forcing(sc, g)
     modes = mode_table(g, sc.n_max)
-    proj = mode_projections(forcing, modes)
-    dc, contrib = _assemble_densities(proj, modes, delta)
-
-    total = float(np.sum(contrib))
-    if total > 0.0 and math.sqrt(float(contrib[-1]) / total) > _TAIL_TOL:
-        warnings.warn(
-            f"mode sum truncated at n_max = {sc.n_max} with relative tail "
-            f"{math.sqrt(float(contrib[-1]) / total):.2e}",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    return dc
+    return _assemble_densities(mode_projections(forcing, modes), modes, delta)
 
 
 def _region_chains(
@@ -513,15 +515,28 @@ def sweep(
     the slices equal per-delta builds bit for bit.  The probes of all
     deltas are evaluated in one evaluator call, each point with the
     densities of its own delta zero-padded to the largest truncation,
-    which leaves its value unchanged bit for bit.  Probes must lie
-    outside the shell.  Records are returned in the order the deltas were
-    given.
+    which leaves its value unchanged bit for bit.  Records are returned in
+    the order the deltas were given.
+
+    Before any coefficient is built, InputError refuses an empty deltas,
+    a probe not strictly outside the shell or so far out that the point
+    source's closed form overflows, and (adaptive_n_max) a delta outside
+    (0, 1) or a negative margin.  Each delta's solve emits the
+    TruncationWarning that solve_densities at its n_max would.  probes
+    may be empty; the energies do not depend on them.
     """
     if len(deltas) == 0:
-        raise ValueError("need at least one delta")
-    for p in probes:
+        raise InputError("deltas: expected a non-empty list")
+    for k, p in enumerate(probes):
         if p.rho <= g.rho_e:
-            raise ValueError(f"probe at rho = {p.rho} is not outside the shell")
+            raise InputError(f"probes[{k}]: rho = {p.rho} is not outside rho_e = {g.rho_e}")
+        # The point source's closed form squares |x - x0| times 2 pi; past
+        # this (cosh itself past 710) it overflows and the value is lost.
+        a = g.R * math.cosh(min(p.rho, 710.0))
+        if not math.isfinite(2.0 * math.pi * a * a):
+            raise InputError(
+                f"probes[{k}]: rho = {p.rho} puts 2 pi (R cosh rho)^2 out of range"
+            )
     n_maxes = [adaptive_n_max(d, g, margin) for d in deltas]
     n_top = max(n_maxes)
     sc_top = newtonian_coefficients(source, n_top, g.R, rho_e=g.rho_e)
@@ -534,7 +549,7 @@ def sweep(
         sc = sc_top.truncated(n_max)
         modes = modes_top.truncated(n_max)
         proj = proj_top.truncated(n_max)
-        dc, _ = _assemble_densities(proj, modes, delta)
+        dc = _assemble_densities(proj, modes, delta)
         for f, column in zip(fields(dc), dens):
             column[:n_max, k] = getattr(dc, f.name)[:, None]
         energy = dissipated_power_closed(sc, dc, g, delta)

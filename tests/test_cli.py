@@ -33,9 +33,11 @@ from calr_lab import (
     s_gram,
     sample_ellipse,
     solve_densities,
+    sweep,
     to_elliptic,
 )
-from calr_lab import cli, oracle
+from calr_lab import cli, oracle, solver
+from calr_lab.errors import InputError
 from calr_lab.geometry import elliptic_coords
 from calr_lab.oracle import assemble_np
 
@@ -81,6 +83,17 @@ def test_spectrum_empty_table(tmp_path):
     assert (tmp_path / "spectrum.csv").read_text().splitlines() == [
         "n,lambda1,lambda2,a1,a2,b,norm_1p,norm_1m,norm_2p,norm_2m"
     ]
+
+
+def test_spectrum_refusal_leaves_no_file(tmp_path, capsys):
+    """Mode 438 of the thin shell is past the double range: the whole
+    table is refused (exit 3) before spectrum.csv is opened, rather than
+    after its first 437 rows."""
+    cfg = _write_cfg(tmp_path, "s.json", {"geometry": THIN_GEO, "spectrum": {"n_max": 500}})
+    out = tmp_path / "out"
+    assert _run(["spectrum", "--config", cfg, "--out", str(out)]) == 3
+    assert "numeric failure: 2*n*rho_e" in capsys.readouterr().err
+    assert not (out / "spectrum.csv").exists()
 
 
 def test_spectrum_rejects_bad_geometry(tmp_path, capsys):
@@ -430,6 +443,23 @@ def test_field_localizes_as_loss_shrinks(tmp_path):
         maxima[delta] = (shell_max, far_max)
     assert maxima[1e-5][0] > 10.0 * maxima[1e-2][0]
     assert maxima[1e-5][1] < 2.0 * maxima[1e-2][1]
+
+
+def test_field_of_a_huge_representable_source(tmp_path):
+    """F_1 = 3e306 is a double, and so is every value on the grid: the
+    truncation tail is formed without squaring it, so no RuntimeWarning."""
+    cfg = _write_cfg(tmp_path, "f.json", {
+        "geometry": THIN_GEO,
+        "source": {"variant": "coefficients", "f_plus": [3e306, 0.0],
+                   "f_minus": [3e306, 0.0]},
+        "field": {"delta": 0.5, "n1": 9, "n2": 9},
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _run(["field", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "field.csv").read_text().splitlines()[1:]
+    cells = [float(v) for row in rows for v in row.split(",")[2:] if v]
+    assert cells and np.all(np.isfinite(cells))
 
 
 def test_field_requires_delta(tmp_path):
@@ -828,6 +858,67 @@ def test_bad_values_are_config_errors(tmp_path, capsys, command, blocks):
     assert _run([command, "--config", path, "--out", str(tmp_path)]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+_LIB_DIPOLE = Dipole(EllipticPoint(0.88, 0.9), np.array([1.0, 0.4]))
+_LIB_PROBE = EllipticPoint(1.2, 0.6)
+_THIN = ConfocalGeometry(**THIN_GEO)
+
+
+@pytest.mark.parametrize(
+    "command, blocks, library_call, message",
+    [
+        ("sweep", {"sweep": dict(_SWEEP, deltas=[1e-3, 1.5])},
+         lambda: sweep(_LIB_DIPOLE, _THIN, [1.5, 1e-3], [_LIB_PROBE]),
+         "delta: must be in (0, 1), got 1.5"),
+        ("field", {"field": dict(_FIELD, delta=1.5)},
+         lambda: adaptive_n_max(1.5, _THIN, 40),
+         "delta: must be in (0, 1), got 1.5"),
+        ("sweep", {"sweep": dict(_SWEEP, probes=[{"rho": 1.2, "omega": 0.6},
+                                                 {"rho": 0.7, "omega": 0.6}])},
+         lambda: sweep(_LIB_DIPOLE, _THIN, [1e-3], [_LIB_PROBE, EllipticPoint(0.7, 0.6)]),
+         "probes[1]: rho = 0.7 is not outside rho_e = 0.8"),
+        ("sweep", {"sweep": dict(_SWEEP, probes=[{"rho": 1.2, "omega": 0.6},
+                                                 {"rho": 400, "omega": 0.6}])},
+         lambda: sweep(_LIB_DIPOLE, _THIN, [1e-3], [_LIB_PROBE, EllipticPoint(400.0, 0.6)]),
+         "probes[1]: rho = 400.0 puts 2 pi (R cosh rho)^2 out of range"),
+        ("sweep", {"sweep": dict(_SWEEP, margin=-1)},
+         lambda: sweep(_LIB_DIPOLE, _THIN, [1e-3], [_LIB_PROBE], margin=-1),
+         "margin: must be >= 0, got -1"),
+        ("field", {"field": dict(_FIELD, margin=-1)},
+         lambda: adaptive_n_max(1e-3, _THIN, -1),
+         "margin: must be >= 0, got -1"),
+        ("sweep", {"sweep": dict(_SWEEP, deltas=[])},
+         lambda: sweep(_LIB_DIPOLE, _THIN, [], [_LIB_PROBE]),
+         "deltas: expected a non-empty list"),
+        ("validate", {"validate": {"n_nystrom": 15}},
+         lambda: oracle.validate(_THIN, _LIB_DIPOLE, 15),
+         "n_nystrom: must be even and >= 8, got 15"),
+    ],
+    ids=["sweep-delta", "field-delta", "inside-probe", "far-probe", "sweep-margin",
+         "field-margin", "no-deltas", "validate-size"],
+)
+def test_library_refuses_what_the_cli_reports(
+    tmp_path, capsys, monkeypatch, command, blocks, library_call, message
+):
+    """Each sweep, field and validate rule lives in the library: it raises
+    InputError before any coefficient is built, and the CLI prints its
+    message after `config error: <command>.`, exit 2."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("coefficients built before the refusal")
+
+    for module, name in [(solver, "newtonian_coefficients"), (cli, "newtonian_coefficients"),
+                         (oracle, "newtonian_coefficients"), (oracle, "mode_blocks_for")]:
+        monkeypatch.setattr(module, name, no_work)
+    with pytest.raises(InputError) as info:
+        library_call()
+    assert str(info.value) == message
+    cfg = {"geometry": THIN_GEO, "source": _DIPOLE, "sweep": _SWEEP, "field": _FIELD}
+    path = _write_cfg(tmp_path, "bad.json", dict(cfg, **blocks))
+    out = tmp_path / "out"
+    assert _run([command, "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {command}.{message}\n"
+    assert not list(out.iterdir())
 
 
 _HUGE = 10**400  # a JSON integer of 401 digits, past the double range

@@ -26,7 +26,7 @@ from calr_lab import (
     sample_ellipse,
 )
 from calr_lab import cli, oracle, solver, source
-from calr_lab.errors import ValidateSizeError
+from calr_lab.errors import InputError
 from calr_lab.geometry import cartesian, ellipse_curvature, tangents
 from calr_lab.oracle import (
     BlockNPMatrix,
@@ -670,7 +670,7 @@ def test_validate_refuses_sizes_before_any_work(monkeypatch, n_nystrom, n_modes,
         raise AssertionError("validate sampled kernel rows")
 
     monkeypatch.setattr(oracle, "mode_blocks_for", no_work)
-    with pytest.raises(ValidateSizeError, match=rule) as info:
+    with pytest.raises(InputError, match=rule) as info:
         oracle.validate(THIN, None, n_nystrom, n_modes)
     assert isinstance(info.value, ValueError)
 

@@ -911,6 +911,45 @@ def test_sweep_slices_match_per_delta_solves(name):
         assert rec.e_direct == dissipated_power_closed(sc, dc, g, rec.delta)
 
 
+def _truncation_messages(call):
+    """call()'s result and the texts of its TruncationWarnings; any other
+    warning fails the test, and each must be attributed to this file."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = call()
+    assert [w.category for w in caught] == [TruncationWarning] * len(caught)
+    assert {w.filename for w in caught} <= {__file__}
+    return result, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize(
+    "name, count",
+    [("dipole_inside", 7), ("dipole_outside", 3), ("thick_inside", 1), ("thick_outside", 0)],
+)
+def test_sweep_warns_as_per_delta_solves(name, count):
+    """A sweep checks the tail of each delta's solve and says what
+    solve_densities at that delta and n_max would, in record order."""
+    g, src, deltas, probes, margin = _bundled_sweep(name)
+    records, got = _truncation_messages(lambda: sweep(src, g, deltas, probes, margin=margin))
+    want = []
+    for rec in records:
+        sc = newtonian_coefficients(src, rec.n_max, g.R, rho_e=g.rho_e)
+        want += _truncation_messages(lambda: solve_densities(sc, g, rec.delta))[1]
+    assert got == want
+    assert len(got) == count
+
+
+def test_truncation_tail_is_scale_free():
+    """Scaling a source by 2**900 scales every weight exactly, so the tail
+    warning reads the same, and forming it squares nothing out of range."""
+    f = np.exp(-0.9 * np.arange(1.0, 31.0))
+    small = Coefficients(0.0, f, 0.5 * f)
+    big = Coefficients(0.0, 2.0**900 * f, 2.0**900 * (0.5 * f))
+    _, want = _truncation_messages(lambda: solve_densities(small, THIN, 1e-3))
+    _, got = _truncation_messages(lambda: solve_densities(big, THIN, 1e-3))
+    assert len(want) == 1 and got == want
+
+
 _PARTS = st.floats(allow_nan=False, allow_infinity=False)
 
 
