@@ -54,9 +54,11 @@ bounded/decaying E (no CALR), or neither.
 
 Each rule is stated once.  adaptive_n_max refuses a delta outside (0, 1)
 and a negative margin, and sweep a probe it cannot evaluate, all with
-errors.InputError before any coefficient is built.  The per-delta solve
-of solve_densities and sweep is one function, _assemble_densities, which
-also checks the truncation tail (TruncationWarning above 1e-10).
+errors.InputError before any coefficient is built.  The solve (with its
+tail check, TruncationWarning above 1e-10) and both energies run over
+(delta, mode) arrays, one row per delta over its own leading modes, with
+solve_densities and the dissipated_power functions as one-row cases; the
+energies square over a power-of-two scale and refuse only an E out of range.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ from .source import (
     Coefficients,
     SourceSpec,
     _horner,
+    _square_scale,
     elliptic_potential,
     newtonian_coefficients,
 )
@@ -135,10 +138,6 @@ class ModeProjection:
     proj_1m: np.ndarray = field(repr=False)
     proj_2p: np.ndarray = field(repr=False)
     proj_2m: np.ndarray = field(repr=False)
-
-    def truncated(self, n_max: int) -> ModeProjection:
-        """The leading n_max modes, as views (equal to a rebuild bit for bit)."""
-        return ModeProjection(*(getattr(self, f.name)[:n_max] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -272,44 +271,33 @@ def mode_projections(forcing: BoundaryForcing, modes: ModeTable) -> ModeProjecti
     )
 
 
-def _assemble_densities(
-    proj: ModeProjection, modes: ModeTable, delta: float
-) -> DensityCoefficients:
-    """The per-delta solve: the densities over the modes of proj and modes.
+def _assemble_densities(proj, modes, deltas, n_maxes) -> DensityCoefficients:
+    """(K, n_top) densities: row k solved at deltas[k], zero past n_maxes[k].
 
-    Warns (TruncationWarning, at the caller's caller) when the last mode
-    carries more than 1e-10 of the solution S-norm.  The terms |w|^2 norm
-    are formed as (|w| sqrt(norm) / top)^2, top the largest amplitude, so
-    no representable source overflows them.
+    Warns (TruncationWarning, at the caller's caller) once per delta, in
+    order, when the row's last mode carries over 1e-10 of its S-norm,
+    formed as (|w| sqrt(norm) / top)^2 with top the row's largest |w| sqrt(norm).
     """
-    z = z_param(delta)
-    w1 = proj.proj_1p / ((z + modes.lambda1) * modes.norm_1p)
-    w2 = proj.proj_2p / ((z + modes.lambda2) * modes.norm_2p)
-    w3 = proj.proj_1m / ((z - modes.lambda1) * modes.norm_1m)
-    w4 = proj.proj_2m / ((z - modes.lambda2) * modes.norm_2m)
-    amp = np.abs([w1, w2, w3, w4]) * np.sqrt(
-        [modes.norm_1p, modes.norm_2p, modes.norm_1m, modes.norm_2m]
-    )
-    top = float(np.max(amp))
-    if top > 0.0:
-        contrib = np.sum((amp / top) ** 2, axis=0)
-        tail = math.sqrt(float(contrib[-1]) / float(np.sum(contrib)))
+    z = np.array([[z_param(d)] for d in deltas])
+    keep = np.arange(len(modes.n)) < np.asarray(n_maxes)[:, None]
+    # The families 1+, 2+, 1-, 2- on a leading axis; z - lambda is z + (-lambda).
+    p = np.array([proj.proj_1p, proj.proj_2p, proj.proj_1m, proj.proj_2m])[:, None]
+    lam = np.array([modes.lambda1, modes.lambda2, -modes.lambda1, -modes.lambda2])[:, None]
+    norm = np.array([modes.norm_1p, modes.norm_2p, modes.norm_1m, modes.norm_2m])[:, None]
+    w1, w2, w3, w4 = w = np.where(keep, p / ((z + lam) * norm), 0.0)
+    amp = np.abs(w) * np.sqrt(norm)
+    top = np.max(amp, axis=(0, 2))
+    contrib = np.sum((amp / np.where(top > 0.0, top, 1.0)[:, None]) ** 2, axis=0)
+    for row, n_max, t in zip(contrib, n_maxes, top):
+        tail = math.sqrt(float(row[n_max - 1]) / float(row[:n_max].sum())) if t > 0.0 else 0.0
         if tail > _TAIL_TOL:
-            warnings.warn(
-                f"mode sum truncated at n_max = {len(contrib)} with relative tail {tail:.2e}",
-                TruncationWarning, stacklevel=3,
-            )
-    return DensityCoefficients(
-        p_cos=w1 * modes.a1 + w2 * modes.a2,
-        p_sin=(w3 + w4) * modes.b,
-        q_cos=(w1 + w2) * modes.b,
-        q_sin=w3 * modes.a2 + w4 * modes.a1,
-    )
+            warnings.warn(f"mode sum truncated at n_max = {n_max} with relative tail "
+                          f"{tail:.2e}", TruncationWarning, stacklevel=3)
+    return DensityCoefficients(w1 * modes.a1 + w2 * modes.a2, (w3 + w4) * modes.b,
+                               (w1 + w2) * modes.b, w3 * modes.a2 + w4 * modes.a1)
 
 
-def solve_densities(
-    sc: Coefficients, g: ConfocalGeometry, delta: float
-) -> DensityCoefficients:
+def solve_densities(sc: Coefficients, g: ConfocalGeometry, delta: float) -> DensityCoefficients:
     """Solve the transmission problem at loss delta over the sc.n_max modes.
 
     A negative delta (a gain shell) is accepted: conjugate symmetry
@@ -323,7 +311,8 @@ def solve_densities(
         raise ValueError(f"delta must be finite and nonzero, got {delta}")
     forcing = boundary_forcing(sc, g)
     modes = mode_table(g, sc.n_max)
-    return _assemble_densities(mode_projections(forcing, modes), modes, delta)
+    dc = _assemble_densities(mode_projections(forcing, modes), modes, [delta], [sc.n_max])
+    return DensityCoefficients(*(getattr(dc, f.name)[0] for f in fields(dc)))
 
 
 def _region_chains(
@@ -434,11 +423,53 @@ def eval_potential(
     return complex(eval_potentials(source, dc, g, x.rho, x.omega))
 
 
+def _energies(amp, terms, factor: float, deltas, n_maxes) -> list[float]:
+    """delta_k factor s_k^2 sum(terms(w)[k, :n_maxes[k]]) for each row k.
+
+    terms squares the (4, K, n_top) amplitudes amp times w: 1 / s_k on row
+    k's leading modes, s_k = _square_scale(their max amp), and 0 past them.
+    """
+    keep = np.arange(amp.shape[-1]) < np.asarray(n_maxes)[:, None]
+    scale = [_square_scale(t) for t in np.max(amp * keep, axis=(0, 2), initial=0.0).tolist()]
+    rows = terms(np.where(keep, 1.0 / np.array(scale)[:, None], 0.0))
+    out = []
+    for row, s, delta, n_max in zip(rows, scale, deltas, n_maxes):
+        out.append(float(delta) * factor * float(row[:n_max].sum()) * s * s)
+        if not math.isfinite(out[-1]):
+            raise OverflowGuard(f"dissipated power at delta = {delta} leaves double range")
+    return out
+
+
+def _closed_energies(sc, dc, g, deltas, n_maxes) -> list[float]:
+    """dissipated_power_closed at each deltas[k], with row k of dc."""
+    n = np.arange(1, sc.n_max + 1, dtype=float)
+    f = mode_factors(n, g)
+    # e^{n rho_e}, e^{-n rho_i} and e^{-n (rho_e + rho_i)} in one exp call.
+    rates = [g.rho_e, -g.rho_i, -(g.rho_e + g.rho_i)]
+    up_e, down_i, cross = np.exp(np.multiply.outer(rates, n))
+    alpha_c = 0.5 * sc.f_plus * up_e - dc.q_cos / (2.0 * n)
+    alpha_s = 0.5 * sc.f_minus * up_e - dc.q_sin / (2.0 * n)
+    beta_c = 0.5 * sc.f_plus * down_i - (dc.p_cos * f.ci + 0.5 * dc.q_cos * cross) / n
+    beta_s = -0.5 * sc.f_minus * down_i - (dc.p_sin * f.si - 0.5 * dc.q_sin * cross) / n
+    gap = -np.expm1(-2.0 * n * (g.rho_e - g.rho_i))
+    amp = np.abs(np.reshape([alpha_c, alpha_s, beta_c, beta_s], (4, len(deltas), -1)))
+    return _energies(amp, lambda w: n * gap * np.sum((amp * w) ** 2, axis=0),
+                     math.pi, deltas, n_maxes)
+
+
+def _spectral_energies(proj, modes, deltas, n_maxes) -> list[float]:
+    """dissipated_power_spectral at each deltas[k] over its leading n_maxes[k] modes."""
+    lam = np.array([modes.lambda1, modes.lambda1, modes.lambda2, modes.lambda2])[:, None]
+    norms = np.array([modes.norm_1p, modes.norm_1m, modes.norm_2p, modes.norm_2m])[:, None]
+    den = norms * (lam**2 + np.square(np.asarray(deltas, dtype=float))[:, None])
+    p = np.array([proj.proj_1p, proj.proj_1m, proj.proj_2p, proj.proj_2m])[:, None]
+    # The term proj^2 / (norm den) has the amplitude |proj| / sqrt(norm den).
+    return _energies(np.abs(p) / np.sqrt(den), lambda w: np.sum((p * w) ** 2 / den, axis=0),
+                     1.0, deltas, n_maxes)
+
+
 def dissipated_power_closed(
-    sc: Coefficients,
-    dc: DensityCoefficients,
-    g: ConfocalGeometry,
-    delta: float,
+    sc: Coefficients, dc: DensityCoefficients, g: ConfocalGeometry, delta: float
 ) -> float:
     """E_delta = delta * ||grad V||^2 over the shell, summed mode by mode.
 
@@ -450,54 +481,22 @@ def dissipated_power_closed(
         E = delta pi sum_n n (1 - e^{-2 n (rho_e - rho_i)})
               (|alpha~_c|^2 + |alpha~_s|^2 + |beta~_c|^2 + |beta~_s|^2).
 
-    Every term is positive.  The only growing factor, e^{n rho_e}, stays
-    below e^300 by the n_max guard, and it multiplies F_n, which decays
-    like e^{-n rho_0} with rho_0 > rho_e for a source outside the shell.
+    Every term is positive; the squares are taken over a power-of-two scale
+    (see _energies), so OverflowGuard means E itself is out of double range.
     """
     if len(dc.p_cos) != sc.n_max:
-        raise ValueError(
-            "source and density coefficients have different truncation orders"
-        )
+        raise ValueError("source and density coefficients have different truncation orders")
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta}")
-    n = np.arange(1, sc.n_max + 1, dtype=float)
-    f = mode_factors(n, g)
-    # e^{n rho_e}, e^{-n rho_i} and e^{-n (rho_e + rho_i)} in one exp call.
-    rates = [g.rho_e, -g.rho_i, -(g.rho_e + g.rho_i)]
-    up_e, down_i, cross = np.exp(np.multiply.outer(rates, n))
-    alpha_c = 0.5 * sc.f_plus * up_e - dc.q_cos / (2.0 * n)
-    alpha_s = 0.5 * sc.f_minus * up_e - dc.q_sin / (2.0 * n)
-    beta_c = 0.5 * sc.f_plus * down_i - (
-        dc.p_cos * f.ci + 0.5 * dc.q_cos * cross
-    ) / n
-    beta_s = -0.5 * sc.f_minus * down_i - (
-        dc.p_sin * f.si - 0.5 * dc.q_sin * cross
-    ) / n
-    gap = -np.expm1(-2.0 * n * (g.rho_e - g.rho_i))
-    mag2 = (
-        np.abs(alpha_c) ** 2
-        + np.abs(alpha_s) ** 2
-        + np.abs(beta_c) ** 2
-        + np.abs(beta_s) ** 2
-    )
-    return delta * math.pi * float(np.sum(n * gap * mag2))
+    return _closed_energies(sc, dc, g, [delta], [sc.n_max])[0]
 
 
-def dissipated_power_spectral(
-    proj: ModeProjection, modes: ModeTable, delta: float
-) -> float:
-    """Spectral surrogate of E_delta (resonant-mode sum)."""
+def dissipated_power_spectral(proj: ModeProjection, modes: ModeTable, delta: float) -> float:
+    """Spectral surrogate of E_delta (resonant-mode sum); OverflowGuard as
+    in dissipated_power_closed."""
     if not (delta > 0.0 and math.isfinite(delta)):
         raise ValueError(f"delta must be finite and > 0, got {delta}")
-    den1 = modes.lambda1**2 + delta * delta
-    den2 = modes.lambda2**2 + delta * delta
-    total = np.sum(
-        proj.proj_1p**2 / (modes.norm_1p * den1)
-        + proj.proj_1m**2 / (modes.norm_1m * den1)
-        + proj.proj_2p**2 / (modes.norm_2p * den2)
-        + proj.proj_2m**2 / (modes.norm_2m * den2)
-    )
-    return delta * float(total)
+    return _spectral_energies(proj, modes, [delta], [len(proj.proj_1p)])[0]
 
 
 def sweep(
@@ -511,19 +510,20 @@ def sweep(
 
     Each delta gets its own adaptive truncation.  The source coefficients,
     the mode table and the forcing projections do not depend on delta, so
-    they are built once at the largest truncation and sliced per delta;
-    the slices equal per-delta builds bit for bit.  The probes of all
-    deltas are evaluated in one evaluator call, each point with the
-    densities of its own delta zero-padded to the largest truncation,
-    which leaves its value unchanged bit for bit.  Records are returned in
-    the order the deltas were given.
+    they are built once at the largest truncation; the solve and both
+    energies then run once over (delta, mode) arrays, each row over the
+    leading modes of its delta, and equal per-delta calls bit for bit.
+    The probes of all deltas are evaluated in one evaluator call, each
+    point with its delta's densities, zero past its truncation, which
+    leaves its value unchanged bit for bit.  Records are returned in the
+    order the deltas were given.
 
     Before any coefficient is built, InputError refuses an empty deltas,
     a probe not strictly outside the shell or so far out that the point
     source's closed form overflows, and (adaptive_n_max) a delta outside
     (0, 1) or a negative margin.  Each delta's solve emits the
-    TruncationWarning that solve_densities at its n_max would.  probes
-    may be empty; the energies do not depend on them.
+    TruncationWarning that solve_densities at its n_max would, and an
+    energy out of double range raises OverflowGuard.  probes may be empty.
     """
     if len(deltas) == 0:
         raise InputError("deltas: expected a non-empty list")
@@ -542,30 +542,22 @@ def sweep(
     sc_top = newtonian_coefficients(source, n_top, g.R, rho_e=g.rho_e)
     modes_top = mode_table(g, n_top)
     proj_top = mode_projections(boundary_forcing(sc_top, g), modes_top)
-    # One density column per (delta, probe) point, zero-padded to n_top.
-    dens = np.zeros((4, n_top, len(deltas), len(probes)), dtype=complex)
-    solved = []
-    for k, (delta, n_max) in enumerate(zip(deltas, n_maxes)):
-        sc = sc_top.truncated(n_max)
-        modes = modes_top.truncated(n_max)
-        proj = proj_top.truncated(n_max)
-        dc = _assemble_densities(proj, modes, delta)
-        for f, column in zip(fields(dc), dens):
-            column[:n_max, k] = getattr(dc, f.name)[:, None]
-        energy = dissipated_power_closed(sc, dc, g, delta)
-        solved.append((energy, dissipated_power_spectral(proj, modes, delta)))
+    dc = _assemble_densities(proj_top, modes_top, deltas, n_maxes)
+    e_direct = _closed_energies(sc_top, dc, g, deltas, n_maxes)
+    e_spectral = _spectral_energies(proj_top, modes_top, deltas, n_maxes)
+    # One density column per (delta, probe) point, delta-major as rho and omega.
+    columns = DensityCoefficients(
+        *(np.repeat(getattr(dc, f.name).T, len(probes), axis=1) for f in fields(dc)))
     rho = np.tile([p.rho for p in probes], len(deltas))
     omega = np.tile([p.omega for p in probes], len(deltas))
-    columns = DensityCoefficients(*dens.reshape(4, n_top, -1))
     v = eval_potentials(source, columns, g, rho, omega)
     # |v| through hypot of the parts: it equals Python's complex abs bit for
     # bit, while np.abs of a complex array may differ in the last bit.
     far = np.hypot(v.real, v.imag).reshape(len(deltas), len(probes))
-    records = []
-    for delta, n_max, (energy, e_spectral), f in zip(deltas, n_maxes, solved, far):
-        scale = math.sqrt(energy) if energy > 0.0 else math.inf
-        records.append(SweepRecord(delta, n_max, energy, e_spectral, f, f / scale))
-    return records
+    return [
+        SweepRecord(d, n_max, e, e_spec, f, f / (math.sqrt(e) if e > 0.0 else math.inf))
+        for d, n_max, e, e_spec, f in zip(deltas, n_maxes, e_direct, e_spectral, far)
+    ]
 
 
 def calr_classify(records: Sequence[SweepRecord], regime: Regime) -> CalrDiagnosis:

@@ -244,6 +244,12 @@ def newtonian_coefficients(
     raise TypeError(f"unsupported source type {type(s).__name__}")
 
 
+def _square_scale(top: float) -> float:
+    """The power of two s with top / s < 2**500 (so squares over s sum to a
+    finite double), and 1 where top is below that, so no bit moves."""
+    return math.ldexp(1.0, max(math.frexp(top)[1] - 500, 0))
+
+
 def _horner(coef: np.ndarray, var: np.ndarray) -> np.ndarray:
     """sum_{n>=1} coef[n-1] var^n by Horner's rule, elementwise in var.
 
@@ -371,13 +377,15 @@ def gap_condition_report(
         t_k = exp(-(n_{k+1} - n_k)(rho_e - rho_i)) * exp(2 n_k rho_star)
               * (F_{n_k}^+^2 + F_{n_k}^-^2),
 
-    computed in log space so large windows cannot overflow.  Verdict
+    computed in log space, with the squares over s = _square_scale(max |F|)
+    and 2 log10(s) added back, so nothing representable overflows.  Verdict
     policy: SatisfiedHeuristically when the last five terms increase
     strictly and the final term exceeds 1e3; FailsHeuristically when they
     decrease strictly below 1e-3; Inconclusive otherwise, and always
     Inconclusive when fewer than eight nonzero indices are available.
     """
-    mag2 = sc.f_plus**2 + sc.f_minus**2
+    s = _square_scale(float(np.max(np.abs([sc.f_plus, sc.f_minus]), initial=0.0)))
+    mag2 = (sc.f_plus / s) ** 2 + (sc.f_minus / s) ** 2
     idx = np.nonzero(mag2 > 0.0)[0]
     if len(idx) < 2:
         return GapConditionReport(rho_star, idx + 1, np.array([]), GapVerdict.INCONCLUSIVE)
@@ -385,7 +393,7 @@ def gap_condition_report(
     gaps = np.diff(n_k)
     log10_t = (
         (-gaps * (g.rho_e - g.rho_i) + 2.0 * n_k[:-1] * rho_star) / math.log(10.0)
-        + np.log10(mag2[idx[:-1]])
+        + (np.log10(mag2[idx[:-1]]) + 2.0 * math.log10(s))
     )
 
     verdict = GapVerdict.INCONCLUSIVE

@@ -217,6 +217,22 @@ def test_sweep_of_a_source_without_modes(tmp_path):
     assert report["verdict"] == "Indeterminate"
 
 
+def test_sweep_energy_out_of_double_range(tmp_path, capsys):
+    """F_1 = 3e306 is a double but E ~ 1e613 is not: a numeric failure
+    naming the delta, exit 3, with no numpy overflow warned on the way."""
+    cfg = _write_cfg(tmp_path, "s.json", {
+        "geometry": THIN_GEO,
+        "source": {"variant": "coefficients", "f_plus": [3e306, 0.0],
+                   "f_minus": [3e306, 0.0]},
+        "sweep": {"deltas": [0.5, 0.1, 0.01], "probes": [{"rho": 1.2, "omega": 0.6}]},
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _run(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and "delta = 0.5" in err
+
+
 def test_sweep_rejects_bad_thread_count(tmp_path, capsys):
     cfg = str(CONFIGS / "dipole_inside.json")
     assert _run(["sweep", "--config", cfg, "--out", str(tmp_path),

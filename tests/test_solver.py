@@ -894,12 +894,28 @@ def test_sweep_preserves_order():
     assert [r.delta for r in records] == deltas
 
 
-@pytest.mark.parametrize("name", SOURCE_CONFIGS)
+# Sweeps that are not bundled: the batch's edge cases.
+_EDGE_SWEEPS = {
+    # deltas out of order, with a repeat
+    "unordered": lambda: _bundled_sweep("dipole_inside")[:2]
+    + ([1e-3, 1e-6, 1e-3, 1e-2], PROBES_THIN, 40),
+    # every row has top amplitude 0
+    "zero-source": lambda: (THIN, Coefficients(0.0, np.zeros(6), np.zeros(6)),
+                            [1e-2, 1e-5], PROBES_THIN, 40),
+    "charge-pair": lambda: (THIN, ChargePair(EllipticPoint(1.0, 0.3), EllipticPoint(1.1, 2.0)),
+                            [1e-2, 1e-4, 1e-6], PROBES_THIN, 40),
+}
+
+
+@pytest.mark.parametrize("name", SOURCE_CONFIGS + tuple(_EDGE_SWEEPS))
 def test_sweep_slices_match_per_delta_solves(name):
-    """Slicing one mode table and one coefficient set per sweep changes no
-    bit of what an independent solve at each delta's own n_max gives."""
-    g, src, deltas, probes, margin = _bundled_sweep(name)
-    for rec in sweep(src, g, deltas, probes, margin=margin):
+    """Solving all deltas in one (delta, mode) batch changes no bit of what
+    an independent solve at each delta's own n_max gives."""
+    case = _EDGE_SWEEPS.get(name, functools.partial(_bundled_sweep, name))
+    g, src, deltas, probes, margin = case()
+    records = sweep(src, g, deltas, probes, margin=margin)
+    assert [rec.delta for rec in records] == deltas
+    for rec in records:
         n_max = adaptive_n_max(rec.delta, g, margin)
         sc, dc = _truncated_solve(src, g, rec.delta, n_max)
         modes = mode_table(g, n_max)
@@ -948,6 +964,37 @@ def test_truncation_tail_is_scale_free():
     _, want = _truncation_messages(lambda: solve_densities(small, THIN, 1e-3))
     _, got = _truncation_messages(lambda: solve_densities(big, THIN, 1e-3))
     assert len(want) == 1 and got == want
+
+
+def _scaled_energies(k):
+    """Closed and spectral energies on THIN at delta 1e-3 of the source
+    F_n = e^{-0.9 n}, F_n^- = F_n / 2 (n = 1..30), scaled by 2**k."""
+    f = np.exp(-0.9 * np.arange(1.0, 31.0))
+    sc = Coefficients(0.0, 2.0**k * f, 2.0**k * (0.5 * f))
+    dc = _truncated_solve(sc, THIN, 1e-3, 30)[1]
+    modes = mode_table(THIN, 30)
+    proj = mode_projections(boundary_forcing(sc, THIN), modes)
+    return (
+        lambda: dissipated_power_closed(sc, dc, THIN, 1e-3),
+        lambda: dissipated_power_spectral(proj, modes, 1e-3),
+    )
+
+
+def test_energy_of_a_huge_source_is_exact():
+    """Scaling a source by 2**505 scales both energies by exactly 2**1010:
+    E ~ 3e307 is a double, although each mode's square alone is not."""
+    small = [energy() for energy in _scaled_energies(0)]
+    big = [energy() for energy in _scaled_energies(505)]
+    assert big == [math.ldexp(e, 1010) for e in small]
+    assert 1e307 < big[0] < math.inf
+
+
+def test_energy_out_of_double_range_is_refused():
+    """At 2**515 the energy itself exceeds the double range: OverflowGuard
+    names the delta, and no numpy overflow is warned on the way."""
+    for energy in _scaled_energies(515):
+        with pytest.raises(OverflowGuard, match="delta = 0.001"):
+            energy()
 
 
 _PARTS = st.floats(allow_nan=False, allow_infinity=False)

@@ -361,6 +361,21 @@ def test_gap_condition_inconclusive_cases():
     assert gap_condition_report(seven, THIN, RHO_STAR).verdict is GapVerdict.INCONCLUSIVE
 
 
+def test_gap_condition_of_a_huge_source():
+    """Scaling the coefficients by 2**600 moves every log10 term by
+    1200 log10(2) and changes nothing else; no square leaves the double
+    range on the way."""
+    src = Dipole(EllipticPoint(0.88, 0.9), np.array([1.0, 0.4]))
+    sc = newtonian_coefficients(src, 120, 1.0)
+    big = Coefficients(sc.c, 2.0**600 * sc.f_plus, 2.0**600 * sc.f_minus)
+    want = gap_condition_report(sc, THIN, RHO_STAR)
+    got = gap_condition_report(big, THIN, RHO_STAR)
+    assert got.verdict is want.verdict
+    assert np.array_equal(got.indices, want.indices)
+    shift = got.log10_terms - want.log10_terms
+    assert np.allclose(shift, 1200.0 * math.log10(2.0), rtol=0.0, atol=1e-10)
+
+
 def test_dipole_linearity_in_moment():
     a1 = np.array([1.0, 0.4])
     a2 = np.array([-0.7, 2.0])
