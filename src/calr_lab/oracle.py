@@ -21,12 +21,17 @@ or solver, and serves only for cross-validation.
 - The projection oracle (coefficient_projection_oracle) samples the
   closed-form newtonian_eval and never reads newtonian_coefficients.
 
-validate runs the seven checks of `calr-lab validate`, each threshold
-stated once, in its body.  They compare (1) mode_blocks_for's Nystrom
-eigenvalues and (2) K* of Gamma_i on 1/Xi with mode_table and 1/2,
+validate runs the eight checks of `calr-lab validate` in seven steps,
+each threshold stated once, in its body.  They compare (1) mode_blocks_for's
+Nystrom eigenvalues and (2) K* of Gamma_i on 1/Xi with mode_table and 1/2,
 (3, 4) block_matrices and s_gram with mode_table's eigenpairs and norms,
-(5) eval_potentials with the transmission conditions, (6) the surrogate
-with the closed-form energy, and (7) V at -delta with conj V at delta.
+(5) eval_potentials with the transmission conditions (continuity and
+flux_jump), (6) the surrogate with the closed-form energy, and (7) V at
+-delta with conj V at delta.  Step 1 solves only the mode blocks whose
+norm bound reaches the top values it compares (see _mode_spectrum; 5 of
+127 4 x 4 blocks at N = 256 on the default geometry), step 2 forms and
+applies K* 64 rows at a time rather than as one N x N matrix, and step 7
+evaluates both signs of delta in one evaluator call.
 
 On confocal ellipses the operator couples no two Fourier modes: with the
 node weights W of both curves, A = W M W^-1 has entries w_i k(x_i, y_j),
@@ -34,9 +39,10 @@ and in elliptic coordinates each of its four N x N curve blocks is a sum
 of functions of omega - omega' and omega + omega'.  For N even and
 equispaced nodes omega_j = 2 pi j / N, the discrete Fourier similarity
 F A F^-1 of each block is therefore zero off the index pairs (k, +-k).
-numeric_spectrum checks that pattern and then solves one 4 x 4 block per
+numeric_spectrum checks that pattern and then works on one 4 x 4 block per
 mode k = 1 .. N/2 - 1 (on the indices k and N - k of both curves) and a
-2 x 2 block at k = 0 and k = N/2, in place of the dense 2N x 2N matrix.
+2 x 2 block at k = 0 and k = N/2, in place of the dense 2N x 2N matrix;
+of the 4 x 4 blocks it solves only those that can hold a top value.
 
 mode_blocks_for reaches the same blocks without the matrix.  On the
 nodes omega_j = 2 pi j / N each curve block is A_ab[i, j] = c(i - j) +
@@ -66,7 +72,7 @@ converges spectrally and no singular quadrature is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -138,8 +144,10 @@ class SpectrumReport:
     candidate of its own Fourier mode k, or of the whole candidate list on
     the dense path), `rel_errors` the pairwise relative error (absolute
     error where the analytic value is zero).  `max_imag` records the
-    largest imaginary part seen in the eigensolves; the operator is
-    real-diagonalizable, so this is a pure discretization diagnostic.
+    largest imaginary part seen in the eigensolves: on the mode-block
+    route that is the blocks solved (those that can hold a top value), on
+    the dense path the whole matrix.  The operator is real-diagonalizable,
+    so this is a pure discretization diagnostic.
     """
 
     eigenvalues: np.ndarray = field(repr=False)
@@ -384,10 +392,29 @@ def mode_blocks_for(g: ConfocalGeometry, N: int) -> tuple[np.ndarray, np.ndarray
 def _mode_spectrum(
     ends: np.ndarray, quads: np.ndarray, count: int, geometry: ConfocalGeometry
 ) -> SpectrumReport:
-    """numeric_spectrum from the mode blocks of _mode_blocks or mode_blocks_for."""
-    ev_ends, ev_quads = _eigvals(ends), _eigvals(quads)
-    ev = np.concatenate([ev_ends[0], ev_quads.ravel(), ev_ends[1]])
-    mode = np.repeat(np.arange(len(quads) + 2), [2] + [4] * len(quads) + [2])
+    """numeric_spectrum from the mode blocks of _mode_blocks or mode_blocks_for.
+
+    Only the blocks that can hold a top-`count` value are solved.  A
+    block's spectral radius is at most its Frobenius norm, and so is a
+    computed eigenvalue up to rounding of a few eps, covered by the factor
+    1 + 1e-12 of `bound`.  The two end blocks and the ceil(count / 4) + 1
+    quads of largest bound are solved first; the count-th largest |lambda|
+    among them is a floor that every top value reaches, so one more call
+    solves the other quads whose bound reaches it, and no quad left out
+    holds a value that large.  The solved values stand in block order (k =
+    0 .. N/2) before the sort, as when every block is solved.
+    """
+    bound = np.linalg.norm(quads, axis=(1, 2)) * (1.0 + 1e-12)
+    by_bound = np.argsort(-bound)
+    first = by_bound[: -(-count // 4) + 1]
+    ev_ends, ev_first = _eigvals(ends), _eigvals(quads[first])
+    floor = np.sort(np.abs(np.concatenate([ev_ends.ravel(), ev_first.ravel()])))[-count]
+    rest = by_bound[len(first) : np.count_nonzero(bound >= floor)]
+    ev_quads = np.empty((len(quads), 4), dtype=complex)
+    ev_quads[first], ev_quads[rest] = ev_first, _eigvals(quads[rest])
+    solved = np.sort(np.concatenate([first, rest]))
+    ev = np.concatenate([ev_ends[0], ev_quads[solved].ravel(), ev_ends[1]])
+    mode = np.concatenate([[0, 0], np.repeat(solved + 1, 4), [len(quads) + 1] * 2])
     order = np.argsort(-np.abs(ev))[:count]
     top, mode = ev[order].real, mode[order]
     table = mode_table(geometry, max(1, int(mode.max())))
@@ -421,8 +448,10 @@ def numeric_spectrum(
 
     For a BlockNPMatrix without explicit analytic values whose Fourier
     blocks decouple by mode (every block_np_for matrix; see _mode_blocks),
-    the 2 x 2 and 4 x 4 mode blocks are solved in place of the matrix.
-    The top `count` values are taken over the union of their spectra, and
+    the 2 x 2 and 4 x 4 mode blocks are solved in place of the matrix,
+    the 4 x 4 ones only where their norm bound can reach the top (see
+    _mode_spectrum); max_imag then covers the solved blocks only.  The
+    top `count` values are those of the union of all block spectra, and
     each keeps its mode k and is paired with the nearest unused value of
     that mode's candidates: +-1/2 at k = 0 (the uniform-angle density on
     an ellipse is its equilibrium measure) and +-lambda_{1,k},
@@ -682,11 +711,17 @@ def validate(
         # Below 64 nodes a miss is too coarse to certify convergence either way.
         spectrum["status"] = "indeterminate"
 
-    # 2. Constant-density eigenvalue of K* on Gamma_i alone.
-    curve = sample_ellipse(g.R, g.rho_i, max(n_nystrom, 64))
+    # 2. Constant-density eigenvalue of K* on Gamma_i alone, formed and
+    # applied 64 rows at a time; each row is that row of assemble_np.
+    N = max(n_nystrom, 64)
+    curve = sample_ellipse(g.R, g.rho_i, N)
     xi_inv = 1.0 / curve.weights  # density ~ Xi^{-1}
-    resid = assemble_np(curve) @ xi_inv - 0.5 * xi_inv
-    alpha0_err = float(np.max(np.abs(resid)) / np.max(np.abs(xi_inv)))
+    buf, resid = np.empty((64, N)), []
+    for start in range(0, N, 64):
+        rows = np.arange(start, min(start + 64, N))
+        k_star = _kernel_block(curve, curve, same=True, out=buf[: len(rows)], rows=rows)
+        resid.append(np.max(np.abs(k_star @ xi_inv - 0.5 * xi_inv[rows])))
+    alpha0_err = float(np.max(resid) / np.max(np.abs(xi_inv)))
     checks = [spectrum, _check("alpha0_half", alpha0_err, 1e-8)]
 
     # 3. Eigen-residuals of the closed-form 2x2 blocks (componentwise) for
@@ -760,11 +795,14 @@ def validate(
     checks.append(_check("surrogate_ratio", spread, 10.0, status))
 
     # 7. Conjugation symmetry: z(-delta) = conj(z(delta)) pointwise in V.
+    # One evaluator call: the three points at +delta, then at -delta, each
+    # with its own density column.
     dc_m = solve_densities(sc, g, -delta)
     rhos = [0.5 * g.rho_i, 0.5 * (g.rho_i + g.rho_e), g.rho_e + 0.3]
     omegas = [0.3, 2.0, 4.0]
-    vp = eval_potentials(source, dc, g, rhos, omegas)
-    vm = eval_potentials(source, dc_m, g, rhos, omegas)
+    both = [np.column_stack([getattr(dc, f.name), getattr(dc_m, f.name)]) for f in fields(dc)]
+    columns = DensityCoefficients(*(np.repeat(d, 3, axis=1) for d in both))
+    vp, vm = eval_potentials(source, columns, g, rhos * 2, omegas * 2).reshape(2, 3)
     worst = float(np.max(np.abs(vm - np.conj(vp)) / np.maximum(np.abs(vp), 1e-30)))
     checks.append(_check("reality_symmetry", worst, 1e-13))
     return checks

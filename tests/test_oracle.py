@@ -20,6 +20,7 @@ from calr_lab import (
     ConfocalGeometry,
     CurveOverlap,
     EigensolveFailure,
+    OverflowGuard,
     SampledCurve,
     metric_factor,
     mode_table,
@@ -585,6 +586,104 @@ def test_mode_blocks_for_refuses_nodes_off_the_grid(monkeypatch):
     dense_ends, dense_quads = oracle._mode_blocks(block_np_for(THIN, N))
     assert np.max(np.abs(ends - dense_ends)) < 1e-13
     assert np.max(np.abs(quads - dense_quads)) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# Norm-pruned mode spectrum
+
+
+def _all_blocks_spectrum(ends, quads, count, geometry):
+    """_mode_spectrum with every block solved: the top `count` values of
+    the union of all block spectra, each paired within its own mode."""
+    ev_ends, ev_quads = np.linalg.eigvals(ends), np.linalg.eigvals(quads)
+    ev = np.concatenate([ev_ends[0], ev_quads.ravel(), ev_ends[1]])
+    mode = np.repeat(np.arange(len(quads) + 2), [2] + [4] * len(quads) + [2])
+    order = np.argsort(-np.abs(ev))[:count]
+    top, mode = ev[order].real, mode[order]
+    table = mode_table(geometry, max(1, int(mode.max())))
+    matched, errors = np.empty_like(top), np.empty_like(top)
+    for k in np.unique(mode):
+        if k == 0:
+            candidates = np.array([0.5, -0.5])
+        else:
+            lam = np.array([table.lambda1[k - 1], table.lambda2[k - 1]])
+            candidates = np.concatenate([lam, -lam])
+        mine = mode == k
+        matched[mine], errors[mine] = oracle._nearest_unused(top[mine], candidates)
+    return top, matched, errors
+
+
+@pytest.mark.parametrize("geometry", [THIN, THICK, R2], ids=["thin", "thick", "R2"])
+@pytest.mark.parametrize("N", [16, 64, 256, 1024])
+def test_pruned_mode_spectrum_equals_the_all_blocks_solve(geometry, N):
+    """Solving only the blocks whose norm bound reaches the count-th
+    largest value gives the all-blocks top values, their analytic partners
+    and errors, as multisets of (value, partner, error) bit for bit.
+    Where the top reaches modes past mode_table's range, both refuse."""
+    blocks = oracle.mode_blocks_for(geometry, N)
+    for count in (2, 14, 18, N // 2):
+        try:
+            want = _all_blocks_spectrum(*blocks, count, geometry)
+        except OverflowGuard:
+            with pytest.raises(OverflowGuard):
+                oracle._mode_spectrum(*blocks, count, geometry)
+            continue
+        got = oracle._mode_spectrum(*blocks, count, geometry)
+        assert sorted(zip(got.eigenvalues, got.matched, got.rel_errors)) == sorted(zip(*want))
+
+
+@pytest.mark.parametrize("top", [0.25, 0.2, 0.01])
+def test_pruned_mode_spectrum_finds_a_block_at_its_bound(top):
+    """A rank-one block c 1 1^T has spectral radius 4c, equal to its norm
+    bound (and four times its largest entry).  Planted with 4c = 0.25 and
+    0.2, above the 14th value of THIN at N = 64 (0.193), it is solved and
+    found, and with 4c = 0.01 it is left out; as in the all-blocks solve."""
+    ends, quads = oracle.mode_blocks_for(THIN, 64)
+    quads[20] = np.full((4, 4), top / 4.0)
+    got = oracle._mode_spectrum(ends, quads, 14, THIN)
+    want = _all_blocks_spectrum(ends, quads, 14, THIN)
+    assert sorted(zip(got.eigenvalues, got.matched, got.rel_errors)) == sorted(zip(*want))
+    assert np.any(np.abs(got.eigenvalues - top) < 1e-12) == (top > 0.194)
+
+
+def test_pruned_mode_spectrum_solves_few_blocks(monkeypatch):
+    """On the validate_default geometry (N = 256, top 14) the two end
+    blocks and 5 of the 127 quads are solved."""
+    solved = []
+    eigvals = oracle._eigvals
+
+    def record(matrix):
+        solved.append(matrix.shape)
+        return eigvals(matrix)
+
+    monkeypatch.setattr(oracle, "_eigvals", record)
+    oracle._mode_spectrum(*oracle.mode_blocks_for(THIN, 256), 14, THIN)
+    assert sum(shape[0] for shape in solved if shape[1:] == (4, 4)) == 5
+    assert sum(shape[0] for shape in solved if shape[1:] == (2, 2)) == 2
+
+
+def test_scaled_mode_block_enters_the_top(monkeypatch):
+    """A mode block scaled by 1e3 (k = N/4, eigenvalues about 4.1) carries
+    its norm bound with it, so it is solved, its mode enters the top
+    values, and validate's nystrom_spectrum fails."""
+    N, k = 64, 16
+    mode_blocks_for = oracle.mode_blocks_for
+
+    def scaled(g, n):
+        ends, quads = mode_blocks_for(g, n)
+        quads[k - 1] *= 1e3
+        return ends, quads
+
+    monkeypatch.setattr(oracle, "mode_blocks_for", scaled)
+    rep = oracle._mode_spectrum(*oracle.mode_blocks_for(THIN, N), 14, THIN)
+    lam = mode_table(THIN, k)
+    mine = np.isin(rep.matched, [lam.lambda1[k - 1], lam.lambda2[k - 1],
+                                 -lam.lambda1[k - 1], -lam.lambda2[k - 1]])
+    assert mine.sum() == 4
+    assert np.all(np.abs(rep.eigenvalues[mine]) > 1.0)
+    checks = {c["name"]: c for c in oracle.validate(THIN, n_nystrom=N)}
+    assert checks["nystrom_spectrum"]["status"] == "fail"
+    assert checks["nystrom_spectrum"]["observed"] > 100.0
 
 
 # The check-only routes that live in oracle, by the production module that
