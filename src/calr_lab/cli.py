@@ -21,7 +21,8 @@ The CLI checks only what parsing needs: JSON types, the blocks' shapes
 and the grid.  Every rule on a loss, margin, probe or validate size is
 the library's (adaptive_n_max, sweep, oracle.validate), which raises
 errors.InputError naming the key; main reports it once, as
-"config error: <command>.<message>".
+"config error: <command>.<message>"; a source inside the shell
+(SourceInsideShell) as "config error: source.<point>: <message>".
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from .errors import CalrError, ConfigError, InputError, TooFewCoefficients
+from .errors import CalrError, ConfigError, InputError, SourceInsideShell, TooFewCoefficients
 from .geometry import ConfocalGeometry, EllipticPoint, elliptic_coords
 from .oracle import validate
 from .solver import (
@@ -55,11 +56,7 @@ from .source import (
     gap_condition_report,
     newtonian_coefficients,
 )
-from .spectrum import RegimeKind, critical_radius, mode_table
-
-_SPECTRUM_COLUMNS = (
-    "n,lambda1,lambda2,a1,a2,b,norm_1p,norm_1m,norm_2p,norm_2m"
-)
+from .spectrum import ModeTable, RegimeKind, critical_radius, mode_table
 
 
 def _fmt(x: float) -> str:
@@ -214,7 +211,7 @@ def spectrum_command(cfg: dict, out_dir: Path) -> int:
         for n, *values in zip(*columns)
     )
     path = out_dir / "spectrum.csv"
-    _write_rows(path, _SPECTRUM_COLUMNS, rows)
+    _write_rows(path, ",".join(f.name for f in fields(ModeTable)), rows)
     print(f"wrote {path} ({n_max} modes)")
     return 0
 
@@ -363,6 +360,8 @@ def field_command(cfg: dict, out_dir: Path) -> int:
     # Sources very close to the shell need extra modes before the series
     # tail clears the interface gap; margin buys that headroom.
     n_max = adaptive_n_max(delta, g, _int(block, "field", "margin", 40))
+    # Before the grid is inverted, so a source inside the shell costs nothing.
+    sc = newtonian_coefficients(source, n_max, g.R, rho_e=g.rho_e)
     regime = critical_radius(g.rho_i, g.rho_e)
     rho_max = _number(block, "field", "rho_max", regime.far_bound_rho + 0.3)
     try:
@@ -391,7 +390,6 @@ def field_command(cfg: dict, out_dir: Path) -> int:
     past = ~focal & (rho >= radius)
     blank = focal | past
 
-    sc = newtonian_coefficients(source, n_max, g.R, rho_e=g.rho_e)
     dc = solve_densities(sc, g, delta)
     v = eval_potentials(source, dc, g, rho[~blank], omega[~blank])
     # np.hypot of the parts is Python's complex abs bit for bit; np.abs is not.
@@ -471,7 +469,7 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             raise ConfigError(f"--out {out_dir}: {exc.strerror}") from exc
         return _COMMANDS[args.command](cfg, out_dir)
-    except ConfigError as exc:
+    except (ConfigError, SourceInsideShell) as exc:  # source is a top-level block
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except InputError as exc:  # the library names the key inside the command's block

@@ -17,11 +17,6 @@ class OverflowGuard(CalrError):
     intermediate exponentials outside double-precision range."""
 
 
-class SourceInsideShell(CalrError):
-    """Raised when a source location does not lie strictly outside the
-    outer interface."""
-
-
 class SingularPoint(CalrError):
     """Raised when a potential is evaluated at (or numerically on top of)
     a source singularity."""
@@ -44,8 +39,13 @@ class EigensolveFailure(CalrError):
 
 class InputError(CalrError, ValueError):
     """Raised when a library entry point refuses an argument before any
-    work: a loss delta, margin, sweep probe or validate size it cannot
-    use.  The message starts with the argument's name."""
+    work: a loss delta, margin, sweep probe, validate size or source
+    location it cannot use.  The message starts with the argument's name."""
+
+
+class SourceInsideShell(InputError):
+    """Raised, before any work, when a source location does not lie
+    strictly outside the outer interface."""
 
 
 class ConfigError(CalrError):

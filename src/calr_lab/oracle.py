@@ -31,7 +31,7 @@ flux_jump), (6) the surrogate with the closed-form energy, and (7) V at
 norm bound reaches the top values it compares (see _mode_spectrum; 5 of
 127 4 x 4 blocks at N = 256 on the default geometry), step 2 forms and
 applies K* 64 rows at a time rather than as one N x N matrix, and step 7
-evaluates both signs of delta in one evaluator call.
+evaluates both signs of delta in one evaluator call, as two density rows.
 
 On confocal ellipses the operator couples no two Fourier modes: with the
 node weights W of both curves, A = W M W^-1 has entries w_i k(x_i, y_j),
@@ -688,7 +688,9 @@ def validate(
 
     The default source is a dipole at (rho_e + 0.5, 0.9), moment (1, 0.4).
     Before any work, InputError refuses n_nystrom (nodes per curve)
-    odd or below 8, n_modes below 1, and 2 + 4 n_modes > n_nystrom / 2.
+    odd or below 8, n_modes below 1, and 2 + 4 n_modes > n_nystrom / 2,
+    and SourceInsideShell (an InputError) a source not strictly outside
+    the shell.
     """
     if n_nystrom < 8 or n_nystrom % 2:
         raise InputError(f"n_nystrom: must be even and >= 8, got {n_nystrom}")
@@ -701,6 +703,9 @@ def validate(
         )
     if source is None:
         source = Dipole(EllipticPoint(g.rho_e + 0.5, 0.9), np.array([1.0, 0.4]))
+    # Steps 5 and 7 solve at this loss; a source inside the shell is refused here.
+    delta = 1e-3
+    sc = newtonian_coefficients(source, adaptive_n_max(delta, g), g.R, rho_e=g.rho_e)
     # 1. Nystrom block spectrum against the closed-form eigenvalues, solved
     # mode by mode from a few kernel rows per curve block.
     rep = _mode_spectrum(*mode_blocks_for(g, n_nystrom), count, g)
@@ -757,9 +762,6 @@ def validate(
     checks.append(_check("s_norms", worst, 1e-12, None if pd else "fail"))
 
     # 5. Transmission conditions for the source.
-    delta = 1e-3
-    n_max = adaptive_n_max(delta, g)
-    sc = newtonian_coefficients(source, n_max, g.R, rho_e=g.rho_e)
     dc = solve_densities(sc, g, delta)
     stencil = np.array([-49.0 / 20, 6.0, -15.0 / 2, 20.0 / 3, -15.0 / 4, 6.0 / 5, -1.0 / 6])
     h = 1e-4
@@ -795,14 +797,12 @@ def validate(
     checks.append(_check("surrogate_ratio", spread, 10.0, status))
 
     # 7. Conjugation symmetry: z(-delta) = conj(z(delta)) pointwise in V.
-    # One evaluator call: the three points at +delta, then at -delta, each
-    # with its own density column.
+    # One evaluator call on two density rows, +delta and -delta.
     dc_m = solve_densities(sc, g, -delta)
+    rows = DensityCoefficients(
+        *(np.stack([getattr(dc, f.name), getattr(dc_m, f.name)]) for f in fields(dc)))
     rhos = [0.5 * g.rho_i, 0.5 * (g.rho_i + g.rho_e), g.rho_e + 0.3]
-    omegas = [0.3, 2.0, 4.0]
-    both = [np.column_stack([getattr(dc, f.name), getattr(dc_m, f.name)]) for f in fields(dc)]
-    columns = DensityCoefficients(*(np.repeat(d, 3, axis=1) for d in both))
-    vp, vm = eval_potentials(source, columns, g, rhos * 2, omegas * 2).reshape(2, 3)
+    vp, vm = eval_potentials(source, rows, g, rhos, [0.3, 2.0, 4.0])
     worst = float(np.max(np.abs(vm - np.conj(vp)) / np.maximum(np.abs(vp), 1e-30)))
     checks.append(_check("reality_symmetry", worst, 1e-13))
     return checks

@@ -43,10 +43,10 @@ region (core, shell or exterior) all of them are powers of
 x = e^{-(rho - lo) + i omega} or y = e^{-(hi - rho) + i omega} and their
 conjugates, scaled by constants e^{-n c} with c >= 0; the source series
 is a power series in e^{zeta} and e^{-zeta}.  eval_potentials sums them
-all with one Horner recurrence (source._horner), elementwise per point,
-so a value depends neither on the other points nor on trailing zero
-densities; sweep relies on both to evaluate the probes of all its deltas
-in one call.
+all with one Horner recurrence (source._horner), for each density row
+(the solve's (delta, mode) rows, or one row) at each point, so a value
+depends neither on the other points or rows nor on trailing zero
+densities; sweep relies on this to evaluate all its deltas in one call.
 
 A sweep drives delta over several decades and the classifier grades the
 outcome: resonant blow-up of E with decaying source visibility (CALR),
@@ -142,11 +142,11 @@ class ModeProjection:
 
 @dataclass(frozen=True)
 class DensityCoefficients:
-    """Complex density coefficients; index [n-1] holds mode n.
+    """Complex density coefficients; index [..., n-1] holds mode n.
 
     phi_i = sum p_cos[n] phi_n_c(i) + p_sin[n] phi_n_s(i), and q_* likewise
-    for phi_e.  eval_potentials also takes (n_max, m) arrays holding one
-    column of densities per evaluation point.
+    for phi_e.  Each array is one solve's row (n_max,), or K rows
+    (K, n_max), one per loss value, as a sweep solves them.
     """
 
     p_cos: np.ndarray = field(repr=False)
@@ -343,26 +343,25 @@ def _region_chains(
 
 
 def _layer_sums(
-    dens: Sequence[np.ndarray], g: ConfocalGeometry, rho: np.ndarray, omega: np.ndarray
+    dc: DensityCoefficients, g: ConfocalGeometry, rho: np.ndarray, omega: np.ndarray
 ) -> np.ndarray:
-    """Sum of both layer potentials at the points (rho[j], omega[j]).
+    """Both layer potentials of each of the K density rows of dc (one row
+    for 1-d arrays) at the points (rho[j], omega[j]), shape (K, points).
 
-    dens is (p_cos, p_sin, q_cos, q_sin), each of shape (n_max, 1) for
-    densities shared by all points or (n_max, points) for a column per
-    point.  Mode n of the layer of phi_n_c (phi_n_s) on rho_k is
-    -(near^n +- far^n) cos (sin)(n omega) / (2n) with near = e^{-|rho -
-    rho_k|} and far = e^{-(rho + rho_k)}; writing cos and sin through
-    e^{+-i n omega} turns each layer sum into power series in a complex
-    ratio of modulus <= 1 (see _region_chains), summed by _horner and
-    added in a fixed order.
+    Mode n of the layer of phi_n_c (phi_n_s) on rho_k is -(near^n +-
+    far^n) cos (sin)(n omega) / (2n) with near = e^{-|rho - rho_k|} and
+    far = e^{-(rho + rho_k)}; writing cos and sin through e^{+-i n omega}
+    turns each layer sum into power series in a complex ratio of modulus
+    <= 1 (see _region_chains), with coefficients built once per row and
+    region, summed by _horner and added in a fixed order.
     """
-    p_cos, p_sin, q_cos, q_sin = dens
+    p_cos, p_sin, q_cos, q_sin = (np.atleast_2d(getattr(dc, f.name)).T for f in fields(dc))
     n = np.arange(1, len(p_cos) + 1, dtype=float)[:, None]
     halves = [
         (g.rho_i, ((p_cos - 1j * p_sin) / (2.0 * n), (p_cos + 1j * p_sin) / (2.0 * n))),
         (g.rho_e, ((q_cos - 1j * q_sin) / (2.0 * n), (q_cos + 1j * q_sin) / (2.0 * n))),
     ]
-    out = np.empty(rho.shape, dtype=complex)
+    out = np.empty((p_cos.shape[1], rho.size), dtype=complex)
     region = (rho > g.rho_i).astype(int) + (rho > g.rho_e)
     bounds = ((0.0, g.rho_i), (g.rho_i, g.rho_e), (g.rho_e, None))
     for r, (lo, hi) in enumerate(bounds):
@@ -375,8 +374,9 @@ def _layer_sums(
         if hi is not None:
             y = np.exp((rho[idx] - hi) + 1j * omega[idx])
             var += [y, y.conj()]
-        acc = _horner(coef if coef.shape[2] == 1 else coef[:, :, idx], np.stack(var))
-        out[idx] = -0.5 * sum(acc[1:], acc[0])
+        # (chain, row, point): each row's chains run over each point.
+        acc = _horner(coef[..., None], np.stack(var)[:, None])
+        out[:, idx] = -0.5 * sum(acc[1:], acc[0])
     return out
 
 
@@ -389,13 +389,14 @@ def eval_potentials(
 ) -> np.ndarray:
     """V_delta at the elliptic points (rho[j], omega[j]), any region.
 
-    rho and omega broadcast against each other; the complex result has
-    their broadcast shape.  The density arrays of dc have shape (n_max,),
-    or (n_max, m) with one column per point (in flattened order) when
-    each point carries densities of its own, as in sweep.  The layer sums
-    and the source series cost one complex exp per point and chain, then
-    one complex multiply-add per mode (_horner), with no point x mode
-    array; a value does not depend on which call its point falls in.
+    rho and omega broadcast against each other to the points' shape.  The
+    density arrays of dc are one row (n_max,), giving a complex result of
+    that shape, or K rows (K, n_max), giving (K,) + that shape, row k at
+    every point.  F is evaluated once per point and added to every row.
+    The layer sums and the source series cost one complex exp per point
+    and chain, then one complex multiply-add per mode, row and point
+    (_horner), with no point x mode array; a value does not depend on which
+    call its point or row falls in.
     """
     rho, omega = np.broadcast_arrays(
         np.asarray(rho, dtype=float), np.asarray(omega, dtype=float)
@@ -404,13 +405,9 @@ def eval_potentials(
     rho, omega = rho.ravel(), omega.ravel()
     if not (rho >= 0.0).all():
         raise ValueError("need rho >= 0 at every point")
-    n_max = len(dc.p_cos)
-    dens = [np.reshape(getattr(dc, f.name), (n_max, -1)) for f in fields(dc)]
-    if dens[0].shape[1] not in (1, rho.size):
-        raise ValueError(f"need 1 or {rho.size} density columns, got {dens[0].shape[1]}")
-    out = _layer_sums(dens, g, rho, omega)
+    out = _layer_sums(dc, g, rho, omega)
     out += elliptic_potential(source, g.R, rho, omega)
-    return out.reshape(shape)
+    return out.reshape(dc.p_cos.shape[:-1] + shape)
 
 
 def eval_potential(
@@ -513,17 +510,18 @@ def sweep(
     they are built once at the largest truncation; the solve and both
     energies then run once over (delta, mode) arrays, each row over the
     leading modes of its delta, and equal per-delta calls bit for bit.
-    The probes of all deltas are evaluated in one evaluator call, each
-    point with its delta's densities, zero past its truncation, which
-    leaves its value unchanged bit for bit.  Records are returned in the
-    order the deltas were given.
+    The probes of all deltas are evaluated in one evaluator call on the
+    solve's (delta, mode) rows, each zero past its delta's truncation,
+    which leaves its values unchanged bit for bit.  Records are returned
+    in the order the deltas were given.
 
     Before any coefficient is built, InputError refuses an empty deltas,
     a probe not strictly outside the shell or so far out that the point
-    source's closed form overflows, and (adaptive_n_max) a delta outside
-    (0, 1) or a negative margin.  Each delta's solve emits the
-    TruncationWarning that solve_densities at its n_max would, and an
-    energy out of double range raises OverflowGuard.  probes may be empty.
+    source's closed form overflows, (adaptive_n_max) a delta outside (0, 1)
+    or a negative margin, and (newtonian_coefficients) a source inside the
+    shell.  Each delta's solve emits the TruncationWarning that
+    solve_densities at its n_max would, and an energy out of double range
+    raises OverflowGuard.  probes may be empty.
     """
     if len(deltas) == 0:
         raise InputError("deltas: expected a non-empty list")
@@ -545,15 +543,10 @@ def sweep(
     dc = _assemble_densities(proj_top, modes_top, deltas, n_maxes)
     e_direct = _closed_energies(sc_top, dc, g, deltas, n_maxes)
     e_spectral = _spectral_energies(proj_top, modes_top, deltas, n_maxes)
-    # One density column per (delta, probe) point, delta-major as rho and omega.
-    columns = DensityCoefficients(
-        *(np.repeat(getattr(dc, f.name).T, len(probes), axis=1) for f in fields(dc)))
-    rho = np.tile([p.rho for p in probes], len(deltas))
-    omega = np.tile([p.omega for p in probes], len(deltas))
-    v = eval_potentials(source, columns, g, rho, omega)
+    v = eval_potentials(source, dc, g, [p.rho for p in probes], [p.omega for p in probes])
     # |v| through hypot of the parts: it equals Python's complex abs bit for
     # bit, while np.abs of a complex array may differ in the last bit.
-    far = np.hypot(v.real, v.imag).reshape(len(deltas), len(probes))
+    far = np.hypot(v.real, v.imag)
     return [
         SweepRecord(d, n_max, e, e_spec, f, f / (math.sqrt(e) if e > 0.0 else math.inf))
         for d, n_max, e, e_spec, f in zip(deltas, n_maxes, e_direct, e_spectral, far)

@@ -183,10 +183,10 @@ def green_expansion_coefficients(
     return -damp * np.cos(n * x0.omega), -damp * np.sin(n * x0.omega)
 
 
-def _require_outside(rho0: float, rho_e: float | None) -> None:
+def _require_outside(where: str, rho0: float, rho_e: float | None) -> None:
     if rho_e is not None and rho0 <= rho_e:
         raise SourceInsideShell(
-            f"source radius rho = {rho0} does not lie strictly outside rho_e = {rho_e}"
+            f"source.{where}: radius rho = {rho0} does not lie strictly outside rho_e = {rho_e}"
         )
 
 
@@ -223,7 +223,7 @@ def newtonian_coefficients(
     and -p / (2 pi Xi0) for a dipole (see the module docstring).  Expansion
     data given as Coefficients are cut or zero-padded to n_max.  When rho_e
     is given, the source support is checked to lie strictly outside the
-    shell (SourceInsideShell otherwise).
+    shell (SourceInsideShell, an InputError naming source.location etc.).
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -235,11 +235,11 @@ def newtonian_coefficients(
         fm[:m] = s.f_minus[:m]
         return Coefficients(s.c, fp, fm)
     if isinstance(s, Dipole):
-        _require_outside(s.location.rho, rho_e)
+        _require_outside("location", s.location.rho, rho_e)
         return _dipole_coefficients(s, n_max, R)
     if isinstance(s, ChargePair):
-        _require_outside(s.plus.rho, rho_e)
-        _require_outside(s.minus.rho, rho_e)
+        _require_outside("plus", s.plus.rho, rho_e)
+        _require_outside("minus", s.minus.rho, rho_e)
         return _pair_coefficients(s, n_max)
     raise TypeError(f"unsupported source type {type(s).__name__}")
 
@@ -257,6 +257,8 @@ def _horner(coef: np.ndarray, var: np.ndarray) -> np.ndarray:
     |var| >= 1 no accumulator exceeds the sum of |terms|.
     """
     acc = np.zeros(np.broadcast_shapes(coef.shape[1:], np.shape(var)), dtype=complex)
+    # Equal shapes: numpy multiplies by a broadcast var up to twice as slowly.
+    var = np.ascontiguousarray(np.broadcast_to(var, acc.shape))
     for c in coef[::-1]:
         acc *= var
         acc += c

@@ -642,9 +642,9 @@ def test_validate_alpha0_matches_a_fresh_assembly(block, nodes):
     "geo", [THIN_GEO, {"R": 1.0, "rho_i": 0.2, "rho_e": 1.0}], ids=["thin", "thick"]
 )
 def test_reality_symmetry_matches_two_evaluator_calls(geo):
-    """reality_symmetry, evaluated at +delta and -delta in one call with
-    a density column per point, is the worst |V(-delta) - conj V(delta)|
-    relative to |V(delta)| of two separate calls, bit for bit."""
+    """reality_symmetry, evaluated at +delta and -delta in one call on two
+    density rows, is the worst |V(-delta) - conj V(delta)| relative to
+    |V(delta)| of two separate calls, bit for bit."""
     g = ConfocalGeometry(**geo)
     source = Dipole(EllipticPoint(g.rho_e + 0.5, 0.9), np.array([1.0, 0.4]))
     delta = 1e-3
@@ -963,6 +963,36 @@ def test_library_refuses_what_the_cli_reports(
     out = tmp_path / "out"
     assert _run([command, "--config", path, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {command}.{message}\n"
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["sweep", "field", "validate"])
+@pytest.mark.parametrize(
+    "source, where",
+    [
+        (dict(_DIPOLE, location={"rho": 0.7, "omega": 0.9}), "source.location"),
+        (dict(_PAIR, minus={"rho": 0.7, "omega": 2.0}), "source.minus"),
+    ],
+    ids=["dipole", "charge-pair"],
+)
+def test_source_inside_the_shell_is_a_config_error(
+    tmp_path, capsys, monkeypatch, command, source, where
+):
+    """A source point at rho = 0.7, inside rho_e = 0.8, is refused before
+    any work (no grid inversion, no Nystrom step): exit 2, one config error
+    line naming the point's key and both radii, and no output file."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the refusal")
+
+    monkeypatch.setattr(cli, "elliptic_coords", no_work)
+    monkeypatch.setattr(oracle, "mode_blocks_for", no_work)
+    cfg = {"geometry": THIN_GEO, "source": source, "sweep": _SWEEP, "field": _FIELD}
+    path = _write_cfg(tmp_path, "inside.json", cfg)
+    out = tmp_path / "out"
+    assert _run([command, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: {where}: radius rho = 0.7 does not lie strictly outside "
+                   "rho_e = 0.8\n")
     assert not list(out.iterdir())
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import time
 import warnings
 from pathlib import Path
@@ -51,6 +52,7 @@ from calr_lab import (
 )
 from calr_lab.cli import load_config, parse_geometry, parse_source
 from calr_lab.solver import BoundaryForcing, ModeProjection, SweepRecord
+from calr_lab.source import elliptic_potential
 
 TWO_PI = 2.0 * math.pi
 
@@ -381,8 +383,8 @@ def _solved_case(g, rho0, delta, margin=40):
 
 @pytest.mark.parametrize("kind", ["dipole", "pair", "coefficients"])
 def test_blocked_potentials_match_pointwise(kind):
-    """Points spread over several evaluator blocks, in the core, the shell
-    and the exterior and exactly on both interfaces, give bit for bit the
+    """Points in the core, the shell and the exterior and exactly on both
+    interfaces, hundreds of them in one call, give bit for bit the
     value of a one-point evaluation, in any order."""
     _, sc, dc = _solved_case(THIN, 1.3, 1e-3)
     src = {
@@ -482,26 +484,53 @@ def test_zero_padded_densities_change_no_bit():
         assert got.tobytes() == want.tobytes()
 
 
-def test_density_columns_per_point():
-    """Densities with one column per point give each point the value of its
-    own column; a column count that is neither 1 nor the point count is
-    refused."""
+def test_density_rows_are_evaluated_at_every_point():
+    """Row k of (K, n_max) densities gives, at every point, bit for bit the
+    value of that row alone, in the core, the shell and the exterior and
+    on both interfaces; the result has shape (K,) + points, and a
+    (1, n_max) row gives the one-row value."""
     _, sc, dc = _solved_case(THIN, 1.3, 1e-3)
     _, _, dc2 = _solved_case(THIN, 1.3, 1e-5)
     n = len(dc2.p_cos)
-    rho, omega = np.array([0.3, 0.65, 1.2, 1.2]), np.array([1.0, 2.0, 0.6, 2.8])
-    per_point = [[np.pad(a, (0, n - len(a))) for a in _arrays(d)] for d in (dc, dc2) * 2]
-    columns = DensityCoefficients(*np.stack(per_point, axis=-1))
-    got = eval_potentials(sc, columns, THIN, rho, omega)
-    for j, d in enumerate((dc, dc2) * 2):
-        assert got[j] == eval_potentials(sc, d, THIN, rho[j], omega[j])
-    with pytest.raises(ValueError):
-        eval_potentials(sc, columns, THIN, rho[:3], omega[:3])
+    alone = [
+        DensityCoefficients(*(np.pad(a, (0, n - len(a))) for a in _arrays(d)))
+        for d in (dc, dc2, dc)
+    ]
+    rows = DensityCoefficients(*(np.stack(a) for a in zip(*map(_arrays, alone))))
+    rho = np.array([[0.3, 0.65, 1.2], [THIN.rho_i, THIN.rho_e, 0.0]])
+    omega = np.array([1.0, 2.0, 0.6])
+    for src in (_NO_SOURCE, sc):
+        got = eval_potentials(src, rows, THIN, rho, omega)
+        assert got.shape == (3, 2, 3)
+        for k, d in enumerate(alone):
+            want = eval_potentials(src, d, THIN, rho, omega)
+            assert got[k].tobytes() == want.tobytes()
+            one = eval_potentials(src, DensityCoefficients(*(a[None] for a in _arrays(d))),
+                                  THIN, rho, omega)
+            assert one.shape == (1, 2, 3) and one[0].tobytes() == want.tobytes()
+        assert eval_potentials(src, rows, THIN, [], []).shape == (3, 0)
+
+
+def test_sweep_evaluates_the_source_once_per_probe(monkeypatch):
+    """A sweep evaluates F once at each of its P probes and adds it to the
+    rows of all K deltas: P points reach elliptic_potential, not K P."""
+    seen = []
+
+    def counting(source, R, rho, omega):
+        seen.append(np.size(rho))
+        return elliptic_potential(source, R, rho, omega)
+
+    monkeypatch.setattr("calr_lab.solver.elliptic_potential", counting)
+    src = Dipole(EllipticPoint(1.3, 0.9), np.array([1.0, 0.4]))
+    records = sweep(src, THIN, [1e-2, 1e-3, 1e-4], PROBES_THIN)
+    assert seen == [len(PROBES_THIN)]
+    assert [len(rec.far_samples) for rec in records] == [len(PROBES_THIN)] * 3
 
 
 def test_potentials_do_not_depend_on_blocks():
-    """Points filling several evaluator blocks in each region give the
-    same bits whole, in chunks that cut the blocks elsewhere, and alone."""
+    """Thousands of points in each region give the same bits whole, in
+    chunks of 999, and alone: a value does not depend on the call its
+    point falls in."""
     src, _, dc = _solved_case(THIN, 1.3, 1e-3)
     rng = np.random.default_rng(5)
     m = 8192 + 7
@@ -1059,3 +1088,16 @@ def test_classify_synthetic_sweeps():
     spiky = [_record(1e-2, 1.0, 1.0), _record(1e-3, 100.0, 1.0),
              _record(1e-4, 3.0, 1.0)]
     assert calr_classify(spiky, THIN_REGIME).verdict.value == "Indeterminate"
+
+
+def test_readme_library_example_runs():
+    """The README's one Python block runs as written, in a fresh namespace,
+    and grades its sweep CALR."""
+    text = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    namespace: dict = {}
+    with warnings.catch_warnings():
+        # Its dipole sits close to the shell, so the sweep truncates short.
+        warnings.simplefilter("ignore", TruncationWarning)
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["verdict"].value == "CALR"
