@@ -37,7 +37,7 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from .errors import CalrError, ConfigError, InputError, SourceInsideShell, TooFewCoefficients
+from .errors import CalrError, ConfigError, InputError, SourceInsideShell
 from .geometry import ConfocalGeometry, EllipticPoint, elliptic_coords
 from .oracle import validate
 from .solver import (
@@ -52,9 +52,9 @@ from .source import (
     Coefficients,
     Dipole,
     SourceSpec,
-    convergence_exponent,
     gap_condition_report,
     newtonian_coefficients,
+    series_radius,
 )
 from .spectrum import ModeTable, RegimeKind, critical_radius, mode_table
 
@@ -298,21 +298,6 @@ def sweep_command(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
-def _series_radius(source: SourceSpec) -> float:
-    """The rho past which the series of a Coefficients source diverges.
-
-    That is convergence_exponent for at least 10 nonzero pairs.  Fewer
-    pairs make a polynomial, and a point source is no series: both are
-    infinite.
-    """
-    if isinstance(source, Coefficients):
-        try:
-            return convergence_exponent(source)
-        except TooFewCoefficients:
-            pass
-    return math.inf
-
-
 # A field.csv cell after its x1 and x2 texts: three values, or blank.
 _CELL, _BLANK = ",%.17g,%.17g,%.17g\n", ",,,\n"
 
@@ -386,7 +371,7 @@ def field_command(cfg: dict, out_dir: Path) -> int:
             f"field.rho_max: {rho_max} puts grid points past the elliptic coordinate range"
         )
 
-    radius = _series_radius(source)
+    radius = series_radius(source)
     past = ~focal & (rho >= radius)
     blank = focal | past
 

@@ -9,7 +9,8 @@ or solver, and serves only for cross-validation.
       [ +dnu_e S_{Gi}   +K*_{Ge}      ]
 
   by the trapezoid rule on both interfaces from Cartesian node data
-  alone; mode_table only supplies the values it is compared against.  No
+  alone; spectrum.mode_eigenvalues (which has no range guard) only
+  supplies the values it is compared against.  No
   option alters a block: tests negate one by hand to show it is caught.
 - The energy quadrature (dissipated_power_direct: Gauss-Legendre in rho,
   trapezoid in omega) reuses the spectral densities and checks only the
@@ -23,15 +24,17 @@ or solver, and serves only for cross-validation.
 
 validate runs the eight checks of `calr-lab validate` in seven steps,
 each threshold stated once, in its body.  They compare (1) mode_blocks_for's
-Nystrom eigenvalues and (2) K* of Gamma_i on 1/Xi with mode_table and 1/2,
-(3, 4) block_matrices and s_gram with mode_table's eigenpairs and norms,
+Nystrom eigenvalues and (2) K* of Gamma_i on 1/Xi with mode_eigenvalues
+and 1/2, (3, 4) block_matrices and s_gram with mode_table's eigenpairs and
+norms,
 (5) eval_potentials with the transmission conditions (continuity and
 flux_jump), (6) the surrogate with the closed-form energy, and (7) V at
 -delta with conj V at delta.  Step 1 solves only the mode blocks whose
 norm bound reaches the top values it compares (see _mode_spectrum; 5 of
 127 4 x 4 blocks at N = 256 on the default geometry), step 2 forms and
-applies K* 64 rows at a time rather than as one N x N matrix, and step 7
-evaluates both signs of delta in one evaluator call, as two density rows.
+applies K* 64 rows at a time rather than as one N x N matrix, and steps 5
+and 7 share one solve_densities call, whose two rows are +delta and
+-delta, and one eval_potentials call over both steps' points.
 
 On confocal ellipses the operator couples no two Fourier modes: with the
 node weights W of both curves, A = W M W^-1 has entries w_i k(x_i, y_j),
@@ -72,7 +75,7 @@ converges spectrally and no singular quadrature is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,7 +95,7 @@ from .source import (
     newtonian_eval,
     newtonian_gradient,
 )
-from .spectrum import block_matrices, mode_table, s_gram
+from .spectrum import block_matrices, mode_eigenvalues, mode_table, s_gram
 
 __all__ = [
     "BlockNPMatrix",
@@ -417,7 +420,7 @@ def _mode_spectrum(
     mode = np.concatenate([[0, 0], np.repeat(solved + 1, 4), [len(quads) + 1] * 2])
     order = np.argsort(-np.abs(ev))[:count]
     top, mode = ev[order].real, mode[order]
-    table = mode_table(geometry, max(1, int(mode.max())))
+    lam1, lam2 = mode_eigenvalues(np.arange(1.0, max(1, int(mode.max())) + 1), geometry)
     matched = np.empty_like(top)
     errors = np.empty_like(top)
     for k in np.unique(mode):
@@ -425,7 +428,7 @@ def _mode_spectrum(
         if k == 0:
             candidates = np.array([0.5, -0.5])
         else:
-            lam = np.array([table.lambda1[k - 1], table.lambda2[k - 1]])
+            lam = np.array([lam1[k - 1], lam2[k - 1]])
             candidates = np.concatenate([lam, -lam])
         matched[mine], errors[mine] = _nearest_unused(top[mine], candidates)
     max_imag = float(np.max(np.abs(ev.imag)))
@@ -460,9 +463,11 @@ def numeric_spectrum(
     Otherwise the dense matrix is solved and each value takes the nearest
     unused of all candidates: those passed in `analytic` (required for a
     plain matrix) or +-1/2, +-lambda_{1,n}, +-lambda_{2,n} of the
-    geometry.  Eigenvalues of the (real, nonsymmetric) matrix are
-    theoretically real; the largest imaginary part is recorded and then
-    discarded.
+    geometry.  On both paths the lambdas come from mode_eigenvalues,
+    which has no range guard, so a count reaching modes whose values fall
+    below rounding is paired (with noise) rather than refused.
+    Eigenvalues of the (real, nonsymmetric) matrix are theoretically real;
+    the largest imaginary part is recorded and then discarded.
     """
     if isinstance(m, BlockNPMatrix):
         matrix = m.matrix
@@ -479,8 +484,8 @@ def numeric_spectrum(
         blocks = _mode_blocks(m)
         if blocks is not None:
             return _mode_spectrum(*blocks, count, m.geometry)
-        table = mode_table(m.geometry, max(8, count + 1))
-        lam = np.concatenate([[0.5], table.lambda1, table.lambda2])
+        lam = np.concatenate(
+            [[0.5], *mode_eigenvalues(np.arange(1.0, max(8, count + 1) + 1), m.geometry)])
         analytic = np.concatenate([lam, -lam])
     ev = _eigvals(matrix)
     max_imag = float(np.max(np.abs(ev.imag))) if ev.size else 0.0
@@ -761,20 +766,25 @@ def validate(
     worst = float(np.max(np.abs(quad - norms) / np.abs(norms)))
     checks.append(_check("s_norms", worst, 1e-12, None if pd else "fail"))
 
-    # 5. Transmission conditions for the source.
-    dc = solve_densities(sc, g, delta)
+    # 5. Transmission conditions for the source.  Steps 5 and 7 share one
+    # solve, two density rows (+delta, -delta), and one evaluator call.
+    rows = solve_densities(sc, g, [delta, -delta])
     stencil = np.array([-49.0 / 20, 6.0, -15.0 / 2, 20.0 / 3, -15.0 / 4, 6.0 / 5, -1.0 / 6])
     h = 1e-4
     omegas = np.linspace(0.07, 2.0 * math.pi - 0.13, 12)
     steps = np.arange(len(stencil)) * h
     shell = -1.0 + 1j * delta
     # Per interface, columns: the continuity pair, then the inner and outer
-    # stencils; both interfaces go through one evaluator call.
+    # stencils; then step 7's three points, one per region.
     radii = np.array([
         np.concatenate([[rho_t - 1e-9, rho_t + 1e-9], rho_t - steps, rho_t + steps])
         for rho_t in (g.rho_i, g.rho_e)
     ])
-    values = eval_potentials(source, dc, g, radii[:, None, :], omegas[:, None])
+    rho5, omega5 = np.broadcast_arrays(radii[:, None, :], omegas[:, None])
+    rhos = [0.5 * g.rho_i, 0.5 * (g.rho_i + g.rho_e), g.rho_e + 0.3]
+    both = eval_potentials(source, rows, g, np.concatenate([rho5.ravel(), rhos]),
+                           np.concatenate([omega5.ravel(), [0.3, 2.0, 4.0]]))
+    values, at_7 = both[0, : rho5.size].reshape(rho5.shape), both[:, rho5.size :]
     worst_c, worst_f = 0.0, 0.0
     for v, e_in, e_out in zip(values, (1.0, shell), (shell, 1.0)):
         inner, outer = v[:, 2 : 2 + len(stencil)], v[:, 2 + len(stencil) :]
@@ -796,13 +806,9 @@ def validate(
     status = None if ratios else "indeterminate"
     checks.append(_check("surrogate_ratio", spread, 10.0, status))
 
-    # 7. Conjugation symmetry: z(-delta) = conj(z(delta)) pointwise in V.
-    # One evaluator call on two density rows, +delta and -delta.
-    dc_m = solve_densities(sc, g, -delta)
-    rows = DensityCoefficients(
-        *(np.stack([getattr(dc, f.name), getattr(dc_m, f.name)]) for f in fields(dc)))
-    rhos = [0.5 * g.rho_i, 0.5 * (g.rho_i + g.rho_e), g.rho_e + 0.3]
-    vp, vm = eval_potentials(source, rows, g, rhos, [0.3, 2.0, 4.0])
+    # 7. Conjugation symmetry: z(-delta) = conj(z(delta)) pointwise in V,
+    # from the two rows evaluated with step 5.
+    vp, vm = at_7
     worst = float(np.max(np.abs(vm - np.conj(vp)) / np.maximum(np.abs(vp), 1e-30)))
     checks.append(_check("reality_symmetry", worst, 1e-13))
     return checks

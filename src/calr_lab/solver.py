@@ -56,9 +56,11 @@ Each rule is stated once.  adaptive_n_max refuses a delta outside (0, 1)
 and a negative margin, and sweep a probe it cannot evaluate, all with
 errors.InputError before any coefficient is built.  The solve (with its
 tail check, TruncationWarning above 1e-10) and both energies run over
-(delta, mode) arrays, one row per delta over its own leading modes, with
-solve_densities and the dissipated_power functions as one-row cases; the
-energies square over a power-of-two scale and refuse only an E out of range.
+(delta, mode) arrays, one row per delta over its own leading modes;
+solve_densities takes one delta (one row) or a sequence of them (one row
+each, over the same modes), and the dissipated_power functions are
+one-row cases.  The energies square over a power-of-two scale and refuse
+only an E out of range.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ from .source import (
     _square_scale,
     elliptic_potential,
     newtonian_coefficients,
+    series_radius,
 )
 from .spectrum import ModeTable, Regime, mode_factors, mode_table
 
@@ -297,22 +300,35 @@ def _assemble_densities(proj, modes, deltas, n_maxes) -> DensityCoefficients:
                                (w1 + w2) * modes.b, w3 * modes.a2 + w4 * modes.a1)
 
 
-def solve_densities(sc: Coefficients, g: ConfocalGeometry, delta: float) -> DensityCoefficients:
+def solve_densities(
+    sc: Coefficients, g: ConfocalGeometry, delta: float | Sequence[float]
+) -> DensityCoefficients:
     """Solve the transmission problem at loss delta over the sc.n_max modes.
 
-    A negative delta (a gain shell) is accepted: conjugate symmetry
-    V(-delta) = conj(V(delta)) is an invariant that tests exercise
-    directly.  Raises ValueError for delta zero or nonfinite and for an
-    empty expansion, OverflowGuard past the n_max bound of boundary_forcing.
-    Emits TruncationWarning when the last retained mode still carries more
-    than 1e-10 of the accumulated solution norm.
+    delta is one loss, giving one row (n_max,), or a sequence of K losses,
+    giving K rows (K, n_max) from one forcing, mode table and projection;
+    row k equals the call at deltas[k] bit for bit.  A negative delta (a
+    gain shell) is accepted: conjugate symmetry V(-delta) = conj(V(delta))
+    is an invariant that tests exercise directly.  Raises ValueError for
+    an empty sequence, a delta zero or nonfinite and an empty expansion,
+    OverflowGuard past the n_max bound of boundary_forcing.  Emits, once
+    per delta in order, TruncationWarning when the last retained mode
+    still carries more than 1e-10 of the accumulated solution norm.
     """
-    if not (delta != 0.0 and math.isfinite(delta)):
-        raise ValueError(f"delta must be finite and nonzero, got {delta}")
+    one = np.ndim(delta) == 0
+    deltas = [delta] if one else list(delta)
+    if not deltas:
+        raise ValueError("deltas: expected a non-empty sequence")
+    for d in deltas:
+        if not (d != 0.0 and math.isfinite(d)):
+            raise ValueError(f"delta must be finite and nonzero, got {d}")
     forcing = boundary_forcing(sc, g)
     modes = mode_table(g, sc.n_max)
-    dc = _assemble_densities(mode_projections(forcing, modes), modes, [delta], [sc.n_max])
-    return DensityCoefficients(*(getattr(dc, f.name)[0] for f in fields(dc)))
+    proj = mode_projections(forcing, modes)
+    dc = _assemble_densities(proj, modes, deltas, [sc.n_max] * len(deltas))
+    if one:
+        return DensityCoefficients(*(getattr(dc, f.name)[0] for f in fields(dc)))
+    return dc
 
 
 def _region_chains(
@@ -516,8 +532,9 @@ def sweep(
     in the order the deltas were given.
 
     Before any coefficient is built, InputError refuses an empty deltas,
-    a probe not strictly outside the shell or so far out that the point
-    source's closed form overflows, (adaptive_n_max) a delta outside (0, 1)
+    a probe not strictly outside the shell, at or past a Coefficients
+    source's convergence radius (source.series_radius), or so far out that
+    the point source's closed form overflows, (adaptive_n_max) a delta outside (0, 1)
     or a negative margin, and (newtonian_coefficients) a source inside the
     shell.  Each delta's solve emits the TruncationWarning that
     solve_densities at its n_max would, and an energy out of double range
@@ -525,9 +542,15 @@ def sweep(
     """
     if len(deltas) == 0:
         raise InputError("deltas: expected a non-empty list")
+    radius = series_radius(source)
     for k, p in enumerate(probes):
         if p.rho <= g.rho_e:
             raise InputError(f"probes[{k}]: rho = {p.rho} is not outside rho_e = {g.rho_e}")
+        if p.rho >= radius:
+            raise InputError(
+                f"probes[{k}]: rho = {p.rho} is at or past the source series'"
+                f" convergence radius {radius}"
+            )
         # The point source's closed form squares |x - x0| times 2 pi; past
         # this (cosh itself past 710) it overflows and the value is lost.
         a = g.R * math.cosh(min(p.rho, 710.0))

@@ -63,6 +63,7 @@ __all__ = [
     "newtonian_eval",
     "newtonian_gradient",
     "convergence_exponent",
+    "series_radius",
     "gap_condition_report",
 ]
 
@@ -367,6 +368,21 @@ def convergence_exponent(sc: Coefficients) -> float:
         )
     slope = np.polyfit(n[usable], np.log(mag[usable]), 1)[0]
     return float(-slope)
+
+
+def series_radius(s: SourceSpec) -> float:
+    """The rho past which the series of a Coefficients source diverges.
+
+    That is convergence_exponent for at least 10 nonzero pairs.  Fewer
+    pairs make a polynomial, and a point source is no series: both are
+    infinite.
+    """
+    if isinstance(s, Coefficients):
+        try:
+            return convergence_exponent(s)
+        except TooFewCoefficients:
+            pass
+    return math.inf
 
 
 def gap_condition_report(

@@ -48,6 +48,10 @@ eigenfunction pairs Psi_n^{1+}, Psi_n^{1-}, Psi_n^{2+}, Psi_n^{2-}
 
 block_matrices and s_gram give A_n, B_n and the Gram matrices for one mode
 or for an array of modes; validate's closed-form checks call them as is.
+mode_eigenvalues gives lambda_1n and lambda_2n alone, by the formulas
+mode_table uses, for any n >= 1: past mode_table's range, where the norms
+overflow, they underflow towards 0.  The oracle pairs its numeric
+eigenvalues with them.
 """
 
 from __future__ import annotations
@@ -74,6 +78,7 @@ __all__ = [
     "block_matrices",
     "mode_data",
     "mode_factors",
+    "mode_eigenvalues",
     "mode_table",
     "s_gram",
     "critical_radius",
@@ -244,6 +249,28 @@ def block_matrices(n, g: ConfocalGeometry) -> tuple[np.ndarray, np.ndarray]:
     return a_mat, b_mat
 
 
+def _eigenvalues(f: ModeFactors):
+    """d, s, lambda_1n and lambda_2n from a mode_factors result.
+
+    Finite for every n >= 1: no exponent is positive, and where d and E
+    both underflow (s = d = 0) lambda_2n is its limit 0.
+    """
+    d = f.ee - f.ei  # <= 0
+    s = np.sqrt(d * d + 4.0 * f.E * f.E)
+    lam1 = 0.25 * (d - s)
+    # (d + s)/4 = (s^2 - d^2) / (4 (s - d)) = E^2 / (s - d); s - d >= s.
+    lam2 = np.divide(f.E * f.E, s - d, out=np.zeros_like(s), where=s > d)
+    return d, s, lam1, lam2
+
+
+def mode_eigenvalues(n: np.ndarray, g: ConfocalGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """lambda_1n and lambda_2n for an array of mode indices n >= 1, equal to
+    mode_table's bit for bit.  Unlike mode_table it has no range guard: its
+    values underflow towards 0 instead of overflowing, as the norms would.
+    """
+    return _eigenvalues(mode_factors(n, g))[2:]
+
+
 def _mode_arrays(n: np.ndarray, g: ConfocalGeometry):
     """Shared cancellation-free evaluation over an array of mode indices."""
     t_max = float(np.max(n)) * 2.0 * g.rho_e
@@ -253,12 +280,8 @@ def _mode_arrays(n: np.ndarray, g: ConfocalGeometry):
         )
     f = mode_factors(n, g)
     ei, ee, E = f.ei, f.ee, f.E
-    d = ee - ei  # <= 0
+    d, s, lam1, lam2 = _eigenvalues(f)
     u = ee + ei
-    s = np.sqrt(d * d + 4.0 * E * E)
-    lam1 = 0.25 * (d - s)
-    # (d + s)/4 = (s^2 - d^2) / (4 (s - d)) = E^2 / (s - d); s - d >= s > 0.
-    lam2 = E * E / (s - d)
     a1 = u + s
     # u - s = (u^2 - s^2) / (u + s) = 4 (ei*ee - E^2) / (u + s).
     a2 = -4.0 * (E * E - ei * ee) / (u + s)

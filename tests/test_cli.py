@@ -869,6 +869,10 @@ _PAIR = {"variant": "charge_pair", "plus": {"rho": 1.0, "omega": 0.3},
          "minus": {"rho": 1.1, "omega": 2.0}, "charge": 1.0}
 _SWEEP = {"deltas": [1e-3], "probes": [{"rho": 1.2, "omega": 0.6}]}
 _FIELD = {"delta": 1e-3, "n1": 9, "n2": 9}
+# F_n^+ = e^{-0.5 n}, n = 1 .. 40: a series whose radius 0.5 lies inside the shell.
+_SERIES = {"variant": "coefficients", "f_plus": np.exp(-0.5 * np.arange(1, 41)).tolist(),
+           "f_minus": [0.0] * 40}
+_SERIES_RADIUS = convergence_exponent(Coefficients(0.0, _SERIES["f_plus"], _SERIES["f_minus"]))
 
 
 @pytest.mark.parametrize(
@@ -927,6 +931,11 @@ _THIN = ConfocalGeometry(**THIN_GEO)
                                                  {"rho": 400, "omega": 0.6}])},
          lambda: sweep(_LIB_DIPOLE, _THIN, [1e-3], [_LIB_PROBE, EllipticPoint(400.0, 0.6)]),
          "probes[1]: rho = 400.0 puts 2 pi (R cosh rho)^2 out of range"),
+        ("sweep", {"source": _SERIES},
+         lambda: sweep(Coefficients(0.0, _SERIES["f_plus"], _SERIES["f_minus"]), _THIN,
+                       [1e-3], [_LIB_PROBE]),
+         f"probes[0]: rho = 1.2 is at or past the source series' convergence radius"
+         f" {_SERIES_RADIUS}"),
         ("sweep", {"sweep": dict(_SWEEP, margin=-1)},
          lambda: sweep(_LIB_DIPOLE, _THIN, [1e-3], [_LIB_PROBE], margin=-1),
          "margin: must be >= 0, got -1"),
@@ -940,8 +949,8 @@ _THIN = ConfocalGeometry(**THIN_GEO)
          lambda: oracle.validate(_THIN, _LIB_DIPOLE, 15),
          "n_nystrom: must be even and >= 8, got 15"),
     ],
-    ids=["sweep-delta", "field-delta", "inside-probe", "far-probe", "sweep-margin",
-         "field-margin", "no-deltas", "validate-size"],
+    ids=["sweep-delta", "field-delta", "inside-probe", "far-probe", "series-probe",
+         "sweep-margin", "field-margin", "no-deltas", "validate-size"],
 )
 def test_library_refuses_what_the_cli_reports(
     tmp_path, capsys, monkeypatch, command, blocks, library_call, message
@@ -964,6 +973,25 @@ def test_library_refuses_what_the_cli_reports(
     assert _run([command, "--config", path, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {command}.{message}\n"
     assert not list(out.iterdir())
+
+
+def test_sweep_and_field_read_one_series_radius(tmp_path, capsys):
+    """A probe at rho = 1.2, past the radius 0.5 of a series source, is
+    refused by sweep (exit 2, one config error line, no sweep.csv) rather
+    than sampled from a divergent sum, while field blanks the same source's
+    cells past that radius: 74 of its 9 x 9 grid, besides the focal ones."""
+    path = _write_cfg(tmp_path, "series.json", {
+        "geometry": THIN_GEO, "source": _SERIES, "sweep": _SWEEP, "field": _FIELD})
+    out = tmp_path / "out"
+    assert _run(["sweep", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: sweep.probes[0]: ")
+    assert not (out / "sweep.csv").exists()
+    assert _run(["field", "--config", path, "--out", str(out)]) == 0
+    assert f"left 74 points blank at rho >= {_SERIES_RADIUS!r}" in capsys.readouterr().out
+    rows = (out / "field.csv").read_text().splitlines()[1:]
+    # The other 3 blank cells lie on the focal segment.
+    assert len(rows) == 81 and sum(row.endswith(",,,") for row in rows) == 74 + 3
 
 
 @pytest.mark.parametrize("command", ["sweep", "field", "validate"])

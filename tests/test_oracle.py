@@ -20,7 +20,6 @@ from calr_lab import (
     ConfocalGeometry,
     CurveOverlap,
     EigensolveFailure,
-    OverflowGuard,
     SampledCurve,
     metric_factor,
     mode_table,
@@ -38,6 +37,7 @@ from calr_lab.oracle import (
     sample_circle,
 )
 from calr_lab.oracle import block_np_for
+from calr_lab.spectrum import mode_eigenvalues
 
 THIN = ConfocalGeometry(1.0, 0.5, 0.8)
 THICK = ConfocalGeometry(1.0, 0.2, 1.0)
@@ -600,13 +600,13 @@ def _all_blocks_spectrum(ends, quads, count, geometry):
     mode = np.repeat(np.arange(len(quads) + 2), [2] + [4] * len(quads) + [2])
     order = np.argsort(-np.abs(ev))[:count]
     top, mode = ev[order].real, mode[order]
-    table = mode_table(geometry, max(1, int(mode.max())))
+    lam1, lam2 = mode_eigenvalues(np.arange(1.0, mode.max() + 1), geometry)
     matched, errors = np.empty_like(top), np.empty_like(top)
     for k in np.unique(mode):
         if k == 0:
             candidates = np.array([0.5, -0.5])
         else:
-            lam = np.array([table.lambda1[k - 1], table.lambda2[k - 1]])
+            lam = np.array([lam1[k - 1], lam2[k - 1]])
             candidates = np.concatenate([lam, -lam])
         mine = mode == k
         matched[mine], errors[mine] = oracle._nearest_unused(top[mine], candidates)
@@ -618,18 +618,23 @@ def _all_blocks_spectrum(ends, quads, count, geometry):
 def test_pruned_mode_spectrum_equals_the_all_blocks_solve(geometry, N):
     """Solving only the blocks whose norm bound reaches the count-th
     largest value gives the all-blocks top values, their analytic partners
-    and errors, as multisets of (value, partner, error) bit for bit.
-    Where the top reaches modes past mode_table's range, both refuse."""
+    and errors, as multisets of (value, partner, error) bit for bit, also
+    where the top reaches modes past mode_table's range."""
     blocks = oracle.mode_blocks_for(geometry, N)
     for count in (2, 14, 18, N // 2):
-        try:
-            want = _all_blocks_spectrum(*blocks, count, geometry)
-        except OverflowGuard:
-            with pytest.raises(OverflowGuard):
-                oracle._mode_spectrum(*blocks, count, geometry)
-            continue
+        want = _all_blocks_spectrum(*blocks, count, geometry)
         got = oracle._mode_spectrum(*blocks, count, geometry)
         assert sorted(zip(got.eigenvalues, got.matched, got.rel_errors)) == sorted(zip(*want))
+
+
+def test_numeric_spectrum_pairs_modes_past_mode_tables_range():
+    """A count whose top values reach modes past mode_table's range (its
+    guard refuses from n = 117 here) is paired, not refused: the
+    candidates come from mode_eigenvalues, which underflow towards 0."""
+    rep = numeric_spectrum(block_np_for(ConfocalGeometry(2.0, 1.5, 3.0), 256), 128)
+    assert len(rep.eigenvalues) == len(rep.matched) == 128
+    assert np.all(np.isfinite(rep.matched)) and np.all(np.isfinite(rep.rel_errors))
+    assert sorted(np.abs(rep.matched[:2])) == [0.5, 0.5]
 
 
 @pytest.mark.parametrize("top", [0.25, 0.2, 0.01])
@@ -737,6 +742,28 @@ def test_independent_routes_live_in_oracle():
         assert getattr(calr_lab, name) is getattr(oracle, name)
     assert calr_lab.__all__ == _ROOT_EXPORTS
     assert all(hasattr(calr_lab, name) for name in calr_lab.__all__)
+
+
+def test_validate_solves_its_source_once(monkeypatch):
+    """Steps 5 and 7 share one solve (rows +delta, -delta) and one
+    evaluator call; the checks are those of the two-solve order."""
+    calls = {"solve_densities": 0, "eval_potentials": 0}
+
+    def counted(name):
+        fn = getattr(oracle, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(oracle, name, counted(name))
+    checks = oracle.validate(THIN, n_nystrom=64)
+    assert calls == {"solve_densities": 1, "eval_potentials": 1}
+    assert [c["name"] for c in checks] == [
+        "nystrom_spectrum", "alpha0_half", "eigen_residuals", "s_norms",
+        "continuity", "flux_jump", "surrogate_ratio", "reality_symmetry"]
 
 
 def test_validate_checks_live_in_oracle():

@@ -44,3 +44,21 @@ def test_digest_lines_cover_every_command(tmp_path):
         ("field", "out/field.csv"),
         ("validate", "out/validate.json"),
     }
+
+
+def test_configs_option_digests_another_directory(tmp_path, capsys):
+    """--configs DIR runs every *.json in DIR, not CHECKOUT/configs, with
+    the program from --root; the lines name the configs of DIR only."""
+    digest = _output_digest()
+    (tmp_path / "critical_only.json").write_text(
+        '{"geometry": {"R": 1.0, "rho_i": 0.5, "rho_e": 0.8}}', encoding="utf-8"
+    )
+    (tmp_path / "notes.txt").write_text("not a config", encoding="utf-8")
+    assert digest.main(["--root", str(ROOT), "--configs", str(tmp_path)]) == 0
+    fields = [line.split(" ") for line in capsys.readouterr().out.splitlines()]
+    assert {f[0] for f in fields} == {"critical_only.json"}
+    assert [f[1] for f in fields if f[3] == "<stdout>"] == list(digest.COMMANDS)
+    rc = {f[1]: f[2] for f in fields}
+    assert rc["critical-radius"] == rc["spectrum"] == "0"
+    assert rc["sweep"] == rc["field"] == "2"  # no source block
+    assert ("critical-radius", "out/critical_radius.json") in {(f[1], f[3]) for f in fields}

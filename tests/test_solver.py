@@ -231,10 +231,31 @@ def test_solve_densities_validation():
         solve_densities(sc, THIN, 0.0)
     with pytest.raises(ValueError):
         solve_densities(sc, THIN, math.nan)
+    # A sequence of losses: empty, or with a zero or nonfinite entry.
+    for deltas in ([], [1e-3, 0.0], [1e-3, math.nan], [math.inf]):
+        with pytest.raises(ValueError):
+            solve_densities(sc, THIN, deltas)
     with pytest.raises(ValueError):
         solve_densities(Coefficients(0.0, np.zeros(0), np.zeros(0)), THIN, 1e-3)
     with pytest.raises(OverflowGuard):
         solve_densities(Coefficients(0.0, np.zeros(400), np.zeros(400)), THIN, 1e-3)
+
+
+@pytest.mark.parametrize("geometry", [THIN, THICK], ids=["thin", "thick"])
+def test_solve_densities_rows_equal_per_loss_solves(geometry):
+    """A sequence of losses gives one (K, n_max) row per loss, each equal
+    bit for bit to the solve at that loss alone, +-delta pairs included."""
+    src = Dipole(EllipticPoint(geometry.rho_e + 0.5, 0.9), np.array([1.0, 0.4]))
+    sc = newtonian_coefficients(src, 90, geometry.R, rho_e=geometry.rho_e)
+    deltas = [1e-3, -1e-3, 0.2, 1e-7, -1e-7, -0.5]
+    rows = solve_densities(sc, geometry, deltas)
+    for name in ("p_cos", "p_sin", "q_cos", "q_sin"):
+        got = getattr(rows, name)
+        assert got.shape == (len(deltas), sc.n_max)
+        for k, delta in enumerate(deltas):
+            assert np.array_equal(got[k], getattr(solve_densities(sc, geometry, delta), name))
+    one = solve_densities(sc, geometry, np.array([2e-2]))
+    assert np.array_equal(one.q_cos, solve_densities(sc, geometry, 2e-2).q_cos[None])
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from calr_lab import (
     s_gram,
     single_ellipse_np,
 )
+from calr_lab.spectrum import mode_eigenvalues
 
 mpmath.mp.dps = 60
 
@@ -215,6 +216,22 @@ def test_mode_table_truncation_is_bit_identical():
         mode_table(THIN, 5).truncated(6)
     with pytest.raises(ValueError):
         mode_table(THIN, 5).truncated(0)
+
+
+def test_mode_eigenvalues_are_mode_tables_past_its_range():
+    """mode_eigenvalues gives mode_table's lambdas bit for bit, and past the
+    range where mode_table refuses (its norms overflow) it stays finite:
+    lambda_2n reaches its limit 0 where E^2 and d underflow together."""
+    thick_far = ConfocalGeometry(2.0, 1.5, 3.0)
+    for g, n_ok in ((THIN, 400), (THICK, 300), (thick_far, 116)):
+        table = mode_table(g, n_ok)
+        lam1, lam2 = mode_eigenvalues(table.n.astype(float), g)
+        assert np.array_equal(lam1, table.lambda1) and np.array_equal(lam2, table.lambda2)
+        with pytest.raises(OverflowGuard):
+            mode_table(g, 3 * n_ok)
+        lam1, lam2 = mode_eigenvalues(np.arange(1.0, 3001.0), g)
+        assert np.all(np.isfinite(lam1)) and np.all(np.isfinite(lam2))
+    assert lam2[-1] == 0.0 and lam1[-1] == 0.0
 
 
 def test_s_gram_diagonal_and_symmetry():

@@ -1,11 +1,13 @@
 """Digest of every calr-lab output on the bundled configs.
 
-    python3 tools/output_digest.py [--root CHECKOUT]
+    python3 tools/output_digest.py [--root CHECKOUT] [--configs DIR]
 
 Runs the five subcommands (spectrum, critical-radius, sweep, field,
-validate) on every ``configs/*.json`` of CHECKOUT (default: the checkout
-holding this script), each in a fresh temporary directory with the
-program imported from CHECKOUT's ``src/``.  Prints one line per output,
+validate) on every ``*.json`` in DIR (default: CHECKOUT/configs), each in
+a fresh temporary directory with the program imported from CHECKOUT's
+``src/`` (CHECKOUT defaults to the checkout holding this script).  So
+``--configs`` digests other configs, such as seeded benchmark copies,
+against any checkout.  Prints one line per output,
 
     config command rc file sha256
 
@@ -42,11 +44,12 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest_lines(root: Path) -> list[str]:
-    """The `config command rc file sha256` lines for one checkout."""
+def digest_lines(root: Path, configs: Path | None = None) -> list[str]:
+    """The `config command rc file sha256` lines for one checkout, over
+    the configs in ``configs`` (default: root/configs)."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     lines = []
-    for config in sorted((root / "configs").glob("*.json")):
+    for config in sorted((configs or root / "configs").glob("*.json")):
         for command in COMMANDS:
             with tempfile.TemporaryDirectory() as tmp:
                 proc = subprocess.run(
@@ -71,10 +74,16 @@ def main(argv: list[str] | None = None) -> int:
         "--root",
         type=Path,
         default=Path(__file__).resolve().parent.parent,
-        help="checkout whose src/ and configs/ are used (default: this one)",
+        help="checkout whose src/ is run (default: this one)",
+    )
+    parser.add_argument(
+        "--configs",
+        type=Path,
+        help="directory whose *.json configs are run (default: CHECKOUT/configs)",
     )
     args = parser.parse_args(argv)
-    for line in digest_lines(args.root.resolve()):
+    configs = args.configs.resolve() if args.configs else None
+    for line in digest_lines(args.root.resolve(), configs):
         print(line)
     return 0
 
