@@ -31,10 +31,12 @@ norms,
 flux_jump), (6) the surrogate with the closed-form energy, and (7) V at
 -delta with conj V at delta.  Step 1 solves only the mode blocks whose
 norm bound reaches the top values it compares (see _mode_spectrum; 5 of
-127 4 x 4 blocks at N = 256 on the default geometry), step 2 forms and
-applies K* 64 rows at a time rather than as one N x N matrix, and steps 5
-and 7 share one solve_densities call, whose two rows are +delta and
--delta, and one eval_potentials call over both steps' points.
+127 4 x 4 blocks at N = 256 on the default geometry), and step 2 forms
+and applies K* 64 rows at a time rather than as one N x N matrix.  Steps
+3-7 share one solver._solve pass (the solve of solve_densities and
+sweep) whose rows are +delta and -delta (steps 5 and 7, one
+eval_potentials call) and step 6's five losses (their energies); steps 3
+and 4 read the first 50 modes of its table.
 
 On confocal ellipses the operator couples no two Fourier modes: with the
 node weights W of both curves, A = W M W^-1 has entries w_i k(x_i, y_j),
@@ -75,7 +77,7 @@ converges spectrally and no singular quadrature is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -83,9 +85,7 @@ from .errors import CurveOverlap, EigensolveFailure, InputError
 from .geometry import (
     ConfocalGeometry, EllipticPoint, SampledCurve, cartesian, sample_ellipse, tangents
 )
-from .solver import (
-    DensityCoefficients, adaptive_n_max, eval_potentials, solve_densities, sweep
-)
+from .solver import DensityCoefficients, _one_row, _solve, adaptive_n_max, eval_potentials
 from .source import (
     ChargePair,
     Coefficients,
@@ -151,16 +151,26 @@ class SpectrumReport:
     route that is the blocks solved (those that can hold a top value), on
     the dense path the whole matrix.  The operator is real-diagonalizable,
     so this is a pure discretization diagnostic.
+    `resolved` is False on the pairs whose numeric and analytic values
+    both lie below the rounding `floor` (see numeric_spectrum), whose
+    relative error is noise; `worst` is taken over the resolved pairs.
     """
 
     eigenvalues: np.ndarray = field(repr=False)
     matched: np.ndarray = field(repr=False)
     rel_errors: np.ndarray = field(repr=False)
     max_imag: float = 0.0
+    floor: float = 0.0
+
+    @property
+    def resolved(self) -> np.ndarray:
+        below = (np.abs(self.eigenvalues) < self.floor) & (np.abs(self.matched) < self.floor)
+        return ~below
 
     @property
     def worst(self) -> float:
-        return float(np.max(self.rel_errors)) if self.rel_errors.size else 0.0
+        errors = self.rel_errors[self.resolved]
+        return float(np.max(errors)) if errors.size else 0.0
 
 
 def sample_circle(radius: float, N: int) -> SampledCurve:
@@ -465,9 +475,11 @@ def numeric_spectrum(
     plain matrix) or +-1/2, +-lambda_{1,n}, +-lambda_{2,n} of the
     geometry.  On both paths the lambdas come from mode_eigenvalues,
     which has no range guard, so a count reaching modes whose values fall
-    below rounding is paired (with noise) rather than refused.
-    Eigenvalues of the (real, nonsymmetric) matrix are theoretically real;
-    the largest imaginary part is recorded and then discarded.
+    below rounding is paired (with noise) rather than refused; the floor
+    is (n/2)^2 2^-52 times the largest |entry| of the n x n matrix, the
+    mode blocks' N^2 eps rounding.  Eigenvalues of the (real, nonsymmetric)
+    matrix are theoretically real; the largest imaginary part is recorded
+    and then discarded.
     """
     if isinstance(m, BlockNPMatrix):
         matrix = m.matrix
@@ -480,10 +492,11 @@ def numeric_spectrum(
     n = matrix.shape[0]
     if not 1 <= count <= n // 4:
         raise ValueError(f"count must be in [1, {n // 4}], got {count}")
+    floor = (n / 2) ** 2 * 2.0**-52 * float(np.max(np.abs(matrix)))
     if analytic is None:
         blocks = _mode_blocks(m)
         if blocks is not None:
-            return _mode_spectrum(*blocks, count, m.geometry)
+            return replace(_mode_spectrum(*blocks, count, m.geometry), floor=floor)
         lam = np.concatenate(
             [[0.5], *mode_eigenvalues(np.arange(1.0, max(8, count + 1) + 1), m.geometry)])
         analytic = np.concatenate([lam, -lam])
@@ -491,7 +504,7 @@ def numeric_spectrum(
     max_imag = float(np.max(np.abs(ev.imag))) if ev.size else 0.0
     top = ev[np.argsort(-np.abs(ev))[:count]].real
     matched, errors = _nearest_unused(top, np.asarray(analytic, dtype=float))
-    return SpectrumReport(top, matched, errors, max_imag)
+    return SpectrumReport(top, matched, errors, max_imag, floor)
 
 
 def _layer_radial(
@@ -545,8 +558,9 @@ def _shell_gradient_grid(
     """(dV/drho, dV/domega) on the tensor grid rhos x omegas in the shell.
 
     Separable matmuls over the modes keep the cost at (n_rho + n_omega)
-    n_max entries rather than n_rho n_omega n_max.
+    n_max entries rather than n_rho n_omega n_max.  dc is one row.
     """
+    _one_row(dc)
     n = np.arange(1, len(dc.p_cos) + 1, dtype=float)
     (chi, che), (shi, she) = _layer_radial(n, g, rhos)
 
@@ -694,8 +708,10 @@ def validate(
     The default source is a dipole at (rho_e + 0.5, 0.9), moment (1, 0.4).
     Before any work, InputError refuses n_nystrom (nodes per curve)
     odd or below 8, n_modes below 1, and 2 + 4 n_modes > n_nystrom / 2,
-    and SourceInsideShell (an InputError) a source not strictly outside
-    the shell.
+    then adaptive_n_max (OverflowGuard) a loss of steps 5-6 that needs
+    more modes than doubles hold, and SourceInsideShell (an InputError) a
+    source not strictly outside the shell.  The solve's TruncationWarnings
+    are attributed to the caller of validate.
     """
     if n_nystrom < 8 or n_nystrom % 2:
         raise InputError(f"n_nystrom: must be even and >= 8, got {n_nystrom}")
@@ -708,9 +724,13 @@ def validate(
         )
     if source is None:
         source = Dipole(EllipticPoint(g.rho_e + 0.5, 0.9), np.array([1.0, 0.4]))
-    # Steps 5 and 7 solve at this loss; a source inside the shell is refused here.
+    # One solve serves steps 3-7: rows +delta and -delta (steps 5 and 7)
+    # and step 6's losses, each at its own truncation.
     delta = 1e-3
-    sc = newtonian_coefficients(source, adaptive_n_max(delta, g), g.R, rho_e=g.rho_e)
+    deltas = [delta, -delta] + [10.0 ** (-k) for k in range(2, 7)]
+    n_maxes = [adaptive_n_max(abs(d), g) for d in deltas]
+    n_top = max(n_maxes)
+    sc = newtonian_coefficients(source, n_top, g.R, rho_e=g.rho_e)
     # 1. Nystrom block spectrum against the closed-form eigenvalues, solved
     # mode by mode from a few kernel rows per curve block.
     rep = _mode_spectrum(*mode_blocks_for(g, n_nystrom), count, g)
@@ -734,10 +754,16 @@ def validate(
     alpha0_err = float(np.max(resid) / np.max(np.abs(xi_inv)))
     checks = [spectrum, _check("alpha0_half", alpha0_err, 1e-8)]
 
+    # Steps 3 and 4 read 50 modes, more than the solve's n_top when
+    # rho_e - rho_i >= 2 ln(1e6) / 9 (about 3.07); truncated tables equal
+    # fresh ones bit for bit.
+    table = mode_table(g, max(n_top, 50))
+    solved = _solve(sc, g, deltas, n_maxes, table.truncated(n_top), energies=True)
+    table = table.truncated(50)
+
     # 3. Eigen-residuals of the closed-form 2x2 blocks (componentwise) for
     # n = 1 .. 50 at once: A_n and B_n are (2, 2, n) arrays, and the four
     # eigenpairs (matrix, eigenvalue, vector) stack on a leading axis.
-    table = mode_table(g, 50)
     a_mat, b_mat = block_matrices(table.n, g)
     a1, a2, b = table.a1, table.a2, table.b
     mats = np.array([a_mat, a_mat, b_mat, b_mat])  # (4, 2, 2, n)
@@ -766,9 +792,10 @@ def validate(
     worst = float(np.max(np.abs(quad - norms) / np.abs(norms)))
     checks.append(_check("s_norms", worst, 1e-12, None if pd else "fail"))
 
-    # 5. Transmission conditions for the source.  Steps 5 and 7 share one
-    # solve, two density rows (+delta, -delta), and one evaluator call.
-    rows = solve_densities(sc, g, [delta, -delta])
+    # 5. Transmission conditions for the source, from the +-delta rows cut
+    # to their truncation; one evaluator call serves steps 5 and 7.
+    dc, e_direct, e_spectral = solved
+    rows = DensityCoefficients(*(getattr(dc, f.name)[:2, : n_maxes[0]] for f in fields(dc)))
     stencil = np.array([-49.0 / 20, 6.0, -15.0 / 2, 20.0 / 3, -15.0 / 4, 6.0 / 5, -1.0 / 6])
     h = 1e-4
     omegas = np.linspace(0.07, 2.0 * math.pi - 0.13, 12)
@@ -798,10 +825,10 @@ def validate(
     checks.append(_check("continuity", worst_c, 1e-6))
     checks.append(_check("flux_jump", worst_f, 1e-8))
 
-    # 6. Spectral surrogate stays within a bounded factor of the direct energy.
-    recs = sweep(source, g, [10.0 ** (-k) for k in range(2, 7)], [])
-    # A record without energy (a zero source) has no ratio to bound.
-    ratios = [r.e_direct / r.e_spectral for r in recs if r.e_direct or r.e_spectral]
+    # 6. Spectral surrogate stays within a bounded factor of the direct
+    # energy.  A loss without energy (a zero source) has no ratio to bound.
+    energies = zip(e_direct[2:], e_spectral[2:])
+    ratios = [e / e_spec for e, e_spec in energies if e or e_spec]
     spread = max(ratios) / min(ratios) if ratios else math.nan
     status = None if ratios else "indeterminate"
     checks.append(_check("surrogate_ratio", spread, 10.0, status))

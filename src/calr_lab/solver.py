@@ -54,13 +54,12 @@ bounded/decaying E (no CALR), or neither.
 
 Each rule is stated once.  adaptive_n_max refuses a delta outside (0, 1)
 and a negative margin, and sweep a probe it cannot evaluate, all with
-errors.InputError before any coefficient is built.  The solve (with its
+errors.InputError before any coefficient is built.  solve_densities,
+sweep and oracle.validate share one solve, _solve: the solve (with its
 tail check, TruncationWarning above 1e-10) and both energies run over
-(delta, mode) arrays, one row per delta over its own leading modes;
-solve_densities takes one delta (one row) or a sequence of them (one row
-each, over the same modes), and the dissipated_power functions are
-one-row cases.  The energies square over a power-of-two scale and refuse
-only an E out of range.
+(delta, mode) arrays, one row per delta over its own leading modes.  The
+functions that read one row refuse K rows (_one_row).  The energies
+square over a power-of-two scale and refuse only an E out of range.
 """
 
 from __future__ import annotations
@@ -156,6 +155,13 @@ class DensityCoefficients:
     p_sin: np.ndarray = field(repr=False)
     q_cos: np.ndarray = field(repr=False)
     q_sin: np.ndarray = field(repr=False)
+
+
+def _one_row(dc: DensityCoefficients) -> None:
+    """ValueError, naming the shape, unless dc is one row (n_max,)."""
+    if np.ndim(dc.p_cos) != 1:
+        raise ValueError(
+            f"expected one density row of shape (n_max,), got shape {np.shape(dc.p_cos)}")
 
 
 @dataclass(frozen=True)
@@ -277,9 +283,10 @@ def mode_projections(forcing: BoundaryForcing, modes: ModeTable) -> ModeProjecti
 def _assemble_densities(proj, modes, deltas, n_maxes) -> DensityCoefficients:
     """(K, n_top) densities: row k solved at deltas[k], zero past n_maxes[k].
 
-    Warns (TruncationWarning, at the caller's caller) once per delta, in
-    order, when the row's last mode carries over 1e-10 of its S-norm,
-    formed as (|w| sqrt(norm) / top)^2 with top the row's largest |w| sqrt(norm).
+    Warns (TruncationWarning, at the caller of _solve's caller) once per
+    delta, in order, when the row's last mode carries over 1e-10 of its
+    S-norm, formed as (|w| sqrt(norm) / top)^2 with top the row's largest
+    |w| sqrt(norm).
     """
     z = np.array([[z_param(d)] for d in deltas])
     keep = np.arange(len(modes.n)) < np.asarray(n_maxes)[:, None]
@@ -295,9 +302,26 @@ def _assemble_densities(proj, modes, deltas, n_maxes) -> DensityCoefficients:
         tail = math.sqrt(float(row[n_max - 1]) / float(row[:n_max].sum())) if t > 0.0 else 0.0
         if tail > _TAIL_TOL:
             warnings.warn(f"mode sum truncated at n_max = {n_max} with relative tail "
-                          f"{tail:.2e}", TruncationWarning, stacklevel=3)
+                          f"{tail:.2e}", TruncationWarning, stacklevel=4)
     return DensityCoefficients(w1 * modes.a1 + w2 * modes.a2, (w3 + w4) * modes.b,
                                (w1 + w2) * modes.b, w3 * modes.a2 + w4 * modes.a1)
+
+
+def _solve(sc, g, deltas, n_maxes, modes=None, energies=False):
+    """(dc, e_direct, e_spectral): row k of dc solved at deltas[k] over its
+    leading n_maxes[k] modes (zero past them) and, with energies, each
+    row's closed-form and spectral energy (else None).  One forcing, whose
+    guards fire first, one mode table over the sc.n_max modes (or modes,
+    that table) and one projection serve every row.
+    """
+    forcing = boundary_forcing(sc, g)
+    modes = mode_table(g, sc.n_max) if modes is None else modes
+    proj = mode_projections(forcing, modes)
+    dc = _assemble_densities(proj, modes, deltas, n_maxes)
+    if not energies:
+        return dc, None, None
+    return (dc, _closed_energies(sc, dc, g, deltas, n_maxes),
+            _spectral_energies(proj, modes, deltas, n_maxes))
 
 
 def solve_densities(
@@ -322,10 +346,7 @@ def solve_densities(
     for d in deltas:
         if not (d != 0.0 and math.isfinite(d)):
             raise ValueError(f"delta must be finite and nonzero, got {d}")
-    forcing = boundary_forcing(sc, g)
-    modes = mode_table(g, sc.n_max)
-    proj = mode_projections(forcing, modes)
-    dc = _assemble_densities(proj, modes, deltas, [sc.n_max] * len(deltas))
+    dc = _solve(sc, g, deltas, [sc.n_max] * len(deltas))[0]
     if one:
         return DensityCoefficients(*(getattr(dc, f.name)[0] for f in fields(dc)))
     return dc
@@ -432,7 +453,8 @@ def eval_potential(
     g: ConfocalGeometry,
     x: EllipticPoint,
 ) -> complex:
-    """Value of V_delta at an elliptic point (any region)."""
+    """Value of V_delta at an elliptic point (any region); dc is one row."""
+    _one_row(dc)
     return complex(eval_potentials(source, dc, g, x.rho, x.omega))
 
 
@@ -497,6 +519,7 @@ def dissipated_power_closed(
     Every term is positive; the squares are taken over a power-of-two scale
     (see _energies), so OverflowGuard means E itself is out of double range.
     """
+    _one_row(dc)
     if len(dc.p_cos) != sc.n_max:
         raise ValueError("source and density coefficients have different truncation orders")
     if not math.isfinite(delta):
@@ -521,11 +544,10 @@ def sweep(
 ) -> list[SweepRecord]:
     """Solve the transmission problem across a family of loss values.
 
-    Each delta gets its own adaptive truncation.  The source coefficients,
-    the mode table and the forcing projections do not depend on delta, so
-    they are built once at the largest truncation; the solve and both
-    energies then run once over (delta, mode) arrays, each row over the
-    leading modes of its delta, and equal per-delta calls bit for bit.
+    Each delta gets its own adaptive truncation.  The source coefficients
+    are built once at the largest truncation, and one _solve pass gives
+    the solve and both energies over (delta, mode) arrays, each row over
+    the leading modes of its delta, equal to per-delta calls bit for bit.
     The probes of all deltas are evaluated in one evaluator call on the
     solve's (delta, mode) rows, each zero past its delta's truncation,
     which leaves its values unchanged bit for bit.  Records are returned
@@ -559,13 +581,8 @@ def sweep(
                 f"probes[{k}]: rho = {p.rho} puts 2 pi (R cosh rho)^2 out of range"
             )
     n_maxes = [adaptive_n_max(d, g, margin) for d in deltas]
-    n_top = max(n_maxes)
-    sc_top = newtonian_coefficients(source, n_top, g.R, rho_e=g.rho_e)
-    modes_top = mode_table(g, n_top)
-    proj_top = mode_projections(boundary_forcing(sc_top, g), modes_top)
-    dc = _assemble_densities(proj_top, modes_top, deltas, n_maxes)
-    e_direct = _closed_energies(sc_top, dc, g, deltas, n_maxes)
-    e_spectral = _spectral_energies(proj_top, modes_top, deltas, n_maxes)
+    sc_top = newtonian_coefficients(source, max(n_maxes), g.R, rho_e=g.rho_e)
+    dc, e_direct, e_spectral = _solve(sc_top, g, deltas, n_maxes, energies=True)
     v = eval_potentials(source, dc, g, [p.rho for p in probes], [p.omega for p in probes])
     # |v| through hypot of the parts: it equals Python's complex abs bit for
     # bit, while np.abs of a complex array may differ in the last bit.

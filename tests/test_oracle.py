@@ -10,6 +10,7 @@ from __future__ import annotations
 import ast
 import math
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from calr_lab import (
     sample_ellipse,
 )
 from calr_lab import cli, oracle, solver, source
-from calr_lab.errors import InputError
+from calr_lab.errors import InputError, TruncationWarning
 from calr_lab.geometry import cartesian, ellipse_curvature, tangents
 from calr_lab.oracle import (
     BlockNPMatrix,
@@ -637,6 +638,44 @@ def test_numeric_spectrum_pairs_modes_past_mode_tables_range():
     assert sorted(np.abs(rep.matched[:2])) == [0.5, 0.5]
 
 
+def test_numeric_spectrum_reports_pairs_below_rounding_apart():
+    """On that count 50 of the 128 pairs lie below the rounding floor
+    N^2 2^-52 max|entry| (7.4e-14) on both sides; worst covers the other
+    78, a Nystrom error, not the noise ratio (9.5e65) of the 50."""
+    m = block_np_for(ConfocalGeometry(2.0, 1.5, 3.0), 256)
+    rep = numeric_spectrum(m, 128)
+    assert rep.floor == 256**2 * 2.0**-52 * np.max(np.abs(m.matrix))
+    assert 7.3e-14 < rep.floor < 7.5e-14
+    below = ~rep.resolved
+    assert np.count_nonzero(below) == 50
+    assert np.all(np.abs(rep.matched[below]) < rep.floor)
+    assert np.all(np.abs(rep.eigenvalues[below]) < rep.floor)
+    assert np.max(rep.rel_errors[below]) > 1e60
+    assert rep.worst == np.max(rep.rel_errors[rep.resolved]) < 1e-5
+
+
+@pytest.mark.parametrize("g", [THIN, THICK, ConfocalGeometry(2.0, 1.5, 3.0)])
+def test_validate_spectrum_count_has_no_pair_below_rounding(g):
+    """Validate's step 1 (count 14, N = 256) has no pair below the floor,
+    so leaving such pairs out of worst changes nothing there."""
+    rep = numeric_spectrum(block_np_for(g, 256), 14)
+    assert rep.resolved.all()
+    assert rep.worst == np.max(rep.rel_errors)
+
+
+def test_a_large_value_paired_below_the_floor_stays_an_error():
+    """A pair is left out only when both its values are below the floor:
+    a numeric value far above it, paired with a zero, still counts."""
+    analytic = np.array([0.5, 0.0, 0.0, 0.0, 0.0])
+    circle = assemble_np(sample_circle(1.0, 128))
+    assert numeric_spectrum(circle, 5, analytic=analytic).worst < 1e-12
+    circle[0, 0] += 0.25
+    rep = numeric_spectrum(circle, 5, analytic=analytic)
+    assert rep.matched[1] == 0.0 and rep.eigenvalues[1] > 0.2
+    assert rep.resolved.tolist() == [True, True, False, False, False]
+    assert rep.worst == rep.rel_errors[1] > 0.2
+
+
 @pytest.mark.parametrize("top", [0.25, 0.2, 0.01])
 def test_pruned_mode_spectrum_finds_a_block_at_its_bound(top):
     """A rank-one block c 1 1^T has spectral radius 4c, equal to its norm
@@ -744,26 +783,89 @@ def test_independent_routes_live_in_oracle():
     assert all(hasattr(calr_lab, name) for name in calr_lab.__all__)
 
 
+def _count_calls(monkeypatch, functions):
+    """Count the calls of each function, wherever a calr_lab module binds it."""
+    calls = {fn.__name__: 0 for fn in functions}
+    modules = [calr_lab, cli, oracle, solver, source, calr_lab.spectrum]
+    for fn in functions:
+        def wrapper(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return calls
+
+
 def test_validate_solves_its_source_once(monkeypatch):
-    """Steps 5 and 7 share one solve (rows +delta, -delta) and one
-    evaluator call; the checks are those of the two-solve order."""
-    calls = {"solve_densities": 0, "eval_potentials": 0}
+    """Steps 3-7 share one spectral solve: one call each to solver._solve,
+    mode_table, newtonian_coefficients and eval_potentials per validate,
+    and no sweep or solve_densities call.  The last geometry's solve
+    needs 49 modes, fewer than steps 3-4 read."""
+    calls = _count_calls(monkeypatch, [
+        solver._solve, mode_table, source.newtonian_coefficients, solver.eval_potentials,
+        solver.sweep, solver.solve_densities])
+    for g in (THIN, THICK, ConfocalGeometry(2.0, 0.3, 3.6)):
+        calls.update(dict.fromkeys(calls, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            checks = oracle.validate(g, n_nystrom=64)
+        assert calls == {"_solve": 1, "mode_table": 1, "newtonian_coefficients": 1,
+                         "eval_potentials": 1, "sweep": 0, "solve_densities": 0}
+        assert [c["name"] for c in checks] == [
+            "nystrom_spectrum", "alpha0_half", "eigen_residuals", "s_norms",
+            "continuity", "flux_jump", "surrogate_ratio", "reality_symmetry"]
 
-    def counted(name):
-        fn = getattr(oracle, name)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+def _public_route_checks(g, src):
+    """continuity, flux_jump, surrogate_ratio and reality_symmetry as the
+    public functions give them: solve_densities(sc, g, [delta, -delta])
+    with eval_potentials for steps 5 and 7, sweep's records for step 6."""
+    delta = 1e-3
+    sc = source.newtonian_coefficients(src, solver.adaptive_n_max(delta, g), g.R, rho_e=g.rho_e)
+    rows = solver.solve_densities(sc, g, [delta, -delta])
+    stencil = np.array([-49.0 / 20, 6.0, -15.0 / 2, 20.0 / 3, -15.0 / 4, 6.0 / 5, -1.0 / 6])
+    h = 1e-4
+    omegas = np.linspace(0.07, 2.0 * math.pi - 0.13, 12)
+    steps = np.arange(len(stencil)) * h
+    shell = -1.0 + 1j * delta
+    radii = np.array([
+        np.concatenate([[rho_t - 1e-9, rho_t + 1e-9], rho_t - steps, rho_t + steps])
+        for rho_t in (g.rho_i, g.rho_e)
+    ])
+    rho5, omega5 = np.broadcast_arrays(radii[:, None, :], omegas[:, None])
+    rhos = [0.5 * g.rho_i, 0.5 * (g.rho_i + g.rho_e), g.rho_e + 0.3]
+    both = solver.eval_potentials(src, rows, g, np.concatenate([rho5.ravel(), rhos]),
+                                  np.concatenate([omega5.ravel(), [0.3, 2.0, 4.0]]))
+    values, (vp, vm) = both[0, : rho5.size].reshape(rho5.shape), both[:, rho5.size :]
+    worst_c, worst_f = 0.0, 0.0
+    for v, e_in, e_out in zip(values, (1.0, shell), (shell, 1.0)):
+        inner, outer = v[:, 2 : 2 + len(stencil)], v[:, 2 + len(stencil) :]
+        vscale = float(np.max(np.abs(v[:, 0])))
+        worst_c = max(worst_c, float(np.max(np.abs(v[:, 0] - v[:, 1]))) / vscale)
+        d_in = -sum(c * inner[:, k] for k, c in enumerate(stencil)) / h
+        d_out = sum(c * outer[:, k] for k, c in enumerate(stencil)) / h
+        fi, fo = e_in * d_in, e_out * d_out
+        fscale = float(np.max(np.maximum(np.abs(fi), np.abs(fo))))
+        worst_f = max(worst_f, float(np.max(np.abs(fi - fo))) / fscale)
+    recs = solver.sweep(src, g, [10.0 ** (-k) for k in range(2, 7)], [])
+    ratios = [r.e_direct / r.e_spectral for r in recs]
+    symmetry = float(np.max(np.abs(vm - np.conj(vp)) / np.maximum(np.abs(vp), 1e-30)))
+    return {"continuity": worst_c, "flux_jump": worst_f,
+            "surrogate_ratio": max(ratios) / min(ratios), "reality_symmetry": symmetry}
 
-    for name in calls:
-        monkeypatch.setattr(oracle, name, counted(name))
-    checks = oracle.validate(THIN, n_nystrom=64)
-    assert calls == {"solve_densities": 1, "eval_potentials": 1}
-    assert [c["name"] for c in checks] == [
-        "nystrom_spectrum", "alpha0_half", "eigen_residuals", "s_norms",
-        "continuity", "flux_jump", "surrogate_ratio", "reality_symmetry"]
+
+@pytest.mark.parametrize("g", [THIN, THICK])
+def test_validate_matches_the_public_route(g):
+    """The one-pass checks equal, bit for bit, those of the public route on
+    a thin and a thick shell (validate's default dipole)."""
+    src = oracle.Dipole(oracle.EllipticPoint(g.rho_e + 0.5, 0.9), np.array([1.0, 0.4]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        want = _public_route_checks(g, src)
+        got = {c["name"]: c["observed"] for c in oracle.validate(g, src, n_nystrom=64)}
+    assert {name: got[name] for name in want} == want
 
 
 def test_validate_checks_live_in_oracle():

@@ -779,6 +779,26 @@ def test_gradient_requires_shell_point():
         eval_gradient_shell(src, dc, THIN, 0.9, 1.0)
 
 
+@pytest.mark.filterwarnings("ignore::calr_lab.errors.TruncationWarning")
+@pytest.mark.parametrize("n_max, k", [(2, 2), (3, 3), (30, 2), (3, 1)])
+def test_one_row_functions_refuse_k_rows(n_max, k):
+    """The four functions that read one density row refuse K rows (also
+    K == n_max, where a K-row array has the length of one row) with one
+    ValueError naming the shape; a (1, n_max) array is K rows too."""
+    src = Dipole(EllipticPoint(1.3, 0.4), np.array([1.0, 0.3]))
+    sc = newtonian_coefficients(src, n_max, THIN.R, rho_e=THIN.rho_e)
+    rows = solve_densities(sc, THIN, [1e-3, 1e-2, 1e-1][:k])
+    shape = re.escape(f"got shape ({k}, {n_max})")
+    for call in (
+        lambda: eval_potential(src, rows, THIN, EllipticPoint(1.1, 0.2)),
+        lambda: eval_gradient_shell(src, rows, THIN, 0.6, 1.0),
+        lambda: dissipated_power_closed(sc, rows, THIN, 1e-3),
+        lambda: dissipated_power_direct(src, rows, THIN, 1e-3),
+    ):
+        with pytest.raises(ValueError, match=shape):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # Dissipated power.
 
