@@ -6,6 +6,12 @@ ellipses, classifies whether cloaking due to anomalous localized
 resonance (CALR) occurs for a given source, and cross-validates the
 closed-form mode solution against an independent Nystrom discretization
 of the underlying boundary-integral operator.
+
+Results are immutable NamedTuples; the inputs that check their values
+(EllipticPoint, ConfocalGeometry, Dipole, ChargePair, Coefficients) are
+frozen dataclasses.  The Nystrom oracle (calr_lab.oracle) serves only
+cross-validation and is imported on first use: its three re-exports
+below resolve through the module __getattr__.
 """
 
 from .errors import (
@@ -60,11 +66,6 @@ from .source import (
     newtonian_eval,
     newtonian_gradient,
 )
-from .oracle import (
-    coefficient_projection_oracle,
-    dissipated_power_direct,
-    eval_gradient_shell,
-)
 from .spectrum import (
     AsymptoticRates,
     ModeData,
@@ -82,6 +83,19 @@ from .spectrum import (
 )
 
 __version__ = "0.1.0"
+
+_ORACLE_EXPORTS = {
+    "coefficient_projection_oracle", "dissipated_power_direct", "eval_gradient_shell"
+}
+
+
+def __getattr__(name: str):
+    """The oracle's re-exports, importing calr_lab.oracle on first use (PEP 562)."""
+    if name in _ORACLE_EXPORTS:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AsymptoticRates",

@@ -31,7 +31,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import astuple, fields
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -39,7 +38,6 @@ import numpy as np
 
 from .errors import CalrError, ConfigError, InputError, SourceInsideShell
 from .geometry import ConfocalGeometry, EllipticPoint, elliptic_coords
-from .oracle import validate
 from .solver import (
     adaptive_n_max,
     calr_classify,
@@ -205,13 +203,13 @@ def spectrum_command(cfg: dict, out_dir: Path) -> int:
         raise ConfigError(f"spectrum.n_max: must be >= 0, got {n_max}")
     # The whole table before the file opens, so a mode that cannot be
     # represented leaves no partial spectrum.csv; row n equals mode_data(n, g).
-    columns = astuple(mode_table(g, n_max)) if n_max else ()
+    columns = mode_table(g, n_max) if n_max else ()
     rows = (
         ",".join([str(n)] + [_fmt(v) for v in values]) + "\n"
         for n, *values in zip(*columns)
     )
     path = out_dir / "spectrum.csv"
-    _write_rows(path, ",".join(f.name for f in fields(ModeTable)), rows)
+    _write_rows(path, ",".join(ModeTable._fields), rows)
     print(f"wrote {path} ({n_max} modes)")
     return 0
 
@@ -391,6 +389,8 @@ def field_command(cfg: dict, out_dir: Path) -> int:
 
 
 def _validate_checks(cfg: dict) -> list[dict]:
+    from .oracle import validate  # only validate needs the oracle; import it on first use
+
     g = parse_geometry(cfg)
     block = _block(cfg, "validate", required=False)
     # Sizes left out take oracle.validate's defaults.

@@ -26,7 +26,8 @@ to_cartesian and to_elliptic are their one-point forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,18 +92,17 @@ class ConfocalGeometry:
             )
 
 
-@dataclass(frozen=True)
-class SampledCurve:
+class SampledCurve(NamedTuple):
     """A closed curve sampled at N trapezoid nodes, as arrays.
 
     nodes and unit outward normals have shape (N, 2); curvature and the
     arclength weights have shape (N,).
     """
 
-    nodes: np.ndarray = field(repr=False)
-    normals: np.ndarray = field(repr=False)
-    curvature: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
+    nodes: np.ndarray
+    normals: np.ndarray
+    curvature: np.ndarray
+    weights: np.ndarray
 
 
 def cartesian(R: float, rho, omega) -> np.ndarray:

@@ -77,7 +77,7 @@ converges spectrally and no singular quadrature is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,8 +122,7 @@ _MIN_CURVE_GAP = 1e-8
 _MODE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class BlockNPMatrix:
+class BlockNPMatrix(NamedTuple):
     """Dense 2N x 2N discretization of the block operator.
 
     `matrix` has the quadrature weights folded in, so its eigenvalues
@@ -133,13 +132,12 @@ class BlockNPMatrix:
     numeric_spectrum can produce the matching analytic values.
     """
 
-    matrix: np.ndarray = field(repr=False)
+    matrix: np.ndarray
     geometry: ConfocalGeometry | None
-    weights: np.ndarray = field(repr=False)
+    weights: np.ndarray
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     """Numeric eigenvalues paired with their analytic counterparts.
 
     Eigenvalues are sorted by decreasing magnitude.  `matched` holds the
@@ -156,9 +154,9 @@ class SpectrumReport:
     relative error is noise; `worst` is taken over the resolved pairs.
     """
 
-    eigenvalues: np.ndarray = field(repr=False)
-    matched: np.ndarray = field(repr=False)
-    rel_errors: np.ndarray = field(repr=False)
+    eigenvalues: np.ndarray
+    matched: np.ndarray
+    rel_errors: np.ndarray
     max_imag: float = 0.0
     floor: float = 0.0
 
@@ -496,7 +494,7 @@ def numeric_spectrum(
     if analytic is None:
         blocks = _mode_blocks(m)
         if blocks is not None:
-            return replace(_mode_spectrum(*blocks, count, m.geometry), floor=floor)
+            return _mode_spectrum(*blocks, count, m.geometry)._replace(floor=floor)
         lam = np.concatenate(
             [[0.5], *mode_eigenvalues(np.arange(1.0, max(8, count + 1) + 1), m.geometry)])
         analytic = np.concatenate([lam, -lam])
@@ -795,7 +793,7 @@ def validate(
     # 5. Transmission conditions for the source, from the +-delta rows cut
     # to their truncation; one evaluator call serves steps 5 and 7.
     dc, e_direct, e_spectral = solved
-    rows = DensityCoefficients(*(getattr(dc, f.name)[:2, : n_maxes[0]] for f in fields(dc)))
+    rows = DensityCoefficients(*(a[:2, : n_maxes[0]] for a in dc))
     stencil = np.array([-49.0 / 20, 6.0, -15.0 / 2, 20.0 / 3, -15.0 / 4, 6.0 / 5, -1.0 / 6])
     h = 1e-4
     omegas = np.linspace(0.07, 2.0 * math.pi - 0.13, 12)

@@ -66,9 +66,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -121,29 +120,26 @@ _VISIBILITY_DROP = 3.0
 _VISIBILITY_DROP_BIG = 10.0
 
 
-@dataclass(frozen=True)
-class BoundaryForcing:
+class BoundaryForcing(NamedTuple):
     """Mode coefficients of the transmission forcing on both interfaces."""
 
     geometry: ConfocalGeometry
-    gc_i: np.ndarray = field(repr=False)
-    gs_i: np.ndarray = field(repr=False)
-    gc_e: np.ndarray = field(repr=False)
-    gs_e: np.ndarray = field(repr=False)
+    gc_i: np.ndarray
+    gs_i: np.ndarray
+    gc_e: np.ndarray
+    gs_e: np.ndarray
 
 
-@dataclass(frozen=True)
-class ModeProjection:
+class ModeProjection(NamedTuple):
     """S-inner products of the forcing with the four eigenfunction families."""
 
-    proj_1p: np.ndarray = field(repr=False)
-    proj_1m: np.ndarray = field(repr=False)
-    proj_2p: np.ndarray = field(repr=False)
-    proj_2m: np.ndarray = field(repr=False)
+    proj_1p: np.ndarray
+    proj_1m: np.ndarray
+    proj_2p: np.ndarray
+    proj_2m: np.ndarray
 
 
-@dataclass(frozen=True)
-class DensityCoefficients:
+class DensityCoefficients(NamedTuple):
     """Complex density coefficients; index [..., n-1] holds mode n.
 
     phi_i = sum p_cos[n] phi_n_c(i) + p_sin[n] phi_n_s(i), and q_* likewise
@@ -151,10 +147,10 @@ class DensityCoefficients:
     (K, n_max), one per loss value, as a sweep solves them.
     """
 
-    p_cos: np.ndarray = field(repr=False)
-    p_sin: np.ndarray = field(repr=False)
-    q_cos: np.ndarray = field(repr=False)
-    q_sin: np.ndarray = field(repr=False)
+    p_cos: np.ndarray
+    p_sin: np.ndarray
+    q_cos: np.ndarray
+    q_sin: np.ndarray
 
 
 def _one_row(dc: DensityCoefficients) -> None:
@@ -164,8 +160,7 @@ def _one_row(dc: DensityCoefficients) -> None:
             f"expected one density row of shape (n_max,), got shape {np.shape(dc.p_cos)}")
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """Diagnostics of one loss value inside a sweep.
 
     e_direct holds the closed-form energy (dissipated_power_closed) of the
@@ -176,8 +171,8 @@ class SweepRecord:
     n_max: int
     e_direct: float
     e_spectral: float
-    far_samples: np.ndarray = field(repr=False)
-    normalized_far: np.ndarray = field(repr=False)
+    far_samples: np.ndarray
+    normalized_far: np.ndarray
 
 
 class CalrVerdict(Enum):
@@ -186,8 +181,7 @@ class CalrVerdict(Enum):
     INDETERMINATE = "Indeterminate"
 
 
-@dataclass(frozen=True)
-class CalrDiagnosis:
+class CalrDiagnosis(NamedTuple):
     """Classifier output over a sweep.
 
     growth_exponent is the fitted slope d ln E / d ln(1/delta); energy
@@ -348,7 +342,7 @@ def solve_densities(
             raise ValueError(f"delta must be finite and nonzero, got {d}")
     dc = _solve(sc, g, deltas, [sc.n_max] * len(deltas))[0]
     if one:
-        return DensityCoefficients(*(getattr(dc, f.name)[0] for f in fields(dc)))
+        return DensityCoefficients(*(a[0] for a in dc))
     return dc
 
 
@@ -392,7 +386,7 @@ def _layer_sums(
     <= 1 (see _region_chains), with coefficients built once per row and
     region, summed by _horner and added in a fixed order.
     """
-    p_cos, p_sin, q_cos, q_sin = (np.atleast_2d(getattr(dc, f.name)).T for f in fields(dc))
+    p_cos, p_sin, q_cos, q_sin = (np.atleast_2d(a).T for a in dc)
     n = np.arange(1, len(p_cos) + 1, dtype=float)[:, None]
     halves = [
         (g.rho_i, ((p_cos - 1j * p_sin) / (2.0 * n), (p_cos + 1j * p_sin) / (2.0 * n))),

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -150,8 +150,7 @@ class GapVerdict(Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class GapConditionReport:
+class GapConditionReport(NamedTuple):
     """Finite-window evidence for/against GC[rho_star].
 
     indices are the mode numbers with nonzero coefficient pairs;
@@ -159,8 +158,8 @@ class GapConditionReport:
     """
 
     rho_star: float
-    indices: np.ndarray = field(repr=False)
-    log10_terms: np.ndarray = field(repr=False)
+    indices: np.ndarray
+    log10_terms: np.ndarray
     verdict: GapVerdict = GapVerdict.INCONCLUSIVE
 
 

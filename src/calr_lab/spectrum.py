@@ -57,7 +57,6 @@ eigenvalues with them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -90,8 +89,7 @@ __all__ = [
 _EXP_GUARD = 700.0
 
 
-@dataclass(frozen=True)
-class SingleEllipseMode:
+class SingleEllipseMode(NamedTuple):
     """Eigendata of K* on a single ellipse for one mode index."""
 
     n: int
@@ -99,8 +97,7 @@ class SingleEllipseMode:
     beta: float
 
 
-@dataclass(frozen=True)
-class ModeData:
+class ModeData(NamedTuple):
     """Eigendata of the block operator for one mode index n >= 1."""
 
     n: int
@@ -115,8 +112,7 @@ class ModeData:
     norm_2m: float
 
 
-@dataclass(frozen=True)
-class ModeTable:
+class ModeTable(NamedTuple):
     """Vectorized eigendata for n = 1 .. n_max (index [n-1])."""
 
     n: np.ndarray
@@ -138,10 +134,10 @@ class ModeTable:
         """
         if not 1 <= n_max <= len(self.n):
             raise ValueError(f"n_max must be in [1, {len(self.n)}], got {n_max}")
-        return ModeTable(*(getattr(self, f.name)[:n_max] for f in fields(self)))
+        return ModeTable(*(column[:n_max] for column in self))
 
     def row(self, n: int) -> ModeData:
-        values = (float(getattr(self, f.name)[n - 1]) for f in fields(self)[1:])
+        values = (float(column[n - 1]) for column in self[1:])
         return ModeData(n, *values)
 
 
@@ -150,8 +146,7 @@ class RegimeKind(Enum):
     THICK = "Thick"
 
 
-@dataclass(frozen=True)
-class Regime:
+class Regime(NamedTuple):
     """Critical radius data for a shell geometry.
 
     rho_star is the cloaking threshold: charge-balanced sources supported
@@ -166,8 +161,7 @@ class Regime:
     far_bound_rho: float
 
 
-@dataclass(frozen=True)
-class AsymptoticRates:
+class AsymptoticRates(NamedTuple):
     """Leading exponential rates of the mode data as n -> infinity.
 
     Each eigenvalue behaves like +-C * exp(-rate * n) and each norm like

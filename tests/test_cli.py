@@ -760,7 +760,7 @@ def test_validate_lets_other_value_errors_escape(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("not a size")
 
-    monkeypatch.setattr(cli, "validate", broken)
+    monkeypatch.setattr(oracle, "validate", broken)  # cli resolves it at call time
     cfg = _write_cfg(tmp_path, "v.json", {"geometry": THIN_GEO})
     with pytest.raises(ValueError, match="not a size"):
         _run(["validate", "--config", cfg, "--out", str(tmp_path)])

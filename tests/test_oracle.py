@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import ast
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -781,6 +784,37 @@ def test_independent_routes_live_in_oracle():
         assert getattr(calr_lab, name) is getattr(oracle, name)
     assert calr_lab.__all__ == _ROOT_EXPORTS
     assert all(hasattr(calr_lab, name) for name in calr_lab.__all__)
+
+
+# Run in a fresh interpreter: this test process has imported the oracle.
+_LAZY_ORACLE = """
+import sys
+import calr_lab
+assert "calr_lab.oracle" not in sys.modules, "import calr_lab"
+import calr_lab.cli
+calr_lab.cli.build_parser()
+assert "calr_lab.oracle" not in sys.modules, "import calr_lab.cli; build_parser()"
+for name in ("dissipated_power_direct", "eval_gradient_shell", "coefficient_projection_oracle"):
+    assert getattr(calr_lab, name) is getattr(sys.modules["calr_lab.oracle"], name), name
+try:
+    calr_lab.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("unknown attribute resolved")
+"""
+
+
+def test_oracle_is_imported_on_first_use():
+    """Neither the package nor the CLI parser imports the oracle; the
+    root's three re-exports import it and are the oracle's functions, and
+    an unknown name is still an AttributeError."""
+    src = str(Path(calr_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_ORACLE], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def _count_calls(monkeypatch, functions):
