@@ -10,12 +10,13 @@ library and writes its outputs:
     calr-lab validate        --config run.json [--out DIR]
 
 Only sweep takes --threads (K >= 1), and it has no effect.  Outputs are
-CSV (comma separated, header row, LF endings, 17 significant digits),
-streamed to the file one row at a time, and JSON (UTF-8, sorted keys),
-so identical configs produce byte-identical files.  Exit codes: 0
-success, 2 config error (also a bad --threads, an --out that cannot be
-made a directory, or an output file inside it that cannot be written),
-3 numeric failure, 4 validation-suite failure.
+CSV and JSON (UTF-8, sorted keys), so identical configs produce
+byte-identical files.  In a CSV (comma separated, header row, lines end
+in LF) each number is '%.17g' of the double (_fmt); a blank field.csv
+cell reads x1,x2,,, and field.csv is written one block of grid rows at
+a time.  Exit codes: 0 success, 2 config error (also a bad --threads,
+an --out that cannot be made a directory, or an output file inside it
+that cannot be written), 3 numeric failure, 4 validation-suite failure.
 
 The CLI checks only what parsing needs: JSON types, the blocks' shapes
 and the grid.  Every rule on a loss, margin, probe or validate size is
@@ -38,6 +39,7 @@ import numpy as np
 
 from .errors import CalrError, ConfigError, InputError, SourceInsideShell
 from .geometry import ConfocalGeometry, EllipticPoint, elliptic_coords
+from .numtext import fmt as _fmt, g17_cells, text_cells
 from .solver import (
     adaptive_n_max,
     calr_classify,
@@ -55,10 +57,6 @@ from .source import (
     series_radius,
 )
 from .spectrum import ModeTable, RegimeKind, critical_radius, mode_table
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _write_rows(path: Path, header: str, rows: Iterable[str] = ()) -> None:
@@ -296,34 +294,44 @@ def sweep_command(cfg: dict, out_dir: Path) -> int:
     return 0
 
 
-# A field.csv cell after its x1 and x2 texts: three values, or blank.
-_CELL, _BLANK = ",%.17g,%.17g,%.17g\n", ",,,\n"
+# Grid rows of field.csv laid out, compressed and written at a time.
+_FIELD_BLOCK = 8
 
 
 def _field_rows(
     xs: np.ndarray, ys: np.ndarray, blank: np.ndarray, values: np.ndarray
 ) -> Iterator[str]:
-    """The text of each grid row of field.csv, x2 = ys[j], in turn.
+    """The text of field.csv's grid rows, _FIELD_BLOCK rows at a time.
 
-    A row is one template over the x1 texts, formatted once: its "{0}"
-    fields take the row's x2 text, and one % fills its "%.17g" fields
-    (the same text as _fmt) from the row's slice of ``values``, the
-    (P, 3) re, im, |v| of the cells not blank.
+    A block is laid out as NUL-padded uint8 lines, x1 then ",x2", ",re",
+    ",im", ",|v|" and LF, a blank cell's values each as ",", and its NUL
+    bytes are dropped.  The x1 and x2 texts are _fmt's, the values
+    g17_cells of the block's slice of ``values``, the (P, 3) re, im, |v|
+    of the cells not blank.  Each text is aligned so that its NUL bytes
+    join its neighbours' in one run, which makes the drop cheap.
     """
-    x1_text = [_fmt(x1) for x1 in xs]
-
-    def template(tails: list[str]) -> str:
-        return "".join([f"{x1},{{0}}{tail}" for x1, tail in zip(x1_text, tails)])
-
-    full = template([_CELL] * len(x1_text))
-    ends = np.cumsum(np.count_nonzero(~blank, axis=1)).tolist()
+    x1 = text_cells([_fmt(v) for v in xs])
+    x2 = [f",{_fmt(v)}" for v in ys]
+    x2 = text_cells([t.rjust(max(map(len, x2)), "\0") for t in x2])
+    w1, w2 = x1.shape[1], x2.shape[1]
+    ends = np.cumsum(np.count_nonzero(~blank, axis=1))
     start = 0
-    for x2, row, end in zip(map(_fmt, ys), blank, ends):
-        row_template = (
-            template([_BLANK if b else _CELL for b in row.tolist()]) if row.any() else full
-        )
-        yield row_template.format(x2) % tuple(values[start:end].ravel().tolist())
+    for j in range(0, len(ys), _FIELD_BLOCK):
+        rows = slice(j, j + _FIELD_BLOCK)
+        end = int(ends[rows][-1])
+        cells = g17_cells(values[start:end].T.ravel())  # re, im, |v|
         start = end
+        w = cells.shape[1]
+        grid = np.zeros((len(ys[rows]), len(xs), w1 + w2 + 3 * w + 1), np.uint8)
+        grid[:, :, :w1] = x1
+        grid[:, :, w1:w1 + w2] = x2[rows, None]
+        v = grid[:, :, w1 + w2:-1].reshape(-1, 3, w)
+        empty = blank[rows].ravel()
+        for k, part in enumerate(np.split(cells, 3)):
+            v[~empty, k] = part
+        v[empty, :, 0] = ord(",")
+        grid[:, :, -1] = ord("\n")
+        yield str(grid[grid != 0], "ascii")
 
 
 def field_command(cfg: dict, out_dir: Path) -> int:

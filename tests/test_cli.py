@@ -308,8 +308,13 @@ _DECAYING = np.exp(-1.5 * np.arange(1, 401))
          {"delta": 1e-3, "rho_max": 1.3, "n1": 21, "n2": 21}),
         ({"variant": "coefficients", "f_plus": [0.0, 0.0], "f_minus": [0.0, 0.0]},
          {"delta": 1e-3, "rho_max": 1.2, "n1": 9, "n2": 9}),
+        # 37 rows, a prime: whole blocks of the writer and a short one;
+        # n1 != n2; the focal row x2 = 0 mixes 7 blanks with values; the
+        # values take fixed, 0.000... and exponent form, about a tenth
+        # with trailing zeros dropped.
+        (_DIPOLE_SOURCE, {"delta": 1e-3, "rho_max": 1.2, "n1": 13, "n2": 37}),
     ],
-    ids=["dipole-focal-blanks", "coefficients-past-radius", "zero-source"],
+    ids=["dipole-focal-blanks", "coefficients-past-radius", "zero-source", "block-edges"],
 )
 def test_field_csv_text_is_the_library_values_formatted(tmp_path, source, field):
     """field.csv, compared as text: each written row is _fmt of x1, x2,
