@@ -25,18 +25,18 @@ or solver, and serves only for cross-validation.
 validate runs the eight checks of `calr-lab validate` in seven steps,
 each threshold stated once, in its body.  They compare (1) mode_blocks_for's
 Nystrom eigenvalues and (2) K* of Gamma_i on 1/Xi with mode_eigenvalues
-and 1/2, (3, 4) block_matrices and s_gram with mode_table's eigenpairs and
-norms,
-(5) eval_potentials with the transmission conditions (continuity and
-flux_jump), (6) the surrogate with the closed-form energy, and (7) V at
--delta with conj V at delta.  Step 1 solves only the mode blocks whose
-norm bound reaches the top values it compares (see _mode_spectrum; 5 of
-127 4 x 4 blocks at N = 256 on the default geometry), and step 2 forms
-and applies K* 64 rows at a time rather than as one N x N matrix.  Steps
-3-7 share one solver._solve pass (the solve of solve_densities and
-sweep) whose rows are +delta and -delta (steps 5 and 7, one
-eval_potentials call) and step 6's five losses (their energies); steps 3
-and 4 read the first 50 modes of its table.
+and 1/2, (3, 4) block_matrices and s_gram with the family table
+(ModeTable.families, order in spectrum's docstring) of mode_table's
+eigenpairs and norms, (5) eval_potentials with the transmission conditions
+(continuity and flux_jump), (6) the surrogate with the closed-form energy,
+and (7) V at -delta with conj V at delta.  Step 1 solves only the mode
+blocks whose norm bound reaches the top values it compares (see
+_mode_spectrum; 5 of 127 4 x 4 blocks at N = 256 on the default
+geometry), and step 2 forms and applies K* 64 rows at a time rather than
+as one N x N matrix.  Steps 3-7 share one solver._solve pass (the solve
+of solve_densities and sweep) whose rows are +delta and -delta (steps 5
+and 7, one eval_potentials call) and step 6's five losses (their
+energies); steps 3 and 4 read the first 50 modes of its table.
 
 On confocal ellipses the operator couples no two Fourier modes: with the
 node weights W of both curves, A = W M W^-1 has entries w_i k(x_i, y_j),
@@ -95,7 +95,7 @@ from .source import (
     newtonian_eval,
     newtonian_gradient,
 )
-from .spectrum import block_matrices, mode_eigenvalues, mode_table, s_gram
+from .spectrum import FAMILY_PARITY, block_matrices, mode_eigenvalues, mode_table, s_gram
 
 __all__ = [
     "BlockNPMatrix",
@@ -120,6 +120,8 @@ _MIN_CURVE_GAP = 1e-8
 # decoupling leaves rounding only (about 1e-15 at N = 1024).  The sampled
 # rows of mode_blocks_for round like N^2 eps and get max(this, N^2 2^-52).
 _MODE_TOL = 1e-12
+
+_GL_ORDER = 32
 
 
 class BlockNPMatrix(NamedTuple):
@@ -621,18 +623,17 @@ def dissipated_power_direct(
     delta: float,
     n_omega: int | None = None,
     n_panels: int = 4,
-    gl_order: int = 32,
 ) -> float:
     """E_delta by tensor quadrature of the shell gradient.
 
-    Gauss-Legendre panels in rho, trapezoid in omega.  The trapezoid rule
-    is spectrally exact once n_omega exceeds twice the highest retained
-    harmonic of |grad V|^2, so the default max(4 n_max + 2, 512) already
-    sits deep in the converged regime.
+    Gauss-Legendre panels of _GL_ORDER nodes in rho, trapezoid in omega.
+    The trapezoid rule is spectrally exact once n_omega exceeds twice the
+    highest retained harmonic of |grad V|^2, so the default
+    max(4 n_max + 2, 512) already sits deep in the converged regime.
     """
     if n_omega is None:
         n_omega = max(4 * len(dc.p_cos) + 2, 512)
-    rhos, w_rho = _gauss_panels(g.rho_i, g.rho_e, n_panels, gl_order)
+    rhos, w_rho = _gauss_panels(g.rho_i, g.rho_e, n_panels, _GL_ORDER)
     omegas = 2.0 * math.pi * np.arange(n_omega) / n_omega
     d_rho, d_omega = _shell_gradient_grid(source, dc, g, rhos, omegas)
     density = np.abs(d_rho) ** 2 + np.abs(d_omega) ** 2
@@ -758,36 +759,30 @@ def validate(
     table = mode_table(g, max(n_top, 50))
     solved = _solve(sc, g, deltas, n_maxes, table.truncated(n_top), energies=True)
     table = table.truncated(50)
+    vecs, lams, norms = table.families()
 
-    # 3. Eigen-residuals of the closed-form 2x2 blocks (componentwise) for
-    # n = 1 .. 50 at once: A_n and B_n are (2, 2, n) arrays, and the four
-    # eigenpairs (matrix, eigenvalue, vector) stack on a leading axis.
-    a_mat, b_mat = block_matrices(table.n, g)
-    a1, a2, b = table.a1, table.a2, table.b
-    mats = np.array([a_mat, a_mat, b_mat, b_mat])  # (4, 2, 2, n)
-    vecs = np.array([[a1, b], [a2, b], [b, a2], [b, a1]])  # (4, 2, n)
-    lams = np.array([table.lambda1, table.lambda2, -table.lambda1, -table.lambda2])[:, None]
-    num = np.abs(_mat_vec(mats, vecs) - lams * vecs)
-    den = _mat_vec(np.abs(mats), np.abs(vecs)) + np.abs(lams) * np.abs(vecs)
+    # 3. Eigen-residuals (componentwise) of each family of the table, n = 1
+    # .. 50 at once, under A_n or B_n of its span: (4, 2, 2, n) matrices.
+    mats, lam = np.array(block_matrices(table.n, g))[FAMILY_PARITY], lams[:, None]
+    num = np.abs(_mat_vec(mats, vecs) - lam * vecs)
+    den = _mat_vec(np.abs(mats), np.abs(vecs)) + np.abs(lam) * np.abs(vecs)
     worst = float(np.max(num / den))
     checks.append(_check("eigen_residuals", worst, 1e-12))
 
     # 4. Mode norms against the Gram closed form (s_gram) at six of those
     # modes, and Gram positivity.
     k = np.array([1, 2, 5, 10, 25, 50]) - 1
-    g_cos, g_sin = s_gram(table.n[k], g, "cos"), s_gram(table.n[k], g, "sin")
+    grams = np.array([s_gram(table.n[k], g, parity) for parity in ("cos", "sin")])
     try:
-        np.linalg.cholesky(np.concatenate([g_cos, g_sin], axis=-1).transpose(2, 0, 1))
+        np.linalg.cholesky(grams.transpose(0, 3, 1, 2))
         pd = True
     except np.linalg.LinAlgError:
         pd = False
-    # Psi^{1+}, Psi^{1-}, Psi^{2+}, Psi^{2-}: the quadratic form v.G v.
-    grams = np.array([g_cos, g_sin, g_cos, g_sin])
-    v = vecs[[0, 2, 1, 3]][..., k]
-    gv = _mat_vec(grams, v)
+    # Each family's norm against the quadratic form v.G v of its span.
+    v = vecs[..., k]
+    gv = _mat_vec(grams[FAMILY_PARITY], v)
     quad = gv[:, 0] * v[:, 0] + gv[:, 1] * v[:, 1]
-    norms = np.array([table.norm_1p, table.norm_1m, table.norm_2p, table.norm_2m])[:, k]
-    worst = float(np.max(np.abs(quad - norms) / np.abs(norms)))
+    worst = float(np.max(np.abs(quad - norms[:, k]) / np.abs(norms[:, k])))
     checks.append(_check("s_norms", worst, 1e-12, None if pd else "fail"))
 
     # 5. Transmission conditions for the source, from the +-delta rows cut

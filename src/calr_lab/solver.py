@@ -82,7 +82,7 @@ from .source import (
     newtonian_coefficients,
     series_radius,
 )
-from .spectrum import ModeTable, Regime, mode_factors, mode_table
+from .spectrum import FAMILY_PARITY, ModeTable, Regime, _gram_entries, mode_factors, mode_table
 
 __all__ = [
     "BoundaryForcing",
@@ -123,7 +123,6 @@ _VISIBILITY_DROP_BIG = 10.0
 class BoundaryForcing(NamedTuple):
     """Mode coefficients of the transmission forcing on both interfaces."""
 
-    geometry: ConfocalGeometry
     gc_i: np.ndarray
     gs_i: np.ndarray
     gc_e: np.ndarray
@@ -131,7 +130,7 @@ class BoundaryForcing(NamedTuple):
 
 
 class ModeProjection(NamedTuple):
-    """S-inner products of the forcing with the four eigenfunction families."""
+    """S-inner products of the forcing with the four families, in spectrum's order."""
 
     proj_1p: np.ndarray
     proj_1m: np.ndarray
@@ -241,40 +240,32 @@ def boundary_forcing(sc: Coefficients, g: ConfocalGeometry) -> BoundaryForcing:
     gs_i = n * sc.f_minus * np.cosh(n * g.rho_i)
     gc_e = -n * sc.f_plus * np.sinh(n * g.rho_e)
     gs_e = -n * sc.f_minus * np.cosh(n * g.rho_e)
-    out = BoundaryForcing(g, gc_i, gs_i, gc_e, gs_e)
-    for arr in (gc_i, gs_i, gc_e, gs_e):
-        if not np.all(np.isfinite(arr)):
-            raise OverflowGuard("forcing coefficients leave double range")
+    out = BoundaryForcing(gc_i, gs_i, gc_e, gs_e)
+    if not all(np.all(np.isfinite(arr)) for arr in out):
+        raise OverflowGuard("forcing coefficients leave double range")
     return out
 
 
-def mode_projections(forcing: BoundaryForcing, modes: ModeTable) -> ModeProjection:
+def mode_projections(forcing: BoundaryForcing, modes: ModeTable,
+                     g: ConfocalGeometry) -> ModeProjection:
     """Pair the forcing with the eigenfunction families in the S-product.
 
     On each mode-n subspace the pairing is the 2x2 Gram form of the
-    density pair, so e.g. proj_1p = (gc_i, gc_e) G_cos (a1, b)^T.
+    density pair: each family of spectrum's table pairs the forcing of its
+    span, (gc_i, gc_e) or (gs_i, gs_e), with its pair (v1, v2); the 1+
+    projection, e.g., is (gc_i, gc_e) G_cos (a1, b)^T.
     """
     n = modes.n.astype(float)
     if len(n) != len(forcing.gc_i):
         raise ValueError("forcing and mode table have different truncation orders")
-    f = mode_factors(n, forcing.geometry)
-    ci, si, ce, se, cx, sx, pref = f.ci, f.si, f.ce, f.se, f.cx, f.sx, f.pref
-
-    def pair_cos(u1, u2, v1, v2):
-        return pref * (u1 * (ci * v1 + cx * v2) + u2 * (cx * v1 + ce * v2))
-
-    def pair_sin(u1, u2, v1, v2):
-        return pref * (u1 * (si * v1 + sx * v2) + u2 * (sx * v1 + se * v2))
-
-    return ModeProjection(
-        proj_1p=pair_cos(forcing.gc_i, forcing.gc_e, modes.a1, modes.b),
-        proj_2p=pair_cos(forcing.gc_i, forcing.gc_e, modes.a2, modes.b),
-        proj_1m=pair_sin(forcing.gs_i, forcing.gs_e, modes.b, modes.a2),
-        proj_2m=pair_sin(forcing.gs_i, forcing.gs_e, modes.b, modes.a1),
-    )
+    f = mode_factors(n, g)
+    gi, gx, ge = _gram_entries(f, FAMILY_PARITY)
+    u1, u2 = np.reshape(forcing, (2, 2, -1))[:, FAMILY_PARITY]  # (interface, span, n)
+    v1, v2 = modes.families()[0].swapaxes(0, 1)
+    return ModeProjection(*(f.pref * (u1 * (gi * v1 + gx * v2) + u2 * (gx * v1 + ge * v2))))
 
 
-def _assemble_densities(proj, modes, deltas, n_maxes) -> DensityCoefficients:
+def _assemble_densities(proj, vecs, lam, norm, deltas, n_maxes) -> DensityCoefficients:
     """(K, n_top) densities: row k solved at deltas[k], zero past n_maxes[k].
 
     Warns (TruncationWarning, at the caller of _solve's caller) once per
@@ -283,12 +274,10 @@ def _assemble_densities(proj, modes, deltas, n_maxes) -> DensityCoefficients:
     |w| sqrt(norm).
     """
     z = np.array([[z_param(d)] for d in deltas])
-    keep = np.arange(len(modes.n)) < np.asarray(n_maxes)[:, None]
-    # The families 1+, 2+, 1-, 2- on a leading axis; z - lambda is z + (-lambda).
-    p = np.array([proj.proj_1p, proj.proj_2p, proj.proj_1m, proj.proj_2m])[:, None]
-    lam = np.array([modes.lambda1, modes.lambda2, -modes.lambda1, -modes.lambda2])[:, None]
-    norm = np.array([modes.norm_1p, modes.norm_2p, modes.norm_1m, modes.norm_2m])[:, None]
-    w1, w2, w3, w4 = w = np.where(keep, p / ((z + lam) * norm), 0.0)
+    keep = np.arange(len(proj[0])) < np.asarray(n_maxes)[:, None]
+    # (family, delta, mode) arrays; z - lambda is z + (-lambda).
+    p, lam, norm = np.array(proj)[:, None], lam[:, None], norm[:, None]
+    w_1p, w_1m, w_2p, w_2m = w = np.where(keep, p / ((z + lam) * norm), 0.0)
     amp = np.abs(w) * np.sqrt(norm)
     top = np.max(amp, axis=(0, 2))
     contrib = np.sum((amp / np.where(top > 0.0, top, 1.0)[:, None]) ** 2, axis=0)
@@ -297,8 +286,9 @@ def _assemble_densities(proj, modes, deltas, n_maxes) -> DensityCoefficients:
         if tail > _TAIL_TOL:
             warnings.warn(f"mode sum truncated at n_max = {n_max} with relative tail "
                           f"{tail:.2e}", TruncationWarning, stacklevel=4)
-    return DensityCoefficients(w1 * modes.a1 + w2 * modes.a2, (w3 + w4) * modes.b,
-                               (w1 + w2) * modes.b, w3 * modes.a2 + w4 * modes.a1)
+    (a1, b), (_, a2) = vecs[:2]
+    return DensityCoefficients(w_1p * a1 + w_2p * a2, (w_1m + w_2m) * b,
+                               (w_1p + w_2p) * b, w_1m * a2 + w_2m * a1)
 
 
 def _solve(sc, g, deltas, n_maxes, modes=None, energies=False):
@@ -306,16 +296,17 @@ def _solve(sc, g, deltas, n_maxes, modes=None, energies=False):
     leading n_maxes[k] modes (zero past them) and, with energies, each
     row's closed-form and spectral energy (else None).  One forcing, whose
     guards fire first, one mode table over the sc.n_max modes (or modes,
-    that table) and one projection serve every row.
+    that table), its family table and one projection serve every row.
     """
     forcing = boundary_forcing(sc, g)
     modes = mode_table(g, sc.n_max) if modes is None else modes
-    proj = mode_projections(forcing, modes)
-    dc = _assemble_densities(proj, modes, deltas, n_maxes)
+    proj = mode_projections(forcing, modes, g)
+    fam = modes.families()
+    dc = _assemble_densities(proj, *fam, deltas, n_maxes)
     if not energies:
         return dc, None, None
     return (dc, _closed_energies(sc, dc, g, deltas, n_maxes),
-            _spectral_energies(proj, modes, deltas, n_maxes))
+            _spectral_energies(proj, *fam[1:], deltas, n_maxes))
 
 
 def solve_densities(
@@ -486,12 +477,10 @@ def _closed_energies(sc, dc, g, deltas, n_maxes) -> list[float]:
                      math.pi, deltas, n_maxes)
 
 
-def _spectral_energies(proj, modes, deltas, n_maxes) -> list[float]:
+def _spectral_energies(proj, lam, norms, deltas, n_maxes) -> list[float]:
     """dissipated_power_spectral at each deltas[k] over its leading n_maxes[k] modes."""
-    lam = np.array([modes.lambda1, modes.lambda1, modes.lambda2, modes.lambda2])[:, None]
-    norms = np.array([modes.norm_1p, modes.norm_1m, modes.norm_2p, modes.norm_2m])[:, None]
-    den = norms * (lam**2 + np.square(np.asarray(deltas, dtype=float))[:, None])
-    p = np.array([proj.proj_1p, proj.proj_1m, proj.proj_2p, proj.proj_2m])[:, None]
+    den = norms[:, None] * (lam[:, None]**2 + np.square(np.asarray(deltas, dtype=float))[:, None])
+    p = np.array(proj)[:, None]
     # The term proj^2 / (norm den) has the amplitude |proj| / sqrt(norm den).
     return _energies(np.abs(p) / np.sqrt(den), lambda w: np.sum((p * w) ** 2 / den, axis=0),
                      1.0, deltas, n_maxes)
@@ -526,7 +515,7 @@ def dissipated_power_spectral(proj: ModeProjection, modes: ModeTable, delta: flo
     in dissipated_power_closed."""
     if not (delta > 0.0 and math.isfinite(delta)):
         raise ValueError(f"delta must be finite and > 0, got {delta}")
-    return _spectral_energies(proj, modes, [delta], [len(proj.proj_1p)])[0]
+    return _spectral_energies(proj, *modes.families()[1:], [delta], [len(proj[0])])[0]
 
 
 def sweep(

@@ -22,13 +22,22 @@ the eigenvalues of A_n are
     lambda_1n = (d - s) / 4,        lambda_2n = (d + s) / 4,
     d = ee - ei,                    s = sqrt(d^2 + 4 E^2),
 
-and B_n has eigenvalues -lambda_1n, -lambda_2n.  The eigenvector weights
+and B_n has eigenvalues -lambda_1n, -lambda_2n.  With the eigenvector weights
 
     a_1n = u + s,  a_2n = u - s  (u = ee + ei),  b_n = -2 E (1 + ei)
 
-satisfy A (a_1, b)^T = lambda_1 (a_1, b)^T, A (a_2, b)^T = lambda_2
-(a_2, b)^T, B (b, a_2)^T = -lambda_1 (b, a_2)^T and B (b, a_1)^T =
--lambda_2 (b, a_1)^T.
+each mode carries four eigenfunction families, always listed in
+ModeTable's norm order (k = 0 .. 3 on a leading axis; even k on the
+cosine span, odd k on the sine span: FAMILY_PARITY):
+
+    k  family  density pair  eigenvalue   squared S-norm
+    0  1+      (a_1, b)      +lambda_1n   norm_1p
+    1  1-      (b, a_2)      -lambda_1n   norm_1m
+    2  2+      (a_2, b)      +lambda_2n   norm_2p
+    3  2-      (b, a_1)      -lambda_2n   norm_2m
+
+ModeTable.families stacks them for the projection, the density solve,
+the spectral surrogate and validate's eigen and norm checks.
 
 Naive evaluation of lambda_2n and a_2n subtracts nearly equal exponentials
 and loses all precision for large n when rho_e > 3 rho_i.  This module
@@ -42,9 +51,7 @@ which stay fully accurate in both thickness regimes.
 Norms are measured in the inner product induced by the (negated) single
 layer potential; on each mode span it reduces to a 2x2 Gram matrix
 (s_gram) built from half-sums like (1 + ei) / 2 = exp(-n rho_i) *
-cosh(n rho_i).  The four stored norms are the squared S-norms of the
-eigenfunction pairs Psi_n^{1+}, Psi_n^{1-}, Psi_n^{2+}, Psi_n^{2-}
-(cosine pair for +lambda, sine pair for -lambda branches).
+cosh(n rho_i).
 
 block_matrices and s_gram give A_n, B_n and the Gram matrices for one mode
 or for an array of modes; validate's closed-form checks call them as is.
@@ -79,6 +86,7 @@ __all__ = [
     "mode_factors",
     "mode_eigenvalues",
     "mode_table",
+    "FAMILY_PARITY",
     "s_gram",
     "critical_radius",
     "asymptotic_rates",
@@ -87,6 +95,9 @@ __all__ = [
 # Largest exponent magnitude allowed inside exp(); doubles overflow near
 # 709.78 and results would silently turn into inf.
 _EXP_GUARD = 700.0
+
+# Span of each family 1+, 1-, 2+, 2-: the index into a (cosine, sine) stack.
+FAMILY_PARITY = np.array([0, 1, 0, 1])
 
 
 class SingleEllipseMode(NamedTuple):
@@ -136,9 +147,16 @@ class ModeTable(NamedTuple):
             raise ValueError(f"n_max must be in [1, {len(self.n)}], got {n_max}")
         return ModeTable(*(column[:n_max] for column in self))
 
+    def families(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The family table (see the module docstring): density pairs
+        (4, 2, n), eigenvalues (4, n) and squared S-norms (4, n)."""
+        a1, a2, b = self.a1, self.a2, self.b
+        return (np.array([[a1, b], [b, a2], [a2, b], [b, a1]]),
+                np.array([self.lambda1, -self.lambda1, self.lambda2, -self.lambda2]),
+                np.array([self.norm_1p, self.norm_1m, self.norm_2p, self.norm_2m]))
+
     def row(self, n: int) -> ModeData:
-        values = (float(column[n - 1]) for column in self[1:])
-        return ModeData(n, *values)
+        return ModeData(n, *(float(column[n - 1]) for column in self[1:]))
 
 
 class RegimeKind(Enum):
@@ -308,6 +326,12 @@ def mode_table(g: ConfocalGeometry, n_max: int) -> ModeTable:
     return ModeTable(np.arange(1, n_max + 1), *vals)
 
 
+def _gram_entries(f: ModeFactors, parity) -> np.ndarray:
+    """Gram entries over pi/n: (ci, cx, ce) for parity 0 (cosine), (si, sx, se)
+    for 1 (sine); shape (3,) + shape(parity) + shape(n)."""
+    return np.array([[f.ci, f.si], [f.cx, f.sx], [f.ce, f.se]])[:, parity]
+
+
 def s_gram(n, g: ConfocalGeometry, parity: str) -> np.ndarray:
     """Gram matrix of the mode-n density pair in the S-inner product, shape
     (2, 2) + shape(n) for an array of mode indices n >= 1; an int n gives a
@@ -324,9 +348,8 @@ def s_gram(n, g: ConfocalGeometry, parity: str) -> np.ndarray:
     if np.ndim(n) == 0:
         return s_gram(np.array([n]), g, parity)[..., 0]
     f = mode_factors(n, g)
-    if parity == "cos":
-        return f.pref * np.array([[f.ci, f.cx], [f.cx, f.ce]])
-    return f.pref * np.array([[f.si, f.sx], [f.sx, f.se]])
+    gi, gx, ge = _gram_entries(f, ("cos", "sin").index(parity))
+    return f.pref * np.array([[gi, gx], [gx, ge]])
 
 
 def critical_radius(rho_i: float, rho_e: float) -> Regime:
@@ -370,21 +393,12 @@ def asymptotic_rates(g: ConfocalGeometry) -> AsymptoticRates:
         norm_1m, norm_2p ~ (2 pi / n) exp(-2 (rho_e - rho_i) n).
     """
     width = g.rho_e - g.rho_i
-    if g.rho_e <= 3.0 * g.rho_i:
-        return AsymptoticRates(
-            RegimeKind.THIN,
-            lambda1_rate=width,
-            lambda2_rate=width,
-            norm_rates={key: 2.0 * width for key in ("1p", "1m", "2p", "2m")},
-        )
+    thin = g.rho_e <= 3.0 * g.rho_i
+    # Norm rates in family order: 1+ and 2- decay more slowly in the thick regime.
+    slow = 2.0 * width if thin else 4.0 * g.rho_i
     return AsymptoticRates(
-        RegimeKind.THICK,
-        lambda1_rate=2.0 * g.rho_i,
-        lambda2_rate=2.0 * (g.rho_e - 2.0 * g.rho_i),
-        norm_rates={
-            "1p": 4.0 * g.rho_i,
-            "1m": 2.0 * width,
-            "2p": 2.0 * width,
-            "2m": 4.0 * g.rho_i,
-        },
+        RegimeKind.THIN if thin else RegimeKind.THICK,
+        lambda1_rate=width if thin else 2.0 * g.rho_i,
+        lambda2_rate=width if thin else 2.0 * (g.rho_e - 2.0 * g.rho_i),
+        norm_rates=dict(zip(("1p", "1m", "2p", "2m"), (slow, 2.0 * width, 2.0 * width, slow))),
     )

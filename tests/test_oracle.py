@@ -24,6 +24,7 @@ from calr_lab import (
     ConfocalGeometry,
     CurveOverlap,
     EigensolveFailure,
+    ModeTable,
     SampledCurve,
     metric_factor,
     mode_table,
@@ -851,6 +852,37 @@ def test_validate_solves_its_source_once(monkeypatch):
             "nystrom_spectrum", "alpha0_half", "eigen_residuals", "s_norms",
             "continuity", "flux_jump", "surrogate_ratio", "reality_symmetry"]
 
+
+
+@pytest.mark.parametrize("fields, swap, caught", [
+    ((0, 1, 2), (0, 1), "eigen_residuals"),  # 1+ and 1-: vector, eigenvalue and norm
+    ((0, 1, 2), (1, 2), "eigen_residuals"),  # 1- and 2+
+    ((0, 1, 2), (2, 3), "eigen_residuals"),  # 2+ and 2-
+    ((1,), (1, 3), "eigen_residuals"),  # the eigenvalues of 1- and 2-
+    ((2,), (0, 2), "s_norms"),  # the norms of 1+ and 2+
+])
+def test_validate_catches_two_families_swapped_in_the_table(monkeypatch, fields, swap, caught):
+    """Steps 3 and 4 check the family table that the solve divides by
+    (ModeTable.families): with two families, or one of their columns,
+    swapped in it, validate reports a failure."""
+    families = ModeTable.families
+
+    def swapped(table):
+        out = [np.array(a) for a in families(table)]
+        for f in fields:
+            out[f][list(swap)] = out[f][list(swap[::-1])]
+        return tuple(out)
+
+    monkeypatch.setattr(ModeTable, "families", swapped)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        checks = {c["name"]: c["status"] for c in oracle.validate(THIN)}
+    assert checks[caught] == "fail"
+    monkeypatch.undo()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        checks = {c["name"]: c["status"] for c in oracle.validate(THIN)}
+    assert checks["eigen_residuals"] == checks["s_norms"] == "pass"
 
 def _public_route_checks(g, src):
     """continuity, flux_jump, surrogate_ratio and reality_symmetry as the

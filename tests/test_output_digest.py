@@ -3,6 +3,7 @@ claims about the CLI outputs rest on."""
 
 from __future__ import annotations
 
+import importlib
 import importlib.util
 import re
 import shutil
@@ -62,3 +63,40 @@ def test_configs_option_digests_another_directory(tmp_path, capsys):
     assert rc["critical-radius"] == rc["spectrum"] == "0"
     assert rc["sweep"] == rc["field"] == "2"  # no source block
     assert ("critical-radius", "out/critical_radius.json") in {(f[1], f[3]) for f in fields}
+
+
+WORKLOAD_CONFIGS = [
+    "dipole_inside.json", "dipole_outside.json", "thick_inside.json",
+    "thick_outside.json", "validate_default.json",
+]
+
+
+def test_seed_digests_the_benchmark_workload_configs(tmp_path, monkeypatch, capsys):
+    """seeded_configs writes the five configs of perfbench's
+    workloads.write_configs for the seed, byte for byte, and each repeated
+    --seed N digests its own five under lines named seedN/<config>.  The
+    CLI is not run: digest_lines is replaced by a stub that lists what it
+    is given."""
+    digest = _output_digest()
+    written = digest.seeded_configs(71, tmp_path / "seed71")
+    assert sorted(p.name for p in written.iterdir()) == WORKLOAD_CONFIGS
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    (tmp_path / "direct").mkdir()
+    for name, path in workloads.write_configs(71, tmp_path / "direct").items():
+        assert (written / f"{name}.json").read_bytes() == path.read_bytes()
+
+    seen = []
+
+    def stub(root, configs):
+        seen.append((root, sorted(p.name for p in configs.glob("*.json"))))
+        return [f"{name} spectrum 0 <stdout> {'0' * 64}" for name in seen[-1][1]]
+
+    monkeypatch.setattr(digest, "digest_lines", stub)
+    assert digest.main(["--root", str(ROOT), "--seed", "71", "--seed", "911"]) == 0
+    assert seen == [(ROOT, WORKLOAD_CONFIGS)] * 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ")[0] for line in lines] == (
+        [f"seed71/{name}" for name in WORKLOAD_CONFIGS]
+        + [f"seed911/{name}" for name in WORKLOAD_CONFIGS]
+    )

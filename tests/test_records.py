@@ -46,7 +46,7 @@ RECORD_FIELDS = {
     ModeTable: ("n", "lambda1", "lambda2", "a1", "a2", "b") + NORMS,
     Regime: ("kind", "rho_star", "far_bound_rho"),
     AsymptoticRates: ("kind", "lambda1_rate", "lambda2_rate", "norm_rates"),
-    BoundaryForcing: ("geometry", "gc_i", "gs_i", "gc_e", "gs_e"),
+    BoundaryForcing: ("gc_i", "gs_i", "gc_e", "gs_e"),
     ModeProjection: ("proj_1p", "proj_1m", "proj_2p", "proj_2m"),
     DensityCoefficients: ("p_cos", "p_sin", "q_cos", "q_sin"),
     SweepRecord: ("delta", "n_max", "e_direct", "e_spectral", "far_samples", "normalized_far"),

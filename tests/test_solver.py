@@ -53,11 +53,13 @@ from calr_lab import (
 from calr_lab.cli import load_config, parse_geometry, parse_source
 from calr_lab.solver import BoundaryForcing, ModeProjection, SweepRecord
 from calr_lab.source import elliptic_potential
+from calr_lab.spectrum import mode_factors
 
 TWO_PI = 2.0 * math.pi
 
 THIN = ConfocalGeometry(1.0, 0.5, 0.8)
 THICK = ConfocalGeometry(1.0, 0.2, 1.0)
+NEAR_DEGENERATE = ConfocalGeometry(1.0, 0.5, 0.55)
 THIN_REGIME = critical_radius(THIN.rho_i, THIN.rho_e)
 THICK_REGIME = critical_radius(THICK.rho_i, THICK.rho_e)
 PROBES_THIN = [EllipticPoint(1.2, 0.6), EllipticPoint(1.2, 2.8)]
@@ -169,7 +171,7 @@ def test_mode_projections_against_quadrature():
     src = Dipole(EllipticPoint(1.2, 0.7), np.array([1.0, 0.5]))
     sc = newtonian_coefficients(src, 10, 1.0, rho_e=THIN.rho_e)
     forcing = boundary_forcing(sc, THIN)
-    proj = mode_projections(forcing, mode_table(THIN, 10))
+    proj = mode_projections(forcing, mode_table(THIN, 10), THIN)
     nn = np.arange(1, 11)
     g_i = (forcing.gc_i[:, None] * np.cos(np.outer(nn, om))
            + forcing.gs_i[:, None] * np.sin(np.outer(nn, om))).sum(axis=0) / xii
@@ -317,13 +319,48 @@ def test_projection_of_missing_mode_is_zero():
     sc = newtonian_coefficients(
         Coefficients(c=0.0, f_plus=f_plus, f_minus=np.zeros(6)), 6, 1.0
     )
-    proj = mode_projections(boundary_forcing(sc, THIN), mode_table(THIN, 6))
+    proj = mode_projections(boundary_forcing(sc, THIN), mode_table(THIN, 6), THIN)
     for k in (1, 2, 3, 5):  # modes 2, 3, 4, 6 carry no forcing
         assert proj.proj_1p[k] == 0.0
         assert proj.proj_2p[k] == 0.0
         assert proj.proj_1m[k] == 0.0
         assert proj.proj_2m[k] == 0.0
 
+
+
+@pytest.mark.parametrize(
+    "g", [THIN, THICK, NEAR_DEGENERATE], ids=["thin", "thick", "near_degenerate"]
+)
+def test_mode_projections_equal_the_per_family_gram_forms_bit_for_bit(g):
+    """The contraction over the family table gives, bit for bit at n_max =
+    200, the four per-family Gram forms written out by hand: the forcing
+    pair of the family's span times the unscaled Gram entries of
+    mode_factors times the family's density pair, then times pi/n."""
+    n_max = 200
+    n = np.arange(1, n_max + 1, dtype=float)
+    rng = np.random.default_rng(29)
+    decay = np.exp(-(g.rho_e + 0.2) * n)
+    sc = Coefficients(0.0, rng.normal(size=n_max) * decay, rng.normal(size=n_max) * decay)
+    forcing, modes = boundary_forcing(sc, g), mode_table(g, n_max)
+    f = mode_factors(n, g)
+    ci, si, ce, se, cx, sx, pref = f.ci, f.si, f.ce, f.se, f.cx, f.sx, f.pref
+
+    def pair_cos(u1, u2, v1, v2):
+        return pref * (u1 * (ci * v1 + cx * v2) + u2 * (cx * v1 + ce * v2))
+
+    def pair_sin(u1, u2, v1, v2):
+        return pref * (u1 * (si * v1 + sx * v2) + u2 * (sx * v1 + se * v2))
+
+    want = ModeProjection(
+        proj_1p=pair_cos(forcing.gc_i, forcing.gc_e, modes.a1, modes.b),
+        proj_1m=pair_sin(forcing.gs_i, forcing.gs_e, modes.b, modes.a2),
+        proj_2p=pair_cos(forcing.gc_i, forcing.gc_e, modes.a2, modes.b),
+        proj_2m=pair_sin(forcing.gs_i, forcing.gs_e, modes.b, modes.a1),
+    )
+    got = mode_projections(forcing, modes, g)
+    assert np.all(np.isfinite(want)) and np.all(np.abs(want) > 0.0)
+    for name, a, b in zip(ModeProjection._fields, got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 def test_projection_thin_ratio_approaches_half_pi():
     """For a cosine forcing with coefficients F e^{n rho_i}, the first-family
@@ -332,13 +369,12 @@ def test_projection_thin_ratio_approaches_half_pi():
     n = np.arange(1, n_max + 1)
     f_plus = np.exp(-1.2 * n)
     forcing = BoundaryForcing(
-        THIN,
         gc_i=n * f_plus * np.sinh(n * THIN.rho_i),
         gs_i=np.zeros(n_max),
         gc_e=-n * f_plus * np.sinh(n * THIN.rho_e),
         gs_e=np.zeros(n_max),
     )
-    proj = mode_projections(forcing, mode_table(THIN, n_max))
+    proj = mode_projections(forcing, mode_table(THIN, n_max), THIN)
     ratio = proj.proj_1p / (f_plus * np.exp(n * THIN.rho_i))
     window = ratio[19:60]
     assert np.max(np.abs(window - math.pi / 2)) < 1e-3 * (math.pi / 2)
@@ -810,7 +846,7 @@ def test_dissipated_power_zero_source():
     dc = solve_densities(sc, THIN, 1e-3)
     assert dissipated_power_direct(sc, dc, THIN, 1e-3) == 0.0
     assert dissipated_power_closed(sc, dc, THIN, 1e-3) == 0.0
-    proj = mode_projections(boundary_forcing(sc, THIN), mode_table(THIN, 8))
+    proj = mode_projections(boundary_forcing(sc, THIN), mode_table(THIN, 8), THIN)
     assert dissipated_power_spectral(proj, mode_table(THIN, 8), 1e-3) == 0.0
 
 
@@ -989,7 +1025,7 @@ def test_sweep_slices_match_per_delta_solves(name):
         n_max = adaptive_n_max(rec.delta, g, margin)
         sc, dc = _truncated_solve(src, g, rec.delta, n_max)
         modes = mode_table(g, n_max)
-        proj = mode_projections(boundary_forcing(sc, g), modes)
+        proj = mode_projections(boundary_forcing(sc, g), modes, g)
         far = np.array([abs(eval_potential(src, dc, g, p)) for p in probes])
         assert rec.n_max == n_max
         assert rec.e_spectral == dissipated_power_spectral(proj, modes, rec.delta)
@@ -1043,7 +1079,7 @@ def _scaled_energies(k):
     sc = Coefficients(0.0, 2.0**k * f, 2.0**k * (0.5 * f))
     dc = _truncated_solve(sc, THIN, 1e-3, 30)[1]
     modes = mode_table(THIN, 30)
-    proj = mode_projections(boundary_forcing(sc, THIN), modes)
+    proj = mode_projections(boundary_forcing(sc, THIN), modes, THIN)
     return (
         lambda: dissipated_power_closed(sc, dc, THIN, 1e-3),
         lambda: dissipated_power_spectral(proj, modes, 1e-3),

@@ -20,12 +20,13 @@ from calr_lab import (
     s_gram,
     single_ellipse_np,
 )
-from calr_lab.spectrum import mode_eigenvalues
+from calr_lab.spectrum import FAMILY_PARITY, mode_eigenvalues
 
 mpmath.mp.dps = 60
 
 THIN = ConfocalGeometry(1.0, 0.5, 0.8)
 THICK = ConfocalGeometry(1.0, 0.2, 1.0)
+NEAR_DEGENERATE = ConfocalGeometry(1.0, 0.5, 0.55)
 
 
 def _mp_mode(n, rho_i, rho_e):
@@ -217,6 +218,31 @@ def test_mode_table_truncation_is_bit_identical():
     with pytest.raises(ValueError):
         mode_table(THIN, 5).truncated(0)
 
+
+
+@pytest.mark.parametrize(
+    "g", [THIN, THICK, NEAR_DEGENERATE], ids=["thin", "thick", "near_degenerate"]
+)
+def test_family_table_holds_the_eigenpairs_and_norms_of_its_spans(g):
+    """ModeTable.families lists 1+, 1-, 2+, 2- in the table's norm order,
+    and for n = 1 .. 50 each family is an eigenpair of the block of its span
+    (A_n for even k, B_n for odd k) and its norm is the s_gram form of its
+    pair, both within validate's 1e-12."""
+    table = mode_table(g, 50)
+    vecs, lams, norms = table.families()
+    assert vecs.shape == (4, 2, 50) and lams.shape == norms.shape == (4, 50)
+    assert np.array_equal(lams, [table.lambda1, -table.lambda1, table.lambda2, -table.lambda2])
+    assert np.array_equal(norms, [table.norm_1p, table.norm_1m, table.norm_2p, table.norm_2m])
+    blocks = block_matrices(table.n, g)
+    grams = [s_gram(table.n, g, parity) for parity in ("cos", "sin")]
+    assert list(FAMILY_PARITY) == [0, 1, 0, 1]
+    for k in range(4):
+        mat, gram, (v1, v2), lam = blocks[k % 2], grams[k % 2], vecs[k], lams[k]
+        res = np.abs(mat[:, 0] * v1 + mat[:, 1] * v2 - lam * vecs[k])
+        scale = np.abs(mat[:, 0] * v1) + np.abs(mat[:, 1] * v2) + np.abs(lam * vecs[k])
+        assert np.max(res / scale) < 1e-12, k
+        quad = v1 * (gram[0, 0] * v1 + gram[0, 1] * v2) + v2 * (gram[1, 0] * v1 + gram[1, 1] * v2)
+        assert np.max(np.abs(quad - norms[k]) / norms[k]) < 1e-12, k
 
 def test_mode_eigenvalues_are_mode_tables_past_its_range():
     """mode_eigenvalues gives mode_table's lambdas bit for bit, and past the
