@@ -1,5 +1,8 @@
 """Command-line front end: one parser and one dispatch table, _COMMANDS.
 
+The parser is built once per process (build_parser) and shared by every
+main call in it.
+
 Each command parses its block of a JSON config file, calls the public
 library and writes its outputs:
 
@@ -29,6 +32,7 @@ errors.InputError naming the key; main reports it once, as
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -246,7 +250,9 @@ def sweep_command(cfg: dict, out_dir: Path) -> int:
     if not isinstance(probes_cfg, list) or not probes_cfg:
         raise ConfigError("sweep.probes: expected a non-empty list")
     probes = [_point(p, f"sweep.probes[{k}]") for k, p in enumerate(probes_cfg)]
-    records = sweep(source, g, deltas, probes, _int(block, "sweep", "margin", 40))
+    # sc_top, the source coefficients at the sweep's top truncation
+    # adaptive_n_max(min(deltas)), is what the gap report reads.
+    records, sc_top = sweep(source, g, deltas, probes, _int(block, "sweep", "margin", 40))
     rows = (
         ",".join(
             [_fmt(rec.delta), str(rec.n_max), _fmt(rec.e_direct), _fmt(rec.e_spectral)]
@@ -260,11 +266,6 @@ def sweep_command(cfg: dict, out_dir: Path) -> int:
 
     regime = critical_radius(g.rho_i, g.rho_e)
     diagnosis = calr_classify(records, regime)
-    # The gap report reads the source coefficients at the sweep's top
-    # truncation, adaptive_n_max(min(deltas)).
-    sc_top = newtonian_coefficients(
-        source, max(r.n_max for r in records), g.R, rho_e=g.rho_e
-    )
     gc = gap_condition_report(sc_top, g, regime.rho_star)
     report = {
         "verdict": diagnosis.verdict.value,
@@ -437,7 +438,13 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's one parser, built on first use and shared after that.
+
+    parse_args keeps no state in the parser, so every main call in a
+    process (a scripted scan, the test suite) reads the same object.
+    """
     parser = argparse.ArgumentParser(
         prog="calr-lab",
         description="Anomalous localized resonance workflows for confocal shells",

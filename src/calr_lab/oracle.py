@@ -281,21 +281,29 @@ def _nearest_unused(numeric: np.ndarray, analytic: np.ndarray):
     """
     matched = np.empty_like(numeric)
     errors = np.empty_like(numeric)
-    used = np.zeros(len(analytic), dtype=bool)
-    for idx in np.argsort(-np.abs(numeric)):
-        v = numeric[idx]
-        dist = np.where(used, np.inf, np.abs(analytic - v))
-        best = np.flatnonzero(dist == dist.min())
+    # A handful of values per call: Python floats, with the same IEEE
+    # arithmetic, cost less here than numpy calls on tiny arrays.
+    values, candidates = numeric.tolist(), analytic.tolist()
+    used = [False] * len(candidates)
+    for idx in np.argsort(-np.abs(numeric)).tolist():
+        v = values[idx]
+        dist = [math.inf if u else abs(a - v) for a, u in zip(candidates, used)]
+        nearest = min(dist)
+        best = [j for j, d in enumerate(dist) if d == nearest]
         if len(best) > 1:
-            signs = np.sign(analytic[best]) == np.sign(v)
-            if signs.any():
-                best = best[signs]
-        j = int(best[0])
+            signs = [j for j in best if _sign(candidates[j]) == _sign(v)]
+            if signs:
+                best = signs
+        j = best[0]
         used[j] = True
-        matched[idx] = analytic[j]
-        denom = abs(analytic[j])
-        errors[idx] = abs(v - analytic[j]) / denom if denom > 0.0 else abs(v)
+        a = candidates[j]
+        matched[idx] = a
+        errors[idx] = abs(v - a) / abs(a) if abs(a) > 0.0 else abs(v)
     return matched, errors
+
+
+def _sign(x: float) -> int:
+    return (x > 0.0) - (x < 0.0)
 
 
 def _mode_blocks(m: BlockNPMatrix) -> tuple[np.ndarray, np.ndarray] | None:
@@ -472,7 +480,7 @@ def numeric_spectrum(
 
     Otherwise the dense matrix is solved and each value takes the nearest
     unused of all candidates: those passed in `analytic` (required for a
-    plain matrix) or +-1/2, +-lambda_{1,n}, +-lambda_{2,n} of the
+    plain matrix, and refused with a ValueError unless finite) or +-1/2, +-lambda_{1,n}, +-lambda_{2,n} of the
     geometry.  On both paths the lambdas come from mode_eigenvalues,
     which has no range guard, so a count reaching modes whose values fall
     below rounding is paired (with noise) rather than refused; the floor
@@ -489,6 +497,8 @@ def numeric_spectrum(
         matrix = np.asarray(m)
         if analytic is None:
             raise ValueError("plain matrices require explicit analytic values")
+    if analytic is not None and not np.all(np.isfinite(analytic)):
+        raise ValueError("analytic values must be finite")
     n = matrix.shape[0]
     if not 1 <= count <= n // 4:
         raise ValueError(f"count must be in [1, {n // 4}], got {count}")

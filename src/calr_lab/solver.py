@@ -524,8 +524,13 @@ def sweep(
     deltas: Sequence[float],
     probes: Sequence[EllipticPoint],
     margin: int = 40,
-) -> list[SweepRecord]:
+) -> tuple[list[SweepRecord], Coefficients]:
     """Solve the transmission problem across a family of loss values.
+
+    Returns the records and the source coefficients at the largest
+    truncation, max(r.n_max for r in records), for a caller that reads
+    the expansion (the CLI's gap-condition report) without building it
+    again.
 
     Each delta gets its own adaptive truncation.  The source coefficients
     are built once at the largest truncation, and one _solve pass gives
@@ -570,10 +575,11 @@ def sweep(
     # |v| through hypot of the parts: it equals Python's complex abs bit for
     # bit, while np.abs of a complex array may differ in the last bit.
     far = np.hypot(v.real, v.imag)
-    return [
+    records = [
         SweepRecord(d, n_max, e, e_spec, f, f / (math.sqrt(e) if e > 0.0 else math.inf))
         for d, n_max, e, e_spec, f in zip(deltas, n_maxes, e_direct, e_spectral, far)
     ]
+    return records, sc_top
 
 
 def calr_classify(records: Sequence[SweepRecord], regime: Regime) -> CalrDiagnosis:

@@ -265,7 +265,7 @@ def test_ac4_solution_correctness():
 
 def _trichotomy_numbers(g, rho0, probes):
     src = Dipole(EllipticPoint(rho0, 0.9), np.array([1.0, 0.4]))
-    records = sweep(src, g, SWEEP_DELTAS, probes)
+    records, _ = sweep(src, g, SWEEP_DELTAS, probes)
     regime = critical_radius(g.rho_i, g.rho_e)
     diag = calr_classify(records, regime)
     energies = np.array([r.e_direct for r in records])
@@ -348,7 +348,7 @@ def test_ac6_eccentricity_independence():
             (thick, 1.5, THICK_PROBES), (thick, 1.8, THICK_PROBES),
         ):
             src = Dipole(EllipticPoint(rho0, 0.9), np.array([1.0, 0.4]))
-            records = sweep(src, g, SWEEP_DELTAS, probes)
+            records, _ = sweep(src, g, SWEEP_DELTAS, probes)
             regime = critical_radius(g.rho_i, g.rho_e)
             row.append(calr_classify(records, regime).verdict.value)
         verdicts[R] = row
@@ -370,7 +370,7 @@ def test_ac7_surrogate_equivalence():
         (THICK, 1.8, THICK_PROBES, "thick outside"),
     ):
         src = Dipole(EllipticPoint(rho0, 0.9), np.array([1.0, 0.4]))
-        records = sweep(src, g, deltas, probes)
+        records, _ = sweep(src, g, deltas, probes)
         ratios = [r.e_spectral / r.e_direct for r in records]
         spread = max(ratios) / min(ratios)
         clauses.append(

@@ -846,6 +846,21 @@ def test_threads_is_refused_off_sweep(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_one_parser_per_process(capsys):
+    """main reads one parser, built on first use; a call that fails to
+    parse leaves nothing in it that changes the next call."""
+    assert cli.build_parser() is cli.build_parser()
+    usages = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            _run(["nonsense", "--config", "c.json"])
+        assert exc.value.code == 2
+        usages.append(capsys.readouterr().err)
+    assert usages[0] == usages[1]
+    assert usages[0].startswith("usage: calr-lab ")
+    assert "invalid choice: 'nonsense'" in usages[0]
+
+
 def test_non_object_config(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("[1, 2, 3]", encoding="utf-8")

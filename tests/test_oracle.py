@@ -206,6 +206,8 @@ def test_plain_matrix_requires_analytic():
         numeric_spectrum(np.eye(16), 2)
     with pytest.raises(ValueError):
         numeric_spectrum(BlockNPMatrix(np.eye(16), None, np.ones(16)), 2)
+    with pytest.raises(ValueError, match="analytic values must be finite"):
+        numeric_spectrum(np.eye(16), 2, analytic=[1.0, np.nan, 0.5])
 
 
 def test_eigensolve_failure_is_reported():
@@ -503,6 +505,26 @@ def test_folded_spectrum_agrees_with_dense_path(geometry):
     assert np.max(np.abs(folded.eigenvalues[f] - dense.eigenvalues[d])) < 1e-14
     assert np.array_equal(folded.matched[f], dense.matched[d])
     assert folded.worst < 1e-6
+
+
+@pytest.mark.parametrize("numeric, analytic, matched, errors", [
+    # largest |value| first: -0.9 takes -0.6, so -0.5 is left 0.0
+    ([-0.5, -0.9], [-0.6, 0.0], [0.0, -0.6], [0.5, abs(-0.9 + 0.6) / 0.6]),
+    # an exact distance tie goes to the candidate of matching sign ...
+    ([-0.125], [0.375, -0.625], [-0.625], [0.5 / 0.625]),
+    ([0.25], [0.0, 0.5], [0.5], [0.5]),
+    # ... or, with none, to the first
+    ([0.0], [-0.5, 0.5], [-0.5], [1.0]),
+    # a used candidate is skipped: 0.8 is paired with 0.0, not with 1.0
+    ([0.9, 0.8], [1.0, 0.0], [1.0, 0.0], [abs(0.9 - 1.0), 0.8]),
+], ids=["largest-first", "tie-negative", "tie-positive", "tie-no-sign", "used-skipped"])
+def test_pairing_rules(numeric, analytic, matched, errors):
+    """_nearest_unused pairs the largest |value| first with its nearest
+    unused candidate, breaks an exact tie by sign, and gives the error
+    relative to the candidate (absolute against 0)."""
+    got_matched, got_errors = oracle._nearest_unused(np.array(numeric), np.array(analytic))
+    assert got_matched.tolist() == matched
+    assert got_errors.tolist() == errors
 
 
 # ---------------------------------------------------------------------------
@@ -853,6 +875,34 @@ def test_validate_solves_its_source_once(monkeypatch):
             "continuity", "flux_jump", "surrogate_ratio", "reality_symmetry"]
 
 
+def test_cli_sweep_expands_its_source_once(monkeypatch, tmp_path):
+    """calr-lab sweep builds the source coefficients once: solver.sweep
+    returns them at its top truncation and the gap report reads those,
+    bit for bit a fresh newtonian_coefficients at max(r.n_max)."""
+    expand = source.newtonian_coefficients
+    calls = _count_calls(monkeypatch, [expand])
+    returned = []
+
+    def keep(*args, _sweep=solver.sweep, **kwargs):
+        returned.append(_sweep(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(cli, "sweep", keep)
+    config = Path(__file__).resolve().parent.parent / "configs" / "dipole_inside.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert calls == {"newtonian_coefficients": 1}
+    [(records, sc_top)] = returned
+    cfg = cli.load_config(config)
+    g = cli.parse_geometry(cfg)
+    want = expand(cli.parse_source(cfg), max(r.n_max for r in records), g.R, rho_e=g.rho_e)
+    assert sc_top.n_max == want.n_max == 163
+    assert float(sc_top.c).hex() == float(want.c).hex()
+    assert sc_top.f_plus.tobytes() == want.f_plus.tobytes()
+    assert sc_top.f_minus.tobytes() == want.f_minus.tobytes()
+
+
 
 @pytest.mark.parametrize("fields, swap, caught", [
     ((0, 1, 2), (0, 1), "eigen_residuals"),  # 1+ and 1-: vector, eigenvalue and norm
@@ -915,7 +965,7 @@ def _public_route_checks(g, src):
         fi, fo = e_in * d_in, e_out * d_out
         fscale = float(np.max(np.maximum(np.abs(fi), np.abs(fo))))
         worst_f = max(worst_f, float(np.max(np.abs(fi - fo))) / fscale)
-    recs = solver.sweep(src, g, [10.0 ** (-k) for k in range(2, 7)], [])
+    recs, _ = solver.sweep(src, g, [10.0 ** (-k) for k in range(2, 7)], [])
     ratios = [r.e_direct / r.e_spectral for r in recs]
     symmetry = float(np.max(np.abs(vm - np.conj(vp)) / np.maximum(np.abs(vp), 1e-30)))
     return {"continuity": worst_c, "flux_jump": worst_f,

@@ -579,7 +579,7 @@ def test_sweep_evaluates_the_source_once_per_probe(monkeypatch):
 
     monkeypatch.setattr("calr_lab.solver.elliptic_potential", counting)
     src = Dipole(EllipticPoint(1.3, 0.9), np.array([1.0, 0.4]))
-    records = sweep(src, THIN, [1e-2, 1e-3, 1e-4], PROBES_THIN)
+    records, _ = sweep(src, THIN, [1e-2, 1e-3, 1e-4], PROBES_THIN)
     assert seen == [len(PROBES_THIN)]
     assert [len(rec.far_samples) for rec in records] == [len(PROBES_THIN)] * 3
 
@@ -950,7 +950,7 @@ def test_dissipated_power_validation():
 
 def test_surrogate_tracks_direct_energy():
     src = Dipole(EllipticPoint(0.88, 0.9), np.array([1.0, 0.4]))
-    records = sweep(src, THIN, [1e-2, 1e-4, 1e-6], PROBES_THIN)
+    records, _ = sweep(src, THIN, [1e-2, 1e-4, 1e-6], PROBES_THIN)
     ratios = [r.e_direct / r.e_spectral for r in records]
     assert max(ratios) / min(ratios) <= 10.0
 
@@ -968,7 +968,7 @@ def test_solve_runtime_budget():
 def test_sweep_inside_source_blows_up():
     src = Dipole(EllipticPoint(0.88, 0.9), np.array([1.0, 0.4]))
     deltas = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8]
-    records = sweep(src, THIN, deltas, PROBES_THIN)
+    records, _ = sweep(src, THIN, deltas, PROBES_THIN)
     energies = np.array([r.e_direct for r in records])
     assert np.all(np.diff(energies) > 0.0)
     norm_far = np.array([np.exp(np.mean(np.log(r.normalized_far))) for r in records])
@@ -985,7 +985,7 @@ def test_sweep_inside_source_blows_up():
 def test_sweep_outside_source_stays_bounded():
     src = Dipole(EllipticPoint(1.10, 0.9), np.array([1.0, 0.4]))
     deltas = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8]
-    records = sweep(src, THIN, deltas, PROBES_THIN)
+    records, _ = sweep(src, THIN, deltas, PROBES_THIN)
     energies = np.array([r.e_direct for r in records])
     assert np.all(np.diff(energies) < 0.0)
     diag = calr_classify(records, THIN_REGIME)
@@ -996,7 +996,7 @@ def test_sweep_outside_source_stays_bounded():
 def test_sweep_preserves_order():
     src = Dipole(EllipticPoint(0.88, 0.9), np.array([1.0, 0.4]))
     deltas = [1e-3, 1e-2, 1e-5, 1e-4]
-    records = sweep(src, THIN, deltas, PROBES_THIN)
+    records, _ = sweep(src, THIN, deltas, PROBES_THIN)
     assert [r.delta for r in records] == deltas
 
 
@@ -1019,7 +1019,7 @@ def test_sweep_slices_match_per_delta_solves(name):
     an independent solve at each delta's own n_max gives."""
     case = _EDGE_SWEEPS.get(name, functools.partial(_bundled_sweep, name))
     g, src, deltas, probes, margin = case()
-    records = sweep(src, g, deltas, probes, margin=margin)
+    records, _ = sweep(src, g, deltas, probes, margin=margin)
     assert [rec.delta for rec in records] == deltas
     for rec in records:
         n_max = adaptive_n_max(rec.delta, g, margin)
@@ -1052,7 +1052,7 @@ def test_sweep_warns_as_per_delta_solves(name, count):
     """A sweep checks the tail of each delta's solve and says what
     solve_densities at that delta and n_max would, in record order."""
     g, src, deltas, probes, margin = _bundled_sweep(name)
-    records, got = _truncation_messages(lambda: sweep(src, g, deltas, probes, margin=margin))
+    (records, _), got = _truncation_messages(lambda: sweep(src, g, deltas, probes, margin=margin))
     want = []
     for rec in records:
         sc = newtonian_coefficients(src, rec.n_max, g.R, rho_e=g.rho_e)
