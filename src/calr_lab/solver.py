@@ -47,6 +47,13 @@ all with one Horner recurrence (source._horner), for each density row
 (the solve's (delta, mode) rows, or one row) at each point, so a value
 depends neither on the other points or rows nor on trailing zero
 densities; sweep relies on this to evaluate all its deltas in one call.
+A small evaluation (validate's stencil, a sweep's probes) is bound by
+the cost of each numpy call, not by arithmetic, so up to
+_ONE_LOOP_ELEMENTS (chain, row, point) elements the chains of all three
+regions run in one loop (source._horner_blocks: two calls per mode, the
+coefficients copied into panels of at most 2^15 elements); a field grid
+runs one loop per region, which is faster there.  Both perform the same
+operations on every element, so the choice moves no bit.
 
 A sweep drives delta over several decades and the classifier grades the
 outcome: resonant blow-up of E with decaying source visibility (CALR),
@@ -77,6 +84,7 @@ from .source import (
     Coefficients,
     SourceSpec,
     _horner,
+    _horner_blocks,
     _square_scale,
     elliptic_potential,
     newtonian_coefficients,
@@ -111,6 +119,13 @@ _NMAX_GUARD = 600.0
 # Tail of the mode sum (in solution S-norm, relative) above which a
 # truncation warning is emitted.
 _TAIL_TOL = 1e-10
+
+# Layer sums over at most this many (chain, row, point) elements run all
+# regions in one Horner loop (source._horner_blocks), larger ones one loop
+# per region.  On a 2-core Xeon host the one loop was faster on field-grid
+# points up to 4k elements at 69 modes and 12k at 337, and slower on the
+# whole 13.5k-15.9k-element field grids; validate's stencil has 2.8k.
+_ONE_LOOP_ELEMENTS = 4096
 
 # Classification policy thresholds (see calr_classify).
 _GROWTH_BIG = 1e3
@@ -375,7 +390,11 @@ def _layer_sums(
     far = e^{-(rho + rho_k)}; writing cos and sin through e^{+-i n omega}
     turns each layer sum into power series in a complex ratio of modulus
     <= 1 (see _region_chains), with coefficients built once per row and
-    region, summed by _horner and added in a fixed order.
+    region, summed by Horner's rule and added in a fixed order.  Up to
+    _ONE_LOOP_ELEMENTS (chain, row, point) elements every region's chains
+    run in one loop (_horner_blocks), else one _horner loop per region
+    with the coefficients broadcast along the point axis; the two give
+    the same bits.
     """
     p_cos, p_sin, q_cos, q_sin = (np.atleast_2d(a).T for a in dc)
     n = np.arange(1, len(p_cos) + 1, dtype=float)[:, None]
@@ -386,18 +405,25 @@ def _layer_sums(
     out = np.empty((p_cos.shape[1], rho.size), dtype=complex)
     region = (rho > g.rho_i).astype(int) + (rho > g.rho_e)
     bounds = ((0.0, g.rho_i), (g.rho_i, g.rho_e), (g.rho_e, None))
+    pairs, where = [], []
     for r, (lo, hi) in enumerate(bounds):
         idx = np.flatnonzero(region == r)
         if idx.size == 0:
             continue
-        coef = _region_chains(halves, n, lo, hi)
         x = np.exp((lo - rho[idx]) + 1j * omega[idx])
         var = [x, x.conj()]
         if hi is not None:
             y = np.exp((rho[idx] - hi) + 1j * omega[idx])
             var += [y, y.conj()]
         # (chain, row, point): each row's chains run over each point.
-        acc = _horner(coef[..., None], np.stack(var)[:, None])
+        pairs.append((_region_chains(halves, n, lo, hi)[..., None], np.stack(var)[:, None]))
+        where.append(idx)
+    size = sum(len(v) * p_cos.shape[1] * v.shape[-1] for _, v in pairs)
+    if 0 < size <= _ONE_LOOP_ELEMENTS:
+        sums = _horner_blocks(pairs)
+    else:
+        sums = (_horner(c, v) for c, v in pairs)
+    for idx, acc in zip(where, sums):
         out[:, idx] = -0.5 * sum(acc[1:], acc[0])
     return out
 
@@ -417,16 +443,21 @@ def eval_potentials(
     every point.  F is evaluated once per point and added to every row.
     The layer sums and the source series cost one complex exp per point
     and chain, then one complex multiply-add per mode, row and point
-    (_horner), with no point x mode array; a value does not depend on which
-    call its point or row falls in.
+    (Horner's rule), with no point x mode array; a small evaluation runs
+    all regions in one loop and a large one a loop per region (see
+    _layer_sums).  A value does not depend on which call its point or row
+    falls in.  Raises ValueError for rho < 0 or a non-finite rho or omega
+    at any point.
     """
     rho, omega = np.broadcast_arrays(
         np.asarray(rho, dtype=float), np.asarray(omega, dtype=float)
     )
     shape = rho.shape
     rho, omega = rho.ravel(), omega.ravel()
-    if not (rho >= 0.0).all():
-        raise ValueError("need rho >= 0 at every point")
+    if not ((rho >= 0.0).all() and np.isfinite(rho).all()):
+        raise ValueError("need finite rho >= 0 at every point")
+    if not np.isfinite(omega).all():
+        raise ValueError("need finite omega at every point")
     out = _layer_sums(dc, g, rho, omega)
     out += elliptic_potential(source, g.R, rho, omega)
     return out.reshape(dc.p_cos.shape[:-1] + shape)

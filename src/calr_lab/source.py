@@ -266,6 +266,45 @@ def _horner(coef: np.ndarray, var: np.ndarray) -> np.ndarray:
     return acc
 
 
+# Elements of one panel of _horner_blocks coefficients: 2**15 complex
+# doubles, 512 KB.
+_PANEL_ELEMENTS = 2**15
+
+
+def _horner_blocks(pairs: list) -> list[np.ndarray]:
+    """_horner(coef, var) for each (coef, var) pair of pairs, in one loop.
+
+    Every coef has the same number of modes.  The blocks, each of shape
+    broadcast(coef.shape[1:], var.shape), lie end to end on one flat axis,
+    so each Horner step is one multiply and one add over all of them, on
+    contiguous arrays.  The coefficients are copied, a panel of steps at a
+    time (at most _PANEL_ELEMENTS elements, or one step if a step alone is
+    larger), into step-major rows of that axis.  Every element sees the operations of _horner with the same
+    values in the same order, so each block equals _horner bit for bit.
+    """
+    shapes = [np.broadcast_shapes(c.shape[1:], np.shape(v)) for c, v in pairs]
+    edges = np.cumsum([0] + [math.prod(s) for s in shapes]).tolist()
+    acc = np.zeros(edges[-1], dtype=complex)
+    var = np.empty_like(acc)
+    blocks = list(zip(edges, edges[1:], shapes))
+    for (a, b, shape), (_, v) in zip(blocks, pairs):
+        var[a:b].reshape(shape)[...] = v
+    n = len(pairs[0][0])
+    steps = max(1, min(n, _PANEL_ELEMENTS // max(edges[-1], 1)))
+    panel = np.empty((steps, edges[-1]), dtype=complex)
+    # Views of each block's columns of the panel, one step per row.
+    views = [panel[:, a:b].reshape((steps,) + shape) for a, b, shape in blocks]
+    for top in range(n, 0, -steps):
+        m = min(steps, top)
+        for view, (c, _) in zip(views, pairs):
+            view[:m] = c[top - m : top]
+        for row in panel[m - 1 :: -1]:
+            acc *= var
+            acc += row
+    acc *= var
+    return [acc[a:b].reshape(shape) for a, b, shape in blocks]
+
+
 def _series(
     sc: Coefficients, rho, omega
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,15 +1,21 @@
 """Smoke test of tools/output_digest.py, the digest that byte-identity
-claims about the CLI outputs rest on."""
+claims about the CLI outputs rest on, and the check of the outputs on the
+bundled configs against the digest recorded in tests/golden."""
 
 from __future__ import annotations
 
+import difflib
 import importlib
 import importlib.util
+import platform
 import re
 import shutil
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "output_digest.txt"
 
 
 def _output_digest():
@@ -99,4 +105,25 @@ def test_seed_digests_the_benchmark_workload_configs(tmp_path, monkeypatch, caps
     assert [line.split(" ")[0] for line in lines] == (
         [f"seed71/{name}" for name in WORKLOAD_CONFIGS]
         + [f"seed911/{name}" for name in WORKLOAD_CONFIGS]
+    )
+
+
+def test_outputs_match_the_recorded_digest():
+    """Every output file, standard output, standard error and exit code of
+    the five commands on the bundled configs, run in this process, has the
+    digest line recorded in tests/golden/output_digest.txt.  The failure
+    names the numpy and Python versions the lines were recorded with,
+    since another numpy or libm can move last bits, and shows the lines
+    that differ."""
+    digest = _output_digest()
+    text = GOLDEN.read_text(encoding="utf-8").splitlines()
+    recorded = dict(re.fullmatch(r"# (numpy|python) (\S+)", line).groups()
+                    for line in text if re.fullmatch(r"# (numpy|python) \S+", line))
+    want = [line for line in text if not line.startswith("#")]
+    got = digest.in_process_lines(ROOT / "configs")
+    diff = "\n".join(difflib.unified_diff(want, got, "recorded", "this run", lineterm="", n=0))
+    assert got == want, (
+        f"outputs differ from {GOLDEN.relative_to(ROOT)}, recorded with numpy"
+        f" {recorded['numpy']} and Python {recorded['python']} (this run: numpy"
+        f" {np.__version__}, Python {platform.python_version()}):\n{diff}"
     )

@@ -52,7 +52,7 @@ from calr_lab import (
 )
 from calr_lab.cli import load_config, parse_geometry, parse_source
 from calr_lab.solver import BoundaryForcing, ModeProjection, SweepRecord
-from calr_lab.source import elliptic_potential
+from calr_lab.source import _horner_blocks, elliptic_potential
 from calr_lab.spectrum import mode_factors
 
 TWO_PI = 2.0 * math.pi
@@ -584,11 +584,20 @@ def test_sweep_evaluates_the_source_once_per_probe(monkeypatch):
     assert [len(rec.far_samples) for rec in records] == [len(PROBES_THIN)] * 3
 
 
-def test_potentials_do_not_depend_on_blocks():
-    """Thousands of points in each region give the same bits whole, in
-    chunks of 999, and alone: a value does not depend on the call its
-    point falls in."""
-    src, _, dc = _solved_case(THIN, 1.3, 1e-3)
+def test_potentials_do_not_depend_on_blocks(monkeypatch):
+    """Thousands of points in each region and exactly on both interfaces
+    give the same bits whole, in chunks, and alone: a value does not
+    depend on the call its point falls in.  The whole call runs one Horner
+    loop per region and each chunk one loop over all regions (a spy counts
+    _horner_blocks calls), for one row in chunks of 999 points and for
+    three rows, two of them zero-padded, in chunks of 333."""
+    src, _, dc1 = _solved_case(THIN, 1.3, 1e-3)
+    _, _, dc2 = _solved_case(THIN, 1.3, 1e-5)
+    padded = [np.pad(a, (0, len(dc2.p_cos) - len(a))) for a in _arrays(dc1)]
+    dc3 = DensityCoefficients(*(np.stack([p, a, p]) for p, a in zip(padded, _arrays(dc2))))
+    calls = []
+    monkeypatch.setattr("calr_lab.solver._horner_blocks",
+                        lambda pairs: calls.append(1) or _horner_blocks(pairs))
     rng = np.random.default_rng(5)
     m = 8192 + 7
     rho = np.concatenate([
@@ -596,15 +605,21 @@ def test_potentials_do_not_depend_on_blocks():
         rng.uniform(THIN.rho_i, THIN.rho_e, m),
         rng.uniform(THIN.rho_e, 2.0, m),
     ])
+    rho[:64] = [THIN.rho_i, THIN.rho_e] * 32
     omega = rng.uniform(0.0, TWO_PI, rho.size)
     order = rng.permutation(rho.size)
     rho, omega = rho[order], omega[order]
-    whole = eval_potentials(src, dc, THIN, rho, omega)
-    chunks = [eval_potentials(src, dc, THIN, rho[k : k + 999], omega[k : k + 999])
-              for k in range(0, rho.size, 999)]
-    assert np.concatenate(chunks).tobytes() == whole.tobytes()
-    for j in rng.choice(rho.size, 30, replace=False):
-        assert eval_potentials(src, dc, THIN, rho[j], omega[j]) == whole[j]
+    for dc, chunk in ((dc1, 999), (dc3, 333)):
+        calls.clear()
+        whole = eval_potentials(src, dc, THIN, rho, omega)
+        assert calls == []
+        chunks = [eval_potentials(src, dc, THIN, rho[k : k + chunk], omega[k : k + chunk])
+                  for k in range(0, rho.size, chunk)]
+        assert len(calls) == len(chunks)
+        assert np.concatenate(chunks, axis=-1).tobytes() == whole.tobytes()
+        for j in rng.choice(rho.size, 30, replace=False):
+            assert np.array_equal(eval_potentials(src, dc, THIN, rho[j], omega[j]),
+                                  whole[..., j])
 
 
 @functools.lru_cache(maxsize=None)
@@ -808,11 +823,18 @@ def test_resonant_field_is_harmonic_everywhere():
 
 
 def test_gradient_requires_shell_point():
+    """eval_gradient_shell refuses a point off the shell, and
+    eval_potentials a point with rho < 0 or a non-finite rho or omega,
+    as EllipticPoint does, even among valid points."""
     src, _, dc = _solved_case(THIN, 1.3, 1e-3)
     with pytest.raises(ValueError):
         eval_gradient_shell(src, dc, THIN, 0.3, 1.0)
     with pytest.raises(ValueError):
         eval_gradient_shell(src, dc, THIN, 0.9, 1.0)
+    for rho, omega in ((-1e-3, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+                       (0.65, math.nan), (0.65, math.inf), (1.2, -math.inf)):
+        with pytest.raises(ValueError, match="need finite"):
+            eval_potentials(src, dc, THIN, [0.3, rho], [2.0, omega])
 
 
 @pytest.mark.filterwarnings("ignore::calr_lab.errors.TruncationWarning")

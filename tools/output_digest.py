@@ -20,17 +20,25 @@ paths are relative to the temporary directory, and warnings print as
 at, so two checkouts that produce the same bytes print the same lines,
 and a byte-identity claim is a ``diff`` of two runs.  Uses the standard
 library only.
+
+``in_process_lines`` prints the same lines from ``calr_lab.cli.main`` run
+in the calling process, on whichever ``calr_lab`` it imports; the tier-1
+test ``tests/test_output_digest.py`` compares them with the lines recorded
+in ``tests/golden/output_digest.txt``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib.util
+import io
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 COMMANDS = ("spectrum", "critical-radius", "sweep", "field", "validate")
@@ -49,28 +57,69 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest_lines(root: Path, configs: Path | None = None) -> list[str]:
-    """The `config command rc file sha256` lines for one checkout, over
-    the configs in ``configs`` (default: root/configs)."""
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+def _lines(configs: Path, run) -> list[str]:
+    """The digest lines of every config and command, each run as
+    ``run(config, command, tmp) -> (rc, stdout, stderr)`` with ``tmp`` a
+    fresh temporary directory and its ``out`` the output directory."""
     lines = []
-    for config in sorted((configs or root / "configs").glob("*.json")):
+    for config in sorted(configs.glob("*.json")):
         for command in COMMANDS:
             with tempfile.TemporaryDirectory() as tmp:
-                proc = subprocess.run(
-                    [sys.executable, "-c", _RUN_CLI, command,
-                     "--config", str(config), "--out", "out"],
-                    cwd=tmp, env=env, capture_output=True,
-                )
-                outputs = {"<stdout>": proc.stdout, "<stderr>": proc.stderr}
+                rc, stdout, stderr = run(config, command, tmp)
+                outputs = {"<stdout>": stdout, "<stderr>": stderr}
                 out_dir = Path(tmp) / "out"
                 if out_dir.is_dir():
                     for path in sorted(out_dir.rglob("*")):
                         if path.is_file():
                             outputs[path.relative_to(tmp).as_posix()] = path.read_bytes()
                 for name, data in outputs.items():
-                    lines.append(f"{config.name} {command} {proc.returncode} {name} {_sha256(data)}")
+                    lines.append(f"{config.name} {command} {rc} {name} {_sha256(data)}")
     return lines
+
+
+def digest_lines(root: Path, configs: Path | None = None) -> list[str]:
+    """The `config command rc file sha256` lines for one checkout, over
+    the configs in ``configs`` (default: root/configs)."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+    def run(config, command, tmp):
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_CLI, command, "--config", str(config), "--out", "out"],
+            cwd=tmp, env=env, capture_output=True,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    return _lines(configs or root / "configs", run)
+
+
+def in_process_lines(configs: Path) -> list[str]:
+    """digest_lines over ``configs``, from calr_lab.cli.main run in this
+    process on the calr_lab it imports.  Each run starts in its temporary
+    directory with the warning filters of a fresh interpreter and
+    warnings printed as in _RUN_CLI, and standard output and error
+    captured."""
+    from calr_lab.cli import main
+
+    def show(message, category, *args, **kwargs):
+        sys.stderr.write(f"{category.__name__}: {message}\n")
+
+    def run(config, command, tmp):
+        stdout, stderr, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            warnings.resetwarnings()
+            for category in (DeprecationWarning, PendingDeprecationWarning,
+                             ImportWarning, ResourceWarning):
+                warnings.simplefilter("ignore", category)
+            warnings.showwarning = show
+            os.chdir(tmp)
+            try:
+                rc = main([command, "--config", str(config), "--out", "out"])
+            finally:
+                os.chdir(cwd)
+        return rc, stdout.getvalue().encode(), stderr.getvalue().encode()
+
+    return _lines(configs.resolve(), run)
 
 
 def seeded_configs(seed: int, directory: Path) -> Path:
