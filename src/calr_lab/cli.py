@@ -16,10 +16,14 @@ Only sweep takes --threads (K >= 1), and it has no effect.  Outputs are
 CSV and JSON (UTF-8, sorted keys), so identical configs produce
 byte-identical files.  In a CSV (comma separated, header row, lines end
 in LF) each number is '%.17g' of the double (_fmt); a blank field.csv
-cell reads x1,x2,,, and field.csv is written one block of grid rows at
-a time.  Exit codes: 0 success, 2 config error (also a bad --threads,
-an --out that cannot be made a directory, or an output file inside it
-that cannot be written), 3 numeric failure, 4 validation-suite failure.
+cell reads x1,x2,,, and field.csv is written one block of _FIELD_BLOCK
+grid rows at a time (_field_rows): each cell of a block is a fixed-width
+uint8 line, x1, ",x2", ",re", ",im", ",|v|" and LF in columns of their
+own, the bytes a text does not use NUL, and one bytes.translate drops
+the block's NULs.  Exit codes: 0 success, 2 config error (also a bad
+--threads, an --out that cannot be made a directory, or an output file
+inside it that cannot be written), 3 numeric failure, 4 validation-suite
+failure.
 
 The CLI checks only what parsing needs: JSON types, the blocks' shapes
 and the grid.  Every rule on a loss, margin, probe or validate size is
@@ -306,21 +310,22 @@ def _field_rows(
 
     A block is laid out as NUL-padded uint8 lines, x1 then ",x2", ",re",
     ",im", ",|v|" and LF, a blank cell's values each as ",", and its NUL
-    bytes are dropped.  The x1 and x2 texts are _fmt's, the values
-    g17_cells of the block's slice of ``values``, the (P, 3) re, im, |v|
-    of the cells not blank.  Each text is aligned so that its NUL bytes
-    join its neighbours' in one run, which makes the drop cheap.
+    bytes, wherever they sit, are dropped by one bytes.translate.  The x1
+    and x2 texts are _fmt's, the values g17_cells of the block's rows of
+    ``values``, the (P, 3) re, im, |v| of the cells not blank, read in
+    row order, so that the block's (3 P, w) cells go in with one
+    assignment: a plain slice when no cell of the block is blank, else
+    one mask.
     """
     x1 = text_cells([_fmt(v) for v in xs])
-    x2 = [f",{_fmt(v)}" for v in ys]
-    x2 = text_cells([t.rjust(max(map(len, x2)), "\0") for t in x2])
+    x2 = text_cells([f",{_fmt(v)}" for v in ys])
     w1, w2 = x1.shape[1], x2.shape[1]
     ends = np.cumsum(np.count_nonzero(~blank, axis=1))
     start = 0
     for j in range(0, len(ys), _FIELD_BLOCK):
         rows = slice(j, j + _FIELD_BLOCK)
         end = int(ends[rows][-1])
-        cells = g17_cells(values[start:end].T.ravel())  # re, im, |v|
+        cells = g17_cells(values[start:end].ravel())
         start = end
         w = cells.shape[1]
         grid = np.zeros((len(ys[rows]), len(xs), w1 + w2 + 3 * w + 1), np.uint8)
@@ -328,11 +333,13 @@ def _field_rows(
         grid[:, :, w1:w1 + w2] = x2[rows, None]
         v = grid[:, :, w1 + w2:-1].reshape(-1, 3, w)
         empty = blank[rows].ravel()
-        for k, part in enumerate(np.split(cells, 3)):
-            v[~empty, k] = part
-        v[empty, :, 0] = ord(",")
+        if empty.any():
+            v[~empty] = cells.reshape(-1, 3, w)
+            v[empty, :, 0] = ord(",")
+        else:
+            v[:] = cells.reshape(-1, 3, w)
         grid[:, :, -1] = ord("\n")
-        yield str(grid[grid != 0], "ascii")
+        yield grid.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def field_command(cfg: dict, out_dir: Path) -> int:

@@ -37,7 +37,9 @@ class _Tables(NamedTuple):
     %g's layout for each E + 250 in [0, 267]: D = I scale + F, I the
     n_int digits before the point and F those after it.  The 20 digits
     after the point, the zeros of "0.000" first, are F 10^m: the first
-    4 are F // div * top, the other 16 (F mod div) * low."""
+    4 are F // div * top, the other 16 (F mod div) * low.  The exponent
+    text of each E + 250 ("" in fixed form), at most 5 bytes, is held
+    NUL-padded to 8 as one uint64, so that one gather fetches it."""
 
     hi: np.ndarray
     lo: np.ndarray
@@ -68,7 +70,7 @@ def _tables() -> _Tables:
         hi, lo, hi_hi, hi - hi_hi,
         10**after, 10 ** np.maximum(16 - m, 0), 10 ** np.maximum(m - 16, 0),
         10 ** np.minimum(m, 16), np.where(fixed & (e >= 0), e + 1, 1).astype(np.uint8),
-        text_cells(exponent).T.copy(),
+        np.array(exponent, dtype="S8").view(np.uint64),
     )
 
 
@@ -123,14 +125,14 @@ def g17_cells(x: np.ndarray) -> np.ndarray:
     """Each value of the 1-d float64 ``x`` as a CSV field after its comma,
     in the NUL-padded rows of a uint8 array.
 
-    Row i, its NUL bytes left out, is "," + fmt(x[i]).  Laid out by %g's rules: exponent form iff E < -4 or
-    E > 16, trailing zeros dropped, and an exponent of at least two
-    digits.  The columns are the comma, sign and integer digits aligned
-    right against the point, the point, 20 digits (the zeros after "0."
-    of E = -2..-4, then 17), and the exponent, so a row's NUL bytes sit
-    in one run before its text and one after, but for a trailing zero of
-    a mantissa with an exponent.  A value digits17 does not certify gets
-    fmt's own text, aligned left.
+    Row i, its NUL bytes left out, is "," + fmt(x[i]).  Laid out by %g's
+    rules: exponent form iff E < -4 or E > 16, trailing zeros dropped,
+    and an exponent of at least two digits.  The columns are the comma,
+    the sign, the integer digits aligned right against the point, the
+    point, 20 digits (the zeros after "0." of E = -2..-4, then 17), and
+    the exponent, whose rows are written only when a value needs one;
+    whatever a value does not use is NUL.  A value digits17 does not
+    certify gets fmt's own text, aligned left.
     """
     tab = _tables()
     d, e, ok = digits17(x)
@@ -148,29 +150,24 @@ def g17_cells(x: np.ndarray) -> np.ndarray:
     int_cols = cols[2:wi + 2]
     _put_digits(i.astype(np.int32) if wi <= 9 else i, int_cols)
     int_cols += ord("0")
-    from_right = _ONE_TO_20[wi + 1::-1]
-    int_cols *= from_right[2:] <= n_int  # no leading zeros
-    neg = np.signbit(x)
-    head = cols[:wi + 2]
-    head += (from_right == n_int + 1) * np.where(neg, np.uint8(ord("-")), np.uint8(ord(",")))
-    head += (from_right == n_int + 2) * (neg * np.uint8(ord(",")))
+    int_cols *= _ONE_TO_20[wi - 1::-1] <= n_int  # no leading zeros
+    cols[0] = ord(",")
+    cols[1] = np.signbit(x) * np.uint8(ord("-"))
 
-    quads = np.empty((5, n), np.int32)  # the 20 digits after the point, 4 by 4
+    # The 20 digits after the point, 4 by 4; uint16 halves the digit loop's bytes.
+    quads = np.empty((5, n), np.uint16)
     quads[0] = q0 * tab.top[at_e]
-    high = low // 10**8
-    low -= high * 10**8
-    quads[1] = high // 10**4
-    quads[2] = high - quads[1] * 10**4
-    quads[3] = low // 10**4
-    quads[4] = low - quads[3] * 10**4
+    for k, eight in ((1, low // 10**8), (3, low % 10**8)):
+        four = eight // 10**4
+        quads[k], quads[k + 1] = four, eight - four * 10**4
     frac_cols = cols[wi + 3:wi + 23]
     _put_digits(quads, frac_cols.reshape(5, 4, n).swapaxes(0, 1))
     last = ((frac_cols != 0) * _ONE_TO_20).max(axis=0, initial=0)
     frac_cols += ord("0")
     frac_cols *= _ONE_TO_20 <= last  # no trailing zeros
     cols[wi + 2] = (last > 0) * ord(".")
-    for row, chars in zip(cols[wi + 23:], tab.exponent):
-        row[:] = chars[at_e]
+    if e.min(initial=0) < -4 or e.max(initial=0) > 16:  # else the rows stay NUL
+        cols[wi + 23:] = tab.exponent[at_e].view(np.uint8).reshape(n, 8)[:, :5].T
     declined = np.flatnonzero(~ok)
     if declined.size:
         fallback = text_cells(["," + fmt(v) for v in x[declined].tolist()])

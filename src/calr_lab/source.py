@@ -323,13 +323,21 @@ def _series(
     return sc.c + (up + down).real, (d_up - d_down).real, (d_down - d_up).imag
 
 
+def _dot(r: np.ndarray, a) -> np.ndarray:
+    """r . a over the last axis, of length 2, from its two components:
+    numpy's reduction of a length-2 axis, bit for bit and faster.  The
+    reduction adds from +0.0, so two -0.0 terms give +0.0, and so does
+    the + 0.0 here."""
+    return r[..., 0] * a[..., 0] + r[..., 1] * a[..., 1] + 0.0
+
+
 def _offsets(x: np.ndarray, R: float, *charges: EllipticPoint) -> list:
     """Offsets x - x_k from each charge location, with squared lengths."""
     tol2 = (_SINGULAR_TOL * R) ** 2
     out = []
     for loc in charges:
         r = x - to_cartesian(R, loc)
-        r2 = (r * r).sum(axis=-1)
+        r2 = _dot(r, r)
         if (r2 <= tol2).any():
             raise SingularPoint("evaluation point coincides with a source singularity")
         out.append((r, r2))
@@ -347,7 +355,7 @@ def newtonian_eval(s: SourceSpec, x: np.ndarray, R: float) -> float | np.ndarray
     x = np.asarray(x, dtype=float)
     if isinstance(s, Dipole):
         ((r, r2),) = _offsets(x, R, s.location)
-        value = (r * s.moment).sum(axis=-1) / (2.0 * math.pi * r2)
+        value = _dot(r, s.moment) / (2.0 * math.pi * r2)
     elif isinstance(s, ChargePair):
         (_, dp2), (_, dm2) = _offsets(x, R, s.plus, s.minus)
         value = s.charge * 0.25 * np.log(dp2 / dm2) / math.pi
@@ -366,7 +374,7 @@ def newtonian_gradient(s: SourceSpec, x: np.ndarray, R: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if isinstance(s, Dipole):
         ((r, r2),) = _offsets(x, R, s.location)
-        a_dot = (r * s.moment).sum(axis=-1)
+        a_dot = _dot(r, s.moment)
         return (s.moment - (2.0 * a_dot / r2)[..., None] * r) / (
             2.0 * math.pi * r2
         )[..., None]

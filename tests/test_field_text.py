@@ -114,3 +114,44 @@ def test_kernel_declines_a_tie_to_fmt():
     x = [1125899906842624.25, -1125899906842624.25, 1.5]
     assert list(_certified(x)) == [False, False, True]
     assert _texts(x) == ["1125899906842624.2", "-1125899906842624.2", "1.5"] == _fmt_all(x)
+
+
+def _reference_field_rows(xs, ys, blank, values) -> str:
+    """field.csv's grid rows cell by cell with _fmt: x1, x2, then re, im,
+    |v| from the next row of ``values`` or, for a blank cell, nothing."""
+    cells = iter(values.tolist())
+    lines = []
+    for j, y in enumerate(ys.tolist()):
+        for i, x in enumerate(xs.tolist()):
+            parts = ["", "", ""] if blank[j, i] else [cli._fmt(v) for v in next(cells)]
+            lines.append(",".join([cli._fmt(x), cli._fmt(y)] + parts) + "\n")
+    assert next(cells, None) is None
+    return "".join(lines)
+
+
+def test_field_rows_match_a_per_cell_reference():
+    """cli._field_rows on a 7 x 17 grid, so three blocks with the last one
+    row long (17 = 2 * 8 + 1): the first has no blank cell and values in
+    exponent form, the second is all blank, the last has one lone blank
+    cell and values none of which needs an exponent."""
+    assert cli._FIELD_BLOCK == 8
+    rng = np.random.default_rng(32)
+    xs = np.linspace(-2.5, 2.5, 7)
+    ys = np.linspace(-1.25, 1.25, 17)
+    blank = np.zeros((17, 7), bool)
+    blank[8:16] = True
+    blank[16, 3] = True
+    first = rng.standard_normal((8 * 7, 3)) * 10.0 ** rng.integers(-9, 21, (8 * 7, 3))
+    first[:4] = [[0.0, -0.0, 1e-5], [1e17, -3e-250, 5e-324], [1.5e300, 1e16, 1e-4], [-7.0, 0.5, 2.0]]
+    last = rng.uniform(-900.0, 900.0, (6, 3))
+    last[0] = [0.0, -0.0, 1e-4]  # zero prints "0": no exponent either
+    values = np.concatenate([first, last])
+    assert (np.abs(last) < 1e16).all() and ((np.abs(last) >= 1e-4) | (last == 0)).all()
+    assert any("e" in cli._fmt(v) for v in first.ravel().tolist())
+
+    blocks = list(cli._field_rows(xs, ys, blank, values))
+    assert [b.count("\n") for b in blocks] == [8 * 7, 8 * 7, 7]
+    assert blocks[1] == "".join(f"{cli._fmt(x)},{cli._fmt(y)},,,\n"
+                                for y in ys[8:16].tolist() for x in xs.tolist())
+    assert "".join(blocks) == _reference_field_rows(xs, ys, blank, values)
+    assert "e" not in blocks[2]

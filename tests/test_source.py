@@ -194,6 +194,64 @@ def test_array_source_evaluation_rejects_any_singular_point():
             newtonian_gradient(src, x, 1.0)
 
 
+def _axis_sum_offsets(x, R, *charges):
+    """The offsets and squared lengths as .sum(axis=-1) over the length-2 axis."""
+    return [(r, (r * r).sum(axis=-1)) for r in (x - to_cartesian(R, loc) for loc in charges)]
+
+
+def _axis_sum_eval(s, x, R):
+    if isinstance(s, Dipole):
+        ((r, r2),) = _axis_sum_offsets(x, R, s.location)
+        value = (r * s.moment).sum(axis=-1) / (2.0 * math.pi * r2)
+    else:
+        (_, dp2), (_, dm2) = _axis_sum_offsets(x, R, s.plus, s.minus)
+        value = s.charge * 0.25 * np.log(dp2 / dm2) / math.pi
+    return float(value) if x.ndim == 1 else value
+
+
+def _axis_sum_gradient(s, x, R):
+    if isinstance(s, Dipole):
+        ((r, r2),) = _axis_sum_offsets(x, R, s.location)
+        a_dot = (r * s.moment).sum(axis=-1)
+        return (s.moment - (2.0 * a_dot / r2)[..., None] * r) / (2.0 * math.pi * r2)[..., None]
+    (rp, dp2), (rm, dm2) = _axis_sum_offsets(x, R, s.plus, s.minus)
+    return s.charge * (rp / dp2[..., None] - rm / dm2[..., None]) / (2.0 * math.pi)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("kind", ["dipole", "signed_zero_dipole", "pair"])
+def test_closed_form_sources_equal_the_axis_sums_bit_for_bit(kind):
+    """newtonian_eval and newtonian_gradient form r . r and r . a from the
+    two components; they equal the .sum(axis=-1) forms bit for bit, sign
+    of zero included, on (2,), (m, 2), (a, b, 2) and strided points.  The
+    signed-zero dipole, moment (-1, -0), seen from points straight above
+    it (x1 equal to the source's x1), has r . a = -0.0 + -0.0, which the
+    reduction gives as +0.0."""
+    loc = EllipticPoint(1.3, 0.9)
+    src = {
+        "dipole": Dipole(loc, np.array([1.0, 0.4])),
+        "signed_zero_dipole": Dipole(loc, np.array([-1.0, -0.0])),
+        "pair": ChargePair(EllipticPoint(1.4, 0.5), EllipticPoint(1.6, 2.5), 0.7),
+    }[kind]
+    x0 = to_cartesian(1.0, loc)
+    rng = np.random.default_rng(32)
+    x = rng.uniform(-1.8, 1.8, (6, 5, 2))
+    x[0, :, 0] = x0[0]
+    x[0, :, 1] = x0[1] + np.linspace(0.1, 0.9, 5)
+    cases = [x, x.reshape(-1, 2), x[0, 2], x[:, ::2], np.asfortranarray(x)]
+    for pts in cases:
+        assert np.array_equal(_bits(newtonian_eval(src, pts, 1.0)),
+                              _bits(_axis_sum_eval(src, pts, 1.0)))
+        assert np.array_equal(_bits(newtonian_gradient(src, pts, 1.0)),
+                              _bits(_axis_sum_gradient(src, pts, 1.0)))
+    if kind == "signed_zero_dipole":
+        above = newtonian_eval(src, x[0], 1.0)
+        assert np.all(above == 0.0) and not np.signbit(above).any()
+
+
 def test_series_matches_closed_form_inside():
     """Summing the expansion at rho = 0.9 rho0 reproduces the closed-form
     Newtonian potential to 1e-9 with 100 modes."""
