@@ -313,9 +313,8 @@ def _field_rows(
     bytes, wherever they sit, are dropped by one bytes.translate.  The x1
     and x2 texts are _fmt's, the values g17_cells of the block's rows of
     ``values``, the (P, 3) re, im, |v| of the cells not blank, read in
-    row order, so that the block's (3 P, w) cells go in with one
-    assignment: a plain slice when no cell of the block is blank, else
-    one mask.
+    row order, so that the block's (3 P, w) cells go in with one masked
+    assignment.
     """
     x1 = text_cells([_fmt(v) for v in xs])
     x2 = text_cells([f",{_fmt(v)}" for v in ys])
@@ -333,11 +332,8 @@ def _field_rows(
         grid[:, :, w1:w1 + w2] = x2[rows, None]
         v = grid[:, :, w1 + w2:-1].reshape(-1, 3, w)
         empty = blank[rows].ravel()
-        if empty.any():
-            v[~empty] = cells.reshape(-1, 3, w)
-            v[empty, :, 0] = ord(",")
-        else:
-            v[:] = cells.reshape(-1, 3, w)
+        v[~empty] = cells.reshape(-1, 3, w)
+        v[empty, :, 0] = ord(",")
         grid[:, :, -1] = ord("\n")
         yield grid.tobytes().translate(None, b"\0").decode("ascii")
 

@@ -130,9 +130,8 @@ def g17_cells(x: np.ndarray) -> np.ndarray:
     and an exponent of at least two digits.  The columns are the comma,
     the sign, the integer digits aligned right against the point, the
     point, 20 digits (the zeros after "0." of E = -2..-4, then 17), and
-    the exponent, whose rows are written only when a value needs one;
-    whatever a value does not use is NUL.  A value digits17 does not
-    certify gets fmt's own text, aligned left.
+    the exponent; whatever a value does not use is NUL.  A value
+    digits17 does not certify gets fmt's own text, aligned left.
     """
     tab = _tables()
     d, e, ok = digits17(x)
@@ -166,8 +165,7 @@ def g17_cells(x: np.ndarray) -> np.ndarray:
     frac_cols += ord("0")
     frac_cols *= _ONE_TO_20 <= last  # no trailing zeros
     cols[wi + 2] = (last > 0) * ord(".")
-    if e.min(initial=0) < -4 or e.max(initial=0) > 16:  # else the rows stay NUL
-        cols[wi + 23:] = tab.exponent[at_e].view(np.uint8).reshape(n, 8)[:, :5].T
+    cols[wi + 23:] = tab.exponent[at_e].view(np.uint8).reshape(n, 8)[:, :5].T
     declined = np.flatnonzero(~ok)
     if declined.size:
         fallback = text_cells(["," + fmt(v) for v in x[declined].tolist()])

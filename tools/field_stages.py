@@ -3,25 +3,27 @@
     python3 tools/field_stages.py [--root CHECKOUT] [--seed N ... | --config FILE ...]
                                   [--calls N]
 
-Runs the field command's steps one by one, with the program imported
+Runs ``calr_lab.cli.main(["field", ...])``, with the program imported
 from CHECKOUT's ``src/`` (default: the checkout holding this script),
-and times each with ``time.perf_counter``:
+and takes ``time.perf_counter`` laps around the calls the command
+already makes, each wrapped in place for the run:
 
-    coefficients  the config parsed, n_max, the source coefficients
-    grid          the grid, its inversion to (rho, omega), the blank cells
+    coefficients  main up to the end of newtonian_coefficients: the
+                  arguments, the config, n_max, the source coefficients
+    grid          up to solve_densities: the grid, its inversion to
+                  (rho, omega), the blank cells
     solve         solve_densities
-    layers        the layer sums of the densities (solver._layer_sums)
-    F             the source potential, added to them
-    text          the field.csv rows (cli._field_rows)
-    write         the rows written to a new file
+    layers        eval_potentials up to the end of solver._layer_sums
+    F             the rest of eval_potentials: the source potential, added
+    text          the field.csv rows: the value columns and cli._field_rows
+    write         the rest of cli._write_rows and of the command
 
-Before timing, the file written from these steps is compared with the
-``field.csv`` that ``calr_lab.cli.main`` writes for the same config; a
-difference exits 1, so the steps stay the command's.  Each ``--seed N``
+The stages are the command's own calls, so they cannot drift from it.
+A command that exits non-zero makes the tool exit 1.  Each ``--seed N``
 (repeatable; default 71) runs the benchmark's field workload configs of
-seed N, written by ``perfbench/workloads.py`` of the checkout holding this
-script; ``--config`` runs the given configs instead.  Prints, per config,
-the median over ``--calls`` calls of each stage and of their sum, in
+seed N, written by ``perfbench/workloads.py`` of the checkout holding
+this script; ``--config`` runs the given configs instead.  Prints, per config, the
+median over ``--calls`` calls of each stage and of their sum, in
 milliseconds.  The times are raw: not scaled by any speed calibration,
 so compare two checkouts by alternating runs on one host.  Uses the
 standard library and numpy only.
@@ -33,12 +35,12 @@ import argparse
 import contextlib
 import importlib.util
 import io
-import math
 import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 THIS_CHECKOUT = Path(__file__).resolve().parent.parent
 STAGES = ("coefficients", "grid", "solve", "layers", "F", "text", "write")
@@ -68,62 +70,54 @@ def _field_configs(seed: int, directory: Path) -> list[Path]:
     return [directory / f"{name}.json" for _, name in workloads.WORKLOADS["field"][0]]
 
 
-def field_stages(cli, config: Path, path: Path) -> dict[str, float]:
-    """Seconds per stage of one field command on config, written to path.
-
-    Follows cli.field_command step by step; the values and their order
-    are eval_potentials', which adds F to the layer sums.
-    """
-    import numpy as np
-
-    from calr_lab import solver, source as src
-
-    times = {}
-    start = time.perf_counter()
+def field_stages(cli, config: Path, out_dir: Path) -> tuple[int, dict[str, float]]:
+    """The exit code of one field command on config, written to out_dir,
+    and the seconds it spent in each stage it passed through."""
+    solver = sys.modules["calr_lab.solver"]
+    times: dict[str, float] = {}
+    start = 0.0
 
     def lap(stage):
         nonlocal start
         now = time.perf_counter()
-        times[stage] = now - start
+        times[stage] = times.get(stage, 0.0) + now - start
         start = now
 
-    cfg = cli.load_config(config)
-    g = cli.parse_geometry(cfg)
-    source = cli.parse_source(cfg)
-    block = cli._block(cfg, "field")
-    delta = cli._number(block, "field", "delta")
-    n_max = solver.adaptive_n_max(delta, g, cli._int(block, "field", "margin", 40))
-    sc = src.newtonian_coefficients(source, n_max, g.R, rho_e=g.rho_e)
-    regime = cli.critical_radius(g.rho_i, g.rho_e)
-    lap("coefficients")
+    def timed(fn, before, after):
+        def call(*args, **kwargs):
+            if before:
+                lap(before)
+            out = fn(*args, **kwargs)
+            lap(after)
+            return out
+        return call
 
-    rho_max = cli._number(block, "field", "rho_max", regime.far_bound_rho + 0.3)
-    a, b = g.R * math.cosh(rho_max), g.R * math.sinh(rho_max)
-    xs = np.linspace(-a, a, cli._int(block, "field", "n1", 81))
-    ys = np.linspace(-b, b, cli._int(block, "field", "n2", 81))
-    with np.errstate(over="ignore", invalid="ignore"):
-        rho, omega, focal = cli.elliptic_coords(g.R, np.stack(np.meshgrid(xs, ys), axis=-1))
-    blank = focal | (~focal & (rho >= src.series_radius(source)))
-    rho, omega = rho[~blank], omega[~blank]
-    lap("grid")
+    def timed_rows(rows):
+        lap("write")  # the header line
+        for row in rows:
+            lap("text")
+            yield row
+            lap("write")
+        lap("text")
 
-    dc = solver.solve_densities(sc, g, delta)
-    lap("solve")
-
-    v = solver._layer_sums(dc, g, rho, omega)
-    lap("layers")
-
-    v += src.elliptic_potential(source, g.R, rho, omega)
-    v = v.reshape(rho.shape)
-    lap("F")
-
-    values = np.column_stack((v.real, v.imag, np.hypot(v.real, v.imag)))
-    rows = list(cli._field_rows(xs, ys, blank, values))
-    lap("text")
-
-    cli._write_rows(path, "x1,x2,re_v,im_v,abs_v", rows)
-    lap("write")
-    return times
+    write_rows = cli._write_rows
+    laps = [  # module, name, the call put in its place, laps before and after it
+        (cli, "newtonian_coefficients", cli.newtonian_coefficients, None, "coefficients"),
+        (cli, "solve_densities", cli.solve_densities, "grid", "solve"),
+        (solver, "_layer_sums", solver._layer_sums, None, "layers"),
+        (cli, "eval_potentials", cli.eval_potentials, None, "F"),
+        (cli, "_write_rows",
+         lambda path, header, rows=(): write_rows(path, header, timed_rows(rows)),
+         "text", "write"),
+    ]
+    with contextlib.ExitStack() as patched:
+        for module, name, fn, before, after in laps:
+            patched.enter_context(mock.patch.object(module, name, timed(fn, before, after)))
+        patched.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        start = time.perf_counter()
+        rc = cli.main(["field", "--config", str(config), "--out", str(out_dir)])
+        lap("write")  # the command's closing lines
+    return rc, times
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -154,21 +148,17 @@ def main(argv: list[str] | None = None) -> int:
               f" median of {args.calls} calls; raw wall ms")
         print("config " + " ".join(STAGES) + " total")
         for config in configs:
-            with contextlib.redirect_stdout(io.StringIO()):
-                rc = cli.main(["field", "--config", str(config), "--out", str(tmp / "cli")])
-            if rc != 0:
-                print(f"{config}: calr-lab field exits {rc}", file=sys.stderr)
-                return 1
-            staged = tmp / "field.csv"
-            field_stages(cli, config, staged)
-            if staged.read_bytes() != (tmp / "cli" / "field.csv").read_bytes():
-                print(f"{config}: the stages do not write the command's field.csv",
-                      file=sys.stderr)
-                return 1
+            out_dir = tmp / "out"
             calls = []
-            for _ in range(args.calls):
-                staged.unlink()  # a fresh file each call, as the benchmark writes
-                calls.append(field_stages(cli, config, staged))
+            for _ in range(1 + args.calls):  # the first warms the caches up, untimed
+                # A fresh file each call, as the benchmark writes.
+                (out_dir / "field.csv").unlink(missing_ok=True)
+                rc, times = field_stages(cli, config, out_dir)
+                if rc != 0:
+                    print(f"{config}: calr-lab field exits {rc}", file=sys.stderr)
+                    return 1
+                calls.append(times)
+            calls = calls[1:]
             medians = [statistics.median(c[s] for c in calls) for s in STAGES]
             total = statistics.median(sum(c.values()) for c in calls)
             name = config.relative_to(tmp).as_posix() if config.is_relative_to(tmp) else config.name
