@@ -29,8 +29,8 @@ The CLI checks only what parsing needs: JSON types, the blocks' shapes
 and the grid.  Every rule on a loss, margin, probe or validate size is
 the library's (adaptive_n_max, sweep, oracle.validate), which raises
 errors.InputError naming the key; main reports it once, as
-"config error: <command>.<message>"; a source inside the shell
-(SourceInsideShell) as "config error: source.<point>: <message>".
+"config error: <command>.<message>"; a source point it cannot use
+(SourceError) as "config error: source.<point>: <message>".
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from .errors import CalrError, ConfigError, InputError, SourceInsideShell
+from .errors import CalrError, ConfigError, InputError, OverflowGuard, SourceError
 from .geometry import ConfocalGeometry, EllipticPoint, elliptic_coords
 from .numtext import fmt as _fmt, g17_cells, text_cells
 from .solver import (
@@ -231,7 +231,10 @@ def critical_radius_command(cfg: dict, out_dir: Path) -> int:
     if regime.kind is RegimeKind.THIN:
         # In the thin regime the confocal problem maps onto an annulus
         # under rho = ln r, so the critical radius has a disk equivalent.
-        report["disk_equivalent"] = math.exp(regime.rho_star)
+        try:
+            report["disk_equivalent"] = math.exp(regime.rho_star)
+        except OverflowError:
+            raise OverflowGuard(f"disk_equivalent: exp({regime.rho_star}) overflows") from None
     path = out_dir / "critical_radius.json"
     _write_json(path, report)
     print(f"wrote {path}")
@@ -472,7 +475,7 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             raise ConfigError(f"--out {out_dir}: {exc.strerror}") from exc
         return _COMMANDS[args.command](cfg, out_dir)
-    except (ConfigError, SourceInsideShell) as exc:  # source is a top-level block
+    except (ConfigError, SourceError) as exc:  # source is a top-level block
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except InputError as exc:  # the library names the key inside the command's block

@@ -43,7 +43,13 @@ class InputError(CalrError, ValueError):
     location it cannot use.  The message starts with the argument's name."""
 
 
-class SourceInsideShell(InputError):
+class SourceError(InputError):
+    """Raised, before any work, for a source location the package cannot
+    use: past 2 pi (R cosh rho)^2 of double range, or (SourceInsideShell)
+    not strictly outside the outer interface."""
+
+
+class SourceInsideShell(SourceError):
     """Raised, before any work, when a source location does not lie
     strictly outside the outer interface."""
 

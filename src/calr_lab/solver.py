@@ -47,13 +47,8 @@ all with one Horner recurrence (source._horner), for each density row
 (the solve's (delta, mode) rows, or one row) at each point, so a value
 depends neither on the other points or rows nor on trailing zero
 densities; sweep relies on this to evaluate all its deltas in one call.
-A small evaluation (validate's stencil, a sweep's probes) is bound by
-the cost of each numpy call, not by arithmetic, so up to
-_ONE_LOOP_ELEMENTS (chain, row, point) elements the chains of all three
-regions run in one loop (source._horner_blocks: two calls per mode, the
-coefficients copied into panels of at most 2^15 elements); a field grid
-runs one loop per region, which is faster there.  Both perform the same
-operations on every element, so the choice moves no bit.
+The chains of all three regions run in one _horner call; how it adds
+each mode's coefficients depends on the evaluation's size, and no bit.
 
 A sweep drives delta over several decades and the classifier grades the
 outcome: resonant blow-up of E with decaying source visibility (CALR),
@@ -84,7 +79,7 @@ from .source import (
     Coefficients,
     SourceSpec,
     _horner,
-    _horner_blocks,
+    _in_closed_form_range,
     _square_scale,
     elliptic_potential,
     newtonian_coefficients,
@@ -119,13 +114,6 @@ _NMAX_GUARD = 600.0
 # Tail of the mode sum (in solution S-norm, relative) above which a
 # truncation warning is emitted.
 _TAIL_TOL = 1e-10
-
-# Layer sums over at most this many (chain, row, point) elements run all
-# regions in one Horner loop (source._horner_blocks), larger ones one loop
-# per region.  On a 2-core Xeon host the one loop was faster on field-grid
-# points up to 4k elements at 69 modes and 12k at 337, and slower on the
-# whole 13.5k-15.9k-element field grids; validate's stencil has 2.8k.
-_ONE_LOOP_ELEMENTS = 4096
 
 # Classification policy thresholds (see calr_classify).
 _GROWTH_BIG = 1e3
@@ -390,11 +378,8 @@ def _layer_sums(
     far = e^{-(rho + rho_k)}; writing cos and sin through e^{+-i n omega}
     turns each layer sum into power series in a complex ratio of modulus
     <= 1 (see _region_chains), with coefficients built once per row and
-    region, summed by Horner's rule and added in a fixed order.  Up to
-    _ONE_LOOP_ELEMENTS (chain, row, point) elements every region's chains
-    run in one loop (_horner_blocks), else one _horner loop per region
-    with the coefficients broadcast along the point axis; the two give
-    the same bits.
+    region, summed by Horner's rule in one _horner call over every
+    region's (chain, row, point) block and added in a fixed order.
     """
     p_cos, p_sin, q_cos, q_sin = (np.atleast_2d(a).T for a in dc)
     n = np.arange(1, len(p_cos) + 1, dtype=float)[:, None]
@@ -418,12 +403,7 @@ def _layer_sums(
         # (chain, row, point): each row's chains run over each point.
         pairs.append((_region_chains(halves, n, lo, hi)[..., None], np.stack(var)[:, None]))
         where.append(idx)
-    size = sum(len(v) * p_cos.shape[1] * v.shape[-1] for _, v in pairs)
-    if 0 < size <= _ONE_LOOP_ELEMENTS:
-        sums = _horner_blocks(pairs)
-    else:
-        sums = (_horner(c, v) for c, v in pairs)
-    for idx, acc in zip(where, sums):
+    for idx, acc in zip(where, _horner(pairs)):
         out[:, idx] = -0.5 * sum(acc[1:], acc[0])
     return out
 
@@ -443,10 +423,9 @@ def eval_potentials(
     every point.  F is evaluated once per point and added to every row.
     The layer sums and the source series cost one complex exp per point
     and chain, then one complex multiply-add per mode, row and point
-    (Horner's rule), with no point x mode array; a small evaluation runs
-    all regions in one loop and a large one a loop per region (see
-    _layer_sums).  A value does not depend on which call its point or row
-    falls in.  Raises ValueError for rho < 0 or a non-finite rho or omega
+    (Horner's rule, one loop over all regions), with no point x mode
+    array.  A value does not depend on which call its point or row falls
+    in.  Raises ValueError for rho < 0 or a non-finite rho or omega
     at any point.
     """
     rho, omega = np.broadcast_arrays(
@@ -575,9 +554,10 @@ def sweep(
     Before any coefficient is built, InputError refuses an empty deltas,
     a probe not strictly outside the shell, at or past a Coefficients
     source's convergence radius (source.series_radius), or so far out that
-    the point source's closed form overflows, (adaptive_n_max) a delta outside (0, 1)
-    or a negative margin, and (newtonian_coefficients) a source inside the
-    shell.  Each delta's solve emits the TruncationWarning that
+    the point source's closed form overflows (source._in_closed_form_range),
+    (adaptive_n_max) a delta outside (0, 1) or a negative margin, and
+    (newtonian_coefficients) a source point inside the shell or past that
+    range.  Each delta's solve emits the TruncationWarning that
     solve_densities at its n_max would, and an energy out of double range
     raises OverflowGuard.  probes may be empty.
     """
@@ -592,10 +572,7 @@ def sweep(
                 f"probes[{k}]: rho = {p.rho} is at or past the source series'"
                 f" convergence radius {radius}"
             )
-        # The point source's closed form squares |x - x0| times 2 pi; past
-        # this (cosh itself past 710) it overflows and the value is lost.
-        a = g.R * math.cosh(min(p.rho, 710.0))
-        if not math.isfinite(2.0 * math.pi * a * a):
+        if not _in_closed_form_range(g.R, p.rho):
             raise InputError(
                 f"probes[{k}]: rho = {p.rho} puts 2 pi (R cosh rho)^2 out of range"
             )

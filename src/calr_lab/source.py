@@ -40,7 +40,13 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import DegeneratePoint, SingularPoint, SourceInsideShell, TooFewCoefficients
+from .errors import (
+    DegeneratePoint,
+    SingularPoint,
+    SourceError,
+    SourceInsideShell,
+    TooFewCoefficients,
+)
 from .geometry import (
     ConfocalGeometry,
     EllipticPoint,
@@ -183,11 +189,20 @@ def green_expansion_coefficients(
     return -damp * np.cos(n * x0.omega), -damp * np.sin(n * x0.omega)
 
 
-def _require_outside(where: str, rho0: float, rho_e: float | None) -> None:
+def _in_closed_form_range(R: float, rho: float) -> bool:
+    """Whether 2 pi (R cosh rho)^2 is finite (rho < 354.67 at R = 1): the
+    point sources' closed form squares |x - x0| times 2 pi."""
+    a = R * math.cosh(min(rho, 710.0))  # cosh itself overflows past 710
+    return math.isfinite(2.0 * math.pi * a * a)
+
+
+def _require_usable(key: str, rho0: float, R: float, rho_e: float | None) -> None:
     if rho_e is not None and rho0 <= rho_e:
         raise SourceInsideShell(
-            f"source.{where}: radius rho = {rho0} does not lie strictly outside rho_e = {rho_e}"
+            f"source.{key}: radius rho = {rho0} does not lie strictly outside rho_e = {rho_e}"
         )
+    if rho_e is not None and not _in_closed_form_range(R, rho0):
+        raise SourceError(f"source.{key}: rho = {rho0} puts 2 pi (R cosh rho)^2 out of range")
 
 
 def _dipole_coefficients(s: Dipole, n_max: int, R: float) -> Coefficients:
@@ -222,8 +237,9 @@ def newtonian_coefficients(
     The constant is exact: q (rho_+ - rho_-) / (2 pi) for a charge pair
     and -p / (2 pi Xi0) for a dipole (see the module docstring).  Expansion
     data given as Coefficients are cut or zero-padded to n_max.  When rho_e
-    is given, the source support is checked to lie strictly outside the
-    shell (SourceInsideShell, an InputError naming source.location etc.).
+    is given, each point of the source is checked to lie strictly outside
+    the shell (SourceInsideShell) and within _in_closed_form_range
+    (SourceError, its base, an InputError); both name source.location etc.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -235,11 +251,11 @@ def newtonian_coefficients(
         fm[:m] = s.f_minus[:m]
         return Coefficients(s.c, fp, fm)
     if isinstance(s, Dipole):
-        _require_outside("location", s.location.rho, rho_e)
+        _require_usable("location", s.location.rho, R, rho_e)
         return _dipole_coefficients(s, n_max, R)
     if isinstance(s, ChargePair):
-        _require_outside("plus", s.plus.rho, rho_e)
-        _require_outside("minus", s.minus.rho, rho_e)
+        _require_usable("plus", s.plus.rho, R, rho_e)
+        _require_usable("minus", s.minus.rho, R, rho_e)
         return _pair_coefficients(s, n_max)
     raise TypeError(f"unsupported source type {type(s).__name__}")
 
@@ -250,59 +266,57 @@ def _square_scale(top: float) -> float:
     return math.ldexp(1.0, max(math.frexp(top)[1] - 500, 0))
 
 
-def _horner(coef: np.ndarray, var: np.ndarray) -> np.ndarray:
-    """sum_{n>=1} coef[n-1] var^n by Horner's rule, elementwise in var.
+# Up to this many elements an evaluation is bound by the cost of each numpy
+# call, so _horner adds from a panel, one call per step.  On a 2-core Xeon
+# host broadcast adds cost +28% to +45% there (validate's 2.8k stencil, sweep
+# probes), and panel adds +22% to +56% on the 13.5k-15.9k field grids.
+_PANEL_ADD_ELEMENTS = 4096
 
-    coef[n-1] broadcasts against var.  No power of var is formed, so for
-    |var| >= 1 no accumulator exceeds the sum of |terms|.
-    """
-    acc = np.zeros(np.broadcast_shapes(coef.shape[1:], np.shape(var)), dtype=complex)
-    # Equal shapes: numpy multiplies by a broadcast var up to twice as slowly.
-    var = np.ascontiguousarray(np.broadcast_to(var, acc.shape))
-    for c in coef[::-1]:
-        acc *= var
-        acc += c
-    acc *= var
-    return acc
-
-
-# Elements of one panel of _horner_blocks coefficients: 2**15 complex
-# doubles, 512 KB.
+# Elements of one coefficient panel: 2**15 complex doubles, 512 KB.
 _PANEL_ELEMENTS = 2**15
 
 
-def _horner_blocks(pairs: list) -> list[np.ndarray]:
-    """_horner(coef, var) for each (coef, var) pair of pairs, in one loop.
+def _horner(pairs: list) -> list[np.ndarray]:
+    """sum_{n>=1} coef[n-1] var^n by Horner's rule, elementwise in var, for
+    each (coef, var) pair of pairs; every coef has the same number of modes.
 
-    Every coef has the same number of modes.  The blocks, each of shape
-    broadcast(coef.shape[1:], var.shape), lie end to end on one flat axis,
-    so each Horner step is one multiply and one add over all of them, on
-    contiguous arrays.  The coefficients are copied, a panel of steps at a
-    time (at most _PANEL_ELEMENTS elements, or one step if a step alone is
-    larger), into step-major rows of that axis.  Every element sees the operations of _horner with the same
-    values in the same order, so each block equals _horner bit for bit.
+    The blocks, each of shape broadcast(coef.shape[1:], var.shape), lie end
+    to end on one flat axis with var held contiguous, so each step is one
+    multiply over all of them.  Up to _PANEL_ADD_ELEMENTS elements the add
+    is one call too, from the coefficients copied into step-major rows of a
+    panel of at most _PANEL_ELEMENTS elements; above it each block adds its
+    coef[n-1] by broadcast.  Every element sees the same operations in the
+    same order either way, so the choice moves no bit.  No power of var is
+    formed, so for |var| >= 1 no accumulator exceeds the sum of |terms|.
     """
     shapes = [np.broadcast_shapes(c.shape[1:], np.shape(v)) for c, v in pairs]
     edges = np.cumsum([0] + [math.prod(s) for s in shapes]).tolist()
     acc = np.zeros(edges[-1], dtype=complex)
     var = np.empty_like(acc)
-    blocks = list(zip(edges, edges[1:], shapes))
-    for (a, b, shape), (_, v) in zip(blocks, pairs):
+    spans = list(zip(edges, edges[1:], shapes))
+    blocks = [acc[a:b].reshape(shape) for a, b, shape in spans]
+    for (a, b, shape), (_, v) in zip(spans, pairs):
         var[a:b].reshape(shape)[...] = v
-    n = len(pairs[0][0])
-    steps = max(1, min(n, _PANEL_ELEMENTS // max(edges[-1], 1)))
-    panel = np.empty((steps, edges[-1]), dtype=complex)
-    # Views of each block's columns of the panel, one step per row.
-    views = [panel[:, a:b].reshape((steps,) + shape) for a, b, shape in blocks]
-    for top in range(n, 0, -steps):
-        m = min(steps, top)
-        for view, (c, _) in zip(views, pairs):
-            view[:m] = c[top - m : top]
-        for row in panel[m - 1 :: -1]:
+    n = len(pairs[0][0]) if pairs else 0
+    if edges[-1] <= _PANEL_ADD_ELEMENTS:
+        steps = max(1, min(n, _PANEL_ELEMENTS // max(edges[-1], 1)))
+        panel = np.empty((steps, edges[-1]), dtype=complex)
+        # Views of each block's columns of the panel, one step per row.
+        views = [panel[:, a:b].reshape((steps,) + shape) for a, b, shape in spans]
+        for top in range(n, 0, -steps):
+            m = min(steps, top)
+            for view, (c, _) in zip(views, pairs):
+                view[:m] = c[top - m : top]
+            for row in panel[m - 1 :: -1]:
+                acc *= var
+                acc += row
+    else:
+        for k in reversed(range(n)):
             acc *= var
-            acc += row
+            for block, (c, _) in zip(blocks, pairs):
+                block += c[k]
     acc *= var
-    return [acc[a:b].reshape(shape) for a, b, shape in blocks]
+    return blocks
 
 
 def _series(
@@ -313,13 +327,14 @@ def _series(
     With zeta = rho + i omega and a_n = F_n^+ - i F_n^-, the series is
     F = c + Re sum a_n cosh(n zeta), so dF/drho = Re G' and dF/domega =
     -Im G' with G' = sum n a_n sinh(n zeta).  Both sums are four Horner
-    chains in e^{zeta} and e^{-zeta} (_horner), elementwise per point.
+    chains in e^{zeta} and e^{-zeta}, one _horner pair, elementwise per
+    point.
     """
     zeta = np.asarray(rho, dtype=float) + 1j * np.asarray(omega, dtype=float)
     half = 0.5 * (sc.f_plus - 1j * sc.f_minus)
     n = np.arange(1, len(half) + 1, dtype=float)
     coef = np.stack([half, n * half], axis=1).reshape((len(half), 2, 1) + (1,) * zeta.ndim)
-    (up, down), (d_up, d_down) = _horner(coef, np.stack([np.exp(zeta), np.exp(-zeta)]))
+    (up, down), (d_up, d_down) = _horner([(coef, np.stack([np.exp(zeta), np.exp(-zeta)]))])[0]
     return sc.c + (up + down).real, (d_up - d_down).real, (d_down - d_up).imag
 
 

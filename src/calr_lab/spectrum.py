@@ -332,24 +332,22 @@ def _gram_entries(f: ModeFactors, parity) -> np.ndarray:
     return np.array([[f.ci, f.si], [f.cx, f.sx], [f.ce, f.se]])[:, parity]
 
 
-def s_gram(n, g: ConfocalGeometry, parity: str) -> np.ndarray:
-    """Gram matrix of the mode-n density pair in the S-inner product, shape
-    (2, 2) + shape(n) for an array of mode indices n >= 1; an int n gives a
-    column of the array form bit for bit, as in block_matrices.
+def s_gram(n, g: ConfocalGeometry) -> np.ndarray:
+    """Gram matrices of the mode-n density pairs in the S-inner product,
+    cosine span first: shape (2, 2, 2) + shape(n) for an array of indices
+    n >= 1, and an int n gives a column of it bit for bit (as block_matrices).
 
-    parity='cos' gives the Gram matrix of (phi_n_c(i), phi_n_c(e)),
-    parity='sin' the sine analogue.  Both are symmetric positive definite:
+    G_cos is the Gram matrix of (phi_n_c(i), phi_n_c(e)), G_sin the sine
+    analogue.  Both are symmetric positive definite:
 
         G_cos = (pi/n) [[(1+ei)/2, E(1+ei)/2], [E(1+ei)/2, (1+ee)/2]],
         G_sin = (pi/n) [[(1-ei)/2, E(1-ei)/2], [E(1-ei)/2, (1-ee)/2]].
     """
-    if parity not in ("cos", "sin"):
-        raise ValueError(f"parity must be 'cos' or 'sin', got {parity!r}")
     if np.ndim(n) == 0:
-        return s_gram(np.array([n]), g, parity)[..., 0]
+        return s_gram(np.array([n]), g)[..., 0]
     f = mode_factors(n, g)
-    gi, gx, ge = _gram_entries(f, ("cos", "sin").index(parity))
-    return f.pref * np.array([[gi, gx], [gx, ge]])
+    gi, gx, ge = _gram_entries(f, [0, 1])
+    return f.pref * np.moveaxis(np.array([[gi, gx], [gx, ge]]), 2, 0)
 
 
 def critical_radius(rho_i: float, rho_e: float) -> Regime:

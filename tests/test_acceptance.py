@@ -144,13 +144,10 @@ def test_ac3_s_structure():
         table = mode_table(g, 100)
         for n in range(1, 101):
             m = table.row(n)
-            for parity, pairs in (
-                ("cos", ((np.array([m.a1, m.b]), m.norm_1p),
-                         (np.array([m.a2, m.b]), m.norm_2p))),
-                ("sin", ((np.array([m.b, m.a2]), m.norm_1m),
-                         (np.array([m.b, m.a1]), m.norm_2m))),
-            ):
-                gram = s_gram(n, g, parity)
+            for gram, pairs in zip(s_gram(n, g), (
+                ((np.array([m.a1, m.b]), m.norm_1p), (np.array([m.a2, m.b]), m.norm_2p)),
+                ((np.array([m.b, m.a2]), m.norm_1m), (np.array([m.b, m.a1]), m.norm_2m)),
+            )):
                 try:
                     np.linalg.cholesky(gram)
                 except np.linalg.LinAlgError:

@@ -130,6 +130,18 @@ def test_critical_radius_thick(tmp_path):
     assert "disk_equivalent" not in report
 
 
+def test_critical_radius_refuses_a_disk_equivalent_past_double_range(tmp_path, capsys):
+    """A thin shell (500, 1000) has rho_star = 1250, and exp(1250) is past
+    the double range: exit 3 with one numeric failure line naming
+    disk_equivalent, and no critical_radius.json."""
+    cfg = _write_cfg(tmp_path, "c.json", {"geometry": {"R": 1.0, "rho_i": 500, "rho_e": 1000}})
+    out = tmp_path / "out"
+    assert _run(["critical-radius", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: disk_equivalent: exp(1250.0) overflows\n")
+    assert not list(out.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -686,7 +698,7 @@ def _per_mode_closed_form_checks(g):
     norm, pd = 0.0, True
     for n in (1, 2, 5, 10, 25, 50):
         mode = table.row(n)
-        g_cos, g_sin = s_gram(n, g, "cos"), s_gram(n, g, "sin")
+        g_cos, g_sin = s_gram(n, g)
         pd = pd and all(np.all(np.linalg.eigvalsh(m) > 0.0) for m in (g_cos, g_sin))
         for vec, gram, value in (
             (np.array([mode.a1, mode.b]), g_cos, mode.norm_1p),
@@ -1042,6 +1054,48 @@ def test_source_inside_the_shell_is_a_config_error(
     assert err == (f"config error: {where}: radius rho = 0.7 does not lie strictly outside "
                    "rho_e = 0.8\n")
     assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["sweep", "field", "validate"])
+@pytest.mark.parametrize(
+    "source, where, rho",
+    [
+        (dict(_DIPOLE, location={"rho": 720.0, "omega": 0.9}), "source.location", 720.0),
+        (dict(_PAIR, plus={"rho": 400.0, "omega": 0.3}), "source.plus", 400.0),
+    ],
+    ids=["dipole", "charge-pair"],
+)
+def test_source_past_the_closed_form_range_is_a_config_error(
+    tmp_path, capsys, monkeypatch, command, source, where, rho
+):
+    """A source point past 2 pi (R cosh rho)^2 of about 1.8e308 (rho =
+    354.67 at R = 1), the rule sweep applies to its probes, is refused
+    before any work: exit 2, one config error line naming the point's key,
+    and no output file."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the refusal")
+
+    monkeypatch.setattr(cli, "elliptic_coords", no_work)
+    monkeypatch.setattr(oracle, "mode_blocks_for", no_work)
+    cfg = {"geometry": THIN_GEO, "source": source, "sweep": _SWEEP, "field": _FIELD}
+    path = _write_cfg(tmp_path, "far.json", cfg)
+    out = tmp_path / "out"
+    assert _run([command, "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {where}: rho = {rho} puts 2 pi (R cosh rho)^2 out of range\n")
+    assert not list(out.iterdir())
+
+
+def test_sweep_takes_a_charge_pair_just_inside_the_closed_form_range(tmp_path):
+    """A charge at rho = 354, inside the 354.67 bound, still runs: sweep
+    exits 0 with every far sample finite and positive."""
+    source = dict(_PAIR, plus={"rho": 354.0, "omega": 0.3})
+    path = _write_cfg(tmp_path, "near.json", {"geometry": THIN_GEO, "source": source,
+                                              "sweep": _SWEEP})
+    assert _run(["sweep", "--config", path, "--out", str(tmp_path)]) == 0
+    rows = [row.split(",") for row in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+    far = np.array([float(row[4]) for row in rows])
+    assert len(far) == 1 and np.all(np.isfinite(far)) and np.all(far > 0.0)
 
 
 _HUGE = 10**400  # a JSON integer of 401 digits, past the double range

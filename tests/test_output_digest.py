@@ -108,22 +108,39 @@ def test_seed_digests_the_benchmark_workload_configs(tmp_path, monkeypatch, caps
     )
 
 
-def test_outputs_match_the_recorded_digest():
-    """Every output file, standard output, standard error and exit code of
-    the five commands on the bundled configs, run in this process, has the
-    digest line recorded in tests/golden/output_digest.txt.  The failure
-    names the numpy and Python versions the lines were recorded with,
-    since another numpy or libm can move last bits, and shows the lines
-    that differ."""
+def _assert_recorded(configs: Path, golden: Path) -> None:
+    """The digest lines of every config in ``configs``, run in this
+    process, equal those recorded in ``golden``.  The failure names the
+    numpy and Python versions the lines were recorded with, since another
+    numpy or libm can move last bits, and shows the lines that differ."""
     digest = _output_digest()
-    text = GOLDEN.read_text(encoding="utf-8").splitlines()
+    text = golden.read_text(encoding="utf-8").splitlines()
     recorded = dict(re.fullmatch(r"# (numpy|python) (\S+)", line).groups()
                     for line in text if re.fullmatch(r"# (numpy|python) \S+", line))
     want = [line for line in text if not line.startswith("#")]
-    got = digest.in_process_lines(ROOT / "configs")
+    got = digest.in_process_lines(configs)
     diff = "\n".join(difflib.unified_diff(want, got, "recorded", "this run", lineterm="", n=0))
     assert got == want, (
-        f"outputs differ from {GOLDEN.relative_to(ROOT)}, recorded with numpy"
+        f"outputs differ from {golden.relative_to(ROOT)}, recorded with numpy"
         f" {recorded['numpy']} and Python {recorded['python']} (this run: numpy"
         f" {np.__version__}, Python {platform.python_version()}):\n{diff}"
     )
+
+
+def test_outputs_match_the_recorded_digest():
+    """Every output file, standard output, standard error and exit code of
+    the five commands on the bundled configs, run in this process, has the
+    digest line recorded in tests/golden/output_digest.txt."""
+    _assert_recorded(ROOT / "configs", GOLDEN)
+
+
+def test_source_variants_match_the_recorded_digest():
+    """The same for the two source variants the bundled configs (all
+    dipoles) leave out, in tests/golden/configs: a charge pair, whose
+    potential takes the closed form, and a Coefficients source of 12
+    nonzero pairs, whose potential is its series (source._series).  Field
+    evaluates the series at 1112 points, past the panel add's size, and
+    blanks 550 cells past its radius; sweep and validate evaluate it at a
+    few points, within that size."""
+    _assert_recorded(ROOT / "tests" / "golden" / "configs",
+                     ROOT / "tests" / "golden" / "source_variants_digest.txt")

@@ -52,7 +52,7 @@ from calr_lab import (
 )
 from calr_lab.cli import load_config, parse_geometry, parse_source
 from calr_lab.solver import BoundaryForcing, ModeProjection, SweepRecord
-from calr_lab.source import _horner_blocks, elliptic_potential
+from calr_lab.source import _PANEL_ADD_ELEMENTS, _horner, elliptic_potential
 from calr_lab.spectrum import mode_factors
 
 TWO_PI = 2.0 * math.pi
@@ -587,17 +587,23 @@ def test_sweep_evaluates_the_source_once_per_probe(monkeypatch):
 def test_potentials_do_not_depend_on_blocks(monkeypatch):
     """Thousands of points in each region and exactly on both interfaces
     give the same bits whole, in chunks, and alone: a value does not
-    depend on the call its point falls in.  The whole call runs one Horner
-    loop per region and each chunk one loop over all regions (a spy counts
-    _horner_blocks calls), for one row in chunks of 999 points and for
-    three rows, two of them zero-padded, in chunks of 333."""
+    depend on the call its point falls in.  Each call makes one _horner
+    call (a spy records its elements): the whole call's is past
+    _PANEL_ADD_ELEMENTS, so it adds by broadcast, and each chunk's within
+    it, so it adds from a panel, for one row in chunks of 999 points and
+    for three rows, two of them zero-padded, in chunks of 333."""
     src, _, dc1 = _solved_case(THIN, 1.3, 1e-3)
     _, _, dc2 = _solved_case(THIN, 1.3, 1e-5)
     padded = [np.pad(a, (0, len(dc2.p_cos) - len(a))) for a in _arrays(dc1)]
     dc3 = DensityCoefficients(*(np.stack([p, a, p]) for p, a in zip(padded, _arrays(dc2))))
-    calls = []
-    monkeypatch.setattr("calr_lab.solver._horner_blocks",
-                        lambda pairs: calls.append(1) or _horner_blocks(pairs))
+    sizes = []
+
+    def spy(pairs):
+        blocks = _horner(pairs)
+        sizes.append(sum(b.size for b in blocks))
+        return blocks
+
+    monkeypatch.setattr("calr_lab.solver._horner", spy)
     rng = np.random.default_rng(5)
     m = 8192 + 7
     rho = np.concatenate([
@@ -610,12 +616,13 @@ def test_potentials_do_not_depend_on_blocks(monkeypatch):
     order = rng.permutation(rho.size)
     rho, omega = rho[order], omega[order]
     for dc, chunk in ((dc1, 999), (dc3, 333)):
-        calls.clear()
+        sizes.clear()
         whole = eval_potentials(src, dc, THIN, rho, omega)
-        assert calls == []
+        assert len(sizes) == 1 and sizes[0] > _PANEL_ADD_ELEMENTS
+        sizes.clear()
         chunks = [eval_potentials(src, dc, THIN, rho[k : k + chunk], omega[k : k + chunk])
                   for k in range(0, rho.size, chunk)]
-        assert len(calls) == len(chunks)
+        assert len(sizes) == len(chunks) and max(sizes) <= _PANEL_ADD_ELEMENTS
         assert np.concatenate(chunks, axis=-1).tobytes() == whole.tobytes()
         for j in rng.choice(rho.size, 30, replace=False):
             assert np.array_equal(eval_potentials(src, dc, THIN, rho[j], omega[j]),

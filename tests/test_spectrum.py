@@ -234,7 +234,7 @@ def test_family_table_holds_the_eigenpairs_and_norms_of_its_spans(g):
     assert np.array_equal(lams, [table.lambda1, -table.lambda1, table.lambda2, -table.lambda2])
     assert np.array_equal(norms, [table.norm_1p, table.norm_1m, table.norm_2p, table.norm_2m])
     blocks = block_matrices(table.n, g)
-    grams = [s_gram(table.n, g, parity) for parity in ("cos", "sin")]
+    grams = s_gram(table.n, g)
     assert list(FAMILY_PARITY) == [0, 1, 0, 1]
     for k in range(4):
         mat, gram, (v1, v2), lam = blocks[k % 2], grams[k % 2], vecs[k], lams[k]
@@ -261,14 +261,14 @@ def test_mode_eigenvalues_are_mode_tables_past_its_range():
 
 
 def test_s_gram_diagonal_and_symmetry():
-    g_cos = s_gram(1, THIN, "cos")
+    g_cos = s_gram(1, THIN)[0]
     want = float(mpmath.pi * mpmath.e ** mpmath.mpf("-0.5")
                  * mpmath.cosh(mpmath.mpf("0.5")))
     assert math.isclose(g_cos[0, 0], want, rel_tol=1e-15)
     for n in (1, 5, 40, 100):
-        for parity in ("cos", "sin"):
-            gram = s_gram(n, THIN, parity)
-            assert gram.shape == (2, 2)
+        grams = s_gram(n, THIN)
+        assert grams.shape == (2, 2, 2)
+        for gram in grams:
             assert gram[0, 1] == gram[1, 0]
             # Positive definiteness via Cholesky.
             np.linalg.cholesky(gram)
@@ -279,28 +279,26 @@ def test_s_gram_diagonal_and_symmetry():
 )
 def test_one_mode_forms_are_columns_of_the_array_forms(g):
     """block_matrices and s_gram take an array of mode indices, with shape
-    (2, 2) + shape(n); at an int n they give column n of it bit for bit."""
+    (2, 2) + shape(n) per span; at an int n they give column n of it bit
+    for bit."""
     n = np.arange(1, 61)
     a_all, b_all = block_matrices(n, g)
-    grams = {parity: s_gram(n, g, parity) for parity in ("cos", "sin")}
-    assert a_all.shape == b_all.shape == grams["cos"].shape == (2, 2, 60)
+    grams = s_gram(n, g)
+    assert a_all.shape == b_all.shape == (2, 2, 60) and grams.shape == (2, 2, 2, 60)
     for k in n:
         a_mat, b_mat = block_matrices(int(k), g)
         assert np.array_equal(a_mat, a_all[..., k - 1])
         assert np.array_equal(b_mat, b_all[..., k - 1])
-        for parity, gram in grams.items():
-            assert np.array_equal(s_gram(int(k), g, parity), gram[..., k - 1])
+        assert np.array_equal(s_gram(int(k), g), grams[..., k - 1])
     with pytest.raises(ValueError):
         block_matrices(np.array([3, 0, 1]), g)
     with pytest.raises(ValueError):
-        s_gram(np.array([0, 1]), g, "sin")
+        s_gram(np.array([0, 1]), g)
 
 
 def test_s_gram_validation():
     with pytest.raises(ValueError):
-        s_gram(0, THIN, "cos")
-    with pytest.raises(ValueError):
-        s_gram(1, THIN, "tan")
+        s_gram(0, THIN)
 
 
 def test_mode_orthogonality_under_gram():
@@ -310,8 +308,7 @@ def test_mode_orthogonality_under_gram():
         table = mode_table(g, 100)
         for n in range(1, 101):
             row = table.row(n)
-            g_cos = s_gram(n, g, "cos")
-            g_sin = s_gram(n, g, "sin")
+            g_cos, g_sin = s_gram(n, g)
             v1 = np.array([row.a1, row.b])
             v2 = np.array([row.a2, row.b])
             w1 = np.array([row.b, row.a2])
