@@ -46,12 +46,13 @@ class InputError(CalrError, ValueError):
 class SourceError(InputError):
     """Raised, before any work, for a source location the package cannot
     use: past 2 pi (R cosh rho)^2 of double range, or (SourceInsideShell)
-    not strictly outside the outer interface."""
+    not strictly outside the outer interface, as a point or a series."""
 
 
 class SourceInsideShell(SourceError):
-    """Raised, before any work, when a source location does not lie
-    strictly outside the outer interface."""
+    """Raised, before any work, when a source location, or the series
+    radius of expansion data, does not lie strictly outside the outer
+    interface."""
 
 
 class ConfigError(CalrError):

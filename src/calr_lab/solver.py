@@ -88,8 +88,6 @@ from .source import (
 from .spectrum import FAMILY_PARITY, ModeTable, Regime, _gram_entries, mode_factors, mode_table
 
 __all__ = [
-    "BoundaryForcing",
-    "ModeProjection",
     "DensityCoefficients",
     "SweepRecord",
     "CalrVerdict",
@@ -121,24 +119,6 @@ _SPREAD_FLAT = 2.0
 _EXPONENT_MARGIN = 0.05
 _VISIBILITY_DROP = 3.0
 _VISIBILITY_DROP_BIG = 10.0
-
-
-class BoundaryForcing(NamedTuple):
-    """Mode coefficients of the transmission forcing on both interfaces."""
-
-    gc_i: np.ndarray
-    gs_i: np.ndarray
-    gc_e: np.ndarray
-    gs_e: np.ndarray
-
-
-class ModeProjection(NamedTuple):
-    """S-inner products of the forcing with the four families, in spectrum's order."""
-
-    proj_1p: np.ndarray
-    proj_1m: np.ndarray
-    proj_2p: np.ndarray
-    proj_2m: np.ndarray
 
 
 class DensityCoefficients(NamedTuple):
@@ -234,38 +214,40 @@ def adaptive_n_max(delta: float, g: ConfocalGeometry, margin: int = 40) -> int:
     return n
 
 
-def boundary_forcing(sc: Coefficients, g: ConfocalGeometry) -> BoundaryForcing:
-    """Mode coefficients of (dF/dnu_i, -dF/dnu_e) on the two interfaces."""
-    n = np.arange(1, sc.n_max + 1, dtype=float)
+def boundary_forcing(sc: Coefficients, g: ConfocalGeometry) -> np.ndarray:
+    """Mode coefficients of (dF/dnu_i, -dF/dnu_e) on the two interfaces,
+    shape (2, 2, n_max): (Gamma_i, Gamma_e) x (cosine span, sine span) x
+    mode, the order of DensityCoefficients."""
     if 2.0 * sc.n_max * g.rho_e >= _NMAX_GUARD:
         raise OverflowGuard(f"n_max = {sc.n_max} too large for rho_e = {g.rho_e}")
-    gc_i = n * sc.f_plus * np.sinh(n * g.rho_i)
-    gs_i = n * sc.f_minus * np.cosh(n * g.rho_i)
-    gc_e = -n * sc.f_plus * np.sinh(n * g.rho_e)
-    gs_e = -n * sc.f_minus * np.cosh(n * g.rho_e)
-    out = BoundaryForcing(gc_i, gs_i, gc_e, gs_e)
-    if not all(np.all(np.isfinite(arr)) for arr in out):
+    n = np.arange(1, sc.n_max + 1, dtype=float)
+    out = np.array([
+        [n * sc.f_plus * np.sinh(n * g.rho_i), n * sc.f_minus * np.cosh(n * g.rho_i)],
+        [-n * sc.f_plus * np.sinh(n * g.rho_e), -n * sc.f_minus * np.cosh(n * g.rho_e)],
+    ])
+    if not np.all(np.isfinite(out)):
         raise OverflowGuard("forcing coefficients leave double range")
     return out
 
 
-def mode_projections(forcing: BoundaryForcing, modes: ModeTable,
-                     g: ConfocalGeometry) -> ModeProjection:
+def mode_projections(forcing: np.ndarray, modes: ModeTable,
+                     g: ConfocalGeometry) -> np.ndarray:
     """Pair the forcing with the eigenfunction families in the S-product.
 
-    On each mode-n subspace the pairing is the 2x2 Gram form of the
-    density pair: each family of spectrum's table pairs the forcing of its
-    span, (gc_i, gc_e) or (gs_i, gs_e), with its pair (v1, v2); the 1+
-    projection, e.g., is (gc_i, gc_e) G_cos (a1, b)^T.
+    Returns shape (4, n_max), one row per family in spectrum's order.  On
+    each mode-n subspace the pairing is the 2x2 Gram form of the density
+    pair: each family pairs the forcing of its span, forcing[:, parity],
+    with its pair (v1, v2); the 1+ row, e.g., is (g_i, g_e) G_cos (a1, b)^T
+    on the cosine span.
     """
     n = modes.n.astype(float)
-    if len(n) != len(forcing.gc_i):
+    if np.shape(forcing) != (2, 2, len(n)):
         raise ValueError("forcing and mode table have different truncation orders")
     f = mode_factors(n, g)
     gi, gx, ge = _gram_entries(f, FAMILY_PARITY)
-    u1, u2 = np.reshape(forcing, (2, 2, -1))[:, FAMILY_PARITY]  # (interface, span, n)
+    u1, u2 = forcing[:, FAMILY_PARITY]  # (interface, family, n)
     v1, v2 = modes.families()[0].swapaxes(0, 1)
-    return ModeProjection(*(f.pref * (u1 * (gi * v1 + gx * v2) + u2 * (gx * v1 + ge * v2))))
+    return f.pref * (u1 * (gi * v1 + gx * v2) + u2 * (gx * v1 + ge * v2))
 
 
 def _assemble_densities(proj, vecs, lam, norm, deltas, n_maxes) -> DensityCoefficients:
@@ -277,9 +259,9 @@ def _assemble_densities(proj, vecs, lam, norm, deltas, n_maxes) -> DensityCoeffi
     |w| sqrt(norm).
     """
     z = np.array([[z_param(d)] for d in deltas])
-    keep = np.arange(len(proj[0])) < np.asarray(n_maxes)[:, None]
+    keep = np.arange(proj.shape[1]) < np.asarray(n_maxes)[:, None]
     # (family, delta, mode) arrays; z - lambda is z + (-lambda).
-    p, lam, norm = np.array(proj)[:, None], lam[:, None], norm[:, None]
+    p, lam, norm = proj[:, None], lam[:, None], norm[:, None]
     w_1p, w_1m, w_2p, w_2m = w = np.where(keep, p / ((z + lam) * norm), 0.0)
     amp = np.abs(w) * np.sqrt(norm)
     top = np.max(amp, axis=(0, 2))
@@ -490,7 +472,7 @@ def _closed_energies(sc, dc, g, deltas, n_maxes) -> list[float]:
 def _spectral_energies(proj, lam, norms, deltas, n_maxes) -> list[float]:
     """dissipated_power_spectral at each deltas[k] over its leading n_maxes[k] modes."""
     den = norms[:, None] * (lam[:, None]**2 + np.square(np.asarray(deltas, dtype=float))[:, None])
-    p = np.array(proj)[:, None]
+    p = proj[:, None]
     # The term proj^2 / (norm den) has the amplitude |proj| / sqrt(norm den).
     return _energies(np.abs(p) / np.sqrt(den), lambda w: np.sum((p * w) ** 2 / den, axis=0),
                      1.0, deltas, n_maxes)
@@ -520,12 +502,12 @@ def dissipated_power_closed(
     return _closed_energies(sc, dc, g, [delta], [sc.n_max])[0]
 
 
-def dissipated_power_spectral(proj: ModeProjection, modes: ModeTable, delta: float) -> float:
-    """Spectral surrogate of E_delta (resonant-mode sum); OverflowGuard as
-    in dissipated_power_closed."""
+def dissipated_power_spectral(proj: np.ndarray, modes: ModeTable, delta: float) -> float:
+    """Spectral surrogate of E_delta (resonant-mode sum) from the (4, n_max)
+    rows of mode_projections; OverflowGuard as in dissipated_power_closed."""
     if not (delta > 0.0 and math.isfinite(delta)):
         raise ValueError(f"delta must be finite and > 0, got {delta}")
-    return _spectral_energies(proj, *modes.families()[1:], [delta], [len(proj[0])])[0]
+    return _spectral_energies(proj, *modes.families()[1:], [delta], [proj.shape[1]])[0]
 
 
 def sweep(
@@ -557,9 +539,10 @@ def sweep(
     the point source's closed form overflows (source._in_closed_form_range),
     (adaptive_n_max) a delta outside (0, 1) or a negative margin, and
     (newtonian_coefficients) a source point inside the shell or past that
-    range.  Each delta's solve emits the TruncationWarning that
-    solve_densities at its n_max would, and an energy out of double range
-    raises OverflowGuard.  probes may be empty.
+    range, and a series whose radius is not outside the shell.  Each
+    delta's solve emits the TruncationWarning that solve_densities at its
+    n_max would, and an energy out of double range raises OverflowGuard.
+    probes may be empty.
     """
     if len(deltas) == 0:
         raise InputError("deltas: expected a non-empty list")

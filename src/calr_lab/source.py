@@ -77,6 +77,8 @@ __all__ = [
 # treated as sitting on the singularity.
 _SINGULAR_TOL = 1e-12
 
+_NORMAL = np.finfo(float)  # the range of normal doubles
+
 # Number of trailing gap-condition terms used to grade the trend, and the
 # magnitude thresholds for a confident verdict.
 _GC_TAIL = 5
@@ -240,10 +242,15 @@ def newtonian_coefficients(
     is given, each point of the source is checked to lie strictly outside
     the shell (SourceInsideShell) and within _in_closed_form_range
     (SourceError, its base, an InputError); both name source.location etc.
+    A Coefficients source's series_radius must lie strictly outside the
+    shell too (SourceInsideShell), as the forcing on rho_e reads the series.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if isinstance(s, Coefficients):
+        if rho_e is not None and (radius := series_radius(s)) <= rho_e:
+            raise SourceInsideShell(f"source: series radius rho = {radius} does not lie"
+                                    f" strictly outside rho_e = {rho_e}")
         m = min(s.n_max, n_max)
         fp = np.zeros(n_max)
         fm = np.zeros(n_max)
@@ -373,7 +380,16 @@ def newtonian_eval(s: SourceSpec, x: np.ndarray, R: float) -> float | np.ndarray
         value = _dot(r, s.moment) / (2.0 * math.pi * r2)
     elif isinstance(s, ChargePair):
         (_, dp2), (_, dm2) = _offsets(x, R, s.plus, s.minus)
-        value = s.charge * 0.25 * np.log(dp2 / dm2) / math.pi
+        with np.errstate(over="ignore", divide="ignore"):
+            ratio = dp2 / dm2
+            log = np.log(ratio)
+        # Next to one charge, with the other far out, the ratio can leave
+        # the normal doubles although its log is finite; there the log is
+        # log dp2 - log dm2, and every other value keeps its bits.
+        off = ~((ratio >= _NORMAL.tiny) & (ratio <= _NORMAL.max))
+        if off.any():
+            log = np.where(off, np.log(dp2) - np.log(dm2), log)
+        value = s.charge * 0.25 * log / math.pi
     elif isinstance(s, Coefficients):
         rho, omega, focal = elliptic_coords(R, x)
         if focal.any():

@@ -37,7 +37,8 @@ cosine span, odd k on the sine span: FAMILY_PARITY):
     3  2-      (b, a_1)      -lambda_2n   norm_2m
 
 ModeTable.families stacks them for the projection, the density solve,
-the spectral surrogate and validate's eigen and norm checks.
+the spectral surrogate and validate's eigen and norm checks; the same
+order numbers the rows of solver.mode_projections.
 
 Naive evaluation of lambda_2n and a_2n subtracts nearly equal exponentials
 and loses all precision for large n when rho_e > 3 rho_i.  This module
@@ -283,13 +284,13 @@ def mode_eigenvalues(n: np.ndarray, g: ConfocalGeometry) -> tuple[np.ndarray, np
     return _eigenvalues(mode_factors(n, g))[2:]
 
 
-def _mode_arrays(n: np.ndarray, g: ConfocalGeometry):
-    """Shared cancellation-free evaluation over an array of mode indices."""
-    t_max = float(np.max(n)) * 2.0 * g.rho_e
+def _mode_arrays(first: int, last: int, g: ConfocalGeometry):
+    """Shared cancellation-free evaluation over the modes first .. last,
+    range-checked from last before any array is made."""
+    t_max = float(last) * 2.0 * g.rho_e
     if t_max > _EXP_GUARD:
-        raise OverflowGuard(
-            f"2*n*rho_e = {t_max:.1f} exceeds double range at n = {int(np.max(n))}"
-        )
+        raise OverflowGuard(f"2*n*rho_e = {t_max:.1f} exceeds double range at n = {last}")
+    n = np.arange(first, last + 1, dtype=float)
     f = mode_factors(n, g)
     ei, ee, E = f.ei, f.ee, f.E
     d, s, lam1, lam2 = _eigenvalues(f)
@@ -313,16 +314,14 @@ def _mode_arrays(n: np.ndarray, g: ConfocalGeometry):
 
 def mode_data(n: int, g: ConfocalGeometry) -> ModeData:
     """Eigendata of the block operator for a single mode index n >= 1."""
-    vals = _mode_arrays(np.array([float(n)]), g)
-    return ModeData(n, *(float(v[0]) for v in vals))
+    return ModeData(n, *(float(v[0]) for v in _mode_arrays(n, n, g)))
 
 
 def mode_table(g: ConfocalGeometry, n_max: int) -> ModeTable:
     """Eigendata for all modes n = 1 .. n_max at once."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    n = np.arange(1, n_max + 1, dtype=float)
-    vals = _mode_arrays(n, g)
+    vals = _mode_arrays(1, n_max, g)  # range-checked before any array is made
     return ModeTable(np.arange(1, n_max + 1), *vals)
 
 

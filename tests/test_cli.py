@@ -96,6 +96,18 @@ def test_spectrum_refusal_leaves_no_file(tmp_path, capsys):
     assert not (out / "spectrum.csv").exists()
 
 
+def test_spectrum_refuses_a_huge_n_max_before_sizing_the_table(tmp_path, capsys):
+    """n_max = 10**20 is refused by the 2 n rho_e bound (exit 3, one line),
+    before any array of that many modes is asked for."""
+    cfg = _write_cfg(tmp_path, "s.json", {"geometry": THIN_GEO, "spectrum": {"n_max": 10**20}})
+    out = tmp_path / "out"
+    assert _run(["spectrum", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: 2*n*rho_e = 160000000000000000000.0 exceeds double range"
+        " at n = 100000000000000000000\n")
+    assert not (out / "spectrum.csv").exists()
+
+
 def test_spectrum_rejects_bad_geometry(tmp_path, capsys):
     cfg = _write_cfg(
         tmp_path, "s.json",
@@ -901,8 +913,9 @@ _PAIR = {"variant": "charge_pair", "plus": {"rho": 1.0, "omega": 0.3},
          "minus": {"rho": 1.1, "omega": 2.0}, "charge": 1.0}
 _SWEEP = {"deltas": [1e-3], "probes": [{"rho": 1.2, "omega": 0.6}]}
 _FIELD = {"delta": 1e-3, "n1": 9, "n2": 9}
-# F_n^+ = e^{-0.5 n}, n = 1 .. 40: a series whose radius 0.5 lies inside the shell.
-_SERIES = {"variant": "coefficients", "f_plus": np.exp(-0.5 * np.arange(1, 41)).tolist(),
+# F_n^+ = e^{-1.1 n}, n = 1 .. 40: a series whose radius 1.1 lies between rho_e = 0.8
+# and the probe at 1.2.
+_SERIES = {"variant": "coefficients", "f_plus": np.exp(-1.1 * np.arange(1, 41)).tolist(),
            "f_minus": [0.0] * 40}
 _SERIES_RADIUS = convergence_exponent(Coefficients(0.0, _SERIES["f_plus"], _SERIES["f_minus"]))
 
@@ -1008,10 +1021,10 @@ def test_library_refuses_what_the_cli_reports(
 
 
 def test_sweep_and_field_read_one_series_radius(tmp_path, capsys):
-    """A probe at rho = 1.2, past the radius 0.5 of a series source, is
+    """A probe at rho = 1.2, past the radius 1.1 of a series source, is
     refused by sweep (exit 2, one config error line, no sweep.csv) rather
     than sampled from a divergent sum, while field blanks the same source's
-    cells past that radius: 74 of its 9 x 9 grid, besides the focal ones."""
+    cells past that radius: 54 of its 9 x 9 grid, besides the focal ones."""
     path = _write_cfg(tmp_path, "series.json", {
         "geometry": THIN_GEO, "source": _SERIES, "sweep": _SWEEP, "field": _FIELD})
     out = tmp_path / "out"
@@ -1020,10 +1033,10 @@ def test_sweep_and_field_read_one_series_radius(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("config error: sweep.probes[0]: ")
     assert not (out / "sweep.csv").exists()
     assert _run(["field", "--config", path, "--out", str(out)]) == 0
-    assert f"left 74 points blank at rho >= {_SERIES_RADIUS!r}" in capsys.readouterr().out
+    assert f"left 54 points blank at rho >= {_SERIES_RADIUS!r}" in capsys.readouterr().out
     rows = (out / "field.csv").read_text().splitlines()[1:]
     # The other 3 blank cells lie on the focal segment.
-    assert len(rows) == 81 and sum(row.endswith(",,,") for row in rows) == 74 + 3
+    assert len(rows) == 81 and sum(row.endswith(",,,") for row in rows) == 54 + 3
 
 
 @pytest.mark.parametrize("command", ["sweep", "field", "validate"])
@@ -1053,6 +1066,38 @@ def test_source_inside_the_shell_is_a_config_error(
     err = capsys.readouterr().err
     assert err == (f"config error: {where}: radius rho = 0.7 does not lie strictly outside "
                    "rho_e = 0.8\n")
+    assert not list(out.iterdir())
+
+
+# F_n^+- = e^{-0.6 n} (cos, sin)(0.9 n), n = 1 .. 40: fitted radius 0.6, inside rho_e = 0.8.
+_SERIES_INSIDE = {
+    "variant": "coefficients",
+    "f_plus": (np.exp(-0.6 * np.arange(1, 41)) * np.cos(0.9 * np.arange(1, 41))).tolist(),
+    "f_minus": (np.exp(-0.6 * np.arange(1, 41)) * np.sin(0.9 * np.arange(1, 41))).tolist(),
+}
+
+
+@pytest.mark.parametrize("command", ["field", "validate"])
+def test_series_inside_the_shell_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    """A series whose radius 0.6 lies inside rho_e = 0.8 diverges on the
+    outer interface, so the forcing there cannot be read from it: refused
+    before any work, exit 2, one config error line naming both radii, and
+    no output file."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the refusal")
+
+    monkeypatch.setattr(cli, "elliptic_coords", no_work)
+    monkeypatch.setattr(oracle, "mode_blocks_for", no_work)
+    radius = convergence_exponent(
+        Coefficients(0.0, _SERIES_INSIDE["f_plus"], _SERIES_INSIDE["f_minus"]))
+    cfg = {"geometry": THIN_GEO, "source": _SERIES_INSIDE,
+           "field": dict(_FIELD, rho_max=1.2)}
+    path = _write_cfg(tmp_path, "series.json", cfg)
+    out = tmp_path / "out"
+    assert _run([command, "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: source: series radius rho = {radius} does not lie strictly"
+        " outside rho_e = 0.8\n")
     assert not list(out.iterdir())
 
 
@@ -1096,6 +1141,21 @@ def test_sweep_takes_a_charge_pair_just_inside_the_closed_form_range(tmp_path):
     rows = [row.split(",") for row in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
     far = np.array([float(row[4]) for row in rows])
     assert len(far) == 1 and np.all(np.isfinite(far)) and np.all(far > 0.0)
+
+
+def test_field_of_a_charge_pair_with_one_charge_far_out(tmp_path, capsys):
+    """The plus charge at rho = 354 on dipole_outside's geometry and grid:
+    next to the minus charge dp2 / dm2 overflows, yet every cell is finite
+    and nothing is warned."""
+    cfg = json.loads((CONFIGS / "dipole_outside.json").read_text())
+    cfg["source"] = dict(_PAIR, plus={"rho": 354.0, "omega": 0.3},
+                         minus={"rho": 1.5, "omega": 2.0})
+    path = _write_cfg(tmp_path, "far_pair.json", cfg)
+    assert _run(["field", "--config", path, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    text = (tmp_path / "field.csv").read_text()
+    assert "inf" not in text and "nan" not in text
+    assert len(text.splitlines()) == 1 + 81 * 81
 
 
 _HUGE = 10**400  # a JSON integer of 401 digits, past the double range

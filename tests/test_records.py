@@ -20,13 +20,7 @@ from calr_lab import (
 )
 from calr_lab.geometry import SampledCurve
 from calr_lab.oracle import BlockNPMatrix, SpectrumReport
-from calr_lab.solver import (
-    BoundaryForcing,
-    CalrDiagnosis,
-    DensityCoefficients,
-    ModeProjection,
-    SweepRecord,
-)
+from calr_lab.solver import CalrDiagnosis, DensityCoefficients, SweepRecord
 from calr_lab.source import GapConditionReport, GapVerdict
 from calr_lab.spectrum import (
     AsymptoticRates,
@@ -46,8 +40,6 @@ RECORD_FIELDS = {
     ModeTable: ("n", "lambda1", "lambda2", "a1", "a2", "b") + NORMS,
     Regime: ("kind", "rho_star", "far_bound_rho"),
     AsymptoticRates: ("kind", "lambda1_rate", "lambda2_rate", "norm_rates"),
-    BoundaryForcing: ("gc_i", "gs_i", "gc_e", "gs_e"),
-    ModeProjection: ("proj_1p", "proj_1m", "proj_2p", "proj_2m"),
     DensityCoefficients: ("p_cos", "p_sin", "q_cos", "q_sin"),
     SweepRecord: ("delta", "n_max", "e_direct", "e_spectral", "far_samples", "normalized_far"),
     CalrDiagnosis: (

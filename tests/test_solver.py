@@ -51,7 +51,7 @@ from calr_lab import (
     z_param,
 )
 from calr_lab.cli import load_config, parse_geometry, parse_source
-from calr_lab.solver import BoundaryForcing, ModeProjection, SweepRecord
+from calr_lab.solver import SweepRecord
 from calr_lab.source import _PANEL_ADD_ELEMENTS, _horner, elliptic_potential
 from calr_lab.spectrum import mode_factors
 
@@ -171,20 +171,21 @@ def test_mode_projections_against_quadrature():
     src = Dipole(EllipticPoint(1.2, 0.7), np.array([1.0, 0.5]))
     sc = newtonian_coefficients(src, 10, 1.0, rho_e=THIN.rho_e)
     forcing = boundary_forcing(sc, THIN)
-    proj = mode_projections(forcing, mode_table(THIN, 10), THIN)
+    proj_1p, proj_1m, proj_2p, proj_2m = mode_projections(forcing, mode_table(THIN, 10), THIN)
+    (gc_i, gs_i), (gc_e, gs_e) = forcing
     nn = np.arange(1, 11)
-    g_i = (forcing.gc_i[:, None] * np.cos(np.outer(nn, om))
-           + forcing.gs_i[:, None] * np.sin(np.outer(nn, om))).sum(axis=0) / xii
-    g_e = (forcing.gc_e[:, None] * np.cos(np.outer(nn, om))
-           + forcing.gs_e[:, None] * np.sin(np.outer(nn, om))).sum(axis=0) / xie
+    g_i = (gc_i[:, None] * np.cos(np.outer(nn, om))
+           + gs_i[:, None] * np.sin(np.outer(nn, om))).sum(axis=0) / xii
+    g_e = (gc_e[:, None] * np.cos(np.outer(nn, om))
+           + gs_e[:, None] * np.sin(np.outer(nn, om))).sum(axis=0) / xie
     table = mode_table(THIN, 10)
     for n in range(1, 11):
         row = table.row(n)
         families = (
-            ((row.a1, row.b), np.cos(n * om), proj.proj_1p[n - 1]),
-            ((row.b, row.a2), np.sin(n * om), proj.proj_1m[n - 1]),
-            ((row.a2, row.b), np.cos(n * om), proj.proj_2p[n - 1]),
-            ((row.b, row.a1), np.sin(n * om), proj.proj_2m[n - 1]),
+            ((row.a1, row.b), np.cos(n * om), proj_1p[n - 1]),
+            ((row.b, row.a2), np.sin(n * om), proj_1m[n - 1]),
+            ((row.a2, row.b), np.cos(n * om), proj_2p[n - 1]),
+            ((row.b, row.a1), np.sin(n * om), proj_2m[n - 1]),
         )
         for (c_i, c_e), trig, want in families:
             v_i = c_i * trig / xii
@@ -269,7 +270,8 @@ def test_boundary_forcing_constant_source():
         Coefficients(c=3.0, f_plus=np.zeros(6), f_minus=np.zeros(6)), 6, 1.0
     )
     forcing = boundary_forcing(sc, THIN)
-    for arr in (forcing.gc_i, forcing.gs_i, forcing.gc_e, forcing.gs_e):
+    assert forcing.shape == (2, 2, 6)
+    for arr in forcing.reshape(4, -1):
         assert np.all(arr == 0.0)
 
 
@@ -278,11 +280,11 @@ def test_boundary_forcing_single_mode():
         Coefficients(c=0.0, f_plus=np.array([1.0]), f_minus=np.array([0.0])),
         1, 1.0,
     )
-    forcing = boundary_forcing(sc, THIN)
-    assert math.isclose(forcing.gc_i[0], math.sinh(0.5), rel_tol=1e-15)
-    assert math.isclose(forcing.gc_e[0], -math.sinh(0.8), rel_tol=1e-15)
-    assert forcing.gs_i[0] == 0.0
-    assert forcing.gs_e[0] == 0.0
+    (gc_i, gs_i), (gc_e, gs_e) = boundary_forcing(sc, THIN)
+    assert math.isclose(gc_i[0], math.sinh(0.5), rel_tol=1e-15)
+    assert math.isclose(gc_e[0], -math.sinh(0.8), rel_tol=1e-15)
+    assert gs_i[0] == 0.0
+    assert gs_e[0] == 0.0
 
 
 def test_boundary_forcing_against_fourier_oracle():
@@ -295,9 +297,9 @@ def test_boundary_forcing_against_fourier_oracle():
     forcing = boundary_forcing(sc, THIN)
     m = 1024
     om = TWO_PI * np.arange(m) / m
-    for rho_t, g_cos, g_sin, sign in (
-        (THIN.rho_i, forcing.gc_i, forcing.gs_i, 1.0),
-        (THIN.rho_e, forcing.gc_e, forcing.gs_e, -1.0),
+    for rho_t, (g_cos, g_sin), sign in (
+        (THIN.rho_i, forcing[0], 1.0),
+        (THIN.rho_e, forcing[1], -1.0),
     ):
         ch, sh = math.cosh(rho_t), math.sinh(rho_t)
         pts = np.column_stack([np.cos(om) * ch, np.sin(om) * sh])
@@ -319,12 +321,13 @@ def test_projection_of_missing_mode_is_zero():
     sc = newtonian_coefficients(
         Coefficients(c=0.0, f_plus=f_plus, f_minus=np.zeros(6)), 6, 1.0
     )
-    proj = mode_projections(boundary_forcing(sc, THIN), mode_table(THIN, 6), THIN)
+    proj_1p, proj_1m, proj_2p, proj_2m = mode_projections(
+        boundary_forcing(sc, THIN), mode_table(THIN, 6), THIN)
     for k in (1, 2, 3, 5):  # modes 2, 3, 4, 6 carry no forcing
-        assert proj.proj_1p[k] == 0.0
-        assert proj.proj_2p[k] == 0.0
-        assert proj.proj_1m[k] == 0.0
-        assert proj.proj_2m[k] == 0.0
+        assert proj_1p[k] == 0.0
+        assert proj_2p[k] == 0.0
+        assert proj_1m[k] == 0.0
+        assert proj_2m[k] == 0.0
 
 
 
@@ -351,15 +354,16 @@ def test_mode_projections_equal_the_per_family_gram_forms_bit_for_bit(g):
     def pair_sin(u1, u2, v1, v2):
         return pref * (u1 * (si * v1 + sx * v2) + u2 * (sx * v1 + se * v2))
 
-    want = ModeProjection(
-        proj_1p=pair_cos(forcing.gc_i, forcing.gc_e, modes.a1, modes.b),
-        proj_1m=pair_sin(forcing.gs_i, forcing.gs_e, modes.b, modes.a2),
-        proj_2p=pair_cos(forcing.gc_i, forcing.gc_e, modes.a2, modes.b),
-        proj_2m=pair_sin(forcing.gs_i, forcing.gs_e, modes.b, modes.a1),
-    )
+    (gc_i, gs_i), (gc_e, gs_e) = forcing
+    want = np.array([
+        pair_cos(gc_i, gc_e, modes.a1, modes.b),
+        pair_sin(gs_i, gs_e, modes.b, modes.a2),
+        pair_cos(gc_i, gc_e, modes.a2, modes.b),
+        pair_sin(gs_i, gs_e, modes.b, modes.a1),
+    ])
     got = mode_projections(forcing, modes, g)
     assert np.all(np.isfinite(want)) and np.all(np.abs(want) > 0.0)
-    for name, a, b in zip(ModeProjection._fields, got, want):
+    for name, a, b in zip(("1+", "1-", "2+", "2-"), got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 def test_projection_thin_ratio_approaches_half_pi():
@@ -368,14 +372,12 @@ def test_projection_thin_ratio_approaches_half_pi():
     n_max = 60
     n = np.arange(1, n_max + 1)
     f_plus = np.exp(-1.2 * n)
-    forcing = BoundaryForcing(
-        gc_i=n * f_plus * np.sinh(n * THIN.rho_i),
-        gs_i=np.zeros(n_max),
-        gc_e=-n * f_plus * np.sinh(n * THIN.rho_e),
-        gs_e=np.zeros(n_max),
-    )
+    forcing = np.array([
+        [n * f_plus * np.sinh(n * THIN.rho_i), np.zeros(n_max)],
+        [-n * f_plus * np.sinh(n * THIN.rho_e), np.zeros(n_max)],
+    ])
     proj = mode_projections(forcing, mode_table(THIN, n_max), THIN)
-    ratio = proj.proj_1p / (f_plus * np.exp(n * THIN.rho_i))
+    ratio = proj[0] / (f_plus * np.exp(n * THIN.rho_i))
     window = ratio[19:60]
     assert np.max(np.abs(window - math.pi / 2)) < 1e-3 * (math.pi / 2)
 
@@ -937,11 +939,8 @@ def test_dissipated_power_spectral_single_mode():
     table = mode_table(THIN, 12)
     n_star = 5
     proj_val = 0.7
-    arr = np.zeros(12)
-    arr[n_star - 1] = proj_val
-    proj = ModeProjection(
-        proj_1p=arr, proj_1m=np.zeros(12), proj_2p=np.zeros(12), proj_2m=np.zeros(12)
-    )
+    proj = np.zeros((4, 12))  # rows 1+, 1-, 2+, 2-
+    proj[0, n_star - 1] = proj_val
     row = table.row(n_star)
     for delta in (1e-2, 1e-3, 1e-4):
         want = delta * proj_val**2 / ((row.lambda1**2 + delta**2) * row.norm_1p)
@@ -954,11 +953,8 @@ def test_dissipated_power_peaks_at_eigenvalue():
     spectral power is maximal where delta matches the eigenvalue."""
     table = mode_table(THIN, 12)
     n_star = 5
-    arr = np.zeros(12)
-    arr[n_star - 1] = 1.0
-    proj = ModeProjection(
-        proj_1p=arr, proj_1m=np.zeros(12), proj_2p=np.zeros(12), proj_2m=np.zeros(12)
-    )
+    proj = np.zeros((4, 12))  # rows 1+, 1-, 2+, 2-
+    proj[0, n_star - 1] = 1.0
     lam = abs(table.row(n_star).lambda1)
     grid = lam * np.logspace(-1.0, 1.0, 17)
     powers = [dissipated_power_spectral(proj, table, float(d)) for d in grid]
@@ -969,10 +965,7 @@ def test_dissipated_power_peaks_at_eigenvalue():
 
 def test_dissipated_power_validation():
     table = mode_table(THIN, 4)
-    proj = ModeProjection(
-        proj_1p=np.zeros(4), proj_1m=np.zeros(4),
-        proj_2p=np.zeros(4), proj_2m=np.zeros(4),
-    )
+    proj = np.zeros((4, 4))
     with pytest.raises(ValueError):
         dissipated_power_spectral(proj, table, 0.0)
 

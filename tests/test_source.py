@@ -517,6 +517,54 @@ def test_source_inside_shell_rejected():
         )
 
 
+# F_n^+- = e^{-0.6 n} (cos, sin)(0.9 n), n = 1 .. 40: fitted radius 0.6, inside rho_e = 0.8.
+_SERIES_06 = Coefficients(
+    0.0,
+    np.exp(-0.6 * np.arange(1, 41)) * np.cos(0.9 * np.arange(1, 41)),
+    np.exp(-0.6 * np.arange(1, 41)) * np.sin(0.9 * np.arange(1, 41)),
+)
+
+
+def test_series_not_outside_the_shell_rejected():
+    """A Coefficients source whose series radius is at or inside rho_e
+    is refused as a source inside the shell, naming both radii; without
+    rho_e, or as a polynomial (infinite radius), it is taken as given."""
+    radius = convergence_exponent(_SERIES_06)
+    assert abs(radius - 0.6) < 1e-12
+    with pytest.raises(SourceInsideShell) as info:
+        newtonian_coefficients(_SERIES_06, 20, 1.0, rho_e=THIN.rho_e)
+    assert str(info.value) == (
+        f"source: series radius rho = {radius} does not lie strictly outside rho_e = 0.8")
+    with pytest.raises(SourceInsideShell):
+        newtonian_coefficients(_SERIES_06, 20, 1.0, rho_e=radius)
+    assert newtonian_coefficients(_SERIES_06, 20, 1.0).n_max == 20
+    poly = Coefficients(0.0, _SERIES_06.f_plus[:9], _SERIES_06.f_minus[:9])
+    assert newtonian_coefficients(poly, 20, 1.0, rho_e=THIN.rho_e).n_max == 20
+
+
+def test_charge_pair_log_next_to_one_charge_with_the_other_far_out():
+    """With the plus charge at rho = 354 the squared distance dp2 is about
+    7.6e306, so dp2 / dm2 overflows next to the minus charge; there F is
+    log dp2 - log dm2, finite and within 1e-14 of 30-digit arithmetic on
+    the same doubles, while every other point keeps the quotient's log."""
+    pair = ChargePair(EllipticPoint(354.0, 0.3), EllipticPoint(1.5, 2.0), 1.0)
+    a, b = math.cosh(1.4), math.sinh(1.4)  # dipole_outside's 81 x 81 field grid
+    x = np.stack(np.meshgrid(np.linspace(-a, a, 81), np.linspace(-b, b, 81)), axis=-1)
+    got = newtonian_eval(pair, x, 1.0)
+    xp, xm = to_cartesian(1.0, pair.plus), to_cartesian(1.0, pair.minus)
+    dp2, dm2 = (np.sum((x - c) ** 2, axis=-1) for c in (xp, xm))
+    with np.errstate(over="ignore"):
+        off = ~np.isfinite(dp2 / dm2)
+    assert np.count_nonzero(off) == 24 and np.all(np.isfinite(got))
+    assert np.array_equal(got[~off], 0.25 * np.log(dp2[~off] / dm2[~off]) / math.pi)
+    mpmath.mp.dps = 30
+    for point, value in zip(x[off], got[off]):
+        d2 = [sum((mpmath.mpf(float(u)) - mpmath.mpf(float(v))) ** 2 for u, v in zip(point, c))
+              for c in (xp, xm)]
+        want = mpmath.log(d2[0] / d2[1]) / (4 * mpmath.pi)
+        assert abs(value - want) <= 1e-14 * abs(want)
+
+
 def test_source_validation():
     with pytest.raises(ValueError):
         Dipole(EllipticPoint(0.0, 0.0), np.array([1.0, 0.0]))

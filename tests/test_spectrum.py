@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -439,3 +440,16 @@ def test_mode_validation():
         mode_table(THIN, 0)
     with pytest.raises(ValueError):
         block_matrices(0, THIN)
+
+
+def test_mode_table_refuses_before_sizing_its_arrays():
+    """The 2 n rho_e bound is checked from n_max alone: refusing two
+    million modes allocates under 1 MB, not a 16 MB array of indices."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverflowGuard, match=r"at n = 2000000$"):
+            mode_table(THIN, 2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib.util
 import io
 import statistics
 import sys
@@ -43,6 +42,11 @@ from pathlib import Path
 from unittest import mock
 
 THIS_CHECKOUT = Path(__file__).resolve().parent.parent
+# output_digest, beside this script, loads perfbench/workloads.py for both tools.
+if str(THIS_CHECKOUT / "tools") not in sys.path:
+    sys.path.insert(0, str(THIS_CHECKOUT / "tools"))
+from output_digest import seeded_configs, workloads  # noqa: E402
+
 STAGES = ("coefficients", "grid", "solve", "layers", "F", "text", "write")
 
 
@@ -60,14 +64,8 @@ def _import_cli(root: Path):
 
 def _field_configs(seed: int, directory: Path) -> list[Path]:
     """The field workload configs of one benchmark seed, written into directory."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", THIS_CHECKOUT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look the module up there
-    spec.loader.exec_module(workloads)
-    directory.mkdir(parents=True, exist_ok=True)
-    workloads.write_configs(seed, directory)
-    return [directory / f"{name}.json" for _, name in workloads.WORKLOADS["field"][0]]
+    seeded_configs(seed, directory)
+    return [directory / f"{name}.json" for _, name in workloads().WORKLOADS["field"][0]]
 
 
 def field_stages(cli, config: Path, out_dir: Path) -> tuple[int, dict[str, float]]:

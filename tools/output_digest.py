@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import importlib.util
 import io
@@ -122,16 +123,22 @@ def in_process_lines(configs: Path) -> list[str]:
     return _lines(configs.resolve(), run)
 
 
+@functools.cache
+def workloads():
+    """perfbench/workloads.py of the checkout holding this script, loaded once."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", THIS_CHECKOUT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up there
+    spec.loader.exec_module(module)
+    return module
+
+
 def seeded_configs(seed: int, directory: Path) -> Path:
     """Write the benchmark workload configs of one seed into directory with
     perfbench/workloads.write_configs of this checkout; returns directory."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", THIS_CHECKOUT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look the module up there
-    spec.loader.exec_module(workloads)
     directory.mkdir(parents=True, exist_ok=True)
-    workloads.write_configs(seed, directory)
+    workloads().write_configs(seed, directory)
     return directory
 
 
