@@ -39,7 +39,6 @@ from .geometry import (
 from .solver import (
     CalrDiagnosis,
     CalrVerdict,
-    DensityCoefficients,
     SweepRecord,
     adaptive_n_max,
     boundary_forcing,
@@ -108,7 +107,6 @@ __all__ = [
     "ConfocalGeometry",
     "CurveOverlap",
     "DegeneratePoint",
-    "DensityCoefficients",
     "Dipole",
     "EigensolveFailure",
     "EllipticPoint",

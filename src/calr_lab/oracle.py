@@ -85,7 +85,7 @@ from .errors import CurveOverlap, EigensolveFailure, InputError
 from .geometry import (
     ConfocalGeometry, EllipticPoint, SampledCurve, cartesian, sample_ellipse, tangents
 )
-from .solver import DensityCoefficients, _one_row, _solve, adaptive_n_max, eval_potentials
+from .solver import _one_row, _solve, adaptive_n_max, eval_potentials
 from .source import (
     ChargePair,
     Coefficients,
@@ -560,7 +560,7 @@ def _series_radial(sc: Coefficients, rho) -> tuple[np.ndarray, ...]:
 
 def _shell_gradient_grid(
     source: SourceSpec,
-    dc: DensityCoefficients,
+    dc: np.ndarray,
     g: ConfocalGeometry,
     rhos: np.ndarray,
     omegas: np.ndarray,
@@ -568,20 +568,22 @@ def _shell_gradient_grid(
     """(dV/drho, dV/domega) on the tensor grid rhos x omegas in the shell.
 
     Separable matmuls over the modes keep the cost at (n_rho + n_omega)
-    n_max entries rather than n_rho n_omega n_max.  dc is one row.
+    n_max entries rather than n_rho n_omega n_max.  dc is one row
+    (2, 2, n_max).
     """
     _one_row(dc)
-    n = np.arange(1, len(dc.p_cos) + 1, dtype=float)
+    (p_cos, p_sin), (q_cos, q_sin) = dc
+    n = np.arange(1, np.shape(dc)[-1] + 1, dtype=float)
     (chi, che), (shi, she) = _layer_radial(n, g, rhos)
 
     cw = np.cos(np.outer(n, omegas))
     sw = np.sin(np.outer(n, omegas))
 
     # In the shell sigma_i = -1 and sigma_e = +1 (also on the interfaces).
-    a_rho = dc.p_cos * chi - dc.q_cos * she
-    b_rho = dc.p_sin * shi - dc.q_sin * che
-    a_om = dc.p_cos * chi + dc.q_cos * che
-    b_om = -dc.p_sin * shi - dc.q_sin * she
+    a_rho = p_cos * chi - q_cos * she
+    b_rho = p_sin * shi - q_sin * che
+    a_om = p_cos * chi + q_cos * che
+    b_om = -p_sin * shi - q_sin * she
 
     d_rho = a_rho @ cw + b_rho @ sw
     d_omega = a_om @ sw + b_om @ cw
@@ -600,7 +602,7 @@ def _shell_gradient_grid(
 
 def eval_gradient_shell(
     source: SourceSpec,
-    dc: DensityCoefficients,
+    dc: np.ndarray,
     g: ConfocalGeometry,
     rho: float,
     omega: float,
@@ -628,7 +630,7 @@ def _gauss_panels(a: float, b: float, panels: int, order: int):
 
 def dissipated_power_direct(
     source: SourceSpec,
-    dc: DensityCoefficients,
+    dc: np.ndarray,
     g: ConfocalGeometry,
     delta: float,
     n_omega: int | None = None,
@@ -642,7 +644,7 @@ def dissipated_power_direct(
     max(4 n_max + 2, 512) already sits deep in the converged regime.
     """
     if n_omega is None:
-        n_omega = max(4 * len(dc.p_cos) + 2, 512)
+        n_omega = max(4 * np.shape(dc)[-1] + 2, 512)
     rhos, w_rho = _gauss_panels(g.rho_i, g.rho_e, n_panels, _GL_ORDER)
     omegas = 2.0 * math.pi * np.arange(n_omega) / n_omega
     d_rho, d_omega = _shell_gradient_grid(source, dc, g, rhos, omegas)
@@ -798,7 +800,7 @@ def validate(
     # 5. Transmission conditions for the source, from the +-delta rows cut
     # to their truncation; one evaluator call serves steps 5 and 7.
     dc, e_direct, e_spectral = solved
-    rows = DensityCoefficients(*(a[:2, : n_maxes[0]] for a in dc))
+    rows = dc[:, :, :2, : n_maxes[0]]
     stencil = np.array([-49.0 / 20, 6.0, -15.0 / 2, 20.0 / 3, -15.0 / 4, 6.0 / 5, -1.0 / 6])
     h = 1e-4
     omegas = np.linspace(0.07, 2.0 * math.pi - 0.13, 12)

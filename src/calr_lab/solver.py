@@ -25,6 +25,16 @@ F = c + sum (F_n^+ cos cosh + F_n^- sin sinh) (see source):
     g_i projections:  +n F_n^+ sinh(n rho_i),  +n F_n^- cosh(n rho_i),
     g_e projections:  -n F_n^+ sinh(n rho_e),  -n F_n^- cosh(n rho_e).
 
+The forcing (boundary_forcing) and the densities share one layout:
+complex arrays over (Gamma_i, Gamma_e) x (cosine span, sine span) x mode,
+shape (2, 2, n_max), index [..., n-1] holding mode n, so that
+
+    phi_i = sum_n dc[0, 0, n-1] phi_n_c(i) + dc[0, 1, n-1] phi_n_s(i),
+
+and phi_e likewise from dc[1].  The spans do not mix: dc[:, s] is driven
+by forcing[:, s] alone.  A solve over K losses puts its rows before the
+mode axis, (2, 2, K, n_max).
+
 Dissipated power is E_delta = delta * ||grad V||^2 over the shell.  In the
 shell every mode of V is alpha e^{n rho} + beta e^{-n rho}; the omega
 integral removes the cross terms and the metric Jacobian cancels, so the
@@ -44,7 +54,7 @@ x = e^{-(rho - lo) + i omega} or y = e^{-(hi - rho) + i omega} and their
 conjugates, scaled by constants e^{-n c} with c >= 0; the source series
 is a power series in e^{zeta} and e^{-zeta}.  eval_potentials sums them
 all with one Horner recurrence (source._horner), for each density row
-(the solve's (delta, mode) rows, or one row) at each point, so a value
+(the K rows of a solve over K losses, or one row) at each point, so a value
 depends neither on the other points or rows nor on trailing zero
 densities; sweep relies on this to evaluate all its deltas in one call.
 The chains of all three regions run in one _horner call; how it adds
@@ -88,7 +98,6 @@ from .source import (
 from .spectrum import FAMILY_PARITY, ModeTable, Regime, _gram_entries, mode_factors, mode_table
 
 __all__ = [
-    "DensityCoefficients",
     "SweepRecord",
     "CalrVerdict",
     "CalrDiagnosis",
@@ -121,25 +130,11 @@ _VISIBILITY_DROP = 3.0
 _VISIBILITY_DROP_BIG = 10.0
 
 
-class DensityCoefficients(NamedTuple):
-    """Complex density coefficients; index [..., n-1] holds mode n.
-
-    phi_i = sum p_cos[n] phi_n_c(i) + p_sin[n] phi_n_s(i), and q_* likewise
-    for phi_e.  Each array is one solve's row (n_max,), or K rows
-    (K, n_max), one per loss value, as a sweep solves them.
-    """
-
-    p_cos: np.ndarray
-    p_sin: np.ndarray
-    q_cos: np.ndarray
-    q_sin: np.ndarray
-
-
-def _one_row(dc: DensityCoefficients) -> None:
-    """ValueError, naming the shape, unless dc is one row (n_max,)."""
-    if np.ndim(dc.p_cos) != 1:
+def _one_row(dc: np.ndarray) -> None:
+    """ValueError, naming the shape, unless dc is one row (2, 2, n_max)."""
+    if np.ndim(dc) != 3:
         raise ValueError(
-            f"expected one density row of shape (n_max,), got shape {np.shape(dc.p_cos)}")
+            f"expected one density row of shape (2, 2, n_max), got shape {np.shape(dc)}")
 
 
 class SweepRecord(NamedTuple):
@@ -217,7 +212,7 @@ def adaptive_n_max(delta: float, g: ConfocalGeometry, margin: int = 40) -> int:
 def boundary_forcing(sc: Coefficients, g: ConfocalGeometry) -> np.ndarray:
     """Mode coefficients of (dF/dnu_i, -dF/dnu_e) on the two interfaces,
     shape (2, 2, n_max): (Gamma_i, Gamma_e) x (cosine span, sine span) x
-    mode, the order of DensityCoefficients."""
+    mode, the layout of the densities that solve_densities returns."""
     if 2.0 * sc.n_max * g.rho_e >= _NMAX_GUARD:
         raise OverflowGuard(f"n_max = {sc.n_max} too large for rho_e = {g.rho_e}")
     n = np.arange(1, sc.n_max + 1, dtype=float)
@@ -250,8 +245,9 @@ def mode_projections(forcing: np.ndarray, modes: ModeTable,
     return f.pref * (u1 * (gi * v1 + gx * v2) + u2 * (gx * v1 + ge * v2))
 
 
-def _assemble_densities(proj, vecs, lam, norm, deltas, n_maxes) -> DensityCoefficients:
-    """(K, n_top) densities: row k solved at deltas[k], zero past n_maxes[k].
+def _assemble_densities(proj, vecs, lam, norm, deltas, n_maxes) -> np.ndarray:
+    """(2, 2, K, n_top) densities: row k solved at deltas[k], zero past
+    n_maxes[k].
 
     Warns (TruncationWarning, at the caller of _solve's caller) once per
     delta, in order, when the row's last mode carries over 1e-10 of its
@@ -272,8 +268,8 @@ def _assemble_densities(proj, vecs, lam, norm, deltas, n_maxes) -> DensityCoeffi
             warnings.warn(f"mode sum truncated at n_max = {n_max} with relative tail "
                           f"{tail:.2e}", TruncationWarning, stacklevel=4)
     (a1, b), (_, a2) = vecs[:2]
-    return DensityCoefficients(w_1p * a1 + w_2p * a2, (w_1m + w_2m) * b,
-                               (w_1p + w_2p) * b, w_1m * a2 + w_2m * a1)
+    return np.array([[w_1p * a1 + w_2p * a2, (w_1m + w_2m) * b],
+                     [(w_1p + w_2p) * b, w_1m * a2 + w_2m * a1]])
 
 
 def _solve(sc, g, deltas, n_maxes, modes=None, energies=False):
@@ -296,15 +292,17 @@ def _solve(sc, g, deltas, n_maxes, modes=None, energies=False):
 
 def solve_densities(
     sc: Coefficients, g: ConfocalGeometry, delta: float | Sequence[float]
-) -> DensityCoefficients:
+) -> np.ndarray:
     """Solve the transmission problem at loss delta over the sc.n_max modes.
 
-    delta is one loss, giving one row (n_max,), or a sequence of K losses,
-    giving K rows (K, n_max) from one forcing, mode table and projection;
-    row k equals the call at deltas[k] bit for bit.  A negative delta (a
-    gain shell) is accepted: conjugate symmetry V(-delta) = conj(V(delta))
-    is an invariant that tests exercise directly.  Raises ValueError for
-    an empty sequence, a delta zero or nonfinite and an empty expansion,
+    Returns the complex densities in the forcing's layout (see the module
+    docstring): one loss gives one row, shape (2, 2, n_max), and a
+    sequence of K losses gives K rows, shape (2, 2, K, n_max), from one
+    forcing, mode table and projection; row k, dc[:, :, k], equals the
+    call at deltas[k] bit for bit.  A negative delta (a gain shell) is
+    accepted: conjugate symmetry V(-delta) = conj(V(delta)) is an
+    invariant that tests exercise directly.  Raises ValueError for an
+    empty sequence, a delta zero or nonfinite and an empty expansion,
     OverflowGuard past the n_max bound of boundary_forcing.  Emits, once
     per delta in order, TruncationWarning when the last retained mode
     still carries more than 1e-10 of the accumulated solution norm.
@@ -317,9 +315,7 @@ def solve_densities(
         if not (d != 0.0 and math.isfinite(d)):
             raise ValueError(f"delta must be finite and nonzero, got {d}")
     dc = _solve(sc, g, deltas, [sc.n_max] * len(deltas))[0]
-    if one:
-        return DensityCoefficients(*(a[0] for a in dc))
-    return dc
+    return dc[:, :, 0] if one else dc
 
 
 def _region_chains(
@@ -328,7 +324,7 @@ def _region_chains(
     """Horner coefficients of the layer sums for points with lo <= rho <= hi.
 
     halves holds ((A - iB)/2, (A + iB)/2) per interface, A and B being
-    the cos and sin coefficients p/n (q/n on rho_e).  Every near and far
+    the cosine and sine span densities over n.  Every near and far
     factor of the region is e^{-n (rho - lo)} or e^{-n (hi - rho)} times
     a constant e^{-n c} with c >= 0, so the chains run in
     x = e^{-(rho - lo) + i omega} and y = e^{-(hi - rho) + i omega} and
@@ -350,10 +346,11 @@ def _region_chains(
 
 
 def _layer_sums(
-    dc: DensityCoefficients, g: ConfocalGeometry, rho: np.ndarray, omega: np.ndarray
+    dc: np.ndarray, g: ConfocalGeometry, rho: np.ndarray, omega: np.ndarray
 ) -> np.ndarray:
     """Both layer potentials of each of the K density rows of dc (one row
-    for 1-d arrays) at the points (rho[j], omega[j]), shape (K, points).
+    for shape (2, 2, n_max)) at the points (rho[j], omega[j]), shape
+    (K, points).
 
     Mode n of the layer of phi_n_c (phi_n_s) on rho_k is -(near^n +-
     far^n) cos (sin)(n omega) / (2n) with near = e^{-|rho - rho_k|} and
@@ -363,13 +360,12 @@ def _layer_sums(
     region, summed by Horner's rule in one _horner call over every
     region's (chain, row, point) block and added in a fixed order.
     """
-    p_cos, p_sin, q_cos, q_sin = (np.atleast_2d(a).T for a in dc)
-    n = np.arange(1, len(p_cos) + 1, dtype=float)[:, None]
-    halves = [
-        (g.rho_i, ((p_cos - 1j * p_sin) / (2.0 * n), (p_cos + 1j * p_sin) / (2.0 * n))),
-        (g.rho_e, ((q_cos - 1j * q_sin) / (2.0 * n), (q_cos + 1j * q_sin) / (2.0 * n))),
-    ]
-    out = np.empty((p_cos.shape[1], rho.size), dtype=complex)
+    # (interface, span, mode, row)
+    dc = np.reshape(dc, (2, 2, -1, np.shape(dc)[-1])).swapaxes(2, 3)
+    n = np.arange(1, dc.shape[2] + 1, dtype=float)[:, None]
+    halves = [(rk, ((c - 1j * s) / (2.0 * n), (c + 1j * s) / (2.0 * n)))
+              for rk, (c, s) in zip((g.rho_i, g.rho_e), dc)]
+    out = np.empty((dc.shape[3], rho.size), dtype=complex)
     region = (rho > g.rho_i).astype(int) + (rho > g.rho_e)
     bounds = ((0.0, g.rho_i), (g.rho_i, g.rho_e), (g.rho_e, None))
     pairs, where = [], []
@@ -392,7 +388,7 @@ def _layer_sums(
 
 def eval_potentials(
     source: SourceSpec,
-    dc: DensityCoefficients,
+    dc: np.ndarray,
     g: ConfocalGeometry,
     rho,
     omega,
@@ -400,9 +396,9 @@ def eval_potentials(
     """V_delta at the elliptic points (rho[j], omega[j]), any region.
 
     rho and omega broadcast against each other to the points' shape.  The
-    density arrays of dc are one row (n_max,), giving a complex result of
-    that shape, or K rows (K, n_max), giving (K,) + that shape, row k at
-    every point.  F is evaluated once per point and added to every row.
+    densities dc are one row (2, 2, n_max), giving a complex result of
+    that shape, or K rows (2, 2, K, n_max), giving (K,) + that shape, row
+    k at every point.  F is evaluated once per point and added to every row.
     The layer sums and the source series cost one complex exp per point
     and chain, then one complex multiply-add per mode, row and point
     (Horner's rule, one loop over all regions), with no point x mode
@@ -421,16 +417,17 @@ def eval_potentials(
         raise ValueError("need finite omega at every point")
     out = _layer_sums(dc, g, rho, omega)
     out += elliptic_potential(source, g.R, rho, omega)
-    return out.reshape(dc.p_cos.shape[:-1] + shape)
+    return out.reshape(np.shape(dc)[2:-1] + shape)
 
 
 def eval_potential(
     source: SourceSpec,
-    dc: DensityCoefficients,
+    dc: np.ndarray,
     g: ConfocalGeometry,
     x: EllipticPoint,
 ) -> complex:
-    """Value of V_delta at an elliptic point (any region); dc is one row."""
+    """Value of V_delta at an elliptic point (any region); dc is one row
+    (2, 2, n_max)."""
     _one_row(dc)
     return complex(eval_potentials(source, dc, g, x.rho, x.omega))
 
@@ -453,18 +450,20 @@ def _energies(amp, terms, factor: float, deltas, n_maxes) -> list[float]:
 
 
 def _closed_energies(sc, dc, g, deltas, n_maxes) -> list[float]:
-    """dissipated_power_closed at each deltas[k], with row k of dc."""
+    """dissipated_power_closed at each deltas[k], with row k of the
+    (2, 2, K, n) densities dc."""
     n = np.arange(1, sc.n_max + 1, dtype=float)
     f = mode_factors(n, g)
     # e^{n rho_e}, e^{-n rho_i} and e^{-n (rho_e + rho_i)} in one exp call.
     rates = [g.rho_e, -g.rho_i, -(g.rho_e + g.rho_i)]
     up_e, down_i, cross = np.exp(np.multiply.outer(rates, n))
-    alpha_c = 0.5 * sc.f_plus * up_e - dc.q_cos / (2.0 * n)
-    alpha_s = 0.5 * sc.f_minus * up_e - dc.q_sin / (2.0 * n)
-    beta_c = 0.5 * sc.f_plus * down_i - (dc.p_cos * f.ci + 0.5 * dc.q_cos * cross) / n
-    beta_s = -0.5 * sc.f_minus * down_i - (dc.p_sin * f.si - 0.5 * dc.q_sin * cross) / n
+    # (span, row, mode) terms; the sine span's beta~ negates its F_n^- and q terms.
+    (p, q), fs = dc, np.array([sc.f_plus, sc.f_minus])[:, None]
+    half, inner = np.array([0.5, -0.5])[:, None, None], np.array([f.ci, f.si])[:, None]
+    alpha = 0.5 * fs * up_e - q / (2.0 * n)
+    beta = half * fs * down_i - (p * inner + half * q * cross) / n
     gap = -np.expm1(-2.0 * n * (g.rho_e - g.rho_i))
-    amp = np.abs(np.reshape([alpha_c, alpha_s, beta_c, beta_s], (4, len(deltas), -1)))
+    amp = np.abs(np.concatenate([alpha, beta]))
     return _energies(amp, lambda w: n * gap * np.sum((amp * w) ** 2, axis=0),
                      math.pi, deltas, n_maxes)
 
@@ -479,7 +478,7 @@ def _spectral_energies(proj, lam, norms, deltas, n_maxes) -> list[float]:
 
 
 def dissipated_power_closed(
-    sc: Coefficients, dc: DensityCoefficients, g: ConfocalGeometry, delta: float
+    sc: Coefficients, dc: np.ndarray, g: ConfocalGeometry, delta: float
 ) -> float:
     """E_delta = delta * ||grad V||^2 over the shell, summed mode by mode.
 
@@ -495,11 +494,11 @@ def dissipated_power_closed(
     (see _energies), so OverflowGuard means E itself is out of double range.
     """
     _one_row(dc)
-    if len(dc.p_cos) != sc.n_max:
+    if np.shape(dc)[-1] != sc.n_max:
         raise ValueError("source and density coefficients have different truncation orders")
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite, got {delta}")
-    return _closed_energies(sc, dc, g, [delta], [sc.n_max])[0]
+    return _closed_energies(sc, dc[:, :, None], g, [delta], [sc.n_max])[0]
 
 
 def dissipated_power_spectral(proj: np.ndarray, modes: ModeTable, delta: float) -> float:

@@ -1033,7 +1033,7 @@ def test_sweep_and_field_read_one_series_radius(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("config error: sweep.probes[0]: ")
     assert not (out / "sweep.csv").exists()
     assert _run(["field", "--config", path, "--out", str(out)]) == 0
-    assert f"left 54 points blank at rho >= {_SERIES_RADIUS!r}" in capsys.readouterr().out
+    assert f"left 54 points blank at rho >= {cli._fmt(_SERIES_RADIUS)}" in capsys.readouterr().out
     rows = (out / "field.csv").read_text().splitlines()[1:]
     # The other 3 blank cells lie on the focal segment.
     assert len(rows) == 81 and sum(row.endswith(",,,") for row in rows) == 54 + 3

@@ -766,7 +766,7 @@ _ORACLE_ONLY = {
 
 _ROOT_EXPORTS = """
     AsymptoticRates CalrDiagnosis CalrError CalrVerdict ChargePair Coefficients
-    ConfigError ConfocalGeometry CurveOverlap DegeneratePoint DensityCoefficients
+    ConfigError ConfocalGeometry CurveOverlap DegeneratePoint
     Dipole EigensolveFailure EllipticPoint GapConditionReport GapVerdict ModeData
     ModeTable OverflowGuard Regime RegimeKind SampledCurve
     SingleEllipseMode SingularPoint SourceInsideShell SweepRecord TooFewCoefficients

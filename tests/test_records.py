@@ -7,20 +7,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from calr_lab import (
-    ConfocalGeometry,
-    Dipole,
-    EllipticPoint,
-    adaptive_n_max,
-    cli,
-    mode_data,
-    mode_table,
-    newtonian_coefficients,
-    solve_densities,
-)
+from calr_lab import ConfocalGeometry, cli, mode_data, mode_table
 from calr_lab.geometry import SampledCurve
 from calr_lab.oracle import BlockNPMatrix, SpectrumReport
-from calr_lab.solver import CalrDiagnosis, DensityCoefficients, SweepRecord
+from calr_lab.solver import CalrDiagnosis, SweepRecord
 from calr_lab.source import GapConditionReport, GapVerdict
 from calr_lab.spectrum import (
     AsymptoticRates,
@@ -40,7 +30,6 @@ RECORD_FIELDS = {
     ModeTable: ("n", "lambda1", "lambda2", "a1", "a2", "b") + NORMS,
     Regime: ("kind", "rho_star", "far_bound_rho"),
     AsymptoticRates: ("kind", "lambda1_rate", "lambda2_rate", "norm_rates"),
-    DensityCoefficients: ("p_cos", "p_sin", "q_cos", "q_sin"),
     SweepRecord: ("delta", "n_max", "e_direct", "e_spectral", "far_samples", "normalized_far"),
     CalrDiagnosis: (
         "verdict", "regime", "growth_exponent", "energy_growth", "energy_spread",
@@ -74,15 +63,6 @@ def test_mode_table_fields_are_the_spectrum_csv_header(tmp_path):
     assert cli.main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     header = (tmp_path / "spectrum.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header == ",".join(ModeTable._fields)
-
-
-def test_density_coefficients_iterate_in_field_order():
-    """solve_densities and the layer sums unpack densities by position."""
-    source = Dipole(EllipticPoint(1.4, 0.9), np.array([1.0, 0.4]))
-    sc = newtonian_coefficients(source, adaptive_n_max(1e-2, G), G.R, rho_e=G.rho_e)
-    dc = solve_densities(sc, G, 1e-2)
-    p_cos, p_sin, q_cos, q_sin = dc
-    assert p_cos is dc.p_cos and p_sin is dc.p_sin and q_cos is dc.q_cos and q_sin is dc.q_sin
 
 
 def test_mode_table_truncated_and_row_keep_their_values():

@@ -26,7 +26,6 @@ from calr_lab import (
     ChargePair,
     Coefficients,
     ConfocalGeometry,
-    DensityCoefficients,
     Dipole,
     EllipticPoint,
     OverflowGuard,
@@ -244,21 +243,40 @@ def test_solve_densities_validation():
         solve_densities(Coefficients(0.0, np.zeros(400), np.zeros(400)), THIN, 1e-3)
 
 
+@pytest.mark.parametrize("span", [0, 1], ids=["cosine", "sine"])
+def test_densities_take_the_forcing_layout(span):
+    """Densities are (Gamma_i, Gamma_e) x (cosine span, sine span) x mode,
+    as the forcing is: a source with only F_n^+ gives a sine span dc[:, 1]
+    of exact zeros on both interfaces and a nonzero cosine span, and one
+    with only F_n^- the mirror result.  One loss gives (2, 2, n) and K
+    losses (2, 2, K, n), row k bit for bit the solve at that loss."""
+    n = 40
+    f, zero = np.exp(-2.0 * np.arange(1, n + 1)), np.zeros(n)
+    sc = Coefficients(0.2, *((f, zero) if span == 0 else (zero, f)))
+    deltas = [1e-1, 1e-2, -1e-2]
+    rows = solve_densities(sc, THIN, deltas)
+    assert rows.shape == (2, 2, len(deltas), n)
+    for k, delta in enumerate(deltas):
+        dc = solve_densities(sc, THIN, delta)
+        assert dc.shape == (2, 2, n)
+        assert rows[:, :, k].tobytes() == dc.tobytes()
+        assert np.all(dc[:, 1 - span] == 0.0)
+        assert np.all(dc[:, span] != 0.0)
+
+
 @pytest.mark.parametrize("geometry", [THIN, THICK], ids=["thin", "thick"])
 def test_solve_densities_rows_equal_per_loss_solves(geometry):
-    """A sequence of losses gives one (K, n_max) row per loss, each equal
+    """A sequence of K losses gives (2, 2, K, n_max) densities, row k equal
     bit for bit to the solve at that loss alone, +-delta pairs included."""
     src = Dipole(EllipticPoint(geometry.rho_e + 0.5, 0.9), np.array([1.0, 0.4]))
     sc = newtonian_coefficients(src, 90, geometry.R, rho_e=geometry.rho_e)
     deltas = [1e-3, -1e-3, 0.2, 1e-7, -1e-7, -0.5]
     rows = solve_densities(sc, geometry, deltas)
-    for name in ("p_cos", "p_sin", "q_cos", "q_sin"):
-        got = getattr(rows, name)
-        assert got.shape == (len(deltas), sc.n_max)
-        for k, delta in enumerate(deltas):
-            assert np.array_equal(got[k], getattr(solve_densities(sc, geometry, delta), name))
+    assert rows.shape == (2, 2, len(deltas), sc.n_max)
+    for k, delta in enumerate(deltas):
+        assert np.array_equal(rows[:, :, k], solve_densities(sc, geometry, delta))
     one = solve_densities(sc, geometry, np.array([2e-2]))
-    assert np.array_equal(one.q_cos, solve_densities(sc, geometry, 2e-2).q_cos[None])
+    assert np.array_equal(one[1, 0], solve_densities(sc, geometry, 2e-2)[1, 0][None])
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +409,7 @@ def test_solve_densities_zero_source():
         Coefficients(c=0.0, f_plus=np.zeros(8), f_minus=np.zeros(8)), 8, 1.0
     )
     dc = solve_densities(sc, THIN, 1e-3)
-    for arr in (dc.p_cos, dc.p_sin, dc.q_cos, dc.q_sin):
-        assert np.all(arr == 0.0)
+    assert dc.shape == (2, 2, 8) and np.all(dc == 0.0)
 
 
 def test_resolvent_magnitude_closed_form():
@@ -417,7 +434,7 @@ def test_dominant_mode_at_expected_resonance():
     sc = newtonian_coefficients(src, n_max, 1.0, rho_e=THIN.rho_e)
     dc = solve_densities(sc, THIN, 1e-3)
     target = math.log(1e3) / (THIN.rho_e - THIN.rho_i)
-    for arr in (dc.p_cos, dc.p_sin):
+    for arr in dc[0]:
         n_star = int(np.argmax(np.abs(arr))) + 1
         assert abs(n_star - target) <= 2.0
 
@@ -470,17 +487,18 @@ def test_blocked_potentials_match_pointwise(kind):
 _NO_SOURCE = Coefficients(0.0, np.zeros(1), np.zeros(1))
 
 
-def _arrays(dc):
-    return [dc.p_cos, dc.p_sin, dc.q_cos, dc.q_sin]
+def _padded(dc, n_max):
+    """One density row zero-padded to n_max modes."""
+    return np.pad(dc, ((0, 0), (0, 0), (0, n_max - dc.shape[-1])))
 
 
 def _exp_cos_sin_layers(dc, g, rho, omega):
     """The layer sums in their per-(point, mode) exp/cos/sin form, and the
     sum over the modes of |term_n| (test reference for the Horner sums)."""
-    n = np.arange(1, len(dc.p_cos) + 1, dtype=float)
+    n = np.arange(1, dc.shape[-1] + 1, dtype=float)
     r, nw = np.asarray(rho)[..., None], np.asarray(omega)[..., None] * n
     total, scale = 0.0, 0.0
-    for rk, c, s in ((g.rho_i, dc.p_cos, dc.p_sin), (g.rho_e, dc.q_cos, dc.q_sin)):
+    for rk, (c, s) in zip((g.rho_i, g.rho_e), dc):
         near, far = np.exp(-n * np.abs(r - rk)), np.exp(-n * (r + rk))
         term = -(c * (near + far) * np.cos(nw) + s * (near - far) * np.sin(nw))
         term /= 2 * n
@@ -493,7 +511,7 @@ def _mp_layers(dc, g, rho, omega):
     with mpmath.workdps(30):
         r, w = mpmath.mpf(rho), mpmath.mpf(omega)
         total, scale = mpmath.mpc(0), mpmath.mpf(0)
-        for rk, c, s in ((g.rho_i, dc.p_cos, dc.p_sin), (g.rho_e, dc.q_cos, dc.q_sin)):
+        for rk, (c, s) in zip((g.rho_i, g.rho_e), dc):
             rk = mpmath.mpf(rk)
             for n in range(1, len(c) + 1):
                 near, far = mpmath.exp(-n * abs(r - rk)), mpmath.exp(-n * (r + rk))
@@ -532,8 +550,8 @@ def test_zero_padded_densities_change_no_bit():
     """Densities zero-padded to a larger n_max give the unpadded values
     bit for bit, in every region (the batched sweep relies on this)."""
     _, sc, dc = _solved_case(THIN, 1.3, 1e-3)
-    pad = np.zeros(53, dtype=complex)
-    padded = DensityCoefficients(*(np.concatenate([a, pad]) for a in _arrays(dc)))
+    pad = np.zeros((2, 2, 53), dtype=complex)
+    padded = np.concatenate([dc, pad], axis=-1)
     rng = np.random.default_rng(11)
     rho = np.concatenate([[0.0, THIN.rho_i, THIN.rho_e], rng.uniform(0.0, 2.0, 300)])
     omega = rng.uniform(0.0, TWO_PI, rho.size)
@@ -544,18 +562,14 @@ def test_zero_padded_densities_change_no_bit():
 
 
 def test_density_rows_are_evaluated_at_every_point():
-    """Row k of (K, n_max) densities gives, at every point, bit for bit the
-    value of that row alone, in the core, the shell and the exterior and
-    on both interfaces; the result has shape (K,) + points, and a
-    (1, n_max) row gives the one-row value."""
+    """Row k of (2, 2, K, n_max) densities gives, at every point, bit for
+    bit the value of that row alone, in the core, the shell and the
+    exterior and on both interfaces; the result has shape (K,) + points,
+    and a (2, 2, 1, n_max) row gives the one-row value."""
     _, sc, dc = _solved_case(THIN, 1.3, 1e-3)
     _, _, dc2 = _solved_case(THIN, 1.3, 1e-5)
-    n = len(dc2.p_cos)
-    alone = [
-        DensityCoefficients(*(np.pad(a, (0, n - len(a))) for a in _arrays(d)))
-        for d in (dc, dc2, dc)
-    ]
-    rows = DensityCoefficients(*(np.stack(a) for a in zip(*map(_arrays, alone))))
+    alone = [_padded(d, dc2.shape[-1]) for d in (dc, dc2, dc)]
+    rows = np.stack(alone, axis=2)
     rho = np.array([[0.3, 0.65, 1.2], [THIN.rho_i, THIN.rho_e, 0.0]])
     omega = np.array([1.0, 2.0, 0.6])
     for src in (_NO_SOURCE, sc):
@@ -564,8 +578,7 @@ def test_density_rows_are_evaluated_at_every_point():
         for k, d in enumerate(alone):
             want = eval_potentials(src, d, THIN, rho, omega)
             assert got[k].tobytes() == want.tobytes()
-            one = eval_potentials(src, DensityCoefficients(*(a[None] for a in _arrays(d))),
-                                  THIN, rho, omega)
+            one = eval_potentials(src, d[:, :, None], THIN, rho, omega)
             assert one.shape == (1, 2, 3) and one[0].tobytes() == want.tobytes()
         assert eval_potentials(src, rows, THIN, [], []).shape == (3, 0)
 
@@ -596,8 +609,8 @@ def test_potentials_do_not_depend_on_blocks(monkeypatch):
     for three rows, two of them zero-padded, in chunks of 333."""
     src, _, dc1 = _solved_case(THIN, 1.3, 1e-3)
     _, _, dc2 = _solved_case(THIN, 1.3, 1e-5)
-    padded = [np.pad(a, (0, len(dc2.p_cos) - len(a))) for a in _arrays(dc1)]
-    dc3 = DensityCoefficients(*(np.stack([p, a, p]) for p, a in zip(padded, _arrays(dc2))))
+    padded = _padded(dc1, dc2.shape[-1])
+    dc3 = np.stack([padded, dc2, padded], axis=2)
     sizes = []
 
     def spy(pairs):
@@ -850,12 +863,12 @@ def test_gradient_requires_shell_point():
 @pytest.mark.parametrize("n_max, k", [(2, 2), (3, 3), (30, 2), (3, 1)])
 def test_one_row_functions_refuse_k_rows(n_max, k):
     """The four functions that read one density row refuse K rows (also
-    K == n_max, where a K-row array has the length of one row) with one
-    ValueError naming the shape; a (1, n_max) array is K rows too."""
+    K == n_max) with one ValueError naming the shape; a (2, 2, 1, n_max)
+    array is K rows too."""
     src = Dipole(EllipticPoint(1.3, 0.4), np.array([1.0, 0.3]))
     sc = newtonian_coefficients(src, n_max, THIN.R, rho_e=THIN.rho_e)
     rows = solve_densities(sc, THIN, [1e-3, 1e-2, 1e-1][:k])
-    shape = re.escape(f"got shape ({k}, {n_max})")
+    shape = re.escape(f"got shape (2, 2, {k}, {n_max})")
     for call in (
         lambda: eval_potential(src, rows, THIN, EllipticPoint(1.1, 0.2)),
         lambda: eval_gradient_shell(src, rows, THIN, 0.6, 1.0),
