@@ -34,7 +34,6 @@ from .geometry import (
     metric_factor,
     sample_ellipse,
     to_cartesian,
-    to_elliptic,
 )
 from .solver import (
     CalrDiagnosis,
@@ -45,7 +44,6 @@ from .solver import (
     calr_classify,
     dissipated_power_closed,
     dissipated_power_spectral,
-    eval_potential,
     eval_potentials,
     mode_projections,
     solve_densities,
@@ -67,18 +65,14 @@ from .source import (
 )
 from .spectrum import (
     AsymptoticRates,
-    ModeData,
     ModeTable,
     Regime,
     RegimeKind,
-    SingleEllipseMode,
     asymptotic_rates,
     block_matrices,
     critical_radius,
-    mode_data,
     mode_table,
     s_gram,
-    single_ellipse_np,
 )
 
 __version__ = "0.1.0"
@@ -112,13 +106,11 @@ __all__ = [
     "EllipticPoint",
     "GapConditionReport",
     "GapVerdict",
-    "ModeData",
     "ModeTable",
     "OverflowGuard",
     "Regime",
     "RegimeKind",
     "SampledCurve",
-    "SingleEllipseMode",
     "SingularPoint",
     "SourceInsideShell",
     "SweepRecord",
@@ -137,12 +129,10 @@ __all__ = [
     "dissipated_power_spectral",
     "ellipse_curvature",
     "eval_gradient_shell",
-    "eval_potential",
     "eval_potentials",
     "gap_condition_report",
     "green_expansion_coefficients",
     "metric_factor",
-    "mode_data",
     "mode_projections",
     "mode_table",
     "newtonian_coefficients",
@@ -150,11 +140,9 @@ __all__ = [
     "newtonian_gradient",
     "s_gram",
     "sample_ellipse",
-    "single_ellipse_np",
     "solve_densities",
     "sweep",
     "to_cartesian",
-    "to_elliptic",
     "z_param",
     "__version__",
 ]

@@ -208,7 +208,7 @@ def spectrum_command(cfg: dict, out_dir: Path) -> int:
     if n_max < 0:
         raise ConfigError(f"spectrum.n_max: must be >= 0, got {n_max}")
     # The whole table before the file opens, so a mode that cannot be
-    # represented leaves no partial spectrum.csv; row n equals mode_data(n, g).
+    # represented leaves no partial spectrum.csv; its row n is column n - 1.
     columns = mode_table(g, n_max) if n_max else ()
     rows = (
         ",".join([str(n)] + [_fmt(v) for v in values]) + "\n"

@@ -20,7 +20,7 @@ outward normal derivative is d/dnu = Xi^{-1} d/drho.
 
 This module is the one place that forms the map (cartesian), its inverse
 (elliptic_coords) and its tangents, all on arrays of points;
-to_cartesian and to_elliptic are their one-point forms.
+to_cartesian is the forward map's one-point form.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegeneratePoint
-
 __all__ = [
     "EllipticPoint",
     "ConfocalGeometry",
@@ -41,14 +39,13 @@ __all__ = [
     "tangents",
     "elliptic_coords",
     "to_cartesian",
-    "to_elliptic",
     "metric_factor",
     "ellipse_curvature",
     "sample_ellipse",
 ]
 
 # Relative half-width of the strip around the focal segment inside which
-# elliptic_coords masks points and to_elliptic refuses to assign an angle.
+# elliptic_coords masks points: no angle is assigned there.
 FOCAL_TOL = 1e-13
 
 TWO_PI = 2.0 * math.pi
@@ -155,32 +152,18 @@ def elliptic_coords(R: float, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sh = np.sqrt(np.where(focal, np.nan, sh2))
     omega = np.mod(np.arctan2(x2 * np.sqrt(1.0 + sh2), x1 * sh), TWO_PI)
     # A tiny negative angle rounds up to 2*pi; fold it to 0, as
-    # EllipticPoint does, so that to_elliptic returns the same omega.
+    # EllipticPoint does, so that a point built from it keeps the omega.
     return np.arcsinh(sh), np.where(omega == TWO_PI, 0.0, omega), focal
 
 
 def to_cartesian(R: float, p: EllipticPoint) -> np.ndarray:
     """Map an elliptic point to Cartesian coordinates (one-point cartesian).
 
-    The point goes through cartesian as (1,) arrays, as in to_elliptic, so
-    the result equals the array form bit for bit.
+    The point goes through cartesian as (1,) arrays: numpy's 0-d arithmetic
+    can round differently from its array loops, and the result must equal
+    the array form bit for bit.
     """
     return cartesian(R, np.array([p.rho]), np.array([p.omega]))[0]
-
-
-def to_elliptic(R: float, x: np.ndarray) -> EllipticPoint:
-    """Invert the coordinate map at one point (one-point elliptic_coords).
-
-    Raises DegeneratePoint on the focal segment, where omega is
-    ill-defined.  The point goes through elliptic_coords as a (1, 2)
-    array: numpy's 0-d arithmetic can round differently from its array
-    loops, and the result must equal the array form bit for bit.
-    """
-    rho, omega, focal = elliptic_coords(R, np.asarray(x)[None])
-    if focal[0]:
-        x1, x2 = float(x[0]), float(x[1])
-        raise DegeneratePoint(f"point ({x1}, {x2}) lies on the focal segment")
-    return EllipticPoint(float(rho[0]), float(omega[0]))
 
 
 def metric_factor(R: float, rho, omega):

@@ -100,13 +100,10 @@ from .spectrum import FAMILY_PARITY, block_matrices, mode_eigenvalues, mode_tabl
 __all__ = [
     "BlockNPMatrix",
     "SpectrumReport",
-    "np_kernel",
-    "assemble_np",
     "assemble_block_np",
     "block_np_for",
     "numeric_spectrum",
     "mode_blocks_for",
-    "sample_circle",
     "eval_gradient_shell",
     "dissipated_power_direct",
     "coefficient_projection_oracle",
@@ -173,29 +170,6 @@ class SpectrumReport(NamedTuple):
         return float(np.max(errors)) if errors.size else 0.0
 
 
-def sample_circle(radius: float, N: int) -> SampledCurve:
-    """Equispaced trapezoid nodes on a circle (oracle diagnostic curve)."""
-    if N < 8:
-        raise ValueError(f"N must be >= 8, got {N}")
-    theta = 2.0 * math.pi * np.arange(N) / N
-    normals = np.column_stack([np.cos(theta), np.sin(theta)])
-    w = np.full(N, 2.0 * math.pi * radius / N)
-    return SampledCurve(radius * normals, normals, np.full(N, 1.0 / radius), w)
-
-
-def np_kernel(curve: SampledCurve, i: int, j: int) -> float:
-    """Kernel <x_i - y_j, nu(x_i)> / (2 pi |x_i - y_j|^2) on one curve.
-
-    The i == j entry is the smooth limit kappa(x_i) / (4 pi).  This is the
-    entry-by-entry reference for the vectorized assembly.
-    """
-    if i == j:
-        return float(curve.curvature[i] / (4.0 * math.pi))
-    d = curve.nodes[i] - curve.nodes[j]
-    r_sq = float(d @ d)
-    return float(d @ curve.normals[i]) / (2.0 * math.pi * r_sq)
-
-
 def _kernel_block(
     target: SampledCurve,
     src: SampledCurve,
@@ -238,17 +212,13 @@ def _kernel_block(
     return np.multiply(d1, src.weights, out=out)
 
 
-def assemble_np(curve: SampledCurve) -> np.ndarray:
-    """Single-curve Nystrom matrix for K* (diagnostic mode)."""
-    return _kernel_block(curve, curve, same=True)
-
-
 def assemble_block_np(
     gi: SampledCurve, ge: SampledCurve, geometry: ConfocalGeometry | None = None
 ) -> BlockNPMatrix:
     """Assemble the weighted 2N x 2N block matrix for two disjoint curves.
 
-    Its first N x N block is -assemble_np(gi) bit for bit.
+    Its first N x N block is -K*_{Gi}, the negated single-curve block
+    _kernel_block(gi, gi, same=True), bit for bit.
     """
     if len(gi.weights) != len(ge.weights):
         raise ValueError(
@@ -753,7 +723,8 @@ def validate(
         spectrum["status"] = "indeterminate"
 
     # 2. Constant-density eigenvalue of K* on Gamma_i alone, formed and
-    # applied 64 rows at a time; each row is that row of assemble_np.
+    # applied 64 rows at a time; each row is that row of the whole
+    # single-curve block, _kernel_block(curve, curve, same=True).
     N = max(n_nystrom, 64)
     curve = sample_ellipse(g.R, g.rho_i, N)
     xi_inv = 1.0 / curve.weights  # density ~ Xi^{-1}

@@ -65,18 +65,20 @@ outcome: resonant blow-up of E with decaying source visibility (CALR),
 bounded/decaying E (no CALR), or neither.
 
 Each rule is stated once.  adaptive_n_max refuses a delta outside (0, 1)
-and a negative margin, and sweep a probe it cannot evaluate, all with
-errors.InputError before any coefficient is built.  solve_densities,
-sweep and oracle.validate share one solve, _solve: the solve (with its
-tail check, TruncationWarning above 1e-10) and both energies run over
-(delta, mode) arrays, one row per delta over its own leading modes.  The
-functions that read one row refuse K rows (_one_row).  The energies
-square over a power-of-two scale and refuse only an E out of range.
+and a margin that is not an integer >= 0, and sweep a probe it cannot
+evaluate, all with errors.InputError before any coefficient is built.
+solve_densities, sweep and oracle.validate share one solve, _solve: the
+solve (with its tail check, TruncationWarning above 1e-10) and both
+energies run over (delta, mode) arrays, one row per delta over its own
+leading modes.  The functions that read one row refuse K rows
+(_one_row).  The energies square over a power-of-two scale and refuse
+only an E out of range.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -106,7 +108,6 @@ __all__ = [
     "boundary_forcing",
     "mode_projections",
     "solve_densities",
-    "eval_potential",
     "eval_potentials",
     "dissipated_power_closed",
     "dissipated_power_spectral",
@@ -192,16 +193,25 @@ def adaptive_n_max(delta: float, g: ConfocalGeometry, margin: int = 40) -> int:
 
     Resonant indices sit near ln(1/delta) / (rho_e - rho_i); twice that
     plus a safety margin keeps the neglected tail far below the resonance.
-    Raises InputError for delta outside (0, 1) or a negative margin, and
-    OverflowGuard when that many modes cannot be represented in double
-    precision for this geometry.
+    Raises InputError for delta outside (0, 1) or a margin that is not an
+    integer >= 0, and OverflowGuard when that many modes cannot be
+    represented in double precision for this geometry (also when n_max
+    is past the double range itself).
     """
     if not (0.0 < delta < 1.0):
         raise InputError(f"delta: must be in (0, 1), got {delta}")
+    try:
+        margin = operator.index(margin)
+    except TypeError:
+        raise InputError(f"margin: must be an integer >= 0, got {margin}") from None
     if margin < 0:
         raise InputError(f"margin: must be >= 0, got {margin}")
     n = math.ceil(2.0 * math.log(1.0 / delta) / (g.rho_e - g.rho_i)) + margin
-    if 2.0 * n * g.rho_e >= _NMAX_GUARD:
+    try:
+        fits = 2.0 * n * g.rho_e < _NMAX_GUARD
+    except OverflowError:  # an int past the double range
+        fits = False
+    if not fits:
         raise OverflowGuard(
             f"delta = {delta} needs n_max = {n}, beyond the overflow-safe "
             f"bound {int(_NMAX_GUARD / (2.0 * g.rho_e))} for rho_e = {g.rho_e}"
@@ -420,18 +430,6 @@ def eval_potentials(
     return out.reshape(np.shape(dc)[2:-1] + shape)
 
 
-def eval_potential(
-    source: SourceSpec,
-    dc: np.ndarray,
-    g: ConfocalGeometry,
-    x: EllipticPoint,
-) -> complex:
-    """Value of V_delta at an elliptic point (any region); dc is one row
-    (2, 2, n_max)."""
-    _one_row(dc)
-    return complex(eval_potentials(source, dc, g, x.rho, x.omega))
-
-
 def _energies(amp, terms, factor: float, deltas, n_maxes) -> list[float]:
     """delta_k factor s_k^2 sum(terms(w)[k, :n_maxes[k]]) for each row k.
 
@@ -503,7 +501,10 @@ def dissipated_power_closed(
 
 def dissipated_power_spectral(proj: np.ndarray, modes: ModeTable, delta: float) -> float:
     """Spectral surrogate of E_delta (resonant-mode sum) from the (4, n_max)
-    rows of mode_projections; OverflowGuard as in dissipated_power_closed."""
+    rows of mode_projections over the same n_max modes; OverflowGuard as
+    in dissipated_power_closed."""
+    if np.shape(proj) != (4, len(modes.n)):
+        raise ValueError("projection and mode table have different truncation orders")
     if not (delta > 0.0 and math.isfinite(delta)):
         raise ValueError(f"delta must be finite and > 0, got {delta}")
     return _spectral_energies(proj, *modes.families()[1:], [delta], [proj.shape[1]])[0]
@@ -536,12 +537,12 @@ def sweep(
     a probe not strictly outside the shell, at or past a Coefficients
     source's convergence radius (source.series_radius), or so far out that
     the point source's closed form overflows (source._in_closed_form_range),
-    (adaptive_n_max) a delta outside (0, 1) or a negative margin, and
-    (newtonian_coefficients) a source point inside the shell or past that
-    range, and a series whose radius is not outside the shell.  Each
-    delta's solve emits the TruncationWarning that solve_densities at its
-    n_max would, and an energy out of double range raises OverflowGuard.
-    probes may be empty.
+    (adaptive_n_max) a delta outside (0, 1) or a margin that is not an
+    integer >= 0, and (newtonian_coefficients) a source point inside the
+    shell or past that range, and a series whose radius is not outside
+    the shell.  Each delta's solve emits the TruncationWarning that
+    solve_densities at its n_max would, and an energy out of double range
+    raises OverflowGuard.  probes may be empty.
     """
     if len(deltas) == 0:
         raise InputError("deltas: expected a non-empty list")

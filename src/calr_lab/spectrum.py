@@ -7,8 +7,7 @@ diagonally on the weighted trigonometric densities
 
 with eigenvalues +alpha_n on the cosine branch and -alpha_n on the sine
 branch, where alpha_n = exp(-2 n rho0) / 2.  The single-layer potential of
-these densities is also diagonal; beta_n below is the coefficient that
-shows up in the exterior expansion of S[phi_n_c].
+these densities is also diagonal.
 
 For the core-shell pair Gamma_i = {rho = rho_i}, Gamma_e = {rho = rho_e}
 the relevant operator is the 2x2 block NP-type operator acting on density
@@ -74,16 +73,12 @@ from .errors import OverflowGuard
 from .geometry import ConfocalGeometry
 
 __all__ = [
-    "SingleEllipseMode",
-    "ModeData",
     "ModeTable",
     "ModeFactors",
     "RegimeKind",
     "Regime",
     "AsymptoticRates",
-    "single_ellipse_np",
     "block_matrices",
-    "mode_data",
     "mode_factors",
     "mode_eigenvalues",
     "mode_table",
@@ -99,29 +94,6 @@ _EXP_GUARD = 700.0
 
 # Span of each family 1+, 1-, 2+, 2-: the index into a (cosine, sine) stack.
 FAMILY_PARITY = np.array([0, 1, 0, 1])
-
-
-class SingleEllipseMode(NamedTuple):
-    """Eigendata of K* on a single ellipse for one mode index."""
-
-    n: int
-    alpha: float
-    beta: float
-
-
-class ModeData(NamedTuple):
-    """Eigendata of the block operator for one mode index n >= 1."""
-
-    n: int
-    lambda1: float
-    lambda2: float
-    a1: float
-    a2: float
-    b: float
-    norm_1p: float
-    norm_1m: float
-    norm_2p: float
-    norm_2m: float
 
 
 class ModeTable(NamedTuple):
@@ -155,9 +127,6 @@ class ModeTable(NamedTuple):
         return (np.array([[a1, b], [b, a2], [a2, b], [b, a1]]),
                 np.array([self.lambda1, -self.lambda1, self.lambda2, -self.lambda2]),
                 np.array([self.norm_1p, self.norm_1m, self.norm_2p, self.norm_2m]))
-
-    def row(self, n: int) -> ModeData:
-        return ModeData(n, *(float(column[n - 1]) for column in self[1:]))
 
 
 class RegimeKind(Enum):
@@ -193,24 +162,6 @@ class AsymptoticRates(NamedTuple):
     lambda1_rate: float
     lambda2_rate: float
     norm_rates: dict
-
-
-def single_ellipse_np(n: int, rho0: float) -> SingleEllipseMode:
-    """Eigendata of the single-ellipse NP operator for mode n >= 0.
-
-    alpha_n = exp(-2 n rho0) / 2 is the eigenvalue on the cosine branch
-    (the sine branch carries -alpha_n); n = 0 gives the constant-density
-    eigenvalue 1/2.  beta_n = -sinh(2 n rho0) is the companion exterior
-    expansion coefficient of the single-layer potential.
-    """
-    if n < 0:
-        raise ValueError(f"mode index must be >= 0, got {n}")
-    if not rho0 > 0.0:
-        raise ValueError(f"rho0 must be > 0, got {rho0}")
-    t = 2.0 * n * rho0
-    if t > _EXP_GUARD:
-        raise OverflowGuard(f"2*n*rho0 = {t:.1f} exceeds double range")
-    return SingleEllipseMode(n, 0.5 * math.exp(-t), -math.sinh(t))
 
 
 class ModeFactors(NamedTuple):
@@ -284,13 +235,16 @@ def mode_eigenvalues(n: np.ndarray, g: ConfocalGeometry) -> tuple[np.ndarray, np
     return _eigenvalues(mode_factors(n, g))[2:]
 
 
-def _mode_arrays(first: int, last: int, g: ConfocalGeometry):
-    """Shared cancellation-free evaluation over the modes first .. last,
-    range-checked from last before any array is made."""
-    t_max = float(last) * 2.0 * g.rho_e
+def mode_table(g: ConfocalGeometry, n_max: int) -> ModeTable:
+    """Eigendata for all modes n = 1 .. n_max at once, in the
+    cancellation-free forms, range-checked from n_max before any array
+    is made."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    t_max = float(n_max) * 2.0 * g.rho_e
     if t_max > _EXP_GUARD:
-        raise OverflowGuard(f"2*n*rho_e = {t_max:.1f} exceeds double range at n = {last}")
-    n = np.arange(first, last + 1, dtype=float)
+        raise OverflowGuard(f"2*n*rho_e = {t_max:.1f} exceeds double range at n = {n_max}")
+    n = np.arange(1, n_max + 1, dtype=float)
     f = mode_factors(n, g)
     ei, ee, E = f.ei, f.ee, f.E
     d, s, lam1, lam2 = _eigenvalues(f)
@@ -309,20 +263,8 @@ def _mode_arrays(first: int, last: int, g: ConfocalGeometry):
     if not np.all(np.isfinite(norms)) or np.any(norms <= 0.0):
         bad = int(n[np.argmax(~np.all(np.isfinite(norms) & (norms > 0.0), axis=0))])
         raise OverflowGuard(f"mode norms leave double range near n = {bad}")
-    return lam1, lam2, a1, a2, b, norm_1p, norm_1m, norm_2p, norm_2m
-
-
-def mode_data(n: int, g: ConfocalGeometry) -> ModeData:
-    """Eigendata of the block operator for a single mode index n >= 1."""
-    return ModeData(n, *(float(v[0]) for v in _mode_arrays(n, n, g)))
-
-
-def mode_table(g: ConfocalGeometry, n_max: int) -> ModeTable:
-    """Eigendata for all modes n = 1 .. n_max at once."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    vals = _mode_arrays(1, n_max, g)  # range-checked before any array is made
-    return ModeTable(np.arange(1, n_max + 1), *vals)
+    return ModeTable(np.arange(1, n_max + 1), lam1, lam2, a1, a2, b,
+                     norm_1p, norm_1m, norm_2p, norm_2m)
 
 
 def _gram_entries(f: ModeFactors, parity) -> np.ndarray:

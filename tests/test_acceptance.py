@@ -37,19 +37,17 @@ from calr_lab import (
     coefficient_projection_oracle,
     dissipated_power_direct,
     eval_gradient_shell,
-    eval_potential,
     gap_condition_report,
     metric_factor,
-    mode_data,
     mode_table,
     newtonian_coefficients,
     s_gram,
-    single_ellipse_np,
     solve_densities,
     sweep,
 )
-from calr_lab.oracle import assemble_np, block_np_for, numeric_spectrum
+from calr_lab.oracle import block_np_for, numeric_spectrum
 from calr_lab.geometry import sample_ellipse
+from reference import assemble_np, eval_potential, mode_column, mode_data, single_ellipse_np
 
 THIN = ConfocalGeometry(1.0, 0.5, 0.8)
 THICK = ConfocalGeometry(1.0, 0.2, 1.0)
@@ -143,7 +141,7 @@ def test_ac3_s_structure():
     for g in (THIN, THICK):
         table = mode_table(g, 100)
         for n in range(1, 101):
-            m = table.row(n)
+            m = mode_column(table, n)
             for gram, pairs in zip(s_gram(n, g), (
                 ((np.array([m.a1, m.b]), m.norm_1p), (np.array([m.a2, m.b]), m.norm_2p)),
                 ((np.array([m.b, m.a2]), m.norm_1m), (np.array([m.b, m.a1]), m.norm_2m)),

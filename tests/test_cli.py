@@ -25,21 +25,18 @@ from calr_lab import (
     adaptive_n_max,
     block_matrices,
     convergence_exponent,
-    eval_potential,
     eval_potentials,
-    mode_data,
     mode_table,
     newtonian_coefficients,
     s_gram,
     sample_ellipse,
     solve_densities,
     sweep,
-    to_elliptic,
 )
 from calr_lab import cli, oracle, solver
 from calr_lab.errors import InputError
 from calr_lab.geometry import elliptic_coords
-from calr_lab.oracle import assemble_np
+from reference import assemble_np, eval_potential, mode_column, mode_data, to_elliptic
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 THIN_GEO = {"R": 1.0, "rho_i": 0.5, "rho_e": 0.8}
@@ -696,7 +693,7 @@ def _per_mode_closed_form_checks(g):
     table = mode_table(g, 50)
     eig = 0.0
     for n in range(1, 51):
-        mode = table.row(n)
+        mode = mode_column(table, n)
         a_mat, b_mat = block_matrices(n, g)
         for mat, lam, vec in (
             (a_mat, mode.lambda1, np.array([mode.a1, mode.b])),
@@ -709,7 +706,7 @@ def _per_mode_closed_form_checks(g):
             eig = max(eig, float(np.max(num / den)))
     norm, pd = 0.0, True
     for n in (1, 2, 5, 10, 25, 50):
-        mode = table.row(n)
+        mode = mode_column(table, n)
         g_cos, g_sin = s_gram(n, g)
         pd = pd and all(np.all(np.linalg.eigvalsh(m) > 0.0) for m in (g_cos, g_sin))
         for vec, gram, value in (

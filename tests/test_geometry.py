@@ -18,9 +18,9 @@ from calr_lab import (
     metric_factor,
     sample_ellipse,
     to_cartesian,
-    to_elliptic,
 )
 from calr_lab.geometry import cartesian, elliptic_coords
+from reference import to_elliptic
 
 TWO_PI = 2.0 * math.pi
 

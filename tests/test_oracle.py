@@ -30,19 +30,13 @@ from calr_lab import (
     mode_table,
     sample_ellipse,
 )
-from calr_lab import cli, oracle, solver, source
+from calr_lab import cli, geometry, oracle, solver, source, spectrum
 from calr_lab.errors import InputError, TruncationWarning
 from calr_lab.geometry import cartesian, ellipse_curvature, tangents
-from calr_lab.oracle import (
-    BlockNPMatrix,
-    assemble_block_np,
-    assemble_np,
-    np_kernel,
-    numeric_spectrum,
-    sample_circle,
-)
+from calr_lab.oracle import BlockNPMatrix, assemble_block_np, numeric_spectrum
 from calr_lab.oracle import block_np_for
 from calr_lab.spectrum import mode_eigenvalues
+from reference import assemble_np, mode_column, np_kernel, sample_circle
 
 THIN = ConfocalGeometry(1.0, 0.5, 0.8)
 THICK = ConfocalGeometry(1.0, 0.2, 1.0)
@@ -113,7 +107,7 @@ def test_block_eigenvector_action():
     xie = np.asarray(metric_factor(1.0, THIN.rho_e, om))
     table = mode_table(THIN, 8)
     for n in (1, 2, 5):
-        row = table.row(n)
+        row = mode_column(table, n)
         families = (
             (row.a1, row.b, np.cos(n * om), row.lambda1),
             (row.a2, row.b, np.cos(n * om), row.lambda2),
@@ -767,18 +761,18 @@ _ORACLE_ONLY = {
 _ROOT_EXPORTS = """
     AsymptoticRates CalrDiagnosis CalrError CalrVerdict ChargePair Coefficients
     ConfigError ConfocalGeometry CurveOverlap DegeneratePoint
-    Dipole EigensolveFailure EllipticPoint GapConditionReport GapVerdict ModeData
+    Dipole EigensolveFailure EllipticPoint GapConditionReport GapVerdict
     ModeTable OverflowGuard Regime RegimeKind SampledCurve
-    SingleEllipseMode SingularPoint SourceInsideShell SweepRecord TooFewCoefficients
+    SingularPoint SourceInsideShell SweepRecord TooFewCoefficients
     TruncationWarning adaptive_n_max asymptotic_rates block_matrices
     boundary_forcing calr_classify coefficient_projection_oracle
     convergence_exponent critical_radius dissipated_power_closed
     dissipated_power_direct dissipated_power_spectral ellipse_curvature
-    eval_gradient_shell eval_potential eval_potentials gap_condition_report
-    green_expansion_coefficients metric_factor mode_data mode_projections
+    eval_gradient_shell eval_potentials gap_condition_report
+    green_expansion_coefficients metric_factor mode_projections
     mode_table newtonian_coefficients newtonian_eval newtonian_gradient s_gram
-    sample_ellipse single_ellipse_np solve_densities sweep to_cartesian
-    to_elliptic z_param __version__
+    sample_ellipse solve_densities sweep to_cartesian
+    z_param __version__
 """.split()
 
 
@@ -807,6 +801,22 @@ def test_independent_routes_live_in_oracle():
         assert getattr(calr_lab, name) is getattr(oracle, name)
     assert calr_lab.__all__ == _ROOT_EXPORTS
     assert all(hasattr(calr_lab, name) for name in calr_lab.__all__)
+
+
+# Names of tests/reference.py that the package must not define, by module.
+_TEST_SIDE = {
+    geometry: ["to_elliptic"],
+    solver: ["eval_potential"],
+    spectrum: ["ModeData", "SingleEllipseMode", "mode_data", "single_ellipse_np"],
+    oracle: ["assemble_np", "np_kernel", "sample_circle"],
+}
+
+
+def test_test_side_references_are_not_shipped():
+    for module, names in _TEST_SIDE.items():
+        assert [name for name in names if hasattr(module, name)] == []
+        assert not set(names) & set(module.__all__)
+    assert not hasattr(ModeTable, "row")
 
 
 # Run in a fresh interpreter: this test process has imported the oracle.

@@ -7,26 +7,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from calr_lab import ConfocalGeometry, cli, mode_data, mode_table
+from calr_lab import ConfocalGeometry, cli, mode_table
 from calr_lab.geometry import SampledCurve
 from calr_lab.oracle import BlockNPMatrix, SpectrumReport
 from calr_lab.solver import CalrDiagnosis, SweepRecord
 from calr_lab.source import GapConditionReport, GapVerdict
-from calr_lab.spectrum import (
-    AsymptoticRates,
-    ModeData,
-    ModeTable,
-    Regime,
-    SingleEllipseMode,
-)
+from calr_lab.spectrum import AsymptoticRates, ModeTable, Regime
 
 NORMS = ("norm_1p", "norm_1m", "norm_2p", "norm_2m")
 
 RECORD_FIELDS = {
     SampledCurve: ("nodes", "normals", "curvature", "weights"),
     GapConditionReport: ("rho_star", "indices", "log10_terms", "verdict"),
-    SingleEllipseMode: ("n", "alpha", "beta"),
-    ModeData: ("n", "lambda1", "lambda2", "a1", "a2", "b") + NORMS,
     ModeTable: ("n", "lambda1", "lambda2", "a1", "a2", "b") + NORMS,
     Regime: ("kind", "rho_star", "far_bound_rho"),
     AsymptoticRates: ("kind", "lambda1_rate", "lambda2_rate", "norm_rates"),
@@ -65,14 +57,11 @@ def test_mode_table_fields_are_the_spectrum_csv_header(tmp_path):
     assert header == ",".join(ModeTable._fields)
 
 
-def test_mode_table_truncated_and_row_keep_their_values():
+def test_mode_table_truncated_keeps_its_values():
     table = mode_table(G, 40)
     head = table.truncated(9)
     assert type(head) is ModeTable
     assert all(np.array_equal(a, b) for a, b in zip(head, mode_table(G, 9)))
-    for n in (1, 9, 40):
-        assert table.row(n) == mode_data(n, G)
-        assert type(table.row(n)) is ModeData
 
 
 def test_spectrum_report_replace_keeps_resolved_and_worst():

@@ -38,7 +38,6 @@ from calr_lab import (
     dissipated_power_direct,
     dissipated_power_spectral,
     eval_gradient_shell,
-    eval_potential,
     eval_potentials,
     metric_factor,
     mode_projections,
@@ -50,9 +49,11 @@ from calr_lab import (
     z_param,
 )
 from calr_lab.cli import load_config, parse_geometry, parse_source
+from calr_lab.errors import InputError
 from calr_lab.solver import SweepRecord
 from calr_lab.source import _PANEL_ADD_ELEMENTS, _horner, elliptic_potential
 from calr_lab.spectrum import mode_factors
+from reference import eval_potential, mode_column
 
 TWO_PI = 2.0 * math.pi
 
@@ -146,7 +147,7 @@ def test_mode_norms_against_quadrature():
     xie = np.asarray(metric_factor(1.0, THIN.rho_e, om))
     table = mode_table(THIN, 10)
     for n in range(1, 11):
-        row = table.row(n)
+        row = mode_column(table, n)
         families = (
             ((row.a1, row.b), np.cos(n * om), row.norm_1p),
             ((row.b, row.a2), np.sin(n * om), row.norm_1m),
@@ -179,7 +180,7 @@ def test_mode_projections_against_quadrature():
            + gs_e[:, None] * np.sin(np.outer(nn, om))).sum(axis=0) / xie
     table = mode_table(THIN, 10)
     for n in range(1, 11):
-        row = table.row(n)
+        row = mode_column(table, n)
         families = (
             ((row.a1, row.b), np.cos(n * om), proj_1p[n - 1]),
             ((row.b, row.a2), np.sin(n * om), proj_1m[n - 1]),
@@ -224,6 +225,24 @@ def test_adaptive_n_max():
         adaptive_n_max(1.5, THIN)
     with pytest.raises(OverflowGuard):
         adaptive_n_max(1e-60, THIN)
+
+
+def test_adaptive_n_max_takes_integer_margins_only():
+    """A fractional margin made a fractional n_max (48.5), on which sweep
+    failed with a raw IndexError deep in the solve; a margin past the
+    double range raised a bare OverflowError."""
+    src = Dipole(EllipticPoint(1.3, 0.9), np.array([1.0, 0.4]))
+    for margin in (1.5, 40.0, -1.5, "40", None):
+        want = f"^{re.escape(f'margin: must be an integer >= 0, got {margin}')}$"
+        with pytest.raises(InputError, match=want):
+            adaptive_n_max(1e-3, THIN, margin)
+        with pytest.raises(InputError, match=want):
+            sweep(src, THIN, [1e-3], PROBES_THIN, margin=margin)
+    assert adaptive_n_max(1e-3, THIN, np.int64(7)) == adaptive_n_max(1e-3, THIN, 7)
+    n = adaptive_n_max(1e-3, THIN, 0) + 10**400
+    want = f"delta = 0.001 needs n_max = {n}, beyond the overflow-safe bound 375 for rho_e = 0.8"
+    with pytest.raises(OverflowGuard, match=f"^{re.escape(want)}$"):
+        adaptive_n_max(1e-3, THIN, 10**400)
 
 
 def test_solve_densities_validation():
@@ -862,7 +881,7 @@ def test_gradient_requires_shell_point():
 @pytest.mark.filterwarnings("ignore::calr_lab.errors.TruncationWarning")
 @pytest.mark.parametrize("n_max, k", [(2, 2), (3, 3), (30, 2), (3, 1)])
 def test_one_row_functions_refuse_k_rows(n_max, k):
-    """The four functions that read one density row refuse K rows (also
+    """The three functions that read one density row refuse K rows (also
     K == n_max) with one ValueError naming the shape; a (2, 2, 1, n_max)
     array is K rows too."""
     src = Dipole(EllipticPoint(1.3, 0.4), np.array([1.0, 0.3]))
@@ -870,7 +889,6 @@ def test_one_row_functions_refuse_k_rows(n_max, k):
     rows = solve_densities(sc, THIN, [1e-3, 1e-2, 1e-1][:k])
     shape = re.escape(f"got shape (2, 2, {k}, {n_max})")
     for call in (
-        lambda: eval_potential(src, rows, THIN, EllipticPoint(1.1, 0.2)),
         lambda: eval_gradient_shell(src, rows, THIN, 0.6, 1.0),
         lambda: dissipated_power_closed(sc, rows, THIN, 1e-3),
         lambda: dissipated_power_direct(src, rows, THIN, 1e-3),
@@ -954,7 +972,7 @@ def test_dissipated_power_spectral_single_mode():
     proj_val = 0.7
     proj = np.zeros((4, 12))  # rows 1+, 1-, 2+, 2-
     proj[0, n_star - 1] = proj_val
-    row = table.row(n_star)
+    row = mode_column(table, n_star)
     for delta in (1e-2, 1e-3, 1e-4):
         want = delta * proj_val**2 / ((row.lambda1**2 + delta**2) * row.norm_1p)
         got = dissipated_power_spectral(proj, table, delta)
@@ -968,7 +986,7 @@ def test_dissipated_power_peaks_at_eigenvalue():
     n_star = 5
     proj = np.zeros((4, 12))  # rows 1+, 1-, 2+, 2-
     proj[0, n_star - 1] = 1.0
-    lam = abs(table.row(n_star).lambda1)
+    lam = abs(mode_column(table, n_star).lambda1)
     grid = lam * np.logspace(-1.0, 1.0, 17)
     powers = [dissipated_power_spectral(proj, table, float(d)) for d in grid]
     k_peak = int(np.argmax(powers))
@@ -981,6 +999,20 @@ def test_dissipated_power_validation():
     proj = np.zeros((4, 4))
     with pytest.raises(ValueError):
         dissipated_power_spectral(proj, table, 0.0)
+
+
+def test_spectral_power_refuses_a_table_of_another_truncation():
+    """A 1-mode table broadcast silently over this 5-mode projection and
+    gave 2.81e-4 where the matching table gives 8.98e-3; other sizes
+    raised an unlabelled broadcast error."""
+    src = Dipole(EllipticPoint(0.88, 0.9), np.array([1.0, 0.4]))
+    sc = newtonian_coefficients(src, 5, THIN.R, rho_e=THIN.rho_e)
+    proj = mode_projections(boundary_forcing(sc, THIN), mode_table(THIN, 5), THIN)
+    for n in (1, 4, 6):
+        with pytest.raises(ValueError, match="different truncation orders"):
+            dissipated_power_spectral(proj, mode_table(THIN, n), 1e-3)
+    with pytest.raises(ValueError, match="different truncation orders"):
+        dissipated_power_spectral(proj[:, None], mode_table(THIN, 5), 1e-3)
 
 
 def test_surrogate_tracks_direct_energy():
