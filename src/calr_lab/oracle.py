@@ -261,7 +261,7 @@ def _nearest_unused(numeric: np.ndarray, analytic: np.ndarray):
         nearest = min(dist)
         best = [j for j, d in enumerate(dist) if d == nearest]
         if len(best) > 1:
-            signs = [j for j in best if _sign(candidates[j]) == _sign(v)]
+            signs = [j for j in best if np.sign(candidates[j]) == np.sign(v)]
             if signs:
                 best = signs
         j = best[0]
@@ -270,10 +270,6 @@ def _nearest_unused(numeric: np.ndarray, analytic: np.ndarray):
         matched[idx] = a
         errors[idx] = abs(v - a) / abs(a) if abs(a) > 0.0 else abs(v)
     return matched, errors
-
-
-def _sign(x: float) -> int:
-    return (x > 0.0) - (x < 0.0)
 
 
 def _mode_blocks(m: BlockNPMatrix) -> tuple[np.ndarray, np.ndarray] | None:
@@ -590,12 +586,9 @@ def _gauss_panels(a: float, b: float, panels: int, order: int):
     """Composite Gauss-Legendre nodes and weights on [a, b]."""
     x, w = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(a, b, panels + 1)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes.append(mid + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return (mid + half * x).ravel(), (half * w).ravel()
 
 
 def dissipated_power_direct(

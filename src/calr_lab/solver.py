@@ -67,6 +67,8 @@ bounded/decaying E (no CALR), or neither.
 Each rule is stated once.  adaptive_n_max refuses a delta outside (0, 1)
 and a margin that is not an integer >= 0, and sweep a probe it cannot
 evaluate, all with errors.InputError before any coefficient is built.
+The truncation bound is the mode table's (spectrum._mode_limit), which
+adaptive_n_max and boundary_forcing read from n_max alone.
 solve_densities, sweep and oracle.validate share one solve, _solve: the
 solve (with its tail check, TruncationWarning above 1e-10) and both
 energies run over (delta, mode) arrays, one row per delta over its own
@@ -97,7 +99,8 @@ from .source import (
     newtonian_coefficients,
     series_radius,
 )
-from .spectrum import FAMILY_PARITY, ModeTable, Regime, _gram_entries, mode_factors, mode_table
+from .spectrum import (FAMILY_PARITY, ModeTable, Regime, _gram_entries, _mode_limit,
+                       _refuse_modes, mode_factors, mode_table)
 
 __all__ = [
     "SweepRecord",
@@ -114,10 +117,6 @@ __all__ = [
     "sweep",
     "calr_classify",
 ]
-
-# Hard bound on 2 * n_max * rho_e: beyond this the forcing and layer sums
-# involve exponentials too close to the double-precision ceiling.
-_NMAX_GUARD = 600.0
 
 # Tail of the mode sum (in solution S-norm, relative) above which a
 # truncation warning is emitted.
@@ -194,9 +193,8 @@ def adaptive_n_max(delta: float, g: ConfocalGeometry, margin: int = 40) -> int:
     Resonant indices sit near ln(1/delta) / (rho_e - rho_i); twice that
     plus a safety margin keeps the neglected tail far below the resonance.
     Raises InputError for delta outside (0, 1) or a margin that is not an
-    integer >= 0, and OverflowGuard when that many modes cannot be
-    represented in double precision for this geometry (also when n_max
-    is past the double range itself).
+    integer >= 0, and OverflowGuard, naming the largest n_max that fits,
+    when the modes do not fit the mode table's one bound (spectrum).
     """
     if not (0.0 < delta < 1.0):
         raise InputError(f"delta: must be in (0, 1), got {delta}")
@@ -207,15 +205,13 @@ def adaptive_n_max(delta: float, g: ConfocalGeometry, margin: int = 40) -> int:
     if margin < 0:
         raise InputError(f"margin: must be >= 0, got {margin}")
     n = math.ceil(2.0 * math.log(1.0 / delta) / (g.rho_e - g.rho_i)) + margin
-    try:
-        fits = 2.0 * n * g.rho_e < _NMAX_GUARD
-    except OverflowError:  # an int past the double range
-        fits = False
-    if not fits:
-        raise OverflowGuard(
-            f"delta = {delta} needs n_max = {n}, beyond the overflow-safe "
-            f"bound {int(_NMAX_GUARD / (2.0 * g.rho_e))} for rho_e = {g.rho_e}"
-        )
+    if n > _mode_limit(g):
+        try:
+            need = f"n_max = {n}"
+        except ValueError:  # past the digits Python converts to text
+            need = "an n_max too long to print"
+        raise OverflowGuard(f"delta = {delta} needs {need}; the largest n_max that fits "
+                            f"rho_e = {g.rho_e} is {_mode_limit(g)}")
     return n
 
 
@@ -223,8 +219,7 @@ def boundary_forcing(sc: Coefficients, g: ConfocalGeometry) -> np.ndarray:
     """Mode coefficients of (dF/dnu_i, -dF/dnu_e) on the two interfaces,
     shape (2, 2, n_max): (Gamma_i, Gamma_e) x (cosine span, sine span) x
     mode, the layout of the densities that solve_densities returns."""
-    if 2.0 * sc.n_max * g.rho_e >= _NMAX_GUARD:
-        raise OverflowGuard(f"n_max = {sc.n_max} too large for rho_e = {g.rho_e}")
+    _refuse_modes(sc.n_max, g)
     n = np.arange(1, sc.n_max + 1, dtype=float)
     out = np.array([
         [n * sc.f_plus * np.sinh(n * g.rho_i), n * sc.f_minus * np.cosh(n * g.rho_i)],
@@ -313,7 +308,7 @@ def solve_densities(
     accepted: conjugate symmetry V(-delta) = conj(V(delta)) is an
     invariant that tests exercise directly.  Raises ValueError for an
     empty sequence, a delta zero or nonfinite and an empty expansion,
-    OverflowGuard past the n_max bound of boundary_forcing.  Emits, once
+    OverflowGuard past the mode table's n_max bound.  Emits, once
     per delta in order, TruncationWarning when the last retained mode
     still carries more than 1e-10 of the accumulated solution norm.
     """

@@ -251,12 +251,8 @@ def newtonian_coefficients(
         if rho_e is not None and (radius := series_radius(s)) <= rho_e:
             raise SourceInsideShell(f"source: series radius rho = {radius} does not lie"
                                     f" strictly outside rho_e = {rho_e}")
-        m = min(s.n_max, n_max)
-        fp = np.zeros(n_max)
-        fm = np.zeros(n_max)
-        fp[:m] = s.f_plus[:m]
-        fm[:m] = s.f_minus[:m]
-        return Coefficients(s.c, fp, fm)
+        pad = (0, max(n_max - s.n_max, 0))
+        return Coefficients(s.c, np.pad(s.f_plus[:n_max], pad), np.pad(s.f_minus[:n_max], pad))
     if isinstance(s, Dipole):
         _require_usable("location", s.location.rho, R, rho_e)
         return _dipole_coefficients(s, n_max, R)

@@ -58,7 +58,7 @@ or for an array of modes; validate's closed-form checks call them as is.
 mode_eigenvalues gives lambda_1n and lambda_2n alone, by the formulas
 mode_table uses, for any n >= 1: past mode_table's range, where the norms
 overflow, they underflow towards 0.  The oracle pairs its numeric
-eigenvalues with them.
+eigenvalues with them.  mode_table's range (_mode_limit) bounds every n_max.
 """
 
 from __future__ import annotations
@@ -88,8 +88,8 @@ __all__ = [
     "asymptotic_rates",
 ]
 
-# Largest exponent magnitude allowed inside exp(); doubles overflow near
-# 709.78 and results would silently turn into inf.
+# Largest 2 n rho_e of a mode table (_mode_limit): e^{-700} is a normal
+# double, and doubles overflow near e^{709.78}.
 _EXP_GUARD = 700.0
 
 # Span of each family 1+, 1-, 2+, 2-: the index into a (cosine, sine) stack.
@@ -235,15 +235,30 @@ def mode_eigenvalues(n: np.ndarray, g: ConfocalGeometry) -> tuple[np.ndarray, np
     return _eigenvalues(mode_factors(n, g))[2:]
 
 
+def _mode_limit(g: ConfocalGeometry) -> int:
+    """The largest n_max whose table fits, the package's one truncation
+    bound: float(n) 2 rho_e <= 700 keeps e^{-2 n rho_e}, the smallest
+    factor mode_table forms, a normal double.  Capped at 2**53 modes."""
+    n = int(min(_EXP_GUARD / (2.0 * g.rho_e), 2.0**53 - 1)) + 1
+    while float(n) * 2.0 * g.rho_e > _EXP_GUARD:
+        n -= 1
+    return n
+
+
+def _refuse_modes(n_max: int, g: ConfocalGeometry) -> None:
+    """OverflowGuard, from n_max alone, past _mode_limit(g)."""
+    if n_max > _mode_limit(g):
+        raise OverflowGuard(f"2*n*rho_e = {float(n_max) * 2.0 * g.rho_e:.1f} "
+                            f"exceeds double range at n = {n_max}")
+
+
 def mode_table(g: ConfocalGeometry, n_max: int) -> ModeTable:
     """Eigendata for all modes n = 1 .. n_max at once, in the
     cancellation-free forms, range-checked from n_max before any array
     is made."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    t_max = float(n_max) * 2.0 * g.rho_e
-    if t_max > _EXP_GUARD:
-        raise OverflowGuard(f"2*n*rho_e = {t_max:.1f} exceeds double range at n = {n_max}")
+    _refuse_modes(n_max, g)
     n = np.arange(1, n_max + 1, dtype=float)
     f = mode_factors(n, g)
     ei, ee, E = f.ei, f.ee, f.E
@@ -332,11 +347,12 @@ def asymptotic_rates(g: ConfocalGeometry) -> AsymptoticRates:
         norm_1m, norm_2p ~ (2 pi / n) exp(-2 (rho_e - rho_i) n).
     """
     width = g.rho_e - g.rho_i
-    thin = g.rho_e <= 3.0 * g.rho_i
+    kind = critical_radius(g.rho_i, g.rho_e).kind
+    thin = kind is RegimeKind.THIN
     # Norm rates in family order: 1+ and 2- decay more slowly in the thick regime.
     slow = 2.0 * width if thin else 4.0 * g.rho_i
     return AsymptoticRates(
-        RegimeKind.THIN if thin else RegimeKind.THICK,
+        kind,
         lambda1_rate=width if thin else 2.0 * g.rho_i,
         lambda2_rate=width if thin else 2.0 * (g.rho_e - 2.0 * g.rho_i),
         norm_rates=dict(zip(("1p", "1m", "2p", "2m"), (slow, 2.0 * width, 2.0 * width, slow))),

@@ -504,6 +504,27 @@ def test_field_of_a_huge_representable_source(tmp_path):
     assert cells and np.all(np.isfinite(cells))
 
 
+def test_field_solves_every_truncation_the_bound_allows(tmp_path, capsys):
+    """dipole_inside's field block (margin 260) at delta = 1e-8 needs
+    n_max = 383, inside the one bound (437 modes on this shell): the
+    field is solved and every cell written is finite.  Under the former
+    second bound, 2 n rho_e < 600, it exited 3."""
+    cfg = json.loads((CONFIGS / "dipole_inside.json").read_text(encoding="utf-8"))
+    cfg["field"]["delta"] = 1e-8
+    assert adaptive_n_max(1e-8, _THIN, cfg["field"]["margin"]) == 383
+    path = _write_cfg(tmp_path, "f.json", cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        assert _run(["field", "--config", path, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "field.csv").read_text().splitlines()[1:]
+    cells = [row.split(",")[2:] for row in rows]
+    assert len(cells) == 81 * 81
+    values = [float(v) for cell in cells for v in cell if v]
+    assert len(values) == 3 * sum(1 for cell in cells if cell[0])
+    assert np.all(np.isfinite(values))
+    assert capsys.readouterr().err == ""
+
+
 def test_field_requires_delta(tmp_path):
     cfg = _write_cfg(tmp_path, "f.json", {
         "geometry": THIN_GEO,
@@ -949,6 +970,41 @@ def test_bad_values_are_config_errors(tmp_path, capsys, command, blocks):
     assert _run([command, "--config", path, "--out", str(tmp_path)]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "command, blocks, message",
+    [
+        ("sweep", {"sweep": [1e-3]}, "sweep: must be a JSON object"),
+        ("sweep", {"sweep": dict(_SWEEP, deltas=1e-3)},
+         "sweep.deltas: expected a list of numbers"),
+        ("validate", {"validate": {"n_nystrom": None}},
+         "validate.n_nystrom: required integer is missing"),
+        ("field", {"field": dict(_FIELD, n1=9.5)}, "field.n1: expected an integer, got 9.5"),
+        ("sweep", {"source": dict(_DIPOLE, location=[0.88, 0.9])},
+         "source.location: expected an object with rho and omega"),
+        ("sweep", {"sweep": dict(_SWEEP, probes=[{"rho": -1.2, "omega": 0.6}])},
+         "sweep.probes[0]: rho must be finite and >= 0, got -1.2"),
+        ("sweep", {"source": dict(_DIPOLE, moment=[1.0, 0.4, 0.0])},
+         "source.moment: expected [a1, a2]"),
+        ("sweep", {"source": {"variant": "coefficients", "f_plus": [1.0, 0.5],
+                              "f_minus": [0.0]}},
+         "source.f_plus / f_minus: lengths differ (2 vs 1)"),
+        ("spectrum", {"spectrum": {"n_max": -1}}, "spectrum.n_max: must be >= 0, got -1"),
+        ("sweep", {"sweep": dict(_SWEEP, probes=[])}, "sweep.probes: expected a non-empty list"),
+    ],
+    ids=["block-not-object", "numbers-not-list", "integer-missing", "integer-not-integer",
+         "point-not-object", "point-negative-rho", "moment-length", "coefficient-lengths",
+         "negative-spectrum-n-max", "no-probes"],
+)
+def test_config_shape_errors(tmp_path, capsys, command, blocks, message):
+    """Each shape check of the CLI's parsing exits 2 with its one message."""
+    cfg = {"geometry": THIN_GEO, "source": _DIPOLE, "sweep": _SWEEP, "field": _FIELD}
+    path = _write_cfg(tmp_path, "bad.json", dict(cfg, **blocks))
+    out = tmp_path / "out"
+    assert _run([command, "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(out.iterdir())
 
 
 _LIB_DIPOLE = Dipole(EllipticPoint(0.88, 0.9), np.array([1.0, 0.4]))

@@ -144,3 +144,11 @@ def test_source_variants_match_the_recorded_digest():
     few points, within that size."""
     _assert_recorded(ROOT / "tests" / "golden" / "configs",
                      ROOT / "tests" / "golden" / "source_variants_digest.txt")
+
+
+def test_seed71_workloads_match_the_recorded_digest(tmp_path):
+    """The same for the five benchmark workload configs of seed 71
+    (seeded_configs), recorded in tests/golden/seed71_digest.txt: the
+    seeded byte claim, checked in tier-1."""
+    configs = _output_digest().seeded_configs(71, tmp_path / "seed71")
+    _assert_recorded(configs, ROOT / "tests" / "golden" / "seed71_digest.txt")

@@ -13,6 +13,7 @@ import functools
 import math
 import re
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -52,8 +53,8 @@ from calr_lab.cli import load_config, parse_geometry, parse_source
 from calr_lab.errors import InputError
 from calr_lab.solver import SweepRecord
 from calr_lab.source import _PANEL_ADD_ELEMENTS, _horner, elliptic_potential
-from calr_lab.spectrum import mode_factors
-from reference import eval_potential, mode_column
+from calr_lab.spectrum import _mode_limit, mode_factors
+from reference import eval_potential, mode_column, transmission_energy
 
 TWO_PI = 2.0 * math.pi
 
@@ -240,9 +241,46 @@ def test_adaptive_n_max_takes_integer_margins_only():
             sweep(src, THIN, [1e-3], PROBES_THIN, margin=margin)
     assert adaptive_n_max(1e-3, THIN, np.int64(7)) == adaptive_n_max(1e-3, THIN, 7)
     n = adaptive_n_max(1e-3, THIN, 0) + 10**400
-    want = f"delta = 0.001 needs n_max = {n}, beyond the overflow-safe bound 375 for rho_e = 0.8"
+    want = f"delta = 0.001 needs n_max = {n}; the largest n_max that fits rho_e = 0.8 is 437"
     with pytest.raises(OverflowGuard, match=f"^{re.escape(want)}$"):
         adaptive_n_max(1e-3, THIN, 10**400)
+
+
+def test_adaptive_n_max_refuses_every_integer_margin():
+    """A margin whose n_max has more digits than Python converts to text
+    (4300 by default) raised a bare ValueError while the OverflowGuard
+    message was formatted; the message now leaves such an n out."""
+    want = ("delta = 0.001 needs an n_max too long to print; the largest n_max"
+            " that fits rho_e = 0.8 is 437")
+    with pytest.raises(OverflowGuard, match=f"^{re.escape(want)}$"):
+        adaptive_n_max(1e-3, THIN, 10**5000)
+
+
+@pytest.mark.parametrize("g, top", [(THIN, 437), (THICK, 350)], ids=["thin", "thick"])
+def test_one_truncation_bound(g, top):
+    """mode_table, adaptive_n_max and boundary_forcing accept n_max up to
+    the one bound float(n) 2 rho_e <= 700 and refuse one more mode with
+    OverflowGuard, each from n_max alone, before any array is formed."""
+    assert _mode_limit(g) == top
+    assert float(top) * 2.0 * g.rho_e <= 700.0 < float(top + 1) * 2.0 * g.rho_e
+    floor = adaptive_n_max(1e-3, g, 0)
+    assert adaptive_n_max(1e-3, g, top - floor) == top == len(mode_table(g, top).n)
+    src = Dipole(EllipticPoint(g.rho_e + 0.3, 0.9), np.array([1.0, 0.4]))
+    assert np.all(np.isfinite(boundary_forcing(newtonian_coefficients(src, top, g.R), g)))
+    with pytest.raises(OverflowGuard, match=f"is {top}$"):
+        adaptive_n_max(1e-3, g, top + 1 - floor)
+    with pytest.raises(OverflowGuard, match=f"at n = {top + 1}$"):
+        mode_table(g, top + 1)
+    # Two million modes: a forcing array would take 64 MB.
+    sc = Coefficients(0.0, np.zeros(2_000_000), np.zeros(2_000_000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(OverflowGuard, match="at n = 2000000$"):
+            boundary_forcing(sc, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_solve_densities_validation():
@@ -259,7 +297,7 @@ def test_solve_densities_validation():
     with pytest.raises(ValueError):
         solve_densities(Coefficients(0.0, np.zeros(0), np.zeros(0)), THIN, 1e-3)
     with pytest.raises(OverflowGuard):
-        solve_densities(Coefficients(0.0, np.zeros(400), np.zeros(400)), THIN, 1e-3)
+        solve_densities(Coefficients(0.0, np.zeros(438), np.zeros(438)), THIN, 1e-3)
 
 
 @pytest.mark.parametrize("span", [0, 1], ids=["cosine", "sine"])
@@ -943,7 +981,7 @@ def test_closed_energy_matches_quadrature_oracle(name):
     truncated source and densities, at every sweep delta of the bundled
     config and at the largest n_max the geometry supports."""
     g, src, deltas, _, margin = _bundled_sweep(name)
-    n_top = math.ceil(300.0 / g.rho_e) - 1  # largest n with 2 n rho_e < 600
+    n_top = _mode_limit(g)  # largest n with 2 n rho_e <= 700
     sc = newtonian_coefficients(src, n_top + 1, g.R, rho_e=g.rho_e)
     with pytest.raises(OverflowGuard):
         solve_densities(sc, g, 1e-8)
@@ -954,6 +992,22 @@ def test_closed_energy_matches_quadrature_oracle(name):
         oracle = dissipated_power_direct(sc, dc, g, delta)
         assert math.isfinite(closed) and closed > 0.0
         assert abs(closed - oracle) <= 1e-13 * oracle, (delta, n_max)
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-8])
+@pytest.mark.parametrize("name", ["dipole_inside", "thick_inside"])
+def test_closed_energy_matches_the_transmission_reference(name, delta):
+    """At the largest truncation the bound allows (437 modes on the thin
+    shell, 350 on the thick one), the densities are finite and the
+    closed-form energy equals a 50-digit per-mode 4 x 4 transmission solve
+    of the same float F_n (tests/reference.py), which uses no spectral
+    data, to 1e-13."""
+    g, src = _bundled_sweep(name)[:2]
+    sc, dc = _truncated_solve(src, g, delta, _mode_limit(g))
+    assert np.all(np.isfinite(dc))
+    closed = dissipated_power_closed(sc, dc, g, delta)
+    reference = float(transmission_energy(sc, g, delta))
+    assert abs(closed - reference) <= 1e-13 * reference
 
 
 def test_closed_energy_validation():
@@ -1232,6 +1286,32 @@ def test_classify_synthetic_sweeps():
     spiky = [_record(1e-2, 1.0, 1.0), _record(1e-3, 100.0, 1.0),
              _record(1e-4, 3.0, 1.0)]
     assert calr_classify(spiky, THIN_REGIME).verdict.value == "Indeterminate"
+
+
+def test_classify_records_without_probes():
+    """Without probes there is no visibility to grade: the drop is nan, the
+    visibility is not decreasing, and growth alone does not make CALR."""
+    empty = np.zeros(0)
+    records = [SweepRecord(d, 10, e, e, empty, empty)
+               for d, e in zip([1e-2, 1e-3, 1e-4], [1.0, 10.0, 100.0])]
+    diagnosis = calr_classify(records, THIN_REGIME)
+    assert diagnosis.verdict.value == "Indeterminate"
+    assert math.isnan(diagnosis.visibility_drop)
+    assert not diagnosis.visibility_decreasing and diagnosis.energy_increasing
+    assert diagnosis.growth_exponent == pytest.approx(1.0)
+
+
+def test_forcing_and_projection_refusals():
+    """boundary_forcing refuses a forcing past the double range (numpy
+    warns of the overflow on the way), and mode_projections a forcing of
+    another truncation than its table."""
+    sc = Coefficients(0.0, [0.0, 1e308], [0.0, 0.0])
+    with np.errstate(over="ignore"), \
+            pytest.raises(OverflowGuard, match="^forcing coefficients leave double range$"):
+        boundary_forcing(sc, THIN)
+    forcing = boundary_forcing(Coefficients(0.0, np.ones(5), np.ones(5)), THIN)
+    with pytest.raises(ValueError, match="^forcing and mode table have different truncation"):
+        mode_projections(forcing, mode_table(THIN, 6), THIN)
 
 
 def test_readme_library_example_runs():

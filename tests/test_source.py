@@ -13,6 +13,7 @@ from calr_lab import (
     ChargePair,
     Coefficients,
     ConfocalGeometry,
+    DegeneratePoint,
     Dipole,
     EllipticPoint,
     GapVerdict,
@@ -680,3 +681,32 @@ def test_pair_constant_next_to_the_focal_segment():
     mpmath.mp.dps = 30
     want = float((mpmath.mpf(0.0005) - mpmath.mpf(0.3)) / (2 * mpmath.pi))
     assert abs(newtonian_coefficients(pair, 8, 1.0).c - want) <= 1e-15
+
+
+def test_source_refusals():
+    """A charge at rho = 0, an empty truncation, and a series evaluated on
+    the focal segment, where its angle is undefined, are refused with
+    their own messages."""
+    at_zero = EllipticPoint(0.0, 0.3)
+    with pytest.raises(ValueError, match="^charge locations must have rho > 0$"):
+        ChargePair(at_zero, EllipticPoint(1.1, 2.0))
+    with pytest.raises(ValueError, match="^charge locations must have rho > 0$"):
+        ChargePair(EllipticPoint(1.1, 2.0), at_zero)
+    dipole = Dipole(EllipticPoint(1.3, 0.9), np.array([1.0, 0.4]))
+    with pytest.raises(ValueError, match="^n_max must be >= 1, got 0$"):
+        newtonian_coefficients(dipole, 0, THIN.R)
+    series = Coefficients(0.1, [0.5, 0.25], [0.2, 0.0])
+    focal = np.array([0.5 * THIN.R, 0.0])
+    for evaluate in (newtonian_eval, newtonian_gradient):
+        with pytest.raises(DegeneratePoint, match="^evaluation point lies on the focal segment$"):
+            evaluate(series, focal, THIN.R)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda s: newtonian_coefficients(s, 4, THIN.R),
+    lambda s: newtonian_eval(s, np.array([2.0, 0.0]), THIN.R),
+    lambda s: newtonian_gradient(s, np.array([2.0, 0.0]), THIN.R),
+], ids=["coefficients", "eval", "gradient"])
+def test_unsupported_source_type(evaluate):
+    with pytest.raises(TypeError, match="^unsupported source type str$"):
+        evaluate("dipole")
