@@ -5,13 +5,14 @@ core inside a lossy negative-permittivity shell bounded by confocal
 ellipses, classifies whether cloaking due to anomalous localized
 resonance (CALR) occurs for a given source, and cross-validates the
 closed-form mode solution against an independent Nystrom discretization
-of the underlying boundary-integral operator.
+of the underlying boundary-integral operator and its energy against a
+per-mode transmission solve.
 
 Results are immutable NamedTuples; the inputs that check their values
 (EllipticPoint, ConfocalGeometry, Dipole, ChargePair, Coefficients) are
-frozen dataclasses.  The Nystrom oracle (calr_lab.oracle) serves only
-cross-validation and is imported on first use: its three re-exports
-below resolve through the module __getattr__.
+frozen dataclasses.  The independent routes of calr_lab.oracle (the
+Nystrom spectrum, the per-mode transmission energy and validate) serve
+only cross-validation; the package root does not import them.
 """
 
 from .errors import (
@@ -77,19 +78,6 @@ from .spectrum import (
 
 __version__ = "0.1.0"
 
-_ORACLE_EXPORTS = {
-    "coefficient_projection_oracle", "dissipated_power_direct", "eval_gradient_shell"
-}
-
-
-def __getattr__(name: str):
-    """The oracle's re-exports, importing calr_lab.oracle on first use (PEP 562)."""
-    if name in _ORACLE_EXPORTS:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "AsymptoticRates",
     "CalrDiagnosis",
@@ -121,14 +109,11 @@ __all__ = [
     "block_matrices",
     "boundary_forcing",
     "calr_classify",
-    "coefficient_projection_oracle",
     "convergence_exponent",
     "critical_radius",
     "dissipated_power_closed",
-    "dissipated_power_direct",
     "dissipated_power_spectral",
     "ellipse_curvature",
-    "eval_gradient_shell",
     "eval_potentials",
     "gap_condition_report",
     "green_expansion_coefficients",

@@ -12,31 +12,31 @@ or solver, and serves only for cross-validation.
   alone; spectrum.mode_eigenvalues (which has no range guard) only
   supplies the values it is compared against.  No
   option alters a block: tests negate one by hand to show it is caught.
-- The energy quadrature (dissipated_power_direct: Gauss-Legendre in rho,
-  trapezoid in omega) reuses the spectral densities and checks only the
-  energy sum of dissipated_power_closed.
-- The shell gradient it integrates (eval_gradient_shell) is a separable
-  mode sum, independent of the Horner evaluator behind eval_potentials.
-  It keeps its (n_rho, n_max) @ (n_max, n_omega) form (_layer_radial):
-  point by point the 128 x 512 grid would cost 65536 n_max entries.
-- The projection oracle (coefficient_projection_oracle) samples the
-  closed-form newtonian_eval and never reads newtonian_coefficients.
+- The transmission energy (transmission_energy) solves the four
+  transmission conditions of each mode and span in closed form from the
+  source coefficients alone, the confocal analogue of the per-mode solves
+  of Nicorovici, McPhedran & Milton (PRB 49, 1994) and Ammari et al.
+  (ARMA 208, 2013), and never reads a mode table, projection or density.
 
-validate runs the eight checks of `calr-lab validate` in seven steps,
+validate runs the nine checks of `calr-lab validate` in eight steps,
 each threshold stated once, in its body.  They compare (1) mode_blocks_for's
 Nystrom eigenvalues and (2) K* of Gamma_i on 1/Xi with mode_eigenvalues
 and 1/2, (3, 4) block_matrices and s_gram with the family table
 (ModeTable.families, order in spectrum's docstring) of mode_table's
 eigenpairs and norms, (5) eval_potentials with the transmission conditions
 (continuity and flux_jump), (6) the surrogate with the closed-form energy,
-and (7) V at -delta with conj V at delta.  Step 1 solves only the mode
-blocks whose norm bound reaches the top values it compares (see
+(7) V at -delta with conj V at delta, and (8) the closed-form energy at
++delta with transmission_energy (direct_energy).  Step 1 solves only the
+mode blocks whose norm bound reaches the top values it compares (see
 _mode_spectrum; 5 of 127 4 x 4 blocks at N = 256 on the default
 geometry), and step 2 forms and applies K* 64 rows at a time rather than
-as one N x N matrix.  Steps 3-7 share one solver._solve pass (the solve
+as one N x N matrix.  Steps 3-8 share one solver._solve pass (the solve
 of solve_densities and sweep) whose rows are +delta and -delta (steps 5
-and 7, one eval_potentials call) and step 6's five losses (their
-energies); steps 3 and 4 read the first 50 modes of its table.
+and 7, one eval_potentials call; step 8 reads the +delta energy) and
+step 6's five losses (their energies); steps 3 and 4 read the first 50
+modes of its table.  The check-only routes of the tests (the energy
+quadrature, the shell gradient and the projection oracle) live in
+tests/reference.py.
 
 On confocal ellipses the operator couples no two Fourier modes: with the
 node weights W of both curves, A = W M W^-1 has entries w_i k(x_i, y_j),
@@ -81,20 +81,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CurveOverlap, EigensolveFailure, InputError
-from .geometry import (
-    ConfocalGeometry, EllipticPoint, SampledCurve, cartesian, sample_ellipse, tangents
-)
-from .solver import _one_row, _solve, adaptive_n_max, eval_potentials
-from .source import (
-    ChargePair,
-    Coefficients,
-    Dipole,
-    SourceSpec,
-    newtonian_coefficients,
-    newtonian_eval,
-    newtonian_gradient,
-)
+from .errors import CurveOverlap, EigensolveFailure, InputError, OverflowGuard
+from .geometry import ConfocalGeometry, EllipticPoint, SampledCurve, sample_ellipse
+from .solver import _energies, _solve, adaptive_n_max, eval_potentials
+from .source import Coefficients, Dipole, SourceSpec, newtonian_coefficients
 from .spectrum import FAMILY_PARITY, block_matrices, mode_eigenvalues, mode_table, s_gram
 
 __all__ = [
@@ -104,9 +94,7 @@ __all__ = [
     "block_np_for",
     "numeric_spectrum",
     "mode_blocks_for",
-    "eval_gradient_shell",
-    "dissipated_power_direct",
-    "coefficient_projection_oracle",
+    "transmission_energy",
     "validate",
 ]
 
@@ -117,8 +105,6 @@ _MIN_CURVE_GAP = 1e-8
 # decoupling leaves rounding only (about 1e-15 at N = 1024).  The sampled
 # rows of mode_blocks_for round like N^2 eps and get max(this, N^2 2^-52).
 _MODE_TOL = 1e-12
-
-_GL_ORDER = 32
 
 
 class BlockNPMatrix(NamedTuple):
@@ -483,171 +469,52 @@ def numeric_spectrum(
     return SpectrumReport(top, matched, errors, max_imag, floor)
 
 
-def _layer_radial(
-    n: np.ndarray, g: ConfocalGeometry, rho: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Radial factors of the layers on rho_i and rho_e at each radius.
+def transmission_energy(sc: Coefficients, g: ConfocalGeometry, delta: float) -> float:
+    """E_delta of the truncated source sc on g from the transmission
+    conditions, mode by mode in closed form, with no mode table,
+    projection or density.
 
-    With near = e^{-n |rho - rho_k|} and far = e^{-n (rho + rho_k)} (no
-    exponent is positive), returns (near + far) / 2 and (near - far) / 2,
-    each of shape (2,) + rho.shape + (n_max,) with index 0 for rho_i and
-    1 for rho_e.  Mode n of the layer potential of phi_n_c (phi_n_s) on
-    rho_k is that half over -n times cos (sin)(n omega) in every region;
-    d/drho turns the halves into n (sigma_k near -+ far) / 2 with
-    sigma_k = sign(rho_k - rho).
+    Mode n of span sigma (+1: cos(n omega), F_n^+ and cosh; -1:
+    sin(n omega), F_n^- and sinh) is A c(n rho) / c(n rho_i) in the core,
+    B e^{n rho} + C e^{-n rho} in the shell of permittivity
+    eps = -1 + i delta and F_n c(n rho) + D e^{-n rho} outside.  With
+    q = e^{-2 n rho_i}, t = c'/c at n rho_i = (1 - sigma q) / (1 + sigma q),
+    E = e^{-n (rho_e - rho_i)} and F~ = F_n e^{n rho_e}, continuity of the
+    profile and of eps times its rho derivative on both interfaces give
+    the scaled unknowns
+
+        B' = B e^{n rho_e} = F~ (t + eps) / den,
+        C' = C e^{-n rho_i} = -E F~ (t - eps) / den,
+        den = i delta (t + eps) - E^2 (2 - i delta) (t - eps),
+
+    and E_delta = delta pi sum_n n (1 - E^2) (|B'|^2 + |C'|^2) over both
+    spans.  t + eps = (t - 1) + i delta takes t - 1 = -2 sigma q /
+    (1 + sigma q) as formed, since (t + 1) - 2 would lose about 1/delta
+    of its digits.  The squares are taken through solver._energies, so
+    OverflowGuard means some F~ or E itself is out of double range; no
+    bound on n_max applies.
     """
-    r = np.asarray(rho, dtype=float)[..., None]
-    rk = np.reshape([g.rho_i, g.rho_e], (2,) + (1,) * r.ndim)
-    near, far = np.exp(-n * np.abs(r - rk)), np.exp(-n * (r + rk))
-    return 0.5 * (near + far), 0.5 * (near - far)
-
-
-def _series_radial(sc: Coefficients, rho) -> tuple[np.ndarray, ...]:
-    """Mode indices n and F^+- cosh(n rho), F^+- sinh(n rho) at each rho.
-
-    The plain product F_n * cosh(n rho) can overflow long before the term
-    itself leaves double range (tiny coefficient times huge hyperbolic),
-    so the radial factors are folded into the coefficient logs first.
-    Returns (n, fp_ch, fp_sh, fm_ch, fm_sh), the factors of shape
-    rho.shape + (len(f_plus),).
-    """
-    n = np.arange(1, len(sc.f_plus) + 1, dtype=float)
-    nr = np.asarray(rho, dtype=float)[..., None] * n
-    with np.errstate(divide="ignore"):
-        log_ch = nr + np.log1p(np.exp(-2.0 * nr)) - math.log(2.0)
-        log_sh = nr + np.log1p(-np.exp(-2.0 * nr)) - math.log(2.0)
-        log_p = np.log(np.abs(sc.f_plus))
-        log_m = np.log(np.abs(sc.f_minus))
-        sp, sm = np.sign(sc.f_plus), np.sign(sc.f_minus)
-        fp_ch, fp_sh = sp * np.exp(log_p + log_ch), sp * np.exp(log_p + log_sh)
-        fm_ch, fm_sh = sm * np.exp(log_m + log_ch), sm * np.exp(log_m + log_sh)
-    return n, fp_ch, fp_sh, fm_ch, fm_sh
-
-
-def _shell_gradient_grid(
-    source: SourceSpec,
-    dc: np.ndarray,
-    g: ConfocalGeometry,
-    rhos: np.ndarray,
-    omegas: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(dV/drho, dV/domega) on the tensor grid rhos x omegas in the shell.
-
-    Separable matmuls over the modes keep the cost at (n_rho + n_omega)
-    n_max entries rather than n_rho n_omega n_max.  dc is one row
-    (2, 2, n_max).
-    """
-    _one_row(dc)
-    (p_cos, p_sin), (q_cos, q_sin) = dc
-    n = np.arange(1, np.shape(dc)[-1] + 1, dtype=float)
-    (chi, che), (shi, she) = _layer_radial(n, g, rhos)
-
-    cw = np.cos(np.outer(n, omegas))
-    sw = np.sin(np.outer(n, omegas))
-
-    # In the shell sigma_i = -1 and sigma_e = +1 (also on the interfaces).
-    a_rho = p_cos * chi - q_cos * she
-    b_rho = p_sin * shi - q_sin * che
-    a_om = p_cos * chi + q_cos * che
-    b_om = -p_sin * shi - q_sin * she
-
-    d_rho = a_rho @ cw + b_rho @ sw
-    d_omega = a_om @ sw + b_om @ cw
-    if isinstance(source, Coefficients):
-        # The same contraction for the series, at its own truncation.
-        m, fp_ch, fp_sh, fm_ch, fm_sh = _series_radial(source, rhos)
-        cw, sw = np.cos(np.outer(m, omegas)), np.sin(np.outer(m, omegas))
-        f_rho = (m * fp_sh) @ cw + (m * fm_ch) @ sw
-        f_omega = (m * fm_sh) @ cw - (m * fp_ch) @ sw
-    else:
-        grad = newtonian_gradient(source, cartesian(g.R, rhos[:, None], omegas), g.R)
-        t_rho, t_omega = tangents(g.R, rhos[:, None], omegas)
-        f_rho, f_omega = (grad * t_rho).sum(axis=-1), (grad * t_omega).sum(axis=-1)
-    return d_rho + f_rho, d_omega + f_omega
-
-
-def eval_gradient_shell(
-    source: SourceSpec,
-    dc: np.ndarray,
-    g: ConfocalGeometry,
-    rho: float,
-    omega: float,
-) -> tuple[complex, complex]:
-    """(dV/drho, dV/domega) at a single shell point."""
-    if not g.rho_i <= rho <= g.rho_e:
-        raise ValueError(f"rho = {rho} is not inside the shell [{g.rho_i}, {g.rho_e}]")
-    d_rho, d_omega = _shell_gradient_grid(
-        source, dc, g, np.array([rho]), np.array([omega])
-    )
-    return complex(d_rho[0, 0]), complex(d_omega[0, 0])
-
-
-def _gauss_panels(a: float, b: float, panels: int, order: int):
-    """Composite Gauss-Legendre nodes and weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(a, b, panels + 1)
-    lo, hi = edges[:-1, None], edges[1:, None]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return (mid + half * x).ravel(), (half * w).ravel()
-
-
-def dissipated_power_direct(
-    source: SourceSpec,
-    dc: np.ndarray,
-    g: ConfocalGeometry,
-    delta: float,
-    n_omega: int | None = None,
-    n_panels: int = 4,
-) -> float:
-    """E_delta by tensor quadrature of the shell gradient.
-
-    Gauss-Legendre panels of _GL_ORDER nodes in rho, trapezoid in omega.
-    The trapezoid rule is spectrally exact once n_omega exceeds twice the
-    highest retained harmonic of |grad V|^2, so the default
-    max(4 n_max + 2, 512) already sits deep in the converged regime.
-    """
-    if n_omega is None:
-        n_omega = max(4 * np.shape(dc)[-1] + 2, 512)
-    rhos, w_rho = _gauss_panels(g.rho_i, g.rho_e, n_panels, _GL_ORDER)
-    omegas = 2.0 * math.pi * np.arange(n_omega) / n_omega
-    d_rho, d_omega = _shell_gradient_grid(source, dc, g, rhos, omegas)
-    density = np.abs(d_rho) ** 2 + np.abs(d_omega) ** 2
-    return delta * float(w_rho @ density.sum(axis=1)) * (2.0 * math.pi / n_omega)
-
-
-def coefficient_projection_oracle(
-    s: SourceSpec, rho_t: float, n_max: int, R: float
-) -> Coefficients:
-    """Recover expansion data by Fourier projection on a test ellipse.
-
-    Samples F on {rho = rho_t} (which must lie strictly below the source)
-    at M = max(8 n_max, 512) equispaced angles and divides the Fourier
-    coefficients by the known radial factors.  This route never touches
-    the closed-form expansion coefficients, so it serves as an independent
-    check of newtonian_coefficients.
-    """
-    if isinstance(s, Dipole):
-        rho0 = s.location.rho
-    elif isinstance(s, ChargePair):
-        rho0 = min(s.plus.rho, s.minus.rho)
-    elif isinstance(s, Coefficients):
-        rho0 = math.inf
-    else:
-        raise TypeError(f"unsupported source type {type(s).__name__}")
-    if not 0.0 < rho_t < rho0:
-        raise ValueError(f"need 0 < rho_t < source radius, got rho_t = {rho_t}")
-
-    m_nodes = max(8 * n_max, 512)
-    omegas = 2.0 * math.pi * np.arange(m_nodes) / m_nodes
-    values = newtonian_eval(s, cartesian(R, rho_t, omegas), R)
-
-    spec = np.fft.rfft(values)
-    n = np.arange(1, n_max + 1, dtype=float)
-    cos_coeff = 2.0 * spec[1 : n_max + 1].real / m_nodes
-    sin_coeff = -2.0 * spec[1 : n_max + 1].imag / m_nodes
-    f_plus = cos_coeff / np.cosh(n * rho_t)
-    f_minus = sin_coeff / np.sinh(n * rho_t)
-    return Coefficients(float(spec[0].real) / m_nodes, f_plus, f_minus)
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
+    n = np.arange(1, sc.n_max + 1, dtype=float)
+    sigma = np.array([[1.0], [-1.0]])  # (span, mode) arrays
+    q = sigma * np.exp(-2.0 * n * g.rho_i)
+    gap = np.exp(-n * (g.rho_e - g.rho_i))
+    # F_n times e^{n rho_e / 2} twice: a point source's F_n that has
+    # underflowed to 0 stays 0 up to n rho_e = 1419, where e^{n rho_e}
+    # alone is inf.
+    with np.errstate(over="ignore"):
+        half = np.exp(0.5 * n * g.rho_e)
+        f = np.array([sc.f_plus, sc.f_minus]) * half * half
+    if not np.all(np.isfinite(f)):
+        raise OverflowGuard("source coefficients F_n e^{n rho_e} leave double range")
+    t_eps = -2.0 * q / (1.0 + q) + 1j * delta  # t + eps
+    t_neps = 2.0 / (1.0 + q) - 1j * delta  # t - eps
+    f_den = f / (1j * delta * t_eps - gap * gap * (2.0 - 1j * delta) * t_neps)
+    amp = np.abs(np.concatenate([f_den * t_eps, gap * f_den * t_neps]))[:, None]
+    weight = n * -np.expm1(-2.0 * n * (g.rho_e - g.rho_i))
+    return _energies(amp, lambda w: weight * np.sum((amp * w) ** 2, axis=0),
+                     math.pi, [delta], [sc.n_max])[0]
 
 
 def _check(name: str, observed: float, threshold: float, status=None):
@@ -807,4 +674,10 @@ def validate(
     vp, vm = at_7
     worst = float(np.max(np.abs(vm - np.conj(vp)) / np.maximum(np.abs(vp), 1e-30)))
     checks.append(_check("reality_symmetry", worst, 1e-13))
+
+    # 8. The closed energy of the +delta row against the per-mode
+    # transmission solve, which reads the source coefficients alone.
+    direct = transmission_energy(sc.truncated(n_maxes[0]), g, delta)
+    observed = _relative(abs(e_direct[0] - direct), e_direct[0])
+    checks.append(_check("direct_energy", observed, 1e-12))
     return checks

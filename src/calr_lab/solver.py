@@ -218,13 +218,16 @@ def adaptive_n_max(delta: float, g: ConfocalGeometry, margin: int = 40) -> int:
 def boundary_forcing(sc: Coefficients, g: ConfocalGeometry) -> np.ndarray:
     """Mode coefficients of (dF/dnu_i, -dF/dnu_e) on the two interfaces,
     shape (2, 2, n_max): (Gamma_i, Gamma_e) x (cosine span, sine span) x
-    mode, the layout of the densities that solve_densities returns."""
+    mode, the layout of the densities that solve_densities returns.
+    OverflowGuard, with no numpy warning, when a coefficient leaves
+    double range."""
     _refuse_modes(sc.n_max, g)
     n = np.arange(1, sc.n_max + 1, dtype=float)
-    out = np.array([
-        [n * sc.f_plus * np.sinh(n * g.rho_i), n * sc.f_minus * np.cosh(n * g.rho_i)],
-        [-n * sc.f_plus * np.sinh(n * g.rho_e), -n * sc.f_minus * np.cosh(n * g.rho_e)],
-    ])
+    with np.errstate(over="ignore"):
+        out = np.array([
+            [n * sc.f_plus * np.sinh(n * g.rho_i), n * sc.f_minus * np.cosh(n * g.rho_i)],
+            [-n * sc.f_plus * np.sinh(n * g.rho_e), -n * sc.f_minus * np.cosh(n * g.rho_e)],
+        ])
     if not np.all(np.isfinite(out)):
         raise OverflowGuard("forcing coefficients leave double range")
     return out

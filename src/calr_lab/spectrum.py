@@ -246,10 +246,20 @@ def _mode_limit(g: ConfocalGeometry) -> int:
 
 
 def _refuse_modes(n_max: int, g: ConfocalGeometry) -> None:
-    """OverflowGuard, from n_max alone, past _mode_limit(g)."""
+    """OverflowGuard, from n_max alone, past _mode_limit(g), for any int:
+    the message gives 2 n rho_e only where a double holds it, and n only
+    where Python converts it to text."""
     if n_max > _mode_limit(g):
-        raise OverflowGuard(f"2*n*rho_e = {float(n_max) * 2.0 * g.rho_e:.1f} "
-                            f"exceeds double range at n = {n_max}")
+        try:
+            reach = float(n_max) * 2.0 * g.rho_e
+        except OverflowError:  # n_max past the largest double
+            reach = math.inf
+        try:
+            at = f"n = {n_max}"
+        except ValueError:  # past the digits Python converts to text
+            at = "an n too long to print"
+        shown = f" = {reach:.1f}" if math.isfinite(reach) else ""
+        raise OverflowGuard(f"2*n*rho_e{shown} exceeds double range at {at}")
 
 
 def mode_table(g: ConfocalGeometry, n_max: int) -> ModeTable:

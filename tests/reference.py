@@ -4,8 +4,22 @@ The package serves its method through array forms (mode_table,
 eval_potentials, elliptic_coords, the Nystrom block route).  The tests
 compare them against the single-curve references below, which keep their
 own argument checks, against a high-precision per-mode transmission
-solve, and read single points and single modes through the short helpers
-at the end, each a direct call of an array form.
+solve, against three check-only routes, and read single points and
+single modes through the short helpers at the end, each a direct call of
+an array form.
+
+The check-only routes recompute by another method what the package
+computes in closed form:
+
+- The energy quadrature (dissipated_power_direct: Gauss-Legendre in rho,
+  trapezoid in omega) reuses the spectral densities and checks only the
+  energy sum of dissipated_power_closed.
+- The shell gradient it integrates (eval_gradient_shell) is a separable
+  mode sum, independent of the Horner evaluator behind eval_potentials.
+  It keeps its (n_rho, n_max) @ (n_max, n_omega) form (_layer_radial):
+  point by point the 128 x 512 grid would cost 65536 n_max entries.
+- The projection oracle (coefficient_projection_oracle) samples the
+  closed-form newtonian_eval and never reads newtonian_coefficients.
 """
 
 from __future__ import annotations
@@ -17,10 +31,22 @@ import mpmath
 import numpy as np
 
 from calr_lab.errors import DegeneratePoint, OverflowGuard
-from calr_lab.geometry import EllipticPoint, SampledCurve, elliptic_coords
+from calr_lab.geometry import (
+    ConfocalGeometry, EllipticPoint, SampledCurve, cartesian, elliptic_coords, tangents
+)
 from calr_lab.oracle import _kernel_block
-from calr_lab.solver import eval_potentials
+from calr_lab.solver import _one_row, eval_potentials
+from calr_lab.source import (
+    ChargePair,
+    Coefficients,
+    Dipole,
+    SourceSpec,
+    newtonian_eval,
+    newtonian_gradient,
+)
 from calr_lab.spectrum import _EXP_GUARD, ModeTable, mode_table
+
+_GL_ORDER = 32
 
 # ---------------------------------------------------------------------------
 # Single-curve references
@@ -144,6 +170,178 @@ def transmission_energy(sc, g, delta: float, dps: int = 50):
                 b, c = b / xe, c * xi
                 total += n * (abs(b) ** 2 * up + abs(c) ** 2 * down)
         return d * mpmath.pi * total
+
+
+# ---------------------------------------------------------------------------
+# Check-only routes: the energy quadrature, the shell gradient it
+# integrates and the projection oracle
+
+
+def _layer_radial(
+    n: np.ndarray, g: ConfocalGeometry, rho: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Radial factors of the layers on rho_i and rho_e at each radius.
+
+    With near = e^{-n |rho - rho_k|} and far = e^{-n (rho + rho_k)} (no
+    exponent is positive), returns (near + far) / 2 and (near - far) / 2,
+    each of shape (2,) + rho.shape + (n_max,) with index 0 for rho_i and
+    1 for rho_e.  Mode n of the layer potential of phi_n_c (phi_n_s) on
+    rho_k is that half over -n times cos (sin)(n omega) in every region;
+    d/drho turns the halves into n (sigma_k near -+ far) / 2 with
+    sigma_k = sign(rho_k - rho).
+    """
+    r = np.asarray(rho, dtype=float)[..., None]
+    rk = np.reshape([g.rho_i, g.rho_e], (2,) + (1,) * r.ndim)
+    near, far = np.exp(-n * np.abs(r - rk)), np.exp(-n * (r + rk))
+    return 0.5 * (near + far), 0.5 * (near - far)
+
+
+def _series_radial(sc: Coefficients, rho) -> tuple[np.ndarray, ...]:
+    """Mode indices n and F^+- cosh(n rho), F^+- sinh(n rho) at each rho.
+
+    The plain product F_n * cosh(n rho) can overflow long before the term
+    itself leaves double range (tiny coefficient times huge hyperbolic),
+    so the radial factors are folded into the coefficient logs first.
+    Returns (n, fp_ch, fp_sh, fm_ch, fm_sh), the factors of shape
+    rho.shape + (len(f_plus),).
+    """
+    n = np.arange(1, len(sc.f_plus) + 1, dtype=float)
+    nr = np.asarray(rho, dtype=float)[..., None] * n
+    with np.errstate(divide="ignore"):
+        log_ch = nr + np.log1p(np.exp(-2.0 * nr)) - math.log(2.0)
+        log_sh = nr + np.log1p(-np.exp(-2.0 * nr)) - math.log(2.0)
+        log_p = np.log(np.abs(sc.f_plus))
+        log_m = np.log(np.abs(sc.f_minus))
+        sp, sm = np.sign(sc.f_plus), np.sign(sc.f_minus)
+        fp_ch, fp_sh = sp * np.exp(log_p + log_ch), sp * np.exp(log_p + log_sh)
+        fm_ch, fm_sh = sm * np.exp(log_m + log_ch), sm * np.exp(log_m + log_sh)
+    return n, fp_ch, fp_sh, fm_ch, fm_sh
+
+
+def _shell_gradient_grid(
+    source: SourceSpec,
+    dc: np.ndarray,
+    g: ConfocalGeometry,
+    rhos: np.ndarray,
+    omegas: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(dV/drho, dV/domega) on the tensor grid rhos x omegas in the shell.
+
+    Separable matmuls over the modes keep the cost at (n_rho + n_omega)
+    n_max entries rather than n_rho n_omega n_max.  dc is one row
+    (2, 2, n_max).
+    """
+    _one_row(dc)
+    (p_cos, p_sin), (q_cos, q_sin) = dc
+    n = np.arange(1, np.shape(dc)[-1] + 1, dtype=float)
+    (chi, che), (shi, she) = _layer_radial(n, g, rhos)
+
+    cw = np.cos(np.outer(n, omegas))
+    sw = np.sin(np.outer(n, omegas))
+
+    # In the shell sigma_i = -1 and sigma_e = +1 (also on the interfaces).
+    a_rho = p_cos * chi - q_cos * she
+    b_rho = p_sin * shi - q_sin * che
+    a_om = p_cos * chi + q_cos * che
+    b_om = -p_sin * shi - q_sin * she
+
+    d_rho = a_rho @ cw + b_rho @ sw
+    d_omega = a_om @ sw + b_om @ cw
+    if isinstance(source, Coefficients):
+        # The same contraction for the series, at its own truncation.
+        m, fp_ch, fp_sh, fm_ch, fm_sh = _series_radial(source, rhos)
+        cw, sw = np.cos(np.outer(m, omegas)), np.sin(np.outer(m, omegas))
+        f_rho = (m * fp_sh) @ cw + (m * fm_ch) @ sw
+        f_omega = (m * fm_sh) @ cw - (m * fp_ch) @ sw
+    else:
+        grad = newtonian_gradient(source, cartesian(g.R, rhos[:, None], omegas), g.R)
+        t_rho, t_omega = tangents(g.R, rhos[:, None], omegas)
+        f_rho, f_omega = (grad * t_rho).sum(axis=-1), (grad * t_omega).sum(axis=-1)
+    return d_rho + f_rho, d_omega + f_omega
+
+
+def eval_gradient_shell(
+    source: SourceSpec,
+    dc: np.ndarray,
+    g: ConfocalGeometry,
+    rho: float,
+    omega: float,
+) -> tuple[complex, complex]:
+    """(dV/drho, dV/domega) at a single shell point."""
+    if not g.rho_i <= rho <= g.rho_e:
+        raise ValueError(f"rho = {rho} is not inside the shell [{g.rho_i}, {g.rho_e}]")
+    d_rho, d_omega = _shell_gradient_grid(
+        source, dc, g, np.array([rho]), np.array([omega])
+    )
+    return complex(d_rho[0, 0]), complex(d_omega[0, 0])
+
+
+def _gauss_panels(a: float, b: float, panels: int, order: int):
+    """Composite Gauss-Legendre nodes and weights on [a, b]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    edges = np.linspace(a, b, panels + 1)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return (mid + half * x).ravel(), (half * w).ravel()
+
+
+def dissipated_power_direct(
+    source: SourceSpec,
+    dc: np.ndarray,
+    g: ConfocalGeometry,
+    delta: float,
+    n_omega: int | None = None,
+    n_panels: int = 4,
+) -> float:
+    """E_delta by tensor quadrature of the shell gradient.
+
+    Gauss-Legendre panels of _GL_ORDER nodes in rho, trapezoid in omega.
+    The trapezoid rule is spectrally exact once n_omega exceeds twice the
+    highest retained harmonic of |grad V|^2, so the default
+    max(4 n_max + 2, 512) already sits deep in the converged regime.
+    """
+    if n_omega is None:
+        n_omega = max(4 * np.shape(dc)[-1] + 2, 512)
+    rhos, w_rho = _gauss_panels(g.rho_i, g.rho_e, n_panels, _GL_ORDER)
+    omegas = 2.0 * math.pi * np.arange(n_omega) / n_omega
+    d_rho, d_omega = _shell_gradient_grid(source, dc, g, rhos, omegas)
+    density = np.abs(d_rho) ** 2 + np.abs(d_omega) ** 2
+    return delta * float(w_rho @ density.sum(axis=1)) * (2.0 * math.pi / n_omega)
+
+
+def coefficient_projection_oracle(
+    s: SourceSpec, rho_t: float, n_max: int, R: float
+) -> Coefficients:
+    """Recover expansion data by Fourier projection on a test ellipse.
+
+    Samples F on {rho = rho_t} (which must lie strictly below the source)
+    at M = max(8 n_max, 512) equispaced angles and divides the Fourier
+    coefficients by the known radial factors.  This route never touches
+    the closed-form expansion coefficients, so it serves as an independent
+    check of newtonian_coefficients.
+    """
+    if isinstance(s, Dipole):
+        rho0 = s.location.rho
+    elif isinstance(s, ChargePair):
+        rho0 = min(s.plus.rho, s.minus.rho)
+    elif isinstance(s, Coefficients):
+        rho0 = math.inf
+    else:
+        raise TypeError(f"unsupported source type {type(s).__name__}")
+    if not 0.0 < rho_t < rho0:
+        raise ValueError(f"need 0 < rho_t < source radius, got rho_t = {rho_t}")
+
+    m_nodes = max(8 * n_max, 512)
+    omegas = 2.0 * math.pi * np.arange(m_nodes) / m_nodes
+    values = newtonian_eval(s, cartesian(R, rho_t, omegas), R)
+
+    spec = np.fft.rfft(values)
+    n = np.arange(1, n_max + 1, dtype=float)
+    cos_coeff = 2.0 * spec[1 : n_max + 1].real / m_nodes
+    sin_coeff = -2.0 * spec[1 : n_max + 1].imag / m_nodes
+    f_plus = cos_coeff / np.cosh(n * rho_t)
+    f_minus = sin_coeff / np.sinh(n * rho_t)
+    return Coefficients(float(spec[0].real) / m_nodes, f_plus, f_minus)
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,6 @@ from calr_lab import (
     calr_classify,
     convergence_exponent,
     critical_radius,
-    coefficient_projection_oracle,
-    dissipated_power_direct,
-    eval_gradient_shell,
     gap_condition_report,
     metric_factor,
     mode_table,
@@ -47,7 +44,16 @@ from calr_lab import (
 )
 from calr_lab.oracle import block_np_for, numeric_spectrum
 from calr_lab.geometry import sample_ellipse
-from reference import assemble_np, eval_potential, mode_column, mode_data, single_ellipse_np
+from reference import (
+    assemble_np,
+    coefficient_projection_oracle,
+    dissipated_power_direct,
+    eval_gradient_shell,
+    eval_potential,
+    mode_column,
+    mode_data,
+    single_ellipse_np,
+)
 
 THIN = ConfocalGeometry(1.0, 0.5, 0.8)
 THICK = ConfocalGeometry(1.0, 0.2, 1.0)

@@ -254,6 +254,23 @@ def test_sweep_energy_out_of_double_range(tmp_path, capsys):
     assert err.startswith("numeric failure: ") and "delta = 0.5" in err
 
 
+def test_field_forcing_out_of_double_range(tmp_path, capsys):
+    """F_2 = 1e308 is a double but its forcing is not: exit 3 with the one
+    numeric failure line on stderr, and no numpy overflow warned on the way."""
+    cfg = _write_cfg(tmp_path, "f.json", {
+        "geometry": THIN_GEO,
+        "source": {"variant": "coefficients", "f_plus": [0.0, 1e308],
+                   "f_minus": [0.0, 0.0]},
+        "field": {"delta": 1e-3, "rho_max": 1.4, "n1": 5, "n2": 5},
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run(["field", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: forcing coefficients leave double range\n")
+    assert not (tmp_path / "field.csv").exists()
+
+
 def test_sweep_rejects_bad_thread_count(tmp_path, capsys):
     cfg = str(CONFIGS / "dipole_inside.json")
     assert _run(["sweep", "--config", cfg, "--out", str(tmp_path),
@@ -547,11 +564,11 @@ def test_validate_default_suite_passes(tmp_path, capsys):
     assert report["all_pass"] is True
     names = sorted(c["name"] for c in report["checks"])
     assert names == [
-        "alpha0_half", "continuity", "eigen_residuals", "flux_jump",
+        "alpha0_half", "continuity", "direct_energy", "eigen_residuals", "flux_jump",
         "nystrom_spectrum", "reality_symmetry", "s_norms", "surrogate_ratio",
     ]
     assert all(c["status"] == "pass" for c in report["checks"])
-    assert out.count("PASS") == 8
+    assert out.count("PASS") == 9
 
 
 def test_validate_detects_flipped_block(tmp_path, capsys, monkeypatch):
@@ -775,7 +792,7 @@ def test_check_status_is_observed_below_threshold(config):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         checks = cli._validate_checks(json.loads((CONFIGS / config).read_text()))
-    assert len(checks) == 8
+    assert len(checks) == 9
     for c in checks:
         plain = "pass" if c["observed"] < c["threshold"] else "fail"
         if c["status"] != plain:

@@ -35,8 +35,9 @@ from calr_lab.errors import InputError, TruncationWarning
 from calr_lab.geometry import cartesian, ellipse_curvature, tangents
 from calr_lab.oracle import BlockNPMatrix, assemble_block_np, numeric_spectrum
 from calr_lab.oracle import block_np_for
-from calr_lab.spectrum import mode_eigenvalues
+from calr_lab.spectrum import _mode_limit, mode_eigenvalues
 from reference import assemble_np, mode_column, np_kernel, sample_circle
+from reference import transmission_energy as reference_energy
 
 THIN = ConfocalGeometry(1.0, 0.5, 0.8)
 THICK = ConfocalGeometry(1.0, 0.2, 1.0)
@@ -750,12 +751,14 @@ def test_scaled_mode_block_enters_the_top(monkeypatch):
     assert checks["nystrom_spectrum"]["observed"] > 100.0
 
 
-# The check-only routes that live in oracle, by the production module that
-# must not define them.
+# The check-only routes, which live in tests/reference.py, and the root's
+# former lazy-import layer, by the production module that must not define them.
 _ORACLE_ONLY = {
     solver: ["dissipated_power_direct", "_gauss_panels", "_shell_gradient_grid",
              "_layer_radial", "eval_gradient_shell"],
     source: ["_series_radial", "coefficient_projection_oracle", "elliptic_gradient"],
+    calr_lab: ["coefficient_projection_oracle", "dissipated_power_direct",
+               "eval_gradient_shell", "__getattr__", "_ORACLE_EXPORTS"],
 }
 
 _ROOT_EXPORTS = """
@@ -765,10 +768,10 @@ _ROOT_EXPORTS = """
     ModeTable OverflowGuard Regime RegimeKind SampledCurve
     SingularPoint SourceInsideShell SweepRecord TooFewCoefficients
     TruncationWarning adaptive_n_max asymptotic_rates block_matrices
-    boundary_forcing calr_classify coefficient_projection_oracle
+    boundary_forcing calr_classify
     convergence_exponent critical_radius dissipated_power_closed
-    dissipated_power_direct dissipated_power_spectral ellipse_curvature
-    eval_gradient_shell eval_potentials gap_condition_report
+    dissipated_power_spectral ellipse_curvature
+    eval_potentials gap_condition_report
     green_expansion_coefficients metric_factor mode_projections
     mode_table newtonian_coefficients newtonian_eval newtonian_gradient s_gram
     sample_ellipse solve_densities sweep to_cartesian
@@ -790,15 +793,12 @@ def _imported_modules(path: Path) -> set[str]:
 
 
 def test_independent_routes_live_in_oracle():
-    """The production modules hold no check-only route and never import
-    oracle; the package root still exports the routes, from oracle."""
+    """The production modules and the package root hold no check-only
+    route and never import oracle; the root exports none of the routes."""
     for module, names in _ORACLE_ONLY.items():
         assert [name for name in names if hasattr(module, name)] == []
         imported = _imported_modules(Path(module.__file__))
         assert not [m for m in imported if "oracle" in m.split(".")]
-    for name in ("dissipated_power_direct", "eval_gradient_shell",
-                 "coefficient_projection_oracle"):
-        assert getattr(calr_lab, name) is getattr(oracle, name)
     assert calr_lab.__all__ == _ROOT_EXPORTS
     assert all(hasattr(calr_lab, name) for name in calr_lab.__all__)
 
@@ -808,7 +808,9 @@ _TEST_SIDE = {
     geometry: ["to_elliptic"],
     solver: ["eval_potential"],
     spectrum: ["ModeData", "SingleEllipseMode", "mode_data", "single_ellipse_np"],
-    oracle: ["assemble_np", "np_kernel", "sample_circle"],
+    oracle: ["assemble_np", "np_kernel", "sample_circle", "dissipated_power_direct",
+             "eval_gradient_shell", "coefficient_projection_oracle", "_shell_gradient_grid",
+             "_layer_radial", "_series_radial", "_gauss_panels", "_GL_ORDER"],
 }
 
 
@@ -828,7 +830,8 @@ import calr_lab.cli
 calr_lab.cli.build_parser()
 assert "calr_lab.oracle" not in sys.modules, "import calr_lab.cli; build_parser()"
 for name in ("dissipated_power_direct", "eval_gradient_shell", "coefficient_projection_oracle"):
-    assert getattr(calr_lab, name) is getattr(sys.modules["calr_lab.oracle"], name), name
+    assert not hasattr(calr_lab, name), name
+assert "calr_lab.oracle" not in sys.modules, "a removed root export"
 try:
     calr_lab.no_such_name
 except AttributeError as exc:
@@ -840,8 +843,8 @@ else:
 
 def test_oracle_is_imported_on_first_use():
     """Neither the package nor the CLI parser imports the oracle; the
-    root's three re-exports import it and are the oracle's functions, and
-    an unknown name is still an AttributeError."""
+    root's three former re-exports are gone and import nothing, and an
+    unknown name is an AttributeError."""
     src = str(Path(calr_lab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -882,7 +885,8 @@ def test_validate_solves_its_source_once(monkeypatch):
                          "eval_potentials": 1, "sweep": 0, "solve_densities": 0}
         assert [c["name"] for c in checks] == [
             "nystrom_spectrum", "alpha0_half", "eigen_residuals", "s_norms",
-            "continuity", "flux_jump", "surrogate_ratio", "reality_symmetry"]
+            "continuity", "flux_jump", "surrogate_ratio", "reality_symmetry",
+            "direct_energy"]
 
 
 def test_cli_sweep_expands_its_source_once(monkeypatch, tmp_path):
@@ -943,6 +947,85 @@ def test_validate_catches_two_families_swapped_in_the_table(monkeypatch, fields,
         warnings.simplefilter("ignore", TruncationWarning)
         checks = {c["name"]: c["status"] for c in oracle.validate(THIN)}
     assert checks["eigen_residuals"] == checks["s_norms"] == "pass"
+
+
+def test_validate_direct_energy_catches_a_wrong_solve(monkeypatch):
+    """Norms 1 + 1e-9 off in the family table that the solve divides by
+    (ModeTable.families) move the closed energy about 2e-9 away from the
+    per-mode transmission solve, which reads no table: direct_energy
+    fails.  Unpatched, it passes."""
+    families = ModeTable.families
+
+    def scaled(table):
+        vecs, lams, norms = families(table)
+        return vecs, lams, norms * (1.0 + 1e-9)
+
+    monkeypatch.setattr(ModeTable, "families", scaled)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        checks = {c["name"]: c for c in oracle.validate(THIN)}
+    assert checks["direct_energy"]["status"] == "fail"
+    assert checks["direct_energy"]["observed"] > 1e-12
+    monkeypatch.undo()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        checks = {c["name"]: c for c in oracle.validate(THIN)}
+    assert checks["direct_energy"]["status"] == "pass"
+
+
+_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-8])
+@pytest.mark.parametrize("name", sorted(p.stem for p in _CONFIGS.glob("*.json")))
+def test_transmission_energy_matches_the_50_digit_reference(name, delta):
+    """On every bundled config (validate's default dipole where the config
+    has no source), at the adaptive truncation of delta, the closed-form
+    per-mode transmission energy equals the 50-digit 4 x 4 solve of
+    tests/reference.py to 1e-13."""
+    cfg = cli.load_config(_CONFIGS / f"{name}.json")
+    g = cli.parse_geometry(cfg)
+    src = (cli.parse_source(cfg) if "source" in cfg
+           else oracle.Dipole(oracle.EllipticPoint(g.rho_e + 0.5, 0.9), np.array([1.0, 0.4])))
+    sc = source.newtonian_coefficients(src, solver.adaptive_n_max(delta, g), g.R, rho_e=g.rho_e)
+    got = oracle.transmission_energy(sc, g, delta)
+    want = float(reference_energy(sc, g, delta))
+    assert abs(got - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("rho_i, rho_e, rho0, n_max, delta", [
+    (0.5, 0.55, 0.6, 900, 1e-8),
+    (2.0, 2.6, 2.9, 200, 1e-12),  # 2 n rho_e = 1040
+    (2.0, 2.6, 2.9, 300, 1e-12),  # F_n = 0 from n = 256; e^{n rho_e} is inf from 273
+])
+def test_transmission_energy_past_the_mode_table_bound(rho_i, rho_e, rho0, n_max, delta):
+    """Past the mode table's n_max bound the route does not refuse, also
+    where the dipole's F_n have underflowed to 0 and e^{n rho_e} is no
+    double, and still equals the 50-digit reference to 1e-13."""
+    g = ConfocalGeometry(1.0, rho_i, rho_e)
+    assert n_max > _mode_limit(g)
+    src = oracle.Dipole(oracle.EllipticPoint(rho0, 0.9), np.array([1.0, 0.4]))
+    sc = source.newtonian_coefficients(src, n_max, g.R, rho_e=g.rho_e)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = oracle.transmission_energy(sc, g, delta)
+    want = float(reference_energy(sc, g, delta))
+    assert abs(got - want) <= 1e-13 * want
+
+
+def test_transmission_energy_refusals():
+    """A zero source has zero energy; F_2 e^{2 rho_e} past double range is
+    an OverflowGuard with no numpy warning, and a non-finite delta a
+    ValueError."""
+    zero = source.Coefficients(0.0, np.zeros(5), np.zeros(5))
+    assert oracle.transmission_energy(zero, THIN, 1e-3) == 0.0
+    big = source.Coefficients(0.0, np.array([0.0, 1e308]), np.zeros(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(calr_lab.OverflowGuard, match="leave double range"):
+            oracle.transmission_energy(big, THIN, 1e-3)
+    with pytest.raises(ValueError, match="finite"):
+        oracle.transmission_energy(zero, THIN, math.nan)
 
 def _public_route_checks(g, src):
     """continuity, flux_jump, surrogate_ratio and reality_symmetry as the

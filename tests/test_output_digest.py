@@ -10,9 +10,13 @@ import importlib.util
 import platform
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
+
+from calr_lab import cli
+from calr_lab.errors import TruncationWarning
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden" / "output_digest.txt"
@@ -152,3 +156,23 @@ def test_seed71_workloads_match_the_recorded_digest(tmp_path):
     seeded byte claim, checked in tier-1."""
     configs = _output_digest().seeded_configs(71, tmp_path / "seed71")
     _assert_recorded(configs, ROOT / "tests" / "golden" / "seed71_digest.txt")
+
+
+def test_seed71_validate_checks_keep_the_benchmark_contract(tmp_path, monkeypatch):
+    """On the five seed-71 workload configs every validate check reports
+    pass or fail, the checks include perfbench's VALIDATE_CHECKS, and the
+    failing ones are within its KNOWN_VALIDATE_DEFECTS of the config: a
+    check failing outside them turns every benchmark validate run into a
+    failed run."""
+    configs = _output_digest().seeded_configs(71, tmp_path / "seed71")
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for path in sorted(configs.glob("*.json")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            checks = cli._validate_checks(cli.load_config(path))
+        status = {c["name"]: c["status"] for c in checks}
+        assert set(status.values()) <= {"pass", "fail"}, (path.name, status)
+        assert workloads.VALIDATE_CHECKS <= set(status), path.name
+        failing = {name for name, s in status.items() if s == "fail"}
+        assert failing <= workloads.KNOWN_VALIDATE_DEFECTS.get(path.stem, set()), path.name

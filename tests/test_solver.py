@@ -36,9 +36,7 @@ from calr_lab import (
     calr_classify,
     critical_radius,
     dissipated_power_closed,
-    dissipated_power_direct,
     dissipated_power_spectral,
-    eval_gradient_shell,
     eval_potentials,
     metric_factor,
     mode_projections,
@@ -54,7 +52,13 @@ from calr_lab.errors import InputError
 from calr_lab.solver import SweepRecord
 from calr_lab.source import _PANEL_ADD_ELEMENTS, _horner, elliptic_potential
 from calr_lab.spectrum import _mode_limit, mode_factors
-from reference import eval_potential, mode_column, transmission_energy
+from reference import (
+    dissipated_power_direct,
+    eval_gradient_shell,
+    eval_potential,
+    mode_column,
+    transmission_energy,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -360,6 +364,16 @@ def test_boundary_forcing_single_mode():
     assert math.isclose(gc_e[0], -math.sinh(0.8), rel_tol=1e-15)
     assert gs_i[0] == 0.0
     assert gs_e[0] == 0.0
+
+
+def test_boundary_forcing_out_of_double_range_warns_nothing():
+    """2 F_2 sinh(2 rho_i) with F_2 = 1e308 is not a double: OverflowGuard,
+    with no numpy overflow warning on the way."""
+    sc = Coefficients(0.0, np.array([0.0, 1e308]), np.array([0.0, 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowGuard, match="^forcing coefficients leave double range$"):
+            boundary_forcing(sc, THIN)
 
 
 def test_boundary_forcing_against_fourier_oracle():

@@ -20,7 +20,6 @@ from calr_lab import (
     SingularPoint,
     SourceInsideShell,
     TooFewCoefficients,
-    coefficient_projection_oracle,
     convergence_exponent,
     critical_radius,
     gap_condition_report,
@@ -31,6 +30,7 @@ from calr_lab import (
     to_cartesian,
 )
 from calr_lab.geometry import cartesian
+from reference import coefficient_projection_oracle
 
 THIN = ConfocalGeometry(1.0, 0.5, 0.8)
 RHO_STAR = critical_radius(THIN.rho_i, THIN.rho_e).rho_star

@@ -448,3 +448,18 @@ def test_mode_table_refuses_before_sizing_its_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("n_max, message", [
+    (10**308, f"2*n*rho_e exceeds double range at n = {10**308}"),  # 1.6e308 is inf
+    (2**1024, f"2*n*rho_e exceeds double range at n = {2**1024}"),  # past float()
+    (10**400, f"2*n*rho_e exceeds double range at n = {10**400}"),
+    (10**5000, "2*n*rho_e exceeds double range at an n too long to print"),
+], ids=["1e308", "2**1024", "1e400", "1e5000"])
+def test_mode_table_refuses_any_int_past_the_bound(n_max, message):
+    """Every int past the bound is an OverflowGuard: also one whose
+    2 n rho_e is no double, or that Python does not convert to text.  The
+    message gives 2 n rho_e and n only where they can be formed."""
+    with pytest.raises(OverflowGuard) as info:
+        mode_table(THIN, n_max)
+    assert str(info.value) == message
