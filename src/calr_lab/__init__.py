@@ -43,8 +43,6 @@ from .solver import (
     adaptive_n_max,
     boundary_forcing,
     calr_classify,
-    dissipated_power_closed,
-    dissipated_power_spectral,
     eval_potentials,
     mode_projections,
     solve_densities,
@@ -111,8 +109,6 @@ __all__ = [
     "calr_classify",
     "convergence_exponent",
     "critical_radius",
-    "dissipated_power_closed",
-    "dissipated_power_spectral",
     "ellipse_curvature",
     "eval_potentials",
     "gap_condition_report",

@@ -38,12 +38,12 @@ mode axis, (2, 2, K, n_max).
 Dissipated power is E_delta = delta * ||grad V||^2 over the shell.  In the
 shell every mode of V is alpha e^{n rho} + beta e^{-n rho}; the omega
 integral removes the cross terms and the metric Jacobian cancels, so the
-energy is an exact sum of positive per-mode terms
-(dissipated_power_closed).  The spectral surrogate
+energy is an exact sum of positive per-mode terms (_closed_energies).  The
+spectral surrogate (_spectral_energies)
 
     E ~ delta * sum_n sum_branches proj^2 / (norm * (lambda^2 + delta^2))
 
-is reported beside it.
+is reported beside it; both are formed in _solve alone and sweep reports them.
 
 Evaluation.  Mode n of a layer potential on rho_k is a mix of
 e^{-n |rho - rho_k|} and e^{-n (rho + rho_k)} times cos or sin (n omega).
@@ -72,9 +72,7 @@ adaptive_n_max and boundary_forcing read from n_max alone.
 solve_densities, sweep and oracle.validate share one solve, _solve: the
 solve (with its tail check, TruncationWarning above 1e-10) and both
 energies run over (delta, mode) arrays, one row per delta over its own
-leading modes.  The functions that read one row refuse K rows
-(_one_row).  The energies square over a power-of-two scale and refuse
-only an E out of range.
+leading modes; an energy is refused only when E itself is out of range.
 """
 
 from __future__ import annotations
@@ -112,8 +110,6 @@ __all__ = [
     "mode_projections",
     "solve_densities",
     "eval_potentials",
-    "dissipated_power_closed",
-    "dissipated_power_spectral",
     "sweep",
     "calr_classify",
 ]
@@ -130,18 +126,11 @@ _VISIBILITY_DROP = 3.0
 _VISIBILITY_DROP_BIG = 10.0
 
 
-def _one_row(dc: np.ndarray) -> None:
-    """ValueError, naming the shape, unless dc is one row (2, 2, n_max)."""
-    if np.ndim(dc) != 3:
-        raise ValueError(
-            f"expected one density row of shape (2, 2, n_max), got shape {np.shape(dc)}")
-
-
 class SweepRecord(NamedTuple):
     """Diagnostics of one loss value inside a sweep.
 
-    e_direct holds the closed-form energy (dissipated_power_closed) of the
-    truncated solve; the name is kept because it is the sweep.csv column.
+    e_direct (_closed_energies; the name is the sweep.csv column's) and
+    e_spectral are the two energies of the solve truncated at n_max.
     """
 
     delta: float
@@ -241,7 +230,7 @@ def mode_projections(forcing: np.ndarray, modes: ModeTable,
     each mode-n subspace the pairing is the 2x2 Gram form of the density
     pair: each family pairs the forcing of its span, forcing[:, parity],
     with its pair (v1, v2); the 1+ row, e.g., is (g_i, g_e) G_cos (a1, b)^T
-    on the cosine span.
+    on the cosine span.  _solve reads the rows for the densities and e_spectral.
     """
     n = modes.n.astype(float)
     if np.shape(forcing) != (2, 2, len(n)):
@@ -446,8 +435,17 @@ def _energies(amp, terms, factor: float, deltas, n_maxes) -> list[float]:
 
 
 def _closed_energies(sc, dc, g, deltas, n_maxes) -> list[float]:
-    """dissipated_power_closed at each deltas[k], with row k of the
-    (2, 2, K, n) densities dc."""
+    """E_delta = delta * ||grad V||^2 over the shell at each deltas[k], from
+    row k of the (2, 2, K, n) densities dc over its leading n_maxes[k] modes:
+
+        E = delta pi sum_n n (1 - e^{-2 n (rho_e - rho_i)})
+              (|alpha~_c|^2 + |alpha~_s|^2 + |beta~_c|^2 + |beta~_s|^2)
+
+    with alpha~ = alpha e^{n rho_e}, beta~ = beta e^{-n rho_i} for mode n of
+    each span (alpha e^{n rho} + beta e^{-n rho} in the shell).  The squares
+    are taken over a power-of-two scale (_energies): OverflowGuard means E
+    itself is out of range.
+    """
     n = np.arange(1, sc.n_max + 1, dtype=float)
     f = mode_factors(n, g)
     # e^{n rho_e}, e^{-n rho_i} and e^{-n (rho_e + rho_i)} in one exp call.
@@ -465,47 +463,13 @@ def _closed_energies(sc, dc, g, deltas, n_maxes) -> list[float]:
 
 
 def _spectral_energies(proj, lam, norms, deltas, n_maxes) -> list[float]:
-    """dissipated_power_spectral at each deltas[k] over its leading n_maxes[k] modes."""
+    """The spectral surrogate of E_delta at each deltas[k] over its leading
+    n_maxes[k] modes of the (4, n) projections; OverflowGuard as above."""
     den = norms[:, None] * (lam[:, None]**2 + np.square(np.asarray(deltas, dtype=float))[:, None])
     p = proj[:, None]
     # The term proj^2 / (norm den) has the amplitude |proj| / sqrt(norm den).
     return _energies(np.abs(p) / np.sqrt(den), lambda w: np.sum((p * w) ** 2 / den, axis=0),
                      1.0, deltas, n_maxes)
-
-
-def dissipated_power_closed(
-    sc: Coefficients, dc: np.ndarray, g: ConfocalGeometry, delta: float
-) -> float:
-    """E_delta = delta * ||grad V||^2 over the shell, summed mode by mode.
-
-    In the shell the cosine and sine parts of mode n of V are each
-    alpha e^{n rho} + beta e^{-n rho}.  With the scaled coefficients
-    alpha~ = alpha e^{n rho_e} and beta~ = beta e^{-n rho_i} the omega
-    integral removes the cross terms and
-
-        E = delta pi sum_n n (1 - e^{-2 n (rho_e - rho_i)})
-              (|alpha~_c|^2 + |alpha~_s|^2 + |beta~_c|^2 + |beta~_s|^2).
-
-    Every term is positive; the squares are taken over a power-of-two scale
-    (see _energies), so OverflowGuard means E itself is out of double range.
-    """
-    _one_row(dc)
-    if np.shape(dc)[-1] != sc.n_max:
-        raise ValueError("source and density coefficients have different truncation orders")
-    if not math.isfinite(delta):
-        raise ValueError(f"delta must be finite, got {delta}")
-    return _closed_energies(sc, dc[:, :, None], g, [delta], [sc.n_max])[0]
-
-
-def dissipated_power_spectral(proj: np.ndarray, modes: ModeTable, delta: float) -> float:
-    """Spectral surrogate of E_delta (resonant-mode sum) from the (4, n_max)
-    rows of mode_projections over the same n_max modes; OverflowGuard as
-    in dissipated_power_closed."""
-    if np.shape(proj) != (4, len(modes.n)):
-        raise ValueError("projection and mode table have different truncation orders")
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise ValueError(f"delta must be finite and > 0, got {delta}")
-    return _spectral_energies(proj, *modes.families()[1:], [delta], [proj.shape[1]])[0]
 
 
 def sweep(

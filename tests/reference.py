@@ -1,19 +1,20 @@
 """Test-side references and one-point helpers.
 
 The package serves its method through array forms (mode_table,
-eval_potentials, elliptic_coords, the Nystrom block route).  The tests
-compare them against the single-curve references below, which keep their
-own argument checks, against a high-precision per-mode transmission
-solve, against three check-only routes, and read single points and
-single modes through the short helpers at the end, each a direct call of
-an array form.
+eval_potentials, elliptic_coords, the Nystrom block route, the batched
+energies of solver._solve).  The tests compare them against the
+single-curve references below, which keep their own argument checks,
+against a high-precision per-mode transmission solve, against three
+check-only routes, and read single points, single modes and one row's
+energies through the short helpers at the end, each a direct call of an
+array form.
 
 The check-only routes recompute by another method what the package
 computes in closed form:
 
 - The energy quadrature (dissipated_power_direct: Gauss-Legendre in rho,
   trapezoid in omega) reuses the spectral densities and checks only the
-  energy sum of dissipated_power_closed.
+  energy sum of the closed form (closed_energy).
 - The shell gradient it integrates (eval_gradient_shell) is a separable
   mode sum, independent of the Horner evaluator behind eval_potentials.
   It keeps its (n_rho, n_max) @ (n_max, n_omega) form (_layer_radial):
@@ -35,7 +36,7 @@ from calr_lab.geometry import (
     ConfocalGeometry, EllipticPoint, SampledCurve, cartesian, elliptic_coords, tangents
 )
 from calr_lab.oracle import _kernel_block
-from calr_lab.solver import _one_row, eval_potentials
+from calr_lab.solver import _closed_energies, _spectral_energies, eval_potentials
 from calr_lab.source import (
     ChargePair,
     Coefficients,
@@ -218,6 +219,13 @@ def _series_radial(sc: Coefficients, rho) -> tuple[np.ndarray, ...]:
     return n, fp_ch, fp_sh, fm_ch, fm_sh
 
 
+def _one_row(dc: np.ndarray) -> None:
+    """ValueError, naming the shape, unless dc is one row (2, 2, n_max)."""
+    if np.ndim(dc) != 3:
+        raise ValueError(
+            f"expected one density row of shape (2, 2, n_max), got shape {np.shape(dc)}")
+
+
 def _shell_gradient_grid(
     source: SourceSpec,
     dc: np.ndarray,
@@ -345,7 +353,7 @@ def coefficient_projection_oracle(
 
 
 # ---------------------------------------------------------------------------
-# One point, one mode
+# One point, one mode, one energy row
 
 
 def to_elliptic(R: float, x) -> EllipticPoint:
@@ -370,3 +378,14 @@ def mode_column(table: ModeTable, n: int) -> ModeTable:
 def mode_data(n: int, g) -> ModeTable:
     """Mode n alone: column n - 1 of mode_table(g, n)."""
     return mode_column(mode_table(g, n), n)
+
+
+def closed_energy(sc: Coefficients, dc: np.ndarray, g: ConfocalGeometry, delta: float) -> float:
+    """The closed-form E_delta of one density row dc over sc's n_max modes."""
+    return _closed_energies(sc, dc[:, :, None], g, [delta], [sc.n_max])[0]
+
+
+def spectral_energy(proj: np.ndarray, modes: ModeTable, delta: float) -> float:
+    """The spectral surrogate of E_delta from the (4, n) rows of
+    mode_projections over all n modes of the table."""
+    return _spectral_energies(proj, *modes.families()[1:], [delta], [proj.shape[1]])[0]

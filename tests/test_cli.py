@@ -577,8 +577,8 @@ def test_validate_detects_flipped_block(tmp_path, capsys, monkeypatch):
     mode block, so those entries are negated."""
     mode_blocks_for = oracle.mode_blocks_for
 
-    def flipped(g, N):
-        ends, quads = mode_blocks_for(g, N)
+    def flipped(gi, ge):
+        ends, quads = mode_blocks_for(gi, ge)
         np.negative(ends[:, 0, 0], out=ends[:, 0, 0])
         np.negative(quads[:, :2, :2], out=quads[:, :2, :2])
         return ends, quads
@@ -889,6 +889,64 @@ def test_output_that_is_a_directory(tmp_path, capsys, command, config, name):
     err = capsys.readouterr().err
     assert err == f"config error: --out {out / name}: {os.strerror(errno.EISDIR)}\n"
     assert (out / name).is_dir()
+
+
+_OUTPUTS = {
+    "spectrum": ["spectrum.csv"],
+    "critical-radius": ["critical_radius.json"],
+    "sweep": ["sweep.csv", "sweep_classification.json"],
+    "field": ["field.csv"],
+    "validate": ["validate.json"],
+}
+
+
+@pytest.mark.parametrize("command", list(_OUTPUTS))
+def test_a_second_run_replaces_every_output(tmp_path, command):
+    """Run twice into one --out, each command writes the same bytes the
+    second time, over its own outputs; a longer stale file at an output
+    path is replaced whole, not overwritten in front of its old bytes.
+    The stale file is removed, not truncated: a hard link to it keeps
+    its bytes."""
+    config = str(CONFIGS / "dipole_outside.json")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        runs = []
+        for _ in range(2):
+            assert _run([command, "--config", config, "--out", str(out)]) == 0
+            runs.append([(out / name).read_bytes() for name in _OUTPUTS[command]])
+        assert runs[0] == runs[1]
+        stale = b"stale\n" * 200_000
+        for name in _OUTPUTS[command]:
+            (out / name).write_bytes(stale)
+            os.link(out / name, tmp_path / name)
+        assert _run([command, "--config", config, "--out", str(out)]) == 0
+    assert [(out / name).read_bytes() for name in _OUTPUTS[command]] == runs[0]
+    assert [(tmp_path / name).read_bytes() for name in _OUTPUTS[command]] == [stale] * len(runs[0])
+    assert sorted(p.name for p in out.iterdir()) == sorted(_OUTPUTS[command])
+
+
+# 2**50 values: 8 PiB as float64, which numpy refuses at once on any host.
+_UNALLOCATABLE = 2**50
+
+
+@pytest.mark.parametrize(
+    "command, block",
+    [("validate", {"validate": {"n_nystrom": _UNALLOCATABLE}}),
+     ("field", {"field": {"delta": 1e-3, "rho_max": 1.2, "n1": _UNALLOCATABLE, "n2": 7}})],
+    ids=["validate-nodes", "field-grid"],
+)
+def test_a_size_the_machine_cannot_allocate_is_a_config_error(tmp_path, capsys, command, block):
+    """A size whose arrays cannot be allocated ends in one config error
+    line naming the command (numpy's MemoryError text), exit 2, and no
+    output file, not a traceback."""
+    path = _write_cfg(tmp_path, "huge.json",
+                      dict({"geometry": THIN_GEO, "source": _DIPOLE_SOURCE}, **block))
+    out = tmp_path / "out"
+    assert _run([command, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {command}: Unable to allocate")
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["spectrum", "critical-radius", "sweep", "field", "validate"])

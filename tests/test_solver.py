@@ -35,8 +35,6 @@ from calr_lab import (
     boundary_forcing,
     calr_classify,
     critical_radius,
-    dissipated_power_closed,
-    dissipated_power_spectral,
     eval_potentials,
     metric_factor,
     mode_projections,
@@ -53,10 +51,12 @@ from calr_lab.solver import SweepRecord
 from calr_lab.source import _PANEL_ADD_ELEMENTS, _horner, elliptic_potential
 from calr_lab.spectrum import _mode_limit, mode_factors
 from reference import (
+    closed_energy,
     dissipated_power_direct,
     eval_gradient_shell,
     eval_potential,
     mode_column,
+    spectral_energy,
     transmission_energy,
 )
 
@@ -933,16 +933,15 @@ def test_gradient_requires_shell_point():
 @pytest.mark.filterwarnings("ignore::calr_lab.errors.TruncationWarning")
 @pytest.mark.parametrize("n_max, k", [(2, 2), (3, 3), (30, 2), (3, 1)])
 def test_one_row_functions_refuse_k_rows(n_max, k):
-    """The three functions that read one density row refuse K rows (also
-    K == n_max) with one ValueError naming the shape; a (2, 2, 1, n_max)
-    array is K rows too."""
+    """The two reference functions that read one density row refuse K
+    rows (also K == n_max) with one ValueError naming the shape; a
+    (2, 2, 1, n_max) array is K rows too."""
     src = Dipole(EllipticPoint(1.3, 0.4), np.array([1.0, 0.3]))
     sc = newtonian_coefficients(src, n_max, THIN.R, rho_e=THIN.rho_e)
     rows = solve_densities(sc, THIN, [1e-3, 1e-2, 1e-1][:k])
     shape = re.escape(f"got shape (2, 2, {k}, {n_max})")
     for call in (
         lambda: eval_gradient_shell(src, rows, THIN, 0.6, 1.0),
-        lambda: dissipated_power_closed(sc, rows, THIN, 1e-3),
         lambda: dissipated_power_direct(src, rows, THIN, 1e-3),
     ):
         with pytest.raises(ValueError, match=shape):
@@ -959,9 +958,9 @@ def test_dissipated_power_zero_source():
     )
     dc = solve_densities(sc, THIN, 1e-3)
     assert dissipated_power_direct(sc, dc, THIN, 1e-3) == 0.0
-    assert dissipated_power_closed(sc, dc, THIN, 1e-3) == 0.0
+    assert closed_energy(sc, dc, THIN, 1e-3) == 0.0
     proj = mode_projections(boundary_forcing(sc, THIN), mode_table(THIN, 8), THIN)
-    assert dissipated_power_spectral(proj, mode_table(THIN, 8), 1e-3) == 0.0
+    assert spectral_energy(proj, mode_table(THIN, 8), 1e-3) == 0.0
 
 
 def test_dissipated_power_quadrature_doubling():
@@ -1002,7 +1001,7 @@ def test_closed_energy_matches_quadrature_oracle(name):
     cases = [(d, adaptive_n_max(d, g, margin)) for d in deltas] + [(1e-8, n_top)]
     for delta, n_max in cases:
         sc, dc = _truncated_solve(src, g, delta, n_max)
-        closed = dissipated_power_closed(sc, dc, g, delta)
+        closed = closed_energy(sc, dc, g, delta)
         oracle = dissipated_power_direct(sc, dc, g, delta)
         assert math.isfinite(closed) and closed > 0.0
         assert abs(closed - oracle) <= 1e-13 * oracle, (delta, n_max)
@@ -1019,19 +1018,9 @@ def test_closed_energy_matches_the_transmission_reference(name, delta):
     g, src = _bundled_sweep(name)[:2]
     sc, dc = _truncated_solve(src, g, delta, _mode_limit(g))
     assert np.all(np.isfinite(dc))
-    closed = dissipated_power_closed(sc, dc, g, delta)
+    closed = closed_energy(sc, dc, g, delta)
     reference = float(transmission_energy(sc, g, delta))
     assert abs(closed - reference) <= 1e-13 * reference
-
-
-def test_closed_energy_validation():
-    sc, dc = _truncated_solve(
-        Dipole(EllipticPoint(1.3, 0.9), np.array([1.0, 0.4])), THIN, 1e-3, 20
-    )
-    with pytest.raises(ValueError):
-        dissipated_power_closed(sc.truncated(10), dc, THIN, 1e-3)
-    with pytest.raises(ValueError):
-        dissipated_power_closed(sc, dc, THIN, math.nan)
 
 
 def test_dissipated_power_spectral_single_mode():
@@ -1043,7 +1032,7 @@ def test_dissipated_power_spectral_single_mode():
     row = mode_column(table, n_star)
     for delta in (1e-2, 1e-3, 1e-4):
         want = delta * proj_val**2 / ((row.lambda1**2 + delta**2) * row.norm_1p)
-        got = dissipated_power_spectral(proj, table, delta)
+        got = spectral_energy(proj, table, delta)
         assert abs(got - want) <= 1e-14 * want
 
 
@@ -1056,31 +1045,10 @@ def test_dissipated_power_peaks_at_eigenvalue():
     proj[0, n_star - 1] = 1.0
     lam = abs(mode_column(table, n_star).lambda1)
     grid = lam * np.logspace(-1.0, 1.0, 17)
-    powers = [dissipated_power_spectral(proj, table, float(d)) for d in grid]
+    powers = [spectral_energy(proj, table, float(d)) for d in grid]
     k_peak = int(np.argmax(powers))
     k_near = int(np.argmin(np.abs(np.log(grid) - math.log(lam))))
     assert abs(k_peak - k_near) <= 1
-
-
-def test_dissipated_power_validation():
-    table = mode_table(THIN, 4)
-    proj = np.zeros((4, 4))
-    with pytest.raises(ValueError):
-        dissipated_power_spectral(proj, table, 0.0)
-
-
-def test_spectral_power_refuses_a_table_of_another_truncation():
-    """A 1-mode table broadcast silently over this 5-mode projection and
-    gave 2.81e-4 where the matching table gives 8.98e-3; other sizes
-    raised an unlabelled broadcast error."""
-    src = Dipole(EllipticPoint(0.88, 0.9), np.array([1.0, 0.4]))
-    sc = newtonian_coefficients(src, 5, THIN.R, rho_e=THIN.rho_e)
-    proj = mode_projections(boundary_forcing(sc, THIN), mode_table(THIN, 5), THIN)
-    for n in (1, 4, 6):
-        with pytest.raises(ValueError, match="different truncation orders"):
-            dissipated_power_spectral(proj, mode_table(THIN, n), 1e-3)
-    with pytest.raises(ValueError, match="different truncation orders"):
-        dissipated_power_spectral(proj[:, None], mode_table(THIN, 5), 1e-3)
 
 
 def test_surrogate_tracks_direct_energy():
@@ -1163,9 +1131,9 @@ def test_sweep_slices_match_per_delta_solves(name):
         proj = mode_projections(boundary_forcing(sc, g), modes, g)
         far = np.array([abs(eval_potential(src, dc, g, p)) for p in probes])
         assert rec.n_max == n_max
-        assert rec.e_spectral == dissipated_power_spectral(proj, modes, rec.delta)
+        assert rec.e_spectral == spectral_energy(proj, modes, rec.delta)
         assert np.array_equal(rec.far_samples, far)
-        assert rec.e_direct == dissipated_power_closed(sc, dc, g, rec.delta)
+        assert rec.e_direct == closed_energy(sc, dc, g, rec.delta)
 
 
 def _truncation_messages(call):
@@ -1216,8 +1184,8 @@ def _scaled_energies(k):
     modes = mode_table(THIN, 30)
     proj = mode_projections(boundary_forcing(sc, THIN), modes, THIN)
     return (
-        lambda: dissipated_power_closed(sc, dc, THIN, 1e-3),
-        lambda: dissipated_power_spectral(proj, modes, 1e-3),
+        lambda: closed_energy(sc, dc, THIN, 1e-3),
+        lambda: spectral_energy(proj, modes, 1e-3),
     )
 
 
