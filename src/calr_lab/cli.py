@@ -20,10 +20,11 @@ cell reads x1,x2,,, and field.csv is written one block of _FIELD_BLOCK
 grid rows at a time (_field_rows): each cell of a block is a fixed-width
 uint8 line, x1, ",x2", ",re", ",im", ",|v|" and LF in columns of their
 own, the bytes a text does not use NUL, and one bytes.translate drops
-the block's NULs; an output already there is replaced (_write_rows).  Exit
-codes: 0 success, 2 config error (also a bad --threads, an --out that
-cannot be made a directory, an output file inside it that cannot be
-written, or a MemoryError), 3 numeric failure, 4 validation-suite failure.
+the block's NULs.  Exit codes: 0 success, 2 config error (also a bad
+--threads, an --out that cannot be made a directory, an output file
+inside it that cannot be written, or any allocation that fails, at
+whatever step: the config asks for more memory than the machine has),
+3 numeric failure, 4 validation-suite failure.
 
 The CLI checks only what parsing needs: JSON types, the blocks' shapes
 and the grid.  Every rule on a loss, margin, probe or validate size is
@@ -70,20 +71,19 @@ from .spectrum import ModeTable, RegimeKind, critical_radius, mode_table
 def _write_rows(path: Path, header: str, rows: Iterable[str] = ()) -> None:
     """Write the header line, then each row text as it is produced.
 
-    Row texts carry their own line endings.  An existing file is removed,
-    not truncated.  A file that cannot be written is a config error.
+    Row texts carry their own line endings.  A file that cannot be
+    written is a config error: --out is where it goes.  A MemoryError
+    while the rows are made removes the partial file.
     """
     try:
-        try:
-            fh = open(path, "x", encoding="utf-8", newline="\n")
-        except FileExistsError:
-            path.unlink()
-            fh = open(path, "x", encoding="utf-8", newline="\n")
-        with fh:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header + "\n")
             fh.writelines(rows)
     except OSError as exc:
         raise ConfigError(f"--out {path}: {exc.strerror}") from exc
+    except MemoryError:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def _write_json(path: Path, obj: Any) -> None:
@@ -486,8 +486,8 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:  # the library names the key inside the command's block
         print(f"config error: {args.command}.{exc}", file=sys.stderr)
         return 2
-    except MemoryError as exc:  # a size in the config past what the machine holds
-        print(f"config error: {args.command}: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # any failed allocation, at any step of the command
+        print(f"config error: {args.command}: out of memory: {exc}", file=sys.stderr)
         return 2
     except CalrError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

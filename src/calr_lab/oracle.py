@@ -30,13 +30,13 @@ eigenpairs and norms, (5) eval_potentials with the transmission conditions
 mode blocks whose norm bound reaches the top values it compares (see
 _mode_spectrum; 5 of 127 4 x 4 blocks at N = 256 on the default
 geometry), and step 2 forms and applies K* 64 rows at a time rather than
-as one N x N matrix, on step 1's Gamma_i from 64 nodes on.  Steps 3-8
-share one solver._solve pass (the solve of solve_densities and sweep)
-whose rows are +delta and -delta (steps 5 and 7, one eval_potentials
-call; step 8 reads the +delta energy) and step 6's five losses (their
-energies); steps 3 and 4 read the first 50 modes of its table.  The
-check-only routes of the tests (the energy quadrature, the shell gradient
-and the projection oracle) live in tests/reference.py.
+as one N x N matrix.  Steps 3-8 share one solver._solve pass (the solve
+of solve_densities and sweep) whose rows are +delta and -delta (steps 5
+and 7, one eval_potentials call; step 8 reads the +delta energy) and
+step 6's five losses (their energies); steps 3 and 4 read the first 50
+modes of its table.  The check-only routes of the tests (the energy
+quadrature, the shell gradient and the projection oracle) live in
+tests/reference.py.
 
 On confocal ellipses the operator couples no two Fourier modes: with the
 node weights W of both curves, A = W M W^-1 has entries w_i k(x_i, y_j),
@@ -198,14 +198,6 @@ def _kernel_block(
     return np.multiply(d1, src.weights, out=out)
 
 
-def _common_size(gi: SampledCurve, ge: SampledCurve) -> int:
-    """N of both curves; ValueError when they differ."""
-    ni, ne = len(gi.weights), len(ge.weights)
-    if ni != ne:
-        raise ValueError(f"curves must use the same N, got {ni} and {ne}")
-    return ni
-
-
 def assemble_block_np(
     gi: SampledCurve, ge: SampledCurve, geometry: ConfocalGeometry | None = None
 ) -> BlockNPMatrix:
@@ -214,7 +206,11 @@ def assemble_block_np(
     Its first N x N block is -K*_{Gi}, the negated single-curve block
     _kernel_block(gi, gi, same=True), bit for bit.
     """
-    N = _common_size(gi, ge)
+    if len(gi.weights) != len(ge.weights):
+        raise ValueError(
+            f"curves must use the same N, got {len(gi.weights)} and {len(ge.weights)}"
+        )
+    N = len(gi.weights)
     m = np.empty((2 * N, 2 * N))
     k_ii = _kernel_block(gi, gi, same=True, out=m[:N, :N])
     k_ie = _kernel_block(gi, ge, same=False, out=m[:N, N:])  # dnu_i S_{Ge}
@@ -227,7 +223,8 @@ def assemble_block_np(
 
 def block_np_for(g: ConfocalGeometry, N: int) -> BlockNPMatrix:
     """Sample both interfaces of a shell geometry and assemble the block."""
-    gi, ge = (sample_ellipse(g.R, rho, N) for rho in (g.rho_i, g.rho_e))
+    gi = sample_ellipse(g.R, g.rho_i, N)
+    ge = sample_ellipse(g.R, g.rho_e, N)
     return assemble_block_np(gi, ge, geometry=g)
 
 
@@ -314,9 +311,9 @@ def _stack_modes(diag: np.ndarray, anti: np.ndarray) -> tuple[np.ndarray, np.nda
     return ends, quads.reshape(-1, 4, 4)
 
 
-def mode_blocks_for(gi: SampledCurve, ge: SampledCurve) -> tuple[np.ndarray, np.ndarray]:
-    """The mode blocks of _mode_blocks(assemble_block_np(gi, ge)) from six
-    kernel rows per curve block, in O(N log N).
+def mode_blocks_for(g: ConfocalGeometry, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mode blocks of _mode_blocks(block_np_for(g, N)) from six kernel
+    rows per curve block, in O(N log N).
 
     Each curve block of A = W M W^-1 has the form A[i, j] = c(i - j) +
     h(i + j), indices mod N (see the module docstring), so row r has the
@@ -331,9 +328,9 @@ def mode_blocks_for(gi: SampledCurve, ge: SampledCurve) -> tuple[np.ndarray, np.
     within max(_MODE_TOL, N^2 2^-52) of the largest sampled entry (the
     module docstring gives the rounding model).  Raises EigensolveFailure
     when it does not hold (always so on a NaN or an inf), and
-    assemble_block_np's ValueError for curves of different N.
+    sample_ellipse's ValueError for N odd or below 8.
     """
-    curves, N = (gi, ge), _common_size(gi, ge)
+    curves = (sample_ellipse(g.R, g.rho_i, N), sample_ellipse(g.R, g.rho_e, N))
     third = N // 3
     rows = np.array([0, 1, 2, third, third + 1, third + 2])
     a = np.empty((2, 2, len(rows), N))  # a[p, q]: the sampled rows of A_pq
@@ -577,8 +574,7 @@ def validate(
     sc = newtonian_coefficients(source, n_top, g.R, rho_e=g.rho_e)
     # 1. Nystrom block spectrum against the closed-form eigenvalues, solved
     # mode by mode from a few kernel rows per curve block.
-    gi, ge = (sample_ellipse(g.R, rho, n_nystrom) for rho in (g.rho_i, g.rho_e))
-    rep = _mode_spectrum(*mode_blocks_for(gi, ge), count, g)
+    rep = _mode_spectrum(*mode_blocks_for(g, n_nystrom), count, g)
     keep = np.abs(rep.matched) != 0.5
     worst = float(np.max(rep.rel_errors[keep])) if keep.any() else 0.0
     spectrum = _check("nystrom_spectrum", worst, 1e-6)
@@ -590,7 +586,7 @@ def validate(
     # applied 64 rows at a time; each row is that row of the whole
     # single-curve block, _kernel_block(curve, curve, same=True).
     N = max(n_nystrom, 64)
-    curve = gi if N == n_nystrom else sample_ellipse(g.R, g.rho_i, N)
+    curve = sample_ellipse(g.R, g.rho_i, N)
     xi_inv = 1.0 / curve.weights  # density ~ Xi^{-1}
     buf, resid = np.empty((64, N)), []
     for start in range(0, N, 64):

@@ -577,8 +577,8 @@ def test_validate_detects_flipped_block(tmp_path, capsys, monkeypatch):
     mode block, so those entries are negated."""
     mode_blocks_for = oracle.mode_blocks_for
 
-    def flipped(gi, ge):
-        ends, quads = mode_blocks_for(gi, ge)
+    def flipped(g, N):
+        ends, quads = mode_blocks_for(g, N)
         np.negative(ends[:, 0, 0], out=ends[:, 0, 0])
         np.negative(quads[:, :2, :2], out=quads[:, :2, :2])
         return ends, quads
@@ -905,8 +905,7 @@ def test_a_second_run_replaces_every_output(tmp_path, command):
     """Run twice into one --out, each command writes the same bytes the
     second time, over its own outputs; a longer stale file at an output
     path is replaced whole, not overwritten in front of its old bytes.
-    The stale file is removed, not truncated: a hard link to it keeps
-    its bytes."""
+    An output path that is a symlink is written through."""
     config = str(CONFIGS / "dipole_outside.json")
     out = tmp_path / "out"
     with warnings.catch_warnings():
@@ -916,14 +915,13 @@ def test_a_second_run_replaces_every_output(tmp_path, command):
             assert _run([command, "--config", config, "--out", str(out)]) == 0
             runs.append([(out / name).read_bytes() for name in _OUTPUTS[command]])
         assert runs[0] == runs[1]
-        stale = b"stale\n" * 200_000
         for name in _OUTPUTS[command]:
-            (out / name).write_bytes(stale)
-            os.link(out / name, tmp_path / name)
+            (tmp_path / name).write_bytes(b"stale\n" * 200_000)
+            (out / name).unlink()
+            (out / name).symlink_to(tmp_path / name)
         assert _run([command, "--config", config, "--out", str(out)]) == 0
-    assert [(out / name).read_bytes() for name in _OUTPUTS[command]] == runs[0]
-    assert [(tmp_path / name).read_bytes() for name in _OUTPUTS[command]] == [stale] * len(runs[0])
-    assert sorted(p.name for p in out.iterdir()) == sorted(_OUTPUTS[command])
+    assert all((out / name).is_symlink() for name in _OUTPUTS[command])
+    assert [(tmp_path / name).read_bytes() for name in _OUTPUTS[command]] == runs[0]
 
 
 # 2**50 values: 8 PiB as float64, which numpy refuses at once on any host.
@@ -945,7 +943,28 @@ def test_a_size_the_machine_cannot_allocate_is_a_config_error(tmp_path, capsys, 
     out = tmp_path / "out"
     assert _run([command, "--config", path, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"config error: {command}: Unable to allocate")
+    assert len(err) == 1
+    assert err[0].startswith(f"config error: {command}: out of memory: Unable to allocate")
+    assert list(out.iterdir()) == []
+
+
+def test_memory_running_out_while_field_csv_is_written(tmp_path, capsys, monkeypatch):
+    """A MemoryError after field.csv's first block is out of memory, exit
+    2, and leaves no field.csv behind: neither a partial one nor the one
+    an earlier run wrote there."""
+    field_rows = cli._field_rows
+
+    def short_of_memory(*args):
+        rows = field_rows(*args)
+        yield next(rows)
+        raise MemoryError("no room for the next block")
+
+    out = tmp_path / "out"
+    assert _run(["field", "--config", str(CONFIGS / "dipole_outside.json"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "_field_rows", short_of_memory)
+    assert _run(["field", "--config", str(CONFIGS / "dipole_outside.json"), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: field: out of memory: no room for the next block\n"
     assert list(out.iterdir()) == []
 
 
