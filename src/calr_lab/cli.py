@@ -14,17 +14,21 @@ library and writes its outputs:
 
 Only sweep takes --threads (K >= 1), and it has no effect.  Outputs are
 CSV and JSON (UTF-8, sorted keys), so identical configs produce
-byte-identical files.  In a CSV (comma separated, header row, lines end
-in LF) each number is '%.17g' of the double (_fmt); a blank field.csv
-cell reads x1,x2,,, and field.csv is written one block of _FIELD_BLOCK
-grid rows at a time (_field_rows): each cell of a block is a fixed-width
-uint8 line, x1, ",x2", ",re", ",im", ",|v|" and LF in columns of their
-own, the bytes a text does not use NUL, and one bytes.translate drops
-the block's NULs.  Exit codes: 0 success, 2 config error (also a bad
---threads, an --out that cannot be made a directory, an output file
-inside it that cannot be written, or any allocation that fails, at
-whatever step: the config asks for more memory than the machine has),
-3 numeric failure, 4 validation-suite failure.
+byte-identical files.  The JSON is strict (RFC 8259): a non-finite
+number, such as the classifier's NaN numbers of a sweep with fewer than
+3 distinct deltas, is written as null (_write_json).  In a CSV (comma
+separated, header row, lines end in LF) each number is '%.17g' of the
+double (_fmt); a blank field.csv cell reads x1,x2,,, and field.csv is
+written one block of _FIELD_BLOCK grid rows at a time (_field_rows):
+each cell of a block is a fixed-width uint8 line, x1, ",x2", ",re",
+",im", ",|v|" and LF in columns of their own, the bytes a text does not
+use NUL, and one bytes.translate drops the block's NULs.  Exit codes: 0
+success, 2 config error (also a bad --threads, an --out that cannot be
+made a directory, an output file inside it that cannot be written, a
+validate or field size whose arrays numpy cannot index, refused before
+they are made, or any allocation that fails, at whatever step: the
+config asks for more memory than the machine has), 3 numeric failure, 4
+validation-suite failure.
 
 The CLI checks only what parsing needs: JSON types, the blocks' shapes
 and the grid.  Every rule on a loss, margin, probe or validate size is
@@ -86,8 +90,20 @@ def _write_rows(path: Path, header: str, rows: Iterable[str] = ()) -> None:
         raise
 
 
+def _json_value(obj: Any) -> Any:
+    """obj with each non-finite float, which JSON cannot hold, as None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _json_value(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_value(v) for v in obj]
+    return obj
+
+
 def _write_json(path: Path, obj: Any) -> None:
-    _write_rows(path, json.dumps(obj, sort_keys=True, indent=2))
+    """The one JSON writer: strict JSON, a non-finite float as null."""
+    _write_rows(path, json.dumps(_json_value(obj), sort_keys=True, indent=2, allow_nan=False))
 
 
 def load_config(path: str | Path) -> dict:
@@ -379,6 +395,8 @@ def field_command(cfg: dict, out_dir: Path) -> int:
     n2 = _int(block, "field", "n2", 81)
     if min(n1, n2) < 2:
         raise ConfigError("field.n1/n2: grid needs >= 2 points per axis")
+    if 16 * n1 * n2 > np.iinfo(np.intp).max:  # the (n2, n1, 2) float64 Cartesian grid
+        raise ConfigError(f"field.n1/n2: a {n1} x {n2} grid exceeds numpy's index range")
 
     xs = np.linspace(-a, a, n1)
     ys = np.linspace(-b, b, n2)

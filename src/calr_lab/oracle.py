@@ -98,6 +98,8 @@ __all__ = [
     "validate",
 ]
 
+# Smallest distance between two curves' nodes, relative to the curves'
+# size (their largest node coordinate), that _kernel_block accepts.
 _MIN_CURVE_GAP = 1e-8
 
 # Largest Fourier-block entry off the (k, +-k) pattern, relative to the
@@ -184,9 +186,10 @@ def _kernel_block(
         r_sq[on_diag] = 1.0
     else:
         gap = math.sqrt(float(np.min(r_sq)))
-        if gap < _MIN_CURVE_GAP:
+        size = max(float(np.max(np.abs(c.nodes))) for c in (target, src))
+        if gap < _MIN_CURVE_GAP * size:
             raise CurveOverlap(
-                f"curves approach within {gap:.3e} (< {_MIN_CURVE_GAP})"
+                f"curves approach within {gap:.3e} (< {_MIN_CURVE_GAP} of their size {size:.3e})"
             )
     d1 *= tn[:, 0:1]
     d2 *= tn[:, 1:2]
@@ -548,14 +551,19 @@ def validate(
 
     The default source is a dipole at (rho_e + 0.5, 0.9), moment (1, 0.4).
     Before any work, InputError refuses n_nystrom (nodes per curve)
-    odd or below 8, n_modes below 1, and 2 + 4 n_modes > n_nystrom / 2,
+    odd, below 8 or so large that its float64 nodes exceed numpy's index
+    range (a smaller size that cannot be allocated raises MemoryError),
+    n_modes below 1, and 2 + 4 n_modes > n_nystrom / 2,
     then adaptive_n_max (OverflowGuard) a loss of steps 5-6 that needs
     more modes than doubles hold, and SourceInsideShell (an InputError) a
-    source not strictly outside the shell.  The solve's TruncationWarnings
-    are attributed to the caller of validate.
+    source not strictly outside the shell.  Nothing depends on the scale
+    R: the curves' overlap guard (_kernel_block) is relative to their size.
+    The solve's TruncationWarnings are attributed to the caller of validate.
     """
     if n_nystrom < 8 or n_nystrom % 2:
         raise InputError(f"n_nystrom: must be even and >= 8, got {n_nystrom}")
+    if 8 * n_nystrom > np.iinfo(np.intp).max:
+        raise InputError(f"n_nystrom: {n_nystrom} float64 nodes exceed numpy's index range")
     if n_modes < 1:
         raise InputError(f"n_modes: must be >= 1, got {n_modes}")
     count = 2 + 4 * n_modes

@@ -32,8 +32,9 @@ shape (2, 2, n_max), index [..., n-1] holding mode n, so that
     phi_i = sum_n dc[0, 0, n-1] phi_n_c(i) + dc[0, 1, n-1] phi_n_s(i),
 
 and phi_e likewise from dc[1].  The spans do not mix: dc[:, s] is driven
-by forcing[:, s] alone.  A solve over K losses puts its rows before the
-mode axis, (2, 2, K, n_max).
+by forcing[:, s] alone.  solve_densities solves one loss; _solve, which
+sweep and oracle.validate call, solves K losses in one pass and puts their
+rows before the mode axis, (2, 2, K, n_max).
 
 Dissipated power is E_delta = delta * ||grad V||^2 over the shell.  In the
 shell every mode of V is alpha e^{n rho} + beta e^{-n rho}; the omega
@@ -287,32 +288,22 @@ def _solve(sc, g, deltas, n_maxes, modes=None, energies=False):
             _spectral_energies(proj, *fam[1:], deltas, n_maxes))
 
 
-def solve_densities(
-    sc: Coefficients, g: ConfocalGeometry, delta: float | Sequence[float]
-) -> np.ndarray:
-    """Solve the transmission problem at loss delta over the sc.n_max modes.
+def solve_densities(sc: Coefficients, g: ConfocalGeometry, delta: float) -> np.ndarray:
+    """Solve the transmission problem at the one loss delta over the
+    sc.n_max modes.
 
-    Returns the complex densities in the forcing's layout (see the module
-    docstring): one loss gives one row, shape (2, 2, n_max), and a
-    sequence of K losses gives K rows, shape (2, 2, K, n_max), from one
-    forcing, mode table and projection; row k, dc[:, :, k], equals the
-    call at deltas[k] bit for bit.  A negative delta (a gain shell) is
+    Returns the complex densities in the forcing's layout, shape (2, 2,
+    n_max) (see the module docstring).  A negative delta (a gain shell) is
     accepted: conjugate symmetry V(-delta) = conj(V(delta)) is an
-    invariant that tests exercise directly.  Raises ValueError for an
-    empty sequence, a delta zero or nonfinite and an empty expansion,
-    OverflowGuard past the mode table's n_max bound.  Emits, once
-    per delta in order, TruncationWarning when the last retained mode
-    still carries more than 1e-10 of the accumulated solution norm.
+    invariant that tests exercise directly.  Raises ValueError for a delta
+    that is not one finite, nonzero number (a sequence included) and an
+    empty expansion, OverflowGuard past the mode table's n_max bound.
+    Emits TruncationWarning when the last retained mode still carries more
+    than 1e-10 of the accumulated solution norm.
     """
-    one = np.ndim(delta) == 0
-    deltas = [delta] if one else list(delta)
-    if not deltas:
-        raise ValueError("deltas: expected a non-empty sequence")
-    for d in deltas:
-        if not (d != 0.0 and math.isfinite(d)):
-            raise ValueError(f"delta must be finite and nonzero, got {d}")
-    dc = _solve(sc, g, deltas, [sc.n_max] * len(deltas))[0]
-    return dc[:, :, 0] if one else dc
+    if not (np.ndim(delta) == 0 and delta != 0.0 and math.isfinite(delta)):
+        raise ValueError(f"delta must be one finite, nonzero loss, got {delta!r}")
+    return _solve(sc, g, [delta], [sc.n_max])[0][:, :, 0]
 
 
 def _region_chains(
@@ -542,12 +533,14 @@ def calr_classify(records: Sequence[SweepRecord], regime: Regime) -> CalrDiagnos
     normalized far-field dropping by at least 3x is resonant blow-up
     (CALR); so is total growth beyond 1e3 with a 10x visibility drop.
     A sweep whose energy stays within a 2x band, or decays (exponent
-    below -0.05), is graded NoCALR.  Everything else, including sweeps
-    with nonfinite data, is Indeterminate.
+    below -0.05), is graded NoCALR.  Everything else is Indeterminate,
+    including sweeps with nonfinite or nonpositive energies and sweeps of
+    fewer than 3 distinct deltas, which fit no meaningful slope; their
+    four numbers are NaN.
     """
     recs = sorted(records, key=lambda r: -r.delta)
     e = np.array([r.e_direct for r in recs])
-    if len(recs) < 3 or not np.all(np.isfinite(e)) or np.any(e <= 0.0):
+    if len({r.delta for r in recs}) < 3 or not np.all(np.isfinite(e)) or np.any(e <= 0.0):
         return CalrDiagnosis(
             CalrVerdict.INDETERMINATE,
             regime,

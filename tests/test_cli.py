@@ -213,6 +213,64 @@ def test_sweep_reports_numeric_failure(tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_sweep_of_equal_deltas_is_indeterminate(tmp_path, capsys):
+    """Three records at one delta fit no slope: the sweep grades
+    Indeterminate, and nothing (no polyfit RankWarning) reaches stderr."""
+    cfg = _write_cfg(tmp_path, "s.json", {
+        "geometry": THIN_GEO, "source": _DIPOLE_SOURCE,
+        "sweep": {"deltas": [1e-2] * 3, "probes": [{"rho": 1.4, "omega": 0.6}]},
+    })
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert caught == []
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "sweep_classification.json").read_text())
+    assert report["verdict"] == "Indeterminate"
+
+
+def _strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity (RFC 8259)."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+_CLASSIFIER_NUMBERS = ("growth_exponent", "energy_growth", "energy_spread", "visibility_drop")
+
+
+@pytest.mark.parametrize(
+    "deltas, moment",
+    [([1e-3], [1.0, 0.4]), ([1e-2, 1e-3, 1e-4], [0.0, 0.0])],
+    ids=["one-delta", "zero-moment"],
+)
+def test_json_outputs_write_non_finite_values_as_null(tmp_path, capsys, deltas, moment):
+    """A sweep of one delta, and a zero-moment dipole's sweep and validate,
+    have non-finite numbers; every JSON output is strict JSON with null
+    for each, and the stdout lines keep the checks' own floats."""
+    source = dict(_DIPOLE_SOURCE, moment=moment)
+    cfg = _write_cfg(tmp_path, "s.json", {
+        "geometry": THIN_GEO, "source": source,
+        "sweep": {"deltas": deltas, "probes": [{"rho": 1.4, "omega": 0.6}]},
+        "validate": {"n_nystrom": 64},
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        assert _run(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert _run(["validate", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = _strict_json((tmp_path / "sweep_classification.json").read_text())
+    assert report["verdict"] == "Indeterminate"
+    assert [report[k] for k in _CLASSIFIER_NUMBERS] == [None] * 4
+    checks = _strict_json((tmp_path / "validate.json").read_text())["checks"]
+    ratio = next(c for c in checks if c["name"] == "surrogate_ratio")
+    if moment == [0.0, 0.0]:
+        assert (ratio["status"], ratio["observed"]) == ("indeterminate", None)
+        assert "observed=nan" in capsys.readouterr().out
+    else:
+        assert math.isfinite(ratio["observed"])
+
+
 def test_sweep_rejects_inside_probe(tmp_path):
     cfg = _write_cfg(tmp_path, "s.json", {
         "geometry": THIN_GEO,
@@ -799,6 +857,21 @@ def test_check_status_is_observed_below_threshold(config):
             assert c["name"] in _STATUS_OVERRIDES.get((plain, c["status"]), ()), c
 
 
+@pytest.mark.parametrize("config", ["dipole_outside.json", "validate_default.json",
+                                    "thick_inside.json"])
+def test_validate_is_scale_free(config):
+    """The overlap guard scales with the curves' size, so validate at R =
+    1e-9 gives every check the status it has at R = 1 (before, each such
+    geometry stopped at a 1e-8 absolute gap)."""
+    cfg = json.loads((CONFIGS / config).read_text())
+    small = dict(cfg, geometry=dict(cfg["geometry"], R=1e-9))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        want, got = _validate_by_name(cfg), _validate_by_name(small)
+    assert {k: c["status"] for k, c in got.items()} == {k: c["status"] for k, c in want.items()}
+    assert all(c["status"] == "pass" for c in got.values())
+
+
 @pytest.mark.parametrize(
     "block",
     [
@@ -945,6 +1018,32 @@ def test_a_size_the_machine_cannot_allocate_is_a_config_error(tmp_path, capsys, 
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"config error: {command}: out of memory: Unable to allocate")
+    assert list(out.iterdir()) == []
+
+
+# Sizes past numpy's index range on a 64-bit host: numpy refuses their
+# arrays without allocating (ValueError), so the command must refuse first.
+@pytest.mark.parametrize("size", [2**62, 10**30], ids=["2**62", "10**30"])
+@pytest.mark.parametrize(
+    "command, key, where",
+    [("validate", "n_nystrom", "validate.n_nystrom"),
+     ("field", "n1", "field.n1/n2"),
+     ("field", "n2", "field.n1/n2")],
+    ids=["validate-nodes", "field-n1", "field-n2"],
+)
+def test_a_size_numpy_cannot_index_is_a_config_error(tmp_path, capsys, command, key, where, size):
+    """A size whose arrays numpy cannot index is refused before its arrays
+    are made: one config error line naming the key, exit 2, no output file
+    and no traceback."""
+    block = {"delta": 1e-3, "rho_max": 1.2} if command == "field" else {}
+    path = _write_cfg(tmp_path, "huge.json", {"geometry": THIN_GEO, "source": _DIPOLE_SOURCE,
+                                              command: dict(block, **{key: size})})
+    out = tmp_path / "out"
+    assert _run([command, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"config error: {where}: ")
+    assert err[0].endswith("numpy's index range")
     assert list(out.iterdir()) == []
 
 

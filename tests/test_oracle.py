@@ -1061,11 +1061,13 @@ def test_transmission_energy_refusals():
 
 def _public_route_checks(g, src):
     """continuity, flux_jump, surrogate_ratio and reality_symmetry as the
-    public functions give them: solve_densities(sc, g, [delta, -delta])
-    with eval_potentials for steps 5 and 7, sweep's records for step 6."""
+    public functions give them: the one-loss solve_densities at delta and
+    -delta, stacked as K rows, with eval_potentials for steps 5 and 7,
+    sweep's records for step 6."""
     delta = 1e-3
     sc = source.newtonian_coefficients(src, solver.adaptive_n_max(delta, g), g.R, rho_e=g.rho_e)
-    rows = solver.solve_densities(sc, g, [delta, -delta])
+    rows = np.stack([solver.solve_densities(sc, g, delta),
+                     solver.solve_densities(sc, g, -delta)], axis=2)
     stencil = np.array([-49.0 / 20, 6.0, -15.0 / 2, 20.0 / 3, -15.0 / 4, 6.0 / 5, -1.0 / 6])
     h = 1e-4
     omegas = np.linspace(0.07, 2.0 * math.pi - 0.13, 12)

@@ -47,7 +47,7 @@ from calr_lab import (
 )
 from calr_lab.cli import load_config, parse_geometry, parse_source
 from calr_lab.errors import InputError
-from calr_lab.solver import SweepRecord
+from calr_lab.solver import SweepRecord, _solve
 from calr_lab.source import _PANEL_ADD_ELEMENTS, _horner, elliptic_potential
 from calr_lab.spectrum import _mode_limit, mode_factors
 from reference import (
@@ -294,10 +294,9 @@ def test_solve_densities_validation():
         solve_densities(sc, THIN, 0.0)
     with pytest.raises(ValueError):
         solve_densities(sc, THIN, math.nan)
-    # A sequence of losses: empty, or with a zero or nonfinite entry.
-    for deltas in ([], [1e-3, 0.0], [1e-3, math.nan], [math.inf]):
-        with pytest.raises(ValueError):
-            solve_densities(sc, THIN, deltas)
+    # One loss only: K losses are _solve's.
+    with pytest.raises(ValueError, match="one finite, nonzero loss"):
+        solve_densities(sc, THIN, [1e-3])
     with pytest.raises(ValueError):
         solve_densities(Coefficients(0.0, np.zeros(0), np.zeros(0)), THIN, 1e-3)
     with pytest.raises(OverflowGuard):
@@ -309,13 +308,14 @@ def test_densities_take_the_forcing_layout(span):
     """Densities are (Gamma_i, Gamma_e) x (cosine span, sine span) x mode,
     as the forcing is: a source with only F_n^+ gives a sine span dc[:, 1]
     of exact zeros on both interfaces and a nonzero cosine span, and one
-    with only F_n^- the mirror result.  One loss gives (2, 2, n) and K
-    losses (2, 2, K, n), row k bit for bit the solve at that loss."""
+    with only F_n^- the mirror result.  One loss gives (2, 2, n) and
+    _solve over K losses (2, 2, K, n), row k bit for bit the solve at
+    that loss."""
     n = 40
     f, zero = np.exp(-2.0 * np.arange(1, n + 1)), np.zeros(n)
     sc = Coefficients(0.2, *((f, zero) if span == 0 else (zero, f)))
     deltas = [1e-1, 1e-2, -1e-2]
-    rows = solve_densities(sc, THIN, deltas)
+    rows = _solve(sc, THIN, deltas, [sc.n_max] * len(deltas))[0]
     assert rows.shape == (2, 2, len(deltas), n)
     for k, delta in enumerate(deltas):
         dc = solve_densities(sc, THIN, delta)
@@ -327,16 +327,17 @@ def test_densities_take_the_forcing_layout(span):
 
 @pytest.mark.parametrize("geometry", [THIN, THICK], ids=["thin", "thick"])
 def test_solve_densities_rows_equal_per_loss_solves(geometry):
-    """A sequence of K losses gives (2, 2, K, n_max) densities, row k equal
-    bit for bit to the solve at that loss alone, +-delta pairs included."""
+    """_solve over K losses, as sweep and validate call it, gives (2, 2, K,
+    n_max) densities, row k equal bit for bit to solve_densities at that
+    loss alone, +-delta pairs included."""
     src = Dipole(EllipticPoint(geometry.rho_e + 0.5, 0.9), np.array([1.0, 0.4]))
     sc = newtonian_coefficients(src, 90, geometry.R, rho_e=geometry.rho_e)
     deltas = [1e-3, -1e-3, 0.2, 1e-7, -1e-7, -0.5]
-    rows = solve_densities(sc, geometry, deltas)
+    rows = _solve(sc, geometry, deltas, [sc.n_max] * len(deltas))[0]
     assert rows.shape == (2, 2, len(deltas), sc.n_max)
     for k, delta in enumerate(deltas):
         assert np.array_equal(rows[:, :, k], solve_densities(sc, geometry, delta))
-    one = solve_densities(sc, geometry, np.array([2e-2]))
+    one = _solve(sc, geometry, np.array([2e-2]), [sc.n_max])[0]
     assert np.array_equal(one[1, 0], solve_densities(sc, geometry, 2e-2)[1, 0][None])
 
 
@@ -938,7 +939,7 @@ def test_one_row_functions_refuse_k_rows(n_max, k):
     (2, 2, 1, n_max) array is K rows too."""
     src = Dipole(EllipticPoint(1.3, 0.4), np.array([1.0, 0.3]))
     sc = newtonian_coefficients(src, n_max, THIN.R, rho_e=THIN.rho_e)
-    rows = solve_densities(sc, THIN, [1e-3, 1e-2, 1e-1][:k])
+    rows = _solve(sc, THIN, [1e-3, 1e-2, 1e-1][:k], [n_max] * k)[0]
     shape = re.escape(f"got shape (2, 2, {k}, {n_max})")
     for call in (
         lambda: eval_gradient_shell(src, rows, THIN, 0.6, 1.0),
@@ -1268,6 +1269,20 @@ def test_classify_synthetic_sweeps():
     spiky = [_record(1e-2, 1.0, 1.0), _record(1e-3, 100.0, 1.0),
              _record(1e-4, 3.0, 1.0)]
     assert calr_classify(spiky, THIN_REGIME).verdict.value == "Indeterminate"
+
+
+def test_classify_fewer_than_three_distinct_deltas():
+    """Records at fewer than 3 distinct deltas fit no slope: Indeterminate,
+    with NaN numbers and no polyfit RankWarning, however many records."""
+    for deltas in ([1e-3] * 3, [1e-2, 1e-2, 1e-3, 1e-3]):
+        records = [_record(d, 10.0 ** k, 8.0 / 2**k) for k, d in enumerate(deltas)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diagnosis = calr_classify(records, THIN_REGIME)
+        assert diagnosis.verdict.value == "Indeterminate"
+        assert math.isnan(diagnosis.growth_exponent)
+    three = [_record(d, 10.0 ** k, 8.0 / 2**k) for k, d in enumerate([1e-2, 1e-3, 1e-3, 1e-4])]
+    assert calr_classify(three, THIN_REGIME).verdict.value == "CALR"
 
 
 def test_classify_records_without_probes():
