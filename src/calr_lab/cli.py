@@ -107,7 +107,12 @@ def _write_json(path: Path, obj: Any) -> None:
 
 
 def load_config(path: str | Path) -> dict:
-    """Read and parse the JSON run configuration."""
+    """Read and parse the JSON run configuration.
+
+    Text the parser refuses is a ConfigError: malformed JSON (naming its
+    line and column), nesting past Python's recursion limit, and an
+    integer literal longer than Python converts (4300 digits by default).
+    """
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
@@ -119,6 +124,8 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(
             f"{p}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (RecursionError, ValueError) as exc:  # too deep, or an integer too long
+        raise ConfigError(f"{p}: unreadable JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{p}: top level must be a JSON object")
     return cfg

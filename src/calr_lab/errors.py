@@ -14,7 +14,9 @@ class DegeneratePoint(CalrError):
 
 class OverflowGuard(CalrError):
     """Raised when a requested mode index or truncation order would push
-    intermediate exponentials outside double-precision range."""
+    intermediate exponentials outside double-precision range, or when an
+    answer (a source coefficient, density, energy or potential) is not a
+    finite double."""
 
 
 class SingularPoint(CalrError):

@@ -19,24 +19,25 @@ or solver, and serves only for cross-validation.
   (ARMA 208, 2013), and never reads a mode table, projection or density.
 
 validate runs the nine checks of `calr-lab validate` in eight steps,
-each threshold stated once, in its body.  They compare (1) mode_blocks_for's
-Nystrom eigenvalues and (2) K* of Gamma_i on 1/Xi with mode_eigenvalues
-and 1/2, (3, 4) block_matrices and s_gram with the family table
-(ModeTable.families, order in spectrum's docstring) of mode_table's
-eigenpairs and norms, (5) eval_potentials with the transmission conditions
-(continuity and flux_jump), (6) the surrogate with the closed-form energy,
-(7) V at -delta with conj V at delta, and (8) the closed-form energy at
-+delta with transmission_energy (direct_energy).  Step 1 solves only the
-mode blocks whose norm bound reaches the top values it compares (see
+each threshold stated once, in its body.  They compare (1) the Nystrom
+eigenvalues of mode_blocks_for's blocks with mode_eigenvalues and (2)
+the k = 0 entry of those blocks, K* of Gamma_i on 1/Xi, with 1/2, (3, 4)
+block_matrices and s_gram with the family table (ModeTable.families,
+order in spectrum's docstring) of mode_table's eigenpairs and norms, (5)
+eval_potentials with the transmission conditions (continuity and
+flux_jump), (6) the surrogate with the closed-form energy, (7) V at
+-delta with conj V at delta, and (8) the closed-form energy at +delta
+with transmission_energy (direct_energy).  Step 1 solves only the mode
+blocks whose norm bound reaches the top values it compares (see
 _mode_spectrum; 5 of 127 4 x 4 blocks at N = 256 on the default
-geometry), and step 2 forms and applies K* 64 rows at a time rather than
-as one N x N matrix.  Steps 3-8 share one solver._solve pass (the solve
-of solve_densities and sweep) whose rows are +delta and -delta (steps 5
-and 7, one eval_potentials call; step 8 reads the +delta energy) and
-step 6's five losses (their energies); steps 3 and 4 read the first 50
-modes of its table.  The check-only routes of the tests (the energy
-quadrature, the shell gradient and the projection oracle) live in
-tests/reference.py.
+geometry), and step 2 reads its k = 0 entry from the same blocks, so the
+Nystrom work is O(N log N).  Steps 3-8 share one solver._solve pass (the
+solve of solve_densities and sweep) whose rows are +delta and -delta
+(steps 5 and 7, one eval_potentials call; step 8 reads the +delta
+energy) and step 6's five losses (their energies); steps 3 and 4 read
+the first 50 modes of its table.  The check-only routes of the tests
+(the energy quadrature, the shell gradient and the projection oracle)
+live in tests/reference.py.
 
 On confocal ellipses the operator couples no two Fourier modes: with the
 node weights W of both curves, A = W M W^-1 has entries w_i k(x_i, y_j),
@@ -556,7 +557,10 @@ def validate(
     n_modes below 1, and 2 + 4 n_modes > n_nystrom / 2,
     then adaptive_n_max (OverflowGuard) a loss of steps 5-6 that needs
     more modes than doubles hold, and SourceInsideShell (an InputError) a
-    source not strictly outside the shell.  Nothing depends on the scale
+    source not strictly outside the shell; OverflowGuard follows for a
+    source whose coefficients or densities are not doubles.  Steps 1
+    and 2 read one mode_blocks_for call (below 64 nodes, step 2 reads a
+    second one on 64).  Nothing depends on the scale
     R: the curves' overlap guard (_kernel_block) is relative to their size.
     The solve's TruncationWarnings are attributed to the caller of validate.
     """
@@ -582,7 +586,8 @@ def validate(
     sc = newtonian_coefficients(source, n_top, g.R, rho_e=g.rho_e)
     # 1. Nystrom block spectrum against the closed-form eigenvalues, solved
     # mode by mode from a few kernel rows per curve block.
-    rep = _mode_spectrum(*mode_blocks_for(g, n_nystrom), count, g)
+    blocks = mode_blocks_for(g, n_nystrom)
+    rep = _mode_spectrum(*blocks, count, g)
     keep = np.abs(rep.matched) != 0.5
     worst = float(np.max(rep.rel_errors[keep])) if keep.any() else 0.0
     spectrum = _check("nystrom_spectrum", worst, 1e-6)
@@ -590,19 +595,11 @@ def validate(
         # Below 64 nodes a miss is too coarse to certify convergence either way.
         spectrum["status"] = "indeterminate"
 
-    # 2. Constant-density eigenvalue of K* on Gamma_i alone, formed and
-    # applied 64 rows at a time; each row is that row of the whole
-    # single-curve block, _kernel_block(curve, curve, same=True).
-    N = max(n_nystrom, 64)
-    curve = sample_ellipse(g.R, g.rho_i, N)
-    xi_inv = 1.0 / curve.weights  # density ~ Xi^{-1}
-    buf, resid = np.empty((64, N)), []
-    for start in range(0, N, 64):
-        rows = np.arange(start, min(start + 64, N))
-        k_star = _kernel_block(curve, curve, same=True, out=buf[: len(rows)], rows=rows)
-        resid.append(np.max(np.abs(k_star @ xi_inv - 0.5 * xi_inv[rows])))
-    alpha0_err = float(np.max(resid) / np.max(np.abs(xi_inv)))
-    checks = [spectrum, _check("alpha0_half", alpha0_err, 1e-8)]
+    # 2. K* on Gamma_i maps 1/Xi to 1/(2 Xi): the k = 0 entry of the
+    # inner-inner block, -K* on the constant of the weighted basis, is
+    # -1/2.  It is read from step 1's blocks, on at least 64 nodes.
+    ends = (blocks if n_nystrom >= 64 else mode_blocks_for(g, 64))[0]
+    checks = [spectrum, _check("alpha0_half", abs(ends[0, 0, 0] + 0.5), 1e-8)]
 
     # Steps 3 and 4 read 50 modes, more than the solve's n_top when
     # rho_e - rho_i >= 2 ln(1e6) / 9 (about 3.07); truncated tables equal

@@ -73,7 +73,9 @@ adaptive_n_max and boundary_forcing read from n_max alone.
 solve_densities, sweep and oracle.validate share one solve, _solve: the
 solve (with its tail check, TruncationWarning above 1e-10) and both
 energies run over (delta, mode) arrays, one row per delta over its own
-leading modes; an energy is refused only when E itself is out of range.
+leading modes.  An energy, density, potential or normalized far value is
+refused (OverflowGuard, with no numpy warning) only when it is itself out
+of double range.
 """
 
 from __future__ import annotations
@@ -245,7 +247,7 @@ def mode_projections(forcing: np.ndarray, modes: ModeTable,
 
 def _assemble_densities(proj, vecs, lam, norm, deltas, n_maxes) -> np.ndarray:
     """(2, 2, K, n_top) densities: row k solved at deltas[k], zero past
-    n_maxes[k].
+    n_maxes[k].  OverflowGuard when one is not a finite double.
 
     Warns (TruncationWarning, at the caller of _solve's caller) once per
     delta, in order, when the row's last mode carries over 1e-10 of its
@@ -257,6 +259,11 @@ def _assemble_densities(proj, vecs, lam, norm, deltas, n_maxes) -> np.ndarray:
     # (family, delta, mode) arrays; z - lambda is z + (-lambda).
     p, lam, norm = proj[:, None], lam[:, None], norm[:, None]
     w_1p, w_1m, w_2p, w_2m = w = np.where(keep, p / ((z + lam) * norm), 0.0)
+    (a1, b), (_, a2) = vecs[:2]
+    dc = np.array([[w_1p * a1 + w_2p * a2, (w_1m + w_2m) * b],
+                   [(w_1p + w_2p) * b, w_1m * a2 + w_2m * a1]])
+    if not np.all(np.isfinite(dc)):
+        raise OverflowGuard("densities leave double range")
     amp = np.abs(w) * np.sqrt(norm)
     top = np.max(amp, axis=(0, 2))
     contrib = np.sum((amp / np.where(top > 0.0, top, 1.0)[:, None]) ** 2, axis=0)
@@ -265,9 +272,7 @@ def _assemble_densities(proj, vecs, lam, norm, deltas, n_maxes) -> np.ndarray:
         if tail > _TAIL_TOL:
             warnings.warn(f"mode sum truncated at n_max = {n_max} with relative tail "
                           f"{tail:.2e}", TruncationWarning, stacklevel=4)
-    (a1, b), (_, a2) = vecs[:2]
-    return np.array([[w_1p * a1 + w_2p * a2, (w_1m + w_2m) * b],
-                     [(w_1p + w_2p) * b, w_1m * a2 + w_2m * a1]])
+    return dc
 
 
 def _solve(sc, g, deltas, n_maxes, modes=None, energies=False):
@@ -276,12 +281,15 @@ def _solve(sc, g, deltas, n_maxes, modes=None, energies=False):
     row's closed-form and spectral energy (else None).  One forcing, whose
     guards fire first, one mode table over the sc.n_max modes (or modes,
     that table), its family table and one projection serve every row.
+    Densities that leave double range raise OverflowGuard, with no numpy
+    warning.
     """
     forcing = boundary_forcing(sc, g)
     modes = mode_table(g, sc.n_max) if modes is None else modes
-    proj = mode_projections(forcing, modes, g)
     fam = modes.families()
-    dc = _assemble_densities(proj, *fam, deltas, n_maxes)
+    with np.errstate(all="ignore"):  # _assemble_densities refuses a density out of range
+        proj = mode_projections(forcing, modes, g)
+        dc = _assemble_densities(proj, *fam, deltas, n_maxes)
     if not energies:
         return dc, None, None
     return (dc, _closed_energies(sc, dc, g, deltas, n_maxes),
@@ -392,7 +400,8 @@ def eval_potentials(
     (Horner's rule, one loop over all regions), with no point x mode
     array.  A value does not depend on which call its point or row falls
     in.  Raises ValueError for rho < 0 or a non-finite rho or omega
-    at any point.
+    at any point, and OverflowGuard, with no numpy warning, when a value
+    leaves double range.
     """
     rho, omega = np.broadcast_arrays(
         np.asarray(rho, dtype=float), np.asarray(omega, dtype=float)
@@ -403,8 +412,11 @@ def eval_potentials(
         raise ValueError("need finite rho >= 0 at every point")
     if not np.isfinite(omega).all():
         raise ValueError("need finite omega at every point")
-    out = _layer_sums(dc, g, rho, omega)
-    out += elliptic_potential(source, g.R, rho, omega)
+    with np.errstate(all="ignore"):  # a value out of range is refused below
+        out = _layer_sums(dc, g, rho, omega)
+        out += elliptic_potential(source, g.R, rho, omega)
+    if not np.all(np.isfinite(out)):
+        raise OverflowGuard("potential leaves double range")
     return out.reshape(np.shape(dc)[2:-1] + shape)
 
 
@@ -494,8 +506,9 @@ def sweep(
     integer >= 0, and (newtonian_coefficients) a source point inside the
     shell or past that range, and a series whose radius is not outside
     the shell.  Each delta's solve emits the TruncationWarning that
-    solve_densities at its n_max would, and an energy out of double range
-    raises OverflowGuard.  probes may be empty.
+    solve_densities at its n_max would, and a density, energy, probe value
+    or normalized far field out of double range raises OverflowGuard, with
+    no numpy warning.  probes may be empty.
     """
     if len(deltas) == 0:
         raise InputError("deltas: expected a non-empty list")
@@ -518,11 +531,13 @@ def sweep(
     v = eval_potentials(source, dc, g, [p.rho for p in probes], [p.omega for p in probes])
     # |v| through hypot of the parts: it equals Python's complex abs bit for
     # bit, while np.abs of a complex array may differ in the last bit.
-    far = np.hypot(v.real, v.imag)
-    records = [
-        SweepRecord(d, n_max, e, e_spec, f, f / (math.sqrt(e) if e > 0.0 else math.inf))
-        for d, n_max, e, e_spec, f in zip(deltas, n_maxes, e_direct, e_spectral, far)
-    ]
+    with np.errstate(all="ignore"):  # a value out of range is refused below
+        far = np.hypot(v.real, v.imag)
+        normalized = [f / (math.sqrt(e) if e > 0.0 else math.inf) for f, e in zip(far, e_direct)]
+    if not np.all(np.isfinite(normalized)):
+        raise OverflowGuard("normalized far field leaves double range")
+    records = [SweepRecord(*row) for row in
+               zip(deltas, n_maxes, e_direct, e_spectral, far, normalized)]
     return records, sc_top
 
 

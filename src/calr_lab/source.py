@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import (
     DegeneratePoint,
+    OverflowGuard,
     SingularPoint,
     SourceError,
     SourceInsideShell,
@@ -122,7 +123,8 @@ class ChargePair:
 
 @dataclass(frozen=True)
 class Coefficients:
-    """Expansion data of a source (index [n-1] holds mode n)."""
+    """Expansion data of a source (index [n-1] holds mode n); c, f_plus
+    and f_minus must be finite (ValueError)."""
 
     c: float
     f_plus: np.ndarray = field(repr=False)
@@ -133,7 +135,7 @@ class Coefficients:
         fm = np.asarray(self.f_minus, dtype=float)
         if fp.ndim != 1 or fm.shape != fp.shape:
             raise ValueError("f_plus and f_minus must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
+        if not (math.isfinite(self.c) and np.all(np.isfinite(fp)) and np.all(np.isfinite(fm))):
             raise ValueError("expansion coefficients must be finite")
         object.__setattr__(self, "f_plus", fp)
         object.__setattr__(self, "f_minus", fm)
@@ -207,7 +209,7 @@ def _require_usable(key: str, rho0: float, R: float, rho_e: float | None) -> Non
         raise SourceError(f"source.{key}: rho = {rho0} puts 2 pi (R cosh rho)^2 out of range")
 
 
-def _dipole_coefficients(s: Dipole, n_max: int, R: float) -> Coefficients:
+def _dipole_coefficients(s: Dipole, n_max: int, R: float) -> tuple[float, np.ndarray, np.ndarray]:
     rho0, omega0 = s.location.rho, s.location.omega
     xi0 = float(metric_factor(R, rho0, omega0))
     # Moment components along the unit coordinate vectors at the source.
@@ -221,14 +223,14 @@ def _dipole_coefficients(s: Dipole, n_max: int, R: float) -> Coefficients:
     damp = np.exp(-n * rho0) / (math.pi * xi0)
     f_plus = -damp * (p * np.cos(n * omega0) + q * np.sin(n * omega0))
     f_minus = -damp * (p * np.sin(n * omega0) - q * np.cos(n * omega0))
-    return Coefficients(-p / (2.0 * math.pi * xi0), f_plus, f_minus)
+    return -p / (2.0 * math.pi * xi0), f_plus, f_minus
 
 
-def _pair_coefficients(s: ChargePair, n_max: int) -> Coefficients:
+def _pair_coefficients(s: ChargePair, n_max: int) -> tuple[float, np.ndarray, np.ndarray]:
     cp, sp = green_expansion_coefficients(s.plus, n_max)
     cm, sm = green_expansion_coefficients(s.minus, n_max)
     c = s.charge * (s.plus.rho - s.minus.rho) / (2.0 * math.pi)
-    return Coefficients(c, s.charge * (cp - cm), s.charge * (sp - sm))
+    return c, s.charge * (cp - cm), s.charge * (sp - sm)
 
 
 def newtonian_coefficients(
@@ -244,6 +246,9 @@ def newtonian_coefficients(
     (SourceError, its base, an InputError); both name source.location etc.
     A Coefficients source's series_radius must lie strictly outside the
     shell too (SourceInsideShell), as the forcing on rho_e reads the series.
+    A point source's c and F_n^+- are formed with no numpy warning, and
+    OverflowGuard refuses them when one is not a finite double (a moment
+    or charge near the double range, or a tiny R).
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -253,14 +258,19 @@ def newtonian_coefficients(
                                     f" strictly outside rho_e = {rho_e}")
         pad = (0, max(n_max - s.n_max, 0))
         return Coefficients(s.c, np.pad(s.f_plus[:n_max], pad), np.pad(s.f_minus[:n_max], pad))
-    if isinstance(s, Dipole):
-        _require_usable("location", s.location.rho, R, rho_e)
-        return _dipole_coefficients(s, n_max, R)
-    if isinstance(s, ChargePair):
-        _require_usable("plus", s.plus.rho, R, rho_e)
-        _require_usable("minus", s.minus.rho, R, rho_e)
-        return _pair_coefficients(s, n_max)
-    raise TypeError(f"unsupported source type {type(s).__name__}")
+    with np.errstate(all="ignore"):  # a coefficient out of range is refused below
+        if isinstance(s, Dipole):
+            _require_usable("location", s.location.rho, R, rho_e)
+            c, f_plus, f_minus = _dipole_coefficients(s, n_max, R)
+        elif isinstance(s, ChargePair):
+            _require_usable("plus", s.plus.rho, R, rho_e)
+            _require_usable("minus", s.minus.rho, R, rho_e)
+            c, f_plus, f_minus = _pair_coefficients(s, n_max)
+        else:
+            raise TypeError(f"unsupported source type {type(s).__name__}")
+    if not (math.isfinite(c) and np.all(np.isfinite(f_plus)) and np.all(np.isfinite(f_minus))):
+        raise OverflowGuard("source expansion coefficients leave double range")
+    return Coefficients(c, f_plus, f_minus)
 
 
 def _square_scale(top: float) -> float:

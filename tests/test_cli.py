@@ -630,9 +630,10 @@ def test_validate_default_suite_passes(tmp_path, capsys):
 
 
 def test_validate_detects_flipped_block(tmp_path, capsys, monkeypatch):
-    """A sign error in the first block of the Nystrom matrix fails validate.
-    Under the DFT similarity that block is the inner-inner entry of every
-    mode block, so those entries are negated."""
+    """A sign error in the first block of the Nystrom matrix fails validate:
+    nystrom_spectrum and alpha0_half, which reads the k = 0 entry.  Under
+    the DFT similarity that block is the inner-inner entry of every mode
+    block, so those entries are negated."""
     mode_blocks_for = oracle.mode_blocks_for
 
     def flipped(g, N):
@@ -653,6 +654,9 @@ def test_validate_detects_flipped_block(tmp_path, capsys, monkeypatch):
     assert report["all_pass"] is False
     assert by_name["nystrom_spectrum"]["status"] == "fail"
     assert by_name["nystrom_spectrum"]["observed"] > 1e-3
+    # The k = 0 entry reads +1/2 for -1/2, so alpha0_half fails too.
+    assert by_name["alpha0_half"]["status"] == "fail"
+    assert by_name["alpha0_half"]["observed"] > 0.5
     assert "FAIL" in capsys.readouterr().out
 
 
@@ -751,13 +755,18 @@ def _alpha0_err(k_star, weights):
     ids=["coarse", "shared", "partial-row-block", "benchmark"],
 )
 def test_validate_alpha0_matches_a_fresh_assembly(block, nodes):
-    """alpha0_half is the residual of a single-curve K* on Gamma_i with
-    max(n_nystrom, 64) nodes, bit for bit, although validate forms K* in
-    64-row blocks (the last one partial at 200 nodes)."""
-    curve = sample_ellipse(THIN_GEO["R"], THIN_GEO["rho_i"], nodes)
-    want = _alpha0_err(assemble_np(curve), curve.weights)
+    """alpha0_half is |B[0, 0] + 1/2|, B[0, 0] the k = 0 entry of the
+    inner-inner mode block on max(n_nystrom, 64) nodes, bit for bit.  It
+    agrees with the residual of a dense single-curve K* on Gamma_i on
+    those nodes to 2e-13 where that residual is below 1e-10 (else to
+    5e-6 of it), with the same status."""
+    g = ConfocalGeometry(**THIN_GEO)
     got = _validate_by_name({"geometry": THIN_GEO, "validate": block})["alpha0_half"]
-    assert got["observed"] == want
+    assert got["observed"] == abs(oracle.mode_blocks_for(g, nodes)[0][0, 0, 0] + 0.5)
+    curve = sample_ellipse(THIN_GEO["R"], THIN_GEO["rho_i"], nodes)
+    dense = _alpha0_err(assemble_np(curve), curve.weights)
+    assert abs(got["observed"] - dense) <= (2e-13 if dense < 1e-10 else 5e-6 * dense)
+    assert got["status"] == ("pass" if dense < 1e-8 else "fail")
 
 
 @pytest.mark.parametrize(
@@ -1426,6 +1435,61 @@ def test_huge_numbers_are_config_errors(tmp_path, capsys, command, blocks, key):
     assert _run([command, "--config", path, "--out", str(tmp_path)]) == 2
     assert f"config error: {key}: number too large" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def _edited(path, **blocks):
+    """The config text of path with each block updated by its values."""
+    def text():
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+        for name, values in blocks.items():
+            cfg[name].update(values)
+        return json.dumps(cfg)  # math.inf as the literal Infinity
+    return text
+
+
+_GOLDEN = Path(__file__).resolve().parent / "golden" / "configs"
+_SOURCE_COMMANDS = ("sweep", "field", "validate")
+# (case, config text, commands, exit): each ended in a traceback, or wrote
+# inf or nan with exit 0, or leaked numpy RuntimeWarnings on the way.
+_EDGES = [
+    ("deep-nesting", lambda: "[" * 100000 + "]" * 100000, tuple(cli._COMMANDS), 2),
+    ("long-integer", lambda: (CONFIGS / "dipole_inside.json").read_text(encoding="utf-8")
+     .replace('"R": 1.0', '"R": 1' + "0" * 5000), tuple(cli._COMMANDS), 2),
+    ("tiny-R", _edited(CONFIGS / "dipole_inside.json", geometry={"R": 1e-310}),
+     _SOURCE_COMMANDS, 3),
+    ("huge-moment-small-R", _edited(CONFIGS / "dipole_inside.json", geometry={"R": 1e-10},
+                                    source={"moment": [1e300, 0.0]}), _SOURCE_COMMANDS, 3),
+    ("infinite-c", _edited(_GOLDEN / "coefficients.json", source={"c": math.inf}),
+     _SOURCE_COMMANDS, 2),
+    ("huge-moment", _edited(CONFIGS / "dipole_inside.json", source={"moment": [1e300, 0.0]}),
+     _SOURCE_COMMANDS, 3),
+    ("huge-charge", _edited(_GOLDEN / "charge_pair.json", source={"charge": 1e308}),
+     _SOURCE_COMMANDS, 3),
+    ("huge-c", _edited(_GOLDEN / "coefficients.json", source={"c": 1e308}), ("sweep",), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "text, command, code",
+    [(text, command, code) for _, text, commands, code in _EDGES for command in commands],
+    ids=[f"{case}-{command}" for case, _, commands, _ in _EDGES for command in commands],
+)
+def test_edge_configs_end_in_one_documented_exit(tmp_path, capsys, text, command, code):
+    """Each edge config ends in its documented exit with exactly one
+    config error or numeric failure line on stderr, no traceback, no
+    numpy RuntimeWarning and no output file."""
+    path = tmp_path / "edge.json"
+    path.write_text(text(), encoding="utf-8")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        rc = _run([command, "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == code
+    prefix = "config error: " if code == 2 else "numeric failure: "
+    assert err.startswith(prefix) and len(err.splitlines()) == 1
+    assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("rho, code", [(350.0, 0), (355.0, 2), (800.0, 2)])

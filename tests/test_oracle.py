@@ -889,6 +889,30 @@ def test_validate_solves_its_source_once(monkeypatch):
             "direct_energy"]
 
 
+@pytest.mark.parametrize("n_nystrom, sizes", [(32, [32, 64]), (64, [64]), (256, [256])])
+def test_validate_forms_one_set_of_mode_blocks(monkeypatch, n_nystrom, sizes):
+    """Steps 1 and 2 read one set of mode blocks: from 64 nodes up, one
+    mode_blocks_for call, whose six sampled rows per curve block are the
+    only kernel rows validate forms.  Below 64 nodes step 2 reads a
+    second set on 64."""
+    mode_blocks_for, kernel_block = oracle.mode_blocks_for, oracle._kernel_block
+    formed, rows = [], []
+
+    def count_blocks(g, N):
+        formed.append(N)
+        return mode_blocks_for(g, N)
+
+    def count_rows(*args, **kwargs):
+        rows.append(len(kwargs["rows"]))
+        return kernel_block(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "mode_blocks_for", count_blocks)
+    monkeypatch.setattr(oracle, "_kernel_block", count_rows)
+    oracle.validate(THIN, n_nystrom=n_nystrom)
+    assert formed == sizes
+    assert rows == [6] * 4 * len(sizes)
+
+
 # Shipped functions that no command calls, kept for the work the ROADMAP
 # plans: the dense Nystrom form (items 4, 13 and 18), the point source's
 # gradient (item 4's forcing) and the asymptotic rates (AC9, item 5c).

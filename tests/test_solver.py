@@ -747,6 +747,24 @@ def test_horner_layer_sums_match_exp_cos_sin_form(case):
     assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
+def test_values_out_of_double_range_are_refused():
+    """A density, potential or normalized far value that is not a double
+    raises OverflowGuard where it is formed, with no numpy warning: a
+    dipole of moment 1e300 near the shell (field wrote nan), finite
+    densities whose layer sum overflows, and c = 1e308, whose |V| /
+    sqrt(E) is past the doubles (sweep.csv held inf)."""
+    src = Dipole(EllipticPoint(0.88, 0.9), np.array([1e300, 0.0]))
+    sc = newtonian_coefficients(src, 60, THIN.R, rho_e=THIN.rho_e)
+    with pytest.raises(OverflowGuard, match="^densities leave double range$"):
+        solve_densities(sc, THIN, 1e-3)
+    dc = np.full((2, 2, 1), 1e308 + 0j)
+    with pytest.raises(OverflowGuard, match="^potential leaves double range$"):
+        eval_potentials(_NO_SOURCE, dc, THIN, [0.5, 0.65, 1.0], [0.0, 0.0, 0.0])
+    src = Coefficients(1e308, [0.2, 0.01], [0.1, 0.0])
+    with pytest.raises(OverflowGuard, match="^normalized far field leaves double range$"):
+        sweep(src, THIN, [1e-2, 1e-3, 1e-4], PROBES_THIN)
+
+
 def test_eval_potential_zero_source():
     sc = newtonian_coefficients(
         Coefficients(c=0.0, f_plus=np.zeros(8), f_minus=np.zeros(8)), 8, 1.0

@@ -29,6 +29,7 @@ from calr_lab import (
     newtonian_gradient,
     to_cartesian,
 )
+from calr_lab.errors import OverflowGuard
 from calr_lab.geometry import cartesian
 from reference import coefficient_projection_oracle
 
@@ -581,6 +582,9 @@ def test_source_validation():
         Coefficients(c=0.0, f_plus=np.ones(3), f_minus=np.ones(4))
     with pytest.raises(ValueError):
         Coefficients(c=0.0, f_plus=np.array([math.inf]), f_minus=np.array([1.0]))
+    for c in (math.inf, math.nan):  # c too: an infinite c wrote inf into sweep.csv
+        with pytest.raises(ValueError, match="must be finite"):
+            Coefficients(c=c, f_plus=np.array([1.0]), f_minus=np.array([0.0]))
 
 
 
@@ -710,3 +714,14 @@ def test_source_refusals():
 def test_unsupported_source_type(evaluate):
     with pytest.raises(TypeError, match="^unsupported source type str$"):
         evaluate("dipole")
+
+
+@pytest.mark.parametrize("moment, R", [([1.0, 0.4], 1e-310), ([1e300, 0.0], 1e-10)],
+                         ids=["tiny-R", "huge-moment"])
+def test_point_source_coefficients_out_of_double_range(moment, R):
+    """A dipole whose c or F_n^+- is not a double raises OverflowGuard, with
+    no numpy warning, before any Coefficients is built (whose constructor
+    raised a bare ValueError)."""
+    src = Dipole(EllipticPoint(1.3, 0.9), np.array(moment))
+    with pytest.raises(OverflowGuard, match="^source expansion coefficients leave double range$"):
+        newtonian_coefficients(src, 40, R)
