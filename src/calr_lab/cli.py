@@ -69,7 +69,7 @@ from .source import (
     newtonian_coefficients,
     series_radius,
 )
-from .spectrum import ModeTable, RegimeKind, critical_radius, mode_table
+from .spectrum import RegimeKind, critical_radius, mode_table
 
 
 def _write_rows(path: Path, header: str, rows: Iterable[str] = ()) -> None:
@@ -237,13 +237,17 @@ def spectrum_command(cfg: dict, out_dir: Path) -> int:
         raise ConfigError(f"spectrum.n_max: must be >= 0, got {n_max}")
     # The whole table before the file opens, so a mode that cannot be
     # represented leaves no partial spectrum.csv; its row n is column n - 1.
-    columns = mode_table(g, n_max) if n_max else ()
+    columns = []
+    if n_max:
+        t = mode_table(g, n_max)
+        columns = [t.n, t.eigenvalues[0], t.eigenvalues[2], t.pairs[0, 0], t.pairs[1, 1],
+                   t.pairs[0, 1], *t.norms]
     rows = (
         ",".join([str(n)] + [_fmt(v) for v in values]) + "\n"
         for n, *values in zip(*columns)
     )
     path = out_dir / "spectrum.csv"
-    _write_rows(path, ",".join(ModeTable._fields), rows)
+    _write_rows(path, "n,lambda1,lambda2,a1,a2,b,norm_1p,norm_1m,norm_2p,norm_2m", rows)
     print(f"wrote {path} ({n_max} modes)")
     return 0
 

@@ -22,8 +22,8 @@ validate runs the nine checks of `calr-lab validate` in eight steps,
 each threshold stated once, in its body.  They compare (1) the Nystrom
 eigenvalues of mode_blocks_for's blocks with mode_eigenvalues and (2)
 the k = 0 entry of those blocks, K* of Gamma_i on 1/Xi, with 1/2, (3, 4)
-block_matrices and s_gram with the family table (ModeTable.families,
-order in spectrum's docstring) of mode_table's eigenpairs and norms, (5)
+block_matrices and s_gram with the family table of mode_table (its
+pairs, eigenvalues and norms, order in spectrum's docstring), (5)
 eval_potentials with the transmission conditions (continuity and
 flux_jump), (6) the surrogate with the closed-form energy, (7) V at
 -delta with conj V at delta, and (8) the closed-form energy at +delta
@@ -607,11 +607,11 @@ def validate(
     table = mode_table(g, max(n_top, 50))
     solved = _solve(sc, g, deltas, n_maxes, table.truncated(n_top), energies=True)
     table = table.truncated(50)
-    vecs, lams, norms = table.families()
+    vecs, norms = table.pairs, table.norms
 
     # 3. Eigen-residuals (componentwise) of each family of the table, n = 1
     # .. 50 at once, under A_n or B_n of its span: (4, 2, 2, n) matrices.
-    mats, lam = np.array(block_matrices(table.n, g))[FAMILY_PARITY], lams[:, None]
+    mats, lam = block_matrices(table.n, g)[FAMILY_PARITY], table.eigenvalues[:, None]
     num = np.abs(_mat_vec(mats, vecs) - lam * vecs)
     den = _mat_vec(np.abs(mats), np.abs(vecs)) + np.abs(lam) * np.abs(vecs)
     worst = float(np.max(num / den))

@@ -241,7 +241,7 @@ def mode_projections(forcing: np.ndarray, modes: ModeTable,
     f = mode_factors(n, g)
     gi, gx, ge = _gram_entries(f, FAMILY_PARITY)
     u1, u2 = forcing[:, FAMILY_PARITY]  # (interface, family, n)
-    v1, v2 = modes.families()[0].swapaxes(0, 1)
+    v1, v2 = modes.pairs.swapaxes(0, 1)
     return f.pref * (u1 * (gi * v1 + gx * v2) + u2 * (gx * v1 + ge * v2))
 
 
@@ -280,20 +280,20 @@ def _solve(sc, g, deltas, n_maxes, modes=None, energies=False):
     leading n_maxes[k] modes (zero past them) and, with energies, each
     row's closed-form and spectral energy (else None).  One forcing, whose
     guards fire first, one mode table over the sc.n_max modes (or modes,
-    that table), its family table and one projection serve every row.
+    that table) and one projection serve every row.
     Densities that leave double range raise OverflowGuard, with no numpy
     warning.
     """
     forcing = boundary_forcing(sc, g)
     modes = mode_table(g, sc.n_max) if modes is None else modes
-    fam = modes.families()
     with np.errstate(all="ignore"):  # _assemble_densities refuses a density out of range
         proj = mode_projections(forcing, modes, g)
-        dc = _assemble_densities(proj, *fam, deltas, n_maxes)
+        dc = _assemble_densities(proj, modes.pairs, modes.eigenvalues, modes.norms,
+                                 deltas, n_maxes)
     if not energies:
         return dc, None, None
     return (dc, _closed_energies(sc, dc, g, deltas, n_maxes),
-            _spectral_energies(proj, *fam[1:], deltas, n_maxes))
+            _spectral_energies(proj, modes.eigenvalues, modes.norms, deltas, n_maxes))
 
 
 def solve_densities(sc: Coefficients, g: ConfocalGeometry, delta: float) -> np.ndarray:

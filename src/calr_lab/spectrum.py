@@ -25,9 +25,9 @@ and B_n has eigenvalues -lambda_1n, -lambda_2n.  With the eigenvector weights
 
     a_1n = u + s,  a_2n = u - s  (u = ee + ei),  b_n = -2 E (1 + ei)
 
-each mode carries four eigenfunction families, always listed in
-ModeTable's norm order (k = 0 .. 3 on a leading axis; even k on the
-cosine span, odd k on the sine span: FAMILY_PARITY):
+each mode carries four eigenfunction families, always listed in this
+order (k = 0 .. 3 on a leading axis; even k on the cosine span, odd k on
+the sine span: FAMILY_PARITY):
 
     k  family  density pair  eigenvalue   squared S-norm
     0  1+      (a_1, b)      +lambda_1n   norm_1p
@@ -35,9 +35,11 @@ cosine span, odd k on the sine span: FAMILY_PARITY):
     2  2+      (a_2, b)      +lambda_2n   norm_2p
     3  2-      (b, a_1)      -lambda_2n   norm_2m
 
-ModeTable.families stacks them for the projection, the density solve,
-the spectral surrogate and validate's eigen and norm checks; the same
-order numbers the rows of solver.mode_projections.
+ModeTable is this family table: mode_table forms its pairs (4, 2, n),
+eigenvalues (4, n) and norms (4, n) once, and the projection, the density
+solve, the spectral surrogate, validate's eigen and norm checks and
+`calr-lab spectrum` read them as stored; the same order numbers the rows
+of solver.mode_projections.
 
 Naive evaluation of lambda_2n and a_2n subtracts nearly equal exponentials
 and loses all precision for large n when rho_e > 3 rho_i.  This module
@@ -53,8 +55,9 @@ layer potential; on each mode span it reduces to a 2x2 Gram matrix
 (s_gram) built from half-sums like (1 + ei) / 2 = exp(-n rho_i) *
 cosh(n rho_i).
 
-block_matrices and s_gram give A_n, B_n and the Gram matrices for one mode
-or for an array of modes; validate's closed-form checks call them as is.
+block_matrices and s_gram give A_n, B_n and the Gram matrices, each pair
+stacked cosine span first, for one mode or for an array of modes;
+validate's closed-form checks index them by FAMILY_PARITY as is.
 mode_eigenvalues gives lambda_1n and lambda_2n alone, by the formulas
 mode_table uses, for any n >= 1: past mode_table's range, where the norms
 overflow, they underflow towards 0.  The oracle pairs its numeric
@@ -97,18 +100,14 @@ FAMILY_PARITY = np.array([0, 1, 0, 1])
 
 
 class ModeTable(NamedTuple):
-    """Vectorized eigendata for n = 1 .. n_max (index [n-1])."""
+    """The family table (see the module docstring) for n = 1 .. n_max,
+    index [..., n-1]: mode indices n (n_max,), density pairs (4, 2,
+    n_max), eigenvalues (4, n_max) and squared S-norms (4, n_max)."""
 
     n: np.ndarray
-    lambda1: np.ndarray
-    lambda2: np.ndarray
-    a1: np.ndarray
-    a2: np.ndarray
-    b: np.ndarray
-    norm_1p: np.ndarray
-    norm_1m: np.ndarray
-    norm_2p: np.ndarray
-    norm_2m: np.ndarray
+    pairs: np.ndarray
+    eigenvalues: np.ndarray
+    norms: np.ndarray
 
     def truncated(self, n_max: int) -> ModeTable:
         """The leading n_max modes, as views.
@@ -118,15 +117,7 @@ class ModeTable(NamedTuple):
         """
         if not 1 <= n_max <= len(self.n):
             raise ValueError(f"n_max must be in [1, {len(self.n)}], got {n_max}")
-        return ModeTable(*(column[:n_max] for column in self))
-
-    def families(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The family table (see the module docstring): density pairs
-        (4, 2, n), eigenvalues (4, n) and squared S-norms (4, n)."""
-        a1, a2, b = self.a1, self.a2, self.b
-        return (np.array([[a1, b], [b, a2], [a2, b], [b, a1]]),
-                np.array([self.lambda1, -self.lambda1, self.lambda2, -self.lambda2]),
-                np.array([self.norm_1p, self.norm_1m, self.norm_2p, self.norm_2m]))
+        return ModeTable(*(field[..., :n_max] for field in self))
 
 
 class RegimeKind(Enum):
@@ -198,19 +189,19 @@ def mode_factors(n: np.ndarray, g: ConfocalGeometry) -> ModeFactors:
     return ModeFactors(*exps, ci, si, ce, se, cx, sx, math.pi / n)
 
 
-def block_matrices(n, g: ConfocalGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """A_n (cosine span) and B_n (sine span), shape (2, 2) + shape(n), for a
-    mode index n >= 1 or an array of them.  An int goes through a (1,) array,
-    as in geometry.to_cartesian, so it gives a column of the array form bit
-    for bit.  Entries are bounded by 1/2 (factored exponentials): any n is safe.
+def block_matrices(n, g: ConfocalGeometry) -> np.ndarray:
+    """A_n (cosine span) and B_n (sine span) stacked, cosine span first:
+    shape (2, 2, 2) + shape(n) for a mode index n >= 1 or an array of them,
+    so `a_mat, b_mat = block_matrices(n, g)` unpacks the spans.  An int
+    goes through a (1,) array, as in geometry.to_cartesian, so it gives a
+    column of the array form bit for bit.  Entries are bounded by 1/2
+    (factored exponentials): any n is safe.
     """
     if np.ndim(n) == 0:
-        a_mat, b_mat = block_matrices(np.array([n]), g)
-        return a_mat[..., 0], b_mat[..., 0]
+        return block_matrices(np.array([n]), g)[..., 0]
     f = mode_factors(n, g)
-    a_mat = np.array([[-0.5 * f.ei, f.sx], [f.cx, 0.5 * f.ee]])
-    b_mat = np.array([[0.5 * f.ei, f.cx], [f.sx, -0.5 * f.ee]])
-    return a_mat, b_mat
+    return np.array([[[-0.5 * f.ei, f.sx], [f.cx, 0.5 * f.ee]],
+                     [[0.5 * f.ei, f.cx], [f.sx, -0.5 * f.ee]]])
 
 
 def _eigenvalues(f: ModeFactors):
@@ -288,8 +279,8 @@ def mode_table(g: ConfocalGeometry, n_max: int) -> ModeTable:
     if not np.all(np.isfinite(norms)) or np.any(norms <= 0.0):
         bad = int(n[np.argmax(~np.all(np.isfinite(norms) & (norms > 0.0), axis=0))])
         raise OverflowGuard(f"mode norms leave double range near n = {bad}")
-    return ModeTable(np.arange(1, n_max + 1), lam1, lam2, a1, a2, b,
-                     norm_1p, norm_1m, norm_2p, norm_2m)
+    return ModeTable(np.arange(1, n_max + 1), np.array([[a1, b], [b, a2], [a2, b], [b, a1]]),
+                     np.array([lam1, -lam1, lam2, -lam2]), norms)
 
 
 def _gram_entries(f: ModeFactors, parity) -> np.ndarray:

@@ -371,8 +371,9 @@ def eval_potential(source, dc: np.ndarray, g, p: EllipticPoint) -> complex:
 
 
 def mode_column(table: ModeTable, n: int) -> ModeTable:
-    """Mode n of a table: its column n - 1, one Python number per field."""
-    return ModeTable(*(column[n - 1].item() for column in table))
+    """Mode n of a table, the one-mode family record: n as an int, then
+    pairs (4, 2), eigenvalues (4,) and norms (4,) of column n - 1."""
+    return ModeTable(int(table.n[n - 1]), *(field[..., n - 1] for field in table[1:]))
 
 
 def mode_data(n: int, g) -> ModeTable:
@@ -388,4 +389,4 @@ def closed_energy(sc: Coefficients, dc: np.ndarray, g: ConfocalGeometry, delta: 
 def spectral_energy(proj: np.ndarray, modes: ModeTable, delta: float) -> float:
     """The spectral surrogate of E_delta from the (4, n) rows of
     mode_projections over all n modes of the table."""
-    return _spectral_energies(proj, *modes.families()[1:], [delta], [proj.shape[1]])[0]
+    return _spectral_energies(proj, modes.eigenvalues, modes.norms, [delta], [proj.shape[1]])[0]

@@ -98,22 +98,22 @@ def test_ac2_exact_identities():
             m = mode_data(n, g)
             a_mat, b_mat = block_matrices(n, g)
             pairs = (
-                (a_mat, np.array([m.a1, m.b]), m.lambda1),
-                (a_mat, np.array([m.a2, m.b]), m.lambda2),
-                (b_mat, np.array([m.b, m.a2]), -m.lambda1),
-                (b_mat, np.array([m.b, m.a1]), -m.lambda2),
+                (a_mat, m.pairs[0], m.eigenvalues[0]),
+                (a_mat, m.pairs[2], m.eigenvalues[2]),
+                (b_mat, m.pairs[1], m.eigenvalues[1]),
+                (b_mat, m.pairs[3], m.eigenvalues[3]),
             )
             for mat, vec, lam in pairs:
                 resid = np.abs(mat @ vec - lam * vec)
                 scale = np.abs(mat) @ np.abs(vec) + abs(lam) * np.abs(vec)
                 worst_resid = max(worst_resid, float(np.max(resid / scale)))
-            s = abs(m.lambda1) + abs(m.lambda2) + 1e-300
+            s = abs(m.eigenvalues[0]) + abs(m.eigenvalues[2]) + 1e-300
             worst_consist = max(
                 worst_consist,
-                abs(np.trace(a_mat) - (m.lambda1 + m.lambda2)) / s,
-                abs(np.trace(b_mat) + (m.lambda1 + m.lambda2)) / s,
-                abs(np.linalg.det(a_mat) - m.lambda1 * m.lambda2) / s**2,
-                abs(np.linalg.det(b_mat) - m.lambda1 * m.lambda2) / s**2,
+                abs(np.trace(a_mat) - (m.eigenvalues[0] + m.eigenvalues[2])) / s,
+                abs(np.trace(b_mat) + (m.eigenvalues[0] + m.eigenvalues[2])) / s,
+                abs(np.linalg.det(a_mat) - m.eigenvalues[0] * m.eigenvalues[2]) / s**2,
+                abs(np.linalg.det(b_mat) - m.eigenvalues[0] * m.eigenvalues[2]) / s**2,
             )
 
     thin_branch = (3.0 * 0.9 - 0.3) / 2.0
@@ -149,8 +149,8 @@ def test_ac3_s_structure():
         for n in range(1, 101):
             m = mode_column(table, n)
             for gram, pairs in zip(s_gram(n, g), (
-                ((np.array([m.a1, m.b]), m.norm_1p), (np.array([m.a2, m.b]), m.norm_2p)),
-                ((np.array([m.b, m.a2]), m.norm_1m), (np.array([m.b, m.a1]), m.norm_2m)),
+                ((m.pairs[0], m.norms[0]), (m.pairs[2], m.norms[2])),
+                ((m.pairs[1], m.norms[1]), (m.pairs[3], m.norms[3])),
             )):
                 try:
                     np.linalg.cholesky(gram)
@@ -431,12 +431,12 @@ def test_ac9_asymptotic_rates():
         rates = asymptotic_rates(g)
         n = np.arange(1, 61, dtype=float)
         seqs = {
-            "lambda1": np.abs(table.lambda1) * np.exp(rates.lambda1_rate * n),
-            "lambda2": table.lambda2 * np.exp(rates.lambda2_rate * n),
-            "norm_1p": table.norm_1p * n * np.exp(rates.norm_rates["1p"] * n),
-            "norm_1m": table.norm_1m * n * np.exp(rates.norm_rates["1m"] * n),
-            "norm_2p": table.norm_2p * n * np.exp(rates.norm_rates["2p"] * n),
-            "norm_2m": table.norm_2m * n * np.exp(rates.norm_rates["2m"] * n),
+            "lambda1": np.abs(table.eigenvalues[0]) * np.exp(rates.lambda1_rate * n),
+            "lambda2": table.eigenvalues[2] * np.exp(rates.lambda2_rate * n),
+            "norm_1p": table.norms[0] * n * np.exp(rates.norm_rates["1p"] * n),
+            "norm_1m": table.norms[1] * n * np.exp(rates.norm_rates["1m"] * n),
+            "norm_2p": table.norms[2] * n * np.exp(rates.norm_rates["2p"] * n),
+            "norm_2m": table.norms[3] * n * np.exp(rates.norm_rates["2m"] * n),
         }
         for key, seq in seqs.items():
             drift = _drift(seq, 20, 60)

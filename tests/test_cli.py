@@ -67,8 +67,8 @@ def test_spectrum_csv_roundtrip(tmp_path):
         parts = row.split(",")
         n = int(parts[0])
         m = mode_data(n, g)
-        want = (m.lambda1, m.lambda2, m.a1, m.a2, m.b,
-                m.norm_1p, m.norm_1m, m.norm_2p, m.norm_2m)
+        want = (m.eigenvalues[0], m.eigenvalues[2], m.pairs[0, 0], m.pairs[1, 1],
+                m.pairs[0, 1], *m.norms)
         got = tuple(float(v) for v in parts[1:])
         assert got == want  # 17 significant digits round-trip exactly
     assert lines[1].split(",")[1] == "-0.41422191004332198"
@@ -801,10 +801,10 @@ def _per_mode_closed_form_checks(g):
         mode = mode_column(table, n)
         a_mat, b_mat = block_matrices(n, g)
         for mat, lam, vec in (
-            (a_mat, mode.lambda1, np.array([mode.a1, mode.b])),
-            (a_mat, mode.lambda2, np.array([mode.a2, mode.b])),
-            (b_mat, -mode.lambda1, np.array([mode.b, mode.a2])),
-            (b_mat, -mode.lambda2, np.array([mode.b, mode.a1])),
+            (a_mat, mode.eigenvalues[0], mode.pairs[0]),
+            (a_mat, mode.eigenvalues[2], mode.pairs[2]),
+            (b_mat, mode.eigenvalues[1], mode.pairs[1]),
+            (b_mat, mode.eigenvalues[3], mode.pairs[3]),
         ):
             num = np.abs(mat @ vec - lam * vec)
             den = np.abs(mat) @ np.abs(vec) + abs(lam) * np.abs(vec)
@@ -815,10 +815,10 @@ def _per_mode_closed_form_checks(g):
         g_cos, g_sin = s_gram(n, g)
         pd = pd and all(np.all(np.linalg.eigvalsh(m) > 0.0) for m in (g_cos, g_sin))
         for vec, gram, value in (
-            (np.array([mode.a1, mode.b]), g_cos, mode.norm_1p),
-            (np.array([mode.b, mode.a2]), g_sin, mode.norm_1m),
-            (np.array([mode.a2, mode.b]), g_cos, mode.norm_2p),
-            (np.array([mode.b, mode.a1]), g_sin, mode.norm_2m),
+            (mode.pairs[0], g_cos, mode.norms[0]),
+            (mode.pairs[1], g_sin, mode.norms[1]),
+            (mode.pairs[2], g_cos, mode.norms[2]),
+            (mode.pairs[3], g_sin, mode.norms[3]),
         ):
             norm = max(norm, abs(float(vec @ gram @ vec) - value) / abs(value))
     return eig, norm, pd

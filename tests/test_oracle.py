@@ -111,12 +111,12 @@ def test_block_eigenvector_action():
     for n in (1, 2, 5):
         row = mode_column(table, n)
         families = (
-            (row.a1, row.b, np.cos(n * om), row.lambda1),
-            (row.a2, row.b, np.cos(n * om), row.lambda2),
-            (row.b, row.a2, np.sin(n * om), -row.lambda1),
-            (row.b, row.a1, np.sin(n * om), -row.lambda2),
+            (row.pairs[0], np.cos(n * om), row.eigenvalues[0]),
+            (row.pairs[2], np.cos(n * om), row.eigenvalues[2]),
+            (row.pairs[1], np.sin(n * om), row.eigenvalues[1]),
+            (row.pairs[3], np.sin(n * om), row.eigenvalues[3]),
         )
-        for c_i, c_e, trig, lam in families:
+        for (c_i, c_e), trig, lam in families:
             v = np.concatenate([c_i * trig / xii, c_e * trig / xie])
             resid = m @ v - lam * v
             assert np.max(np.abs(resid)) < 1e-6 * np.max(np.abs(v))
@@ -328,7 +328,7 @@ def test_each_mode_block_holds_its_own_mode(geometry):
     got = np.sort(np.linalg.eigvals(blocks[0]).real)
     assert np.max(np.abs(got - [-0.5, 0.5])) < 1e-12
     for k in range(1, k_max + 1):
-        lam = np.array([table.lambda1[k - 1], table.lambda2[k - 1]])
+        lam = np.array([table.eigenvalues[0, k - 1], table.eigenvalues[2, k - 1]])
         got = np.sort(np.linalg.eigvals(blocks[k]).real)
         assert np.max(np.abs(got - np.sort(np.concatenate([lam, -lam])))) < 1e-12
 
@@ -381,7 +381,7 @@ def test_each_parity_block_holds_its_own_branch(geometry):
     assert np.max(np.abs(got - [-0.5, 0.5])) < 1e-12
     all_cos, all_want = [], []
     for k in range(1, k_max + 1):
-        want = np.sort([table.lambda1[k - 1], table.lambda2[k - 1]])
+        want = np.sort([table.eigenvalues[0, k - 1], table.eigenvalues[2, k - 1]])
         cos_half, sin_half, _ = _parity_halves(quads[k - 1])
         got_cos = np.sort(np.linalg.eigvals(cos_half).real)
         got_sin = np.sort(np.linalg.eigvals(sin_half).real)
@@ -440,7 +440,7 @@ def _ellipse_nodes(rho0, N, offset=0.0, wobble=0.0):
 def _all_candidates(geometry, count):
     """The dense path's candidates: +-1/2, +-lambda_{1,n}, +-lambda_{2,n}."""
     table = mode_table(geometry, max(8, count + 1))
-    lam = np.concatenate([[0.5], table.lambda1, table.lambda2])
+    lam = np.concatenate([[0.5], table.eigenvalues[0], table.eigenvalues[2]])
     return np.concatenate([lam, -lam])
 
 
@@ -743,8 +743,8 @@ def test_scaled_mode_block_enters_the_top(monkeypatch):
     monkeypatch.setattr(oracle, "mode_blocks_for", scaled)
     rep = oracle._mode_spectrum(*oracle.mode_blocks_for(THIN, N), 14, THIN)
     lam = mode_table(THIN, k)
-    mine = np.isin(rep.matched, [lam.lambda1[k - 1], lam.lambda2[k - 1],
-                                 -lam.lambda1[k - 1], -lam.lambda2[k - 1]])
+    mine = np.isin(rep.matched, [lam.eigenvalues[0, k - 1], lam.eigenvalues[2, k - 1],
+                                 lam.eigenvalues[1, k - 1], lam.eigenvalues[3, k - 1]])
     assert mine.sum() == 4
     assert np.all(np.abs(rep.eigenvalues[mine]) > 1.0)
     checks = {c["name"]: c for c in oracle.validate(THIN, n_nystrom=N)}
@@ -982,18 +982,20 @@ def test_cli_sweep_expands_its_source_once(monkeypatch, tmp_path):
     ((2,), (0, 2), "s_norms"),  # the norms of 1+ and 2+
 ])
 def test_validate_catches_two_families_swapped_in_the_table(monkeypatch, fields, swap, caught):
-    """Steps 3 and 4 check the family table that the solve divides by
-    (ModeTable.families): with two families, or one of their columns,
-    swapped in it, validate reports a failure."""
-    families = ModeTable.families
+    """Steps 3 and 4 check the family table that the solve divides by (the
+    one oracle.mode_table builds): with two families, or one of their
+    fields (0 pairs, 1 eigenvalues, 2 norms), swapped in it, validate
+    reports a failure."""
+    build = oracle.mode_table
 
-    def swapped(table):
-        out = [np.array(a) for a in families(table)]
+    def swapped(g, n_max):
+        table = build(g, n_max)
+        out = [np.array(a) for a in table[1:]]
         for f in fields:
             out[f][list(swap)] = out[f][list(swap[::-1])]
-        return tuple(out)
+        return ModeTable(table.n, *out)
 
-    monkeypatch.setattr(ModeTable, "families", swapped)
+    monkeypatch.setattr(oracle, "mode_table", swapped)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         checks = {c["name"]: c["status"] for c in oracle.validate(THIN)}
@@ -1007,16 +1009,16 @@ def test_validate_catches_two_families_swapped_in_the_table(monkeypatch, fields,
 
 def test_validate_direct_energy_catches_a_wrong_solve(monkeypatch):
     """Norms 1 + 1e-9 off in the family table that the solve divides by
-    (ModeTable.families) move the closed energy about 2e-9 away from the
-    per-mode transmission solve, which reads no table: direct_energy
-    fails.  Unpatched, it passes."""
-    families = ModeTable.families
+    (the one oracle.mode_table builds) move the closed energy about 2e-9
+    away from the per-mode transmission solve, which reads no table:
+    direct_energy fails.  Unpatched, it passes."""
+    build = oracle.mode_table
 
-    def scaled(table):
-        vecs, lams, norms = families(table)
-        return vecs, lams, norms * (1.0 + 1e-9)
+    def scaled(g, n_max):
+        table = build(g, n_max)
+        return table._replace(norms=table.norms * (1.0 + 1e-9))
 
-    monkeypatch.setattr(ModeTable, "families", scaled)
+    monkeypatch.setattr(oracle, "mode_table", scaled)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         checks = {c["name"]: c for c in oracle.validate(THIN)}

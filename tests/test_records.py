@@ -1,25 +1,23 @@
 """Contracts of the result records: immutable NamedTuples whose field
-names and order are part of the interface (the CSV headers and the
-positional unpacking inside the package rely on them)."""
+names and order are part of the interface (the positional unpacking
+inside the package relies on them)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from calr_lab import ConfocalGeometry, cli, mode_table
+from calr_lab import ConfocalGeometry, mode_table
 from calr_lab.geometry import SampledCurve
 from calr_lab.oracle import BlockNPMatrix, SpectrumReport
 from calr_lab.solver import CalrDiagnosis, SweepRecord
 from calr_lab.source import GapConditionReport, GapVerdict
 from calr_lab.spectrum import AsymptoticRates, ModeTable, Regime
 
-NORMS = ("norm_1p", "norm_1m", "norm_2p", "norm_2m")
-
 RECORD_FIELDS = {
     SampledCurve: ("nodes", "normals", "curvature", "weights"),
     GapConditionReport: ("rho_star", "indices", "log10_terms", "verdict"),
-    ModeTable: ("n", "lambda1", "lambda2", "a1", "a2", "b") + NORMS,
+    ModeTable: ("n", "pairs", "eigenvalues", "norms"),
     Regime: ("kind", "rho_star", "far_bound_rho"),
     AsymptoticRates: ("kind", "lambda1_rate", "lambda2_rate", "norm_rates"),
     SweepRecord: ("delta", "n_max", "e_direct", "e_spectral", "far_samples", "normalized_far"),
@@ -47,14 +45,6 @@ def test_record_fields_are_fixed_and_read_only(record):
 def test_record_defaults():
     assert GapConditionReport._field_defaults == {"verdict": GapVerdict.INCONCLUSIVE}
     assert SpectrumReport._field_defaults == {"max_imag": 0.0, "floor": 0.0}
-
-
-def test_mode_table_fields_are_the_spectrum_csv_header(tmp_path):
-    cfg = tmp_path / "g.json"
-    cfg.write_text('{"geometry": {"R": 1.0, "rho_i": 0.4, "rho_e": 0.9}}', encoding="utf-8")
-    assert cli.main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-    header = (tmp_path / "spectrum.csv").read_text(encoding="utf-8").splitlines()[0]
-    assert header == ",".join(ModeTable._fields)
 
 
 def test_mode_table_truncated_keeps_its_values():

@@ -154,10 +154,10 @@ def test_mode_norms_against_quadrature():
     for n in range(1, 11):
         row = mode_column(table, n)
         families = (
-            ((row.a1, row.b), np.cos(n * om), row.norm_1p),
-            ((row.b, row.a2), np.sin(n * om), row.norm_1m),
-            ((row.a2, row.b), np.cos(n * om), row.norm_2p),
-            ((row.b, row.a1), np.sin(n * om), row.norm_2m),
+            (row.pairs[0], np.cos(n * om), row.norms[0]),
+            (row.pairs[1], np.sin(n * om), row.norms[1]),
+            (row.pairs[2], np.cos(n * om), row.norms[2]),
+            (row.pairs[3], np.sin(n * om), row.norms[3]),
         )
         for (c_i, c_e), trig, want in families:
             u_i = c_i * trig / xii
@@ -187,10 +187,10 @@ def test_mode_projections_against_quadrature():
     for n in range(1, 11):
         row = mode_column(table, n)
         families = (
-            ((row.a1, row.b), np.cos(n * om), proj_1p[n - 1]),
-            ((row.b, row.a2), np.sin(n * om), proj_1m[n - 1]),
-            ((row.a2, row.b), np.cos(n * om), proj_2p[n - 1]),
-            ((row.b, row.a1), np.sin(n * om), proj_2m[n - 1]),
+            (row.pairs[0], np.cos(n * om), proj_1p[n - 1]),
+            (row.pairs[1], np.sin(n * om), proj_1m[n - 1]),
+            (row.pairs[2], np.cos(n * om), proj_2p[n - 1]),
+            (row.pairs[3], np.sin(n * om), proj_2m[n - 1]),
         )
         for (c_i, c_e), trig, want in families:
             v_i = c_i * trig / xii
@@ -446,10 +446,10 @@ def test_mode_projections_equal_the_per_family_gram_forms_bit_for_bit(g):
 
     (gc_i, gs_i), (gc_e, gs_e) = forcing
     want = np.array([
-        pair_cos(gc_i, gc_e, modes.a1, modes.b),
-        pair_sin(gs_i, gs_e, modes.b, modes.a2),
-        pair_cos(gc_i, gc_e, modes.a2, modes.b),
-        pair_sin(gs_i, gs_e, modes.b, modes.a1),
+        pair_cos(gc_i, gc_e, *modes.pairs[0]),
+        pair_sin(gs_i, gs_e, *modes.pairs[1]),
+        pair_cos(gc_i, gc_e, *modes.pairs[2]),
+        pair_sin(gs_i, gs_e, *modes.pairs[3]),
     ])
     got = mode_projections(forcing, modes, g)
     assert np.all(np.isfinite(want)) and np.all(np.abs(want) > 0.0)
@@ -491,7 +491,7 @@ def test_resolvent_magnitude_closed_form():
         denom = 4.0 + delta * delta
         re_z = -delta * delta / (2.0 * denom)
         im_z = delta / denom
-        for lam in np.concatenate([table.lambda1, table.lambda2]):
+        for lam in np.concatenate([table.eigenvalues[0], table.eigenvalues[2]]):
             for sign in (1.0, -1.0):
                 got = abs(sign * lam + z)
                 want = math.hypot(sign * lam + re_z, im_z)
@@ -1050,7 +1050,7 @@ def test_dissipated_power_spectral_single_mode():
     proj[0, n_star - 1] = proj_val
     row = mode_column(table, n_star)
     for delta in (1e-2, 1e-3, 1e-4):
-        want = delta * proj_val**2 / ((row.lambda1**2 + delta**2) * row.norm_1p)
+        want = delta * proj_val**2 / ((row.eigenvalues[0]**2 + delta**2) * row.norms[0])
         got = spectral_energy(proj, table, delta)
         assert abs(got - want) <= 1e-14 * want
 
@@ -1062,7 +1062,7 @@ def test_dissipated_power_peaks_at_eigenvalue():
     n_star = 5
     proj = np.zeros((4, 12))  # rows 1+, 1-, 2+, 2-
     proj[0, n_star - 1] = 1.0
-    lam = abs(mode_column(table, n_star).lambda1)
+    lam = abs(mode_column(table, n_star).eigenvalues[0])
     grid = lam * np.logspace(-1.0, 1.0, 17)
     powers = [spectral_energy(proj, table, float(d)) for d in grid]
     k_peak = int(np.argmax(powers))

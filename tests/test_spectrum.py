@@ -19,7 +19,7 @@ from calr_lab import (
     mode_table,
     s_gram,
 )
-from calr_lab.spectrum import FAMILY_PARITY, mode_eigenvalues
+from calr_lab.spectrum import FAMILY_PARITY, ModeTable, mode_eigenvalues
 from reference import mode_column, mode_data, single_ellipse_np
 
 mpmath.mp.dps = 60
@@ -32,9 +32,10 @@ NEAR_DEGENERATE = ConfocalGeometry(1.0, 0.5, 0.55)
 def _mp_mode(n, rho_i, rho_e):
     """Recompute one mode's eigendata with 60-digit arithmetic.
 
-    Returns a dict of floats: the double-precision roundings of the
-    high-precision values, so any agreement failure beyond a few ulps
-    points at the library, not at this oracle.
+    Returns the one-mode family record (as reference.mode_column) of the
+    double-precision roundings of the high-precision values, so any
+    agreement failure beyond a few ulps points at the library, not at
+    this oracle.
     """
     n = mpmath.mpf(n)
     ri, re = mpmath.mpf(rho_i), mpmath.mpf(rho_e)
@@ -59,17 +60,13 @@ def _mp_mode(n, rho_i, rho_e):
         return (gram[0][0] * v[0] * v[0] + 2 * gram[0][1] * v[0] * v[1]
                 + gram[1][1] * v[1] * v[1])
 
-    return {
-        "lambda1": float(lam1),
-        "lambda2": float(lam2),
-        "a1": float(a1),
-        "a2": float(a2),
-        "b": float(b),
-        "norm_1p": float(quad(g_cos, (a1, b))),
-        "norm_1m": float(quad(g_sin, (b, a2))),
-        "norm_2p": float(quad(g_cos, (a2, b))),
-        "norm_2m": float(quad(g_sin, (b, a1))),
-    }
+    return ModeTable(
+        int(n),
+        np.array([[a1, b], [b, a2], [a2, b], [b, a1]], dtype=float),
+        np.array([lam1, -lam1, lam2, -lam2], dtype=float),
+        np.array([quad(g_cos, (a1, b)), quad(g_sin, (b, a2)),
+                  quad(g_cos, (a2, b)), quad(g_sin, (b, a1))], dtype=float),
+    )
 
 
 def test_single_ellipse_alpha0_is_half():
@@ -130,11 +127,12 @@ def test_mode_data_against_high_precision():
         for n in (1, 2, 10, 40):
             md = mode_data(n, g)
             ref = _mp_mode(n, g.rho_i, g.rho_e)
-            for key, want in ref.items():
-                got = getattr(md, key)
-                assert math.isclose(got, want, rel_tol=1e-14), (
-                    f"{key} at n={n}: {got} vs {want}"
-                )
+            for key, got_all, want_all in zip(ModeTable._fields[1:], md[1:], ref[1:]):
+                for idx in np.ndindex(want_all.shape):
+                    got, want = got_all[idx], want_all[idx]
+                    assert math.isclose(got, want, rel_tol=1e-14), (
+                        f"{key}{list(idx)} at n={n}: {got} vs {want}"
+                    )
 
 
 def test_trace_and_det_match_eigenvalues():
@@ -142,10 +140,10 @@ def test_trace_and_det_match_eigenvalues():
         for n in range(1, 51):
             a_mat, b_mat = block_matrices(n, g)
             md = mode_data(n, g)
-            scale = abs(md.lambda1) + abs(md.lambda2)
-            assert abs(np.trace(a_mat) - (md.lambda1 + md.lambda2)) <= 1e-13 * scale
-            assert abs(np.trace(b_mat) + (md.lambda1 + md.lambda2)) <= 1e-13 * scale
-            prod = md.lambda1 * md.lambda2
+            scale = abs(md.eigenvalues[0]) + abs(md.eigenvalues[2])
+            assert abs(np.trace(a_mat) - (md.eigenvalues[0] + md.eigenvalues[2])) <= 1e-13 * scale
+            assert abs(np.trace(b_mat) + (md.eigenvalues[0] + md.eigenvalues[2])) <= 1e-13 * scale
+            prod = md.eigenvalues[0] * md.eigenvalues[2]
             assert abs(np.linalg.det(a_mat) - prod) <= 1e-13 * abs(prod)
             assert abs(np.linalg.det(b_mat) - prod) <= 1e-13 * abs(prod)
 
@@ -158,10 +156,10 @@ def test_eigen_residuals_componentwise():
             a_mat, b_mat = block_matrices(n, g)
             md = mode_data(n, g)
             pairs = (
-                (a_mat, np.array([md.a1, md.b]), md.lambda1),
-                (a_mat, np.array([md.a2, md.b]), md.lambda2),
-                (b_mat, np.array([md.b, md.a2]), -md.lambda1),
-                (b_mat, np.array([md.b, md.a1]), -md.lambda2),
+                (a_mat, md.pairs[0], md.eigenvalues[0]),
+                (a_mat, md.pairs[2], md.eigenvalues[2]),
+                (b_mat, md.pairs[1], md.eigenvalues[1]),
+                (b_mat, md.pairs[3], md.eigenvalues[3]),
             )
             for mat, vec, lam in pairs:
                 res = np.abs(mat @ vec - lam * vec)
@@ -175,25 +173,24 @@ def test_eigenvalues_match_direct_solve():
             a_mat, b_mat = block_matrices(n, g)
             md = mode_data(n, g)
             got_a = np.sort(np.linalg.eigvals(a_mat).real)
-            want = np.sort([md.lambda1, md.lambda2])
+            want = np.sort([md.eigenvalues[0], md.eigenvalues[2]])
             assert np.all(np.abs(got_a - want) <= 1e-13 * np.abs(want))
             got_b = np.sort(np.linalg.eigvals(b_mat).real)
-            want_b = np.sort([-md.lambda1, -md.lambda2])
+            want_b = np.sort([md.eigenvalues[1], md.eigenvalues[3]])
             assert np.all(np.abs(got_b - want_b) <= 1e-13 * np.abs(want_b))
 
 
 def test_mode_sign_invariants():
     for g in (THIN, THICK):
         table = mode_table(g, 100)
-        assert np.all(table.lambda1 < 0.0)
-        assert np.all(table.lambda2 > 0.0)
-        assert np.all(np.abs(table.lambda1) < 0.5)
-        assert np.all(table.lambda2 < 0.5)
-        assert np.all(table.a1 > 0.0)
-        assert np.all(table.a2 < 0.0)
-        assert np.all(table.b < 0.0)
-        for name in ("norm_1p", "norm_1m", "norm_2p", "norm_2m"):
-            assert np.all(getattr(table, name) > 0.0)
+        assert np.all(table.eigenvalues[0] < 0.0)
+        assert np.all(table.eigenvalues[2] > 0.0)
+        assert np.all(np.abs(table.eigenvalues[0]) < 0.5)
+        assert np.all(table.eigenvalues[2] < 0.5)
+        assert np.all(table.pairs[0, 0] > 0.0)  # a1
+        assert np.all(table.pairs[1, 1] < 0.0)  # a2
+        assert np.all(table.pairs[0, 1] < 0.0)  # b
+        assert np.all(table.norms > 0.0)
 
 
 def test_mode_table_matches_mode_data():
@@ -201,18 +198,16 @@ def test_mode_table_matches_mode_data():
     for n in (1, 7, 20):
         row = mode_column(table, n)
         single = mode_data(n, THIN)
-        for name in ("lambda1", "lambda2", "a1", "a2", "b",
-                     "norm_1p", "norm_1m", "norm_2p", "norm_2m"):
-            assert getattr(row, name) == getattr(single, name)
+        for got, want in zip(row, single):
+            assert np.array_equal(got, want)
 
 
 def test_mode_table_truncation_is_bit_identical():
     for g in (THIN, THICK):
         head = mode_table(g, 120).truncated(37)
         fresh = mode_table(g, 37)
-        for name in ("n", "lambda1", "lambda2", "a1", "a2", "b",
-                     "norm_1p", "norm_1m", "norm_2p", "norm_2m"):
-            assert np.array_equal(getattr(head, name), getattr(fresh, name))
+        for got, want in zip(head, fresh):
+            assert np.array_equal(got, want)
     with pytest.raises(ValueError):
         mode_table(THIN, 5).truncated(6)
     with pytest.raises(ValueError):
@@ -224,15 +219,16 @@ def test_mode_table_truncation_is_bit_identical():
     "g", [THIN, THICK, NEAR_DEGENERATE], ids=["thin", "thick", "near_degenerate"]
 )
 def test_family_table_holds_the_eigenpairs_and_norms_of_its_spans(g):
-    """ModeTable.families lists 1+, 1-, 2+, 2- in the table's norm order,
-    and for n = 1 .. 50 each family is an eigenpair of the block of its span
-    (A_n for even k, B_n for odd k) and its norm is the s_gram form of its
-    pair, both within validate's 1e-12."""
+    """ModeTable lists 1+, 1-, 2+, 2- in one order on the leading axis of
+    its pairs, eigenvalues and norms: 1- and 2- mirror the pairs of 2+ and
+    1+ with negated eigenvalues, and for n = 1 .. 50 each family is an
+    eigenpair of the block of its span (A_n for even k, B_n for odd k) and
+    its norm is the s_gram form of its pair, both within validate's 1e-12."""
     table = mode_table(g, 50)
-    vecs, lams, norms = table.families()
+    vecs, lams, norms = table.pairs, table.eigenvalues, table.norms
     assert vecs.shape == (4, 2, 50) and lams.shape == norms.shape == (4, 50)
-    assert np.array_equal(lams, [table.lambda1, -table.lambda1, table.lambda2, -table.lambda2])
-    assert np.array_equal(norms, [table.norm_1p, table.norm_1m, table.norm_2p, table.norm_2m])
+    assert np.array_equal(vecs[[1, 3]], vecs[[2, 0], ::-1])
+    assert np.array_equal(lams[1::2], -lams[::2])
     blocks = block_matrices(table.n, g)
     grams = s_gram(table.n, g)
     assert list(FAMILY_PARITY) == [0, 1, 0, 1]
@@ -252,7 +248,7 @@ def test_mode_eigenvalues_are_mode_tables_past_its_range():
     for g, n_ok in ((THIN, 400), (THICK, 300), (thick_far, 116)):
         table = mode_table(g, n_ok)
         lam1, lam2 = mode_eigenvalues(table.n.astype(float), g)
-        assert np.array_equal(lam1, table.lambda1) and np.array_equal(lam2, table.lambda2)
+        assert np.array_equal(lam1, table.eigenvalues[0]) and np.array_equal(lam2, table.eigenvalues[2])
         with pytest.raises(OverflowGuard):
             mode_table(g, 3 * n_ok)
         lam1, lam2 = mode_eigenvalues(np.arange(1.0, 3001.0), g)
@@ -282,13 +278,15 @@ def test_one_mode_forms_are_columns_of_the_array_forms(g):
     (2, 2) + shape(n) per span; at an int n they give column n of it bit
     for bit."""
     n = np.arange(1, 61)
-    a_all, b_all = block_matrices(n, g)
+    blocks = block_matrices(n, g)
+    a_all, b_all = blocks
     grams = s_gram(n, g)
-    assert a_all.shape == b_all.shape == (2, 2, 60) and grams.shape == (2, 2, 2, 60)
+    assert blocks.shape == grams.shape == (2, 2, 2, 60)
     for k in n:
         a_mat, b_mat = block_matrices(int(k), g)
         assert np.array_equal(a_mat, a_all[..., k - 1])
         assert np.array_equal(b_mat, b_all[..., k - 1])
+        assert np.array_equal(block_matrices(int(k), g), blocks[..., k - 1])
         assert np.array_equal(s_gram(int(k), g), grams[..., k - 1])
     with pytest.raises(ValueError):
         block_matrices(np.array([3, 0, 1]), g)
@@ -309,19 +307,19 @@ def test_mode_orthogonality_under_gram():
         for n in range(1, 101):
             row = mode_column(table, n)
             g_cos, g_sin = s_gram(n, g)
-            v1 = np.array([row.a1, row.b])
-            v2 = np.array([row.a2, row.b])
-            w1 = np.array([row.b, row.a2])
-            w2 = np.array([row.b, row.a1])
+            v1 = row.pairs[0]
+            v2 = row.pairs[2]
+            w1 = row.pairs[1]
+            w2 = row.pairs[3]
             cross_cos = abs(v1 @ g_cos @ v2)
             cross_sin = abs(w1 @ g_sin @ w2)
-            assert cross_cos <= 1e-12 * math.sqrt(row.norm_1p * row.norm_2p)
-            assert cross_sin <= 1e-12 * math.sqrt(row.norm_1m * row.norm_2m)
+            assert cross_cos <= 1e-12 * math.sqrt(row.norms[0] * row.norms[2])
+            assert cross_sin <= 1e-12 * math.sqrt(row.norms[1] * row.norms[3])
             # And the norm formulas agree with the quadratic forms.
-            assert abs(v1 @ g_cos @ v1 - row.norm_1p) <= 1e-12 * row.norm_1p
-            assert abs(v2 @ g_cos @ v2 - row.norm_2p) <= 1e-12 * row.norm_2p
-            assert abs(w1 @ g_sin @ w1 - row.norm_1m) <= 1e-12 * row.norm_1m
-            assert abs(w2 @ g_sin @ w2 - row.norm_2m) <= 1e-12 * row.norm_2m
+            assert abs(v1 @ g_cos @ v1 - row.norms[0]) <= 1e-12 * row.norms[0]
+            assert abs(v2 @ g_cos @ v2 - row.norms[2]) <= 1e-12 * row.norms[2]
+            assert abs(w1 @ g_sin @ w1 - row.norms[1]) <= 1e-12 * row.norms[1]
+            assert abs(w2 @ g_sin @ w2 - row.norms[3]) <= 1e-12 * row.norms[3]
 
 
 def test_critical_radius_examples():
@@ -396,12 +394,12 @@ def _scaled_sequences(g):
     rates = asymptotic_rates(g)
     n = np.arange(1, 61, dtype=float)
     return {
-        "lambda1": np.abs(table.lambda1) * np.exp(rates.lambda1_rate * n),
-        "lambda2": table.lambda2 * np.exp(rates.lambda2_rate * n),
-        "norm_1p": table.norm_1p * n * np.exp(rates.norm_rates["1p"] * n),
-        "norm_1m": table.norm_1m * n * np.exp(rates.norm_rates["1m"] * n),
-        "norm_2p": table.norm_2p * n * np.exp(rates.norm_rates["2p"] * n),
-        "norm_2m": table.norm_2m * n * np.exp(rates.norm_rates["2m"] * n),
+        "lambda1": np.abs(table.eigenvalues[0]) * np.exp(rates.lambda1_rate * n),
+        "lambda2": table.eigenvalues[2] * np.exp(rates.lambda2_rate * n),
+        "norm_1p": table.norms[0] * n * np.exp(rates.norm_rates["1p"] * n),
+        "norm_1m": table.norms[1] * n * np.exp(rates.norm_rates["1m"] * n),
+        "norm_2p": table.norms[2] * n * np.exp(rates.norm_rates["2p"] * n),
+        "norm_2m": table.norms[3] * n * np.exp(rates.norm_rates["2m"] * n),
     }
 
 
