@@ -23,9 +23,12 @@ each threshold stated once, in its body.  They compare (1) the Nystrom
 eigenvalues of mode_blocks_for's blocks with mode_eigenvalues and (2)
 the k = 0 entry of those blocks, K* of Gamma_i on 1/Xi, with 1/2, (3, 4)
 block_matrices and s_gram with the family table of mode_table (its
-pairs, eigenvalues and norms, order in spectrum's docstring), (5)
-eval_potentials with the transmission conditions (continuity and
-flux_jump), (6) the surrogate with the closed-form energy, (7) V at
+pairs, eigenvalues and norms, order in spectrum's docstring), (5) V,
+the layer sums plus F as eval_potentials forms them, with the
+transmission conditions (continuity on V; flux_jump from one-sided
+stencils on the layer sums alone plus the source's rho derivative
+grad F . dx/drho in closed form, so that F's constant part cannot drown
+V's variation), (6) the surrogate with the closed-form energy, (7) V at
 -delta with conj V at delta, and (8) the closed-form energy at +delta
 with transmission_energy (direct_energy).  Step 1 solves only the mode
 blocks whose norm bound reaches the top values it compares (see
@@ -33,7 +36,7 @@ _mode_spectrum; 5 of 127 4 x 4 blocks at N = 256 on the default
 geometry), and step 2 reads its k = 0 entry from the same blocks, so the
 Nystrom work is O(N log N).  Steps 3-8 share one solver._solve pass (the
 solve of solve_densities and sweep) whose rows are +delta and -delta
-(steps 5 and 7, one eval_potentials call; step 8 reads the +delta
+(steps 5 and 7, one layer-sum pass; step 8 reads the +delta
 energy) and step 6's five losses (their energies); steps 3 and 4 read
 the first 50 modes of its table.  The check-only routes of the tests
 (the energy quadrature, the shell gradient and the projection oracle)
@@ -83,9 +86,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CurveOverlap, EigensolveFailure, InputError, OverflowGuard
-from .geometry import ConfocalGeometry, EllipticPoint, SampledCurve, sample_ellipse
-from .solver import _energies, _solve, adaptive_n_max, eval_potentials
-from .source import Coefficients, Dipole, SourceSpec, newtonian_coefficients
+from .geometry import (ConfocalGeometry, EllipticPoint, SampledCurve, cartesian,
+                       sample_ellipse, tangents)
+from .solver import _energies, _layer_sums, _solve, adaptive_n_max
+from .source import (Coefficients, Dipole, SourceSpec, elliptic_potential,
+                     newtonian_coefficients, newtonian_gradient)
 from .spectrum import FAMILY_PARITY, block_matrices, mode_eigenvalues, mode_table, s_gram
 
 __all__ = [
@@ -334,7 +339,11 @@ def mode_blocks_for(g: ConfocalGeometry, N: int) -> tuple[np.ndarray, np.ndarray
     when it does not hold (always so on a NaN or an inf), and
     sample_ellipse's ValueError for N odd or below 8.
     """
-    curves = (sample_ellipse(g.R, g.rho_i, N), sample_ellipse(g.R, g.rho_e, N))
+    # The weighted entries do not depend on the scale, so both curves are
+    # sampled at R moved into [1, 2) by an exact power of two: every entry
+    # keeps its bits, and no node offset squared under- or overflows.
+    r_unit = math.ldexp(g.R, 1 - math.frexp(g.R)[1])
+    curves = (sample_ellipse(r_unit, g.rho_i, N), sample_ellipse(r_unit, g.rho_e, N))
     third = N // 3
     rows = np.array([0, 1, 2, third, third + 1, third + 2])
     a = np.empty((2, 2, len(rows), N))  # a[p, q]: the sampled rows of A_pq
@@ -561,7 +570,8 @@ def validate(
     source whose coefficients or densities are not doubles.  Steps 1
     and 2 read one mode_blocks_for call (below 64 nodes, step 2 reads a
     second one on 64).  Nothing depends on the scale
-    R: the curves' overlap guard (_kernel_block) is relative to their size.
+    R: the curves' overlap guard (_kernel_block) is relative to their size,
+    and mode_blocks_for samples them at R moved into [1, 2).
     The solve's TruncationWarnings are attributed to the caller of validate.
     """
     if n_nystrom < 8 or n_nystrom % 2:
@@ -634,7 +644,8 @@ def validate(
     checks.append(_check("s_norms", worst, 1e-12, None if pd else "fail"))
 
     # 5. Transmission conditions for the source, from the +-delta rows cut
-    # to their truncation; one evaluator call serves steps 5 and 7.
+    # to their truncation; one layer-sum pass serves steps 5 and 7, and V
+    # is the layer sums plus F, as eval_potentials(source, ...) forms it.
     dc, e_direct, e_spectral = solved
     rows = dc[:, :, :2, : n_maxes[0]]
     stencil = np.array([-49.0 / 20, 6.0, -15.0 / 2, 20.0 / 3, -15.0 / 4, 6.0 / 5, -1.0 / 6])
@@ -649,20 +660,34 @@ def validate(
         for rho_t in (g.rho_i, g.rho_e)
     ])
     rho5, omega5 = np.broadcast_arrays(radii[:, None, :], omegas[:, None])
-    rhos = [0.5 * g.rho_i, 0.5 * (g.rho_i + g.rho_e), g.rho_e + 0.3]
-    both = eval_potentials(source, rows, g, np.concatenate([rho5.ravel(), rhos]),
-                           np.concatenate([omega5.ravel(), [0.3, 2.0, 4.0]]))
+    rho_7 = [0.5 * g.rho_i, 0.5 * (g.rho_i + g.rho_e), g.rho_e + 0.3]
+    rho_pts = np.concatenate([rho5.ravel(), rho_7])
+    omega_pts = np.concatenate([omega5.ravel(), [0.3, 2.0, 4.0]])
+    # The stencils difference the layer sums alone: near the shell V's
+    # variation can fall below the rounding of F's constant part.  F is
+    # smooth across both interfaces, so its rho derivative is added on
+    # both sides in closed form, grad F . dx/drho.
+    on_curves = np.array([[g.rho_i], [g.rho_e]])
+    with np.errstate(all="ignore"):  # a value out of range is refused below
+        layers = _layer_sums(rows, g, rho_pts, omega_pts)
+        both = layers + elliptic_potential(source, g.R, rho_pts, omega_pts)
+        grad = newtonian_gradient(source, cartesian(g.R, on_curves, omegas), g.R)
+        d_f = np.sum(grad * tangents(g.R, on_curves, omegas)[0], axis=-1)
+    if not (np.all(np.isfinite(both)) and np.all(np.isfinite(d_f))):
+        raise OverflowGuard("potential leaves double range")
     values, at_7 = both[0, : rho5.size].reshape(rho5.shape), both[:, rho5.size :]
-    worst_c, worst_f = 0.0, 0.0
-    for v, e_in, e_out in zip(values, (1.0, shell), (shell, 1.0)):
-        inner, outer = v[:, 2 : 2 + len(stencil)], v[:, 2 + len(stencil) :]
-        vscale = float(np.max(np.abs(v[:, 0])))
-        worst_c = max(worst_c, _relative(float(np.max(np.abs(v[:, 0] - v[:, 1]))), vscale))
-        d_in = -sum(c * inner[:, k] for k, c in enumerate(stencil)) / h
-        d_out = sum(c * outer[:, k] for k, c in enumerate(stencil)) / h
-        fi, fo = e_in * d_in, e_out * d_out
-        fscale = float(np.max(np.maximum(np.abs(fi), np.abs(fo))))
-        worst_f = max(worst_f, _relative(float(np.max(np.abs(fi - fo))), fscale))
+    sums = layers[0, : rho5.size].reshape(rho5.shape)
+    # The fluxes on both sides of each interface, (interface, omega): the
+    # permittivity inside (1, shell) and outside (shell, 1) times the
+    # one-sided rho derivative.
+    d_in = d_f - np.sum(sums[..., 2 : 2 + len(stencil)] * stencil, axis=-1) / h
+    d_out = d_f + np.sum(sums[..., 2 + len(stencil) :] * stencil, axis=-1) / h
+    fi, fo = np.array([[1.0], [shell]]) * d_in, np.array([[shell], [1.0]]) * d_out
+    # Each check's worst interface, relative to that interface's own scale.
+    worst_c = max(map(_relative, np.max(np.abs(values[..., 0] - values[..., 1]), axis=1).tolist(),
+                      np.max(np.abs(values[..., 0]), axis=1).tolist()))
+    worst_f = max(map(_relative, np.max(np.abs(fi - fo), axis=1).tolist(),
+                      np.max(np.maximum(np.abs(fi), np.abs(fo)), axis=1).tolist()))
     checks.append(_check("continuity", worst_c, 1e-6))
     checks.append(_check("flux_jump", worst_f, 1e-8))
 

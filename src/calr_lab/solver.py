@@ -69,13 +69,16 @@ Each rule is stated once.  adaptive_n_max refuses a delta outside (0, 1)
 and a margin that is not an integer >= 0, and sweep a probe it cannot
 evaluate, all with errors.InputError before any coefficient is built.
 The truncation bound is the mode table's (spectrum._mode_limit), which
-adaptive_n_max and boundary_forcing read from n_max alone.
+adaptive_n_max and boundary_forcing read from n_max alone; adaptive_n_max
+forms ln(1/delta) as -ln(delta), so a subnormal delta meets that bound
+(OverflowGuard) instead of an infinite 1/delta.
 solve_densities, sweep and oracle.validate share one solve, _solve: the
 solve (with its tail check, TruncationWarning above 1e-10) and both
 energies run over (delta, mode) arrays, one row per delta over its own
-leading modes.  An energy, density, potential or normalized far value is
-refused (OverflowGuard, with no numpy warning) only when it is itself out
-of double range.
+leading modes, and read the mode table's family fields (pairs,
+eigenvalues, norms) as mode_table stored them.  An energy, density,
+potential or normalized far value is refused (OverflowGuard, with no
+numpy warning) only when it is itself out of double range.
 """
 
 from __future__ import annotations
@@ -196,10 +199,14 @@ def adaptive_n_max(delta: float, g: ConfocalGeometry, margin: int = 40) -> int:
         raise InputError(f"margin: must be an integer >= 0, got {margin}") from None
     if margin < 0:
         raise InputError(f"margin: must be >= 0, got {margin}")
-    n = math.ceil(2.0 * math.log(1.0 / delta) / (g.rho_e - g.rho_i)) + margin
-    if n > _mode_limit(g):
+    # ln(1/delta) as -ln(delta), finite for every positive double (1/delta
+    # is inf below about 5.6e-309); a subnormal shell width still makes the
+    # quotient inf, past every n_max.
+    reach = 2.0 * -math.log(delta) / (g.rho_e - g.rho_i)
+    n = math.ceil(reach) + margin if reach < math.inf else None
+    if n is None or n > _mode_limit(g):
         try:
-            need = f"n_max = {n}"
+            need = f"n_max = {n}" if n is not None else "an n_max past double range"
         except ValueError:  # past the digits Python converts to text
             need = "an n_max too long to print"
         raise OverflowGuard(f"delta = {delta} needs {need}; the largest n_max that fits "

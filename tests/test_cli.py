@@ -871,14 +871,22 @@ def test_check_status_is_observed_below_threshold(config):
 def test_validate_is_scale_free(config):
     """The overlap guard scales with the curves' size, so validate at R =
     1e-9 gives every check the status it has at R = 1 (before, each such
-    geometry stopped at a 1e-8 absolute gap)."""
+    geometry stopped at a 1e-8 absolute gap); the mode blocks are sampled
+    at R moved into [1, 2), so R = 1e-150 and 1e150 do too (before, the
+    node offsets squared under- or overflowed and validate exited 3),
+    with no numpy RuntimeWarning."""
     cfg = json.loads((CONFIGS / config).read_text())
-    small = dict(cfg, geometry=dict(cfg["geometry"], R=1e-9))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        want, got = _validate_by_name(cfg), _validate_by_name(small)
-    assert {k: c["status"] for k, c in got.items()} == {k: c["status"] for k, c in want.items()}
-    assert all(c["status"] == "pass" for c in got.values())
+        want = _validate_by_name(cfg)
+    for scale in (1e-9, 1e-150, 1e150):
+        scaled = dict(cfg, geometry=dict(cfg["geometry"], R=scale))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            got = _validate_by_name(scaled)
+        assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
+        assert {k: c["status"] for k, c in got.items()} == {k: c["status"] for k, c in want.items()}
+        assert all(c["status"] == "pass" for c in got.values()), scale
 
 
 @pytest.mark.parametrize(
@@ -1466,6 +1474,12 @@ _EDGES = [
     ("huge-charge", _edited(_GOLDEN / "charge_pair.json", source={"charge": 1e308}),
      _SOURCE_COMMANDS, 3),
     ("huge-c", _edited(_GOLDEN / "coefficients.json", source={"c": 1e308}), ("sweep",), 3),
+    ("subnormal-delta", _edited(CONFIGS / "thick_outside.json",
+                                sweep={"deltas": [1e-2, 1e-3, 5e-324]}), ("sweep",), 3),
+    ("subnormal-field-delta", _edited(CONFIGS / "thick_outside.json", field={"delta": 1e-310}),
+     ("field",), 3),
+    ("subnormal-width", _edited(CONFIGS / "thick_outside.json",
+                                geometry={"rho_i": 1e-310, "rho_e": 2e-310}), _SOURCE_COMMANDS, 3),
 ]
 
 
@@ -1490,6 +1504,19 @@ def test_edge_configs_end_in_one_documented_exit(tmp_path, capsys, text, command
     assert err.startswith(prefix) and len(err.splitlines()) == 1
     assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_validate_passes_a_source_with_no_modes(tmp_path, capsys):
+    """An expansion with no modes is V = c exactly, so the flux stencils on
+    the layer sums read 0 and validate exits 0 (before, the stencils on V
+    read about delta and validate exited 4 on flux_jump)."""
+    path = tmp_path / "constant.json"
+    path.write_text(_edited(_GOLDEN / "coefficients.json",
+                            source={"f_plus": [], "f_minus": []})(), encoding="utf-8")
+    assert _run(["validate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    checks = {c["name"]: c for c in json.loads((tmp_path / "validate.json").read_text())["checks"]}
+    assert checks["flux_jump"]["status"] == "pass" and checks["flux_jump"]["observed"] == 0.0
 
 
 @pytest.mark.parametrize("rho, code", [(350.0, 0), (355.0, 2), (800.0, 2)])

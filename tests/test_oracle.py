@@ -570,6 +570,22 @@ def test_mode_blocks_for_matches_the_dense_route(geometry, N):
     assert np.array_equal(got.matched[f], want.matched[d])
 
 
+@pytest.mark.parametrize("geometry", [THIN, THICK, R2], ids=["thin", "thick", "R2"])
+@pytest.mark.parametrize("N", [64, 256])
+def test_mode_blocks_for_do_not_depend_on_the_scale(geometry, N):
+    """The weighted entries do not depend on R, and the curves are sampled
+    at R moved into [1, 2) by a power of two: R times 2^500 or 2^-500, where
+    the node offsets squared would leave double range, gives the same
+    blocks bit for bit, with no numpy warning."""
+    want = oracle.mode_blocks_for(geometry, N)
+    for shift in (500, -500):
+        scaled = ConfocalGeometry(math.ldexp(geometry.R, shift), geometry.rho_i, geometry.rho_e)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = oracle.mode_blocks_for(scaled, N)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), shift
+
+
 @pytest.mark.parametrize("block", range(4))
 @pytest.mark.parametrize("row", range(6))
 @pytest.mark.parametrize("bad", ["1e-6", "nan", "inf"])
@@ -870,11 +886,12 @@ def _count_calls(monkeypatch, functions):
 
 def test_validate_solves_its_source_once(monkeypatch):
     """Steps 3-7 share one spectral solve: one call each to solver._solve,
-    mode_table, newtonian_coefficients and eval_potentials per validate,
-    and no sweep or solve_densities call.  The last geometry's solve
-    needs 49 modes, fewer than steps 3-4 read."""
+    mode_table, newtonian_coefficients and the layer-sum pass of steps 5
+    and 7 (solver._layer_sums) per validate, and no sweep or
+    solve_densities call.  The last geometry's solve needs 49 modes,
+    fewer than steps 3-4 read."""
     calls = _count_calls(monkeypatch, [
-        solver._solve, mode_table, source.newtonian_coefficients, solver.eval_potentials,
+        solver._solve, mode_table, source.newtonian_coefficients, solver._layer_sums,
         solver.sweep, solver.solve_densities])
     for g in (THIN, THICK, ConfocalGeometry(2.0, 0.3, 3.6)):
         calls.update(dict.fromkeys(calls, 0))
@@ -882,7 +899,7 @@ def test_validate_solves_its_source_once(monkeypatch):
             warnings.simplefilter("ignore", TruncationWarning)
             checks = oracle.validate(g, n_nystrom=64)
         assert calls == {"_solve": 1, "mode_table": 1, "newtonian_coefficients": 1,
-                         "eval_potentials": 1, "sweep": 0, "solve_densities": 0}
+                         "_layer_sums": 1, "sweep": 0, "solve_densities": 0}
         assert [c["name"] for c in checks] == [
             "nystrom_spectrum", "alpha0_half", "eigen_residuals", "s_norms",
             "continuity", "flux_jump", "surrogate_ratio", "reality_symmetry",
@@ -914,10 +931,10 @@ def test_validate_forms_one_set_of_mode_blocks(monkeypatch, n_nystrom, sizes):
 
 
 # Shipped functions that no command calls, kept for the work the ROADMAP
-# plans: the dense Nystrom form (items 4, 13 and 18), the point source's
-# gradient (item 4's forcing) and the asymptotic rates (AC9, item 5c).
+# plans: the dense Nystrom form (items 4, 13 and 18) and the asymptotic
+# rates (AC9, item 5c).
 _RESERVED = {"oracle.assemble_block_np", "oracle.block_np_for", "oracle.numeric_spectrum",
-             "source.newtonian_gradient", "spectrum.asymptotic_rates"}
+             "spectrum.asymptotic_rates"}
 
 
 def test_every_shipped_function_serves_a_command(monkeypatch, tmp_path, capsys):
@@ -1031,7 +1048,51 @@ def test_validate_direct_energy_catches_a_wrong_solve(monkeypatch):
     assert checks["direct_energy"]["status"] == "pass"
 
 
+def test_validate_flux_jump_catches_a_solve_at_the_wrong_permittivity(monkeypatch):
+    """Densities solved with z 1 + 1e-4 off (the resolvent of a shell whose
+    permittivity is not -1 + i delta) break the flux condition that step 5
+    checks with -1 + i delta: flux_jump reads about 1e-4 delta = 1e-7 and
+    fails.  Unpatched, it passes."""
+    z_param = solver.z_param
+    monkeypatch.setattr(solver, "z_param", lambda delta: z_param(delta) * (1.0 + 1e-4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        checks = {c["name"]: c for c in oracle.validate(THIN)}
+    assert checks["flux_jump"]["status"] == "fail"
+    monkeypatch.undo()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        checks = {c["name"]: c for c in oracle.validate(THIN)}
+    assert checks["flux_jump"]["status"] == "pass"
+
+
 _CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+_GOLDEN = Path(__file__).resolve().parent / "golden" / "configs"
+
+
+@pytest.mark.parametrize("config, edit", [
+    (_GOLDEN / "coefficients.json", {"f_plus": [], "f_minus": []}),
+    (_GOLDEN / "coefficients.json", {"c": 1e200}),
+    (_CONFIGS / "dipole_outside.json", {"location": {"rho": 20.0, "omega": 0.9}}),
+    (_CONFIGS / "dipole_outside.json", {"location": {"rho": 50.0, "omega": 0.9}}),
+], ids=["no-modes", "c-1e200", "dipole-rho0-20", "dipole-rho0-50"])
+def test_flux_jump_holds_where_the_constant_part_drowns_the_variation(config, edit):
+    """Near the shell V's variation can fall below the rounding of its
+    constant part: an expansion with no modes (V = c exactly), a constant
+    of 1e200, or dipole_outside's dipole moved out to rho0 = 20 or 50.
+    The stencils difference the layer sums alone and F's rho derivative
+    is added in closed form, so flux_jump passes on each (before, it read
+    about delta: 1.0e-3, 1.0e-3, 4.7e-3 and 1.0e-3), and continuity and
+    reality_symmetry pass, with no numpy RuntimeWarning."""
+    cfg = cli.load_config(config)
+    cfg["source"].update(edit)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        checks = {c["name"]: c for c in oracle.validate(cli.parse_geometry(cfg),
+                                                        cli.parse_source(cfg))}
+    assert [w for w in seen if issubclass(w.category, RuntimeWarning)] == []
+    assert checks["flux_jump"]["status"] == "pass" and checks["flux_jump"]["observed"] < 1e-10
+    assert checks["continuity"]["status"] == checks["reality_symmetry"]["status"] == "pass"
 
 
 @pytest.mark.parametrize("delta", [1e-3, 1e-8])
@@ -1088,8 +1149,10 @@ def test_transmission_energy_refusals():
 def _public_route_checks(g, src):
     """continuity, flux_jump, surrogate_ratio and reality_symmetry as the
     public functions give them: the one-loss solve_densities at delta and
-    -delta, stacked as K rows, with eval_potentials for steps 5 and 7,
-    sweep's records for step 6."""
+    -delta, stacked as K rows, with eval_potentials of a zero expansion
+    (the layer sums) plus elliptic_potential for steps 5 and 7, the flux
+    stencils on the layer sums plus grad F . dx/drho (newtonian_gradient,
+    tangents), and sweep's records for step 6."""
     delta = 1e-3
     sc = source.newtonian_coefficients(src, solver.adaptive_n_max(delta, g), g.R, rho_e=g.rho_e)
     rows = np.stack([solver.solve_densities(sc, g, delta),
@@ -1104,17 +1167,22 @@ def _public_route_checks(g, src):
         for rho_t in (g.rho_i, g.rho_e)
     ])
     rho5, omega5 = np.broadcast_arrays(radii[:, None, :], omegas[:, None])
-    rhos = [0.5 * g.rho_i, 0.5 * (g.rho_i + g.rho_e), g.rho_e + 0.3]
-    both = solver.eval_potentials(src, rows, g, np.concatenate([rho5.ravel(), rhos]),
-                                  np.concatenate([omega5.ravel(), [0.3, 2.0, 4.0]]))
+    rho = np.concatenate([rho5.ravel(), [0.5 * g.rho_i, 0.5 * (g.rho_i + g.rho_e), g.rho_e + 0.3]])
+    omega = np.concatenate([omega5.ravel(), [0.3, 2.0, 4.0]])
+    layers = solver.eval_potentials(source.Coefficients(0.0, [], []), rows, g, rho, omega)
+    both = layers + source.elliptic_potential(src, g.R, rho, omega)
     values, (vp, vm) = both[0, : rho5.size].reshape(rho5.shape), both[:, rho5.size :]
+    sums = layers[0, : rho5.size].reshape(rho5.shape)
+    on_curves = np.array([[g.rho_i], [g.rho_e]])
+    grad = source.newtonian_gradient(src, cartesian(g.R, on_curves, omegas), g.R)
+    d_f = np.sum(grad * tangents(g.R, on_curves, omegas)[0], axis=-1)
     worst_c, worst_f = 0.0, 0.0
-    for v, e_in, e_out in zip(values, (1.0, shell), (shell, 1.0)):
-        inner, outer = v[:, 2 : 2 + len(stencil)], v[:, 2 + len(stencil) :]
+    for v, s, df, e_in, e_out in zip(values, sums, d_f, (1.0, shell), (shell, 1.0)):
+        inner, outer = s[:, 2 : 2 + len(stencil)], s[:, 2 + len(stencil) :]
         vscale = float(np.max(np.abs(v[:, 0])))
         worst_c = max(worst_c, float(np.max(np.abs(v[:, 0] - v[:, 1]))) / vscale)
-        d_in = -sum(c * inner[:, k] for k, c in enumerate(stencil)) / h
-        d_out = sum(c * outer[:, k] for k, c in enumerate(stencil)) / h
+        d_in = df - np.sum(inner * stencil, axis=-1) / h
+        d_out = df + np.sum(outer * stencil, axis=-1) / h
         fi, fo = e_in * d_in, e_out * d_out
         fscale = float(np.max(np.maximum(np.abs(fi), np.abs(fo))))
         worst_f = max(worst_f, float(np.max(np.abs(fi - fo))) / fscale)

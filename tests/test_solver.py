@@ -232,6 +232,18 @@ def test_adaptive_n_max():
         adaptive_n_max(1e-60, THIN)
 
 
+def test_adaptive_n_max_refuses_a_subnormal_loss():
+    """ln(1/delta) is formed as -ln(delta): at delta = 5e-324, 1/delta is
+    inf and math.ceil raised a bare OverflowError.  A shell width so small
+    that 2 ln(1/delta) / width is inf is refused the same way."""
+    thick = ConfocalGeometry(1.0, 0.2, 1.0)
+    want = "delta = 5e-324 needs n_max = 1902; the largest n_max that fits rho_e = 1.0 is 350"
+    with pytest.raises(OverflowGuard, match=f"^{re.escape(want)}$"):
+        adaptive_n_max(5e-324, thick)
+    with pytest.raises(OverflowGuard, match="needs an n_max past double range"):
+        adaptive_n_max(0.5, ConfocalGeometry(1.0, 1e-310, 2e-310))
+
+
 def test_adaptive_n_max_takes_integer_margins_only():
     """A fractional margin made a fractional n_max (48.5), on which sweep
     failed with a raw IndexError deep in the solve; a margin past the

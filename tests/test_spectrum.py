@@ -248,7 +248,7 @@ def test_mode_eigenvalues_are_mode_tables_past_its_range():
     for g, n_ok in ((THIN, 400), (THICK, 300), (thick_far, 116)):
         table = mode_table(g, n_ok)
         lam1, lam2 = mode_eigenvalues(table.n.astype(float), g)
-        assert np.array_equal(lam1, table.eigenvalues[0]) and np.array_equal(lam2, table.eigenvalues[2])
+        assert np.array_equal([lam1, lam2], table.eigenvalues[::2])
         with pytest.raises(OverflowGuard):
             mode_table(g, 3 * n_ok)
         lam1, lam2 = mode_eigenvalues(np.arange(1.0, 3001.0), g)
