@@ -660,8 +660,8 @@ def validate(
         for rho_t in (g.rho_i, g.rho_e)
     ])
     rho5, omega5 = np.broadcast_arrays(radii[:, None, :], omegas[:, None])
-    rho_7 = [0.5 * g.rho_i, 0.5 * (g.rho_i + g.rho_e), g.rho_e + 0.3]
-    rho_pts = np.concatenate([rho5.ravel(), rho_7])
+    rhos = [0.5 * g.rho_i, 0.5 * (g.rho_i + g.rho_e), g.rho_e + 0.3]
+    rho_pts = np.concatenate([rho5.ravel(), rhos])
     omega_pts = np.concatenate([omega5.ravel(), [0.3, 2.0, 4.0]])
     # The stencils difference the layer sums alone: near the shell V's
     # variation can fall below the rounding of F's constant part.  F is
